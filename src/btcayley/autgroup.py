@@ -22,7 +22,7 @@ from .graphs import (
     build_cayley,
     maximal_2_cliques,
 )
-from .perms import Permutation, identity
+from .perms import Permutation, _wrap, compose_images, identity
 
 
 @dataclass(frozen=True)
@@ -161,30 +161,39 @@ def generated_subgroup(generators, limit: int = 3_628_800) -> frozenset[Permutat
         nxt = []
         for t in frontier:
             for gimg in gen_imgs:
-                prod = tuple(t[v - 1] for v in gimg)
+                prod = compose_images(t, gimg)
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
         if len(seen) > limit:
             raise ValueError(f"closure exceeds the cap of {limit} elements")
         frontier = nxt
-    return frozenset(Permutation(t) for t in seen)
+    return frozenset(map(_wrap, seen))
 
 
-def orbit(dihedral_gens, seed: Permutation) -> frozenset[Permutation]:
-    """Orbit of a permutation under a list of dihedral elements."""
-    from .toric import apply_dihedral
+def orbit_images(dihedral_gens, seed: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Orbit of an image tuple under dihedral elements of its degree."""
+    from .toric import dihedral_image
 
     gens = list(dihedral_gens)
     seen = {seed}
     frontier = [seed]
     while frontier:
         nxt = []
-        for p in frontier:
+        for a in frontier:
             for d in gens:
-                q = apply_dihedral(d, p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
+                b = dihedral_image(d, a)
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
         frontier = nxt
-    return frozenset(seen)
+    return seen
+
+
+def orbit(dihedral_gens, seed: Permutation) -> frozenset[Permutation]:
+    """Orbit of a permutation under a list of dihedral elements."""
+    gens = list(dihedral_gens)
+    for d in gens:
+        if d.n != seed.n:
+            raise ValueError(f"degree mismatch: {d.n} vs {seed.n}")
+    return frozenset(map(_wrap, orbit_images(gens, seed.image)))

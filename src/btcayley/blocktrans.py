@@ -157,7 +157,3 @@ def recognize(p: Permutation):
         return None
     c = CutPoints(i, j, k, n)
     return c if make_bt(c) == p else None
-
-
-def cutpoints_json(c: CutPoints) -> dict:
-    return {"i": c.i, "j": c.j, "k": c.k, "class": classify(c)}

@@ -163,7 +163,7 @@ def cmd_verify(args, out) -> int:
         raise UsageError("verify needs a claim key or 'all'")
     if args.claim_pos is not None and args.claim is not None and args.claim_pos != args.claim:
         raise UsageError("claim given twice with different values")
-    budget = _resolve_budget(args)
+    budget = args.budget
     if claim == "all":
         reports = run_all(args.n, budget)
         if args.pretty:
@@ -358,6 +358,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Every subcommand takes --budget-ms, so every one validates it;
+        # only verify spends it so far.
+        args.budget = _resolve_budget(args)
         return args.fn(args, sys.stdout)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

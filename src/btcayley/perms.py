@@ -8,6 +8,16 @@ permutation [0 p] fixing 0, and restricting [0 p] back to [n] returns p.
 
 Images are stored in tuples indexed from 0; all public semantics use the
 1-based positions (0-based for the extended point set).
+
+Validation happens once, at the API boundary.  The public constructors
+Permutation(...) and ExtendedPermutation(...) and parse_permutation check
+that an image tuple is a bijection, because that tuple comes from outside.
+The algebra runs on kernels over plain image tuples (compose_images and
+invert_image here; the toric, inverse-toric and reversal kernels in toric):
+each kernel maps permutations to a permutation by construction, so its
+result is wrapped without a second check by the internal constructors
+_wrap and _wrap_ext.  Hot loops call the kernels directly and wrap a tuple
+only when they hand it back to a caller.
 """
 
 from __future__ import annotations
@@ -15,6 +25,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
+
+
+def compose_images(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Image tuple of a o b (apply b first) for two images of one degree."""
+    if len(b) == 1:
+        return a
+    return itemgetter(*b)((0,) + a)
+
+
+def invert_image(a: tuple[int, ...]) -> tuple[int, ...]:
+    """Image tuple of the inverse permutation."""
+    inv = [0] * len(a)
+    for t, v in enumerate(a, start=1):
+        inv[v - 1] = t
+    return tuple(inv)
 
 
 @dataclass(frozen=True)
@@ -50,16 +76,12 @@ class Permutation:
             raise TypeError(f"cannot compose Permutation with {type(other).__name__}")
         if other.n != self.n:
             raise ValueError(f"degree mismatch: {self.n} vs {other.n}")
-        img = self.image
-        return Permutation(tuple(img[v - 1] for v in other.image))
+        return _wrap(compose_images(self.image, other.image))
 
     __mul__ = compose
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for t, v in enumerate(self.image, start=1):
-            inv[v - 1] = t
-        return Permutation(tuple(inv))
+        return _wrap(invert_image(self.image))
 
     def is_identity(self) -> bool:
         return all(v == t for t, v in enumerate(self.image, start=1))
@@ -105,8 +127,7 @@ class ExtendedPermutation:
             raise TypeError(f"cannot compose ExtendedPermutation with {type(other).__name__}")
         if other.n != self.n:
             raise ValueError(f"degree mismatch: {self.n} vs {other.n}")
-        img = self.image
-        return ExtendedPermutation(tuple(img[v] for v in other.image))
+        return _wrap_ext(itemgetter(*other.image)(self.image))
 
     __mul__ = compose
 
@@ -114,13 +135,31 @@ class ExtendedPermutation:
         inv = [0] * (self.n + 1)
         for x, v in enumerate(self.image):
             inv[v] = x
-        return ExtendedPermutation(tuple(inv))
+        return _wrap_ext(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(v == x for x, v in enumerate(self.image))
 
     def __str__(self) -> str:
         return "[" + " ".join(str(v) for v in self.image) + "]"
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _wrap(image: tuple[int, ...]) -> Permutation:
+    """Permutation around an image tuple that is one by construction (no check)."""
+    p = _new(Permutation)
+    _set(p, "image", image)
+    return p
+
+
+def _wrap_ext(image: tuple[int, ...]) -> ExtendedPermutation:
+    """ExtendedPermutation around an image tuple that is one by construction."""
+    e = _new(ExtendedPermutation)
+    _set(e, "image", image)
+    return e
 
 
 def identity(n: int) -> Permutation:
@@ -134,14 +173,14 @@ def reverse(n: int) -> Permutation:
 
 def lift(p: Permutation) -> ExtendedPermutation:
     """The extension [0 p] of p fixing 0."""
-    return ExtendedPermutation((0,) + p.image)
+    return _wrap_ext((0,) + p.image)
 
 
 def restrict(e: ExtendedPermutation) -> Permutation:
     """Restrict an extended permutation fixing 0 back to {1, ..., n}."""
     if e.image[0] != 0:
         raise ValueError(f"extended permutation does not fix 0: {e}")
-    return Permutation(e.image[1:])
+    return _wrap(e.image[1:])
 
 
 def alpha_power(n: int, r: int) -> ExtendedPermutation:
@@ -149,9 +188,11 @@ def alpha_power(n: int, r: int) -> ExtendedPermutation:
 
     Any integer exponent is accepted and reduced mod n+1.
     """
+    if n < 1:
+        raise ValueError(f"degree {n} below 1")
     m = n + 1
     r %= m
-    return ExtendedPermutation(tuple((x + r) % m for x in range(m)))
+    return _wrap_ext(tuple(range(r, m)) + tuple(range(r)))
 
 
 def alpha(n: int) -> ExtendedPermutation:
@@ -164,7 +205,7 @@ def sym_group(n: int) -> tuple[Permutation, ...]:
     """All n! permutations of degree n in lexicographic one-line order."""
     if not 1 <= n <= 8:
         raise ValueError(f"degree {n} outside the materialization range 1..8")
-    return tuple(Permutation(t) for t in itertools.permutations(range(1, n + 1)))
+    return tuple(map(_wrap, itertools.permutations(range(1, n + 1))))
 
 
 @lru_cache(maxsize=8)

@@ -26,6 +26,7 @@ from .blocktrans import CutPoints
 from .perms import (
     ExtendedPermutation,
     Permutation,
+    _wrap,
     alpha_power,
     identity,
     lift,
@@ -35,13 +36,38 @@ from .perms import (
 )
 
 
+def toric_image(a: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """Kernel of toric_f on an image tuple: rotate [0 a] by r, subtract a_r."""
+    m = len(a) + 1
+    r %= m
+    ext = (0,) + a
+    pr = ext[r]
+    return tuple([(v - pr) % m for v in ext[r + 1 :] + ext[:r]])
+
+
+def reverse_image(a: tuple[int, ...]) -> tuple[int, ...]:
+    """Kernel of reverse_g on an image tuple: t -> n+1 - a_{n+1-t}."""
+    m = len(a) + 1
+    return tuple([m - v for v in reversed(a)])
+
+
+def bar_f_image(a: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """Kernel of bar_f on an image tuple.
+
+    With [0 a] the lift and s the position of r in it, bar_f_r(a) is [0 a]
+    rotated by s minus r: the pointwise reading of the rotation form
+    [0 bar_f_r(a)] = alpha^{n+1-r} o [0 a] o alpha^s.
+    """
+    m = len(a) + 1
+    r %= m
+    ext = (0,) + a
+    s = ext.index(r)
+    return tuple([(v - r) % m for v in ext[s + 1 :] + ext[:s]])
+
+
 def toric_f(p: Permutation, r: int) -> Permutation:
     """Toric shift of p by r, computed pointwise."""
-    n = p.n
-    m = n + 1
-    ext = (0,) + p.image
-    pr = ext[r % m]
-    return Permutation(tuple((ext[(r + t) % m] - pr) % m for t in range(1, n + 1)))
+    return _wrap(toric_image(p.image, r))
 
 
 def toric_f_conj(p: Permutation, r: int) -> Permutation:
@@ -55,9 +81,7 @@ def toric_f_conj(p: Permutation, r: int) -> Permutation:
 
 def reverse_g(p: Permutation) -> Permutation:
     """Reverse map, computed pointwise: (g(p))_t = n+1 - p_{n+1-t}."""
-    n = p.n
-    img = p.image
-    return Permutation(tuple(n + 1 - img[n - t] for t in range(1, n + 1)))
+    return _wrap(reverse_image(p.image))
 
 
 def reverse_g_conj(p: Permutation) -> Permutation:
@@ -67,8 +91,8 @@ def reverse_g_conj(p: Permutation) -> Permutation:
 
 
 def bar_f(p: Permutation, r: int) -> Permutation:
-    """Inverse-conjugated toric shift: bar_f_r(p) = (f_r(p^-1))^-1."""
-    return toric_f(p.inverse(), r).inverse()
+    """Inverse-conjugated toric shift: bar_f_r(p) = (f_r(p^-1))^-1, pointwise."""
+    return _wrap(bar_f_image(p.image, r))
 
 
 def bar_f_conj(p: Permutation, r: int) -> Permutation:
@@ -104,13 +128,14 @@ def toric_class(p: Permutation) -> frozenset[Permutation]:
 
 def toric_class_stats(n: int) -> tuple[int, int, dict[int, int]]:
     """(number of classes, number of singleton classes, size histogram)."""
-    seen: set[Permutation] = set()
+    seen: set[tuple[int, ...]] = set()
     classes = singletons = 0
     histogram: dict[int, int] = {}
     for p in sym_group(n):
-        if p in seen:
+        img = p.image
+        if img in seen:
             continue
-        orbit = toric_class(p)
+        orbit = {toric_image(img, r) for r in range(n + 1)}
         seen |= orbit
         classes += 1
         size = len(orbit)
@@ -118,10 +143,6 @@ def toric_class_stats(n: int) -> tuple[int, int, dict[int, int]]:
         if size == 1:
             singletons += 1
     return classes, singletons, histogram
-
-
-def singleton_toric_class_count(n: int) -> int:
-    return toric_class_stats(n)[1]
 
 
 def euler_phi(m: int) -> int:
@@ -182,12 +203,16 @@ def dihedral_inverse(a: DihedralElement) -> DihedralElement:
     return DihedralElement((-a.r) % (a.n + 1), 0, a.n)
 
 
+def dihedral_image(d: DihedralElement, a: tuple[int, ...]) -> tuple[int, ...]:
+    """Kernel of apply_dihedral on an image tuple of degree d.n."""
+    return bar_f_image(reverse_image(a) if d.refl else a, d.r)
+
+
 def apply_dihedral(d: DihedralElement, p: Permutation) -> Permutation:
     """Apply the map bar_f_r o g^refl to p (g first when refl is set)."""
     if d.n != p.n:
         raise ValueError(f"degree mismatch: {d.n} vs {p.n}")
-    q = reverse_g(p) if d.refl else p
-    return bar_f(q, d.r)
+    return _wrap(dihedral_image(d, p.image))
 
 
 # ---------------------------------------------------------------------------

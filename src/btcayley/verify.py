@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import permutations
 from math import factorial, gcd
+from operator import itemgetter
 from typing import Callable
 
 from .autgroup import (
@@ -25,6 +26,7 @@ from .autgroup import (
     generated_subgroup,
     is_automorphism,
     orbit,
+    orbit_images,
     perm_vertex_map,
     stabilizer_of_identity,
 )
@@ -58,12 +60,22 @@ from .graphs import (
     vertex_set_V,
 )
 from .maps import Dart, aut_order, is_regular, mprime_n5_map, octahedron_map, prop72_map, t_balance
-from .perms import Permutation, identity, lift, reverse, sym_group, sym_index
+from .perms import (
+    Permutation,
+    compose_images,
+    identity,
+    invert_image,
+    lift,
+    reverse,
+    sym_group,
+    sym_index,
+)
 from .toric import (
     apply_dihedral,
     apply_lh_barf,
     bar_f,
     bar_f_conj,
+    bar_f_image,
     bar_f_witness,
     bt_image_closed_form,
     compose_lh_barf,
@@ -73,10 +85,11 @@ from .toric import (
     phi_iso,
     reverse_g,
     reverse_g_conj,
-    skew_identity_bar_f,
+    reverse_image,
     toric_class_stats,
     toric_f,
     toric_f_conj,
+    toric_image,
 )
 
 DEFAULT_N = 5
@@ -185,9 +198,13 @@ def run_all(n: int | None = None, budget=NO_BUDGET) -> list[VerificationReport]:
     return [run_claim(key, n, budget) for key in claim_keys()]
 
 
+def _fail(message: str, **context):
+    raise ClaimFailure(message, {k: str(v) for k, v in context.items()})
+
+
 def _need(cond: bool, message: str, **context):
     if not cond:
-        raise ClaimFailure(message, {k: str(v) for k, v in context.items()})
+        _fail(message, **context)
 
 
 def _cut(i: int, j: int, k: int, n: int) -> CutPoints:
@@ -211,12 +228,6 @@ def _barf_iter(p: Permutation, e: int) -> Permutation:
     for _ in range(e):
         p = bar_f(p, 1)
     return p
-
-
-def _parity(p: Permutation) -> int:
-    img = p.image
-    inv = sum(1 for a in range(p.n) for b in range(a + 1, p.n) if img[a] > img[b])
-    return inv % 2
 
 
 # ---------------------------------------------------------------------------
@@ -278,116 +289,142 @@ def _run_lemma21(n, budget):
 
 @_claim("eq9", "toric maps: conjugation form, additivity, inverse rule", 3, 7)
 def _run_eq9(n, budget):
+    """Exhaustive over Sym_n: every p, every shift r and every pair (r, s).
+
+    The sweep runs on image tuples.  The conjugation route toric_f_conj
+    stays on ExtendedPermutation and never calls the kernel it is checked
+    against.
+    """
     m = n + 1
     checked = 0
     for p in sym_group(n):
         budget.check()
-        images = [toric_f(p, r) for r in range(m)]
-        pinv = p.inverse()
-        ext = lift(p)
+        a = p.image
+        images = [toric_image(a, r) for r in range(m)]
+        ainv = invert_image(a)
+        ext = (0,) + a
         for r in range(m):
-            _need(images[r] == toric_f_conj(p, r), "defining forms disagree", p=p, r=r)
-            _need(
-                images[r].inverse() == toric_f(pinv, ext(r)),
-                "inverse of a toric image is not the mirrored toric image",
-                p=p,
-                r=r,
-            )
+            img = images[r]
+            if img != toric_f_conj(p, r).image:
+                _fail("defining forms disagree", p=p, r=r)
+            if invert_image(img) != toric_image(ainv, ext[r]):
+                _fail("inverse of a toric image is not the mirrored toric image", p=p, r=r)
             for s in range(m):
-                _need(
-                    toric_f(images[r], s) == images[(r + s) % m],
-                    "toric shifts do not add",
-                    p=p,
-                    r=r,
-                    s=s,
-                )
-        _need(images[0] == p, "zeroth toric map moved a point", p=p)
+                if toric_image(img, s) != images[(r + s) % m]:
+                    _fail("toric shifts do not add", p=p, r=r, s=s)
+        _need(images[0] == a, "zeroth toric map moved a point", p=p)
         checked += 1
     return {"elements": checked, "shifts": m}
 
 
 @_claim("eq12", "reversal map: conjugation form, involution, multiplicativity", 3, 6)
 def _run_eq12(n, budget):
+    """Exhaustive: both forms and the involution on every p in Sym_n, and
+    multiplicativity on every pair (rho, pi) in Sym_n x Sym_n.
+
+    The pair sweep runs on image tuples, with g(pi) computed once per
+    element; reverse_g_conj stays on the ExtendedPermutation path.
+    """
     grp = sym_group(n)
     for p in grp:
         _need(reverse_g(p) == reverse_g_conj(p), "defining forms disagree", p=p)
         _need(reverse_g(reverse_g(p)) == p, "reversal is not an involution", p=p)
-    for rho in grp:
+    images = [p.image for p in grp]
+    reversed_images = [reverse_image(a) for a in images]
+    for rho, grho in zip(images, reversed_images):
         budget.check()
-        grho = reverse_g(rho)
-        for pi in grp:
-            _need(
-                reverse_g(rho.compose(pi)) == grho.compose(reverse_g(pi)),
-                "reversal is not multiplicative",
-                rho=rho,
-                pi=pi,
-            )
+        for pi, gpi in zip(images, reversed_images):
+            if reverse_image(compose_images(rho, pi)) != compose_images(grho, gpi):
+                _fail(
+                    "reversal is not multiplicative",
+                    rho=Permutation(rho),
+                    pi=Permutation(pi),
+                )
     return {"elements": len(grp), "pairs": len(grp) ** 2}
 
 
 @_claim("gfg", "reversal conjugates each toric map to its mirror", 3, 7)
 def _run_gfg(n, budget):
+    """Exhaustive over every p in Sym_n and every shift r, on image tuples."""
     m = n + 1
     for p in sym_group(n):
         budget.check()
-        gp = reverse_g(p)
+        a = p.image
+        ga = reverse_image(a)
         for r in range(m):
-            _need(
-                reverse_g(toric_f(gp, r)) == toric_f(p, (m - r) % m),
-                "conjugated toric map is not the mirror shift",
-                p=p,
-                r=r,
-            )
+            if reverse_image(toric_image(ga, r)) != toric_image(a, (m - r) % m):
+                _fail("conjugated toric map is not the mirror shift", p=p, r=r)
     return {"elements": factorial(n), "shifts": m}
 
 
 @_claim("eq13", "inverse-toric maps: defining route and iteration", 3, 7)
 def _run_eq13(n, budget):
+    """Exhaustive over every p in Sym_n and every shift r.
+
+    Three routes meet on image tuples: the rotation form bar_f_conj (on
+    ExtendedPermutation), the definition (f_r(p^-1))^-1 through the toric
+    and inverse kernels, and r-fold iteration of bar_f_1.
+    """
     m = n + 1
     for p in sym_group(n):
         budget.check()
-        it = p
+        a = p.image
+        ainv = invert_image(a)
+        it = a
         for r in range(m):
-            _need(bar_f(p, r) == bar_f_conj(p, r), "defining forms disagree", p=p, r=r)
-            _need(
-                bar_f(p, r) == toric_f(p.inverse(), r).inverse(),
-                "inverse-toric route broke",
-                p=p,
-                r=r,
-            )
-            _need(bar_f(p, r) == it, "iteration disagrees with direct shift", p=p, r=r)
-            it = bar_f(it, 1)
+            b = bar_f_image(a, r)
+            if b != bar_f_conj(p, r).image:
+                _fail("defining forms disagree", p=p, r=r)
+            if b != invert_image(toric_image(ainv, r)):
+                _fail("inverse-toric route broke", p=p, r=r)
+            if b != it:
+                _fail("iteration disagrees with direct shift", p=p, r=r)
+            it = bar_f_image(it, 1)
     return {"elements": factorial(n), "shifts": m}
 
 
 @_claim("eq16", "reversal conjugates each inverse-toric map to its mirror", 3, 7)
 def _run_eq16(n, budget):
+    """Exhaustive over every p in Sym_n and every shift r, on image tuples."""
     m = n + 1
     for p in sym_group(n):
         budget.check()
-        gp = reverse_g(p)
+        a = p.image
+        ga = reverse_image(a)
         for r in range(m):
-            _need(
-                reverse_g(bar_f(gp, r)) == bar_f(p, (m - r) % m),
-                "conjugated inverse-toric map is not the mirror shift",
-                p=p,
-                r=r,
-            )
+            if reverse_image(bar_f_image(ga, r)) != bar_f_image(a, (m - r) % m):
+                _fail("conjugated inverse-toric map is not the mirror shift", p=p, r=r)
     return {"elements": factorial(n), "shifts": m}
 
 
 @_claim("lemma4.3", "product rule for inverse-toric images", 3, 5)
 def _run_lemma43(n, budget):
-    grp = sym_group(n)
+    """Exhaustive: bar_f_r(rho o pi) = bar_f_r(rho) o bar_f_s(pi) with
+    s = (rho^-1)_r, for every pair (rho, pi) in Sym_n x Sym_n and every r.
+
+    The sweep runs on image tuples; the images bar_f_r(x) and the exponents
+    s are computed once per element, the product and its image once per
+    pair and shift.
+    """
+    m = n + 1
+    images = [p.image for p in sym_group(n)]
+    shifted = [[bar_f_image(a, r) for r in range(m)] for a in images]
     pairs = 0
-    for rho in grp:
+    for rho, bar_rho in zip(images, shifted):
         budget.check()
-        for pi in grp:
-            for r in range(n + 1):
-                lhs, rhs, _s = skew_identity_bar_f(rho, pi, r)
-                _need(lhs == rhs, "product rule violated", rho=rho, pi=pi, r=r)
+        exponent = (0,) + invert_image(rho)
+        for pi, bar_pi in zip(images, shifted):
+            prod = compose_images(rho, pi)
+            for r in range(m):
+                if bar_f_image(prod, r) != compose_images(bar_rho[r], bar_pi[exponent[r]]):
+                    _fail(
+                        "product rule violated",
+                        rho=Permutation(rho),
+                        pi=Permutation(pi),
+                        r=r,
+                    )
             pairs += 1
-    return {"pairs": pairs, "shifts": n + 1}
+    return {"pairs": pairs, "shifts": m}
 
 
 # ---------------------------------------------------------------------------
@@ -916,6 +953,7 @@ def _run_lemma510(n, budget):
 
 @_claim("cor5.11", "orbit sizes of the dihedral symmetries divide 2(n+1)", 5, 8)
 def _run_cor511(n, budget):
+    """Exhaustive: the orbits of all of Sym_n, traced on image tuples."""
     dih = dihedral_elements(n)
     target = 2 * (n + 1)
     seed = make_bt(_cut(0, 2, n, n))
@@ -924,10 +962,10 @@ def _run_cor511(n, budget):
     sizes = {}
     seen = set()
     for p in sym_group(n):
-        if p in seen:
+        if p.image in seen:
             continue
         budget.check()
-        orb = orbit(dih, p)
+        orb = orbit_images(dih, p.image)
         seen |= orb
         _need(target % len(orb) == 0, "orbit size does not divide", p=p, size=len(orb))
         sizes[len(orb)] = sizes.get(len(orb), 0) + 1
@@ -1012,29 +1050,42 @@ def _run_thm2(n, budget):
 
 @_claim("toric-reverse-aut", "dihedral symmetries are automorphisms fixing the identity", 4, 6)
 def _run_toric_reverse_aut(n, budget):
+    """Each of the 2(n+1) dihedral maps is an automorphism fixing the
+    identity, the maps are distinct, and the normal-form product agrees
+    with composition for every pair (a, b) at every p in Sym_n.
+
+    The product law is checked on the rank tables perm_vertex_map builds:
+    table[d][v] is the rank of d(p) for the vertex p of rank v.  The
+    vertices of the Cayley graph are all of Sym_n and ranking is a
+    bijection, so table[ab] = table[a] o table[b] holds exactly when
+    ab(p) = a(b(p)) for every p in Sym_n.
+    """
     cay = build_cayley(n, tn_realizations(n))
+    _need(cay.num_vertices == factorial(n), "vertex set is not the whole group")
     ident_rank = cay.index_of(identity(n))
-    images = set()
+    tables = {}
     dih = dihedral_elements(n)
     for d in dih:
         budget.check()
         vm = perm_vertex_map(cay, lambda p, d=d: apply_dihedral(d, p))
         _need(is_automorphism(cay, vm), "induced map is not an automorphism", symmetry=d)
         _need(vm.apply(ident_rank) == ident_rank, "identity vertex moved", symmetry=d)
-        images.add(vm.images)
+        tables[d] = vm.images
+    images = set(tables.values())
     _need(len(images) == 2 * (n + 1), "induced maps are not distinct", count=len(images))
-    grp = sym_group(n)
     for a in dih:
         budget.check()
+        ta = tables[a]
         for b in dih:
-            ab = dihedral_compose(a, b)
-            for p in grp:
-                _need(
-                    apply_dihedral(ab, p) == apply_dihedral(a, apply_dihedral(b, p)),
+            tb = tables[b]
+            tab = tables[dihedral_compose(a, b)]
+            if tab != itemgetter(*tb)(ta):
+                v = next(v for v, x in enumerate(tb) if tab[v] != ta[x])
+                _fail(
                     "normal-form product disagrees with composition",
                     a=a,
                     b=b,
-                    p=p,
+                    p=cay.labels[v],
                 )
     return {"maps": len(images)}
 
@@ -1050,13 +1101,13 @@ def _run_lemma63(n, budget):
     sub = generated_subgroup(gens)
     if n % 2 == 0:
         _need(
-            all(_parity(p) == 0 for p in gens),
+            all(p.is_even() for p in gens),
             "an odd generator appeared at even degree",
         )
         _need(len(sub) == factorial(n) // 2, "subgroup is not the even half", order=len(sub))
     else:
         _need(
-            any(_parity(p) == 1 for p in gens),
+            any(not p.is_even() for p in gens),
             "no odd generator at odd degree",
         )
         _need(len(sub) == factorial(n), "subgroup is not the whole group", order=len(sub))

@@ -241,3 +241,29 @@ def test_missing_required_n_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--what", "tn"])
     assert exc.value.code == 2
+
+
+BUDGET_COMMANDS = [
+    ("enumerate", "--n", "4", "--what", "partition"),
+    ("verify", "lemma2.1", "--n", "4"),
+    ("distance", "--n", "4", "[1 2 3 4]", "[4 3 2 1]"),
+    ("export", "--n", "4", "--object", "gamma", "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("argv", BUDGET_COMMANDS, ids=lambda argv: argv[0])
+def test_every_subcommand_validates_the_budget(capsys, monkeypatch, argv):
+    clear_cache()
+    code, out, err = run(capsys, *argv, "--budget-ms", "-1")
+    assert code == 2
+    assert err.startswith("error:")
+    monkeypatch.setenv("BTCAYLEY_BUDGET_MS", "abc")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    monkeypatch.delenv("BTCAYLEY_BUDGET_MS")
+    # zero is a legal budget: verify runs out of it, the rest ignore it
+    code, out, err = run(capsys, *argv, "--budget-ms", "0")
+    assert code == (3 if argv[0] == "verify" else 0)
+    assert err == ""
+    clear_cache()

@@ -7,7 +7,9 @@ from btcayley.perms import (
     Permutation,
     alpha,
     alpha_power,
+    compose_images,
     identity,
+    invert_image,
     lift,
     parse_permutation,
     restrict,
@@ -36,6 +38,20 @@ def test_inverse_cancels_on_both_sides():
         inv = p.inverse()
         assert p.compose(inv) == identity(4)
         assert inv.compose(p) == identity(4)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kernels_match_pointwise_formulas(n):
+    grp = sym_group(n)
+    for i, p in enumerate(grp):
+        a = p.image
+        for b in (a, grp[(i + 1) % len(grp)].image, grp[-1 - i].image):
+            # (a o b)(t) = a(b(t))
+            want = tuple(a[b[t - 1] - 1] for t in range(1, n + 1))
+            assert Permutation(compose_images(a, b)).image == want
+        # inv(a(t)) = t
+        inv = Permutation(invert_image(a)).image
+        assert all(inv[a[t - 1] - 1] == t for t in range(1, n + 1))
 
 
 def test_rejects_non_permutations():

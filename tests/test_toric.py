@@ -4,12 +4,14 @@ import pytest
 
 from btcayley.blocktrans import CutPoints, enumerate_tn, make_bt, tn_realizations
 from btcayley.perms import lift, sym_group
+from btcayley.perms import Permutation
 from btcayley.toric import (
     DihedralElement,
     apply_dihedral,
     apply_lh_barf,
     bar_f,
     bar_f_conj,
+    bar_f_image,
     bar_f_witness,
     bt_image_closed_form,
     compose_lh_barf,
@@ -21,21 +23,46 @@ from btcayley.toric import (
     phi_iso,
     reverse_g,
     reverse_g_conj,
+    reverse_image,
     skew_identity_bar_f,
     toric_class,
     toric_class_stats,
     toric_f,
     toric_f_conj,
+    toric_image,
 )
 
 
-@pytest.mark.parametrize("n", (3, 4))
+def _toric_pointwise(a, r):
+    # (f_r(p))_t = p_{r+t} - p_r, indices and values mod n+1, p_0 = 0
+    n, m = len(a), len(a) + 1
+    ext = (0,) + a
+    return tuple((ext[(r + t) % m] - ext[r % m]) % m for t in range(1, n + 1))
+
+
+def _inverse_pointwise(a):
+    return tuple(a.index(t) + 1 for t in range(1, len(a) + 1))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
 def test_toric_defining_routes_agree(n):
+    m = n + 1
     for p in sym_group(n):
+        a = p.image
         for r in range(n + 1):
             assert toric_f(p, r) == toric_f_conj(p, r)
             assert bar_f(p, r) == bar_f_conj(p, r)
         assert reverse_g(p) == reverse_g_conj(p)
+        # The kernels against the pointwise formulas; each result must also
+        # pass the validating constructor.
+        want = tuple(m - a[n - t] for t in range(1, n + 1))
+        assert Permutation(reverse_image(a)).image == want
+        for r in range(-1, m + 1):
+            want = _toric_pointwise(a, r)
+            assert Permutation(toric_image(a, r)).image == want
+            # bar_f_r(p) = (f_r(p^-1))^-1
+            want = _inverse_pointwise(_toric_pointwise(_inverse_pointwise(a), r))
+            assert Permutation(bar_f_image(a, r)).image == want
 
 
 def test_toric_shift_zero_is_identity_map():

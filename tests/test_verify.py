@@ -1,8 +1,13 @@
 """Claim registry semantics: clamping, caching, statuses, counterexamples."""
 
+import re
+from math import factorial
+
 import pytest
 
+from btcayley import verify
 from btcayley.budget import Budget
+from btcayley.perms import Permutation
 from btcayley.verify import (
     DEFAULT_N,
     REGISTRY,
@@ -109,3 +114,30 @@ def test_every_runner_declares_a_usable_range():
     for key, c in REGISTRY.items():
         if c.fixed_n is not None:
             assert c.min_n <= c.fixed_n <= c.max_n, key
+
+
+def test_kernel_fault_is_reported_with_one_line_permutations(monkeypatch):
+    # p -> p o w is an involution but not multiplicative, so the pair sweep
+    # of eq12 must catch it and name the pair in one-line notation.
+    monkeypatch.setattr(verify, "reverse_image", lambda a: a[::-1])
+    r = run_claim("eq12", 3)
+    assert r.status == "failed"
+    assert set(r.counterexample) == {"rho", "pi"}
+    for value in r.counterexample.values():
+        assert re.fullmatch(r"\[\d( \d)*\]", value)
+
+
+@pytest.mark.parametrize("key,n", [("eq12", 5), ("lemma4.3", 4)])
+def test_claim_sweeps_do_not_validate_per_pair(monkeypatch, key, n):
+    # A validated Permutation per pair would cost about |Sym_n|^2 checks.
+    calls = 0
+    validate = Permutation.__post_init__
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        validate(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counting)
+    assert run_claim(key, n).status == "verified"
+    assert calls < 10 * factorial(n)
