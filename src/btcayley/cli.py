@@ -17,8 +17,8 @@ import json
 import os
 import sys
 
-from .blocktrans import classify, enumerate_tn, make_bt, tn_realizations
-from .budget import NO_BUDGET, Budget
+from .blocktrans import classify, enumerate_tn, make_bt, partition_counts, tn_realizations
+from .budget import NO_BUDGET, Budget, BudgetExceeded
 from .graphs import (
     bfs_distance,
     build_cayley,
@@ -99,12 +99,7 @@ def cmd_enumerate(args, out) -> int:
             _print_json({"n": n, "what": "tn", "count": len(rows), "items": rows}, out)
         return EXIT_OK
     if args.what == "partition":
-        counts = {}
-        for c in enumerate_tn(n):
-            cls = classify(c)
-            counts[cls] = counts.get(cls, 0) + 1
-        for cls in ("B", "L", "F", "S"):
-            counts.setdefault(cls, 0)
+        counts = partition_counts(n)
         if args.pretty:
             for cls in ("B", "L", "F", "S"):
                 out.write(f"{cls} {counts[cls]}\n")
@@ -223,7 +218,7 @@ def cmd_distance(args, out) -> int:
         raise UsageError(
             f"permutation degrees ({source.n}, {target.n}) do not match --n {args.n}"
         )
-    d, path = bfs_distance(source, target)
+    d, path = bfs_distance(source, target, args.budget)
     if args.pretty:
         out.write(f"{d}\n")
         if args.emit_path:
@@ -359,12 +354,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # Every subcommand takes --budget-ms, so every one validates it;
-        # only verify spends it so far.
+        # verify and distance spend it.
         args.budget = _resolve_budget(args)
         return args.fn(args, sys.stdout)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -190,8 +190,13 @@ def alpha_power(n: int, r: int) -> ExtendedPermutation:
     """
     if n < 1:
         raise ValueError(f"degree {n} below 1")
+    return _rotation(n, r % (n + 1))
+
+
+@lru_cache(maxsize=256)
+def _rotation(n: int, r: int) -> ExtendedPermutation:
+    """alpha^r for 0 <= r <= n; the result is immutable, so one is shared."""
     m = n + 1
-    r %= m
     return _wrap_ext(tuple(range(r, m)) + tuple(range(r)))
 
 

@@ -74,8 +74,8 @@ def toric_f_conj(p: Permutation, r: int) -> Permutation:
     """Toric shift of p by r, computed by conjugating the lift with rotations."""
     n = p.n
     m = n + 1
-    pr = lift(p)(r % m)
-    e = alpha_power(n, m - pr).compose(lift(p)).compose(alpha_power(n, r))
+    lp = lift(p)
+    e = alpha_power(n, m - lp(r % m)).compose(lp).compose(alpha_power(n, r))
     return restrict(e)
 
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import permutations, repeat
 from math import factorial, gcd
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Callable
 
 from .autgroup import (
@@ -62,7 +62,7 @@ from .graphs import (
 from .maps import Dart, aut_order, is_regular, mprime_n5_map, octahedron_map, prop72_map, t_balance
 from .perms import (
     Permutation,
-    compose_images,
+    _wrap,
     identity,
     invert_image,
     lift,
@@ -215,6 +215,34 @@ def _bt(i: int, j: int, k: int, n: int) -> Permutation:
     return make_bt(_cut(i, j, k, n))
 
 
+def _rank_table(idx, images, budget, kernel, r=None) -> tuple[int, ...]:
+    """Rank of kernel(a) or kernel(a, r) for every image a, in image order.
+
+    A kernel result that is no permutation of the degree fails the claim,
+    naming the element it came from and the shift.
+    """
+    budget.check()
+    out = list(map(kernel, images) if r is None else map(kernel, images, repeat(r)))
+    try:
+        return tuple(map(idx.__getitem__, out))
+    except (KeyError, TypeError):
+        i = next(i for i, b in enumerate(out) if not isinstance(b, tuple) or b not in idx)
+        context = {} if r is None else {"r": r}
+        _fail("kernel image is not a permutation", p=_wrap(images[i]), **context)
+
+
+def _compose_ranks(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Rank table of a o b (apply b first): entry i is a[b[i]]."""
+    return itemgetter(*b)(a)
+
+
+def _agree(lhs, rhs, images, message: str, key: str = "p", **context):
+    """Fail at the first rank where two tables differ, naming that element as key."""
+    if lhs != rhs:
+        i = next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+        _fail(message, **{key: _wrap(images[i])}, **context)
+
+
 def _induced_dihedral_images(g, n: int) -> dict[tuple[int, ...], str]:
     """Vertex maps induced on g by the 2(n+1) toric/reverse symmetries."""
     out = {}
@@ -291,110 +319,169 @@ def _run_lemma21(n, budget):
 def _run_eq9(n, budget):
     """Exhaustive over Sym_n: every p, every shift r and every pair (r, s).
 
-    The sweep runs on image tuples.  The conjugation route toric_f_conj
-    stays on ExtendedPermutation and never calls the kernel it is checked
-    against.
+    The identities are checked on rank tables: T[r][i] is the rank of
+    f_r of the element of rank i.  sym_index is a bijection from Sym_n onto
+    range(n!), so a composed table equals another exactly when the two
+    composed maps agree at every element, and each comparison still covers
+    every element.  The conjugation route toric_f_conj stays on
+    ExtendedPermutation and never calls the kernel it is checked against.
     """
     m = n + 1
-    checked = 0
-    for p in sym_group(n):
+    grp = sym_group(n)
+    idx = sym_index(n)
+    images = list(idx)
+    tor = [_rank_table(idx, images, budget, toric_image, r) for r in range(m)]
+    inv = _rank_table(idx, images, budget, invert_image)
+    _agree(tor[0], tuple(range(len(images))), images, "zeroth toric map moved a point")
+    # points[r][i] is p_r for the element p of rank i, in its lift [0 p].
+    points = list(zip(*[(0,) + a for a in images]))
+    for r, t in enumerate(tor):
         budget.check()
-        a = p.image
-        images = [toric_image(a, r) for r in range(m)]
-        ainv = invert_image(a)
-        ext = (0,) + a
-        for r in range(m):
-            img = images[r]
-            if img != toric_f_conj(p, r).image:
+        for p, k in zip(grp, t):
+            if toric_f_conj(p, r).image != images[k]:
                 _fail("defining forms disagree", p=p, r=r)
-            if invert_image(img) != toric_image(ainv, ext[r]):
-                _fail("inverse of a toric image is not the mirrored toric image", p=p, r=r)
-            for s in range(m):
-                if toric_image(img, s) != images[(r + s) % m]:
-                    _fail("toric shifts do not add", p=p, r=r, s=s)
-        _need(images[0] == a, "zeroth toric map moved a point", p=p)
-        checked += 1
-    return {"elements": checked, "shifts": m}
+        # (f_r(p))^-1 = f_{p_r}(p^-1): the shift p_r varies with p.
+        mirrored = tuple(map(getitem, map(tor.__getitem__, points[r]), inv))
+        _agree(
+            _compose_ranks(inv, t),
+            mirrored,
+            images,
+            "inverse of a toric image is not the mirrored toric image",
+            r=r,
+        )
+        for s in range(m):
+            _agree(
+                _compose_ranks(tor[s], t),
+                tor[(r + s) % m],
+                images,
+                "toric shifts do not add",
+                r=r,
+                s=s,
+            )
+    return {"elements": len(images), "shifts": m}
 
 
 @_claim("eq12", "reversal map: conjugation form, involution, multiplicativity", 3, 6)
 def _run_eq12(n, budget):
     """Exhaustive: both forms and the involution on every p in Sym_n, and
-    multiplicativity on every pair (rho, pi) in Sym_n x Sym_n.
+    multiplicativity on every pair (rho, pi) in Sym_n x Sym_n, on ranks.
 
-    The pair sweep runs on image tuples, with g(pi) computed once per
-    element; reverse_g_conj stays on the ExtendedPermutation path.
+    R[i] is the rank of g of the element of rank i, and col_pi[i] the rank
+    of (element i) o pi.  g(rho o pi) = g(rho) o g(pi) for every rho reads
+    R o col_pi == col_g(pi) o R; sym_index is a bijection, so that table
+    comparison covers every rho, and one runs for every pi.  pi and g(pi)
+    share their two columns, so each g-orbit of columns is built once.
     """
     grp = sym_group(n)
     for p in grp:
         _need(reverse_g(p) == reverse_g_conj(p), "defining forms disagree", p=p)
-        _need(reverse_g(reverse_g(p)) == p, "reversal is not an involution", p=p)
-    images = [p.image for p in grp]
-    reversed_images = [reverse_image(a) for a in images]
-    for rho, grho in zip(images, reversed_images):
+    idx = sym_index(n)
+    images = list(idx)
+    rev = _rank_table(idx, images, budget, reverse_image)
+    ident = tuple(range(len(images)))
+    _agree(_compose_ranks(rev, rev), ident, images, "reversal is not an involution")
+    lifts = [(0,) + a for a in images]
+
+    def column(j):
         budget.check()
-        for pi, gpi in zip(images, reversed_images):
-            if reverse_image(compose_images(rho, pi)) != compose_images(grho, gpi):
-                _fail(
-                    "reversal is not multiplicative",
-                    rho=Permutation(rho),
-                    pi=Permutation(pi),
-                )
-    return {"elements": len(grp), "pairs": len(grp) ** 2}
+        return tuple(map(idx.__getitem__, map(itemgetter(*images[j]), lifts)))
+
+    for j, k in enumerate(rev):
+        if k < j:
+            continue  # g is an involution: column j was checked with column k
+        col_j = column(j)
+        col_k = col_j if k == j else column(k)
+        for pi, (col, col_g) in {j: (col_j, col_k), k: (col_k, col_j)}.items():
+            _agree(
+                _compose_ranks(rev, col),
+                _compose_ranks(col_g, rev),
+                images,
+                "reversal is not multiplicative",
+                key="rho",
+                pi=_wrap(images[pi]),
+            )
+    return {"elements": len(images), "pairs": len(images) ** 2}
 
 
 @_claim("gfg", "reversal conjugates each toric map to its mirror", 3, 7)
 def _run_gfg(n, budget):
-    """Exhaustive over every p in Sym_n and every shift r, on image tuples."""
+    """Exhaustive over every p in Sym_n and every shift r: R o T[r] o R is
+    compared with T[-r] as rank tables, which agree exactly when the maps
+    agree at every element because sym_index is a bijection."""
     m = n + 1
-    for p in sym_group(n):
-        budget.check()
-        a = p.image
-        ga = reverse_image(a)
-        for r in range(m):
-            if reverse_image(toric_image(ga, r)) != toric_image(a, (m - r) % m):
-                _fail("conjugated toric map is not the mirror shift", p=p, r=r)
-    return {"elements": factorial(n), "shifts": m}
+    idx = sym_index(n)
+    images = list(idx)
+    tor = [_rank_table(idx, images, budget, toric_image, r) for r in range(m)]
+    rev = _rank_table(idx, images, budget, reverse_image)
+    for r, t in enumerate(tor):
+        _agree(
+            _compose_ranks(rev, _compose_ranks(t, rev)),
+            tor[-r],
+            images,
+            "conjugated toric map is not the mirror shift",
+            r=r,
+        )
+    return {"elements": len(images), "shifts": m}
 
 
 @_claim("eq13", "inverse-toric maps: defining route and iteration", 3, 7)
 def _run_eq13(n, budget):
     """Exhaustive over every p in Sym_n and every shift r.
 
-    Three routes meet on image tuples: the rotation form bar_f_conj (on
-    ExtendedPermutation), the definition (f_r(p^-1))^-1 through the toric
-    and inverse kernels, and r-fold iteration of bar_f_1.
+    Three routes meet: the rotation form bar_f_conj (on ExtendedPermutation,
+    compared element by element), the definition (f_r(p^-1))^-1 as the rank
+    table inv o T[r] o inv, and r-fold iteration of bar_f_1 as B[1] o B[r-1]
+    by induction on r from B[0] = id.  sym_index is a bijection, so each
+    table comparison covers every element.
     """
     m = n + 1
-    for p in sym_group(n):
+    grp = sym_group(n)
+    idx = sym_index(n)
+    images = list(idx)
+    bar = [_rank_table(idx, images, budget, bar_f_image, r) for r in range(m)]
+    tor = [_rank_table(idx, images, budget, toric_image, r) for r in range(m)]
+    inv = _rank_table(idx, images, budget, invert_image)
+    for r, b in enumerate(bar):
         budget.check()
-        a = p.image
-        ainv = invert_image(a)
-        it = a
-        for r in range(m):
-            b = bar_f_image(a, r)
-            if b != bar_f_conj(p, r).image:
+        for p, k in zip(grp, b):
+            if bar_f_conj(p, r).image != images[k]:
                 _fail("defining forms disagree", p=p, r=r)
-            if b != invert_image(toric_image(ainv, r)):
-                _fail("inverse-toric route broke", p=p, r=r)
-            if b != it:
-                _fail("iteration disagrees with direct shift", p=p, r=r)
-            it = bar_f_image(it, 1)
-    return {"elements": factorial(n), "shifts": m}
+        _agree(
+            _compose_ranks(inv, _compose_ranks(tor[r], inv)),
+            b,
+            images,
+            "inverse-toric route broke",
+            r=r,
+        )
+        _agree(
+            _compose_ranks(bar[1], bar[r - 1]) if r else tuple(range(len(images))),
+            b,
+            images,
+            "iteration disagrees with direct shift",
+            r=r,
+        )
+    return {"elements": len(images), "shifts": m}
 
 
 @_claim("eq16", "reversal conjugates each inverse-toric map to its mirror", 3, 7)
 def _run_eq16(n, budget):
-    """Exhaustive over every p in Sym_n and every shift r, on image tuples."""
+    """Exhaustive over every p in Sym_n and every shift r: R o B[r] o R is
+    compared with B[-r] as rank tables, which agree exactly when the maps
+    agree at every element because sym_index is a bijection."""
     m = n + 1
-    for p in sym_group(n):
-        budget.check()
-        a = p.image
-        ga = reverse_image(a)
-        for r in range(m):
-            if reverse_image(bar_f_image(ga, r)) != bar_f_image(a, (m - r) % m):
-                _fail("conjugated inverse-toric map is not the mirror shift", p=p, r=r)
-    return {"elements": factorial(n), "shifts": m}
+    idx = sym_index(n)
+    images = list(idx)
+    bar = [_rank_table(idx, images, budget, bar_f_image, r) for r in range(m)]
+    rev = _rank_table(idx, images, budget, reverse_image)
+    for r, b in enumerate(bar):
+        _agree(
+            _compose_ranks(rev, _compose_ranks(b, rev)),
+            bar[-r],
+            images,
+            "conjugated inverse-toric map is not the mirror shift",
+            r=r,
+        )
+    return {"elements": len(images), "shifts": m}
 
 
 @_claim("lemma4.3", "product rule for inverse-toric images", 3, 5)
@@ -402,29 +489,35 @@ def _run_lemma43(n, budget):
     """Exhaustive: bar_f_r(rho o pi) = bar_f_r(rho) o bar_f_s(pi) with
     s = (rho^-1)_r, for every pair (rho, pi) in Sym_n x Sym_n and every r.
 
-    The sweep runs on image tuples; the images bar_f_r(x) and the exponents
-    s are computed once per element, the product and its image once per
-    pair and shift.
+    On ranks, with P the full product table and B[r] the bar_f_r table, the
+    row of rho reads B[r] o P[rho] == P[B[r][rho]] o B[s] over all pi at
+    once.  sym_index is a bijection, so each row comparison covers every pi,
+    and one runs for every rho and r.
     """
     m = n + 1
-    images = [p.image for p in sym_group(n)]
-    shifted = [[bar_f_image(a, r) for r in range(m)] for a in images]
-    pairs = 0
-    for rho, bar_rho in zip(images, shifted):
+    idx = sym_index(n)
+    images = list(idx)
+    bar = [_rank_table(idx, images, budget, bar_f_image, r) for r in range(m)]
+    getters = [itemgetter(*b) for b in images]
+    product = []
+    for a in images:
+        budget.check()
+        lift_a = (0,) + a
+        product.append(tuple(map(idx.__getitem__, [g(lift_a) for g in getters])))
+    for i, rho in enumerate(images):
         budget.check()
         exponent = (0,) + invert_image(rho)
-        for pi, bar_pi in zip(images, shifted):
-            prod = compose_images(rho, pi)
-            for r in range(m):
-                if bar_f_image(prod, r) != compose_images(bar_rho[r], bar_pi[exponent[r]]):
-                    _fail(
-                        "product rule violated",
-                        rho=Permutation(rho),
-                        pi=Permutation(pi),
-                        r=r,
-                    )
-            pairs += 1
-    return {"pairs": pairs, "shifts": m}
+        for r, b in enumerate(bar):
+            _agree(
+                _compose_ranks(b, product[i]),
+                _compose_ranks(product[b[i]], bar[exponent[r]]),
+                images,
+                "product rule violated",
+                key="pi",
+                rho=_wrap(rho),
+                r=r,
+            )
+    return {"pairs": len(images) ** 2, "shifts": m}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line contract: outputs, exit codes, determinism."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -267,3 +268,47 @@ def test_every_subcommand_validates_the_budget(capsys, monkeypatch, argv):
     assert code == (3 if argv[0] == "verify" else 0)
     assert err == ""
     clear_cache()
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data"
+
+
+def test_verify_all_bytes_match_the_golden_file(capsys):
+    # Captured from `btcayley verify all --n 6` before the table sweeps.
+    clear_cache()
+    code, out, err = run(capsys, "verify", "all", "--n", "6")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "verify_all_n6.json").read_bytes()
+
+
+REVERSAL_10 = ("[1 2 3 4 5 6 7 8 9 10]", "[10 9 8 7 6 5 4 3 2 1]")
+
+
+def test_distance_honours_the_budget(capsys):
+    code, out, err = run(capsys, "distance", "--n", "10", *REVERSAL_10, "--budget-ms", "0")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
+    code, out, err = run(capsys, "distance", "--n", "10", *REVERSAL_10)
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"distance":6,"n":10,"source":"[1 2 3 4 5 6 7 8 9 10]",'
+        '"target":"[10 9 8 7 6 5 4 3 2 1]"}\n'
+    )
+
+
+def test_enumerate_partition_matches_the_closed_forms(capsys):
+    for n in range(2, 11):
+        counts = {
+            "B": n - 1,
+            "F": (n - 1) * (n - 2) // 2,
+            "L": (n - 1) * (n - 2) // 2,
+            "S": (n - 1) * (n - 2) * (n - 3) // 6,
+        }
+        code, out, err = run(capsys, "enumerate", "--n", str(n), "--what", "partition")
+        assert code == 0
+        assert out == json.dumps(
+            {"counts": counts, "n": n, "total": sum(counts.values()), "what": "partition"},
+            separators=(",", ":"),
+        ) + "\n"
+        code, out, err = run(capsys, "enumerate", "--n", str(n), "--what", "partition", "--pretty")
+        assert out == "".join(f"{c} {counts[c]}\n" for c in "BLFS") + f"total {sum(counts.values())}\n"

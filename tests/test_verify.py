@@ -7,7 +7,8 @@ import pytest
 
 from btcayley import verify
 from btcayley.budget import Budget
-from btcayley.perms import Permutation
+from btcayley.perms import Permutation, compose_images, invert_image, parse_permutation
+from btcayley.toric import bar_f_conj, reverse_g, reverse_g_conj, toric_f_conj
 from btcayley.verify import (
     DEFAULT_N,
     REGISTRY,
@@ -141,3 +142,137 @@ def test_claim_sweeps_do_not_validate_per_pair(monkeypatch, key, n):
     monkeypatch.setattr(Permutation, "__post_init__", counting)
     assert run_claim(key, n).status == "verified"
     assert calls < 10 * factorial(n)
+
+
+TABLE_CLAIMS = ("eq9", "eq12", "eq13", "eq16", "gfg", "lemma4.3")
+
+# The kernel each table claim ranks, patched below with a faulty version.
+FAULTY_KERNELS = {
+    "eq9": ("toric_image", lambda a, r: (a[0],) * len(a)),
+    "eq12": ("reverse_image", lambda a: (a[0],) * len(a)),
+    "gfg": ("reverse_image", lambda a: a[:-1]),
+    "eq13": ("bar_f_image", lambda a, r: (0,) + a[1:]),
+    "eq16": ("bar_f_image", lambda a, r: (a[0],) * len(a)),
+    "lemma4.3": ("bar_f_image", lambda a, r: a + a),
+}
+
+
+@pytest.mark.parametrize("key", TABLE_CLAIMS)
+def test_kernel_image_that_is_no_permutation_fails_the_claim(monkeypatch, key):
+    name, faulty = FAULTY_KERNELS[key]
+    monkeypatch.setattr(verify, name, faulty)
+    r = run_claim(key, 4)
+    assert r.status == "failed"
+    assert re.fullmatch(r"\[\d( \d)*\]", r.counterexample["p"])
+    assert set(r.counterexample) <= {"p", "r"}
+    assert re.fullmatch(r"\d+", r.counterexample.get("r", "0"))
+
+
+def _swap_first_two(b):
+    return (b[1], b[0]) + b[2:]
+
+
+def _identity_holds(key, message, ce, K):
+    """Re-evaluate the identity a failed report names, pointwise, with kernels K."""
+    T, B, R = K["toric_image"], K["bar_f_image"], K["reverse_image"]
+    r = int(ce.get("r", 0))
+    if "p" in ce:
+        p = parse_permutation(ce["p"])
+        a = p.image
+        m = len(a) + 1
+    else:
+        rho, pi = parse_permutation(ce["rho"]).image, parse_permutation(ce["pi"]).image
+        m = len(rho) + 1
+    checks = {
+        ("eq9", "zeroth toric map moved a point"): lambda: T(a, 0) == a,
+        ("eq9", "defining forms disagree"): lambda: T(a, r) == toric_f_conj(p, r).image,
+        ("eq9", "inverse of a toric image is not the mirrored toric image"): lambda: (
+            invert_image(T(a, r)) == T(invert_image(a), ((0,) + a)[r])
+        ),
+        ("eq9", "toric shifts do not add"): lambda: (
+            T(T(a, r), int(ce["s"])) == T(a, (r + int(ce["s"])) % m)
+        ),
+        ("eq12", "defining forms disagree"): lambda: reverse_g(p) == reverse_g_conj(p),
+        ("eq12", "reversal is not an involution"): lambda: R(R(a)) == a,
+        ("eq12", "reversal is not multiplicative"): lambda: (
+            R(compose_images(rho, pi)) == compose_images(R(rho), R(pi))
+        ),
+        ("gfg", "conjugated toric map is not the mirror shift"): lambda: (
+            R(T(R(a), r)) == T(a, -r % m)
+        ),
+        ("eq13", "defining forms disagree"): lambda: B(a, r) == bar_f_conj(p, r).image,
+        ("eq13", "inverse-toric route broke"): lambda: (
+            B(a, r) == invert_image(T(invert_image(a), r))
+        ),
+        ("eq13", "iteration disagrees with direct shift"): lambda: (
+            B(a, r) == _iterate(lambda x: B(x, 1), a, r)
+        ),
+        ("eq16", "conjugated inverse-toric map is not the mirror shift"): lambda: (
+            R(B(R(a), r)) == B(a, -r % m)
+        ),
+        ("lemma4.3", "product rule violated"): lambda: (
+            B(compose_images(rho, pi), r)
+            == compose_images(B(rho, r), B(pi, ((0,) + invert_image(rho))[r]))
+        ),
+    }
+    return checks[key, message]()
+
+
+def _iterate(f, x, times):
+    for _ in range(times):
+        x = f(x)
+    return x
+
+
+@pytest.mark.parametrize(
+    "name,keys",
+    [
+        ("toric_image", ("eq9", "gfg", "eq13")),
+        ("bar_f_image", ("eq13", "eq16", "lemma4.3")),
+        ("reverse_image", ("eq12", "gfg", "eq16")),
+    ],
+)
+def test_table_counterexamples_break_the_identity_they_name(monkeypatch, name, keys):
+    # The kernel is wrong at one element (and one shift) only, and still
+    # returns a permutation; every claim that uses it must fail, and the
+    # element it names must break the claim's identity pointwise.
+    true = getattr(verify, name)
+    bad = ((2, 4, 1, 3), 2) if name != "reverse_image" else ((2, 4, 1, 3),)
+
+    def faulty(*args):
+        b = true(*args)
+        return _swap_first_two(b) if args == bad else b
+
+    monkeypatch.setattr(verify, name, faulty)
+    kernels = {k: getattr(verify, k) for k in ("toric_image", "bar_f_image", "reverse_image")}
+    for key in keys:
+        clear_cache()
+        r = run_claim(key, 4)
+        assert r.status == "failed", key
+        assert not _identity_holds(key, r.details["error"], r.counterexample, kernels), (key, r)
+
+
+def test_table_claims_call_each_kernel_once_per_element_and_shift(monkeypatch):
+    counts = {"toric_image": 0, "reverse_image": 0}
+
+    def counting(name):
+        kernel = getattr(verify, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return kernel(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(verify, name, counting(name))
+    assert run_claim("eq9", 6).status == "verified"
+    assert counts["toric_image"] <= 3 * 7 * factorial(6)
+    assert run_claim("eq12", 5).status == "verified"
+    assert counts["reverse_image"] <= 3 * factorial(5)
+
+
+@pytest.mark.parametrize("key", TABLE_CLAIMS)
+def test_table_claims_honour_a_spent_budget(key):
+    r = run_claim(key, get_claim(key).max_n, Budget(0))
+    assert r.status == "skipped-budget"
