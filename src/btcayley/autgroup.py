@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 from .blocktrans import tn_realizations
 from .budget import NO_BUDGET
@@ -22,7 +23,7 @@ from .graphs import (
     build_cayley,
     maximal_2_cliques,
 )
-from .perms import Permutation, _wrap, compose_images, identity
+from .perms import Permutation, _right_multiplier, _wrap, closure, identity
 
 
 @dataclass(frozen=True)
@@ -153,41 +154,16 @@ def generated_subgroup(generators, limit: int = 3_628_800) -> frozenset[Permutat
     n = gens[0].n
     if any(p.n != n for p in gens):
         raise ValueError("generators of mixed degree")
-    gen_imgs = [p.image for p in gens]
     ident = tuple(range(1, n + 1))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for gimg in gen_imgs:
-                prod = compose_images(t, gimg)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        if len(seen) > limit:
-            raise ValueError(f"closure exceeds the cap of {limit} elements")
-        frontier = nxt
-    return frozenset(map(_wrap, seen))
+    steps = [_right_multiplier(p.image) for p in gens]
+    return frozenset(map(_wrap, closure([ident], steps, limit)))
 
 
 def orbit_images(dihedral_gens, seed: tuple[int, ...]) -> set[tuple[int, ...]]:
     """Orbit of an image tuple under dihedral elements of its degree."""
     from .toric import dihedral_image
 
-    gens = list(dihedral_gens)
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for d in gens:
-                b = dihedral_image(d, a)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return seen
+    return closure([seed], [partial(dihedral_image, d) for d in dihedral_gens])
 
 
 def orbit(dihedral_gens, seed: Permutation) -> frozenset[Permutation]:

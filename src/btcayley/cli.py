@@ -136,13 +136,9 @@ def cmd_enumerate(args, out) -> int:
 def _report_json(report) -> dict:
     # Wall time is left to the pretty table: the JSON surface must be
     # byte-identical across runs.
-    return {
-        "claim": report.claim,
-        "n": report.n,
-        "status": report.status,
-        "details": report.details,
-        "counterexample": report.counterexample,
-    }
+    out = report.as_json()
+    del out["wall_time_ms"]
+    return out
 
 
 def _report_line(report) -> str:

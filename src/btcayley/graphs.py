@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .blocktrans import (
     CutPoints,
@@ -21,7 +22,7 @@ from .blocktrans import (
     tn_realizations,
 )
 from .budget import NO_BUDGET
-from .perms import Permutation, identity, sym_group
+from .perms import Permutation, _product_rows, sym_group
 
 
 class Graph:
@@ -37,14 +38,17 @@ class Graph:
             if p in self._index:
                 raise ValueError(f"repeated vertex label {p}")
             self._index[p] = i
+        self.neighbor_sets = tuple(map(frozenset, self.neighbors))
         nv = len(self.labels)
+        sets = self.neighbor_sets
         for v, ns in enumerate(self.neighbors):
+            if len(sets[v]) != len(ns):
+                raise ValueError(f"repeated neighbor of vertex {v}")
             for u in ns:
                 if not 0 <= u < nv or u == v:
                     raise ValueError(f"bad neighbor {u} of vertex {v}")
-                if v not in self.neighbors[u]:
+                if v not in sets[u]:
                     raise ValueError(f"asymmetric edge {v}-{u}")
-        self.neighbor_sets = tuple(frozenset(ns) for ns in self.neighbors)
 
     @property
     def num_vertices(self) -> int:
@@ -96,15 +100,7 @@ def build_cayley(n: int, generators) -> Graph:
     if {tuple(x.inverse().image) for x in gens} != set(gen_imgs):
         raise ValueError("connection set is not inverse-closed")
 
-    elements = sym_group(n)
-    idx = {p.image: i for i, p in enumerate(elements)}
-    neighbors = []
-    for p in elements:
-        img = p.image
-        # p o x splices blocks for block transpositions, but generic
-        # composition keeps this correct for arbitrary connection sets.
-        neighbors.append(sorted(idx[tuple(img[v - 1] for v in x)] for x in gen_imgs))
-    return Graph(elements, neighbors)
+    return Graph(sym_group(n), _product_rows(n, gen_imgs))
 
 
 @lru_cache(maxsize=16)
@@ -335,24 +331,34 @@ def bfs_distance(
 
 
 def closed_walk_counts(neighbors, kmax: int = 6) -> list[tuple[int, ...]]:
-    """Per-vertex counts of closed walks of lengths 2..kmax (exact integers)."""
+    """Per-vertex counts of closed walks of lengths 2..kmax (exact integers).
+
+    The count for length a + b at v is diag(A^(a+b))[v] = <A^a e_v, A^b e_v>,
+    since the adjacency matrix A is symmetric, so dense rows of A^1 up to
+    A^ceil(kmax/2) suffice.  Row v of A^k is the column sum of the A^(k-1)
+    rows of v's neighbours.
+    """
     nv = len(neighbors)
-    out = []
-    for v in range(nv):
-        vec = [0] * nv
-        vec[v] = 1
-        row = []
-        for step in range(kmax):
-            nxt = [0] * nv
-            for u, cnt in enumerate(vec):
-                if cnt:
-                    for w in neighbors[u]:
-                        nxt[w] += cnt
-            vec = nxt
-            if step >= 1:
-                row.append(vec[v])
-        out.append(tuple(row))
-    return out
+    rows = []
+    for ns in neighbors:
+        row = [0] * nv
+        for u in ns:
+            row[u] = 1
+        rows.append(tuple(row))
+    powers = [rows]
+    for _ in range((kmax + 1) // 2 - 1):
+        rows = [
+            tuple(map(sum, zip(*[rows[u] for u in ns]))) if ns else (0,) * nv
+            for ns in neighbors
+        ]
+        powers.append(rows)
+    return [
+        tuple(
+            sum(map(mul, powers[(k + 1) // 2 - 1][v], powers[k // 2 - 1][v]))
+            for k in range(2, kmax + 1)
+        )
+        for v in range(nv)
+    ]
 
 
 def _shared_colors(sigs1, sigs2):

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 from .blocktrans import CutPoints, make_bt
 from .budget import NO_BUDGET
-from .perms import Permutation, identity, parse_permutation, sym_group
+from .perms import (
+    Permutation,
+    _product_rows,
+    closure,
+    identity,
+    parse_permutation,
+    sym_group,
+    sym_index,
+)
 from .toric import SkewMorphismWitness, bar_f, bar_f_witness, check_skew
 
 
@@ -67,30 +75,17 @@ class CayleyMap:
         self.n = n
         self.gens = gens
         self.elements = sym_group(n)
-        self._eidx = {p.image: i for i, p in enumerate(self.elements)}
+        self._eidx = sym_index(n)
         self._gidx = {x.image: gi for gi, x in enumerate(gens)}
         self._ginv = tuple(self._gidx[x.inverse().image] for x in gens)
 
-        # The connection set must generate the whole group.
-        seen = {identity(n).image}
-        frontier = [identity(n).image]
-        while frontier:
-            nxt = []
-            for t in frontier:
-                for gimg in imgs:
-                    prod = tuple(t[v - 1] for v in gimg)
-                    if prod not in seen:
-                        seen.add(prod)
-                        nxt.append(prod)
-            frontier = nxt
-        if len(seen) != len(self.elements):
-            raise ValueError("connection set does not generate the group")
-
         # vertex-by-generator product table, by ranks
-        self._vmul = [
-            [self._eidx[tuple(p.image[v - 1] for v in gimg)] for gimg in imgs]
-            for p in self.elements
-        ]
+        self._vmul = tuple(_product_rows(n, imgs))
+
+        # The connection set must generate the whole group.
+        steps = [col.__getitem__ for col in zip(*self._vmul)]
+        if len(closure([self._eidx[identity(n).image]], steps)) != len(self.elements):
+            raise ValueError("connection set does not generate the group")
 
     @property
     def valency(self) -> int:

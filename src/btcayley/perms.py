@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
+from .budget import NO_BUDGET
+
 
 def compose_images(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Image tuple of a o b (apply b first) for two images of one degree."""
@@ -217,6 +219,67 @@ def sym_group(n: int) -> tuple[Permutation, ...]:
 def sym_index(n: int) -> dict[tuple[int, ...], int]:
     """Lexicographic rank of each one-line image tuple of degree n."""
     return {p.image: i for i, p in enumerate(sym_group(n))}
+
+
+def _right_multiplier(b: tuple[int, ...]):
+    """C-level callable a -> image tuple of a o b, for images of b's degree."""
+    return itemgetter(*(v - 1 for v in b)) if len(b) > 1 else tuple
+
+
+def _product_rows(n: int, images):
+    """Ranks of p o x for every generator image x, one row per p of sym_group(n).
+
+    The rows come lazily and in rank order, and are built at C level: one
+    itemgetter per generator picks the image of p o x out of p's image, and
+    sym_index turns it into a rank.  Only the current row is held.
+    """
+    index = sym_index(n)
+    rank = index.__getitem__
+    return zip(*[map(rank, map(_right_multiplier(x), index)) for x in images])
+
+
+def plain_changes(n: int):
+    """Johnson-Trotter "plain changes" walk of Sym_n from the identity.
+
+    Yields n! - 1 positions i; swapping the entries at i and i+1 (0-based)
+    of the current one-line image, i.e. composing on the right with the
+    adjacent transposition (i+1 i+2), visits every permutation once.  The
+    largest entry sweeps across the others, and between two sweeps the
+    others take one step of the walk of degree n-1.
+    """
+    if n < 2:
+        return
+    down, up = range(n - 2, -1, -1), range(n - 1)
+    left = True
+    for i in itertools.chain(plain_changes(n - 1), [None]):
+        yield from down if left else up
+        if i is None:
+            return
+        # The largest entry sits first after a left sweep, last after a right one.
+        yield i + 1 if left else i
+        left = not left
+
+
+def closure(seed, steps, limit: int | None = None, budget=NO_BUDGET) -> set:
+    """Everything reachable from the seed items under the step maps.
+
+    Breadth first: each level maps the whole frontier through every step
+    at C level and keeps what has not been seen.  The budget is read once
+    per level; more than limit items raise ValueError (a hard cap, not a
+    truncation).
+    """
+    seen = set(seed)
+    frontier = seen
+    while frontier:
+        budget.check()
+        reached = set()
+        for step in steps:
+            reached.update(map(step, frontier))
+        frontier = reached - seen
+        seen |= frontier
+        if limit is not None and len(seen) > limit:
+            raise ValueError(f"closure exceeds the cap of {limit} elements")
+    return seen
 
 
 def parse_permutation(text: str) -> Permutation:

@@ -11,8 +11,8 @@ bar_f_r(p) = (f_r(p^-1))^-1 together with g generates a dihedral group of
 order 2(n+1) acting on the symmetric group; every element fixes the
 identity permutation and maps block transpositions to block transpositions.
 
-check_skew decides whether a permutation of a group's elements is a
-skew-morphism: psi(1) = 1 and for all x, y there is a single exponent
+check_skew decides whether a permutation of the elements of the symmetric
+group is a skew-morphism: psi(1) = 1 and for all x, y there is a single exponent
 e = pi(x) with psi(x y) = psi(x) psi^e(y).
 """
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .blocktrans import CutPoints
@@ -28,11 +29,12 @@ from .perms import (
     Permutation,
     _wrap,
     alpha_power,
-    identity,
     lift,
+    plain_changes,
     restrict,
     reverse,
     sym_group,
+    sym_index,
 )
 
 
@@ -72,9 +74,13 @@ def toric_f(p: Permutation, r: int) -> Permutation:
 
 def toric_f_conj(p: Permutation, r: int) -> Permutation:
     """Toric shift of p by r, computed by conjugating the lift with rotations."""
-    n = p.n
+    return _toric_conj(lift(p), r)
+
+
+def _toric_conj(lp: ExtendedPermutation, r: int) -> Permutation:
+    """toric_f_conj from the lift lp = [0 p], which a sweep over r builds once."""
+    n = lp.n
     m = n + 1
-    lp = lift(p)
     e = alpha_power(n, m - lp(r % m)).compose(lp).compose(alpha_power(n, r))
     return restrict(e)
 
@@ -97,10 +103,14 @@ def bar_f(p: Permutation, r: int) -> Permutation:
 
 def bar_f_conj(p: Permutation, r: int) -> Permutation:
     """bar_f_r via rotations: [0 rho] = alpha^{n+1-r} o [0 p] o alpha^{(p^-1)_r}."""
-    n = p.n
+    return _bar_conj(lift(p), lift(p.inverse()), r)
+
+
+def _bar_conj(lp: ExtendedPermutation, lq: ExtendedPermutation, r: int) -> Permutation:
+    """bar_f_conj from the lifts lp = [0 p] and lq = [0 p^-1], built once per p."""
+    n = lp.n
     m = n + 1
-    s = lift(p.inverse())(r % m)
-    e = alpha_power(n, m - r % m).compose(lift(p)).compose(alpha_power(n, s))
+    e = alpha_power(n, m - r % m).compose(lp).compose(alpha_power(n, lq(r % m)))
     return restrict(e)
 
 
@@ -301,34 +311,55 @@ class SkewMorphismWitness:
 def check_skew(elements, psi) -> SkewMorphismWitness | None:
     """Decide whether psi (an index map over elements) is a skew-morphism.
 
-    Returns a witness carrying the power function, or None.  A tie between
-    two distinct exponents cannot happen (distinct powers of psi differ as
-    maps); it is guarded as an internal error all the same.
+    elements must be the whole symmetric group sym_group(n) in its
+    lexicographic rank order, so that indices are ranks and rank 0 is the
+    identity; any other table raises ValueError.  Returns a witness carrying
+    the power function, or None.
+
+    The walk.  x runs through Sym_n along plain changes (perms.plain_changes):
+    each step is x -> x o s with s an adjacent transposition.  Two
+    left-multiplication rows are kept, row[z][y] = rank(z o y) for z = x and
+    z = psi(x).  x passes with exponent e when psi(row[x][y]) equals
+    row[psi(x)][psi^e(y)] for every y, and then pi(x) = e.  A step applies
+    one table composition to each row, with L_t[y] = rank(t o y):
+
+        row[x o s]      = row[x] o L_s,
+        row[psi(x o s)] = row[psi(x)] o L_{psi^e(s)},   e = pi(x).
+
+    The first is associativity.  The second holds because
+    psi(x o s) = psi(x) o psi^e(s) is the y = s entry of the check that x
+    has just passed.  The walk starts at x = iota with both rows the
+    identity (psi(iota) = iota is checked first), so by induction every row
+    is exact, and an element that fails its check ends the walk before its
+    rows are used.  The guard row[psi(x)][iota] == psi[x] re-reads this at
+    every step.  L tables are built lazily, one per distinct psi^e(s): at
+    most (n-1)(order+1) of them.  The n! x n! product table is never held.
+
+    A tie between two distinct exponents cannot happen (distinct powers of
+    psi differ as maps); it is guarded as an internal error all the same.
     """
     elements = tuple(elements)
     psi = tuple(psi)
     g = len(elements)
+    if not elements or elements != sym_group(elements[0].n):
+        raise ValueError("element table is not the symmetric group in rank order")
     if sorted(psi) != list(range(g)):
         raise ValueError("psi is not a bijection of the element table")
-    images = [p.image for p in elements]
-    idx = {img: i for i, img in enumerate(images)}
-    if len(idx) != g:
-        raise ValueError("element table has repeats")
-    n = elements[0].n
-    ident = tuple(range(1, n + 1))
-    ident_i = idx[ident]
-    if psi[ident_i] != ident_i:
+    if psi[0] != 0:
         return None
     if g == 1:
         return SkewMorphismWitness(elements, psi, 1, (0,))
+    n = elements[0].n
 
-    # Powers of psi; the loop closes exactly at the order.
+    # Powers of psi; the loop closes exactly at the order.  power_of[e]
+    # composes a rank row with psi^e at C level.
     powers = [tuple(range(g))]
     cur = psi
     while cur != powers[0]:
         powers.append(cur)
-        cur = tuple(psi[x] for x in cur)
+        cur = itemgetter(*cur)(psi)
     order = len(powers)
+    power_of = [itemgetter(*pw) for pw in powers]
 
     # Probe point on a longest cycle of psi, to cut the exponent candidates.
     best_probe, best_len = 0, 0
@@ -344,32 +375,43 @@ def check_skew(elements, psi) -> SkewMorphismWitness | None:
         if length > best_len:
             best_probe, best_len = start, length
 
-    # Left-multiplication rows: row(x)[iy] = index of x o y.  The getter for
-    # y picks the entries of x in one C call, which matters once g is in the
-    # thousands (two full rows per element below).
-    getters = [itemgetter(*(v - 1 for v in y)) for y in images]
+    index = sym_index(n)
+    rank = index.__getitem__
+    left: dict[int, itemgetter] = {}
 
-    def mult_row(img):
-        return [idx[get(img)] for get in getters]
+    def times_left(t: int) -> itemgetter:
+        # Composes a rank row with L_t: the ranks of t o y, y in rank order.
+        get = left.get(t)
+        if get is None:
+            ext = (0,) + elements[t].image
+            images = map(tuple, map(map, repeat(ext.__getitem__), index))
+            get = left[t] = itemgetter(*map(rank, images))
+        return get
 
+    ident = tuple(range(1, n + 1))
+    adjacent = [rank(ident[:i] + (i + 2, i + 1) + ident[i + 2 :]) for i in range(n - 1)]
     pi_power = [0] * g
-    for ix in range(g):
-        row_x = mult_row(images[ix])
-        mult_px = mult_row(images[psi[ix]])
-        lhs = [psi[z] for z in row_x]
-        candidates = [
-            e for e in range(order) if lhs[best_probe] == mult_px[powers[e][best_probe]]
-        ]
+    row_x = row_px = powers[0]
+    for i in chain(plain_changes(n), [None]):
+        ix = row_x[0]
+        if row_px[0] != psi[ix]:
+            raise RuntimeError(f"row of psi(x) lost track at {elements[ix]}")
+        lhs = itemgetter(*row_x)(psi)
+        probe = lhs[best_probe]
         valid = [
             e
-            for e in candidates
-            if all(lhs[iy] == mult_px[powers[e][iy]] for iy in range(g))
+            for e in range(order)
+            if row_px[powers[e][best_probe]] == probe and power_of[e](row_px) == lhs
         ]
         if not valid:
             return None
         if len(valid) > 1:
             raise RuntimeError(f"ambiguous exponent for element {elements[ix]}")
-        pi_power[ix] = valid[0]
+        e = pi_power[ix] = valid[0]
+        if i is not None:
+            s = adjacent[i]
+            row_x = times_left(s)(row_x)
+            row_px = times_left(powers[e][s])(row_px)
 
     return SkewMorphismWitness(elements, psi, order, tuple(pi_power))
 
@@ -377,7 +419,7 @@ def check_skew(elements, psi) -> SkewMorphismWitness | None:
 def skew_witness_for_map(n: int, fn) -> SkewMorphismWitness | None:
     """check_skew for a callable map on the full symmetric group of degree n."""
     elements = sym_group(n)
-    idx = {p.image: i for i, p in enumerate(elements)}
+    idx = sym_index(n)
     psi = tuple(idx[fn(p).image] for p in elements)
     return check_skew(elements, psi)
 

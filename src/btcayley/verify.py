@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import permutations, repeat
 from math import factorial, gcd
 from operator import getitem, itemgetter
@@ -63,6 +64,8 @@ from .maps import Dart, aut_order, is_regular, mprime_n5_map, octahedron_map, pr
 from .perms import (
     Permutation,
     _wrap,
+    closure,
+    compose_images,
     identity,
     invert_image,
     lift,
@@ -71,10 +74,11 @@ from .perms import (
     sym_index,
 )
 from .toric import (
+    _bar_conj,
+    _toric_conj,
     apply_dihedral,
     apply_lh_barf,
     bar_f,
-    bar_f_conj,
     bar_f_image,
     bar_f_witness,
     bt_image_closed_form,
@@ -88,7 +92,6 @@ from .toric import (
     reverse_image,
     toric_class_stats,
     toric_f,
-    toric_f_conj,
     toric_image,
 )
 
@@ -243,6 +246,24 @@ def _agree(lhs, rhs, images, message: str, key: str = "p", **context):
         _fail(message, **{key: _wrap(images[i])}, **context)
 
 
+def _first_route_fault(grp, tables, images, route_of, budget):
+    """First (r, p), shift-major, where a conjugation route misses table r.
+
+    route_of(p) does the work that depends on p alone once and returns the
+    route r -> Permutation; the answer is the pair a sweep over r outside
+    and p inside would meet first, or None when the route agrees everywhere.
+    """
+    fault = None
+    for i, p in enumerate(grp):
+        budget.check()
+        route = route_of(p)
+        for r in range(len(tables) if fault is None else fault[0]):
+            if route(r).image != images[tables[r][i]]:
+                fault = (r, p)
+                break
+    return fault
+
+
 def _induced_dihedral_images(g, n: int) -> dict[tuple[int, ...], str]:
     """Vertex maps induced on g by the 2(n+1) toric/reverse symmetries."""
     out = {}
@@ -333,13 +354,15 @@ def _run_eq9(n, budget):
     tor = [_rank_table(idx, images, budget, toric_image, r) for r in range(m)]
     inv = _rank_table(idx, images, budget, invert_image)
     _agree(tor[0], tuple(range(len(images))), images, "zeroth toric map moved a point")
+    fault = _first_route_fault(
+        grp, tor, images, lambda p: partial(_toric_conj, lift(p)), budget
+    )
     # points[r][i] is p_r for the element p of rank i, in its lift [0 p].
     points = list(zip(*[(0,) + a for a in images]))
     for r, t in enumerate(tor):
         budget.check()
-        for p, k in zip(grp, t):
-            if toric_f_conj(p, r).image != images[k]:
-                _fail("defining forms disagree", p=p, r=r)
+        if fault is not None and fault[0] == r:
+            _fail("defining forms disagree", p=fault[1], r=r)
         # (f_r(p))^-1 = f_{p_r}(p^-1): the shift p_r varies with p.
         mirrored = tuple(map(getitem, map(tor.__getitem__, points[r]), inv))
         _agree(
@@ -441,11 +464,13 @@ def _run_eq13(n, budget):
     bar = [_rank_table(idx, images, budget, bar_f_image, r) for r in range(m)]
     tor = [_rank_table(idx, images, budget, toric_image, r) for r in range(m)]
     inv = _rank_table(idx, images, budget, invert_image)
+    fault = _first_route_fault(
+        grp, bar, images, lambda p: partial(_bar_conj, lift(p), lift(p.inverse())), budget
+    )
     for r, b in enumerate(bar):
         budget.check()
-        for p, k in zip(grp, b):
-            if bar_f_conj(p, r).image != images[k]:
-                _fail("defining forms disagree", p=p, r=r)
+        if fault is not None and fault[0] == r:
+            _fail("defining forms disagree", p=fault[1], r=r)
         _agree(
             _compose_ranks(inv, _compose_ranks(tor[r], inv)),
             b,
@@ -1214,21 +1239,11 @@ def _run_lemma64(n, budget):
     _need(all(p.inverse() in gen_set for p in gens), "connection set is not symmetric")
     sub = generated_subgroup(gens)
 
-    # Component of the identity, traced directly by right multiplication.
-    start = identity(n)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        budget.check()
-        nxt = []
-        for p in frontier:
-            for q in gens:
-                r = p.compose(q)
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    _need(seen == set(sub), "identity component differs from the generated subgroup")
+    # Component of the identity, traced by left multiplication q o p: a
+    # second route beside generated_subgroup's right products.
+    steps = [partial(compose_images, q.image) for q in gens]
+    seen = closure([identity(n).image], steps, budget=budget)
+    _need(seen == {p.image for p in sub}, "identity component differs from the generated subgroup")
     components = factorial(n) // len(sub)
     _need(components == (1 if n % 2 else 2), "component count wrong", count=components)
     return {"components": components, "component_size": len(sub)}

@@ -263,7 +263,9 @@ def test_every_subcommand_validates_the_budget(capsys, monkeypatch, argv):
     assert code == 2
     assert err.startswith("error:")
     monkeypatch.delenv("BTCAYLEY_BUDGET_MS")
-    # zero is a legal budget: verify runs out of it, the rest ignore it
+    # zero is a legal budget: verify runs out of it; distance reads it once
+    # per 64-node stride, so a search smaller than one stride (n=4 here)
+    # finishes under every budget; the rest do not read it
     code, out, err = run(capsys, *argv, "--budget-ms", "0")
     assert code == (3 if argv[0] == "verify" else 0)
     assert err == ""

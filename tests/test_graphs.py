@@ -29,6 +29,10 @@ def test_graph_rejects_malformed_adjacency():
         Graph([identity(3), reverse(3)], [(1,), ()])  # asymmetric
     with pytest.raises(ValueError):
         Graph([identity(3), identity(3)], [(), ()])  # repeated label
+    with pytest.raises(ValueError):
+        Graph([identity(3), reverse(3)], [(1, 1), (0, 0)])  # repeated neighbor
+    with pytest.raises(ValueError):
+        Graph([identity(3), reverse(3)], [(1, 2), (0,)])  # neighbor out of range
 
 
 def test_cayley_graph_is_regular_of_generator_degree():

@@ -252,6 +252,26 @@ def test_table_counterexamples_break_the_identity_they_name(monkeypatch, name, k
         assert not _identity_holds(key, r.details["error"], r.counterexample, kernels), (key, r)
 
 
+@pytest.mark.parametrize("key,route", [("eq9", "_toric_conj"), ("eq13", "_bar_conj")])
+def test_conjugation_route_reports_its_first_fault_in_shift_major_order(
+    monkeypatch, key, route
+):
+    # Wrong at (r=3, an early p) and at (r=1, a late p): a sweep over r
+    # outside and p inside meets the second pair first.
+    true = getattr(verify, route)
+    faults = {((0, 2, 1, 3, 4), 3), ((0, 4, 3, 2, 1), 1)}
+
+    def faulty(*args):
+        q = true(*args)
+        return Permutation(_swap_first_two(q.image)) if (args[0].image, args[-1]) in faults else q
+
+    monkeypatch.setattr(verify, route, faulty)
+    r = run_claim(key, 4)
+    assert r.status == "failed"
+    assert r.details["error"] == "defining forms disagree"
+    assert r.counterexample == {"p": "[4 3 2 1]", "r": "1"}
+
+
 def test_table_claims_call_each_kernel_once_per_element_and_shift(monkeypatch):
     counts = {"toric_image": 0, "reverse_image": 0}
 
