@@ -10,7 +10,6 @@ identity-fixing automorphism must respect.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -23,7 +22,16 @@ from .graphs import (
     build_cayley,
     maximal_2_cliques,
 )
-from .perms import Permutation, _right_multiplier, _wrap, closure, identity
+from .perms import (
+    Permutation,
+    _right_multiplier,
+    _wrap,
+    closure,
+    compose_maps,
+    identity,
+    layers,
+    sym_index,
+)
 
 
 @dataclass(frozen=True)
@@ -46,7 +54,7 @@ class VertexMap:
     def compose(self, other: "VertexMap") -> "VertexMap":
         if other.graph is not self.graph:
             raise ValueError("vertex maps live on different graphs")
-        return VertexMap(self.graph, tuple(self.images[v] for v in other.images))
+        return VertexMap(self.graph, compose_maps(self.images, other.images))
 
     def inverse(self) -> "VertexMap":
         inv = [0] * len(self.images)
@@ -106,20 +114,6 @@ def aut_group(
     )
 
 
-def bfs_layers(g: Graph, root: int) -> list[int]:
-    """Distance from root per vertex (-1 for unreachable)."""
-    dist = [-1] * g.num_vertices
-    dist[root] = 0
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors[v]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
-
-
 def stabilizer_of_identity(n: int, budget=NO_BUDGET) -> list[VertexMap]:
     """All automorphisms of the Cayley graph over T_n fixing the identity.
 
@@ -129,10 +123,17 @@ def stabilizer_of_identity(n: int, budget=NO_BUDGET) -> list[VertexMap]:
     """
     if n > 5:
         raise ValueError(f"degree {n} beyond the exhaustive-search range (max 5)")
-    g = build_cayley(n, tn_realizations(n))
+    gens = tn_realizations(n)
+    g = build_cayley(n, gens)
     iota = g.index_of(identity(n))
-    layers = bfs_layers(g, iota)
-    sigs = [(0 if v == iota else 1, layers[v]) for v in range(g.num_vertices)]
+    # The vertices are sym_group(n) in rank order, so sym_index ranks them.
+    index = sym_index(n)
+    layer = [-1] * g.num_vertices
+    steps = [_right_multiplier(t.image) for t in gens]
+    for d, level in enumerate(layers([identity(n).image], steps, budget)):
+        for a in level:
+            layer[index[a]] = d
+    sigs = [(0 if v == iota else 1, layer[v]) for v in range(g.num_vertices)]
     c1, c2 = _shared_colors(sigs, sigs)
     found = _iso_search(g.neighbors, g.neighbors, c1, c2, True, budget)
     maps = sorted((VertexMap(g, imgs) for imgs in found), key=lambda m: m.images)

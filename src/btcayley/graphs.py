@@ -22,7 +22,7 @@ from .blocktrans import (
     tn_realizations,
 )
 from .budget import NO_BUDGET
-from .perms import Permutation, _product_rows, sym_group
+from .perms import Permutation, _product_rows, compose_images, sym_group
 
 
 class Graph:
@@ -115,7 +115,7 @@ def gamma(n: int) -> Graph:
         for v, q in enumerate(labels):
             if u == v:
                 continue
-            prod = tuple(inv_u[w - 1] for w in q.image)
+            prod = compose_images(inv_u, q.image)
             if prod in member:
                 row.append(v)
         neighbors.append(row)

@@ -1,23 +1,25 @@
 """Permutations in one-line notation.
 
 A permutation of degree n is a bijection of [n] = {1, ..., n}, written
-[p_1 p_2 ... p_n] where p(t) = p_t.  An extended permutation acts on
-[n]^0 = {0, 1, ..., n} and is written the same way with the image of 0
-first.  The two kinds are distinct types: the lift of p is the extended
-permutation [0 p] fixing 0, and restricting [0 p] back to [n] returns p.
+[p_1 p_2 ... p_n] where p(t) = p_t.  Permutation, the one permutation
+class, stores the image tuple indexed from 0 and reads it 1-based.
 
-Images are stored in tuples indexed from 0; all public semantics use the
-1-based positions (0-based for the extended point set).
+Every other bijection of a point set {0, ..., m-1} is a plain 0-based
+tuple e, with e[x] the image of x: the extended permutations of
+[n]^0 = {0, 1, ..., n} (the lift [0 p] of p and the rotations alpha^r),
+the rank tables over sym_group(n) and the vertex maps of a graph.
+compose_maps is the one composition of such tuples; lift and restrict
+move between p and [0 p].
 
-Validation happens once, at the API boundary.  The public constructors
-Permutation(...) and ExtendedPermutation(...) and parse_permutation check
-that an image tuple is a bijection, because that tuple comes from outside.
-The algebra runs on kernels over plain image tuples (compose_images and
-invert_image here; the toric, inverse-toric and reversal kernels in toric):
-each kernel maps permutations to a permutation by construction, so its
-result is wrapped without a second check by the internal constructors
-_wrap and _wrap_ext.  Hot loops call the kernels directly and wrap a tuple
-only when they hand it back to a caller.
+Validation happens once, at the API boundary.  Permutation(...),
+parse_permutation and restrict check that what they are given is a
+bijection, because it comes from outside.  The algebra runs on kernels
+over plain image tuples (compose_images and invert_image here; the toric,
+inverse-toric and reversal kernels in toric): each kernel maps
+permutations to a permutation by construction, so its result is wrapped
+without a second check by the internal constructor _wrap.  Hot loops call
+the kernels directly and wrap a tuple only when they hand it back to a
+caller.
 """
 
 from __future__ import annotations
@@ -43,6 +45,13 @@ def invert_image(a: tuple[int, ...]) -> tuple[int, ...]:
     for t, v in enumerate(a, start=1):
         inv[v - 1] = t
     return tuple(inv)
+
+
+def compose_maps(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """0-based map a o b (apply b first): entry x is a[b[x]]."""
+    if len(b) == 1:
+        return (a[b[0]],)
+    return itemgetter(*b)(a)
 
 
 @dataclass(frozen=True)
@@ -104,48 +113,6 @@ class Permutation:
         return "[" + " ".join(str(v) for v in self.image) + "]"
 
 
-@dataclass(frozen=True)
-class ExtendedPermutation:
-    """A bijection of {0, 1, ..., n} in one-line notation (image of 0 first)."""
-
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        m = len(self.image)
-        if m < 2 or sorted(self.image) != list(range(m)):
-            raise ValueError(f"not a permutation of 0..{m - 1}: {self.image!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.image) - 1
-
-    def __call__(self, x: int) -> int:
-        if not 0 <= x <= self.n:
-            raise ValueError(f"point {x} outside 0..{self.n}")
-        return self.image[x]
-
-    def compose(self, other: "ExtendedPermutation") -> "ExtendedPermutation":
-        if not isinstance(other, ExtendedPermutation):
-            raise TypeError(f"cannot compose ExtendedPermutation with {type(other).__name__}")
-        if other.n != self.n:
-            raise ValueError(f"degree mismatch: {self.n} vs {other.n}")
-        return _wrap_ext(itemgetter(*other.image)(self.image))
-
-    __mul__ = compose
-
-    def inverse(self) -> "ExtendedPermutation":
-        inv = [0] * (self.n + 1)
-        for x, v in enumerate(self.image):
-            inv[v] = x
-        return _wrap_ext(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(v == x for x, v in enumerate(self.image))
-
-    def __str__(self) -> str:
-        return "[" + " ".join(str(v) for v in self.image) + "]"
-
-
 _new = object.__new__
 _set = object.__setattr__
 
@@ -157,13 +124,6 @@ def _wrap(image: tuple[int, ...]) -> Permutation:
     return p
 
 
-def _wrap_ext(image: tuple[int, ...]) -> ExtendedPermutation:
-    """ExtendedPermutation around an image tuple that is one by construction."""
-    e = _new(ExtendedPermutation)
-    _set(e, "image", image)
-    return e
-
-
 def identity(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))
 
@@ -173,19 +133,27 @@ def reverse(n: int) -> Permutation:
     return Permutation(tuple(range(n, 0, -1)))
 
 
-def lift(p: Permutation) -> ExtendedPermutation:
+def lift(p: Permutation) -> tuple[int, ...]:
     """The extension [0 p] of p fixing 0."""
-    return _wrap_ext((0,) + p.image)
+    return (0,) + p.image
 
 
-def restrict(e: ExtendedPermutation) -> Permutation:
-    """Restrict an extended permutation fixing 0 back to {1, ..., n}."""
-    if e.image[0] != 0:
+def restrict(e: tuple[int, ...]) -> Permutation:
+    """Restrict a bijection e of {0, ..., n} fixing 0 back to {1, ..., n}.
+
+    e can be any tuple, so the rest of it is validated as a permutation.
+    """
+    return Permutation(_restrict(e).image)
+
+
+def _restrict(e: tuple[int, ...]) -> Permutation:
+    """restrict for a bijection by construction: only the fixed 0 is checked."""
+    if e[0] != 0:
         raise ValueError(f"extended permutation does not fix 0: {e}")
-    return _wrap(e.image[1:])
+    return _wrap(e[1:])
 
 
-def alpha_power(n: int, r: int) -> ExtendedPermutation:
+def alpha_power(n: int, r: int) -> tuple[int, ...]:
     """The rotation x -> x + r (mod n+1) of the extended point set.
 
     Any integer exponent is accepted and reduced mod n+1.
@@ -196,13 +164,12 @@ def alpha_power(n: int, r: int) -> ExtendedPermutation:
 
 
 @lru_cache(maxsize=256)
-def _rotation(n: int, r: int) -> ExtendedPermutation:
-    """alpha^r for 0 <= r <= n; the result is immutable, so one is shared."""
-    m = n + 1
-    return _wrap_ext(tuple(range(r, m)) + tuple(range(r)))
+def _rotation(n: int, r: int) -> tuple[int, ...]:
+    """alpha^r for 0 <= r <= n; the tuple is immutable, so one is shared."""
+    return tuple(range(r, n + 1)) + tuple(range(r))
 
 
-def alpha(n: int) -> ExtendedPermutation:
+def alpha(n: int) -> tuple[int, ...]:
     """The basic rotation [1 2 ... n 0]."""
     return alpha_power(n, 1)
 
@@ -260,23 +227,38 @@ def plain_changes(n: int):
         left = not left
 
 
-def closure(seed, steps, limit: int | None = None, budget=NO_BUDGET) -> set:
-    """Everything reachable from the seed items under the step maps.
+def layers(seed, steps, budget=NO_BUDGET, seen: set | None = None):
+    """Breadth-first levels from the seed items under the step maps.
 
-    Breadth first: each level maps the whole frontier through every step
-    at C level and keeps what has not been seen.  The budget is read once
-    per level; more than limit items raise ValueError (a hard cap, not a
-    truncation).
+    Yields the seed items as a set, then each next level: the whole
+    frontier is mapped through every step at C level, and what has not
+    been seen is kept.  The budget is read once before each level is
+    expanded.  Every item reached goes into seen (a new set by default),
+    so a caller that needs the reached set passes its own and holds it
+    once.
     """
-    seen = set(seed)
-    frontier = seen
+    if seen is None:
+        seen = set()
+    frontier = set(seed)
+    seen |= frontier
     while frontier:
+        yield frontier
         budget.check()
         reached = set()
         for step in steps:
             reached.update(map(step, frontier))
         frontier = reached - seen
         seen |= frontier
+
+
+def closure(seed, steps, limit: int | None = None, budget=NO_BUDGET) -> set:
+    """Everything reachable from the seed items under the step maps.
+
+    The levels come from layers; more than limit items raise ValueError
+    (a hard cap, not a truncation).
+    """
+    seen: set = set()
+    for _ in layers(seed, steps, budget, seen):
         if limit is not None and len(seen) > limit:
             raise ValueError(f"closure exceeds the cap of {limit} elements")
     return seen

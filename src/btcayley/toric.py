@@ -25,13 +25,13 @@ from operator import itemgetter
 
 from .blocktrans import CutPoints
 from .perms import (
-    ExtendedPermutation,
     Permutation,
+    _restrict,
     _wrap,
     alpha_power,
+    compose_maps,
     lift,
     plain_changes,
-    restrict,
     reverse,
     sym_group,
     sym_index,
@@ -77,12 +77,12 @@ def toric_f_conj(p: Permutation, r: int) -> Permutation:
     return _toric_conj(lift(p), r)
 
 
-def _toric_conj(lp: ExtendedPermutation, r: int) -> Permutation:
+def _toric_conj(lp: tuple[int, ...], r: int) -> Permutation:
     """toric_f_conj from the lift lp = [0 p], which a sweep over r builds once."""
-    n = lp.n
+    n = len(lp) - 1
     m = n + 1
-    e = alpha_power(n, m - lp(r % m)).compose(lp).compose(alpha_power(n, r))
-    return restrict(e)
+    e = compose_maps(compose_maps(alpha_power(n, m - lp[r % m]), lp), alpha_power(n, r))
+    return _restrict(e)
 
 
 def reverse_g(p: Permutation) -> Permutation:
@@ -93,7 +93,7 @@ def reverse_g(p: Permutation) -> Permutation:
 def reverse_g_conj(p: Permutation) -> Permutation:
     """Reverse map, computed by conjugating the lift with [0 w]."""
     lw = lift(reverse(p.n))
-    return restrict(lw.compose(lift(p)).compose(lw))
+    return _restrict(compose_maps(compose_maps(lw, lift(p)), lw))
 
 
 def bar_f(p: Permutation, r: int) -> Permutation:
@@ -106,12 +106,12 @@ def bar_f_conj(p: Permutation, r: int) -> Permutation:
     return _bar_conj(lift(p), lift(p.inverse()), r)
 
 
-def _bar_conj(lp: ExtendedPermutation, lq: ExtendedPermutation, r: int) -> Permutation:
+def _bar_conj(lp: tuple[int, ...], lq: tuple[int, ...], r: int) -> Permutation:
     """bar_f_conj from the lifts lp = [0 p] and lq = [0 p^-1], built once per p."""
-    n = lp.n
+    n = len(lp) - 1
     m = n + 1
-    e = alpha_power(n, m - r % m).compose(lp).compose(alpha_power(n, lq(r % m)))
-    return restrict(e)
+    e = compose_maps(compose_maps(alpha_power(n, m - r % m), lp), alpha_power(n, lq[r % m]))
+    return _restrict(e)
 
 
 def bt_image_closed_form(c: CutPoints, which: str) -> CutPoints:
@@ -240,7 +240,7 @@ def compose_lh_barf(
     if h.n != k.n:
         raise ValueError(f"degree mismatch: {h.n} vs {k.n}")
     m = h.n + 1
-    e = (u + lift(k.inverse())(r % m)) % m
+    e = (u + lift(k.inverse())[r % m]) % m
     return h.compose(bar_f(k, r)), e
 
 
@@ -249,7 +249,7 @@ def apply_lh_barf(h: Permutation, r: int, p: Permutation) -> Permutation:
     return h.compose(bar_f(p, r))
 
 
-def phi_iso(h: Permutation, r: int) -> ExtendedPermutation:
+def phi_iso(h: Permutation, r: int) -> tuple[int, ...]:
     """Image [0 h] o alpha^{n+1-r} of L_h o bar_f_r in the extended group.
 
     This assignment is an isomorphism onto the symmetric group of the
@@ -257,7 +257,7 @@ def phi_iso(h: Permutation, r: int) -> ExtendedPermutation:
     """
     n = h.n
     m = n + 1
-    return lift(h).compose(alpha_power(n, m - r % m))
+    return compose_maps(lift(h), alpha_power(n, m - r % m))
 
 
 def skew_identity_bar_f(
@@ -267,7 +267,7 @@ def skew_identity_bar_f(
     if rho.n != pi.n:
         raise ValueError(f"degree mismatch: {rho.n} vs {pi.n}")
     m = rho.n + 1
-    s = lift(rho.inverse())(r % m)
+    s = lift(rho.inverse())[r % m]
     lhs = bar_f(rho.compose(pi), r)
     rhs = bar_f(rho, r).compose(bar_f(pi, s))
     return lhs, rhs, s

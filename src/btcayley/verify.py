@@ -63,11 +63,14 @@ from .graphs import (
 from .maps import Dart, aut_order, is_regular, mprime_n5_map, octahedron_map, prop72_map, t_balance
 from .perms import (
     Permutation,
+    _right_multiplier,
     _wrap,
     closure,
     compose_images,
+    compose_maps,
     identity,
     invert_image,
+    layers,
     lift,
     reverse,
     sym_group,
@@ -234,11 +237,6 @@ def _rank_table(idx, images, budget, kernel, r=None) -> tuple[int, ...]:
         _fail("kernel image is not a permutation", p=_wrap(images[i]), **context)
 
 
-def _compose_ranks(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Rank table of a o b (apply b first): entry i is a[b[i]]."""
-    return itemgetter(*b)(a)
-
-
 def _agree(lhs, rhs, images, message: str, key: str = "p", **context):
     """Fail at the first rank where two tables differ, naming that element as key."""
     if lhs != rhs:
@@ -344,8 +342,9 @@ def _run_eq9(n, budget):
     f_r of the element of rank i.  sym_index is a bijection from Sym_n onto
     range(n!), so a composed table equals another exactly when the two
     composed maps agree at every element, and each comparison still covers
-    every element.  The conjugation route toric_f_conj stays on
-    ExtendedPermutation and never calls the kernel it is checked against.
+    every element.  The conjugation route toric_f_conj composes the lift
+    [0 p] with rotations as 0-based tuples and never calls the kernel it
+    is checked against.
     """
     m = n + 1
     grp = sym_group(n)
@@ -366,7 +365,7 @@ def _run_eq9(n, budget):
         # (f_r(p))^-1 = f_{p_r}(p^-1): the shift p_r varies with p.
         mirrored = tuple(map(getitem, map(tor.__getitem__, points[r]), inv))
         _agree(
-            _compose_ranks(inv, t),
+            compose_maps(inv, t),
             mirrored,
             images,
             "inverse of a toric image is not the mirrored toric image",
@@ -374,7 +373,7 @@ def _run_eq9(n, budget):
         )
         for s in range(m):
             _agree(
-                _compose_ranks(tor[s], t),
+                compose_maps(tor[s], t),
                 tor[(r + s) % m],
                 images,
                 "toric shifts do not add",
@@ -402,7 +401,7 @@ def _run_eq12(n, budget):
     images = list(idx)
     rev = _rank_table(idx, images, budget, reverse_image)
     ident = tuple(range(len(images)))
-    _agree(_compose_ranks(rev, rev), ident, images, "reversal is not an involution")
+    _agree(compose_maps(rev, rev), ident, images, "reversal is not an involution")
     lifts = [(0,) + a for a in images]
 
     def column(j):
@@ -416,8 +415,8 @@ def _run_eq12(n, budget):
         col_k = col_j if k == j else column(k)
         for pi, (col, col_g) in {j: (col_j, col_k), k: (col_k, col_j)}.items():
             _agree(
-                _compose_ranks(rev, col),
-                _compose_ranks(col_g, rev),
+                compose_maps(rev, col),
+                compose_maps(col_g, rev),
                 images,
                 "reversal is not multiplicative",
                 key="rho",
@@ -438,7 +437,7 @@ def _run_gfg(n, budget):
     rev = _rank_table(idx, images, budget, reverse_image)
     for r, t in enumerate(tor):
         _agree(
-            _compose_ranks(rev, _compose_ranks(t, rev)),
+            compose_maps(rev, compose_maps(t, rev)),
             tor[-r],
             images,
             "conjugated toric map is not the mirror shift",
@@ -451,7 +450,7 @@ def _run_gfg(n, budget):
 def _run_eq13(n, budget):
     """Exhaustive over every p in Sym_n and every shift r.
 
-    Three routes meet: the rotation form bar_f_conj (on ExtendedPermutation,
+    Three routes meet: the rotation form bar_f_conj (on 0-based tuples,
     compared element by element), the definition (f_r(p^-1))^-1 as the rank
     table inv o T[r] o inv, and r-fold iteration of bar_f_1 as B[1] o B[r-1]
     by induction on r from B[0] = id.  sym_index is a bijection, so each
@@ -472,14 +471,14 @@ def _run_eq13(n, budget):
         if fault is not None and fault[0] == r:
             _fail("defining forms disagree", p=fault[1], r=r)
         _agree(
-            _compose_ranks(inv, _compose_ranks(tor[r], inv)),
+            compose_maps(inv, compose_maps(tor[r], inv)),
             b,
             images,
             "inverse-toric route broke",
             r=r,
         )
         _agree(
-            _compose_ranks(bar[1], bar[r - 1]) if r else tuple(range(len(images))),
+            compose_maps(bar[1], bar[r - 1]) if r else tuple(range(len(images))),
             b,
             images,
             "iteration disagrees with direct shift",
@@ -500,7 +499,7 @@ def _run_eq16(n, budget):
     rev = _rank_table(idx, images, budget, reverse_image)
     for r, b in enumerate(bar):
         _agree(
-            _compose_ranks(rev, _compose_ranks(b, rev)),
+            compose_maps(rev, compose_maps(b, rev)),
             bar[-r],
             images,
             "conjugated inverse-toric map is not the mirror shift",
@@ -534,8 +533,8 @@ def _run_lemma43(n, budget):
         exponent = (0,) + invert_image(rho)
         for r, b in enumerate(bar):
             _agree(
-                _compose_ranks(b, product[i]),
-                _compose_ranks(product[b[i]], bar[exponent[r]]),
+                compose_maps(b, product[i]),
+                compose_maps(product[b[i]], bar[exponent[r]]),
                 images,
                 "product rule violated",
                 key="pi",
@@ -549,13 +548,13 @@ def _run_lemma43(n, budget):
 # Closed forms on cut points.
 
 
-@_claim("lemma3.1", "toric image of a block transposition, closed form", 2, 8)
-def _run_lemma31(n, budget):
+def _run_closed_form(tag: str, image_of, n, budget):
+    """The image of every s(i,j,k) under one map against its closed form."""
     for c in enumerate_tn(n):
         budget.check()
-        img = bt_image_closed_form(c, "f")
+        img = bt_image_closed_form(c, tag)
         _need(
-            make_bt(img) == toric_f(make_bt(c), 1),
+            make_bt(img) == image_of(make_bt(c)),
             "closed form disagrees with the map",
             cuts=c,
             image=img,
@@ -563,32 +562,14 @@ def _run_lemma31(n, budget):
     return {"checked": tn_size(n)}
 
 
-@_claim("eq11", "reversal image of a block transposition, closed form", 2, 8)
-def _run_eq11(n, budget):
-    for c in enumerate_tn(n):
-        budget.check()
-        img = bt_image_closed_form(c, "g")
-        _need(
-            make_bt(img) == reverse_g(make_bt(c)),
-            "closed form disagrees with the map",
-            cuts=c,
-            image=img,
-        )
-    return {"checked": tn_size(n)}
-
-
-@_claim("lemma4.1", "inverse-toric image of a block transposition, closed form", 2, 8)
-def _run_lemma41(n, budget):
-    for c in enumerate_tn(n):
-        budget.check()
-        img = bt_image_closed_form(c, "bar_f")
-        _need(
-            make_bt(img) == bar_f(make_bt(c), 1),
-            "closed form disagrees with the map",
-            cuts=c,
-            image=img,
-        )
-    return {"checked": tn_size(n)}
+# (key, summary, closed-form tag, map) for each closed form over T_n.
+_CLOSED_FORMS = (
+    ("lemma3.1", "toric image of a block transposition, closed form", "f", partial(toric_f, r=1)),
+    ("eq11", "reversal image of a block transposition, closed form", "g", reverse_g),
+    ("lemma4.1", "inverse-toric image of a block transposition, closed form", "bar_f", partial(bar_f, r=1)),
+)
+for _key, _summary, _tag, _map in _CLOSED_FORMS:
+    _claim(_key, _summary, 2, 8)(partial(_run_closed_form, _tag, _map))
 
 
 @_claim("eqa14oct", "iterated inverse-toric images of the left-border elements", 4, 8)
@@ -636,31 +617,37 @@ def _run_eqa14oct(n, budget):
 # Invariance of the generating set.
 
 
-@_claim("cor3.2", "toric maps and reversal permute the block transpositions", 2, 8)
-def _run_cor32(n, budget):
+def _run_invariance(shifted, fixed, n, budget):
+    """A named map at every shift r, and optionally a named fixed map, send
+    the set of block transpositions onto itself."""
+    name, fn = shifted
     reals = set(tn_realizations(n))
     for r in range(n + 1):
         budget.check()
-        _need(
-            {toric_f(p, r) for p in reals} == reals,
-            "toric map does not preserve the set",
-            r=r,
-        )
-    _need({reverse_g(p) for p in reals} == reals, "reversal does not preserve the set")
+        _need({fn(p, r) for p in reals} == reals, f"{name} does not preserve the set", r=r)
+    if fixed is not None:
+        name, fn = fixed
+        _need({fn(p) for p in reals} == reals, f"{name} does not preserve the set")
     return {"size": len(reals), "shifts": n + 1}
 
 
-@_claim("cor4.2", "inverse-toric maps permute the block transpositions", 2, 8)
-def _run_cor42(n, budget):
-    reals = set(tn_realizations(n))
-    for r in range(n + 1):
-        budget.check()
-        _need(
-            {bar_f(p, r) for p in reals} == reals,
-            "inverse-toric map does not preserve the set",
-            r=r,
-        )
-    return {"size": len(reals), "shifts": n + 1}
+# (key, summary, shifted map, fixed map) for each invariance of T_n.
+_INVARIANCES = (
+    (
+        "cor3.2",
+        "toric maps and reversal permute the block transpositions",
+        ("toric map", toric_f),
+        ("reversal", reverse_g),
+    ),
+    (
+        "cor4.2",
+        "inverse-toric maps permute the block transpositions",
+        ("inverse-toric map", bar_f),
+        None,
+    ),
+)
+for _key, _summary, _shifted, _fixed in _INVARIANCES:
+    _claim(_key, _summary, 2, 8)(partial(_run_invariance, _shifted, _fixed))
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +675,7 @@ def _run_prop44(n, budget):
             d, e = compose_lh_barf(h, r, k, u)
             tb = table[(k.image, u)]
             _need(
-                tuple(ta[v] for v in tb) == table[(d.image, e)],
+                compose_maps(ta, tb) == table[(d.image, e)],
                 "product rule disagrees with pointwise composition",
                 h=h,
                 r=r,
@@ -696,14 +683,14 @@ def _run_prop44(n, budget):
                 u=u,
             )
             _need(
-                pa.compose(phi_iso(k, u)) == phi_iso(d, e),
+                compose_maps(pa, phi_iso(k, u)) == phi_iso(d, e),
                 "extended images do not multiply",
                 h=h,
                 r=r,
                 k=k,
                 u=u,
             )
-    images = {phi_iso(h, r).image for h, r in elems}
+    images = {phi_iso(h, r) for h, r in elems}
     _need(
         images == set(permutations(range(m))),
         "extended images miss part of the target group",
@@ -716,15 +703,15 @@ def _run_prop44(n, budget):
     tmap = tuple(idx[p.compose(w).image] for p in grp)
     _need(tmap not in values, "the doubling involution lies inside the group")
     _need(
-        tuple(tmap[v] for v in tmap) == tuple(range(len(grp))),
+        compose_maps(tmap, tmap) == tuple(range(len(grp))),
         "the doubling map is not an involution",
     )
     for v in values:
         _need(
-            tuple(tmap[x] for x in v) == tuple(v[x] for x in tmap),
+            compose_maps(tmap, v) == compose_maps(v, tmap),
             "the doubling involution does not centralize the group",
         )
-    doubled = values | {tuple(tmap[x] for x in v) for v in values}
+    doubled = values | {compose_maps(tmap, v) for v in values}
     _need(len(doubled) == 2 * factorial(m), "doubled set has wrong size", count=len(doubled))
     return {"group_order": factorial(m), "doubled_order": 2 * factorial(m)}
 
@@ -750,7 +737,7 @@ def _run_skew_toric(n, budget):
     w1 = bar_f_witness(n, 1)
     for p in sym_group(n):
         _need(
-            w1.pi_power_of(p) == lift(p.inverse())(1),
+            w1.pi_power_of(p) == lift(p.inverse())[1],
             "power function is not the first entry of the inverse",
             p=p,
         )
@@ -1197,7 +1184,7 @@ def _run_toric_reverse_aut(n, budget):
         for b in dih:
             tb = tables[b]
             tab = tables[dihedral_compose(a, b)]
-            if tab != itemgetter(*tb)(ta):
+            if tab != compose_maps(ta, tb):
                 v = next(v for v, x in enumerate(tb) if tab[v] != ta[x])
                 _fail(
                     "normal-form product disagrees with composition",
@@ -1255,22 +1242,19 @@ def _run_lemma64(n, budget):
 
 @_claim("bfs", "meet-in-the-middle distances match a full search", 3, 5)
 def _run_bfs(n, budget):
+    """Every target's meet-in-the-middle distance against its breadth-first
+    layer from the identity, checked in rank order."""
     gens = tn_realizations(n)
     source = identity(n)
-    dist = {source: 0}
-    frontier = [source]
-    while frontier:
-        budget.check()
-        nxt = []
-        for p in frontier:
-            for q in gens:
-                r = p.compose(q)
-                if r not in dist:
-                    dist[r] = dist[p] + 1
-                    nxt.append(r)
-        frontier = nxt
-    _need(len(dist) == factorial(n), "search did not reach the whole group", reached=len(dist))
-    for target, want in dist.items():
+    index = sym_index(n)
+    dist = [None] * len(index)
+    steps = [_right_multiplier(q.image) for q in gens]
+    for d, level in enumerate(layers([source.image], steps, budget)):
+        for a in level:
+            dist[index[a]] = d
+    reached = len(dist) - dist.count(None)
+    _need(reached == factorial(n), "search did not reach the whole group", reached=reached)
+    for target, want in zip(sym_group(n), dist):
         budget.check()
         d, path = bfs_distance(source, target)
         _need(d == want, "distance mismatch", target=target, got=d, want=want)
@@ -1285,7 +1269,7 @@ def _run_bfs(n, budget):
         d1, _ = bfs_distance(shift, shift.compose(w))
         d2, _ = bfs_distance(source, w)
         _need(d1 == d2, "distance is not left invariant", shift=shift)
-    return {"targets": len(dist), "diameter": max(dist.values())}
+    return {"targets": reached, "diameter": max(dist)}
 
 
 # ---------------------------------------------------------------------------
@@ -1335,7 +1319,7 @@ def _run_prop72(n, budget):
     for p in w.elements:
         budget.check()
         _need(
-            w.pi_power_of(p) == lift(p.inverse())(1),
+            w.pi_power_of(p) == lift(p.inverse())[1],
             "power function is not the first entry of the inverse",
             p=p,
         )
@@ -1374,7 +1358,7 @@ def _run_thm73(n, budget):
     for p in w.elements:
         budget.check()
         _need(
-            w.pi_power_of(p) == 6 - lift(p.inverse())(5),
+            w.pi_power_of(p) == 6 - lift(p.inverse())[5],
             "power function is not the mirrored last entry",
             p=p,
         )

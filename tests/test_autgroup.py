@@ -5,7 +5,6 @@ import pytest
 from btcayley.autgroup import (
     VertexMap,
     aut_group,
-    bfs_layers,
     generated_subgroup,
     is_automorphism,
     left_translation,
@@ -81,14 +80,6 @@ def test_stabilizer_maps_are_the_induced_symmetries():
     for d in dihedral_elements(n):
         induced.add(perm_vertex_map(g, lambda p, d=d: apply_dihedral(d, p)).images)
     assert induced == {m.images for m in stabilizer_of_identity(n)}
-
-
-def test_bfs_layers_cover_connected_graph():
-    g = gamma(5)
-    layers = bfs_layers(g, 0)
-    assert len(layers) == g.num_vertices
-    assert layers[0] == 0
-    assert all(d >= 0 for d in layers)
 
 
 # frozen: even degrees give the even half, odd degrees the whole group

@@ -2,10 +2,12 @@
 
 Each oracle below is the earlier implementation, kept here only as the
 reference: product rows, the plain-changes walk behind check_skew, the
-breadth-first closure, and closed-walk counts from powers of A.
+breadth-first closure and its levels, and closed-walk counts from powers
+of A.
 """
 
 import random
+from collections import deque
 from itertools import permutations
 from math import factorial
 from operator import itemgetter
@@ -16,12 +18,15 @@ from hypothesis import strategies as st
 
 from btcayley.autgroup import generated_subgroup, orbit_images
 from btcayley.blocktrans import make_bt, tn_realizations
-from btcayley.graphs import closed_walk_counts, vertex_set_V
+from btcayley.graphs import build_cayley, closed_walk_counts, vertex_set_V
 from btcayley.perms import (
     _product_rows,
+    _right_multiplier,
     closure,
     compose_images,
+    identity,
     invert_image,
+    layers,
     plain_changes,
     sym_group,
     sym_index,
@@ -116,6 +121,20 @@ def _oracle_orbit(gens, seed):
                     nxt.append(b)
         frontier = nxt
     return seen
+
+
+def _oracle_bfs_layers(g, root):
+    """Distance from root per vertex (-1 for unreachable), by a queue."""
+    dist = [-1] * g.num_vertices
+    dist[root] = 0
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for u in g.neighbors[v]:
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
 
 
 def _oracle_subgroup(gen_imgs):
@@ -258,3 +277,20 @@ def test_closure_honours_the_limit():
     with pytest.raises(ValueError):
         generated_subgroup(tn_realizations(4), limit=23)
     assert len(generated_subgroup(tn_realizations(4), limit=24)) == 24
+
+
+def test_layers_are_the_distance_layers_of_a_queue_bfs():
+    for n in range(2, 6):
+        gens = tn_realizations(n)
+        g = build_cayley(n, gens)
+        want = _oracle_bfs_layers(g, g.index_of(identity(n)))
+        steps = [_right_multiplier(t.image) for t in gens]
+        seen = set()
+        got = [-1] * g.num_vertices
+        for d, level in enumerate(layers([identity(n).image], steps, seen=seen)):
+            for a in level:
+                assert got[sym_index(n)[a]] == -1  # levels are disjoint
+                got[sym_index(n)[a]] = d
+        assert got == want
+        assert min(want) == 0  # the group is connected over T_n
+        assert seen == set(sym_index(n))

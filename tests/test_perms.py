@@ -1,13 +1,13 @@
-"""Permutations in one-line notation and their 0-extended forms."""
+"""Permutations in one-line notation and 0-based maps, the extended forms among them."""
 
 import pytest
 
 from btcayley.perms import (
-    ExtendedPermutation,
     Permutation,
     alpha,
     alpha_power,
     compose_images,
+    compose_maps,
     identity,
     invert_image,
     lift,
@@ -49,6 +49,11 @@ def test_kernels_match_pointwise_formulas(n):
             # (a o b)(t) = a(b(t))
             want = tuple(a[b[t - 1] - 1] for t in range(1, n + 1))
             assert Permutation(compose_images(a, b)).image == want
+            # The same product on 0-based maps: the images shifted to
+            # 0..n-1, and the lifts [0 a] and [0 b].
+            a0, b0 = (tuple(v - 1 for v in c) for c in (a, b))
+            assert compose_maps(a0, b0) == tuple(v - 1 for v in want)
+            assert compose_maps((0,) + a, (0,) + b) == (0,) + want
         # inv(a(t)) = t
         inv = Permutation(invert_image(a)).image
         assert all(inv[a[t - 1] - 1] == t for t in range(1, n + 1))
@@ -86,19 +91,25 @@ def test_identity_and_reverse_forms():
 def test_lift_fixes_zero_and_restrict_inverts():
     for p in sym_group(3):
         e = lift(p)
-        assert e(0) == 0
-        assert all(e(t) == p(t) for t in range(1, 4))
+        assert e[0] == 0
+        assert all(e[t] == p(t) for t in range(1, 4))
         assert restrict(e) == p
+
+
+def test_restrict_validates_the_tuple_it_is_given():
+    for bad in ((1, 0, 2), (0, 1, 1)):
+        with pytest.raises(ValueError):
+            restrict(bad)
 
 
 def test_alpha_cycles_the_extended_points():
     n = 4
     a = alpha(n)
-    assert [a(t) for t in range(n + 1)] == [1, 2, 3, 4, 0]
-    acc = ExtendedPermutation(tuple(range(n + 1)))
+    assert [a[t] for t in range(n + 1)] == [1, 2, 3, 4, 0]
+    acc = tuple(range(n + 1))
     for r in range(n + 2):
         assert alpha_power(n, r) == acc
-        acc = a.compose(acc)
+        acc = compose_maps(a, acc)
     # exponents reduce mod n+1
     assert alpha_power(n, n + 1) == alpha_power(n, 0)
     assert alpha_power(n, -1) == alpha_power(n, n)

@@ -263,7 +263,7 @@ def test_conjugation_route_reports_its_first_fault_in_shift_major_order(
 
     def faulty(*args):
         q = true(*args)
-        return Permutation(_swap_first_two(q.image)) if (args[0].image, args[-1]) in faults else q
+        return Permutation(_swap_first_two(q.image)) if (args[0], args[-1]) in faults else q
 
     monkeypatch.setattr(verify, route, faulty)
     r = run_claim(key, 4)
