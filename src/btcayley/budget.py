@@ -10,7 +10,12 @@ class BudgetExceeded(Exception):
 
 
 class Budget:
-    """Deadline helper; check() raises once the allotted time is spent."""
+    """Deadline helper; check() raises once the allotted time is spent.
+
+    The deadline is absolute on the system monotonic clock, fixed when the
+    budget is made, so a copy handed to a forked worker (verify.run_all)
+    runs out at the same moment as the original.
+    """
 
     def __init__(self, ms: float | None):
         self.ms = ms

@@ -9,9 +9,10 @@ exports are stable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import itemgetter, mul
 
 from .blocktrans import (
     CutPoints,
@@ -366,16 +367,30 @@ def _shared_colors(sigs1, sigs2):
     return [ids[s] for s in sigs1], [ids[s] for s in sigs2]
 
 
-def _refine_pair(nbrs1, nbrs2, c1, c2):
-    """Jointly refine colors by neighbor multisets; None when incompatible."""
-    from collections import Counter
+def _neighbor_gathers(nbrs):
+    """Per vertex, a C-level gather of its neighbours' entries as a tuple."""
+    gathers = []
+    for ns in nbrs:
+        if len(ns) > 1:
+            gathers.append(itemgetter(*ns))
+        elif ns:  # itemgetter of one index returns the entry, not a tuple
+            gathers.append(lambda c, u=ns[0]: (c[u],))
+        else:
+            gathers.append(lambda c: ())
+    return gathers
 
+
+def _refine_pair(get1, get2, c1, c2):
+    """Jointly refine colors by neighbor multisets; None when incompatible.
+
+    get1 and get2 are the _neighbor_gathers of the two graphs.
+    """
     while True:
         if Counter(c1) != Counter(c2):
             return None
         width = len(set(c1) | set(c2))
-        s1 = [(c1[v], tuple(sorted(c1[u] for u in nbrs1[v]))) for v in range(len(c1))]
-        s2 = [(c2[v], tuple(sorted(c2[u] for u in nbrs2[v]))) for v in range(len(c2))]
+        s1 = [(c, tuple(sorted(g(c1)))) for c, g in zip(c1, get1)]
+        s2 = [(c, tuple(sorted(g(c2)))) for c, g in zip(c2, get2)]
         c1, c2 = _shared_colors(s1, s2)
         if len(set(c1) | set(c2)) == width:
             return (c1, c2) if Counter(c1) == Counter(c2) else None
@@ -385,6 +400,8 @@ def _iso_search(nbrs1, nbrs2, c1, c2, find_all, budget):
     """All (or one) color-preserving isomorphisms between two graphs."""
     nv = len(nbrs1)
     sets2 = [frozenset(ns) for ns in nbrs2]
+    get1 = _neighbor_gathers(nbrs1)
+    get2 = get1 if nbrs2 is nbrs1 else _neighbor_gathers(nbrs2)
     results = []
 
     def leaf(c1, c2):
@@ -401,7 +418,7 @@ def _iso_search(nbrs1, nbrs2, c1, c2, find_all, budget):
 
     def rec(c1, c2):
         budget.check()
-        refined = _refine_pair(nbrs1, nbrs2, c1, c2)
+        refined = _refine_pair(get1, get2, c1, c2)
         if refined is None:
             return
         c1, c2 = refined

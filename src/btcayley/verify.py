@@ -14,6 +14,7 @@ whole registry at any n exercises every key.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -184,6 +185,7 @@ def run_claim(key: str, n: int | None = None, budget=NO_BUDGET) -> VerificationR
     start = time.perf_counter()
     counterexample = None
     try:
+        budget.check()
         details = claim.runner(use_n, budget)
         status = "verified"
     except ClaimFailure as exc:
@@ -200,8 +202,63 @@ def run_claim(key: str, n: int | None = None, budget=NO_BUDGET) -> VerificationR
     return report
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_claim_job(job: tuple) -> VerificationReport:
+    """Pool entry: one (key, n, budget) job, run in a forked worker."""
+    return run_claim(*job)
+
+
 def run_all(n: int | None = None, budget=NO_BUDGET) -> list[VerificationReport]:
-    return [run_claim(key, n, budget) for key in claim_keys()]
+    """Every claim at degree n (clamped per claim), in claim_keys() order.
+
+    Claims are independent, so the ones not already cached run in a pool
+    of forked workers, one per available CPU (see _run_forked).  With one
+    CPU or one claim to run they run in this process.
+    """
+    keys = claim_keys()
+    reports = {key: _cache.get((key, get_claim(key).resolve_n(n))) for key in keys}
+    pending = [key for key in keys if reports[key] is None]
+    workers = min(_worker_count(), len(pending))
+    done = _run_forked(pending, n, budget, workers) if workers > 1 else None
+    if done is None:
+        done = [run_claim(key, n, budget) for key in pending]
+    reports.update(zip(pending, done))
+    return [reports[key] for key in keys]
+
+
+def _run_forked(keys, n, budget, workers: int) -> list[VerificationReport] | None:
+    """Reports of keys from forked workers, in order; None if none can fork.
+
+    Claims are handed out one at a time.  Only (key, n, budget) crosses
+    to a worker; the budget's deadline is on the system monotonic clock,
+    so it holds there.  Verified reports are cached here, in the parent.
+    No pool is started where there is no fork start method, from a pool
+    worker (which may not have children), or while another thread runs:
+    a forked child gets no copy of that thread, so a lock it holds would
+    stay held in the child.
+    """
+    import multiprocessing
+    import threading
+
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+        or threading.active_count() > 1
+    ):
+        return None
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        done = pool.map(_run_claim_job, [(key, n, budget) for key in keys], chunksize=1)
+    for report in done:
+        if report.status == "verified":
+            _cache[(report.claim, report.n)] = report
+    return done
 
 
 def _fail(message: str, **context):

@@ -2,12 +2,12 @@
 
 Each oracle below is the earlier implementation, kept here only as the
 reference: product rows, the plain-changes walk behind check_skew, the
-breadth-first closure and its levels, and closed-walk counts from powers
-of A.
+breadth-first closure and its levels, closed-walk counts from powers
+of A, and colour refinement through per-vertex gathers.
 """
 
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import permutations
 from math import factorial
 from operator import itemgetter
@@ -18,7 +18,14 @@ from hypothesis import strategies as st
 
 from btcayley.autgroup import generated_subgroup, orbit_images
 from btcayley.blocktrans import make_bt, tn_realizations
-from btcayley.graphs import build_cayley, closed_walk_counts, vertex_set_V
+from btcayley.graphs import (
+    _neighbor_gathers,
+    _refine_pair,
+    _shared_colors,
+    build_cayley,
+    closed_walk_counts,
+    vertex_set_V,
+)
 from btcayley.perms import (
     _product_rows,
     _right_multiplier,
@@ -106,6 +113,18 @@ def _oracle_closed_walks(neighbors, kmax):
                 row.append(vec[v])
         out.append(tuple(row))
     return out
+
+
+def _oracle_refine_pair(nbrs1, nbrs2, c1, c2):
+    while True:
+        if Counter(c1) != Counter(c2):
+            return None
+        width = len(set(c1) | set(c2))
+        s1 = [(c1[v], tuple(sorted(c1[u] for u in nbrs1[v]))) for v in range(len(c1))]
+        s2 = [(c2[v], tuple(sorted(c2[u] for u in nbrs2[v]))) for v in range(len(c2))]
+        c1, c2 = _shared_colors(s1, s2)
+        if len(set(c1) | set(c2)) == width:
+            return (c1, c2) if Counter(c1) == Counter(c2) else None
 
 
 def _oracle_orbit(gens, seed):
@@ -248,6 +267,34 @@ def _graphs(draw):
 @given(_graphs(), st.integers(min_value=1, max_value=7))
 def test_closed_walk_counts_match_the_per_vertex_walk(neighbors, kmax):
     assert closed_walk_counts(neighbors, kmax) == _oracle_closed_walks(neighbors, kmax)
+
+
+@st.composite
+def _coloured_pairs(draw):
+    """A coloured graph and a relabelled copy, with one edge toggled half the time."""
+    nbrs1 = draw(_graphs())
+    nv = len(nbrs1)
+    c1 = draw(st.lists(st.integers(0, 2), min_size=nv, max_size=nv))
+    perm = draw(st.permutations(range(nv)))
+    sets2 = [set() for _ in range(nv)]
+    c2 = [0] * nv
+    for v in range(nv):
+        sets2[perm[v]] = {perm[u] for u in nbrs1[v]}
+        c2[perm[v]] = c1[v]
+    if nv >= 2 and draw(st.booleans()):
+        a, b = draw(st.permutations(range(nv)))[:2]
+        sets2[a] ^= {b}
+        sets2[b] ^= {a}
+    return nbrs1, [tuple(sorted(ns)) for ns in sets2], c1, c2
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coloured_pairs())
+def test_refinement_through_gathers_matches_the_per_vertex_loop(pair):
+    # Isolated vertices and leaves take the special cases of the gathers.
+    nbrs1, nbrs2, c1, c2 = pair
+    got = _refine_pair(_neighbor_gathers(nbrs1), _neighbor_gathers(nbrs2), c1, c2)
+    assert got == _oracle_refine_pair(nbrs1, nbrs2, c1, c2)
 
 
 # ---------------------------------------------------------------------------

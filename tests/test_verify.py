@@ -1,6 +1,9 @@
 """Claim registry semantics: clamping, caching, statuses, counterexamples."""
 
+import os
 import re
+import threading
+from dataclasses import replace
 from math import factorial
 
 import pytest
@@ -109,6 +112,85 @@ def test_run_all_is_ordered_and_statuses_are_legal():
     assert [r.claim for r in reports] == list(claim_keys())
     assert {r.status for r in reports} <= {"verified", "failed", "skipped-budget"}
     assert all(r.status == "verified" for r in reports)
+
+
+def _without_wall_time(reports):
+    return [{k: v for k, v in r.as_json().items() if k != "wall_time_ms"} for r in reports]
+
+
+def test_pool_and_plain_loop_give_the_same_reports(monkeypatch):
+    monkeypatch.setattr(verify, "_worker_count", lambda: 1)
+    serial = run_all(5)
+    clear_cache()
+    monkeypatch.setattr(verify, "_worker_count", lambda: 2)
+    pooled = run_all(5)
+    assert _without_wall_time(pooled) == _without_wall_time(serial)
+
+
+@pytest.fixture
+def pid_claims(monkeypatch):
+    """Every claim reports the id of the process it ran in."""
+    for key in claim_keys():
+        claim = replace(REGISTRY[key], runner=lambda n, budget: {"pid": os.getpid()})
+        monkeypatch.setitem(REGISTRY, key, claim)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_claims_leave_this_process_only_with_more_than_one_worker(
+    monkeypatch, pid_claims, workers
+):
+    monkeypatch.setattr(verify, "_worker_count", lambda: workers)
+    pids = {r.details["pid"] for r in run_all(5)}
+    if workers == 1:
+        assert pids == {os.getpid()}
+    else:
+        assert os.getpid() not in pids
+
+
+def test_claims_stay_in_this_process_while_another_thread_runs(monkeypatch, pid_claims):
+    monkeypatch.setattr(verify, "_worker_count", lambda: 2)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(10,))
+    waiter.start()
+    try:
+        pids = {r.details["pid"] for r in run_all(5)}
+    finally:
+        release.set()
+        waiter.join(10)
+    assert not waiter.is_alive()
+    assert pids == {os.getpid()}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_runner_that_raises_makes_run_all_raise(monkeypatch, workers):
+    def broken(n, budget):
+        raise RuntimeError("runner fault")
+
+    monkeypatch.setattr(verify, "_worker_count", lambda: workers)
+    monkeypatch.setitem(REGISTRY, "eq9", replace(REGISTRY["eq9"], runner=broken))
+    with pytest.raises(RuntimeError, match="runner fault"):
+        run_all(5)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_spent_budget_skips_every_claim(monkeypatch, workers):
+    monkeypatch.setattr(verify, "_worker_count", lambda: workers)
+    reports = run_all(5, Budget(0))
+    assert [r.claim for r in reports] == list(claim_keys())
+    assert {r.status for r in reports} == {"skipped-budget"}
+    assert all(r.counterexample is None for r in reports)
+
+
+def test_a_pooled_run_caches_its_verified_reports_here(monkeypatch):
+    monkeypatch.setattr(verify, "_worker_count", lambda: 2)
+    reports = run_all(5)
+    assert all(verify._cache[(r.claim, r.n)] is r for r in reports)
+
+    def no_pool(*args):
+        raise AssertionError("every report is cached; no worker is needed")
+
+    monkeypatch.setattr(verify, "_run_forked", no_pool)
+    assert all(a is b for a, b in zip(run_all(5), reports))
 
 
 def test_every_runner_declares_a_usable_range():
