@@ -50,6 +50,7 @@ class Graph:
                     raise ValueError(f"bad neighbor {u} of vertex {v}")
                 if v not in sets[u]:
                     raise ValueError(f"asymmetric edge {v}-{u}")
+        self._walks = None
 
     @property
     def num_vertices(self) -> int:
@@ -70,6 +71,12 @@ class Graph:
 
     def is_edge(self, u: int, v: int) -> bool:
         return v in self.neighbor_sets[u]
+
+    def closed_walks(self) -> list[tuple[int, ...]]:
+        """closed_walk_counts of this graph, computed on first use and kept."""
+        if self._walks is None:
+            self._walks = closed_walk_counts(self.neighbors)
+        return self._walks
 
     def edges(self):
         for u, ns in enumerate(self.neighbors):
@@ -451,12 +458,13 @@ def graphs_isomorphic(g1: Graph, g2: Graph, budget=NO_BUDGET):
     """A vertex bijection g1 -> g2 preserving adjacency, or None.
 
     Exact: integer walk-count invariants reject fast, then refinement with
-    backtracking decides.  No heuristic answers.
+    backtracking decides.  No heuristic answers.  Each graph keeps its
+    walk counts, so matching one graph against many counts it once.
     """
     if g1.num_vertices != g2.num_vertices or g1.num_edges != g2.num_edges:
         return None
-    w1 = closed_walk_counts(g1.neighbors)
-    w2 = closed_walk_counts(g2.neighbors)
+    w1 = g1.closed_walks()
+    w2 = g2.closed_walks()
     if sorted(w1) != sorted(w2):
         return None
     s1 = [(len(g1.neighbors[v]),) + w1[v] for v in range(g1.num_vertices)]

@@ -38,13 +38,19 @@ from .perms import (
 )
 
 
+@lru_cache(maxsize=32)
+def _differences(m: int) -> tuple[tuple[int, ...], ...]:
+    """Row c maps v to (v - c) % m, for v and c in range(m)."""
+    return tuple(tuple((v - c) % m for v in range(m)) for c in range(m))
+
+
 def toric_image(a: tuple[int, ...], r: int) -> tuple[int, ...]:
     """Kernel of toric_f on an image tuple: rotate [0 a] by r, subtract a_r."""
     m = len(a) + 1
     r %= m
     ext = (0,) + a
-    pr = ext[r]
-    return tuple([(v - pr) % m for v in ext[r + 1 :] + ext[:r]])
+    minus = _differences(m)[ext[r]]
+    return tuple([minus[v] for v in ext[r + 1 :] + ext[:r]])
 
 
 def reverse_image(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -64,7 +70,8 @@ def bar_f_image(a: tuple[int, ...], r: int) -> tuple[int, ...]:
     r %= m
     ext = (0,) + a
     s = ext.index(r)
-    return tuple([(v - r) % m for v in ext[s + 1 :] + ext[:s]])
+    minus = _differences(m)[r]
+    return tuple([minus[v] for v in ext[s + 1 :] + ext[:s]])
 
 
 def toric_f(p: Permutation, r: int) -> Permutation:

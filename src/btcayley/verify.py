@@ -18,7 +18,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import permutations, repeat
+from itertools import chain, permutations, repeat
 from math import factorial, gcd
 from operator import getitem, itemgetter
 from typing import Callable
@@ -28,7 +28,6 @@ from .autgroup import (
     generated_subgroup,
     is_automorphism,
     orbit,
-    orbit_images,
     perm_vertex_map,
     stabilizer_of_identity,
 )
@@ -64,6 +63,7 @@ from .graphs import (
 from .maps import Dart, aut_order, is_regular, mprime_n5_map, octahedron_map, prop72_map, t_balance
 from .perms import (
     Permutation,
+    _product_rows,
     _right_multiplier,
     _wrap,
     closure,
@@ -81,7 +81,6 @@ from .toric import (
     _bar_conj,
     _toric_conj,
     apply_dihedral,
-    apply_lh_barf,
     bar_f,
     bar_f_image,
     bar_f_witness,
@@ -173,7 +172,9 @@ def get_claim(key: str) -> Claim:
 
 
 def clear_cache():
+    """Forget the verified reports and the kernel tables (see _table)."""
     _cache.clear()
+    _tables.clear()
 
 
 def run_claim(key: str, n: int | None = None, budget=NO_BUDGET) -> VerificationReport:
@@ -210,35 +211,48 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_claim_job(job: tuple) -> VerificationReport:
-    """Pool entry: one (key, n, budget) job, run in a forked worker."""
-    return run_claim(*job)
+# Claims that read the toric, inverse-toric and reversal tables of their
+# degree (see _table).  run_all runs them as one job, ahead of the others,
+# so that each of those tables is built once per run.
+_TABLE_GROUP = frozenset({"cor5.11", "eq13", "eq16", "eq9", "gfg"})
+
+
+def _run_claim_job(job: tuple) -> list[VerificationReport]:
+    """One (keys, n, budget) job: its claims in order, in one process."""
+    keys, n, budget = job
+    return [run_claim(key, n, budget) for key in keys]
 
 
 def run_all(n: int | None = None, budget=NO_BUDGET) -> list[VerificationReport]:
     """Every claim at degree n (clamped per claim), in claim_keys() order.
 
-    Claims are independent, so the ones not already cached run in a pool
-    of forked workers, one per available CPU (see _run_forked).  With one
-    CPU or one claim to run they run in this process.
+    Claims are independent, so the ones not already cached run as jobs in
+    a pool of forked workers, one per available CPU (see _run_forked).
+    The claims of _TABLE_GROUP form the first job; every other claim is a
+    job of its own.  With one CPU or one job to run, the jobs run in this
+    process, in the same order.
     """
     keys = claim_keys()
     reports = {key: _cache.get((key, get_claim(key).resolve_n(n))) for key in keys}
     pending = [key for key in keys if reports[key] is None]
-    workers = min(_worker_count(), len(pending))
-    done = _run_forked(pending, n, budget, workers) if workers > 1 else None
+    group = [key for key in pending if key in _TABLE_GROUP]
+    batches = ([group] if group else []) + [[k] for k in pending if k not in _TABLE_GROUP]
+    jobs = [(batch, n, budget) for batch in batches]
+    workers = min(_worker_count(), len(jobs))
+    done = _run_forked(jobs, workers) if workers > 1 else None
     if done is None:
-        done = [run_claim(key, n, budget) for key in pending]
-    reports.update(zip(pending, done))
+        done = map(_run_claim_job, jobs)
+    for report in chain.from_iterable(done):
+        reports[report.claim] = report
     return [reports[key] for key in keys]
 
 
-def _run_forked(keys, n, budget, workers: int) -> list[VerificationReport] | None:
-    """Reports of keys from forked workers, in order; None if none can fork.
+def _run_forked(jobs, workers: int) -> list[list[VerificationReport]] | None:
+    """Reports of each job from forked workers, in order; None if none can fork.
 
-    Claims are handed out one at a time.  Only (key, n, budget) crosses
-    to a worker; the budget's deadline is on the system monotonic clock,
-    so it holds there.  Verified reports are cached here, in the parent.
+    Jobs are handed out one at a time, in order.  Only (keys, n, budget)
+    crosses to a worker; the budget's deadline is on the system monotonic
+    clock, so it holds there.  Verified reports are cached here, in the parent.
     No pool is started where there is no fork start method, from a pool
     worker (which may not have children), or while another thread runs:
     a forked child gets no copy of that thread, so a lock it holds would
@@ -254,8 +268,8 @@ def _run_forked(keys, n, budget, workers: int) -> list[VerificationReport] | Non
     ):
         return None
     with multiprocessing.get_context("fork").Pool(workers) as pool:
-        done = pool.map(_run_claim_job, [(key, n, budget) for key in keys], chunksize=1)
-    for report in done:
+        done = pool.map(_run_claim_job, jobs, chunksize=1)
+    for report in chain.from_iterable(done):
         if report.status == "verified":
             _cache[(report.claim, report.n)] = report
     return done
@@ -285,13 +299,41 @@ def _rank_table(idx, images, budget, kernel, r=None) -> tuple[int, ...]:
     naming the element it came from and the shift.
     """
     budget.check()
-    out = list(map(kernel, images) if r is None else map(kernel, images, repeat(r)))
+    args = (images,) if r is None else (images, repeat(r))
     try:
-        return tuple(map(idx.__getitem__, out))
+        return tuple(map(idx.__getitem__, map(kernel, *args)))
     except (KeyError, TypeError):
-        i = next(i for i, b in enumerate(out) if not isinstance(b, tuple) or b not in idx)
-        context = {} if r is None else {"r": r}
-        _fail("kernel image is not a permutation", p=_wrap(images[i]), **context)
+        # Call the kernel again, one element at a time, up to the first
+        # image that is no permutation; a kernel that raises raises again.
+        for a, b in zip(images, map(kernel, *args)):
+            if not isinstance(b, tuple) or b not in idx:
+                context = {} if r is None else {"r": r}
+                _fail("kernel image is not a permutation", p=_wrap(a), **context)
+        raise
+
+
+# Rank tables of the kernels at one degree, keyed on (n, kernel, r).
+_tables: dict[tuple, tuple[int, ...]] = {}
+
+
+def _table(n, budget, kernel, r=None) -> tuple[int, ...]:
+    """The _rank_table of kernel (at shift r) over sym_group(n), built once.
+
+    The tables of one degree are kept until a table of another degree is
+    asked for or clear_cache() runs.  The key holds the kernel object, so a
+    kernel replaced at run time gets tables of its own.  The budget is read
+    on every call, and a table whose kernel fails is not kept.
+    """
+    key = (n, kernel, r)
+    table = _tables.get(key)
+    if table is None:
+        if _tables and next(iter(_tables))[0] != n:
+            _tables.clear()
+        idx = sym_index(n)
+        table = _tables[key] = _rank_table(idx, list(idx), budget, kernel, r)
+    else:
+        budget.check()
+    return table
 
 
 def _agree(lhs, rhs, images, message: str, key: str = "p", **context):
@@ -405,10 +447,9 @@ def _run_eq9(n, budget):
     """
     m = n + 1
     grp = sym_group(n)
-    idx = sym_index(n)
-    images = list(idx)
-    tor = [_rank_table(idx, images, budget, toric_image, r) for r in range(m)]
-    inv = _rank_table(idx, images, budget, invert_image)
+    images = list(sym_index(n))
+    tor = [_table(n, budget, toric_image, r) for r in range(m)]
+    inv = _table(n, budget, invert_image)
     _agree(tor[0], tuple(range(len(images))), images, "zeroth toric map moved a point")
     fault = _first_route_fault(
         grp, tor, images, lambda p: partial(_toric_conj, lift(p)), budget
@@ -442,43 +483,54 @@ def _run_eq9(n, budget):
 
 @_claim("eq12", "reversal map: conjugation form, involution, multiplicativity", 3, 6)
 def _run_eq12(n, budget):
-    """Exhaustive: both forms and the involution on every p in Sym_n, and
-    multiplicativity on every pair (rho, pi) in Sym_n x Sym_n, on ranks.
+    """Both forms and the involution on every p in Sym_n, exhaustively, and
+    multiplicativity g(rho o pi) = g(rho) o g(pi) on every pair (rho, pi) in
+    Sym_n x Sym_n, by a reduction to the adjacent transpositions.
 
-    R[i] is the rank of g of the element of rank i, and col_pi[i] the rank
-    of (element i) o pi.  g(rho o pi) = g(rho) o g(pi) for every rho reads
-    R o col_pi == col_g(pi) o R; sym_index is a bijection, so that table
-    comparison covers every rho, and one runs for every pi.  pi and g(pi)
-    share their two columns, so each g-orbit of columns is built once.
+    On ranks, R[i] is the rank of g of the element of rank i, and col_b[i]
+    the rank of (element i) o b.  For each of the n-1 adjacent
+    transpositions s, R o col_s == col_g(s) o R is g(rho o s) = g(rho) o g(s)
+    for every rho at once, since sym_index is a bijection.  That covers
+    every pair, by induction on the length of pi as a word in the s:
+
+    - Length 0: with rho = iota the check reads g(s) = g(iota) o g(s), so
+      g(iota) = iota, and g(rho o iota) = g(rho) o g(iota) for every rho.
+    - Length k > 0: pi = pi' o s with s adjacent and pi' of length k-1, and
+      for every rho
+          g(rho o pi) = g(rho o pi') o g(s)        (the check at rho o pi')
+                      = g(rho) o g(pi') o g(s)     (induction)
+                      = g(rho) o g(pi' o s)        (the check at pi').
+
+    The adjacent transpositions generate Sym_n, so every pi has a length,
+    and "pairs" counts the pairs the proof covers.  The columns of the s and
+    g(s) are built once each: at most 2(n-1) of them, never all n!.
     """
     grp = sym_group(n)
     for p in grp:
         _need(reverse_g(p) == reverse_g_conj(p), "defining forms disagree", p=p)
     idx = sym_index(n)
     images = list(idx)
-    rev = _rank_table(idx, images, budget, reverse_image)
+    rev = _table(n, budget, reverse_image)
     ident = tuple(range(len(images)))
     _agree(compose_maps(rev, rev), ident, images, "reversal is not an involution")
-    lifts = [(0,) + a for a in images]
+    columns = {}
 
-    def column(j):
-        budget.check()
-        return tuple(map(idx.__getitem__, map(itemgetter(*images[j]), lifts)))
+    def column(b):
+        if b not in columns:
+            budget.check()
+            columns[b] = tuple(map(idx.__getitem__, map(_right_multiplier(b), images)))
+        return columns[b]
 
-    for j, k in enumerate(rev):
-        if k < j:
-            continue  # g is an involution: column j was checked with column k
-        col_j = column(j)
-        col_k = col_j if k == j else column(k)
-        for pi, (col, col_g) in {j: (col_j, col_k), k: (col_k, col_j)}.items():
-            _agree(
-                compose_maps(rev, col),
-                compose_maps(col_g, rev),
-                images,
-                "reversal is not multiplicative",
-                key="rho",
-                pi=_wrap(images[pi]),
-            )
+    for i in range(n - 1):
+        s = images[0][:i] + (i + 2, i + 1) + images[0][i + 2 :]
+        _agree(
+            compose_maps(rev, column(s)),
+            compose_maps(column(images[rev[idx[s]]]), rev),
+            images,
+            "reversal is not multiplicative",
+            key="rho",
+            pi=_wrap(s),
+        )
     return {"elements": len(images), "pairs": len(images) ** 2}
 
 
@@ -488,10 +540,9 @@ def _run_gfg(n, budget):
     compared with T[-r] as rank tables, which agree exactly when the maps
     agree at every element because sym_index is a bijection."""
     m = n + 1
-    idx = sym_index(n)
-    images = list(idx)
-    tor = [_rank_table(idx, images, budget, toric_image, r) for r in range(m)]
-    rev = _rank_table(idx, images, budget, reverse_image)
+    images = list(sym_index(n))
+    tor = [_table(n, budget, toric_image, r) for r in range(m)]
+    rev = _table(n, budget, reverse_image)
     for r, t in enumerate(tor):
         _agree(
             compose_maps(rev, compose_maps(t, rev)),
@@ -515,11 +566,10 @@ def _run_eq13(n, budget):
     """
     m = n + 1
     grp = sym_group(n)
-    idx = sym_index(n)
-    images = list(idx)
-    bar = [_rank_table(idx, images, budget, bar_f_image, r) for r in range(m)]
-    tor = [_rank_table(idx, images, budget, toric_image, r) for r in range(m)]
-    inv = _rank_table(idx, images, budget, invert_image)
+    images = list(sym_index(n))
+    bar = [_table(n, budget, bar_f_image, r) for r in range(m)]
+    tor = [_table(n, budget, toric_image, r) for r in range(m)]
+    inv = _table(n, budget, invert_image)
     fault = _first_route_fault(
         grp, bar, images, lambda p: partial(_bar_conj, lift(p), lift(p.inverse())), budget
     )
@@ -550,10 +600,9 @@ def _run_eq16(n, budget):
     compared with B[-r] as rank tables, which agree exactly when the maps
     agree at every element because sym_index is a bijection."""
     m = n + 1
-    idx = sym_index(n)
-    images = list(idx)
-    bar = [_rank_table(idx, images, budget, bar_f_image, r) for r in range(m)]
-    rev = _rank_table(idx, images, budget, reverse_image)
+    images = list(sym_index(n))
+    bar = [_table(n, budget, bar_f_image, r) for r in range(m)]
+    rev = _table(n, budget, reverse_image)
     for r, b in enumerate(bar):
         _agree(
             compose_maps(rev, compose_maps(b, rev)),
@@ -578,7 +627,7 @@ def _run_lemma43(n, budget):
     m = n + 1
     idx = sym_index(n)
     images = list(idx)
-    bar = [_rank_table(idx, images, budget, bar_f_image, r) for r in range(m)]
+    bar = [_table(n, budget, bar_f_image, r) for r in range(m)]
     getters = [itemgetter(*b) for b in images]
     product = []
     for a in images:
@@ -713,26 +762,36 @@ for _key, _summary, _shifted, _fixed in _INVARIANCES:
 
 @_claim("prop4.4", "translations with inverse-toric maps form a group of order (n+1)!", 3, 4)
 def _run_prop44(n, budget):
+    """Exhaustive over every pair of maps L_h o bar_f_r.
+
+    T(h, r)[i] is the rank of h o bar_f_r(element i): the row of h o x over
+    every x, read at B[r].  The tables T and the extended images phi_iso
+    are built once per (h, r); every pair still takes its normal form from
+    compose_lh_barf.
+    """
     m = n + 1
     grp = sym_group(n)
     idx = sym_index(n)
+    bar = [_table(n, budget, bar_f_image, r) for r in range(m)]
     elems = [(h, r) for h in grp for r in range(m)]
     table = {}
-    for h, r in elems:
+    for h, row in zip(grp, _product_rows(n, list(idx))):
         budget.check()
-        table[(h.image, r)] = tuple(idx[apply_lh_barf(h, r, p).image] for p in grp)
+        for r, b in enumerate(bar):
+            table[(h.image, r)] = compose_maps(row, b)
     values = set(table.values())
     _need(len(values) == factorial(m), "maps are not pairwise distinct", count=len(values))
+    phi = {(h.image, r): phi_iso(h, r) for h, r in elems}
 
     for h, r in elems:
         budget.check()
         ta = table[(h.image, r)]
-        pa = phi_iso(h, r)
+        pa = phi[(h.image, r)]
         for k, u in elems:
             d, e = compose_lh_barf(h, r, k, u)
-            tb = table[(k.image, u)]
+            ku, de = (k.image, u), (d.image, e)
             _need(
-                compose_maps(ta, tb) == table[(d.image, e)],
+                compose_maps(ta, table[ku]) == table[de],
                 "product rule disagrees with pointwise composition",
                 h=h,
                 r=r,
@@ -740,18 +799,17 @@ def _run_prop44(n, budget):
                 u=u,
             )
             _need(
-                compose_maps(pa, phi_iso(k, u)) == phi_iso(d, e),
+                compose_maps(pa, phi[ku]) == phi[de],
                 "extended images do not multiply",
                 h=h,
                 r=r,
                 k=k,
                 u=u,
             )
-    images = {phi_iso(h, r) for h, r in elems}
     _need(
-        images == set(permutations(range(m))),
+        set(phi.values()) == set(permutations(range(m))),
         "extended images miss part of the target group",
-        count=len(images),
+        count=len(set(phi.values())),
     )
 
     # Right translation by the order-reversing involution: central, outside,
@@ -1115,21 +1173,32 @@ def _run_lemma510(n, budget):
 
 @_claim("cor5.11", "orbit sizes of the dihedral symmetries divide 2(n+1)", 5, 8)
 def _run_cor511(n, budget):
-    """Exhaustive: the orbits of all of Sym_n, traced on image tuples."""
-    dih = dihedral_elements(n)
+    """Exhaustive: the orbits of all of Sym_n, traced on ranks.
+
+    dihedral_image(d, a) is bar_f_image(a, d.r), after reverse_image when
+    d.refl is set.  So the 2(n+1) symmetries of dihedral_elements(n) are,
+    as rank tables, B[r] and B[r] o R for r = 0..n, and the orbit of an
+    element is the closure of its rank under those tables.
+    """
     target = 2 * (n + 1)
-    seed = make_bt(_cut(0, 2, n, n))
-    long_orbit = orbit(dih, seed)
+    idx = sym_index(n)
+    images = list(idx)
+    rev = _table(n, budget, reverse_image)
+    bar = [_table(n, budget, bar_f_image, r) for r in range(n + 1)]
+    steps = [t.__getitem__ for t in bar + [compose_maps(b, rev) for b in bar]]
+    long_orbit = closure([idx[_bt(0, 2, n, n).image]], steps)
     _need(len(long_orbit) == target, "special orbit is not long", size=len(long_orbit))
     sizes = {}
-    seen = set()
-    for p in sym_group(n):
-        if p.image in seen:
+    seen = bytearray(len(images))
+    for i in range(len(images)):
+        if seen[i]:
             continue
         budget.check()
-        orb = orbit_images(dih, p.image)
-        seen |= orb
-        _need(target % len(orb) == 0, "orbit size does not divide", p=p, size=len(orb))
+        orb = closure([i], steps)
+        for j in orb:
+            seen[j] = 1
+        if target % len(orb):
+            _fail("orbit size does not divide", p=_wrap(images[i]), size=len(orb))
         sizes[len(orb)] = sizes.get(len(orb), 0) + 1
     return {"orbit_sizes": {str(k): v for k, v in sorted(sizes.items())}}
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from btcayley import graphs
 from btcayley.blocktrans import CutPoints, make_bt, tn_realizations, tn_size
 from btcayley.graphs import (
     Graph,
@@ -161,6 +162,23 @@ def test_isomorphism_found_for_a_relabelled_copy():
     for u in range(g.num_vertices):
         for v in g.neighbors[u]:
             assert bij[v] in relabeled.neighbors[bij[u]]
+
+
+def test_each_graph_counts_its_closed_walks_once(monkeypatch):
+    counted = []
+    count = graphs.closed_walk_counts
+
+    def counting(neighbors, kmax=6):
+        counted.append(neighbors)
+        return count(neighbors, kmax)
+
+    monkeypatch.setattr(graphs, "closed_walk_counts", counting)
+    g = build_cayley(4, tn_realizations(4))
+    copies = [Graph(g.labels, g.neighbors) for _ in range(3)]
+    for h in copies:
+        assert graphs_isomorphic(g, h) is not None
+    assert len(counted) == 1 + len(copies)
+    assert g.closed_walks() == count(g.neighbors)
 
 
 def test_isomorphism_rejected_fast_on_different_invariants():

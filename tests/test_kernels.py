@@ -1,9 +1,10 @@
 """Table-driven group kernels against the per-entry loops they replaced.
 
 Each oracle below is the earlier implementation, kept here only as the
-reference: product rows, the plain-changes walk behind check_skew, the
-breadth-first closure and its levels, closed-walk counts from powers
-of A, and colour refinement through per-vertex gathers.
+reference: the arithmetic toric and inverse-toric kernels, product rows,
+the plain-changes walk behind check_skew, the breadth-first closure and
+its levels, closed-walk counts from powers of A, and colour refinement
+through per-vertex gathers.
 """
 
 import random
@@ -50,6 +51,22 @@ from btcayley.toric import (
 
 # ---------------------------------------------------------------------------
 # Oracles.
+
+
+def _oracle_toric_image(a, r):
+    m = len(a) + 1
+    r %= m
+    ext = (0,) + a
+    pr = ext[r]
+    return tuple([(v - pr) % m for v in ext[r + 1 :] + ext[:r]])
+
+
+def _oracle_bar_f_image(a, r):
+    m = len(a) + 1
+    r %= m
+    ext = (0,) + a
+    s = ext.index(r)
+    return tuple([(v - r) % m for v in ext[s + 1 :] + ext[:s]])
 
 
 def _oracle_check_skew(elements, psi):
@@ -170,6 +187,21 @@ def _oracle_subgroup(gen_imgs):
                     nxt.append(prod)
         frontier = nxt
     return seen
+
+
+# ---------------------------------------------------------------------------
+# Toric and inverse-toric kernels.
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_kernels_read_the_same_differences_as_the_arithmetic_forms(n):
+    # Every element up to n = 6, then about 720 evenly spaced ones.
+    m = n + 1
+    elements = list(permutations(range(1, n + 1)))
+    for a in elements[:: max(1, len(elements) // 720)]:
+        for r in range(-m, 2 * m + 1):
+            assert toric_image(a, r) == _oracle_toric_image(a, r), (a, r)
+            assert bar_f_image(a, r) == _oracle_bar_f_image(a, r), (a, r)
 
 
 # ---------------------------------------------------------------------------

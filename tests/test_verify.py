@@ -4,14 +4,34 @@ import os
 import re
 import threading
 from dataclasses import replace
+from functools import lru_cache, wraps
 from math import factorial
+from operator import itemgetter
 
 import pytest
 
 from btcayley import verify
+from btcayley.autgroup import orbit, orbit_images
+from btcayley.blocktrans import CutPoints, make_bt
 from btcayley.budget import Budget
-from btcayley.perms import Permutation, compose_images, invert_image, parse_permutation
-from btcayley.toric import bar_f_conj, reverse_g, reverse_g_conj, toric_f_conj
+from btcayley.perms import (
+    Permutation,
+    compose_images,
+    compose_maps,
+    invert_image,
+    parse_permutation,
+    sym_group,
+    sym_index,
+)
+from btcayley.toric import (
+    bar_f_conj,
+    compose_lh_barf,
+    dihedral_elements,
+    reverse_g,
+    reverse_g_conj,
+    reverse_image,
+    toric_f_conj,
+)
 from btcayley.verify import (
     DEFAULT_N,
     REGISTRY,
@@ -226,7 +246,7 @@ def test_claim_sweeps_do_not_validate_per_pair(monkeypatch, key, n):
     assert calls < 10 * factorial(n)
 
 
-TABLE_CLAIMS = ("eq9", "eq12", "eq13", "eq16", "gfg", "lemma4.3")
+TABLE_CLAIMS = ("eq9", "eq12", "eq13", "eq16", "gfg", "lemma4.3", "cor5.11")
 
 # The kernel each table claim ranks, patched below with a faulty version.
 FAULTY_KERNELS = {
@@ -236,6 +256,7 @@ FAULTY_KERNELS = {
     "eq13": ("bar_f_image", lambda a, r: (0,) + a[1:]),
     "eq16": ("bar_f_image", lambda a, r: (a[0],) * len(a)),
     "lemma4.3": ("bar_f_image", lambda a, r: a + a),
+    "cor5.11": ("bar_f_image", lambda a, r: (a[0],) * len(a)),
 }
 
 
@@ -378,3 +399,178 @@ def test_table_claims_call_each_kernel_once_per_element_and_shift(monkeypatch):
 def test_table_claims_honour_a_spent_budget(key):
     r = run_claim(key, get_claim(key).max_n, Budget(0))
     assert r.status == "skipped-budget"
+
+
+# ---------------------------------------------------------------------------
+# The kernel table provider and the grouped job.
+
+GROUP = ("cor5.11", "eq13", "eq16", "eq9", "gfg")
+
+
+def test_the_table_claims_run_first_as_one_job(monkeypatch):
+    order = []
+    for key in claim_keys():
+        runner = lambda n, budget, key=key: order.append(key) or {}  # noqa: E731
+        monkeypatch.setitem(REGISTRY, key, replace(REGISTRY[key], runner=runner))
+    monkeypatch.setattr(verify, "_worker_count", lambda: 1)
+    reports = run_all(5)
+    assert [r.claim for r in reports] == list(claim_keys())
+    assert order == list(GROUP) + [k for k in claim_keys() if k not in GROUP]
+
+
+def test_the_table_claims_share_one_worker(monkeypatch, pid_claims):
+    monkeypatch.setattr(verify, "_worker_count", lambda: 2)
+    pids = {r.claim: r.details["pid"] for r in run_all(5)}
+    assert len({pids[key] for key in GROUP}) == 1
+    assert pids[GROUP[0]] != os.getpid()
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_each_kernel_table_is_built_once_in_a_process(monkeypatch, n):
+    built = []
+    rank_table = verify._rank_table
+
+    def counting(idx, images, budget, kernel, r=None):
+        built.append((kernel.__name__, r, len(images[0])))
+        return rank_table(idx, images, budget, kernel, r)
+
+    monkeypatch.setattr(verify, "_rank_table", counting)
+    monkeypatch.setattr(verify, "_worker_count", lambda: 1)
+    assert {r.status for r in run_all(n)} == {"verified"}
+    assert len(built) == len(set(built))
+    for name in ("toric_image", "bar_f_image"):
+        assert {(name, r, n) for r in range(n + 1)} <= set(built)
+    assert {("reverse_image", None, n), ("invert_image", None, n)} <= set(built)
+
+
+@pytest.mark.parametrize("key", ["eq9", "eq13", "eq16", "gfg"])
+def test_a_kernel_patched_after_a_warm_run_is_honoured(monkeypatch, key):
+    # After run_all(4) the provider holds the degree-4 tables of every
+    # kernel (cor5.11, whose least degree is 5, cannot run on them).
+    monkeypatch.setattr(verify, "_worker_count", lambda: 1)
+    assert all(r.status == "verified" for r in run_all(4) if r.claim in GROUP)
+    names = {kernel.__name__ for n, kernel, r in verify._tables if n == 4}
+    assert names == {"toric_image", "bar_f_image", "reverse_image", "invert_image"}
+    verify._cache.clear()  # the reports only: the tables stay
+    name, faulty = FAULTY_KERNELS[key]
+    # The same name as the kernel it replaces: only the object tells them apart.
+    monkeypatch.setattr(verify, name, wraps(getattr(verify, name))(faulty))
+    r = run_claim(key, 4)
+    assert r.status == "failed"
+    assert r.details["error"] == "kernel image is not a permutation"
+
+
+def test_clear_cache_empties_the_table_provider():
+    run_claim("gfg", 4)
+    assert verify._tables
+    clear_cache()
+    assert not verify._tables
+    assert run_claim("gfg", 4).status == "verified"
+
+
+def test_the_provider_holds_one_degree():
+    run_claim("eq16", 4)
+    run_claim("gfg", 5)
+    assert {key[0] for key in verify._tables} == {5}
+
+
+def _oracle_cor511(n):
+    """The orbit-closure runner cor5.11 had before it read rank tables."""
+    dih = dihedral_elements(n)
+    target = 2 * (n + 1)
+    long_orbit = orbit(dih, make_bt(CutPoints(0, 2, n, n)))
+    assert len(long_orbit) == target
+    sizes = {}
+    seen = set()
+    for p in sym_group(n):
+        if p.image in seen:
+            continue
+        orb = orbit_images(dih, p.image)
+        seen |= orb
+        assert target % len(orb) == 0
+        sizes[len(orb)] = sizes.get(len(orb), 0) + 1
+    return {"orbit_sizes": {str(k): v for k, v in sorted(sizes.items())}}
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_cor511_on_rank_tables_matches_the_orbit_closure(n):
+    r = run_claim("cor5.11", n)
+    assert r.status == "verified"
+    assert r.details == _oracle_cor511(n)
+
+
+@lru_cache(maxsize=1)
+def _right_columns(n):
+    """col[j][i] is the rank of (element i) o (element j), for every j."""
+    idx = sym_index(n)
+    lifts = [(0,) + a for a in idx]
+    return [tuple(map(idx.__getitem__, map(itemgetter(*a), lifts))) for a in idx]
+
+
+def _oracle_eq12_holds(n, kernel):
+    """The all-columns sweep eq12 ran before its generator reduction: True
+    when kernel is an involution and multiplicative on every pair."""
+    idx = sym_index(n)
+    rev = tuple(idx[kernel(a)] for a in idx)
+    if compose_maps(rev, rev) != tuple(range(len(idx))):
+        return False
+    cols = _right_columns(n)
+    return all(
+        compose_maps(rev, col) == compose_maps(cols[rev[j]], rev) for j, col in enumerate(cols)
+    )
+
+
+def _eq12_kernels(n):
+    swap = (2, 1) + tuple(range(3, n + 1))  # an involution that is not central
+    odd = (2, 4, 1, 3) + tuple(range(5, n + 1))
+
+    def one_wrong(a):
+        b = reverse_image(a)
+        return _swap_first_two(b) if a == odd else b
+
+    def last_generator_only(a):
+        # (2 3) o a when a(n) = 1, else a: an involution that respects
+        # every adjacent transposition fixing n, and no other.
+        return compose_images((1, 3, 2) + tuple(range(4, n + 1)), a) if a[-1] == 1 else a
+
+    return {
+        "reversal": reverse_image,
+        "identity": lambda a: a,
+        "conjugation": lambda a: compose_images(compose_images(swap, a), swap),
+        "right_reversal": lambda a: a[::-1],
+        "inversion": invert_image,
+        "one_wrong": one_wrong,
+        "last_generator_only": last_generator_only,
+    }
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_eq12_generator_reduction_agrees_with_the_all_pairs_sweep(monkeypatch, n):
+    for name, kernel in _eq12_kernels(n).items():
+        clear_cache()
+        monkeypatch.setattr(verify, "reverse_image", kernel)
+        r = run_claim("eq12", n)
+        holds = _oracle_eq12_holds(n, kernel)
+        assert (r.status == "verified") == holds, name
+        if holds:
+            assert r.details == {"elements": factorial(n), "pairs": factorial(n) ** 2}
+    assert {"reversal", "identity", "conjugation"} == {
+        name for name, k in _eq12_kernels(4).items() if _oracle_eq12_holds(4, k)
+    }
+
+
+def test_prop44_reports_the_first_faulty_pair_in_sweep_order(monkeypatch):
+    # Wrong at two pairs; the sweep runs (h, r) outside and (k, u) inside.
+    grp = sym_group(3)
+    late = (grp[5], 2, grp[1], 0)
+    early = (grp[2], 1, grp[4], 3)
+
+    def faulty(h, r, k, u):
+        d, e = compose_lh_barf(h, r, k, u)
+        return (d, (e + 1) % 4) if (h, r, k, u) in (late, early) else (d, e)
+
+    monkeypatch.setattr(verify, "compose_lh_barf", faulty)
+    r = run_claim("prop4.4", 3)
+    assert r.status == "failed"
+    assert r.details["error"] == "product rule disagrees with pointwise composition"
+    assert r.counterexample == dict(zip("hrku", map(str, early)))
