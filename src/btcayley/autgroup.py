@@ -1,11 +1,14 @@
 """Automorphisms of the block transposition Cayley graphs.
 
 Vertex maps are stored as image tuples over a graph's vertex ranks.  The
-full automorphism group of a small graph comes from partition refinement
-with complete backtracking; the stabilizer of the identity vertex in the
-full Cayley graph is found the same way after pinning that vertex and
-coloring by distance layers, which is exactly the constraint an
-identity-fixing automorphism must respect.
+full automorphism group of a small graph is listed from generators: a
+partition-refinement search pruned by the automorphisms it has already
+found (graphs.automorphism_generators, whose docstring holds the proof
+that they generate the whole group) yields them, and perms.closure lists
+every product of them.  The stabilizer of the identity vertex in the full
+Cayley graph is found the same way after pinning that vertex and coloring
+by distance layers, which is exactly the constraint an identity-fixing
+automorphism must respect.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from .blocktrans import tn_realizations
 from .budget import NO_BUDGET
 from .graphs import (
     Graph,
-    _iso_search,
+    _neighbor_gathers,
     _shared_colors,
+    automorphism_generators,
     build_cayley,
     maximal_2_cliques,
 )
@@ -79,11 +83,31 @@ def perm_vertex_map(g: Graph, fn) -> VertexMap:
 
 
 def is_automorphism(g: Graph, m: VertexMap) -> bool:
+    """Whether m maps every neighbour of each vertex u to a neighbour of m(u).
+
+    Each vertex is checked at C level: its neighbours' images are gathered
+    and tested against the neighbour set of its own image.  Every edge is
+    checked from both ends.
+    """
     imgs = m.images
-    for u, v in g.edges():
-        if imgs[v] not in g.neighbor_sets[imgs[u]]:
-            return False
-    return True
+    sets = g.neighbor_sets
+    return all(
+        sets[imgs[u]].issuperset(gather(imgs))
+        for u, gather in enumerate(_neighbor_gathers(g.neighbors))
+    )
+
+
+def _automorphisms(nbrs, sigs, budget) -> list[tuple[int, ...]]:
+    """Image tuples of the automorphisms keeping the vertex signatures, sorted.
+
+    The group is listed from the identity map under right composition by
+    the generators automorphism_generators finds; closure reads the budget
+    at every level.
+    """
+    colors, _ = _shared_colors(sigs, sigs)
+    gens = automorphism_generators(nbrs, colors, budget)
+    steps = [partial(compose_maps, b=m) for m in gens]
+    return sorted(closure([tuple(range(len(nbrs)))], steps, budget=budget))
 
 
 def aut_group(
@@ -91,9 +115,10 @@ def aut_group(
 ) -> list[VertexMap]:
     """Every automorphism of g, sorted by image tuple.
 
-    Initial colors combine degree with incidence to maximal 2-cliques;
-    refinement and backtracking do the rest.  Graphs beyond max_vertices
-    are refused — use stabilizer_of_identity for the big Cayley graphs.
+    Initial colors combine degree with incidence to maximal 2-cliques; the
+    pruned generator search and the closure of its generators do the rest.
+    Graphs beyond max_vertices are refused — use stabilizer_of_identity for
+    the big Cayley graphs.
     """
     nv = g.num_vertices
     if nv > max_vertices:
@@ -107,19 +132,16 @@ def aut_group(
         two_cliques[u] += 1
         two_cliques[v] += 1
     sigs = [(g.degree(v), two_cliques[v]) for v in range(nv)]
-    c1, c2 = _shared_colors(sigs, sigs)
-    found = _iso_search(g.neighbors, g.neighbors, c1, c2, True, budget)
-    return sorted(
-        (VertexMap(g, imgs) for imgs in found), key=lambda m: m.images
-    )
+    return [VertexMap(g, imgs) for imgs in _automorphisms(g.neighbors, sigs, budget)]
 
 
 def stabilizer_of_identity(n: int, budget=NO_BUDGET) -> list[VertexMap]:
     """All automorphisms of the Cayley graph over T_n fixing the identity.
 
-    Pins the identity vertex and colors everything by its distance layer;
-    the complete refinement search then enumerates exactly the
-    identity-fixing automorphisms.
+    Pins the identity vertex and colors everything by its distance layer.
+    The automorphisms keeping those colors are exactly the identity-fixing
+    ones; the pruned generator search finds generators of them, and their
+    closure lists them, sorted by image tuple.
     """
     if n > 5:
         raise ValueError(f"degree {n} beyond the exhaustive-search range (max 5)")
@@ -134,9 +156,7 @@ def stabilizer_of_identity(n: int, budget=NO_BUDGET) -> list[VertexMap]:
         for a in level:
             layer[index[a]] = d
     sigs = [(0 if v == iota else 1, layer[v]) for v in range(g.num_vertices)]
-    c1, c2 = _shared_colors(sigs, sigs)
-    found = _iso_search(g.neighbors, g.neighbors, c1, c2, True, budget)
-    maps = sorted((VertexMap(g, imgs) for imgs in found), key=lambda m: m.images)
+    maps = [VertexMap(g, imgs) for imgs in _automorphisms(g.neighbors, sigs, budget)]
     for m in maps:
         if m.images[iota] != iota:
             raise RuntimeError("search returned a map moving the pinned vertex")

@@ -23,7 +23,13 @@ from .blocktrans import (
     tn_realizations,
 )
 from .budget import NO_BUDGET
-from .perms import Permutation, _product_rows, compose_images, sym_group
+from .perms import (
+    Permutation,
+    _product_rows,
+    _right_multiplier,
+    closure,
+    sym_group,
+)
 
 
 class Graph:
@@ -113,20 +119,17 @@ def build_cayley(n: int, generators) -> Graph:
 
 @lru_cache(maxsize=16)
 def gamma(n: int) -> Graph:
-    """The block transposition graph: induced on T_n, edges pi ~ pi o s(i,j,k)."""
+    """The block transposition graph: induced on T_n, edges pi ~ pi o s(i,j,k).
+
+    The neighbours of u are the products u o s, s in T_n, that lie in T_n.
+    One itemgetter per s forms u o s at C level, and a rank dict both tests
+    membership and gives the neighbour's rank.
+    """
     labels = sorted(tn_realizations(n), key=lambda p: p.image)
-    member = {p.image for p in labels}
-    inverses = [p.inverse().image for p in labels]
-    neighbors = []
-    for u, inv_u in enumerate(inverses):
-        row = []
-        for v, q in enumerate(labels):
-            if u == v:
-                continue
-            prod = compose_images(inv_u, q.image)
-            if prod in member:
-                row.append(v)
-        neighbors.append(row)
+    images = [p.image for p in labels]
+    rank = {a: i for i, a in enumerate(images)}.get
+    columns = [map(rank, map(_right_multiplier(s), images)) for s in images]
+    neighbors = [[v for v in row if v is not None] for row in zip(*columns)]
     return Graph(labels, neighbors)
 
 
@@ -403,55 +406,136 @@ def _refine_pair(get1, get2, c1, c2):
             return (c1, c2) if Counter(c1) == Counter(c2) else None
 
 
-def _iso_search(nbrs1, nbrs2, c1, c2, find_all, budget):
-    """All (or one) color-preserving isomorphisms between two graphs."""
-    nv = len(nbrs1)
-    sets2 = [frozenset(ns) for ns in nbrs2]
-    get1 = _neighbor_gathers(nbrs1)
-    get2 = get1 if nbrs2 is nbrs1 else _neighbor_gathers(nbrs2)
-    results = []
+def _first_isomorphism(nbrs1, sets2, get1, get2, c1, c2, budget):
+    """One colour-preserving isomorphism between two graphs, or None.
+
+    Complete backtracking: refine jointly, then in the smallest split
+    colour map the first vertex u of graph 1 to each vertex of that colour
+    in graph 2, in ascending order, and stop at the first leaf whose
+    mapping preserves every edge.  It finds a mapping whenever one exists.
+    sets2 holds graph 2's neighbour sets; get1 and get2 are the
+    _neighbor_gathers of the two graphs, built once by the caller.  The
+    budget is read at every node.
+    """
 
     def leaf(c1, c2):
         pos2 = {}
         for v, c in enumerate(c2):
             pos2[c] = v
         mapping = [pos2[c] for c in c1]
-        for v in range(nv):
-            img = mapping[v]
-            for u in nbrs1[v]:
-                if mapping[u] not in sets2[img]:
-                    return
-        results.append(tuple(mapping))
+        for v, ns in enumerate(nbrs1):
+            img = sets2[mapping[v]]
+            for u in ns:
+                if mapping[u] not in img:
+                    return None
+        return tuple(mapping)
 
     def rec(c1, c2):
         budget.check()
         refined = _refine_pair(get1, get2, c1, c2)
         if refined is None:
-            return
+            return None
         c1, c2 = refined
-        cells1 = {}
-        for v, c in enumerate(c1):
-            cells1.setdefault(c, []).append(v)
-        split = sorted(c for c, vs in cells1.items() if len(vs) > 1)
-        if not split:
-            leaf(c1, c2)
-            return
-        target = split[0]
-        u = cells1[target][0]
+        target, u = _target(c1)
+        if u is None:
+            return leaf(c1, c2)
         fresh = len(c1) + len(c2)
-        for v in range(nv):
-            if c2[v] != target:
+        for v, c in enumerate(c2):
+            if c != target:
                 continue
             d1 = list(c1)
             d2 = list(c2)
             d1[u] = fresh
             d2[v] = fresh
-            rec(d1, d2)
-            if results and not find_all:
-                return
+            found = rec(d1, d2)
+            if found is not None:
+                return found
+        return None
 
-    rec(list(c1), list(c2))
-    return results
+    return rec(list(c1), list(c2))
+
+
+def _target(colors):
+    """The smallest colour held by more than one vertex, and its first vertex.
+
+    (None, None) when the colouring is discrete.
+    """
+    first = {}
+    split = set()
+    for v, c in enumerate(colors):
+        if c in first:
+            split.add(c)
+        else:
+            first[c] = v
+    if not split:
+        return None, None
+    target = min(split)
+    return target, first[target]
+
+
+def automorphism_generators(nbrs, colors, budget=NO_BUDGET) -> list[tuple[int, ...]]:
+    """Generators of the group of colour-preserving automorphisms of a graph.
+
+    A search of the kind nauty makes (McKay & Piperno, "Practical graph
+    isomorphism, II", JSC 2014), pruned by the automorphisms already found.
+    At each node along the first path, refine (jointly, on the same graph
+    for both sides), take the smallest split colour T and its first
+    vertex u, and:
+      - recurse with u individualised (u -> u) for generators of the
+        stabilizer of u;
+      - for each other v in T, in ascending order, skip v if it lies in
+        the orbit of u under the generators found so far; otherwise ask
+        _first_isomorphism for one map with u -> v, and keep it.
+    The budget is read at every node and every orbit level.
+
+    Completeness.  Write A(c) for the automorphisms that keep the colouring
+    c (a(x) has the colour of x).  Refinement is invariant under
+    automorphisms, so A(c) = A(refined c).  By induction on the number of
+    colours, the generators returned at a node generate A(c):
+      - a discrete colouring leaves A(c) = {identity}, and none is returned;
+      - the u -> u subtree returns, by induction, generators of A(c with u
+        individualised), which is the stabilizer A(c)_u;
+      - A(c) keeps colours, so the orbit of u under A(c) lies in T.  For
+        each v in T not yet in the orbit of u under the generators, the
+        complete backtracking below u -> v finds a map whenever A(c) holds
+        one taking u to v.  So the generated group H reaches every point
+        of u's orbit under A(c);
+      - H lies in A(c) and contains A(c)_u, so by orbit-stabilizer
+        |H| = |u^H| |H_u| >= |u^A(c)| |A(c)_u| = |A(c)|, and H = A(c).
+    Every generator is a leaf whose edges were checked; every other
+    element of the group is a product of checked automorphisms.
+    """
+    sets = [frozenset(ns) for ns in nbrs]
+    get = _neighbor_gathers(nbrs)
+    gens = []
+
+    def rec(c):
+        budget.check()
+        c, _ = _refine_pair(get, get, c, c)
+        target, u = _target(c)
+        if u is None:
+            return
+        fresh = len(c)  # refined colours lie below len(c)
+        pinned = list(c)
+        pinned[u] = fresh
+        rec(pinned)
+        orbit = _orbit(u, gens, budget)
+        for v in range(u + 1, len(c)):
+            if c[v] != target or v in orbit:
+                continue
+            moved = list(c)
+            moved[v] = fresh
+            found = _first_isomorphism(nbrs, sets, get, get, pinned, moved, budget)
+            if found is not None:
+                gens.append(found)
+                orbit = _orbit(u, gens, budget)
+
+    rec(list(colors))
+    return gens
+
+
+def _orbit(point, gens, budget):
+    return closure([point], [m.__getitem__ for m in gens], budget=budget)
 
 
 def graphs_isomorphic(g1: Graph, g2: Graph, budget=NO_BUDGET):
@@ -470,8 +554,12 @@ def graphs_isomorphic(g1: Graph, g2: Graph, budget=NO_BUDGET):
     s1 = [(len(g1.neighbors[v]),) + w1[v] for v in range(g1.num_vertices)]
     s2 = [(len(g2.neighbors[v]),) + w2[v] for v in range(g2.num_vertices)]
     c1, c2 = _shared_colors(s1, s2)
-    found = _iso_search(g1.neighbors, g2.neighbors, c1, c2, False, budget)
-    return list(found[0]) if found else None
+    get1 = _neighbor_gathers(g1.neighbors)
+    get2 = _neighbor_gathers(g2.neighbors)
+    found = _first_isomorphism(
+        g1.neighbors, g2.neighbor_sets, get1, get2, c1, c2, budget
+    )
+    return None if found is None else list(found)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+import btcayley.graphs as graphs
 from btcayley.autgroup import (
     VertexMap,
     aut_group,
@@ -13,6 +14,7 @@ from btcayley.autgroup import (
     stabilizer_of_identity,
 )
 from btcayley.blocktrans import make_bt, tn_realizations
+from btcayley.budget import Budget, BudgetExceeded
 from btcayley.graphs import build_cayley, gamma, vertex_set_V
 from btcayley.perms import identity, sym_group
 from btcayley.toric import apply_dihedral, dihedral_elements
@@ -27,6 +29,34 @@ def test_vertex_map_algebra():
         assert ab.apply(v) == a.apply(b.apply(v))
     assert a.compose(a.inverse()).is_identity()
     assert a.inverse().compose(a).is_identity()
+
+
+def _edge_loop_is_automorphism(g, m):
+    """The per-edge check is_automorphism made before its per-vertex gathers."""
+    imgs = m.images
+    for u, v in g.edges():
+        if imgs[v] not in g.neighbor_sets[imgs[u]]:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_is_automorphism_gives_the_verdicts_of_the_edge_loop(n):
+    g = build_cayley(n, tn_realizations(n))
+    maps = [
+        perm_vertex_map(g, lambda p, d=d: apply_dihedral(d, p))
+        for d in dihedral_elements(n)
+    ]
+    assert len(maps) == 2 * (n + 1)
+    # Swapping the images of two non-adjacent vertices breaks adjacency.
+    far = next(v for v in range(1, g.num_vertices) if not g.is_edge(0, v))
+    for m in maps[:3]:
+        imgs = list(m.images)
+        imgs[0], imgs[far] = imgs[far], imgs[0]
+        maps.append(VertexMap(g, tuple(imgs)))
+    verdicts = [is_automorphism(g, m) for m in maps]
+    assert verdicts == [_edge_loop_is_automorphism(g, m) for m in maps]
+    assert verdicts == [True] * (2 * (n + 1)) + [False] * 3
 
 
 def test_left_translations_are_cayley_automorphisms():
@@ -49,6 +79,51 @@ def test_induced_graph_automorphism_group(n, order):
         assert is_automorphism(g, vm)
         induced.add(vm.images)
     assert induced == {m.images for m in auts}
+
+
+def test_aut_group_of_gamma10_refines_at_few_nodes(monkeypatch):
+    # One _refine_pair call per search node.  The complete backtracking
+    # search made 34 for gamma(10); the pruned generator search makes 6.
+    calls = []
+    refine = graphs._refine_pair
+
+    def counting(*args):
+        calls.append(1)
+        return refine(*args)
+
+    monkeypatch.setattr(graphs, "_refine_pair", counting)
+    assert len(aut_group(gamma(10))) == 22
+    assert len(calls) <= 34 // 4
+
+
+class _CountedBudget:
+    """A budget that runs out at its k-th read (never, for k = None)."""
+
+    def __init__(self, k=None):
+        self.k = k
+        self.reads = 0
+
+    def check(self):
+        self.reads += 1
+        if self.reads == self.k:
+            raise BudgetExceeded(f"read {self.k}")
+
+
+@pytest.mark.parametrize(
+    "search",
+    [lambda b: aut_group(gamma(6), budget=b), lambda b: stabilizer_of_identity(4, b)],
+    ids=["aut_group", "stabilizer_of_identity"],
+)
+def test_searches_honour_a_budget_spent_at_any_read(search):
+    with pytest.raises(BudgetExceeded):
+        search(Budget(0))
+    full = _CountedBudget()
+    search(full)
+    # Node reads, orbit levels and the listing's levels all count.
+    assert full.reads > 10
+    for k in range(1, full.reads + 1):
+        with pytest.raises(BudgetExceeded):
+            search(_CountedBudget(k))
 
 
 def test_aut_group_refuses_oversized_graphs():

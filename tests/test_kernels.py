@@ -3,8 +3,10 @@
 Each oracle below is the earlier implementation, kept here only as the
 reference: the arithmetic toric and inverse-toric kernels, product rows,
 the plain-changes walk behind check_skew, the breadth-first closure and
-its levels, closed-walk counts from powers of A, and colour refinement
-through per-vertex gathers.
+its levels, closed-walk counts from powers of A, colour refinement
+through per-vertex gathers, and the complete backtracking search that
+listed every automorphism leaf by leaf before the search for generators
+pruned by the automorphisms already found.
 """
 
 import random
@@ -17,14 +19,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btcayley.autgroup import generated_subgroup, orbit_images
+from btcayley.autgroup import (
+    _automorphisms,
+    aut_group,
+    generated_subgroup,
+    orbit_images,
+    stabilizer_of_identity,
+)
 from btcayley.blocktrans import make_bt, tn_realizations
+from btcayley.budget import NO_BUDGET
 from btcayley.graphs import (
+    Graph,
     _neighbor_gathers,
     _refine_pair,
     _shared_colors,
     build_cayley,
     closed_walk_counts,
+    gamma,
     vertex_set_V,
 )
 from btcayley.perms import (
@@ -144,6 +155,66 @@ def _oracle_refine_pair(nbrs1, nbrs2, c1, c2):
             return (c1, c2) if Counter(c1) == Counter(c2) else None
 
 
+def _oracle_all_automorphisms(nbrs, colors):
+    """Every colour-preserving automorphism, one edge-checked leaf each.
+
+    The complete backtracking search without pruning: in the smallest split
+    colour, map its first vertex to every vertex of that colour in turn.
+    """
+    nv = len(nbrs)
+    sets = [frozenset(ns) for ns in nbrs]
+    results = []
+
+    def leaf(c1, c2):
+        pos2 = {c: v for v, c in enumerate(c2)}
+        mapping = [pos2[c] for c in c1]
+        for v in range(nv):
+            for u in nbrs[v]:
+                if mapping[u] not in sets[mapping[v]]:
+                    return
+        results.append(tuple(mapping))
+
+    def rec(c1, c2):
+        refined = _oracle_refine_pair(nbrs, nbrs, c1, c2)
+        if refined is None:
+            return
+        c1, c2 = refined
+        cells1 = {}
+        for v, c in enumerate(c1):
+            cells1.setdefault(c, []).append(v)
+        split = sorted(c for c, vs in cells1.items() if len(vs) > 1)
+        if not split:
+            leaf(c1, c2)
+            return
+        target = split[0]
+        u = cells1[target][0]
+        fresh = len(c1) + len(c2)
+        for v in range(nv):
+            if c2[v] != target:
+                continue
+            d1 = list(c1)
+            d2 = list(c2)
+            d1[u] = fresh
+            d2[v] = fresh
+            rec(d1, d2)
+
+    rec(list(colors), list(colors))
+    return sorted(results)
+
+
+def _oracle_gamma_neighbors(labels):
+    """Neighbours in gamma by the pairwise loop: v ~ u when u^-1 o v is in T_n."""
+    member = {p.image for p in labels}
+    return [
+        tuple(
+            v
+            for v, q in enumerate(labels)
+            if v != u and compose_images(invert_image(p.image), q.image) in member
+        )
+        for u, p in enumerate(labels)
+    ]
+
+
 def _oracle_orbit(gens, seed):
     seen = {seed}
     frontier = [seed]
@@ -205,7 +276,7 @@ def test_kernels_read_the_same_differences_as_the_arithmetic_forms(n):
 
 
 # ---------------------------------------------------------------------------
-# Product rows and the plain-changes walk.
+# Product rows, the products behind gamma, and the plain-changes walk.
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -215,6 +286,13 @@ def test_product_rows_are_the_ranks_of_the_products(n):
     gens = images[:: max(1, len(images) // 30)]
     want = [tuple(idx[compose_images(p, x)] for x in gens) for p in images]
     assert list(_product_rows(n, gens)) == want
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gamma_products_give_the_pairwise_neighbours(n):
+    g = gamma(n)
+    assert list(g.labels) == sorted(tn_realizations(n), key=lambda p: p.image)
+    assert list(g.neighbors) == _oracle_gamma_neighbors(g.labels)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -284,8 +362,8 @@ def test_check_skew_needs_the_whole_group_in_rank_order():
 
 
 @st.composite
-def _graphs(draw):
-    nv = draw(st.integers(min_value=0, max_value=12))
+def _graphs(draw, max_vertices=12):
+    nv = draw(st.integers(min_value=0, max_value=max_vertices))
     pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     neighbors = [[] for _ in range(nv)]
@@ -302,9 +380,9 @@ def test_closed_walk_counts_match_the_per_vertex_walk(neighbors, kmax):
 
 
 @st.composite
-def _coloured_pairs(draw):
+def _coloured_pairs(draw, max_vertices=12):
     """A coloured graph and a relabelled copy, with one edge toggled half the time."""
-    nbrs1 = draw(_graphs())
+    nbrs1 = draw(_graphs(max_vertices))
     nv = len(nbrs1)
     c1 = draw(st.lists(st.integers(0, 2), min_size=nv, max_size=nv))
     perm = draw(st.permutations(range(nv)))
@@ -327,6 +405,81 @@ def test_refinement_through_gathers_matches_the_per_vertex_loop(pair):
     nbrs1, nbrs2, c1, c2 = pair
     got = _refine_pair(_neighbor_gathers(nbrs1), _neighbor_gathers(nbrs2), c1, c2)
     assert got == _oracle_refine_pair(nbrs1, nbrs2, c1, c2)
+
+
+# ---------------------------------------------------------------------------
+# Automorphism groups from pruned generators.
+
+
+def _graph(edges, nv):
+    """A Graph on nv vertices with Permutation labels (aut_group reads them)."""
+    nbrs = [[] for _ in range(nv)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return Graph(sym_group(4)[:nv], nbrs)
+
+
+def _cycle(nv):
+    return [(v, (v + 1) % nv) for v in range(nv)]
+
+
+# Graphs whose stabilizer chains have several non-trivial levels, with
+# their automorphism group orders.
+SYMMETRIC_GRAPHS = {
+    "K33": (_graph([(u, v) for u in range(3) for v in range(3, 6)], 6), 72),
+    "Petersen": (
+        _graph(
+            _cycle(5)
+            + [(v, v + 5) for v in range(5)]
+            + [(5 + v, 5 + (v + 2) % 5) for v in range(5)],
+            10,
+        ),
+        120,
+    ),
+    "Q3": (
+        _graph([(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b], 8),
+        48,
+    ),
+    "C8": (_graph(_cycle(8), 8), 16),
+    "2K3": (_graph([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], 6), 72),
+    "empty5": (_graph([], 5), 120),
+    "K14": (_graph([(0, v) for v in range(1, 5)], 5), 24),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_GRAPHS))
+def test_aut_group_of_symmetric_graphs_matches_the_unpruned_search(name):
+    g, order = SYMMETRIC_GRAPHS[name]
+    got = [m.images for m in aut_group(g)]
+    assert len(got) == order
+    assert got == _oracle_all_automorphisms(g.neighbors, [0] * g.num_vertices)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_aut_group_of_gamma_matches_the_unpruned_search(n):
+    g = gamma(n)
+    got = [m.images for m in aut_group(g)]
+    assert got == _oracle_all_automorphisms(g.neighbors, [0] * g.num_vertices)
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_identity_stabilizer_matches_the_unpruned_search(n):
+    g = build_cayley(n, tn_realizations(n))
+    iota = g.index_of(identity(n))
+    layer = _oracle_bfs_layers(g, iota)
+    colors = [(v != iota, layer[v]) for v in range(g.num_vertices)]
+    want = _oracle_all_automorphisms(g.neighbors, colors)
+    assert [m.images for m in stabilizer_of_identity(n)] == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coloured_pairs(max_vertices=7))
+def test_pruned_search_lists_every_coloured_automorphism(pair):
+    # Up to 7! = 5040 leaves for the unpruned oracle on an empty graph.
+    nbrs, _, colors, _ = pair
+    want = _oracle_all_automorphisms(nbrs, colors)
+    assert _automorphisms(nbrs, colors, NO_BUDGET) == want
 
 
 # ---------------------------------------------------------------------------
