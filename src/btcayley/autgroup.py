@@ -5,10 +5,13 @@ full automorphism group of a small graph is listed from generators: a
 partition-refinement search pruned by the automorphisms it has already
 found (graphs.automorphism_generators, whose docstring holds the proof
 that they generate the whole group) yields them, and perms.closure lists
-every product of them.  The stabilizer of the identity vertex in the full
-Cayley graph is found the same way after pinning that vertex and coloring
-by distance layers, which is exactly the constraint an identity-fixing
-automorphism must respect.
+every product of them.  The search starts from raw vertex signatures,
+which the one refinement engine of graphs ranks in its first round.  The
+stabilizer of the identity vertex in the full Cayley graph is found the
+same way after pinning that vertex and coloring by distance layers, which
+is exactly the constraint an identity-fixing automorphism must respect.
+is_automorphism checks edges with the same C-level check as the search's
+leaves.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .budget import NO_BUDGET
 from .graphs import (
     Graph,
     _neighbor_gathers,
-    _shared_colors,
+    _preserves_edges,
     automorphism_generators,
     build_cayley,
     maximal_2_cliques,
@@ -85,16 +88,10 @@ def perm_vertex_map(g: Graph, fn) -> VertexMap:
 def is_automorphism(g: Graph, m: VertexMap) -> bool:
     """Whether m maps every neighbour of each vertex u to a neighbour of m(u).
 
-    Each vertex is checked at C level: its neighbours' images are gathered
-    and tested against the neighbour set of its own image.  Every edge is
-    checked from both ends.
+    The same check as the leaves of the search (graphs._preserves_edges):
+    every edge is checked from both ends.
     """
-    imgs = m.images
-    sets = g.neighbor_sets
-    return all(
-        sets[imgs[u]].issuperset(gather(imgs))
-        for u, gather in enumerate(_neighbor_gathers(g.neighbors))
-    )
+    return _preserves_edges(_neighbor_gathers(g.neighbors), g.neighbor_sets, m.images)
 
 
 def _automorphisms(nbrs, sigs, budget) -> list[tuple[int, ...]]:
@@ -104,26 +101,26 @@ def _automorphisms(nbrs, sigs, budget) -> list[tuple[int, ...]]:
     the generators automorphism_generators finds; closure reads the budget
     at every level.
     """
-    colors, _ = _shared_colors(sigs, sigs)
-    gens = automorphism_generators(nbrs, colors, budget)
+    gens = automorphism_generators(nbrs, sigs, budget)
     steps = [partial(compose_maps, b=m) for m in gens]
     return sorted(closure([tuple(range(len(nbrs)))], steps, budget=budget))
 
 
-def aut_group(
-    g: Graph, budget=NO_BUDGET, max_vertices: int = 5000
-) -> list[VertexMap]:
+MAX_AUT_VERTICES = 5000
+
+
+def aut_group(g: Graph, budget=NO_BUDGET) -> list[VertexMap]:
     """Every automorphism of g, sorted by image tuple.
 
     Initial colors combine degree with incidence to maximal 2-cliques; the
     pruned generator search and the closure of its generators do the rest.
-    Graphs beyond max_vertices are refused — use stabilizer_of_identity for
-    the big Cayley graphs.
+    Graphs beyond MAX_AUT_VERTICES are refused — use stabilizer_of_identity
+    for the big Cayley graphs.
     """
     nv = g.num_vertices
-    if nv > max_vertices:
+    if nv > MAX_AUT_VERTICES:
         raise ValueError(
-            f"{nv} vertices exceed the {max_vertices} cap; "
+            f"{nv} vertices exceed the {MAX_AUT_VERTICES} cap; "
             "use stabilizer_of_identity for large Cayley graphs"
         )
     two_cliques = [0] * nv

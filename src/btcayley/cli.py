@@ -110,7 +110,7 @@ def cmd_enumerate(args, out) -> int:
                 out,
             )
         return EXIT_OK
-    classes, singletons, histogram = toric_class_stats(n)
+    classes, singletons, histogram = toric_class_stats(n, args.budget)
     if args.pretty:
         out.write(f"classes {classes}\nsingletons {singletons}\n")
         for size in sorted(histogram):
@@ -350,7 +350,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # Every subcommand takes --budget-ms, so every one validates it;
-        # verify and distance spend it.
+        # verify, distance and enumerate --what toric-classes spend it.
         args.budget = _resolve_budget(args)
         return args.fn(args, sys.stdout)
     except UsageError as exc:

@@ -91,12 +91,13 @@ class Graph:
                     yield u, v
 
 
-def build_cayley(n: int, generators) -> Graph:
-    """Cayley graph of the symmetric group of degree n over a connection set.
+def connection_set_images(n: int, generators) -> list[tuple[int, ...]]:
+    """Image tuples of a connection set of the symmetric group of degree n.
 
-    The connection set must be inverse-closed, identity-free, and
-    duplicate-free.  Degrees above 7 are refused: materializing the full
-    group is a dead end there, use the on-the-fly searches instead.
+    The set must be non-empty, inverse-closed, identity-free, and
+    duplicate-free, with every generator of degree n.  Degrees above 7 are
+    refused: materializing the full group is a dead end there, use the
+    on-the-fly searches instead.
     """
     gens = tuple(generators)
     if not gens:
@@ -108,13 +109,17 @@ def build_cayley(n: int, generators) -> Graph:
             raise ValueError(f"generator degree {x.n} != {n}")
         if x.is_identity():
             raise ValueError("identity in the connection set")
-    if len(set(gens)) != len(gens):
+    imgs = [x.image for x in gens]
+    if len(set(imgs)) != len(imgs):
         raise ValueError("duplicate generators")
-    gen_imgs = [x.image for x in gens]
-    if {tuple(x.inverse().image) for x in gens} != set(gen_imgs):
+    if {x.inverse().image for x in gens} != set(imgs):
         raise ValueError("connection set is not inverse-closed")
+    return imgs
 
-    return Graph(sym_group(n), _product_rows(n, gen_imgs))
+
+def build_cayley(n: int, generators) -> Graph:
+    """Cayley graph of Sym_n over a connection set (see connection_set_images)."""
+    return Graph(sym_group(n), _product_rows(n, connection_set_images(n, generators)))
 
 
 @lru_cache(maxsize=16)
@@ -372,11 +377,6 @@ def closed_walk_counts(neighbors, kmax: int = 6) -> list[tuple[int, ...]]:
     ]
 
 
-def _shared_colors(sigs1, sigs2):
-    ids = {s: i for i, s in enumerate(sorted(set(sigs1) | set(sigs2)))}
-    return [ids[s] for s in sigs1], [ids[s] for s in sigs2]
-
-
 def _neighbor_gathers(nbrs):
     """Per vertex, a C-level gather of its neighbours' entries as a tuple."""
     gathers = []
@@ -390,69 +390,79 @@ def _neighbor_gathers(nbrs):
     return gathers
 
 
-def _refine_pair(get1, get2, c1, c2):
-    """Jointly refine colors by neighbor multisets; None when incompatible.
+def _union_gathers(nbrs1, nbrs2):
+    """The _neighbor_gathers of the disjoint union, graph 2 after graph 1."""
+    half = len(nbrs1)
+    shifted = [[u + half for u in ns] for ns in nbrs2]
+    return _neighbor_gathers(list(nbrs1) + shifted)
 
-    get1 and get2 are the _neighbor_gathers of the two graphs.
+
+def _preserves_edges(gathers, sets, imgs):
+    """Whether imgs maps every neighbour of each u to a neighbour of imgs[u].
+
+    gathers are a graph's _neighbor_gathers (only the first len(imgs) are
+    read), sets the neighbour sets of the image graph.  Each vertex is
+    checked at C level, so every edge is checked from both ends.
+    """
+    return all(sets[w].issuperset(g(imgs)) for w, g in zip(imgs, gathers))
+
+
+def _refine(gets, colors, half=0):
+    """Split colour classes by neighbour colour multisets until none splits.
+
+    gets are the graph's _neighbor_gathers; colours are any sortable values,
+    renumbered each round in sorted (colour, neighbour colours) order.  To
+    match two graphs, refine their disjoint union (_union_gathers) with
+    half = graph 1's vertex count: None when the halves' colour counts
+    differ.  The last round only renames whole classes, so counts stay equal.
     """
     while True:
-        if Counter(c1) != Counter(c2):
+        if half and Counter(colors[:half]) != Counter(colors[half:]):
             return None
-        width = len(set(c1) | set(c2))
-        s1 = [(c, tuple(sorted(g(c1)))) for c, g in zip(c1, get1)]
-        s2 = [(c, tuple(sorted(g(c2)))) for c, g in zip(c2, get2)]
-        c1, c2 = _shared_colors(s1, s2)
-        if len(set(c1) | set(c2)) == width:
-            return (c1, c2) if Counter(c1) == Counter(c2) else None
+        width = len(set(colors))
+        sigs = [(c, tuple(sorted(g(colors)))) for c, g in zip(colors, gets)]
+        ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [ids[s] for s in sigs]
+        if len(ids) == width:
+            return colors
 
 
-def _first_isomorphism(nbrs1, sets2, get1, get2, c1, c2, budget):
+def _first_isomorphism(gets, sets2, colors, budget):
     """One colour-preserving isomorphism between two graphs, or None.
 
-    Complete backtracking: refine jointly, then in the smallest split
-    colour map the first vertex u of graph 1 to each vertex of that colour
-    in graph 2, in ascending order, and stop at the first leaf whose
-    mapping preserves every edge.  It finds a mapping whenever one exists.
-    sets2 holds graph 2's neighbour sets; get1 and get2 are the
-    _neighbor_gathers of the two graphs, built once by the caller.  The
-    budget is read at every node.
+    Works on the disjoint union of the two graphs: gets are its
+    _union_gathers, colors its colouring (graph 1 first), and sets2 holds
+    graph 2's neighbour sets.  Complete backtracking: refine, then in the
+    smallest split colour of graph 1 map its first vertex u to each vertex
+    of that colour in graph 2, in ascending order, and stop at the first
+    leaf whose mapping preserves every edge.  It finds a mapping whenever
+    one exists.  The budget is read at every node.
     """
+    half = len(sets2)
 
-    def leaf(c1, c2):
-        pos2 = {}
-        for v, c in enumerate(c2):
-            pos2[c] = v
-        mapping = [pos2[c] for c in c1]
-        for v, ns in enumerate(nbrs1):
-            img = sets2[mapping[v]]
-            for u in ns:
-                if mapping[u] not in img:
-                    return None
-        return tuple(mapping)
-
-    def rec(c1, c2):
+    def rec(c):
         budget.check()
-        refined = _refine_pair(get1, get2, c1, c2)
-        if refined is None:
+        c = _refine(gets, c, half)
+        if c is None:
             return None
-        c1, c2 = refined
-        target, u = _target(c1)
+        target, u = _target(c[:half])
         if u is None:
-            return leaf(c1, c2)
-        fresh = len(c1) + len(c2)
-        for v, c in enumerate(c2):
-            if c != target:
+            pos2 = {col: v for v, col in enumerate(c[half:])}
+            mapping = [pos2[col] for col in c[:half]]
+            return tuple(mapping) if _preserves_edges(gets, sets2, mapping) else None
+        fresh = len(c)
+        for v in range(half, len(c)):
+            if c[v] != target:
                 continue
-            d1 = list(c1)
-            d2 = list(c2)
-            d1[u] = fresh
-            d2[v] = fresh
-            found = rec(d1, d2)
+            d = list(c)
+            d[u] = fresh
+            d[v] = fresh
+            found = rec(d)
             if found is not None:
                 return found
         return None
 
-    return rec(list(c1), list(c2))
+    return rec(list(colors))
 
 
 def _target(colors):
@@ -478,14 +488,14 @@ def automorphism_generators(nbrs, colors, budget=NO_BUDGET) -> list[tuple[int, .
 
     A search of the kind nauty makes (McKay & Piperno, "Practical graph
     isomorphism, II", JSC 2014), pruned by the automorphisms already found.
-    At each node along the first path, refine (jointly, on the same graph
-    for both sides), take the smallest split colour T and its first
-    vertex u, and:
+    At each node along the first path, refine the colouring, take the
+    smallest split colour T and its first vertex u, and:
       - recurse with u individualised (u -> u) for generators of the
         stabilizer of u;
       - for each other v in T, in ascending order, skip v if it lies in
         the orbit of u under the generators found so far; otherwise ask
-        _first_isomorphism for one map with u -> v, and keep it.
+        _first_isomorphism, on two copies of the graph, for one map with
+        u -> v, and keep it.
     The budget is read at every node and every orbit level.
 
     Completeness.  Write A(c) for the automorphisms that keep the colouring
@@ -507,11 +517,12 @@ def automorphism_generators(nbrs, colors, budget=NO_BUDGET) -> list[tuple[int, .
     """
     sets = [frozenset(ns) for ns in nbrs]
     get = _neighbor_gathers(nbrs)
+    both = _union_gathers(nbrs, nbrs)
     gens = []
 
     def rec(c):
         budget.check()
-        c, _ = _refine_pair(get, get, c, c)
+        c = _refine(get, c)
         target, u = _target(c)
         if u is None:
             return
@@ -525,7 +536,7 @@ def automorphism_generators(nbrs, colors, budget=NO_BUDGET) -> list[tuple[int, .
                 continue
             moved = list(c)
             moved[v] = fresh
-            found = _first_isomorphism(nbrs, sets, get, get, pinned, moved, budget)
+            found = _first_isomorphism(both, sets, pinned + moved, budget)
             if found is not None:
                 gens.append(found)
                 orbit = _orbit(u, gens, budget)
@@ -542,8 +553,9 @@ def graphs_isomorphic(g1: Graph, g2: Graph, budget=NO_BUDGET):
     """A vertex bijection g1 -> g2 preserving adjacency, or None.
 
     Exact: integer walk-count invariants reject fast, then refinement with
-    backtracking decides.  No heuristic answers.  Each graph keeps its
-    walk counts, so matching one graph against many counts it once.
+    backtracking decides, starting from the degree and walk counts of each
+    vertex.  No heuristic answers.  Each graph keeps its walk counts, so
+    matching one graph against many counts it once.
     """
     if g1.num_vertices != g2.num_vertices or g1.num_edges != g2.num_edges:
         return None
@@ -553,12 +565,8 @@ def graphs_isomorphic(g1: Graph, g2: Graph, budget=NO_BUDGET):
         return None
     s1 = [(len(g1.neighbors[v]),) + w1[v] for v in range(g1.num_vertices)]
     s2 = [(len(g2.neighbors[v]),) + w2[v] for v in range(g2.num_vertices)]
-    c1, c2 = _shared_colors(s1, s2)
-    get1 = _neighbor_gathers(g1.neighbors)
-    get2 = _neighbor_gathers(g2.neighbors)
-    found = _first_isomorphism(
-        g1.neighbors, g2.neighbor_sets, get1, get2, c1, c2, budget
-    )
+    gets = _union_gathers(g1.neighbors, g2.neighbors)
+    found = _first_isomorphism(gets, g2.neighbor_sets, s1 + s2, budget)
     return None if found is None else list(found)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .blocktrans import CutPoints, make_bt
 from .budget import NO_BUDGET
+from .graphs import connection_set_images
 from .perms import (
     Permutation,
     _product_rows,
@@ -59,18 +60,7 @@ class CayleyMap:
         gens = tuple(generators)
         if len(gens) < 2:
             raise ValueError("need at least two generators")
-        if n > 7:
-            raise ValueError(f"degree {n} too large to materialize")
-        for x in gens:
-            if x.n != n:
-                raise ValueError(f"generator degree {x.n} != {n}")
-            if x.is_identity():
-                raise ValueError("identity in the connection set")
-        imgs = [x.image for x in gens]
-        if len(set(imgs)) != len(imgs):
-            raise ValueError("duplicate generators")
-        if {x.inverse().image for x in gens} != set(imgs):
-            raise ValueError("connection set is not inverse-closed")
+        imgs = connection_set_images(n, gens)
 
         self.n = n
         self.gens = gens

@@ -24,6 +24,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 
 from .blocktrans import CutPoints
+from .budget import NO_BUDGET
 from .perms import (
     Permutation,
     _restrict,
@@ -143,8 +144,8 @@ def toric_class(p: Permutation) -> frozenset[Permutation]:
     return frozenset(toric_f(p, r) for r in range(p.n + 1))
 
 
-def toric_class_stats(n: int) -> tuple[int, int, dict[int, int]]:
-    """(number of classes, number of singleton classes, size histogram)."""
+def toric_class_stats(n: int, budget=NO_BUDGET) -> tuple[int, int, dict[int, int]]:
+    """(classes, singleton classes, size histogram); reads the budget once per class."""
     seen: set[tuple[int, ...]] = set()
     classes = singletons = 0
     histogram: dict[int, int] = {}
@@ -152,6 +153,7 @@ def toric_class_stats(n: int) -> tuple[int, int, dict[int, int]]:
         img = p.image
         if img in seen:
             continue
+        budget.check()
         orbit = {toric_image(img, r) for r in range(n + 1)}
         seen |= orbit
         classes += 1

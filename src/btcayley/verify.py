@@ -861,8 +861,7 @@ def _run_skew_toric(n, budget):
 
 @_claim("toric-singletons", "toric classes: singleton count and size divisors", 3, 7)
 def _run_toric_singletons(n, budget):
-    budget.check()
-    classes, singletons, histogram = toric_class_stats(n)
+    classes, singletons, histogram = toric_class_stats(n, budget)
     m = n + 1
     _need(singletons == euler_phi(m), "singleton count mismatch", got=singletons, want=euler_phi(m))
     for size, count in histogram.items():

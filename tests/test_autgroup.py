@@ -15,7 +15,7 @@ from btcayley.autgroup import (
 )
 from btcayley.blocktrans import make_bt, tn_realizations
 from btcayley.budget import Budget, BudgetExceeded
-from btcayley.graphs import build_cayley, gamma, vertex_set_V
+from btcayley.graphs import Graph, build_cayley, gamma, vertex_set_V
 from btcayley.perms import identity, sym_group
 from btcayley.toric import apply_dihedral, dihedral_elements
 
@@ -82,16 +82,16 @@ def test_induced_graph_automorphism_group(n, order):
 
 
 def test_aut_group_of_gamma10_refines_at_few_nodes(monkeypatch):
-    # One _refine_pair call per search node.  The complete backtracking
+    # One _refine call per search node.  The complete backtracking
     # search made 34 for gamma(10); the pruned generator search makes 6.
     calls = []
-    refine = graphs._refine_pair
+    refine = graphs._refine
 
     def counting(*args):
         calls.append(1)
         return refine(*args)
 
-    monkeypatch.setattr(graphs, "_refine_pair", counting)
+    monkeypatch.setattr(graphs, "_refine", counting)
     assert len(aut_group(gamma(10))) == 22
     assert len(calls) <= 34 // 4
 
@@ -127,9 +127,10 @@ def test_searches_honour_a_budget_spent_at_any_read(search):
 
 
 def test_aut_group_refuses_oversized_graphs():
-    g = build_cayley(5, tn_realizations(5))
-    with pytest.raises(ValueError):
-        aut_group(g, max_vertices=100)
+    # One vertex past the cap; an edgeless graph is refused before any search.
+    g = Graph(sym_group(7)[:5001], [()] * 5001)
+    with pytest.raises(ValueError, match="5001 vertices exceed the 5000 cap"):
+        aut_group(g)
 
 
 # frozen: the point stabilizer has 2(n+1) elements, so the full group

@@ -46,6 +46,24 @@ def test_enumerate_toric_classes(capsys):
     assert doc["histogram"] == {"1": 4, "5": 4}
 
 
+def test_enumerate_toric_classes_spends_the_budget(capsys):
+    argv = ("enumerate", "--n", "8", "--what", "toric-classes", "--budget-ms", "0")
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: budget")
+
+
+def test_enumerate_toric_classes_bytes_at_degree_eight(capsys):
+    # Captured before the budget was spent here.
+    code, out, err = run(capsys, "enumerate", "--n", "8", "--what", "toric-classes")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"classes":4492,"histogram":{"1":6,"3":10,"9":4476},'
+        '"n":8,"singletons":6,"what":"toric-classes"}\n'
+    )
+
+
 def test_enumerate_range_is_enforced(capsys):
     code, out, err = run(capsys, "enumerate", "--n", "11", "--what", "tn")
     assert code == 2

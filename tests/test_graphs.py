@@ -20,6 +20,7 @@ from btcayley.graphs import (
     maximal_2_cliques,
     vertex_set_V,
 )
+from btcayley.maps import CayleyMap
 from btcayley.perms import identity, parse_permutation, reverse
 
 
@@ -44,6 +45,36 @@ def test_cayley_graph_is_regular_of_generator_degree():
     r = g.index_of(identity(3))
     for q in tn_realizations(3):
         assert g.is_edge(r, g.index_of(q))
+
+
+BAD_CONNECTION_SETS = {
+    "empty": (4, lambda: [], "empty connection set|at least two generators"),
+    "degree 8": (8, lambda: tn_realizations(8), "degree 8 too large"),
+    "mixed degree": (
+        4,
+        lambda: list(tn_realizations(4)) + [parse_permutation("[2 1 3 4 5]")],
+        "generator degree 5 != 4",
+    ),
+    "identity": (4, lambda: list(tn_realizations(4)) + [identity(4)], "identity"),
+    "duplicate": (
+        4,
+        lambda: list(tn_realizations(4)) + [tn_realizations(4)[0]],
+        "duplicate generators",
+    ),
+    "not inverse-closed": (
+        3,
+        lambda: [parse_permutation("[2 3 1]"), parse_permutation("[2 1 3]")],
+        "not inverse-closed",
+    ),
+}
+
+
+@pytest.mark.parametrize("build", [build_cayley, CayleyMap], ids=["build_cayley", "CayleyMap"])
+@pytest.mark.parametrize("case", sorted(BAD_CONNECTION_SETS))
+def test_cayley_constructors_reject_bad_connection_sets(build, case):
+    n, gens, message = BAD_CONNECTION_SETS[case]
+    with pytest.raises(ValueError, match=message):
+        build(n, gens())
 
 
 # frozen: the induced graph is 2(n-2)-regular from n = 4 on

@@ -31,8 +31,8 @@ from btcayley.budget import NO_BUDGET
 from btcayley.graphs import (
     Graph,
     _neighbor_gathers,
-    _refine_pair,
-    _shared_colors,
+    _refine,
+    _union_gathers,
     build_cayley,
     closed_walk_counts,
     gamma,
@@ -141,6 +141,11 @@ def _oracle_closed_walks(neighbors, kmax):
                 row.append(vec[v])
         out.append(tuple(row))
     return out
+
+
+def _shared_colors(sigs1, sigs2):
+    ids = {s: i for i, s in enumerate(sorted(set(sigs1) | set(sigs2)))}
+    return [ids[s] for s in sigs1], [ids[s] for s in sigs2]
 
 
 def _oracle_refine_pair(nbrs1, nbrs2, c1, c2):
@@ -403,8 +408,19 @@ def _coloured_pairs(draw, max_vertices=12):
 def test_refinement_through_gathers_matches_the_per_vertex_loop(pair):
     # Isolated vertices and leaves take the special cases of the gathers.
     nbrs1, nbrs2, c1, c2 = pair
-    got = _refine_pair(_neighbor_gathers(nbrs1), _neighbor_gathers(nbrs2), c1, c2)
-    assert got == _oracle_refine_pair(nbrs1, nbrs2, c1, c2)
+    got = _refine(_union_gathers(nbrs1, nbrs2), c1 + c2, len(c1))
+    want = _oracle_refine_pair(nbrs1, nbrs2, c1, c2)
+    assert got == (None if want is None else want[0] + want[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_coloured_pairs())
+def test_one_sided_refinement_is_each_half_of_the_union_of_two_copies(pair):
+    # The first path of the automorphism search refines one side only.
+    nbrs, _, c, _ = pair
+    one = _refine(_neighbor_gathers(nbrs), c)
+    both = _refine(_union_gathers(nbrs, nbrs), c + c, len(c))
+    assert both == one + one
 
 
 # ---------------------------------------------------------------------------
