@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import itemgetter, mul
+from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .blocktrans import (
     CutPoints,
@@ -33,19 +33,22 @@ from .perms import (
 
 
 class Graph:
-    """A finite simple graph with permutation-labelled vertices."""
+    """A finite simple graph with permutation-labelled vertices.
+
+    Graph(labels, neighbors) is the constructor for adjacency from
+    outside: it checks that the labels are distinct and that every
+    neighbour entry is in range, no loop, no repeat and symmetric.
+    Graph._trusted skips those checks for rows that are a simple graph by
+    construction; each caller proves that in its docstring.
+    """
 
     def __init__(self, labels, neighbors):
-        self.labels = tuple(labels)
-        self.neighbors = tuple(tuple(sorted(ns)) for ns in neighbors)
+        self._fill(labels, neighbors)
         if len(self.labels) != len(self.neighbors):
             raise ValueError("labels and adjacency differ in length")
-        self._index = {}
-        for i, p in enumerate(self.labels):
-            if p in self._index:
-                raise ValueError(f"repeated vertex label {p}")
-            self._index[p] = i
-        self.neighbor_sets = tuple(map(frozenset, self.neighbors))
+        if len(self._index) != len(self.labels):
+            p = next(p for p, k in Counter(self.labels).items() if k > 1)
+            raise ValueError(f"repeated vertex label {p}")
         nv = len(self.labels)
         sets = self.neighbor_sets
         for v, ns in enumerate(self.neighbors):
@@ -56,7 +59,23 @@ class Graph:
                     raise ValueError(f"bad neighbor {u} of vertex {v}")
                 if v not in sets[u]:
                     raise ValueError(f"asymmetric edge {v}-{u}")
+
+    @classmethod
+    def _trusted(cls, labels, rows) -> "Graph":
+        """A Graph over rows that are a simple graph by construction: no check."""
+        g = cls.__new__(cls)
+        g._fill(labels, rows)
+        return g
+
+    def _fill(self, labels, rows):
+        self.labels = tuple(labels)
+        self.neighbors = tuple(map(tuple, map(sorted, rows)))
+        self._index = dict(zip(self.labels, range(len(self.labels))))
         self._walks = None
+
+    @cached_property
+    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(frozenset, self.neighbors))
 
     @property
     def num_vertices(self) -> int:
@@ -118,8 +137,18 @@ def connection_set_images(n: int, generators) -> list[tuple[int, ...]]:
 
 
 def build_cayley(n: int, generators) -> Graph:
-    """Cayley graph of Sym_n over a connection set (see connection_set_images)."""
-    return Graph(sym_group(n), _product_rows(n, connection_set_images(n, generators)))
+    """Cayley graph of Sym_n over a connection set (see connection_set_images).
+
+    The row of p holds rank(p o x) for x in the connection set X, and
+    connection_set_images has checked X, so the rows need no re-check:
+      - no loop: p o x = p only for x the identity, and X is identity-free;
+      - no repeat: p o x = p o y only for x = y, and X is duplicate-free;
+      - symmetric: q = p o x gives p = q o x^-1, and X is inverse-closed;
+      - in range: sym_index ranks every element of Sym_n, and the labels
+        sym_group(n) are distinct.
+    """
+    images = connection_set_images(n, generators)
+    return Graph._trusted(sym_group(n), _product_rows(n, images))
 
 
 @lru_cache(maxsize=16)
@@ -139,14 +168,20 @@ def gamma(n: int) -> Graph:
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
-    """Subgraph induced on the given labels, re-ranked lexicographically."""
+    """Subgraph induced on the given labels, re-ranked lexicographically.
+
+    The rows are g's rows restricted to the kept vertices and renumbered
+    by a bijection of them, and the labels are distinct vertices of g
+    (index_of refuses any other).  Restriction keeps a simple graph
+    simple, so the already-validated g needs no re-check here.
+    """
     labels = sorted(set(vertices), key=lambda p: p.image)
     old = [g.index_of(p) for p in labels]
     keep = {o: i for i, o in enumerate(old)}
     neighbors = [
         [keep[u] for u in g.neighbors[o] if u in keep] for o in old
     ]
-    return Graph(labels, neighbors)
+    return Graph._trusted(labels, neighbors)
 
 
 def degree_profile(g: Graph) -> tuple[int, ...]:
@@ -349,32 +384,28 @@ def bfs_distance(
 def closed_walk_counts(neighbors, kmax: int = 6) -> list[tuple[int, ...]]:
     """Per-vertex counts of closed walks of lengths 2..kmax (exact integers).
 
-    The count for length a + b at v is diag(A^(a+b))[v] = <A^a e_v, A^b e_v>,
-    since the adjacency matrix A is symmetric, so dense rows of A^1 up to
-    A^ceil(kmax/2) suffice.  Row v of A^k is the column sum of the A^(k-1)
-    rows of v's neighbours.
+    Row v of A^k is packed into one Python int, entry u in the field of
+    width bits at offset u * width, so row v of A^k is the plain sum of
+    the A^(k-1) rows of v's neighbours, and diag(A^k)[v] is field v of
+    row v.  The fields never carry into each other: an entry of A^k counts
+    walks of length k, so it is at most dmax^k < 2^(k * bit_length(dmax)),
+    which for k <= kmax fits in width = kmax * bit_length(dmax) + 1 bits,
+    and every partial sum of a row is bounded entrywise by the row itself.
     """
     nv = len(neighbors)
-    rows = []
-    for ns in neighbors:
-        row = [0] * nv
-        for u in ns:
-            row[u] = 1
-        rows.append(tuple(row))
-    powers = [rows]
-    for _ in range((kmax + 1) // 2 - 1):
-        rows = [
-            tuple(map(sum, zip(*[rows[u] for u in ns]))) if ns else (0,) * nv
-            for ns in neighbors
-        ]
-        powers.append(rows)
-    return [
-        tuple(
-            sum(map(mul, powers[(k + 1) // 2 - 1][v], powers[k // 2 - 1][v]))
-            for k in range(2, kmax + 1)
-        )
-        for v in range(nv)
-    ]
+    if kmax < 2:
+        return [()] * nv
+    dmax = max(map(len, neighbors), default=0)
+    width = kmax * max(dmax, 1).bit_length() + 1
+    mask = (1 << width) - 1
+    shifts = range(0, nv * width, width)
+    rows = [1 << s for s in shifts]  # A^0
+    diagonals = []
+    for k in range(1, kmax + 1):
+        rows = [sum(map(rows.__getitem__, ns)) for ns in neighbors]
+        if k >= 2:
+            diagonals.append([(row >> s) & mask for row, s in zip(rows, shifts)])
+    return list(zip(*diagonals))
 
 
 def _neighbor_gathers(nbrs):

@@ -98,35 +98,33 @@ class CayleyMap:
     def reverse(self, d: Dart) -> Dart:
         return Dart(d.head, d.gen.inverse())
 
-    def _rt(self, vi: int, gi: int) -> tuple[int, int]:
-        # R o T on rank-encoded darts: reverse first, then rotate.
-        return self._vmul[vi][gi], (self._ginv[gi] + 1) % len(self.gens)
-
     def faces(self) -> list[Face]:
-        """All faces, each rotated to start at its least (tail, gen) rank."""
+        """All faces, each starting at its least (tail, gen) rank, in that order.
+
+        Dart (vi, gi) is number vi * m + gi, so number order is (tail, gen)
+        rank order.  R o T reverses the dart, then rotates: (vi, gi) goes to
+        (vmul[vi][gi], ginv[gi] + 1 mod m), kept as one flat successor list.
+        The orbits are traced from each dart not yet visited in ascending
+        order, so each face starts at its least dart and the faces come
+        sorted by their first darts.  Every dart lies on one face, so each
+        Dart is built once, in number order, and the faces pick theirs.
+        """
         m = len(self.gens)
-        nv = len(self.elements)
-        visited = [False] * (nv * m)
+        turn = [(self._ginv[gi] + 1) % m for gi in range(m)]
+        succ = [w * m + turn[gi] for row in self._vmul for gi, w in enumerate(row)]
+        darts = [Dart(p, x) for p in self.elements for x in self.gens]
+        visited = bytearray(len(succ))
         out = []
-        for start in range(nv * m):
+        for start in range(len(succ)):
             if visited[start]:
                 continue
             orbit = []
-            vi, gi = divmod(start, m)
-            while not visited[vi * m + gi]:
-                visited[vi * m + gi] = True
-                orbit.append((vi, gi))
-                vi, gi = self._rt(vi, gi)
-            pivot = orbit.index(min(orbit))
-            orbit = orbit[pivot:] + orbit[:pivot]
-            out.append(
-                Face(
-                    tuple(
-                        Dart(self.elements[v], self.gens[g]) for v, g in orbit
-                    )
-                )
-            )
-        out.sort(key=lambda f: (self._eidx[f.darts[0].tail.image], self._gidx[f.darts[0].gen.image]))
+            d = start
+            while not visited[d]:
+                visited[d] = 1
+                orbit.append(d)
+                d = succ[d]
+            out.append(Face(tuple(map(darts.__getitem__, orbit))))
         return out
 
     def euler_characteristic(self) -> int:

@@ -196,13 +196,39 @@ def _right_multiplier(b: tuple[int, ...]):
 def _product_rows(n: int, images):
     """Ranks of p o x for every generator image x, one row per p of sym_group(n).
 
-    The rows come lazily and in rank order, and are built at C level: one
-    itemgetter per generator picks the image of p o x out of p's image, and
-    sym_index turns it into a rank.  Only the current row is held.
+    Each generator x gets a rank column: col_x[rank p] = rank(p o x).  The
+    n-1 columns of the adjacent transpositions s_t = (t+1 t+2) are looked
+    up once through sym_index; every other column is composed from them
+    at C level, so no product is hashed.  Take the first descent t of x
+    (x[t] > x[t+1], 0-based) and y = x o s_t, which is x with the entries
+    at t and t+1 swapped.  Then:
+      - rank(p o x) = rank((p o y) o s_t) = col_s_t[col_y[rank p]], since
+        s_t is an involution, so col_x is col_y read through col_s_t;
+      - the swap removes the inversion at (t, t+1) and leaves every other
+        pair as it was, so y has one inversion fewer than x, and the
+        recursion ends at the identity, whose column is range(n!).
+    Columns are memoised on the image tuple, so generators whose descent
+    chains meet share the columns from there down.  The rows come in rank
+    order as tuples of the columns.
     """
     index = sym_index(n)
-    rank = index.__getitem__
-    return zip(*[map(rank, map(_right_multiplier(x), index)) for x in images])
+    ident = tuple(range(1, n + 1))
+    columns = {ident: range(len(index))}
+    adjacent = []
+    for t in range(n - 1):
+        s = list(ident)
+        s[t], s[t + 1] = s[t + 1], s[t]
+        adjacent.append(tuple(map(index.__getitem__, map(_right_multiplier(s), index))))
+
+    def column(x):
+        col = columns.get(x)
+        if col is None:
+            t = next(t for t in range(n - 1) if x[t] > x[t + 1])
+            y = x[:t] + (x[t + 1], x[t]) + x[t + 2 :]
+            col = columns[x] = tuple(map(adjacent[t].__getitem__, column(y)))
+        return col
+
+    return zip(*map(column, images))
 
 
 def plain_changes(n: int):

@@ -20,8 +20,8 @@ from btcayley.graphs import (
     maximal_2_cliques,
     vertex_set_V,
 )
-from btcayley.maps import CayleyMap
-from btcayley.perms import identity, parse_permutation, reverse
+from btcayley.maps import CayleyMap, mprime_n5_map, prop72_map
+from btcayley.perms import _product_rows, identity, parse_permutation, reverse, sym_group
 
 
 def test_graph_rejects_malformed_adjacency():
@@ -35,6 +35,33 @@ def test_graph_rejects_malformed_adjacency():
         Graph([identity(3), reverse(3)], [(1, 1), (0, 0)])  # repeated neighbor
     with pytest.raises(ValueError):
         Graph([identity(3), reverse(3)], [(1, 2), (0,)])  # neighbor out of range
+
+
+def _same_graph(got, want):
+    assert got.labels == want.labels
+    assert got.neighbors == want.neighbors
+    assert got.neighbor_sets == want.neighbor_sets
+    assert [got.index_of(p) for p in want.labels] == list(range(want.num_vertices))
+
+
+CONNECTION_SETS = {
+    **{f"T_{n}": (n, lambda n=n: tn_realizations(n)) for n in range(2, 7)},
+    "prop72_map(5)": (5, lambda: prop72_map(5).gens),
+    "mprime_n5_map()": (5, lambda: mprime_n5_map().gens),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONNECTION_SETS))
+def test_trusted_cayley_rows_equal_the_validated_graph(name):
+    n, gens = CONNECTION_SETS[name]
+    rows = _product_rows(n, [x.image for x in gens()])
+    _same_graph(build_cayley(n, gens()), Graph(sym_group(n), rows))
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_trusted_induced_subgraph_equals_the_validated_graph(n):
+    g = gamma_v(n)
+    _same_graph(g, Graph(g.labels, g.neighbors))
 
 
 def test_cayley_graph_is_regular_of_generator_degree():

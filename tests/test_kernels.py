@@ -1,19 +1,22 @@
 """Table-driven group kernels against the per-entry loops they replaced.
 
 Each oracle below is the earlier implementation, kept here only as the
-reference: the arithmetic toric and inverse-toric kernels, product rows,
-the plain-changes walk behind check_skew, the breadth-first closure and
-its levels, closed-walk counts from powers of A, colour refinement
-through per-vertex gathers, and the complete backtracking search that
-listed every automorphism leaf by leaf before the search for generators
-pruned by the automorphisms already found.
+reference: the arithmetic toric and inverse-toric kernels, product rows
+hashed through sym_index before they were composed from rank columns,
+the plain-changes walk behind check_skew, face tracing by rotating each
+orbit to its least dart and sorting, the breadth-first closure and
+its levels, closed-walk counts from dense powers of A before they were
+packed into one int per row, colour refinement through per-vertex
+gathers, and the complete backtracking search that listed every
+automorphism leaf by leaf before the search for generators pruned by the
+automorphisms already found.
 """
 
 import random
 from collections import Counter, deque
 from itertools import permutations
 from math import factorial
-from operator import itemgetter
+from operator import itemgetter, mul
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +41,7 @@ from btcayley.graphs import (
     gamma,
     vertex_set_V,
 )
+from btcayley.maps import CayleyMap, Dart, mprime_n5_map, octahedron_map, prop72_map
 from btcayley.perms import (
     _product_rows,
     _right_multiplier,
@@ -121,6 +125,62 @@ def _oracle_check_skew(elements, psi):
             return None
         pi_power.append(valid[0])
     return psi, len(powers), tuple(pi_power)
+
+
+def _oracle_product_rows(n, images):
+    """One itemgetter per generator, each product hashed through sym_index."""
+    index = sym_index(n)
+    rank = index.__getitem__
+    return zip(*[map(rank, map(_right_multiplier(x), index)) for x in images])
+
+
+def _oracle_dense_closed_walks(neighbors, kmax=6):
+    """diag(A^(a+b)) = <A^a e_v, A^b e_v> from dense rows of A^1..A^ceil(kmax/2)."""
+    nv = len(neighbors)
+    rows = []
+    for ns in neighbors:
+        row = [0] * nv
+        for u in ns:
+            row[u] = 1
+        rows.append(tuple(row))
+    powers = [rows]
+    for _ in range((kmax + 1) // 2 - 1):
+        rows = [
+            tuple(map(sum, zip(*[rows[u] for u in ns]))) if ns else (0,) * nv
+            for ns in neighbors
+        ]
+        powers.append(rows)
+    return [
+        tuple(
+            sum(map(mul, powers[(k + 1) // 2 - 1][v], powers[k // 2 - 1][v]))
+            for k in range(2, kmax + 1)
+        )
+        for v in range(nv)
+    ]
+
+
+def _oracle_faces(m):
+    """Orbits of R o T on Dart objects, each rotated to its least dart, sorted."""
+    rank = {p: i for i, p in enumerate(m.elements)}
+    slot = {x: i for i, x in enumerate(m.gens)}
+
+    def key(d):
+        return rank[d.tail], slot[d.gen]
+
+    seen = set()
+    out = []
+    for p in m.elements:
+        for x in m.gens:
+            d = Dart(p, x)
+            orbit = []
+            while d not in seen:
+                seen.add(d)
+                orbit.append(d)
+                d = m.rotation(m.reverse(d))
+            if orbit:
+                pivot = orbit.index(min(orbit, key=key))
+                out.append(tuple(orbit[pivot:] + orbit[:pivot]))
+    return sorted(out, key=lambda f: key(f[0]))
 
 
 def _oracle_closed_walks(neighbors, kmax):
@@ -293,6 +353,38 @@ def test_product_rows_are_the_ranks_of_the_products(n):
     assert list(_product_rows(n, gens)) == want
 
 
+# prop4.4 multiplies by every element of Sym_n, the identity included.
+@pytest.mark.parametrize(
+    "n, group", [(n, "T_n") for n in range(2, 8)] + [(n, "Sym_n") for n in range(1, 5)]
+)
+def test_composed_columns_match_the_hashed_rows(n, group):
+    if group == "T_n":
+        images = [p.image for p in tn_realizations(n)]
+    else:
+        images = list(sym_index(n))
+    assert list(_product_rows(n, images)) == list(_oracle_product_rows(n, images))
+
+
+@st.composite
+def _inverse_closed_sets(draw):
+    """A degree and an inverse-closed, identity-free, duplicate-free set of images."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    drawn = draw(st.lists(st.permutations(range(1, n + 1)), max_size=8))
+    images = []
+    for a in map(tuple, drawn):
+        for b in (a, invert_image(a)):
+            if b != tuple(range(1, n + 1)) and b not in images:
+                images.append(b)
+    return n, images
+
+
+@settings(max_examples=80, deadline=None)
+@given(_inverse_closed_sets())
+def test_composed_columns_match_the_hashed_rows_on_random_sets(case):
+    n, images = case
+    assert list(_product_rows(n, images)) == list(_oracle_product_rows(n, images))
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_gamma_products_give_the_pairwise_neighbours(n):
     g = gamma(n)
@@ -311,6 +403,28 @@ def test_plain_changes_visit_every_element_once_by_adjacent_swaps(n):
         cur[i], cur[i + 1] = cur[i + 1], cur[i]
         seen.add(tuple(cur))
     assert len(seen) == factorial(n)
+
+
+# ---------------------------------------------------------------------------
+# Faces.
+
+
+def _reordered_octahedron():
+    gens = octahedron_map().gens
+    return CayleyMap(3, (gens[1], gens[0], gens[2], gens[3]))
+
+
+FACE_MAPS = {
+    **{f"prop72_map({n})": (lambda n=n: prop72_map(n)) for n in range(3, 8)},
+    "mprime_n5_map()": mprime_n5_map,
+    "reordered octahedron": _reordered_octahedron,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACE_MAPS))
+def test_faces_from_the_successor_list_match_the_sorted_orbits(name):
+    m = FACE_MAPS[name]()
+    assert [f.darts for f in m.faces()] == _oracle_faces(m)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +496,41 @@ def _graphs(draw, max_vertices=12):
 @given(_graphs(), st.integers(min_value=1, max_value=7))
 def test_closed_walk_counts_match_the_per_vertex_walk(neighbors, kmax):
     assert closed_walk_counts(neighbors, kmax) == _oracle_closed_walks(neighbors, kmax)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graphs(max_vertices=20), st.integers(min_value=1, max_value=8))
+def test_packed_walk_counts_match_the_dense_powers(neighbors, kmax):
+    assert closed_walk_counts(neighbors, kmax) == _oracle_dense_closed_walks(neighbors, kmax)
+
+
+def _complete(nv):
+    return [tuple(u for u in range(nv) if u != v) for v in range(nv)]
+
+
+# K_16 has degree 15 = 2^4 - 1, the largest entry a field of 4 bits per
+# step holds; K_17 has degree 16, the first that needs 5.
+WALK_EDGE_CASES = {
+    "empty": [],
+    "one vertex": [()],
+    "edgeless": [()] * 5,
+    "K2": _complete(2),
+    "K16": _complete(16),
+    "K17": _complete(17),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_EDGE_CASES))
+@pytest.mark.parametrize("kmax", [1, 2, 6, 9])
+def test_packed_walk_counts_on_edge_cases(name, kmax):
+    neighbors = WALK_EDGE_CASES[name]
+    got = closed_walk_counts(neighbors, kmax)
+    assert got == _oracle_dense_closed_walks(neighbors, kmax)
+    nv = len(neighbors)
+    if nv > 1 and name.startswith("K"):
+        # Closed k-walks at a vertex of K_m: ((m-1)^k + (m-1)(-1)^k) / m.
+        want = tuple(((nv - 1) ** k + (nv - 1) * (-1) ** k) // nv for k in range(2, kmax + 1))
+        assert got == [want] * nv
 
 
 @st.composite
