@@ -4,9 +4,10 @@ Vertex maps are stored as image tuples over a graph's vertex ranks.  The
 full automorphism group of a small graph is listed from generators: a
 partition-refinement search pruned by the automorphisms it has already
 found (graphs.automorphism_generators, whose docstring holds the proof
-that they generate the whole group) yields them, and perms.closure lists
-every product of them.  The search starts from raw vertex signatures,
-which the one refinement engine of graphs ranks in its first round.  The
+that they generate the whole group) yields them, and perms.group_elements
+lists the group they generate, coset by coset.  The search starts from
+raw vertex signatures, which the one refinement engine of graphs ranks
+in its first round.  The
 stabilizer of the identity vertex in the full Cayley graph is found the
 same way after pinning that vertex and coloring by distance layers, which
 is exactly the constraint an identity-fixing automorphism must respect.
@@ -35,6 +36,7 @@ from .perms import (
     _wrap,
     closure,
     compose_maps,
+    group_elements,
     identity,
     layers,
     sym_index,
@@ -97,13 +99,12 @@ def is_automorphism(g: Graph, m: VertexMap) -> bool:
 def _automorphisms(nbrs, sigs, budget) -> list[tuple[int, ...]]:
     """Image tuples of the automorphisms keeping the vertex signatures, sorted.
 
-    The group is listed from the identity map under right composition by
-    the generators automorphism_generators finds; closure reads the budget
-    at every level.
+    group_elements lists the group the generators automorphism_generators
+    finds, one right coset at a time; it reads the budget once per coset.
     """
     gens = automorphism_generators(nbrs, sigs, budget)
-    steps = [partial(compose_maps, b=m) for m in gens]
-    return sorted(closure([tuple(range(len(nbrs)))], steps, budget=budget))
+    right = partial(_right_multiplier, base=0)
+    return sorted(group_elements(tuple(range(len(nbrs))), gens, right, budget=budget))
 
 
 MAX_AUT_VERTICES = 5000
@@ -113,7 +114,8 @@ def aut_group(g: Graph, budget=NO_BUDGET) -> list[VertexMap]:
     """Every automorphism of g, sorted by image tuple.
 
     Initial colors combine degree with incidence to maximal 2-cliques; the
-    pruned generator search and the closure of its generators do the rest.
+    pruned generator search and the listing of the group its generators
+    generate do the rest.
     Graphs beyond MAX_AUT_VERTICES are refused — use stabilizer_of_identity
     for the big Cayley graphs.
     """
@@ -137,8 +139,8 @@ def stabilizer_of_identity(n: int, budget=NO_BUDGET) -> list[VertexMap]:
 
     Pins the identity vertex and colors everything by its distance layer.
     The automorphisms keeping those colors are exactly the identity-fixing
-    ones; the pruned generator search finds generators of them, and their
-    closure lists them, sorted by image tuple.
+    ones; the pruned generator search finds generators of them, and
+    group_elements lists the group they generate, sorted by image tuple.
     """
     if n > 5:
         raise ValueError(f"degree {n} beyond the exhaustive-search range (max 5)")
@@ -160,11 +162,14 @@ def stabilizer_of_identity(n: int, budget=NO_BUDGET) -> list[VertexMap]:
     return maps
 
 
-def generated_subgroup(generators, limit: int = 3_628_800) -> frozenset[Permutation]:
-    """Closure of the generators under composition (breadth-first).
+def generated_subgroup(
+    generators, limit: int = 3_628_800, budget=NO_BUDGET
+) -> frozenset[Permutation]:
+    """The subgroup the generators generate, listed by right cosets.
 
-    Materializes the subgroup, so the size cap (10! by default) is a hard
-    error, not a truncation.
+    perms.group_elements forms each element once, reading the budget once
+    per coset.  It materializes the subgroup, so the size cap (10! by
+    default) is a hard error, not a truncation.
     """
     gens = [p for p in generators]
     if not gens:
@@ -173,8 +178,8 @@ def generated_subgroup(generators, limit: int = 3_628_800) -> frozenset[Permutat
     if any(p.n != n for p in gens):
         raise ValueError("generators of mixed degree")
     ident = tuple(range(1, n + 1))
-    steps = [_right_multiplier(p.image) for p in gens]
-    return frozenset(map(_wrap, closure([ident], steps, limit)))
+    images = [p.image for p in gens]
+    return frozenset(map(_wrap, group_elements(ident, images, _right_multiplier, limit, budget)))
 
 
 def orbit_images(dihedral_gens, seed: tuple[int, ...]) -> set[tuple[int, ...]]:

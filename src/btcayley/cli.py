@@ -255,10 +255,10 @@ def cmd_export(args, out) -> int:
         m = prop72_map(args.n)
         if args.format == "dot":
             raise UsageError("map-faces has no dot form; use edges or json")
-        faces = m.faces()
         if args.format == "edges":
             out.write(face_lines(m))
             return EXIT_OK
+        faces = m.faces()
         _print_json(
             {
                 "n": args.n,

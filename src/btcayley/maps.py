@@ -98,21 +98,20 @@ class CayleyMap:
     def reverse(self, d: Dart) -> Dart:
         return Dart(d.head, d.gen.inverse())
 
-    def faces(self) -> list[Face]:
-        """All faces, each starting at its least (tail, gen) rank, in that order.
+    def _face_orbits(self) -> list[list[int]]:
+        """The faces as dart numbers, each from its least dart, in that order.
 
         Dart (vi, gi) is number vi * m + gi, so number order is (tail, gen)
-        rank order.  R o T reverses the dart, then rotates: (vi, gi) goes to
-        (vmul[vi][gi], ginv[gi] + 1 mod m), kept as one flat successor list.
-        The orbits are traced from each dart not yet visited in ascending
-        order, so each face starts at its least dart and the faces come
-        sorted by their first darts.  Every dart lies on one face, so each
-        Dart is built once, in number order, and the faces pick theirs.
+        rank order and the tail's rank is the number // m.  R o T reverses
+        the dart, then rotates: (vi, gi) goes to (vmul[vi][gi],
+        ginv[gi] + 1 mod m), kept as one flat successor list.  The orbits
+        are traced from each dart not yet visited in ascending order, so
+        each face starts at its least dart and the faces come sorted by
+        their first darts.
         """
         m = len(self.gens)
         turn = [(self._ginv[gi] + 1) % m for gi in range(m)]
         succ = [w * m + turn[gi] for row in self._vmul for gi, w in enumerate(row)]
-        darts = [Dart(p, x) for p in self.elements for x in self.gens]
         visited = bytearray(len(succ))
         out = []
         for start in range(len(succ)):
@@ -124,13 +123,22 @@ class CayleyMap:
                 visited[d] = 1
                 orbit.append(d)
                 d = succ[d]
-            out.append(Face(tuple(map(darts.__getitem__, orbit))))
+            out.append(orbit)
         return out
+
+    def faces(self) -> list[Face]:
+        """All faces, each starting at its least (tail, gen) rank, in that order.
+
+        The orbits come from _face_orbits.  Every dart lies on one face, so
+        each Dart is built once, in number order, and the faces pick theirs.
+        """
+        darts = [Dart(p, x) for p in self.elements for x in self.gens]
+        return [Face(tuple(map(darts.__getitem__, orbit))) for orbit in self._face_orbits()]
 
     def euler_characteristic(self) -> int:
         v = len(self.elements)
         e = self.dart_count // 2
-        return v - e + len(self.faces())
+        return v - e + len(self._face_orbits())
 
 
 def is_regular(m: CayleyMap, budget=NO_BUDGET) -> SkewMorphismWitness | None:
@@ -285,10 +293,10 @@ def build_map(which: str, n: int | None = None) -> CayleyMap:
 
 
 def map_report(m: CayleyMap, budget=NO_BUDGET) -> dict:
-    faces = m.faces()
+    faces = m._face_orbits()
     histogram: dict[int, int] = {}
     for f in faces:
-        histogram[f.size] = histogram.get(f.size, 0) + 1
+        histogram[len(f)] = histogram.get(len(f), 0) + 1
     witness = is_regular(m, budget)
     report = {
         "n": m.n,
@@ -306,8 +314,11 @@ def map_report(m: CayleyMap, budget=NO_BUDGET) -> dict:
 
 
 def face_lines(m: CayleyMap) -> str:
-    """One face per line: the cyclic vertex-rank walk."""
-    lines = []
-    for f in m.faces():
-        lines.append(" ".join(str(m._eidx[p.image]) for p in f.vertex_walk()))
+    """One face per line: the cyclic vertex-rank walk.
+
+    The tail of dart number d has rank d // valency, so the ranks come
+    straight from the dart numbers.
+    """
+    k = m.valency
+    lines = [" ".join(str(d // k) for d in f) for f in m._face_orbits()]
     return "\n".join(lines) + "\n"

@@ -188,9 +188,13 @@ def sym_index(n: int) -> dict[tuple[int, ...], int]:
     return {p.image: i for i, p in enumerate(sym_group(n))}
 
 
-def _right_multiplier(b: tuple[int, ...]):
-    """C-level callable a -> image tuple of a o b, for images of b's degree."""
-    return itemgetter(*(v - 1 for v in b)) if len(b) > 1 else tuple
+def _right_multiplier(b: tuple[int, ...], base: int = 1):
+    """C-level callable a -> a o b, for tuples of b's length.
+
+    b and a are 1-based one-line images by default, 0-based maps with
+    base=0.  At length 1, a o b = a, and tuple returns a itself.
+    """
+    return itemgetter(*(v - base for v in b)) if len(b) > 1 else tuple
 
 
 def _product_rows(n: int, images):
@@ -277,17 +281,67 @@ def layers(seed, steps, budget=NO_BUDGET, seen: set | None = None):
         seen |= frontier
 
 
-def closure(seed, steps, limit: int | None = None, budget=NO_BUDGET) -> set:
-    """Everything reachable from the seed items under the step maps.
-
-    The levels come from layers; more than limit items raise ValueError
-    (a hard cap, not a truncation).
-    """
+def closure(seed, steps, budget=NO_BUDGET) -> set:
+    """Everything reachable from the seed items under the step maps (via layers)."""
     seen: set = set()
     for _ in layers(seed, steps, budget, seen):
-        if limit is not None and len(seen) > limit:
-            raise ValueError(f"closure exceeds the cap of {limit} elements")
+        pass
     return seen
+
+
+def group_elements(ident, gens, right, limit: int | None = None, budget=NO_BUDGET) -> list:
+    """Every element of the group the generators generate, each formed once.
+
+    Dimino's algorithm (Butler, Fundamental Algorithms for Permutation
+    Groups, LNCS 559, 1991) over right cosets.  ident is the identity
+    element and right(b) a callable a -> a o b.  The list holds
+    H = <g_1..g_(i-1)>; a generator g_i already in it is skipped.
+    Otherwise reps starts as [ident], and for each rep c (reps grows as
+    it is read) and each s in g_1..g_i with c o s not yet seen, the
+    whole coset H o (c o s) is appended, formed by one C-level map over
+    H, and c o s joins reps.  The set S listed is then the group:
+      - S is a union of blocks H o c over c in reps.  If c o s lies in S,
+        say c o s = h' o c', then (h o c) o s = (h o h') o c' is in S
+        too; if not, the block of c o s is appended.  So S is closed
+        under right multiplication by every generator, and it contains
+        ident.  In a finite group each inverse is a positive power, so
+        every element of <g_1..g_i> is ident times a word in the
+        generators, and S holds exactly those: S = <g_1..g_i>.
+      - Right cosets of H are equal or disjoint, and a new c o s is
+        outside S, which is a union of right cosets of H, so no element
+        is appended twice.
+    That is one composition per element plus one membership test per
+    (rep, generator) pair.  More than limit elements raise ValueError
+    (a hard cap, not a truncation): the size is checked after each
+    coset, and only grows to |G|, so it raises iff |G| > limit.  The
+    budget is read once per new coset.
+    """
+    elements = [ident]
+    seen = {ident}
+
+    def check():
+        if limit is not None and len(elements) > limit:
+            raise ValueError(f"group exceeds the cap of {limit} elements")
+
+    check()
+    steps = []
+    for g in gens:
+        if g in seen:
+            continue
+        steps.append(right(g))
+        block = elements[:]
+        reps = [ident]
+        for c in reps:
+            for step in steps:
+                y = step(c)
+                if y not in seen:
+                    budget.check()
+                    coset = list(map(right(y), block))
+                    elements += coset
+                    seen.update(coset)
+                    reps.append(y)
+                    check()
+    return elements
 
 
 def parse_permutation(text: str) -> Permutation:

@@ -1328,7 +1328,7 @@ def _run_toric_reverse_aut(n, budget):
 def _run_lemma63(n, budget):
     budget.check()
     gens = [make_bt(c) for c in vertex_set_V(n)]
-    sub = generated_subgroup(gens)
+    sub = generated_subgroup(gens, budget=budget)
     if n % 2 == 0:
         _need(
             all(p.is_even() for p in gens),
@@ -1349,7 +1349,7 @@ def _run_lemma64(n, budget):
     gens = [make_bt(c) for c in vertex_set_V(n)]
     gen_set = set(gens)
     _need(all(p.inverse() in gen_set for p in gens), "connection set is not symmetric")
-    sub = generated_subgroup(gens)
+    sub = generated_subgroup(gens, budget=budget)
 
     # Component of the identity, traced by left multiplication q o p: a
     # second route beside generated_subgroup's right products.

@@ -18,6 +18,7 @@ from btcayley.budget import Budget, BudgetExceeded
 from btcayley.graphs import Graph, build_cayley, gamma, vertex_set_V
 from btcayley.perms import identity, sym_group
 from btcayley.toric import apply_dihedral, dihedral_elements
+from btcayley.verify import clear_cache, run_claim
 
 
 def test_vertex_map_algebra():
@@ -172,6 +173,32 @@ def test_subgroup_generated_by_the_special_vertices(n, order):
 def test_generated_subgroup_respects_the_limit():
     with pytest.raises(ValueError):
         generated_subgroup(tn_realizations(5), limit=10)
+
+
+def test_generated_subgroup_honours_a_budget_spent_at_any_read():
+    gens = [make_bt(c) for c in vertex_set_V(6)]
+    with pytest.raises(BudgetExceeded):
+        generated_subgroup(gens, budget=Budget(0))
+    full = _CountedBudget()
+    assert len(generated_subgroup(gens, budget=full)) == 360
+    assert full.reads > 1  # one read per coset
+    for k in range(1, full.reads + 1):
+        with pytest.raises(BudgetExceeded):
+            generated_subgroup(gens, budget=_CountedBudget(k))
+
+
+@pytest.mark.parametrize("key", ["lemma6.3", "lemma6.4"])
+def test_subgroup_claims_report_a_budget_spent_at_any_read(key):
+    clear_cache()
+    full = _CountedBudget()
+    assert run_claim(key, 6, full).status == "verified"
+    # Besides run_claim's own read, the listing reads it once per coset.
+    assert full.reads > 3
+    for k in range(1, full.reads + 1):
+        clear_cache()
+        report = run_claim(key, 6, _CountedBudget(k))
+        assert report.status == "skipped-budget"
+    clear_cache()
 
 
 def test_orbit_of_the_dihedral_action():

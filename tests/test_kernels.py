@@ -5,21 +5,24 @@ reference: the arithmetic toric and inverse-toric kernels, product rows
 hashed through sym_index before they were composed from rank columns,
 the plain-changes walk behind check_skew, face tracing by rotating each
 orbit to its least dart and sorting, the breadth-first closure and
-its levels, closed-walk counts from dense powers of A before they were
+its levels, the breadth-first listing of a generated group before it was
+listed by cosets, closed-walk counts from dense powers of A before they were
 packed into one int per row, colour refinement through per-vertex
 gathers, and the complete backtracking search that listed every
 automorphism leaf by leaf before the search for generators pruned by the
 automorphisms already found.
 """
 
+import hashlib
 import random
 from collections import Counter, deque
+from functools import partial
 from itertools import permutations
 from math import factorial
 from operator import itemgetter, mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from btcayley.autgroup import (
@@ -36,17 +39,26 @@ from btcayley.graphs import (
     _neighbor_gathers,
     _refine,
     _union_gathers,
+    automorphism_generators,
     build_cayley,
     closed_walk_counts,
     gamma,
     vertex_set_V,
 )
-from btcayley.maps import CayleyMap, Dart, mprime_n5_map, octahedron_map, prop72_map
+from btcayley.maps import (
+    CayleyMap,
+    Dart,
+    face_lines,
+    map_report,
+    mprime_n5_map,
+    octahedron_map,
+    prop72_map,
+)
 from btcayley.perms import (
     _product_rows,
     _right_multiplier,
-    closure,
     compose_images,
+    group_elements,
     identity,
     invert_image,
     layers,
@@ -427,6 +439,39 @@ def test_faces_from_the_successor_list_match_the_sorted_orbits(name):
     assert [f.darts for f in m.faces()] == _oracle_faces(m)
 
 
+# SHA-256 of face_lines when it read each Dart tail back through sym_index.
+FACE_LINE_DIGESTS = {
+    "prop72_map(3)": "b1cddd01f0831bea7aa0ee9aab930483c42fa11cec31441165bfee2739263af7",
+    "prop72_map(4)": "dae9b3744aacd3b6511d31d45efaac29d4af4bb0106db2a7d71e19e89f8d3c48",
+    "prop72_map(5)": "c578d248e93b3e161fd1fa2d0b54fca5d53c73466796e2d51d37e73bb5c4196a",
+    "prop72_map(6)": "0978fba838098610c46ab6a06351442104e989625963e3a5899dc610bf77cb41",
+    "prop72_map(7)": "cdbdfb8b830cc94e34bced7f862c1cecb5e678a4a4afd8d14b087156905de837",
+    "mprime_n5_map()": "cfbbfdff61cf9d0893068e7ba6890fb6d214a3b5d50951a9e1b4c0b9dcfa09f4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACE_LINE_DIGESTS))
+def test_face_lines_from_dart_numbers_keep_their_bytes(name):
+    m = FACE_MAPS[name]()
+    text = face_lines(m)
+    assert hashlib.sha256(text.encode()).hexdigest() == FACE_LINE_DIGESTS[name]
+    faces = m.faces()
+    walks = [" ".join(str(m._eidx[p.image]) for p in f.vertex_walk()) for f in faces]
+    assert text == "\n".join(walks) + "\n"
+    assert m.euler_characteristic() == len(m.elements) - m.dart_count // 2 + len(faces)
+
+
+@pytest.mark.parametrize("name", ["prop72_map(3)", "prop72_map(5)", "mprime_n5_map()"])
+def test_map_report_counts_the_traced_faces(name):
+    m = FACE_MAPS[name]()
+    faces = m.faces()
+    report = map_report(m)
+    assert report["face_count"] == len(faces)
+    sizes = Counter(f.size for f in faces)
+    assert report["face_size_histogram"] == {str(k): v for k, v in sorted(sizes.items())}
+    assert report["euler_characteristic"] == m.euler_characteristic()
+
+
 # ---------------------------------------------------------------------------
 # check_skew.
 
@@ -666,14 +711,87 @@ def test_closure_matches_the_subgroup_loop(n):
     assert {p.image for p in generated_subgroup(gens)} == want
 
 
-def test_closure_honours_the_limit():
-    step = lambda k: (k + 1) % 10  # noqa: E731
-    assert closure([0], [step], limit=10) == set(range(10))
+def test_group_elements_honours_the_limit():
+    # Z_10 written additively: 10 elements pass a limit of 10, not of 9.
+    def right(b):
+        return lambda a: (a + b) % 10
+
+    assert sorted(group_elements(0, [1], right, limit=10)) == list(range(10))
     with pytest.raises(ValueError):
-        closure([0], [step], limit=9)
+        group_elements(0, [1], right, limit=9)
     with pytest.raises(ValueError):
         generated_subgroup(tn_realizations(4), limit=23)
     assert len(generated_subgroup(tn_realizations(4), limit=24)) == 24
+
+
+def _check_coset_listing(ident, gens, right, want):
+    """group_elements against the breadth-first set, at and just under |G|."""
+    got = group_elements(ident, gens, right)
+    assert got[0] == ident
+    assert len(got) == len(set(got))  # each element formed once
+    assert set(got) == want
+    assert len(group_elements(ident, gens, right, limit=len(want))) == len(want)
+    with pytest.raises(ValueError):
+        group_elements(ident, gens, right, limit=len(want) - 1)
+
+
+@st.composite
+def _generator_lists(draw):
+    """Generator images in Sym_n, n = 1..6, with the cases Dimino skips."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    ident = tuple(range(1, n + 1))
+    perm = st.permutations(ident).map(tuple)
+    gens = draw(st.lists(perm, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), ident)
+    if draw(st.booleans()):
+        gens.append(draw(st.sampled_from(gens)))  # a repeat
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        gens.append(compose_images(a, b))  # already in the group so far
+    return ident, gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(_generator_lists())
+def test_coset_listing_matches_the_breadth_first_subgroup(case):
+    ident, gens = case
+    _check_coset_listing(ident, gens, _right_multiplier, _oracle_subgroup(gens))
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [[(1,)], [(1, 2)], [(2, 1)], [(2, 3, 1)], [(2, 1, 3), (2, 1, 3)], [(1, 2, 3), (2, 3, 1), (3, 1, 2)]],
+    ids=["n1", "identity", "swap", "3-cycle", "repeat", "identity-then-powers"],
+)
+def test_coset_listing_of_small_generator_lists(gens):
+    # At n = 1, _right_multiplier returns tuple itself.
+    ident = tuple(range(1, len(gens[0]) + 1))
+    _check_coset_listing(ident, gens, _right_multiplier, _oracle_subgroup(gens))
+
+
+def _shifted_oracle(nv, gens):
+    """The breadth-first group of 0-based maps, through their 1-based images."""
+    ident = tuple(range(1, nv + 1))  # keeps the list non-empty
+    one_based = [ident] + [tuple(v + 1 for v in g) for g in gens]
+    return {tuple(v - 1 for v in x) for x in _oracle_subgroup(one_based)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coloured_pairs(max_vertices=7))
+def test_coset_listing_of_vertex_maps_matches_the_breadth_first_group(pair):
+    nbrs, _, colors, _ = pair
+    assume(nbrs)  # the empty graph has no identity tuple to compose
+    gens = automorphism_generators(nbrs, colors, NO_BUDGET)
+    right = partial(_right_multiplier, base=0)
+    nv = len(nbrs)
+    _check_coset_listing(tuple(range(nv)), gens, right, _shifted_oracle(nv, gens))
+
+
+def test_coset_listing_on_one_vertex():
+    right = partial(_right_multiplier, base=0)
+    assert group_elements((0,), [(0,)], right) == [(0,)]
+    assert _automorphisms([()], [0], NO_BUDGET) == [(0,)]
 
 
 def test_layers_are_the_distance_layers_of_a_queue_bfs():
