@@ -171,6 +171,11 @@ def generated_subgroup(
     per coset.  It materializes the subgroup, so the size cap (10! by
     default) is a hard error, not a truncation.
     """
+    return frozenset(map(_wrap, _subgroup_images(generators, limit, budget)))
+
+
+def _subgroup_images(generators, limit: int = 3_628_800, budget=NO_BUDGET) -> list:
+    """Image tuples of generated_subgroup, each listed once, as group_elements lists them."""
     gens = [p for p in generators]
     if not gens:
         raise ValueError("no generators")
@@ -179,7 +184,7 @@ def generated_subgroup(
         raise ValueError("generators of mixed degree")
     ident = tuple(range(1, n + 1))
     images = [p.image for p in gens]
-    return frozenset(map(_wrap, group_elements(ident, images, _right_multiplier, limit, budget)))
+    return group_elements(ident, images, _right_multiplier, limit, budget)
 
 
 def orbit_images(dihedral_gens, seed: tuple[int, ...]) -> set[tuple[int, ...]]:

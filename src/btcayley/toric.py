@@ -30,6 +30,7 @@ from .perms import (
     _restrict,
     _wrap,
     alpha_power,
+    compose_images,
     compose_maps,
     lift,
     plain_changes,
@@ -82,15 +83,9 @@ def toric_f(p: Permutation, r: int) -> Permutation:
 
 def toric_f_conj(p: Permutation, r: int) -> Permutation:
     """Toric shift of p by r, computed by conjugating the lift with rotations."""
-    return _toric_conj(lift(p), r)
-
-
-def _toric_conj(lp: tuple[int, ...], r: int) -> Permutation:
-    """toric_f_conj from the lift lp = [0 p], which a sweep over r builds once."""
-    n = len(lp) - 1
-    m = n + 1
-    e = compose_maps(compose_maps(alpha_power(n, m - lp[r % m]), lp), alpha_power(n, r))
-    return _restrict(e)
+    lp = lift(p)
+    left = alpha_power(p.n, -lp[r % (p.n + 1)])
+    return _restrict(compose_maps(compose_maps(left, lp), alpha_power(p.n, r)))
 
 
 def reverse_g(p: Permutation) -> Permutation:
@@ -111,15 +106,9 @@ def bar_f(p: Permutation, r: int) -> Permutation:
 
 def bar_f_conj(p: Permutation, r: int) -> Permutation:
     """bar_f_r via rotations: [0 rho] = alpha^{n+1-r} o [0 p] o alpha^{(p^-1)_r}."""
-    return _bar_conj(lift(p), lift(p.inverse()), r)
-
-
-def _bar_conj(lp: tuple[int, ...], lq: tuple[int, ...], r: int) -> Permutation:
-    """bar_f_conj from the lifts lp = [0 p] and lq = [0 p^-1], built once per p."""
-    n = len(lp) - 1
-    m = n + 1
-    e = compose_maps(compose_maps(alpha_power(n, m - r % m), lp), alpha_power(n, lq[r % m]))
-    return _restrict(e)
+    n = p.n
+    right = alpha_power(n, lift(p.inverse())[r % (n + 1)])
+    return _restrict(compose_maps(compose_maps(alpha_power(n, -r), lift(p)), right))
 
 
 def bt_image_closed_form(c: CutPoints, which: str) -> CutPoints:
@@ -244,13 +233,14 @@ def compose_lh_barf(
 ) -> tuple[Permutation, int]:
     """Normal form of (L_h o bar_f_r) o (L_k o bar_f_u).
 
-    Equals L_d o bar_f_e with d = h o bar_f_r(k) and e = u + (k^-1)_r.
+    Equals L_d o bar_f_e with d = h o bar_f_r(k) and e = u + (k^-1)_r,
+    where (k^-1)_r is the position of r in the lift [0 k].
     """
     if h.n != k.n:
         raise ValueError(f"degree mismatch: {h.n} vs {k.n}")
     m = h.n + 1
-    e = (u + lift(k.inverse())[r % m]) % m
-    return h.compose(bar_f(k, r)), e
+    e = (u + lift(k).index(r % m)) % m
+    return _wrap(compose_images(h.image, bar_f_image(k.image, r))), e
 
 
 def apply_lh_barf(h: Permutation, r: int, p: Permutation) -> Permutation:

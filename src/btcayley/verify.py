@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, permutations, repeat
 from math import factorial, gcd
-from operator import getitem, itemgetter
+from operator import add, getitem, itemgetter, mul
 from typing import Callable
 
 from .autgroup import (
+    VertexMap,
+    _subgroup_images,
     aut_group,
-    generated_subgroup,
     is_automorphism,
     orbit,
     perm_vertex_map,
@@ -66,6 +67,7 @@ from .perms import (
     _product_rows,
     _right_multiplier,
     _wrap,
+    alpha_power,
     closure,
     compose_images,
     compose_maps,
@@ -78,8 +80,6 @@ from .perms import (
     sym_index,
 )
 from .toric import (
-    _bar_conj,
-    _toric_conj,
     apply_dihedral,
     bar_f,
     bar_f_image,
@@ -88,6 +88,7 @@ from .toric import (
     compose_lh_barf,
     dihedral_compose,
     dihedral_elements,
+    dihedral_image,
     euler_phi,
     phi_iso,
     reverse_g,
@@ -343,22 +344,68 @@ def _agree(lhs, rhs, images, message: str, key: str = "p", **context):
         _fail(message, **{key: _wrap(images[i])}, **context)
 
 
-def _first_route_fault(grp, tables, images, route_of, budget):
-    """First (r, p), shift-major, where a conjugation route misses table r.
+def _lift_columns(images) -> list[tuple[int, ...]]:
+    """Column x holds entry x of the lift [0 a] of every image a, in image order."""
+    return [(0,) * len(images)] + list(zip(*images))
 
-    route_of(p) does the work that depends on p alone once and returns the
-    route r -> Permutation; the answer is the pair a sweep over r outside
-    and p inside would meet first, or None when the route agrees everywhere.
+
+def _toric_route(points, r):
+    """Columns of the routes [0 f_r(p)] = alpha^(m-p_r) o [0 p] o alpha^r, by rank.
+
+    points are the _lift_columns of sym_index order, so points[x][i] is
+    entry x of [0 p] for the p of rank i.  Entry x of [0 p] o alpha^r is
+    [0 p](x + r): the right factor makes column (x + r) % m of points
+    column x.  The left factor is one of the m rotations per element,
+    picked by p_r = points[r][i], and acts on each entry: every column is
+    one C-level map(getitem, lefts, column).  The rotations come from
+    alpha_power, so the route never calls the kernel it is checked against.
     """
-    fault = None
-    for i, p in enumerate(grp):
-        budget.check()
-        route = route_of(p)
-        for r in range(len(tables) if fault is None else fault[0]):
-            if route(r).image != images[tables[r][i]]:
-                fault = (r, p)
-                break
-    return fault
+    m = len(points)
+    rotations = [alpha_power(m - 1, m - c) for c in range(m)]
+    lefts = list(map(rotations.__getitem__, points[r]))
+    return (tuple(map(getitem, lefts, points[(x + r) % m])) for x in range(m))
+
+
+def _bar_route(points, inv, r):
+    """Columns of the routes [0 bar_f_r(p)] = alpha^(m-r) o [0 p] o alpha^s, by rank.
+
+    Here s = (p^-1)_r, entry r of the lift of p^-1: points[r][inv[i]] for
+    the p of rank i (inv is the rank table of inversion).  Entry x of
+    [0 p] o alpha^s is [0 p]((x + s) % m).  Laid end to end from column x
+    on, the lift columns hold that entry at offset s * n! + i, so one
+    C-level itemgetter, built once per r, reads column x of the right
+    product for every element.  The left factor is one fixed rotation and
+    acts on each column with one compose_maps.
+    """
+    m = len(points)
+    size = len(inv)
+    left = alpha_power(m - 1, m - r)
+    shifts = compose_maps(points[r], inv)
+    pick = itemgetter(*map(add, map(mul, shifts, repeat(size)), range(size)))
+    for x in range(m):
+        laid = []
+        for column in points[x:] + points[:x]:
+            laid += column
+        yield compose_maps(left, pick(laid))
+
+
+def _check_route(columns, points, images, table, r):
+    """Fail at the first element, by rank, whose routed map is not its table image.
+
+    columns yields column x = 0..n of the routed maps of every element (see
+    _toric_route).  The table image of the element of rank i is
+    images[table[i]], whose lift has entry x points[x][table[i]], so the
+    column it must match is points[x] o table.  Column 0 of that is all
+    zeros: a routed map that does not fix 0 misses it there.
+    """
+    want = itemgetter(*table)
+    first = len(table)
+    for col, point in zip(columns, points):
+        expect = want(point)
+        if col != expect:
+            first = min(first, next(i for i, (u, v) in enumerate(zip(col, expect)) if u != v))
+    if first < len(table):
+        _fail("defining forms disagree", p=_wrap(images[first]), r=r)
 
 
 def _induced_dihedral_images(g, n: int) -> dict[tuple[int, ...], str]:
@@ -441,25 +488,20 @@ def _run_eq9(n, budget):
     f_r of the element of rank i.  sym_index is a bijection from Sym_n onto
     range(n!), so a composed table equals another exactly when the two
     composed maps agree at every element, and each comparison still covers
-    every element.  The conjugation route toric_f_conj composes the lift
-    [0 p] with rotations as 0-based tuples and never calls the kernel it
-    is checked against.
+    every element.  The conjugation form [0 f_r(p)] = alpha^(m-p_r) o [0 p]
+    o alpha^r is checked column by column (_toric_route): it composes the
+    lifts with rotations and never calls the kernel it is checked against.
     """
     m = n + 1
-    grp = sym_group(n)
     images = list(sym_index(n))
     tor = [_table(n, budget, toric_image, r) for r in range(m)]
     inv = _table(n, budget, invert_image)
     _agree(tor[0], tuple(range(len(images))), images, "zeroth toric map moved a point")
-    fault = _first_route_fault(
-        grp, tor, images, lambda p: partial(_toric_conj, lift(p)), budget
-    )
     # points[r][i] is p_r for the element p of rank i, in its lift [0 p].
-    points = list(zip(*[(0,) + a for a in images]))
+    points = _lift_columns(images)
     for r, t in enumerate(tor):
         budget.check()
-        if fault is not None and fault[0] == r:
-            _fail("defining forms disagree", p=fault[1], r=r)
+        _check_route(_toric_route(points, r), points, images, t, r)
         # (f_r(p))^-1 = f_{p_r}(p^-1): the shift p_r varies with p.
         mirrored = tuple(map(getitem, map(tor.__getitem__, points[r]), inv))
         _agree(
@@ -558,25 +600,21 @@ def _run_gfg(n, budget):
 def _run_eq13(n, budget):
     """Exhaustive over every p in Sym_n and every shift r.
 
-    Three routes meet: the rotation form bar_f_conj (on 0-based tuples,
-    compared element by element), the definition (f_r(p^-1))^-1 as the rank
-    table inv o T[r] o inv, and r-fold iteration of bar_f_1 as B[1] o B[r-1]
-    by induction on r from B[0] = id.  sym_index is a bijection, so each
-    table comparison covers every element.
+    Three routes meet: the rotation form [0 bar_f_r(p)] = alpha^(m-r) o
+    [0 p] o alpha^((p^-1)_r), on lift columns (_bar_route), the definition
+    (f_r(p^-1))^-1 as the rank table inv o T[r] o inv, and r-fold iteration
+    of bar_f_1 as B[1] o B[r-1] by induction on r from B[0] = id.
+    sym_index is a bijection, so each table comparison covers every element.
     """
     m = n + 1
-    grp = sym_group(n)
     images = list(sym_index(n))
     bar = [_table(n, budget, bar_f_image, r) for r in range(m)]
     tor = [_table(n, budget, toric_image, r) for r in range(m)]
     inv = _table(n, budget, invert_image)
-    fault = _first_route_fault(
-        grp, bar, images, lambda p: partial(_bar_conj, lift(p), lift(p.inverse())), budget
-    )
+    points = _lift_columns(images)
     for r, b in enumerate(bar):
         budget.check()
-        if fault is not None and fault[0] == r:
-            _fail("defining forms disagree", p=fault[1], r=r)
+        _check_route(_bar_route(points, inv, r), points, images, b, r)
         _agree(
             compose_maps(inv, compose_maps(tor[r], inv)),
             b,
@@ -1284,20 +1322,22 @@ def _run_toric_reverse_aut(n, budget):
     identity, the maps are distinct, and the normal-form product agrees
     with composition for every pair (a, b) at every p in Sym_n.
 
-    The product law is checked on the rank tables perm_vertex_map builds:
+    The product law is checked on the vertex maps as rank tables:
     table[d][v] is the rank of d(p) for the vertex p of rank v.  The
-    vertices of the Cayley graph are all of Sym_n and ranking is a
-    bijection, so table[ab] = table[a] o table[b] holds exactly when
+    vertices of the Cayley graph are sym_group(n), ranked by sym_index, so
+    each table is one C-level pass of dihedral_image over the vertex
+    images, and table[ab] = table[a] o table[b] holds exactly when
     ab(p) = a(b(p)) for every p in Sym_n.
     """
     cay = build_cayley(n, tn_realizations(n))
     _need(cay.num_vertices == factorial(n), "vertex set is not the whole group")
     ident_rank = cay.index_of(identity(n))
+    idx = sym_index(n)
     tables = {}
     dih = dihedral_elements(n)
     for d in dih:
         budget.check()
-        vm = perm_vertex_map(cay, lambda p, d=d: apply_dihedral(d, p))
+        vm = VertexMap(cay, tuple(map(idx.__getitem__, map(dihedral_image, repeat(d), idx))))
         _need(is_automorphism(cay, vm), "induced map is not an automorphism", symmetry=d)
         _need(vm.apply(ident_rank) == ident_rank, "identity vertex moved", symmetry=d)
         tables[d] = vm.images
@@ -1328,7 +1368,7 @@ def _run_toric_reverse_aut(n, budget):
 def _run_lemma63(n, budget):
     budget.check()
     gens = [make_bt(c) for c in vertex_set_V(n)]
-    sub = generated_subgroup(gens, budget=budget)
+    sub = _subgroup_images(gens, budget=budget)
     if n % 2 == 0:
         _need(
             all(p.is_even() for p in gens),
@@ -1349,13 +1389,13 @@ def _run_lemma64(n, budget):
     gens = [make_bt(c) for c in vertex_set_V(n)]
     gen_set = set(gens)
     _need(all(p.inverse() in gen_set for p in gens), "connection set is not symmetric")
-    sub = generated_subgroup(gens, budget=budget)
+    sub = _subgroup_images(gens, budget=budget)
 
     # Component of the identity, traced by left multiplication q o p: a
-    # second route beside generated_subgroup's right products.
+    # second route beside _subgroup_images' right products.
     steps = [partial(compose_images, q.image) for q in gens]
     seen = closure([identity(n).image], steps, budget=budget)
-    _need(seen == {p.image for p in sub}, "identity component differs from the generated subgroup")
+    _need(seen == set(sub), "identity component differs from the generated subgroup")
     components = factorial(n) // len(sub)
     _need(components == (1 if n % 2 else 2), "component count wrong", count=components)
     return {"components": components, "component_size": len(sub)}

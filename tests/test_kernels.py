@@ -3,6 +3,8 @@
 Each oracle below is the earlier implementation, kept here only as the
 reference: the arithmetic toric and inverse-toric kernels, product rows
 hashed through sym_index before they were composed from rank columns,
+the per-element sweep of the toric and inverse-toric conjugation routes
+before they became column passes over the lift columns,
 the plain-changes walk behind check_skew, face tracing by rotating each
 orbit to its least dart and sorting, the breadth-first closure and
 its levels, the breadth-first listing of a generated group before it was
@@ -17,7 +19,7 @@ import hashlib
 import random
 from collections import Counter, deque
 from functools import partial
-from itertools import permutations
+from itertools import permutations, repeat
 from math import factorial
 from operator import itemgetter, mul
 
@@ -25,6 +27,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from btcayley import verify
 from btcayley.autgroup import (
     _automorphisms,
     aut_group,
@@ -67,11 +70,13 @@ from btcayley.perms import (
     sym_index,
 )
 from btcayley.toric import (
+    bar_f_conj,
     bar_f_image,
     check_skew,
     dihedral_elements,
     dihedral_image,
     reverse_image,
+    toric_f_conj,
     toric_image,
 )
 
@@ -337,6 +342,23 @@ def _oracle_subgroup(gen_imgs):
     return seen
 
 
+def _oracle_first_route_fault(grp, tables, images, route_of):
+    """First (r, p), shift-major, where a conjugation route misses table r.
+
+    route_of(p) does the work that depends on p alone once and returns the
+    route r -> Permutation; the answer is the pair a sweep over r outside
+    and p inside would meet first, or None when the route agrees everywhere.
+    """
+    fault = None
+    for i, p in enumerate(grp):
+        route = route_of(p)
+        for r in range(len(tables) if fault is None else fault[0]):
+            if route(r).image != images[tables[r][i]]:
+                fault = (r, p)
+                break
+    return fault
+
+
 # ---------------------------------------------------------------------------
 # Toric and inverse-toric kernels.
 
@@ -350,6 +372,84 @@ def test_kernels_read_the_same_differences_as_the_arithmetic_forms(n):
         for r in range(-m, 2 * m + 1):
             assert toric_image(a, r) == _oracle_toric_image(a, r), (a, r)
             assert bar_f_image(a, r) == _oracle_bar_f_image(a, r), (a, r)
+
+
+ROUTES = {"toric": (toric_image, toric_f_conj), "bar": (bar_f_image, bar_f_conj)}
+
+
+def _kernel_tables(n, kernel):
+    idx = sym_index(n)
+    return [tuple(map(idx.__getitem__, map(kernel, idx, repeat(r)))) for r in range(n + 1)]
+
+
+def _column_route_fault(n, kind, tables):
+    """The (r, p) the claim's column pass fails at, shift by shift, or None."""
+    idx = sym_index(n)
+    images = list(idx)
+    points = verify._lift_columns(images)
+    inv = tuple(map(idx.__getitem__, map(invert_image, images)))
+    for r, table in enumerate(tables):
+        if kind == "toric":
+            columns = verify._toric_route(points, r)
+        else:
+            columns = verify._bar_route(points, inv, r)
+        try:
+            verify._check_route(columns, points, images, table, r)
+        except verify.ClaimFailure as exc:
+            assert str(exc) == "defining forms disagree"
+            return exc.counterexample
+    return None
+
+
+def _oracle_route_fault(n, kind, tables):
+    fault = _oracle_first_route_fault(
+        sym_group(n), tables, list(sym_index(n)), lambda p: partial(ROUTES[kind][1], p)
+    )
+    return None if fault is None else {"p": str(fault[1]), "r": str(fault[0])}
+
+
+@pytest.mark.parametrize("kind", sorted(ROUTES))
+@pytest.mark.parametrize("n", range(3, 7))
+def test_column_routes_agree_with_the_kernels_on_all_of_sym_n(n, kind):
+    tables = _kernel_tables(n, ROUTES[kind][0])
+    assert _oracle_route_fault(n, kind, tables) is None
+    assert _column_route_fault(n, kind, tables) is None
+
+
+@st.composite
+def _route_faults(draw):
+    """A kernel wrong at one to three (p, r), each by two swapped entries of its image."""
+    n = draw(st.integers(min_value=3, max_value=6))
+    kind = draw(st.sampled_from(sorted(ROUTES)))
+    fault = st.tuples(
+        st.integers(min_value=0, max_value=factorial(n) - 1),
+        st.integers(min_value=0, max_value=n),
+        st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True),
+    )
+    faults = draw(st.lists(fault, min_size=1, max_size=3, unique_by=lambda f: f[:2]))
+    return n, kind, faults
+
+
+@settings(max_examples=80, deadline=None)
+@given(_route_faults())
+def test_column_routes_report_kernel_faults_as_the_sweep_does(case):
+    n, kind, faults = case
+    kernel = ROUTES[kind][0]
+    grp = sym_group(n)
+    swaps = {(grp[i].image, r): xy for i, r, xy in faults}
+
+    def faulty(a, s):
+        b = list(kernel(a, s))
+        if (a, s) in swaps:
+            x, y = swaps[a, s]
+            b[x], b[y] = b[y], b[x]
+        return tuple(b)
+
+    tables = _kernel_tables(n, faulty)
+    i, r = min(((i, r) for i, r, _ in faults), key=lambda f: (f[1], f[0]))
+    want = {"p": str(grp[i]), "r": str(r)}
+    assert _oracle_route_fault(n, kind, tables) == want
+    assert _column_route_fault(n, kind, tables) == want
 
 
 # ---------------------------------------------------------------------------

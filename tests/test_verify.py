@@ -355,24 +355,59 @@ def test_table_counterexamples_break_the_identity_they_name(monkeypatch, name, k
         assert not _identity_holds(key, r.details["error"], r.counterexample, kernels), (key, r)
 
 
-@pytest.mark.parametrize("key,route", [("eq9", "_toric_conj"), ("eq13", "_bar_conj")])
+def _tampered_route(true, faults, tamper):
+    """The column route true, with tamper(columns, i) applied to the routed
+    map of the element of rank i at each (i, r) in faults."""
+
+    def route(*args):
+        columns = [list(c) for c in true(*args)]
+        for i, r in faults:
+            if r == args[-1]:
+                tamper(columns, i)
+        return map(tuple, columns)
+
+    return route
+
+
+def _swap_entries_1_and_2(columns, i):
+    columns[1][i], columns[2][i] = columns[2][i], columns[1][i]
+
+
+def _send_0_to_1(columns, i):
+    columns[0][i] = 1
+
+
+ROUTES = [("eq9", "_toric_route"), ("eq13", "_bar_route")]
+
+
+@pytest.mark.parametrize("key,route", ROUTES)
 def test_conjugation_route_reports_its_first_fault_in_shift_major_order(
     monkeypatch, key, route
 ):
     # Wrong at (r=3, an early p) and at (r=1, a late p): a sweep over r
     # outside and p inside meets the second pair first.
-    true = getattr(verify, route)
-    faults = {((0, 2, 1, 3, 4), 3), ((0, 4, 3, 2, 1), 1)}
-
-    def faulty(*args):
-        q = true(*args)
-        return Permutation(_swap_first_two(q.image)) if (args[0], args[-1]) in faults else q
-
-    monkeypatch.setattr(verify, route, faulty)
+    idx = sym_index(4)
+    faults = {(idx[(2, 1, 3, 4)], 3), (idx[(4, 3, 2, 1)], 1)}
+    monkeypatch.setattr(
+        verify, route, _tampered_route(getattr(verify, route), faults, _swap_entries_1_and_2)
+    )
     r = run_claim(key, 4)
     assert r.status == "failed"
     assert r.details["error"] == "defining forms disagree"
     assert r.counterexample == {"p": "[4 3 2 1]", "r": "1"}
+
+
+@pytest.mark.parametrize("key,route", ROUTES)
+def test_a_routed_map_that_moves_0_fails_the_claim_at_its_element_and_shift(
+    monkeypatch, key, route
+):
+    # Only entry 0 is wrong, so only column 0 can show it.
+    faults = {(sym_index(4)[(3, 1, 4, 2)], 2)}
+    monkeypatch.setattr(verify, route, _tampered_route(getattr(verify, route), faults, _send_0_to_1))
+    r = run_claim(key, 4)
+    assert r.status == "failed"
+    assert r.details["error"] == "defining forms disagree"
+    assert r.counterexample == {"p": "[3 1 4 2]", "r": "2"}
 
 
 def test_table_claims_call_each_kernel_once_per_element_and_shift(monkeypatch):
