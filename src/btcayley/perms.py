@@ -197,23 +197,21 @@ def _right_multiplier(b: tuple[int, ...], base: int = 1):
     return itemgetter(*(v - base for v in b)) if len(b) > 1 else tuple
 
 
-def _product_rows(n: int, images):
-    """Ranks of p o x for every generator image x, one row per p of sym_group(n).
+def _rank_columns(n: int, images) -> list:
+    """Rank column of every generator image x: col_x[rank p] = rank(p o x).
 
-    Each generator x gets a rank column: col_x[rank p] = rank(p o x).  The
-    n-1 columns of the adjacent transpositions s_t = (t+1 t+2) are looked
-    up once through sym_index; every other column is composed from them
-    at C level, so no product is hashed.  Take the first descent t of x
-    (x[t] > x[t+1], 0-based) and y = x o s_t, which is x with the entries
-    at t and t+1 swapped.  Then:
+    The n-1 columns of the adjacent transpositions s_t = (t+1 t+2) are
+    looked up once through sym_index; every other column is composed from
+    them at C level, so no product is hashed.  Take the first descent t of
+    x (x[t] > x[t+1], 0-based) and y = x o s_t, which is x with the
+    entries at t and t+1 swapped.  Then:
       - rank(p o x) = rank((p o y) o s_t) = col_s_t[col_y[rank p]], since
         s_t is an involution, so col_x is col_y read through col_s_t;
       - the swap removes the inversion at (t, t+1) and leaves every other
         pair as it was, so y has one inversion fewer than x, and the
         recursion ends at the identity, whose column is range(n!).
     Columns are memoised on the image tuple, so generators whose descent
-    chains meet share the columns from there down.  The rows come in rank
-    order as tuples of the columns.
+    chains meet share the columns from there down.
     """
     index = sym_index(n)
     ident = tuple(range(1, n + 1))
@@ -232,7 +230,26 @@ def _product_rows(n: int, images):
             col = columns[x] = tuple(map(adjacent[t].__getitem__, column(y)))
         return col
 
-    return zip(*map(column, images))
+    return list(map(column, images))
+
+
+def _product_rows(n: int, images):
+    """Ranks of p o x for every generator image x, one row per p of sym_group(n).
+
+    The rows come in rank order as tuples of the _rank_columns of the
+    images.
+    """
+    return zip(*_rank_columns(n, images))
+
+
+@lru_cache(maxsize=2)
+def _lift_columns(n: int) -> tuple[bytes, ...]:
+    """Column x holds entry x of the lift [0 a] of every image a, in sym_index order.
+
+    The entries are at most n <= 8, so each column is a bytes object.
+    """
+    index = sym_index(n)
+    return (bytes(len(index)),) + tuple(map(bytes, zip(*index)))
 
 
 def plain_changes(n: int):

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import getitem, itemgetter
 
 from .blocktrans import CutPoints
 from .budget import NO_BUDGET
 from .perms import (
     Permutation,
+    _lift_columns,
     _restrict,
     _wrap,
     alpha_power,
@@ -74,6 +75,50 @@ def bar_f_image(a: tuple[int, ...], r: int) -> tuple[int, ...]:
     s = ext.index(r)
     minus = _differences(m)[r]
     return tuple([minus[v] for v in ext[s + 1 :] + ext[:s]])
+
+
+def toric_images(n: int, r: int):
+    """Twin of toric_image over all of Sym_n: f_r of every image, in sym_index order.
+
+    Entry t of f_r(a) is [0 a]((t + r) % m) minus a_r, so column t of the
+    images is lift column (t + r) % m read through the _differences row of
+    each element's a_r: one C-level map per column, and no kernel call per
+    element.  The columns are lazy, and the images come as a lazy zip.
+    """
+    points = _lift_columns(n)
+    m = n + 1
+    r %= m
+    lefts = list(map(_differences(m).__getitem__, points[r]))
+    return zip(*[map(getitem, lefts, points[(t + r) % m]) for t in range(1, m)])
+
+
+def bar_f_images(n: int, r: int) -> list[tuple[int, ...]]:
+    """Twin of bar_f_image over all of Sym_n: bar_f_r of every image, in sym_index order.
+
+    Entry t of bar_f_r(a) is [0 a]((s + t) % m) minus r, with s the
+    position of r in [0 a].  The lift columns are bytes, so subtracting r
+    from a whole column is one bytes.translate.  The elements with one s
+    are those whose lift column s holds r (a translate to a 0/1 mask and a
+    compress); one itemgetter reads their entries from the subtracted
+    columns s+1, ..., s+n (mod m), and their images are put back at their
+    ranks.  No kernel is called per element.
+    """
+    points = _lift_columns(n)
+    m = n + 1
+    r %= m
+    minus = bytes(_differences(m)[r]) + bytes(256 - m)
+    is_r = bytes(r) + b"\x01" + bytes(255 - r)
+    shifted = [col.translate(minus) for col in points]
+    ranks = tuple(range(len(points[0])))
+    out = [None] * len(ranks)
+    for s in range(m):
+        group = list(compress(ranks, points[s].translate(is_r)))
+        if not group:
+            continue
+        pick = itemgetter(*group) if len(group) > 1 else lambda col, i=group[0]: (col[i],)
+        for i, row in zip(group, zip(*[pick(shifted[(s + t) % m]) for t in range(1, m)])):
+            out[i] = row
+    return out
 
 
 def toric_f(p: Permutation, r: int) -> Permutation:

@@ -64,12 +64,13 @@ from .graphs import (
 from .maps import Dart, aut_order, is_regular, mprime_n5_map, octahedron_map, prop72_map, t_balance
 from .perms import (
     Permutation,
+    _lift_columns,
     _product_rows,
+    _rank_columns,
     _right_multiplier,
     _wrap,
     alpha_power,
     closure,
-    compose_images,
     compose_maps,
     identity,
     invert_image,
@@ -82,13 +83,12 @@ from .perms import (
 from .toric import (
     apply_dihedral,
     bar_f,
-    bar_f_image,
+    bar_f_images,
     bar_f_witness,
     bt_image_closed_form,
     compose_lh_barf,
     dihedral_compose,
     dihedral_elements,
-    dihedral_image,
     euler_phi,
     phi_iso,
     reverse_g,
@@ -96,7 +96,7 @@ from .toric import (
     reverse_image,
     toric_class_stats,
     toric_f,
-    toric_image,
+    toric_images,
 )
 
 DEFAULT_N = 5
@@ -293,20 +293,29 @@ def _bt(i: int, j: int, k: int, n: int) -> Permutation:
     return make_bt(_cut(i, j, k, n))
 
 
-def _rank_table(idx, images, budget, kernel, r=None) -> tuple[int, ...]:
-    """Rank of kernel(a) or kernel(a, r) for every image a, in image order.
+def _rank_table(n, budget, kernel, r=None) -> tuple[int, ...]:
+    """Rank of the image of every element of sym_group(n), in rank order.
 
-    A kernel result that is no permutation of the degree fails the claim,
-    naming the element it came from and the shift.
+    Without a shift, kernel is a per-element kernel, called as kernel(a)
+    on each image a (reverse_image, invert_image).  With a shift r, kernel
+    is a column twin, called once as kernel(n, r) for the images of all of
+    Sym_n in rank order (toric_images, bar_f_images).  The images are
+    ranked through sym_index in one pass.  An image that is no permutation
+    of the degree fails the claim, naming the lowest-rank element it came
+    from and the shift.
     """
     budget.check()
-    args = (images,) if r is None else (images, repeat(r))
+    idx = sym_index(n)
+
+    def images():
+        return map(kernel, idx) if r is None else kernel(n, r)
+
     try:
-        return tuple(map(idx.__getitem__, map(kernel, *args)))
+        return tuple(map(idx.__getitem__, images()))
     except (KeyError, TypeError):
-        # Call the kernel again, one element at a time, up to the first
-        # image that is no permutation; a kernel that raises raises again.
-        for a, b in zip(images, map(kernel, *args)):
+        # Make the images again, up to the first that is no permutation; a
+        # kernel that raises raises again.
+        for a, b in zip(idx, images()):
             if not isinstance(b, tuple) or b not in idx:
                 context = {} if r is None else {"r": r}
                 _fail("kernel image is not a permutation", p=_wrap(a), **context)
@@ -318,20 +327,19 @@ _tables: dict[tuple, tuple[int, ...]] = {}
 
 
 def _table(n, budget, kernel, r=None) -> tuple[int, ...]:
-    """The _rank_table of kernel (at shift r) over sym_group(n), built once.
+    """The _rank_table of kernel (a twin at shift r) over sym_group(n), built once.
 
-    The tables of one degree are kept until a table of another degree is
-    asked for or clear_cache() runs.  The key holds the kernel object, so a
-    kernel replaced at run time gets tables of its own.  The budget is read
-    on every call, and a table whose kernel fails is not kept.
+    The tables are kept, for every degree, until clear_cache() runs, so a
+    process that runs claims at several degrees (the plain loop of run_all)
+    builds each table once; a table holds n! ranks, about 0.3 MB at n = 8.
+    The key holds the kernel object, so a kernel replaced at run time gets
+    tables of its own.  The budget is read on every call, and a table whose
+    kernel fails is not kept.
     """
     key = (n, kernel, r)
     table = _tables.get(key)
     if table is None:
-        if _tables and next(iter(_tables))[0] != n:
-            _tables.clear()
-        idx = sym_index(n)
-        table = _tables[key] = _rank_table(idx, list(idx), budget, kernel, r)
+        table = _tables[key] = _rank_table(n, budget, kernel, r)
     else:
         budget.check()
     return table
@@ -344,15 +352,10 @@ def _agree(lhs, rhs, images, message: str, key: str = "p", **context):
         _fail(message, **{key: _wrap(images[i])}, **context)
 
 
-def _lift_columns(images) -> list[tuple[int, ...]]:
-    """Column x holds entry x of the lift [0 a] of every image a, in image order."""
-    return [(0,) * len(images)] + list(zip(*images))
-
-
 def _toric_route(points, r):
     """Columns of the routes [0 f_r(p)] = alpha^(m-p_r) o [0 p] o alpha^r, by rank.
 
-    points are the _lift_columns of sym_index order, so points[x][i] is
+    points are the perms._lift_columns of degree n, so points[x][i] is
     entry x of [0 p] for the p of rank i.  Entry x of [0 p] o alpha^r is
     [0 p](x + r): the right factor makes column (x + r) % m of points
     column x.  The left factor is one of the m rotations per element,
@@ -371,22 +374,21 @@ def _bar_route(points, inv, r):
 
     Here s = (p^-1)_r, entry r of the lift of p^-1: points[r][inv[i]] for
     the p of rank i (inv is the rank table of inversion).  Entry x of
-    [0 p] o alpha^s is [0 p]((x + s) % m).  Laid end to end from column x
-    on, the lift columns hold that entry at offset s * n! + i, so one
-    C-level itemgetter, built once per r, reads column x of the right
-    product for every element.  The left factor is one fixed rotation and
-    acts on each column with one compose_maps.
+    [0 p] o alpha^s is [0 p]((x + s) % m).  The lift columns (bytes) are
+    laid end to end twice, once per call; in the window that starts at
+    column x, that entry sits at offset s * n! + i.  So one C-level
+    itemgetter, built once per call, reads column x of the right product
+    for every element from a zero-copy memoryview of that window.  The
+    left factor is one fixed rotation and acts on each column with one
+    compose_maps.
     """
     m = len(points)
     size = len(inv)
     left = alpha_power(m - 1, m - r)
-    shifts = compose_maps(points[r], inv)
-    pick = itemgetter(*map(add, map(mul, shifts, repeat(size)), range(size)))
+    laid = memoryview(b"".join(points) * 2)
+    pick = itemgetter(*map(add, map(mul, compose_maps(points[r], inv), repeat(size)), range(size)))
     for x in range(m):
-        laid = []
-        for column in points[x:] + points[:x]:
-            laid += column
-        yield compose_maps(left, pick(laid))
+        yield compose_maps(left, pick(laid[x * size :]))
 
 
 def _check_route(columns, points, images, table, r):
@@ -485,20 +487,20 @@ def _run_eq9(n, budget):
     """Exhaustive over Sym_n: every p, every shift r and every pair (r, s).
 
     The identities are checked on rank tables: T[r][i] is the rank of
-    f_r of the element of rank i.  sym_index is a bijection from Sym_n onto
-    range(n!), so a composed table equals another exactly when the two
-    composed maps agree at every element, and each comparison still covers
-    every element.  The conjugation form [0 f_r(p)] = alpha^(m-p_r) o [0 p]
+    f_r of the element of rank i, built by the column twin toric_images.
+    sym_index is a bijection from Sym_n onto range(n!), so a composed table
+    equals another exactly when the two composed maps agree at every
+    element, and each comparison still covers every element.  The conjugation form [0 f_r(p)] = alpha^(m-p_r) o [0 p]
     o alpha^r is checked column by column (_toric_route): it composes the
     lifts with rotations and never calls the kernel it is checked against.
     """
     m = n + 1
     images = list(sym_index(n))
-    tor = [_table(n, budget, toric_image, r) for r in range(m)]
+    tor = [_table(n, budget, toric_images, r) for r in range(m)]
     inv = _table(n, budget, invert_image)
     _agree(tor[0], tuple(range(len(images))), images, "zeroth toric map moved a point")
     # points[r][i] is p_r for the element p of rank i, in its lift [0 p].
-    points = _lift_columns(images)
+    points = _lift_columns(n)
     for r, t in enumerate(tor):
         budget.check()
         _check_route(_toric_route(points, r), points, images, t, r)
@@ -583,7 +585,7 @@ def _run_gfg(n, budget):
     agree at every element because sym_index is a bijection."""
     m = n + 1
     images = list(sym_index(n))
-    tor = [_table(n, budget, toric_image, r) for r in range(m)]
+    tor = [_table(n, budget, toric_images, r) for r in range(m)]
     rev = _table(n, budget, reverse_image)
     for r, t in enumerate(tor):
         _agree(
@@ -608,10 +610,10 @@ def _run_eq13(n, budget):
     """
     m = n + 1
     images = list(sym_index(n))
-    bar = [_table(n, budget, bar_f_image, r) for r in range(m)]
-    tor = [_table(n, budget, toric_image, r) for r in range(m)]
+    bar = [_table(n, budget, bar_f_images, r) for r in range(m)]
+    tor = [_table(n, budget, toric_images, r) for r in range(m)]
     inv = _table(n, budget, invert_image)
-    points = _lift_columns(images)
+    points = _lift_columns(n)
     for r, b in enumerate(bar):
         budget.check()
         _check_route(_bar_route(points, inv, r), points, images, b, r)
@@ -639,7 +641,7 @@ def _run_eq16(n, budget):
     agree at every element because sym_index is a bijection."""
     m = n + 1
     images = list(sym_index(n))
-    bar = [_table(n, budget, bar_f_image, r) for r in range(m)]
+    bar = [_table(n, budget, bar_f_images, r) for r in range(m)]
     rev = _table(n, budget, reverse_image)
     for r, b in enumerate(bar):
         _agree(
@@ -665,7 +667,7 @@ def _run_lemma43(n, budget):
     m = n + 1
     idx = sym_index(n)
     images = list(idx)
-    bar = [_table(n, budget, bar_f_image, r) for r in range(m)]
+    bar = [_table(n, budget, bar_f_images, r) for r in range(m)]
     getters = [itemgetter(*b) for b in images]
     product = []
     for a in images:
@@ -803,51 +805,52 @@ def _run_prop44(n, budget):
     """Exhaustive over every pair of maps L_h o bar_f_r.
 
     T(h, r)[i] is the rank of h o bar_f_r(element i): the row of h o x over
-    every x, read at B[r].  The tables T and the extended images phi_iso
-    are built once per (h, r); every pair still takes its normal form from
-    compose_lh_barf.
+    every x, read at B[r].  The normal form of (L_h o bar_f_r) o
+    (L_k o bar_f_u) is L_d o bar_f_e with d = h o bar_f_r(k), whose rank is
+    T(h, r)[rank k], and e = (u + s) mod (n+1), s the position of r in
+    [0 k].  Both are read from tables, and every pair is checked on them:
+    T(h, r) o T(k, u) == T(d, e) and phi(h, r) o phi(k, u) == phi(d, e),
+    with phi the extended images of phi_iso.  compose_lh_barf is checked
+    against this normal form once per (h, r, k), at u = 0; its answer at
+    every u is compared with the tables in tests/test_kernels.py.
     """
     m = n + 1
-    grp = sym_group(n)
     idx = sym_index(n)
-    bar = [_table(n, budget, bar_f_image, r) for r in range(m)]
-    elems = [(h, r) for h in grp for r in range(m)]
-    table = {}
-    for h, row in zip(grp, _product_rows(n, list(idx))):
+    images = list(idx)
+    bar = [_table(n, budget, bar_f_images, r) for r in range(m)]
+    # table[h][r] is T(h, r) and phi[h][r] the extended image, h a rank.
+    table = []
+    for row in _product_rows(n, images):
         budget.check()
-        for r, b in enumerate(bar):
-            table[(h.image, r)] = compose_maps(row, b)
-    values = set(table.values())
+        table.append([compose_maps(row, b) for b in bar])
+    values = set(chain.from_iterable(table))
     _need(len(values) == factorial(m), "maps are not pairwise distinct", count=len(values))
-    phi = {(h.image, r): phi_iso(h, r) for h, r in elems}
+    grp = sym_group(n)
+    phi = [[phi_iso(h, r) for r in range(m)] for h in grp]
+    # spots[k][r] is the position of r in [0 k], entry r of [0 k^-1].
+    spots = [(0,) + invert_image(a) for a in images]
 
-    for h, r in elems:
-        budget.check()
-        ta = table[(h.image, r)]
-        pa = phi[(h.image, r)]
-        for k, u in elems:
-            d, e = compose_lh_barf(h, r, k, u)
-            ku, de = (k.image, u), (d.image, e)
-            _need(
-                compose_maps(ta, table[ku]) == table[de],
-                "product rule disagrees with pointwise composition",
-                h=h,
-                r=r,
-                k=k,
-                u=u,
-            )
-            _need(
-                compose_maps(pa, phi[ku]) == phi[de],
-                "extended images do not multiply",
-                h=h,
-                r=r,
-                k=k,
-                u=u,
-            )
+    def pair_fault(message, h, r, k, u):
+        _fail(message, h=grp[h], r=r, k=grp[k], u=u)
+
+    rule = "product rule disagrees with pointwise composition"
+    for h, (row, extended) in enumerate(zip(table, phi)):
+        for r, ta, pa in zip(range(m), row, extended):
+            budget.check()
+            for k, spot in enumerate(spots):
+                d, s = ta[k], spot[r]
+                if compose_lh_barf(grp[h], r, grp[k], 0) != (grp[d], s):
+                    pair_fault(rule, h, r, k, 0)
+                for u in range(m):
+                    e = (u + s) % m
+                    if compose_maps(ta, table[k][u]) != table[d][e]:
+                        pair_fault(rule, h, r, k, u)
+                    if compose_maps(pa, phi[k][u]) != phi[d][e]:
+                        pair_fault("extended images do not multiply", h, r, k, u)
     _need(
-        set(phi.values()) == set(permutations(range(m))),
+        set(chain.from_iterable(phi)) == set(permutations(range(m))),
         "extended images miss part of the target group",
-        count=len(set(phi.values())),
+        count=len(set(chain.from_iterable(phi))),
     )
 
     # Right translation by the order-reversing involution: central, outside,
@@ -1221,7 +1224,7 @@ def _run_cor511(n, budget):
     idx = sym_index(n)
     images = list(idx)
     rev = _table(n, budget, reverse_image)
-    bar = [_table(n, budget, bar_f_image, r) for r in range(n + 1)]
+    bar = [_table(n, budget, bar_f_images, r) for r in range(n + 1)]
     steps = [t.__getitem__ for t in bar + [compose_maps(b, rev) for b in bar]]
     long_orbit = closure([idx[_bt(0, 2, n, n).image]], steps)
     _need(len(long_orbit) == target, "special orbit is not long", size=len(long_orbit))
@@ -1324,20 +1327,24 @@ def _run_toric_reverse_aut(n, budget):
 
     The product law is checked on the vertex maps as rank tables:
     table[d][v] is the rank of d(p) for the vertex p of rank v.  The
-    vertices of the Cayley graph are sym_group(n), ranked by sym_index, so
-    each table is one C-level pass of dihedral_image over the vertex
-    images, and table[ab] = table[a] o table[b] holds exactly when
+    vertices of the Cayley graph are sym_group(n), ranked by sym_index,
+    and dihedral_image(d, a) is bar_f_image(a, d.r), after reverse_image
+    when d.refl is set, so table[d] is B[d.r], or B[d.r] o R, from the
+    kernel tables.  table[ab] = table[a] o table[b] holds exactly when
     ab(p) = a(b(p)) for every p in Sym_n.
     """
     cay = build_cayley(n, tn_realizations(n))
     _need(cay.num_vertices == factorial(n), "vertex set is not the whole group")
     ident_rank = cay.index_of(identity(n))
-    idx = sym_index(n)
+    rev = _table(n, budget, reverse_image)
+    bar = [_table(n, budget, bar_f_images, r) for r in range(n + 1)]
     tables = {}
     dih = dihedral_elements(n)
     for d in dih:
         budget.check()
-        vm = VertexMap(cay, tuple(map(idx.__getitem__, map(dihedral_image, repeat(d), idx))))
+        table = compose_maps(bar[d.r], rev) if d.refl else bar[d.r]
+        _need(len(set(table)) == len(table), "induced map is not a bijection", symmetry=d)
+        vm = VertexMap(cay, table)
         _need(is_automorphism(cay, vm), "induced map is not an automorphism", symmetry=d)
         _need(vm.apply(ident_rank) == ident_rank, "identity vertex moved", symmetry=d)
         tables[d] = vm.images
@@ -1391,11 +1398,15 @@ def _run_lemma64(n, budget):
     _need(all(p.inverse() in gen_set for p in gens), "connection set is not symmetric")
     sub = _subgroup_images(gens, budget=budget)
 
-    # Component of the identity, traced by left multiplication q o p: a
-    # second route beside _subgroup_images' right products.
-    steps = [partial(compose_images, q.image) for q in gens]
-    seen = closure([identity(n).image], steps, budget=budget)
-    _need(seen == set(sub), "identity component differs from the generated subgroup")
+    # Component of the identity, traced breadth-first on ranks through the
+    # rank columns of the generators: a second route beside the coset
+    # listing of _subgroup_images.  Rank 0 is the identity.
+    steps = [column.__getitem__ for column in _rank_columns(n, [p.image for p in gens])]
+    seen = closure([0], steps, budget=budget)
+    _need(
+        seen == set(map(sym_index(n).__getitem__, sub)),
+        "identity component differs from the generated subgroup",
+    )
     components = factorial(n) // len(sub)
     _need(components == (1 if n % 2 else 2), "component count wrong", count=components)
     return {"components": components, "component_size": len(sub)}

@@ -1,7 +1,11 @@
 """Table-driven group kernels against the per-entry loops they replaced.
 
 Each oracle below is the earlier implementation, kept here only as the
-reference: the arithmetic toric and inverse-toric kernels, product rows
+reference: the arithmetic toric and inverse-toric kernels, the
+per-element kernels behind the column twins that build the toric and
+inverse-toric tables, compose_lh_barf on every pair that prop4.4 reads
+from tables, the breadth-first closure over left products that lemma6.4
+ran before it traced rank columns, product rows
 hashed through sym_index before they were composed from rank columns,
 the per-element sweep of the toric and inverse-toric conjugation routes
 before they became column passes over the lift columns,
@@ -58,8 +62,11 @@ from btcayley.maps import (
     prop72_map,
 )
 from btcayley.perms import (
+    _lift_columns,
     _product_rows,
+    _rank_columns,
     _right_multiplier,
+    closure,
     compose_images,
     group_elements,
     identity,
@@ -72,12 +79,15 @@ from btcayley.perms import (
 from btcayley.toric import (
     bar_f_conj,
     bar_f_image,
+    bar_f_images,
     check_skew,
+    compose_lh_barf,
     dihedral_elements,
     dihedral_image,
     reverse_image,
     toric_f_conj,
     toric_image,
+    toric_images,
 )
 
 
@@ -374,6 +384,72 @@ def test_kernels_read_the_same_differences_as_the_arithmetic_forms(n):
             assert bar_f_image(a, r) == _oracle_bar_f_image(a, r), (a, r)
 
 
+TWINS = {"toric": (toric_images, toric_image), "bar": (bar_f_images, bar_f_image)}
+
+
+@pytest.mark.parametrize("kind", sorted(TWINS))
+@pytest.mark.parametrize("n", range(1, 8))
+def test_column_twins_equal_their_kernels_on_all_of_sym_n(n, kind):
+    twin, kernel = TWINS[kind]
+    images = list(sym_index(n))
+    m = n + 1
+    for r in range(-1, m + 2):
+        assert list(twin(n, r)) == [kernel(a, r) for a in images], r
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(sorted(TWINS)),
+    st.integers(min_value=-9, max_value=17),
+    st.lists(st.integers(min_value=0, max_value=factorial(8) - 1), min_size=1, max_size=200),
+)
+def test_column_twins_equal_their_kernels_at_degree_8(kind, r, ranks):
+    twin, kernel = TWINS[kind]
+    images = list(sym_index(8))
+    got = list(twin(8, r))
+    assert len(got) == len(images)
+    for i in ranks:
+        assert got[i] == kernel(images[i], r), (i, r)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_compose_lh_barf_is_the_table_normal_form_at_every_pair(n):
+    # prop4.4 reads d = T(h, r)[rank k] and e = (u + (k^-1)_r) mod m from
+    # tables and calls compose_lh_barf at u = 0 only; here every u.
+    m = n + 1
+    idx = sym_index(n)
+    grp = sym_group(n)
+    bar = [tuple(map(idx.__getitem__, map(bar_f_image, idx, repeat(r)))) for r in range(m)]
+    for h, row in zip(grp, _product_rows(n, list(idx))):
+        for r in range(m):
+            t = [row[b] for b in bar[r]]
+            for k in grp:
+                s = ((0,) + invert_image(k.image))[r]
+                for u in range(m):
+                    assert compose_lh_barf(h, r, k, u) == (grp[t[idx[k.image]]], (u + s) % m)
+
+
+def _oracle_left_component(gens):
+    """The identity component of Cay(Sym_n, gens) by left products q o p."""
+    ident = tuple(range(1, len(gens[0]) + 1))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        reached = {compose_images(q, a) for a in frontier for q in gens}
+        frontier = reached - seen
+        seen |= frontier
+    return seen
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_rank_column_closure_is_the_left_product_component(n):
+    gens = [make_bt(c).image for c in vertex_set_V(n)]
+    images = list(sym_index(n))
+    steps = [column.__getitem__ for column in _rank_columns(n, gens)]
+    reached = {images[i] for i in closure([0], steps)}
+    assert reached == _oracle_left_component(gens)
+
+
 ROUTES = {"toric": (toric_image, toric_f_conj), "bar": (bar_f_image, bar_f_conj)}
 
 
@@ -386,7 +462,7 @@ def _column_route_fault(n, kind, tables):
     """The (r, p) the claim's column pass fails at, shift by shift, or None."""
     idx = sym_index(n)
     images = list(idx)
-    points = verify._lift_columns(images)
+    points = _lift_columns(n)
     inv = tuple(map(idx.__getitem__, map(invert_image, images)))
     for r, table in enumerate(tables):
         if kind == "toric":

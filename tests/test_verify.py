@@ -5,12 +5,13 @@ import re
 import threading
 from dataclasses import replace
 from functools import lru_cache, wraps
+from itertools import repeat
 from math import factorial
 from operator import itemgetter
 
 import pytest
 
-from btcayley import verify
+from btcayley import toric, verify
 from btcayley.autgroup import orbit, orbit_images
 from btcayley.blocktrans import CutPoints, make_bt
 from btcayley.budget import Budget
@@ -25,12 +26,14 @@ from btcayley.perms import (
 )
 from btcayley.toric import (
     bar_f_conj,
+    bar_f_image,
     compose_lh_barf,
     dihedral_elements,
     reverse_g,
     reverse_g_conj,
     reverse_image,
     toric_f_conj,
+    toric_image,
 )
 from btcayley.verify import (
     DEFAULT_N,
@@ -248,15 +251,22 @@ def test_claim_sweeps_do_not_validate_per_pair(monkeypatch, key, n):
 
 TABLE_CLAIMS = ("eq9", "eq12", "eq13", "eq16", "gfg", "lemma4.3", "cor5.11")
 
-# The kernel each table claim ranks, patched below with a faulty version.
+
+def _twin(kernel):
+    """A column twin (n, r) -> images of all of Sym_n, made by a per-element kernel."""
+    return lambda n, r: map(kernel, sym_index(n), repeat(r))
+
+
+# The kernel or column twin each table claim ranks, patched below with a
+# faulty version.
 FAULTY_KERNELS = {
-    "eq9": ("toric_image", lambda a, r: (a[0],) * len(a)),
+    "eq9": ("toric_images", _twin(lambda a, r: (a[0],) * len(a))),
     "eq12": ("reverse_image", lambda a: (a[0],) * len(a)),
     "gfg": ("reverse_image", lambda a: a[:-1]),
-    "eq13": ("bar_f_image", lambda a, r: (0,) + a[1:]),
-    "eq16": ("bar_f_image", lambda a, r: (a[0],) * len(a)),
-    "lemma4.3": ("bar_f_image", lambda a, r: a + a),
-    "cor5.11": ("bar_f_image", lambda a, r: (a[0],) * len(a)),
+    "eq13": ("bar_f_images", _twin(lambda a, r: (0,) + a[1:])),
+    "eq16": ("bar_f_images", _twin(lambda a, r: (a[0],) * len(a))),
+    "lemma4.3": ("bar_f_images", _twin(lambda a, r: a + a)),
+    "cor5.11": ("bar_f_images", _twin(lambda a, r: (a[0],) * len(a))),
 }
 
 
@@ -327,6 +337,15 @@ def _iterate(f, x, times):
     return x
 
 
+# Each per-element kernel, and what verify ranks for it: its column twin,
+# or the kernel itself.
+KERNELS = {
+    "toric_image": (toric_image, "toric_images"),
+    "bar_f_image": (bar_f_image, "bar_f_images"),
+    "reverse_image": (reverse_image, "reverse_image"),
+}
+
+
 @pytest.mark.parametrize(
     "name,keys",
     [
@@ -339,15 +358,16 @@ def test_table_counterexamples_break_the_identity_they_name(monkeypatch, name, k
     # The kernel is wrong at one element (and one shift) only, and still
     # returns a permutation; every claim that uses it must fail, and the
     # element it names must break the claim's identity pointwise.
-    true = getattr(verify, name)
+    true, ranked = KERNELS[name]
     bad = ((2, 4, 1, 3), 2) if name != "reverse_image" else ((2, 4, 1, 3),)
 
     def faulty(*args):
         b = true(*args)
         return _swap_first_two(b) if args == bad else b
 
-    monkeypatch.setattr(verify, name, faulty)
-    kernels = {k: getattr(verify, k) for k in ("toric_image", "bar_f_image", "reverse_image")}
+    monkeypatch.setattr(verify, ranked, faulty if ranked == name else _twin(faulty))
+    kernels = {k: kernel for k, (kernel, _) in KERNELS.items()}
+    kernels[name] = faulty
     for key in keys:
         clear_cache()
         r = run_claim(key, 4)
@@ -410,11 +430,13 @@ def test_a_routed_map_that_moves_0_fails_the_claim_at_its_element_and_shift(
     assert r.counterexample == {"p": "[3 1 4 2]", "r": "2"}
 
 
-def test_table_claims_call_each_kernel_once_per_element_and_shift(monkeypatch):
-    counts = {"toric_image": 0, "reverse_image": 0}
+def test_table_claims_call_no_toric_kernel_per_element(monkeypatch):
+    # The toric and inverse-toric tables come from the column twins; only
+    # the reversal is still ranked one element at a time.
+    counts = {"toric_image": 0, "bar_f_image": 0, "reverse_image": 0}
 
-    def counting(name):
-        kernel = getattr(verify, name)
+    def counting(module, name):
+        kernel = getattr(module, name)
 
         def wrapper(*args):
             counts[name] += 1
@@ -422,10 +444,18 @@ def test_table_claims_call_each_kernel_once_per_element_and_shift(monkeypatch):
 
         return wrapper
 
-    for name in counts:
-        monkeypatch.setattr(verify, name, counting(name))
-    assert run_claim("eq9", 6).status == "verified"
-    assert counts["toric_image"] <= 3 * 7 * factorial(6)
+    for name in ("toric_image", "bar_f_image"):
+        monkeypatch.setattr(toric, name, counting(toric, name))
+    monkeypatch.setattr(verify, "reverse_image", counting(verify, "reverse_image"))
+    for key in TABLE_CLAIMS + ("toric-reverse-aut",):
+        assert run_claim(key, 6).status == "verified", key
+    assert counts["toric_image"] == counts["bar_f_image"] == 0
+    # prop4.4 calls compose_lh_barf, and so bar_f_image, once per (h, r, k).
+    assert run_claim("prop4.4", 4).status == "verified"
+    assert counts["toric_image"] == 0
+    assert counts["bar_f_image"] == 5 * factorial(4) ** 2
+    clear_cache()
+    counts["reverse_image"] = 0
     assert run_claim("eq12", 5).status == "verified"
     assert counts["reverse_image"] <= 3 * factorial(5)
 
@@ -465,15 +495,15 @@ def test_each_kernel_table_is_built_once_in_a_process(monkeypatch, n):
     built = []
     rank_table = verify._rank_table
 
-    def counting(idx, images, budget, kernel, r=None):
-        built.append((kernel.__name__, r, len(images[0])))
-        return rank_table(idx, images, budget, kernel, r)
+    def counting(n, budget, kernel, r=None):
+        built.append((kernel.__name__, r, n))
+        return rank_table(n, budget, kernel, r)
 
     monkeypatch.setattr(verify, "_rank_table", counting)
     monkeypatch.setattr(verify, "_worker_count", lambda: 1)
     assert {r.status for r in run_all(n)} == {"verified"}
     assert len(built) == len(set(built))
-    for name in ("toric_image", "bar_f_image"):
+    for name in ("toric_images", "bar_f_images"):
         assert {(name, r, n) for r in range(n + 1)} <= set(built)
     assert {("reverse_image", None, n), ("invert_image", None, n)} <= set(built)
 
@@ -485,7 +515,7 @@ def test_a_kernel_patched_after_a_warm_run_is_honoured(monkeypatch, key):
     monkeypatch.setattr(verify, "_worker_count", lambda: 1)
     assert all(r.status == "verified" for r in run_all(4) if r.claim in GROUP)
     names = {kernel.__name__ for n, kernel, r in verify._tables if n == 4}
-    assert names == {"toric_image", "bar_f_image", "reverse_image", "invert_image"}
+    assert names == {"toric_images", "bar_f_images", "reverse_image", "invert_image"}
     verify._cache.clear()  # the reports only: the tables stay
     name, faulty = FAULTY_KERNELS[key]
     # The same name as the kernel it replaces: only the object tells them apart.
@@ -503,10 +533,17 @@ def test_clear_cache_empties_the_table_provider():
     assert run_claim("gfg", 4).status == "verified"
 
 
-def test_the_provider_holds_one_degree():
+def test_the_provider_keeps_the_tables_of_each_degree(monkeypatch):
     run_claim("eq16", 4)
     run_claim("gfg", 5)
-    assert {key[0] for key in verify._tables} == {5}
+    assert {key[0] for key in verify._tables} == {4, 5}
+    verify._cache.clear()  # the reports only: the tables stay
+
+    def no_build(*args):
+        raise AssertionError("every table of degree 4 is kept")
+
+    monkeypatch.setattr(verify, "_rank_table", no_build)
+    assert run_claim("eq16", 4).status == "verified"
 
 
 def _oracle_cor511(n):
@@ -595,10 +632,11 @@ def test_eq12_generator_reduction_agrees_with_the_all_pairs_sweep(monkeypatch, n
 
 
 def test_prop44_reports_the_first_faulty_pair_in_sweep_order(monkeypatch):
-    # Wrong at two pairs; the sweep runs (h, r) outside and (k, u) inside.
+    # Wrong at two pairs that the claim reads (it calls compose_lh_barf at
+    # u = 0); the sweep runs (h, r) outside and k inside.
     grp = sym_group(3)
     late = (grp[5], 2, grp[1], 0)
-    early = (grp[2], 1, grp[4], 3)
+    early = (grp[2], 1, grp[4], 0)
 
     def faulty(h, r, k, u):
         d, e = compose_lh_barf(h, r, k, u)
@@ -609,3 +647,12 @@ def test_prop44_reports_the_first_faulty_pair_in_sweep_order(monkeypatch):
     assert r.status == "failed"
     assert r.details["error"] == "product rule disagrees with pointwise composition"
     assert r.counterexample == dict(zip("hrku", map(str, early)))
+
+
+def test_toric_reverse_aut_fails_on_a_table_that_is_no_bijection(monkeypatch):
+    # Every image is a permutation, but all of them the identity.
+    monkeypatch.setattr(verify, "bar_f_images", _twin(lambda a, r: tuple(sorted(a))))
+    r = run_claim("toric-reverse-aut", 4)
+    assert r.status == "failed"
+    assert r.details["error"] == "induced map is not a bijection"
+    assert r.counterexample == {"symmetry": "t^0"}
