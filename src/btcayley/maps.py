@@ -19,6 +19,7 @@ from .perms import (
     Permutation,
     _product_rows,
     closure,
+    cycles,
     identity,
     parse_permutation,
     sym_group,
@@ -105,26 +106,12 @@ class CayleyMap:
         rank order and the tail's rank is the number // m.  R o T reverses
         the dart, then rotates: (vi, gi) goes to (vmul[vi][gi],
         ginv[gi] + 1 mod m), kept as one flat successor list.  The orbits
-        are traced from each dart not yet visited in ascending order, so
-        each face starts at its least dart and the faces come sorted by
-        their first darts.
+        are the cycles of that list (perms.cycles), so each face starts at
+        its least dart and the faces come sorted by their first darts.
         """
         m = len(self.gens)
         turn = [(self._ginv[gi] + 1) % m for gi in range(m)]
-        succ = [w * m + turn[gi] for row in self._vmul for gi, w in enumerate(row)]
-        visited = bytearray(len(succ))
-        out = []
-        for start in range(len(succ)):
-            if visited[start]:
-                continue
-            orbit = []
-            d = start
-            while not visited[d]:
-                visited[d] = 1
-                orbit.append(d)
-                d = succ[d]
-            out.append(orbit)
-        return out
+        return cycles([w * m + turn[gi] for row in self._vmul for gi, w in enumerate(row)])
 
     def faces(self) -> list[Face]:
         """All faces, each starting at its least (tail, gen) rank, in that order.

@@ -47,6 +47,27 @@ def invert_image(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def cycles(succ) -> list[list[int]]:
+    """The cycles of a bijection of range(len(succ)), with succ[x] the image of x.
+
+    Each cycle starts at its least point and follows succ from there; the
+    cycles come in the order of their least points.
+    """
+    visited = bytearray(len(succ))
+    out = []
+    for start in range(len(succ)):
+        if visited[start]:
+            continue
+        cycle = []
+        x = start
+        while not visited[x]:
+            visited[x] = 1
+            cycle.append(x)
+            x = succ[x]
+        out.append(cycle)
+    return out
+
+
 def compose_maps(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """0-based map a o b (apply b first): entry x is a[b[x]]."""
     if len(b) == 1:
@@ -99,15 +120,7 @@ class Permutation:
 
     def is_even(self) -> bool:
         """Parity: even iff n minus the number of cycles is even."""
-        seen = [False] * self.n
-        cycles = 0
-        for t in range(1, self.n + 1):
-            if not seen[t - 1]:
-                cycles += 1
-                while not seen[t - 1]:
-                    seen[t - 1] = True
-                    t = self.image[t - 1]
-        return (self.n - cycles) % 2 == 0
+        return (self.n - len(cycles([v - 1 for v in self.image]))) % 2 == 0
 
     def __str__(self) -> str:
         return "[" + " ".join(str(v) for v in self.image) + "]"

@@ -33,6 +33,7 @@ from .perms import (
     alpha_power,
     compose_images,
     compose_maps,
+    cycles,
     lift,
     plain_changes,
     reverse,
@@ -126,13 +127,6 @@ def toric_f(p: Permutation, r: int) -> Permutation:
     return _wrap(toric_image(p.image, r))
 
 
-def toric_f_conj(p: Permutation, r: int) -> Permutation:
-    """Toric shift of p by r, computed by conjugating the lift with rotations."""
-    lp = lift(p)
-    left = alpha_power(p.n, -lp[r % (p.n + 1)])
-    return _restrict(compose_maps(compose_maps(left, lp), alpha_power(p.n, r)))
-
-
 def reverse_g(p: Permutation) -> Permutation:
     """Reverse map, computed pointwise: (g(p))_t = n+1 - p_{n+1-t}."""
     return _wrap(reverse_image(p.image))
@@ -147,13 +141,6 @@ def reverse_g_conj(p: Permutation) -> Permutation:
 def bar_f(p: Permutation, r: int) -> Permutation:
     """Inverse-conjugated toric shift: bar_f_r(p) = (f_r(p^-1))^-1, pointwise."""
     return _wrap(bar_f_image(p.image, r))
-
-
-def bar_f_conj(p: Permutation, r: int) -> Permutation:
-    """bar_f_r via rotations: [0 rho] = alpha^{n+1-r} o [0 p] o alpha^{(p^-1)_r}."""
-    n = p.n
-    right = alpha_power(n, lift(p.inverse())[r % (n + 1)])
-    return _restrict(compose_maps(compose_maps(alpha_power(n, -r), lift(p)), right))
 
 
 def bt_image_closed_form(c: CutPoints, which: str) -> CutPoints:
@@ -230,10 +217,6 @@ class DihedralElement:
         return f"t^{self.r}*g" if self.refl else f"t^{self.r}"
 
 
-def dihedral_identity(n: int) -> DihedralElement:
-    return DihedralElement(0, 0, n)
-
-
 def dihedral_elements(n: int) -> list[DihedralElement]:
     """All 2(n+1) elements, rotations first."""
     return [DihedralElement(r, s, n) for s in (0, 1) for r in range(n + 1)]
@@ -248,12 +231,6 @@ def dihedral_compose(a: DihedralElement, b: DihedralElement) -> DihedralElement:
         return DihedralElement((a.r + b.r) % m, b.refl, a.n)
     # g absorbs the rotation on its right: g o bar_f_r = bar_f_{-r} o g
     return DihedralElement((a.r - b.r) % m, 1 - b.refl, a.n)
-
-
-def dihedral_inverse(a: DihedralElement) -> DihedralElement:
-    if a.refl:
-        return a
-    return DihedralElement((-a.r) % (a.n + 1), 0, a.n)
 
 
 def dihedral_image(d: DihedralElement, a: tuple[int, ...]) -> tuple[int, ...]:
@@ -288,11 +265,6 @@ def compose_lh_barf(
     return _wrap(compose_images(h.image, bar_f_image(k.image, r))), e
 
 
-def apply_lh_barf(h: Permutation, r: int, p: Permutation) -> Permutation:
-    """(L_h o bar_f_r)(p) = h o bar_f_r(p)."""
-    return h.compose(bar_f(p, r))
-
-
 def phi_iso(h: Permutation, r: int) -> tuple[int, ...]:
     """Image [0 h] o alpha^{n+1-r} of L_h o bar_f_r in the extended group.
 
@@ -302,19 +274,6 @@ def phi_iso(h: Permutation, r: int) -> tuple[int, ...]:
     n = h.n
     m = n + 1
     return compose_maps(lift(h), alpha_power(n, m - r % m))
-
-
-def skew_identity_bar_f(
-    rho: Permutation, pi: Permutation, r: int
-) -> tuple[Permutation, Permutation, int]:
-    """Both sides of bar_f_r(rho o pi) = bar_f_r(rho) o bar_f_s(pi), s = (rho^-1)_r."""
-    if rho.n != pi.n:
-        raise ValueError(f"degree mismatch: {rho.n} vs {pi.n}")
-    m = rho.n + 1
-    s = lift(rho.inverse())[r % m]
-    lhs = bar_f(rho.compose(pi), r)
-    rhs = bar_f(rho, r).compose(bar_f(pi, s))
-    return lhs, rhs, s
 
 
 # ---------------------------------------------------------------------------
@@ -405,19 +364,9 @@ def check_skew(elements, psi) -> SkewMorphismWitness | None:
     order = len(powers)
     power_of = [itemgetter(*pw) for pw in powers]
 
-    # Probe point on a longest cycle of psi, to cut the exponent candidates.
-    best_probe, best_len = 0, 0
-    seen = [False] * g
-    for start in range(g):
-        if seen[start]:
-            continue
-        length, x = 0, start
-        while not seen[x]:
-            seen[x] = True
-            x = psi[x]
-            length += 1
-        if length > best_len:
-            best_probe, best_len = start, length
+    # Probe point on a longest cycle of psi, to cut the exponent candidates:
+    # the least point of the first longest cycle.
+    best_probe = max(cycles(psi), key=len)[0]
 
     index = sym_index(n)
     rank = index.__getitem__
@@ -460,15 +409,10 @@ def check_skew(elements, psi) -> SkewMorphismWitness | None:
     return SkewMorphismWitness(elements, psi, order, tuple(pi_power))
 
 
-def skew_witness_for_map(n: int, fn) -> SkewMorphismWitness | None:
-    """check_skew for a callable map on the full symmetric group of degree n."""
-    elements = sym_group(n)
-    idx = sym_index(n)
-    psi = tuple(idx[fn(p).image] for p in elements)
-    return check_skew(elements, psi)
-
-
 @lru_cache(maxsize=32)
 def bar_f_witness(n: int, r: int) -> SkewMorphismWitness | None:
-    """Skew-morphism witness for bar_f_r on degree n, when it is one."""
-    return skew_witness_for_map(n, lambda p: bar_f(p, r))
+    """Skew-morphism witness for bar_f_r on degree n, when it is one.
+
+    psi ranks the images of the column twin bar_f_images through sym_index.
+    """
+    return check_skew(sym_group(n), tuple(map(sym_index(n).__getitem__, bar_f_images(n, r))))

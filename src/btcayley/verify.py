@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, permutations, repeat
@@ -75,7 +76,6 @@ from .perms import (
     identity,
     invert_image,
     layers,
-    lift,
     reverse,
     sym_group,
     sym_index,
@@ -410,13 +410,29 @@ def _check_route(columns, points, images, table, r):
         _fail("defining forms disagree", p=_wrap(images[first]), r=r)
 
 
-def _induced_dihedral_images(g, n: int) -> dict[tuple[int, ...], str]:
-    """Vertex maps induced on g by the 2(n+1) toric/reverse symmetries."""
-    out = {}
-    for d in dihedral_elements(n):
-        vm = perm_vertex_map(g, lambda p, d=d: apply_dihedral(d, p))
-        out[vm.images] = str(d)
-    return out
+def _dihedral_tables(n, budget) -> list[tuple[int, ...]]:
+    """Rank tables of the 2(n+1) symmetries of dihedral_elements(n), in that order.
+
+    dihedral_image(d, a) is bar_f_image(a, d.r), after reverse_image when
+    d.refl is set, so the tables are B[r] and then B[r] o R for r = 0..n,
+    read from the kernel tables.  A table that is no bijection of the ranks
+    fails the claim, naming the first such symmetry.
+    """
+    rev = _table(n, budget, reverse_image)
+    bar = [_table(n, budget, bar_f_images, r) for r in range(n + 1)]
+    tables = bar + [compose_maps(b, rev) for b in bar]
+    for d, table in zip(dihedral_elements(n), tables):
+        _need(len(set(table)) == len(table), "induced map is not a bijection", symmetry=d)
+    return tables
+
+
+def _inverse_column(n, budget, r) -> tuple[int, ...]:
+    """(p^-1)_r for every p of sym_group(n), in rank order.
+
+    That is entry r of the lift [0 p^-1], so it is lift column r read
+    through the rank table of inversion.
+    """
+    return compose_maps(_lift_columns(n)[r], _table(n, budget, invert_image))
 
 
 def _barf_iter(p: Permutation, e: int) -> Permutation:
@@ -547,7 +563,8 @@ def _run_eq12(n, budget):
 
     The adjacent transpositions generate Sym_n, so every pi has a length,
     and "pairs" counts the pairs the proof covers.  The columns of the s and
-    g(s) are built once each: at most 2(n-1) of them, never all n!.
+    g(s) come from perms._rank_columns, which memoises them: g(s) of an
+    adjacent s is adjacent again, so its column is one already built.
     """
     grp = sym_group(n)
     for p in grp:
@@ -557,19 +574,14 @@ def _run_eq12(n, budget):
     rev = _table(n, budget, reverse_image)
     ident = tuple(range(len(images)))
     _agree(compose_maps(rev, rev), ident, images, "reversal is not an involution")
-    columns = {}
-
-    def column(b):
-        if b not in columns:
-            budget.check()
-            columns[b] = tuple(map(idx.__getitem__, map(_right_multiplier(b), images)))
-        return columns[b]
-
-    for i in range(n - 1):
-        s = images[0][:i] + (i + 2, i + 1) + images[0][i + 2 :]
+    adjacent = [images[0][:i] + (i + 2, i + 1) + images[0][i + 2 :] for i in range(n - 1)]
+    mirrors = [images[rev[idx[s]]] for s in adjacent]
+    budget.check()
+    columns = _rank_columns(n, adjacent + mirrors)
+    for s, col_s, col_gs in zip(adjacent, columns, columns[n - 1 :]):
         _agree(
-            compose_maps(rev, column(s)),
-            compose_maps(column(images[rev[idx[s]]]), rev),
+            compose_maps(rev, col_s),
+            compose_maps(col_gs, rev),
             images,
             "reversal is not multiplicative",
             key="rho",
@@ -659,21 +671,16 @@ def _run_lemma43(n, budget):
     """Exhaustive: bar_f_r(rho o pi) = bar_f_r(rho) o bar_f_s(pi) with
     s = (rho^-1)_r, for every pair (rho, pi) in Sym_n x Sym_n and every r.
 
-    On ranks, with P the full product table and B[r] the bar_f_r table, the
-    row of rho reads B[r] o P[rho] == P[B[r][rho]] o B[s] over all pi at
-    once.  sym_index is a bijection, so each row comparison covers every pi,
-    and one runs for every rho and r.
+    On ranks, with P the full product table (perms._product_rows) and B[r]
+    the bar_f_r table, the row of rho reads B[r] o P[rho] == P[B[r][rho]] o
+    B[s] over all pi at once.  sym_index is a bijection, so each row
+    comparison covers every pi, and one runs for every rho and r.
     """
     m = n + 1
     idx = sym_index(n)
     images = list(idx)
     bar = [_table(n, budget, bar_f_images, r) for r in range(m)]
-    getters = [itemgetter(*b) for b in images]
-    product = []
-    for a in images:
-        budget.check()
-        lift_a = (0,) + a
-        product.append(tuple(map(idx.__getitem__, [g(lift_a) for g in getters])))
+    product = list(_product_rows(n, images))
     for i, rho in enumerate(images):
         budget.check()
         exponent = (0,) + invert_image(rho)
@@ -819,8 +826,9 @@ def _run_prop44(n, budget):
     images = list(idx)
     bar = [_table(n, budget, bar_f_images, r) for r in range(m)]
     # table[h][r] is T(h, r) and phi[h][r] the extended image, h a rank.
+    columns = _rank_columns(n, images)
     table = []
-    for row in _product_rows(n, images):
+    for row in zip(*columns):
         budget.check()
         table.append([compose_maps(row, b) for b in bar])
     values = set(chain.from_iterable(table))
@@ -854,9 +862,9 @@ def _run_prop44(n, budget):
     )
 
     # Right translation by the order-reversing involution: central, outside,
-    # and together with the group it doubles the order.
-    w = reverse(n)
-    tmap = tuple(idx[p.compose(w).image] for p in grp)
+    # and together with the group it doubles the order.  tmap[i] is the rank
+    # of (element i) o w, the rank column of w.
+    tmap = columns[idx[reverse(n).image]]
     _need(tmap not in values, "the doubling involution lies inside the group")
     _need(
         compose_maps(tmap, tmap) == tuple(range(len(grp))),
@@ -890,13 +898,12 @@ def _run_skew_toric(n, budget):
             want_order = 1 if r == 0 else m
             _need(w.order == want_order, "witness order wrong", r=r, order=w.order)
             orders[str(r)] = w.order
-    w1 = bar_f_witness(n, 1)
-    for p in sym_group(n):
-        _need(
-            w1.pi_power_of(p) == lift(p.inverse())[1],
-            "power function is not the first entry of the inverse",
-            p=p,
-        )
+    _agree(
+        bar_f_witness(n, 1).pi_power,
+        _inverse_column(n, budget, 1),
+        list(sym_index(n)),
+        "power function is not the first entry of the inverse",
+    )
     return {"orders": orders, "coprime_count": 1 + euler_phi(m) - 1}
 
 
@@ -1213,33 +1220,48 @@ def _run_lemma510(n, budget):
 
 @_claim("cor5.11", "orbit sizes of the dihedral symmetries divide 2(n+1)", 5, 8)
 def _run_cor511(n, budget):
-    """Exhaustive: the orbits of all of Sym_n, traced on ranks.
+    """Exhaustive: the orbits of all of Sym_n, labelled on ranks in one pass.
 
-    dihedral_image(d, a) is bar_f_image(a, d.r), after reverse_image when
-    d.refl is set.  So the 2(n+1) symmetries of dihedral_elements(n) are,
-    as rank tables, B[r] and B[r] o R for r = 0..n, and the orbit of an
-    element is the closure of its rank under those tables.
+    The 2(n+1) symmetries are the rank tables of _dihedral_tables, each
+    checked there to be a bijection of the ranks.  Every rank starts with
+    itself as its label; a round gives each rank the least label among its
+    own and those of its images under the tables, and rounds repeat until
+    no label changes.  Then the label of each rank is the least rank of its
+    orbit:
+      - A label only ever moves to a label held in the same orbit, so it
+        starts and stays a rank of that orbit, and it never falls below
+        the least rank o of the orbit; o itself keeps o throughout.
+      - When no label changes, label(i) <= label(t(i)) for every rank i and
+        table t, so labels never increase along a path of table steps.
+        Each table is a bijection of a finite set, so t^-1 is a power of t
+        and the rank of a step back is reached by steps forward: every
+        rank of an orbit is reached from every other, and the label is
+        constant on it.  It equals label(o) = o.
+    Labels only decrease, so the rounds end.  The tables are the whole
+    group, so the first round already reaches every image and the second
+    sees no change.  The orbit of rank i is then the ranks labelled
+    label(i), and the orbits come in the order of their least ranks, the
+    order in which a sweep by rank meets them.
     """
     target = 2 * (n + 1)
     idx = sym_index(n)
     images = list(idx)
-    rev = _table(n, budget, reverse_image)
-    bar = [_table(n, budget, bar_f_images, r) for r in range(n + 1)]
-    steps = [t.__getitem__ for t in bar + [compose_maps(b, rev) for b in bar]]
-    long_orbit = closure([idx[_bt(0, 2, n, n).image]], steps)
-    _need(len(long_orbit) == target, "special orbit is not long", size=len(long_orbit))
-    sizes = {}
-    seen = bytearray(len(images))
-    for i in range(len(images)):
-        if seen[i]:
-            continue
+    tables = _dihedral_tables(n, budget)
+    label = tuple(range(len(images)))
+    while True:
         budget.check()
-        orb = closure([i], steps)
-        for j in orb:
-            seen[j] = 1
-        if target % len(orb):
-            _fail("orbit size does not divide", p=_wrap(images[i]), size=len(orb))
-        sizes[len(orb)] = sizes.get(len(orb), 0) + 1
+        moved = tuple(map(min, label, *[compose_maps(label, t) for t in tables]))
+        if moved == label:
+            break
+        label = moved
+    orbit_size = Counter(label)
+    long_orbit = orbit_size[label[idx[_bt(0, 2, n, n).image]]]
+    _need(long_orbit == target, "special orbit is not long", size=long_orbit)
+    sizes = {}
+    for least, size in orbit_size.items():
+        if target % size:
+            _fail("orbit size does not divide", p=_wrap(images[least]), size=size)
+        sizes[size] = sizes.get(size, 0) + 1
     return {"orbit_sizes": {str(k): v for k, v in sorted(sizes.items())}}
 
 
@@ -1288,12 +1310,14 @@ def _run_prop515(n, budget):
 @_claim("thm1", "automorphisms of the graph on the block transpositions", 4, 6)
 def _run_thm1(n, budget):
     g = gamma(n)
-    induced = _induced_dihedral_images(g, n)
+    induced = {
+        perm_vertex_map(g, partial(apply_dihedral, d)).images for d in dihedral_elements(n)
+    }
     _need(len(induced) == 2 * (n + 1), "induced symmetries are not faithful", count=len(induced))
     auts = aut_group(g, budget=budget)
     got = {m.images for m in auts}
-    extra = got - set(induced)
-    missing = set(induced) - got
+    extra = got - induced
+    missing = induced - got
     _need(
         not extra and not missing,
         "automorphism group is not the induced dihedral group",
@@ -1305,12 +1329,17 @@ def _run_thm1(n, budget):
 
 @_claim("thm2", "stabilizer of the identity in the full Cayley graph", 4, 5)
 def _run_thm2(n, budget):
+    """The stabilizer search against the 2(n+1) dihedral rank tables.
+
+    The vertices of the Cayley graph are sym_group(n), ranked by sym_index,
+    so a vertex map of the stabilizer is an image tuple over those ranks,
+    as the tables of _dihedral_tables are.
+    """
     stab = stabilizer_of_identity(n, budget=budget)
     _need(len(stab) == 2 * (n + 1), "stabilizer order wrong", order=len(stab))
-    cay = build_cayley(n, tn_realizations(n))
-    induced = _induced_dihedral_images(cay, n)
+    induced = set(_dihedral_tables(n, budget))
     _need(
-        {m.images for m in stab} == set(induced),
+        {m.images for m in stab} == induced,
         "stabilizer differs from the induced symmetries",
         stabilizer=len(stab),
         induced=len(induced),
@@ -1327,23 +1356,17 @@ def _run_toric_reverse_aut(n, budget):
 
     The product law is checked on the vertex maps as rank tables:
     table[d][v] is the rank of d(p) for the vertex p of rank v.  The
-    vertices of the Cayley graph are sym_group(n), ranked by sym_index,
-    and dihedral_image(d, a) is bar_f_image(a, d.r), after reverse_image
-    when d.refl is set, so table[d] is B[d.r], or B[d.r] o R, from the
-    kernel tables.  table[ab] = table[a] o table[b] holds exactly when
-    ab(p) = a(b(p)) for every p in Sym_n.
+    vertices of the Cayley graph are sym_group(n), ranked by sym_index, so
+    the tables are those of _dihedral_tables.  table[ab] = table[a] o
+    table[b] holds exactly when ab(p) = a(b(p)) for every p in Sym_n.
     """
     cay = build_cayley(n, tn_realizations(n))
     _need(cay.num_vertices == factorial(n), "vertex set is not the whole group")
     ident_rank = cay.index_of(identity(n))
-    rev = _table(n, budget, reverse_image)
-    bar = [_table(n, budget, bar_f_images, r) for r in range(n + 1)]
     tables = {}
     dih = dihedral_elements(n)
-    for d in dih:
+    for d, table in zip(dih, _dihedral_tables(n, budget)):
         budget.check()
-        table = compose_maps(bar[d.r], rev) if d.refl else bar[d.r]
-        _need(len(set(table)) == len(table), "induced map is not a bijection", symmetry=d)
         vm = VertexMap(cay, table)
         _need(is_automorphism(cay, vm), "induced map is not an automorphism", symmetry=d)
         _need(vm.apply(ident_rank) == ident_rank, "identity vertex moved", symmetry=d)
@@ -1492,13 +1515,12 @@ def _run_prop72(n, budget):
     _need(w.pi_power_of(first) == n, "power at the long generator wrong", got=w.pi_power_of(first))
     small = _bt(1, 2, 3, n)
     _need(w.pi_power_of(small) == 1, "power at the short generator wrong", got=w.pi_power_of(small))
-    for p in w.elements:
-        budget.check()
-        _need(
-            w.pi_power_of(p) == lift(p.inverse())[1],
-            "power function is not the first entry of the inverse",
-            p=p,
-        )
+    _agree(
+        w.pi_power,
+        _inverse_column(n, budget, 1),
+        list(sym_index(n)),
+        "power function is not the first entry of the inverse",
+    )
     _need(aut_order(m, w) == factorial(n + 1), "symmetry count wrong", order=aut_order(m, w))
 
     # The face at the identity along the long generator walks the cyclic
@@ -1531,13 +1553,12 @@ def _run_thm73(n, budget):
     _need(base is not None and w.psi == base.psi, "witness is not the mirrored inverse-toric map")
     _need(w.order == 6, "witness order wrong", order=w.order)
     _need(t_balance(w, m.gens) is None, "map is balanced after all")
-    for p in w.elements:
-        budget.check()
-        _need(
-            w.pi_power_of(p) == 6 - lift(p.inverse())[5],
-            "power function is not the mirrored last entry",
-            p=p,
-        )
+    _agree(
+        w.pi_power,
+        tuple(6 - s for s in _inverse_column(n, budget, 5)),
+        list(sym_index(n)),
+        "power function is not the mirrored last entry",
+    )
     _need(aut_order(m, w) == 720, "symmetry count wrong", order=aut_order(m, w))
     other = prop72_map(5)
     wo = is_regular(other, budget=budget)

@@ -59,12 +59,11 @@ from btcayley.toric import (
     phi_iso,
     reverse_g,
     reverse_g_conj,
-    skew_identity_bar_f,
     toric_class_stats,
     toric_f,
-    toric_f_conj,
 )
 from btcayley.verify import run_claim
+from toric_oracles import skew_identity_bar_f, toric_f_conj
 
 
 def _finish(idx, budget_s, t0, ok, summary, detail=""):

@@ -8,7 +8,11 @@ from tables, the breadth-first closure over left products that lemma6.4
 ran before it traced rank columns, product rows
 hashed through sym_index before they were composed from rank columns,
 the per-element sweep of the toric and inverse-toric conjugation routes
-before they became column passes over the lift columns,
+before they became column passes over the lift columns, the dihedral vertex
+maps induced one vertex at a time before they were read from the shared
+rank tables, bar_f_r ranked element by element before its witness ranked
+the column twin, the per-element power-function loops of skew-toric,
+prop7.2 and thm7.3 before each became one column comparison,
 the plain-changes walk behind check_skew, face tracing by rotating each
 orbit to its least dart and sorting, the breadth-first closure and
 its levels, the breadth-first listing of a generated group before it was
@@ -22,6 +26,7 @@ automorphisms already found.
 import hashlib
 import random
 from collections import Counter, deque
+from dataclasses import replace
 from functools import partial
 from itertools import permutations, repeat
 from math import factorial
@@ -37,6 +42,7 @@ from btcayley.autgroup import (
     aut_group,
     generated_subgroup,
     orbit_images,
+    perm_vertex_map,
     stabilizer_of_identity,
 )
 from btcayley.blocktrans import make_bt, tn_realizations
@@ -56,6 +62,7 @@ from btcayley.maps import (
     CayleyMap,
     Dart,
     face_lines,
+    is_regular,
     map_report,
     mprime_n5_map,
     octahedron_map,
@@ -72,23 +79,26 @@ from btcayley.perms import (
     identity,
     invert_image,
     layers,
+    lift,
     plain_changes,
     sym_group,
     sym_index,
 )
 from btcayley.toric import (
-    bar_f_conj,
+    apply_dihedral,
+    bar_f,
     bar_f_image,
     bar_f_images,
+    bar_f_witness,
     check_skew,
     compose_lh_barf,
     dihedral_elements,
     dihedral_image,
     reverse_image,
-    toric_f_conj,
     toric_image,
     toric_images,
 )
+from toric_oracles import bar_f_conj, toric_f_conj
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +705,92 @@ def test_check_skew_needs_the_whole_group_in_rank_order():
         check_skew(elements[::-1], range(6))
     with pytest.raises(ValueError):
         check_skew(elements, (0, 1, 2, 3, 4, 4))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_bar_f_witness_ranks_the_per_element_images(n):
+    elements = sym_group(n)
+    idx = sym_index(n)
+    for r in range(n + 1):
+        psi = tuple(idx[bar_f(p, r).image] for p in elements)
+        w = bar_f_witness(n, r)
+        assert w == check_skew(elements, psi), r
+        if w is not None:
+            assert w.psi == psi, r
+
+
+# ---------------------------------------------------------------------------
+# The dihedral tables and the power function.
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_dihedral_tables_are_the_induced_vertex_maps(n):
+    cay = build_cayley(n, tn_realizations(n))
+    induced = [
+        perm_vertex_map(cay, partial(apply_dihedral, d)).images for d in dihedral_elements(n)
+    ]
+    assert verify._dihedral_tables(n, NO_BUDGET) == induced
+
+
+def _oracle_power_fault(w, r, mirrored=False):
+    """The per-element loop skew-toric and prop7.2 (r = 1) and thm7.3 (r = 5,
+    mirrored) ran: the first p whose power is not (p^-1)_r, or n+1 minus it."""
+    for p in w.elements:
+        want = lift(p.inverse())[r]
+        if w.pi_power_of(p) != (p.n + 1 - want if mirrored else want):
+            return p
+    return None
+
+
+# claim: (degrees it runs at, shift, mirrored, the witness it reads)
+POWER_CLAIMS = {
+    "skew-toric": (range(3, 6), 1, False, lambda n: bar_f_witness(n, 1)),
+    "prop7.2": (range(3, 7), 1, False, lambda n: is_regular(prop72_map(n))),
+    "thm7.3": ((5,), 5, True, lambda n: is_regular(mprime_n5_map())),
+}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_inverse_column_is_the_entry_of_each_inverse(n):
+    grp = sym_group(n)
+    for r in range(n + 1):
+        want = tuple(lift(p.inverse())[r] for p in grp)
+        assert verify._inverse_column(n, NO_BUDGET, r) == want, r
+
+
+@pytest.mark.parametrize("key", sorted(POWER_CLAIMS))
+def test_power_function_columns_pass_where_the_loops_pass(key):
+    degrees, r, mirrored, witness = POWER_CLAIMS[key]
+    for n in degrees:
+        verify.clear_cache()
+        assert _oracle_power_fault(witness(n), r, mirrored) is None, n
+        assert verify.run_claim(key, n).status == "verified", n
+
+
+@pytest.mark.parametrize("key", sorted(POWER_CLAIMS))
+def test_power_function_columns_report_the_first_fault_of_the_loops(monkeypatch, key):
+    degrees, r, mirrored, witness = POWER_CLAIMS[key]
+    n = degrees[-1]
+    true = witness(n)
+    # Two ranks off the connection sets, whose powers the claims read on their own.
+    gens = {x.image for x in prop72_map(n).gens + mprime_n5_map().gens}
+    ranks = [i for i, p in enumerate(true.elements) if p.image not in gens]
+    powers = list(true.pi_power)
+    for i in (ranks[-2], ranks[3]):
+        powers[i] = (powers[i] + 1) % true.order
+    tampered = replace(true, pi_power=tuple(powers))
+    if key == "skew-toric":
+        monkeypatch.setattr(
+            verify, "bar_f_witness", lambda n, s: tampered if s == 1 else bar_f_witness(n, s)
+        )
+    else:
+        monkeypatch.setattr(verify, "is_regular", lambda m, budget=NO_BUDGET: tampered)
+    verify.clear_cache()
+    report = verify.run_claim(key, n)
+    assert report.status == "failed"
+    assert report.details["error"].startswith("power function is not the ")
+    assert report.counterexample == {"p": str(_oracle_power_fault(tampered, r, mirrored))}
+    assert report.counterexample["p"] == str(true.elements[ranks[3]])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Permutations in one-line notation and 0-based maps, the extended forms among them."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from btcayley.perms import (
     Permutation,
@@ -8,6 +12,7 @@ from btcayley.perms import (
     alpha_power,
     compose_images,
     compose_maps,
+    cycles,
     identity,
     invert_image,
     lift,
@@ -139,3 +144,20 @@ def test_parse_rejects_garbage():
     for bad in ("nope", "[]", "[1 1 2]", "[0 1 2]", "[1 2", "[a b]"):
         with pytest.raises(ValueError):
             parse_permutation(bad)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_parity_is_the_parity_of_the_inversion_count(n):
+    for p in sym_group(n):
+        inversions = sum(1 for a, b in combinations(p.image, 2) if a > b)
+        assert p.is_even() == (inversions % 2 == 0), p
+
+
+@given(st.integers(0, 12).flatmap(lambda k: st.permutations(range(k))))
+def test_cycles_partition_the_points_from_their_least_points(succ):
+    found = cycles(succ)
+    assert sorted(x for cycle in found for x in cycle) == list(range(len(succ)))
+    assert all(cycle[0] == min(cycle) for cycle in found)
+    assert [cycle[0] for cycle in found] == sorted(cycle[0] for cycle in found)
+    for cycle in found:
+        assert [succ[x] for x in cycle] == cycle[1:] + cycle[:1]

@@ -8,28 +8,30 @@ from btcayley.perms import Permutation
 from btcayley.toric import (
     DihedralElement,
     apply_dihedral,
-    apply_lh_barf,
     bar_f,
-    bar_f_conj,
     bar_f_image,
     bar_f_witness,
     bt_image_closed_form,
     compose_lh_barf,
     dihedral_compose,
     dihedral_elements,
-    dihedral_identity,
-    dihedral_inverse,
     euler_phi,
     phi_iso,
     reverse_g,
     reverse_g_conj,
     reverse_image,
-    skew_identity_bar_f,
     toric_class,
     toric_class_stats,
     toric_f,
-    toric_f_conj,
     toric_image,
+)
+from toric_oracles import (
+    apply_lh_barf,
+    bar_f_conj,
+    dihedral_identity,
+    dihedral_inverse,
+    skew_identity_bar_f,
+    toric_f_conj,
 )
 
 

@@ -25,14 +25,12 @@ from btcayley.perms import (
     sym_index,
 )
 from btcayley.toric import (
-    bar_f_conj,
     bar_f_image,
     compose_lh_barf,
     dihedral_elements,
     reverse_g,
     reverse_g_conj,
     reverse_image,
-    toric_f_conj,
     toric_image,
 )
 from btcayley.verify import (
@@ -44,6 +42,7 @@ from btcayley.verify import (
     run_all,
     run_claim,
 )
+from toric_oracles import bar_f_conj, toric_f_conj
 
 
 @pytest.fixture(autouse=True)
@@ -656,3 +655,23 @@ def test_toric_reverse_aut_fails_on_a_table_that_is_no_bijection(monkeypatch):
     assert r.status == "failed"
     assert r.details["error"] == "induced map is not a bijection"
     assert r.counterexample == {"symmetry": "t^0"}
+
+
+def test_cor511_fails_on_a_symmetry_table_that_is_no_bijection(monkeypatch):
+    # bar_f_1 sends [1 3 2 5 4] where it sends [1 5 4 2 3]: every image is
+    # still a permutation, but the table of t^1 is no bijection.
+    true = verify.bar_f_images
+
+    def faulty(n, r):
+        images = true(n, r)
+        if (n, r) == (5, 1):
+            idx = sym_index(5)
+            images = list(images)
+            images[idx[(1, 3, 2, 5, 4)]] = images[idx[(1, 5, 4, 2, 3)]]
+        return images
+
+    monkeypatch.setattr(verify, "bar_f_images", faulty)
+    r = run_claim("cor5.11", 5)
+    assert r.status == "failed"
+    assert r.details["error"] == "induced map is not a bijection"
+    assert r.counterexample == {"symmetry": "t^1"}
