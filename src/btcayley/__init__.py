@@ -6,86 +6,13 @@ systems whose faces realize the cyclic relations, and the automorphism
 groups of all of these.  Every structural fact carries a runnable check
 in the claim registry (btcayley.verify); the command line front end in
 btcayley.cli drives the same registry.
+
+Importing the package loads none of its modules: each exported name loads
+its home module on first use, so a process pays only for the layers it
+reads.
 """
 
-from .blocktrans import (
-    IDENTITY,
-    TN_CLASSES,
-    CutPoints,
-    beta,
-    bt_inverse,
-    bt_power,
-    classify,
-    enumerate_tn,
-    make_bt,
-    partition_counts,
-    recognize,
-    tn_realizations,
-    tn_size,
-)
-from .budget import NO_BUDGET, Budget, BudgetExceeded
-from .graphs import (
-    Graph,
-    bfs_distance,
-    build_cayley,
-    degree_profile,
-    e_edges,
-    gamma,
-    gamma_v,
-    graphs_isomorphic,
-    hamilton_cycle_gamma_v,
-    maximal_2_cliques,
-    vertex_set_V,
-)
-from .maps import (
-    CayleyMap,
-    aut_order,
-    build_map,
-    is_regular,
-    map_report,
-    mprime_n5_map,
-    octahedron_map,
-    prop72_map,
-    t_balance,
-)
-from .perms import (
-    Permutation,
-    identity,
-    lift,
-    parse_permutation,
-    restrict,
-    reverse,
-    sym_group,
-)
-from .toric import (
-    DihedralElement,
-    SkewMorphismWitness,
-    apply_dihedral,
-    bar_f,
-    bar_f_witness,
-    dihedral_elements,
-    euler_phi,
-    reverse_g,
-    toric_class,
-    toric_class_stats,
-    toric_f,
-)
-from .verify import (
-    Claim,
-    ClaimFailure,
-    VerificationReport,
-    claim_keys,
-    run_all,
-    run_claim,
-)
-from .autgroup import (
-    VertexMap,
-    aut_group,
-    generated_subgroup,
-    is_automorphism,
-    left_translation,
-    stabilizer_of_identity,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -157,3 +84,98 @@ __all__ = [
     "toric_f",
     "vertex_set_V",
 ]
+
+# Home module of every exported name, and of every submodule (its own home).
+# Nothing is imported until a name is first read: see __getattr__.
+_HOME = {
+    "IDENTITY": "blocktrans",
+    "TN_CLASSES": "blocktrans",
+    "CutPoints": "blocktrans",
+    "beta": "blocktrans",
+    "bt_inverse": "blocktrans",
+    "bt_power": "blocktrans",
+    "classify": "blocktrans",
+    "enumerate_tn": "blocktrans",
+    "make_bt": "blocktrans",
+    "partition_counts": "blocktrans",
+    "recognize": "blocktrans",
+    "tn_realizations": "blocktrans",
+    "tn_size": "blocktrans",
+    "NO_BUDGET": "budget",
+    "Budget": "budget",
+    "BudgetExceeded": "budget",
+    "Graph": "graphs",
+    "bfs_distance": "graphs",
+    "build_cayley": "graphs",
+    "degree_profile": "graphs",
+    "e_edges": "graphs",
+    "gamma": "graphs",
+    "gamma_v": "graphs",
+    "graphs_isomorphic": "graphs",
+    "hamilton_cycle_gamma_v": "graphs",
+    "maximal_2_cliques": "graphs",
+    "vertex_set_V": "graphs",
+    "CayleyMap": "maps",
+    "aut_order": "maps",
+    "build_map": "maps",
+    "is_regular": "maps",
+    "map_report": "maps",
+    "mprime_n5_map": "maps",
+    "octahedron_map": "maps",
+    "prop72_map": "maps",
+    "t_balance": "maps",
+    "Permutation": "perms",
+    "identity": "perms",
+    "lift": "perms",
+    "parse_permutation": "perms",
+    "restrict": "perms",
+    "reverse": "perms",
+    "sym_group": "perms",
+    "DihedralElement": "toric",
+    "SkewMorphismWitness": "toric",
+    "apply_dihedral": "toric",
+    "bar_f": "toric",
+    "bar_f_witness": "toric",
+    "dihedral_elements": "toric",
+    "euler_phi": "toric",
+    "reverse_g": "toric",
+    "toric_class": "toric",
+    "toric_class_stats": "toric",
+    "toric_f": "toric",
+    "Claim": "verify",
+    "ClaimFailure": "verify",
+    "VerificationReport": "verify",
+    "claim_keys": "verify",
+    "run_all": "verify",
+    "run_claim": "verify",
+    "VertexMap": "autgroup",
+    "aut_group": "autgroup",
+    "generated_subgroup": "autgroup",
+    "is_automorphism": "autgroup",
+    "left_translation": "autgroup",
+    "stabilizer_of_identity": "autgroup",
+    "autgroup": "autgroup",
+    "blocktrans": "blocktrans",
+    "budget": "budget",
+    "cli": "cli",
+    "graphs": "graphs",
+    "maps": "maps",
+    "perms": "perms",
+    "toric": "toric",
+    "verify": "verify",
+}
+
+
+def __getattr__(name: str):
+    """Import the home module of name on first use and keep the value here (PEP 562)."""
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{home}", __name__)
+    value = module if home == name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOME))

@@ -16,7 +16,6 @@ from operator import itemgetter
 
 from .blocktrans import (
     CutPoints,
-    IDENTITY,
     enumerate_tn,
     make_bt,
     recognize,
@@ -70,8 +69,12 @@ class Graph:
     def _fill(self, labels, rows):
         self.labels = tuple(labels)
         self.neighbors = tuple(map(tuple, map(sorted, rows)))
-        self._index = dict(zip(self.labels, range(len(self.labels))))
         self._walks = None
+
+    @cached_property
+    def _index(self) -> dict:
+        """Vertex number of each label, built on the first lookup."""
+        return dict(zip(self.labels, range(len(self.labels))))
 
     @cached_property
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:

@@ -11,6 +11,10 @@ the left translations together with psi and has order |G| * order(psi).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
+from operator import itemgetter
+from typing import NamedTuple
 
 from .blocktrans import CutPoints, make_bt
 from .budget import NO_BUDGET
@@ -28,8 +32,7 @@ from .perms import (
 from .toric import SkewMorphismWitness, bar_f, bar_f_witness, check_skew
 
 
-@dataclass(frozen=True)
-class Dart:
+class Dart(NamedTuple):
     """A directed edge (tail, tail o gen), stored by its generator."""
 
     tail: Permutation
@@ -117,10 +120,13 @@ class CayleyMap:
         """All faces, each starting at its least (tail, gen) rank, in that order.
 
         The orbits come from _face_orbits.  Every dart lies on one face, so
-        each Dart is built once, in number order, and the faces pick theirs.
+        each Dart is built once, in number order, straight from its
+        (tail, gen) pair, and each face picks its darts with one gather.  No
+        generator is the identity, so R o T moves every dart and an orbit
+        has at least two darts: the gather returns a tuple.
         """
-        darts = [Dart(p, x) for p in self.elements for x in self.gens]
-        return [Face(tuple(map(darts.__getitem__, orbit))) for orbit in self._face_orbits()]
+        darts = list(map(partial(tuple.__new__, Dart), product(self.elements, self.gens)))
+        return [Face(itemgetter(*orbit)(darts)) for orbit in self._face_orbits()]
 
     def euler_characteristic(self) -> int:
         v = len(self.elements)

@@ -215,7 +215,9 @@ def _rank_columns(n: int, images) -> list:
 
     The n-1 columns of the adjacent transpositions s_t = (t+1 t+2) are
     looked up once through sym_index; every other column is composed from
-    them at C level, so no product is hashed.  Take the first descent t of
+    them by one itemgetter gather, so no product is hashed.  (x has a
+    descent only for n >= 2, where a column has n! >= 2 entries, so the
+    gather returns a tuple.)  Take the first descent t of
     x (x[t] > x[t+1], 0-based) and y = x o s_t, which is x with the
     entries at t and t+1 swapped.  Then:
       - rank(p o x) = rank((p o y) o s_t) = col_s_t[col_y[rank p]], since
@@ -240,7 +242,7 @@ def _rank_columns(n: int, images) -> list:
         if col is None:
             t = next(t for t in range(n - 1) if x[t] > x[t + 1])
             y = x[:t] + (x[t + 1], x[t]) + x[t + 2 :]
-            col = columns[x] = tuple(map(adjacent[t].__getitem__, column(y)))
+            col = columns[x] = itemgetter(*column(y))(adjacent[t])
         return col
 
     return list(map(column, images))

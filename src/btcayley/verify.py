@@ -15,6 +15,9 @@ whole registry at any n exercises every key.
 from __future__ import annotations
 
 import os
+import pickle
+import sys
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -228,7 +231,7 @@ def run_all(n: int | None = None, budget=NO_BUDGET) -> list[VerificationReport]:
     """Every claim at degree n (clamped per claim), in claim_keys() order.
 
     Claims are independent, so the ones not already cached run as jobs in
-    a pool of forked workers, one per available CPU (see _run_forked).
+    forked child processes, one per available CPU (see _run_forked).
     The claims of _TABLE_GROUP form the first job; every other claim is a
     job of its own.  With one CPU or one job to run, the jobs run in this
     process, in the same order.
@@ -249,31 +252,112 @@ def run_all(n: int | None = None, budget=NO_BUDGET) -> list[VerificationReport]:
 
 
 def _run_forked(jobs, workers: int) -> list[list[VerificationReport]] | None:
-    """Reports of each job from forked workers, in order; None if none can fork.
+    """Reports of each job from `workers` forked children, in order; None if none can fork.
 
-    Jobs are handed out one at a time, in order.  Only (keys, n, budget)
-    crosses to a worker; the budget's deadline is on the system monotonic
-    clock, so it holds there.  Verified reports are cached here, in the parent.
-    No pool is started where there is no fork start method, from a pool
-    worker (which may not have children), or while another thread runs:
-    a forked child gets no copy of that thread, so a lock it holds would
-    stay held in the child.
+    The job numbers go into one pipe before the first fork, two bytes
+    each, and each child takes its next job with one two-byte read, so the
+    jobs are handed out one at a time, in order (a pipe read of a whole
+    number that is there is not split between readers).  Only (keys, n,
+    budget) crosses to a child, by the fork itself; the budget's deadline
+    is on the system monotonic clock, so it holds there.  Each child sends
+    its (job, reports) pairs, or the exception that stopped it, as one
+    pickle through a pipe of its own (see _serve).  This process runs no
+    claim: it reads every pipe to its end, reaps every child (killing them
+    first if it is interrupted), raises if a child died before it sent its
+    reports, re-raises a child's exception, and caches the verified
+    reports here.
+
+    Nothing is forked where os.fork is missing, from a multiprocessing
+    daemon (which may not have children), or while another thread runs: a
+    forked child gets no copy of that thread, so a lock it holds would stay
+    held in the child.  multiprocessing is read only if it is loaded.
     """
-    import multiprocessing
-    import threading
-
+    mp = sys.modules.get("multiprocessing")
     if (
-        "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
+        not hasattr(os, "fork")
+        or (mp is not None and mp.current_process().daemon)
         or threading.active_count() > 1
     ):
         return None
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        done = pool.map(_run_claim_job, jobs, chunksize=1)
-    for report in chain.from_iterable(done):
+    job_r, job_w = os.pipe()
+    try:
+        # A few dozen job numbers: they fit in the pipe's buffer at once.
+        os.write(job_w, b"".join(i.to_bytes(2, "little") for i in range(len(jobs))))
+    finally:
+        os.close(job_w)
+    pids: list[int] = []
+    reads: list[int] = []  # the read end of each child's result pipe
+    try:
+        for _ in range(workers):
+            r, w = os.pipe()
+            reads.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(jobs, job_r, r, w)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        sent = list(map(_read_to_end, reads))
+    except BaseException:
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(job_r)
+        for r in reads:
+            os.close(r)
+        status = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    done: dict[int, list[VerificationReport]] = {}
+    for pid, code, data in zip(pids, status, sent):
+        # A child exits 0 only after it has sent everything (see _serve).
+        if code != 0:
+            raise RuntimeError(f"verify worker {pid} exited with {code} before it sent its reports")
+        result = pickle.loads(data)
+        if isinstance(result, BaseException):
+            raise result
+        done.update(result)
+    for report in chain.from_iterable(done.values()):
         if report.status == "verified":
             _cache[(report.claim, report.n)] = report
-    return done
+    return [done[i] for i in range(len(jobs))]
+
+
+def _serve(jobs, job_r: int, result_r: int, result_w: int):
+    """Child side of _run_forked: run the jobs read from job_r, send the reports, exit.
+
+    The child leaves by os._exit, so it runs no exit handler and never
+    flushes a stdio buffer it inherited: text the parent had not yet
+    written out is written once, by the parent.
+    """
+    code = 1
+    try:
+        os.close(result_r)
+        pairs = []
+        try:
+            while raw := os.read(job_r, 2):
+                i = int.from_bytes(raw, "little")
+                pairs.append((i, _run_claim_job(jobs[i])))
+            data = pickle.dumps(pairs)
+        except Exception as exc:
+            try:
+                data = pickle.dumps(exc)
+            except Exception:
+                data = pickle.dumps(RuntimeError(f"verify worker failed: {exc!r}"))
+        with open(result_w, "wb") as out:
+            out.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read_to_end(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 def _fail(message: str, **context):

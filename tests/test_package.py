@@ -1,0 +1,61 @@
+"""The package loads each of its modules on first use (PEP 562).
+
+Each check runs in a fresh interpreter, because this one has long since
+loaded every module.
+"""
+
+
+def test_importing_the_package_loads_no_module_of_it(run_python):
+    out = run_python(
+        "import sys, btcayley\n"
+        "print(sorted(m for m in sys.modules if m.startswith('btcayley.')))"
+    )
+    assert out == "[]\n"
+
+
+def test_every_exported_name_is_the_object_of_its_home_module(run_python):
+    out = run_python(
+        "import sys, btcayley\n"
+        "for name in btcayley.__all__:\n"
+        "    value = getattr(btcayley, name)\n"
+        "    home = sys.modules['btcayley.' + btcayley._HOME[name]]\n"
+        "    assert vars(home)[name] is value, name\n"
+        "    assert getattr(value, '__module__', home.__name__) == home.__name__, name\n"
+        "print('ok')"
+    )
+    assert out == "ok\n"
+
+
+def test_star_import_binds_every_exported_name(run_python):
+    out = run_python(
+        "from btcayley import *\n"
+        "import btcayley\n"
+        "assert all(globals()[n] is getattr(btcayley, n) for n in btcayley.__all__)\n"
+        "print(sorted(set(btcayley.__all__) - set(dir(btcayley))))"
+    )
+    assert out == "[]\n"
+
+
+def test_a_module_is_an_attribute_after_a_bare_import(run_python):
+    out = run_python(
+        "import btcayley\n"
+        "verify = btcayley.verify\n"
+        "print(verify.__name__, verify.run_all is btcayley.run_all, 'verify' in dir(btcayley))"
+    )
+    assert out == "btcayley.verify True True\n"
+
+
+def test_an_unknown_name_raises_attribute_error(run_python):
+    out = run_python(
+        "import sys, btcayley\n"
+        "try:\n"
+        "    btcayley.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+        "try:\n"
+        "    from btcayley import no_such_name\n"
+        "except ImportError:\n"
+        "    print('ImportError')\n"
+        "print(sorted(m for m in sys.modules if m.startswith('btcayley.')))"
+    )
+    assert out == "module 'btcayley' has no attribute 'no_such_name'\nImportError\n[]\n"

@@ -14,7 +14,7 @@ import pytest
 from btcayley import toric, verify
 from btcayley.autgroup import orbit, orbit_images
 from btcayley.blocktrans import CutPoints, make_bt
-from btcayley.budget import Budget
+from btcayley.budget import NO_BUDGET, Budget
 from btcayley.perms import (
     Permutation,
     compose_images,
@@ -183,13 +183,14 @@ def test_claims_stay_in_this_process_while_another_thread_runs(monkeypatch, pid_
     assert pids == {os.getpid()}
 
 
+def _broken(n, budget):
+    raise RuntimeError("runner fault")
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_runner_that_raises_makes_run_all_raise(monkeypatch, workers):
-    def broken(n, budget):
-        raise RuntimeError("runner fault")
-
     monkeypatch.setattr(verify, "_worker_count", lambda: workers)
-    monkeypatch.setitem(REGISTRY, "eq9", replace(REGISTRY["eq9"], runner=broken))
+    monkeypatch.setitem(REGISTRY, "eq9", replace(REGISTRY["eq9"], runner=_broken))
     with pytest.raises(RuntimeError, match="runner fault"):
         run_all(5)
 
@@ -213,6 +214,66 @@ def test_a_pooled_run_caches_its_verified_reports_here(monkeypatch):
 
     monkeypatch.setattr(verify, "_run_forked", no_pool)
     assert all(a is b for a, b in zip(run_all(5), reports))
+
+
+@pytest.mark.parametrize("ending", ["returns", "raises", "spent budget"])
+def test_no_worker_is_left_after_run_all(monkeypatch, ending):
+    monkeypatch.setattr(verify, "_worker_count", lambda: 2)
+    if ending == "raises":
+        monkeypatch.setitem(REGISTRY, "eq9", replace(REGISTRY["eq9"], runner=_broken))
+        with pytest.raises(RuntimeError, match="runner fault"):
+            run_all(5)
+    else:
+        run_all(5, Budget(0) if ending == "spent budget" else NO_BUDGET)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_killed_mid_claim_makes_run_all_raise(run_python):
+    out = run_python(
+        "import os, signal\n"
+        "from dataclasses import replace\n"
+        "from btcayley import verify\n"
+        "verify._worker_count = lambda: 2\n"
+        "parent = os.getpid()\n"
+        "def killed(n, budget):\n"
+        "    if os.getpid() != parent:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return {}\n"
+        "verify.REGISTRY['eq9'] = replace(verify.REGISTRY['eq9'], runner=killed)\n"
+        "try:\n"
+        "    verify.run_all(5)\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('no child left')\n",
+        timeout=60,
+    )
+    assert re.fullmatch(r"verify worker \d+ exited with -9 before it sent its reports\nno child left\n", out)
+
+
+def test_text_this_process_has_not_flushed_is_written_once(run_python):
+    out = run_python(
+        "import sys\n"
+        "from btcayley import verify\n"
+        "verify._worker_count = lambda: 2\n"
+        "sys.stdout.write('written before the fork\\n')\n"
+        "print(len(verify.run_all(5)))\n"
+    )
+    assert out == f"written before the fork\n{len(claim_keys())}\n"
+
+
+def test_a_forked_run_loads_no_multiprocessing(run_python):
+    out = run_python(
+        "import sys\n"
+        "from btcayley import verify\n"
+        "verify._worker_count = lambda: 2\n"
+        "verify.run_all(4)\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    assert out == "False\n"
 
 
 def test_every_runner_declares_a_usable_range():
