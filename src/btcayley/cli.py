@@ -259,15 +259,14 @@ def cmd_export(args, out) -> int:
             out.write(face_lines(m))
             return EXIT_OK
         faces = m.faces()
+        k = m.valency
         _print_json(
             {
                 "n": args.n,
                 "object": "map-faces",
                 "dart_count": m.dart_count,
                 "face_count": len(faces),
-                "faces": [
-                    [str(d.tail) for d in f.darts] for f in faces
-                ],
+                "faces": [[str(m.elements[d // k]) for d in f] for f in faces],
             },
             out,
         )

@@ -10,21 +10,18 @@ the left translations together with psi and has order |G| * order(psi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
-from itertools import product
-from operator import itemgetter
-from typing import NamedTuple
+from functools import cached_property
+from itertools import chain, cycle
+from operator import add
 
 from .blocktrans import CutPoints, make_bt
 from .budget import NO_BUDGET
 from .graphs import connection_set_images
 from .perms import (
-    Permutation,
-    _product_rows,
+    _rank_columns,
     closure,
+    compose_maps,
     cycles,
-    identity,
     parse_permutation,
     sym_group,
     sym_index,
@@ -32,33 +29,15 @@ from .perms import (
 from .toric import SkewMorphismWitness, bar_f, bar_f_witness, check_skew
 
 
-class Dart(NamedTuple):
-    """A directed edge (tail, tail o gen), stored by its generator."""
-
-    tail: Permutation
-    gen: Permutation
-
-    @property
-    def head(self) -> Permutation:
-        return self.tail.compose(self.gen)
-
-
-@dataclass(frozen=True)
-class Face:
-    """A face: the cyclic dart sequence of one rotation-reversal orbit."""
-
-    darts: tuple[Dart, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.darts)
-
-    def vertex_walk(self) -> tuple[Permutation, ...]:
-        return tuple(d.tail for d in self.darts)
-
-
 class CayleyMap:
-    """CM(Sym_n, X, p): X held in the cyclic order defining p."""
+    """CM(Sym_n, X, p): X held in the cyclic order defining p.
+
+    Dart (v, x_g), from the group element of rank v along generator
+    gens[g], is the number v * k + g, with k the valency.  So number order
+    is (tail, generator) rank order, the tail's rank is d // k and the
+    generator's slot is d % k.  Rank 0 is the identity (sym_group lists
+    Sym_n in lexicographic order), so dart 0 is (iota, gens[0]).
+    """
 
     def __init__(self, n: int, generators):
         gens = tuple(generators)
@@ -70,15 +49,13 @@ class CayleyMap:
         self.gens = gens
         self.elements = sym_group(n)
         self._eidx = sym_index(n)
-        self._gidx = {x.image: gi for gi, x in enumerate(gens)}
-        self._ginv = tuple(self._gidx[x.inverse().image] for x in gens)
 
-        # vertex-by-generator product table, by ranks
-        self._vmul = tuple(_product_rows(n, imgs))
+        # col[g][v] = rank(v o x_g): the vertex-by-generator products, by ranks
+        self._columns = _rank_columns(n, imgs)
 
         # The connection set must generate the whole group.
-        steps = [col.__getitem__ for col in zip(*self._vmul)]
-        if len(closure([self._eidx[identity(n).image]], steps)) != len(self.elements):
+        steps = [col.__getitem__ for col in self._columns]
+        if len(closure([0], steps)) != len(self.elements):
             raise ValueError("connection set does not generate the group")
 
     @property
@@ -89,49 +66,37 @@ class CayleyMap:
     def dart_count(self) -> int:
         return len(self.elements) * len(self.gens)
 
-    def p_next(self, x: Permutation) -> Permutation:
-        """Cyclic successor of a generator in the rotation order."""
-        gi = self._gidx.get(x.image)
-        if gi is None:
-            raise ValueError(f"{x} is not in the connection set")
-        return self.gens[(gi + 1) % len(self.gens)]
+    @cached_property
+    def _rotate(self) -> tuple[int, ...]:
+        """The rotation R as a dart table: (v, g) -> (v, g+1 mod k)."""
+        k = len(self.gens)
+        return tuple(map(add, range(self.dart_count), cycle([1] * (k - 1) + [1 - k])))
 
-    def rotation(self, d: Dart) -> Dart:
-        return Dart(d.tail, self.p_next(d.gen))
+    @cached_property
+    def _reverse(self) -> tuple[int, ...]:
+        """The reversal T as a dart table: (v, g) -> (rank(v o x_g), slot(x_g^-1)).
 
-    def reverse(self, d: Dart) -> Dart:
-        return Dart(d.head, d.gen.inverse())
-
-    def _face_orbits(self) -> list[list[int]]:
-        """The faces as dart numbers, each from its least dart, in that order.
-
-        Dart (vi, gi) is number vi * m + gi, so number order is (tail, gen)
-        rank order and the tail's rank is the number // m.  R o T reverses
-        the dart, then rotates: (vi, gi) goes to (vmul[vi][gi],
-        ginv[gi] + 1 mod m), kept as one flat successor list.  The orbits
-        are the cycles of that list (perms.cycles), so each face starts at
-        its least dart and the faces come sorted by their first darts.
+        One list per generator holds the reversed darts of that slot in
+        tail order; zip interleaves them into dart number order.
         """
-        m = len(self.gens)
-        turn = [(self._ginv[gi] + 1) % m for gi in range(m)]
-        return cycles([w * m + turn[gi] for row in self._vmul for gi, w in enumerate(row)])
+        k = len(self.gens)
+        slot = {x: g for g, x in enumerate(self.gens)}
+        inverse = [slot[x.inverse()] for x in self.gens]
+        slots = [[w * k + t for w in col] for col, t in zip(self._columns, inverse)]
+        return tuple(chain.from_iterable(zip(*slots)))
 
-    def faces(self) -> list[Face]:
-        """All faces, each starting at its least (tail, gen) rank, in that order.
+    def faces(self) -> list[list[int]]:
+        """The faces as dart numbers: the cycles of R o T (reverse, then rotate).
 
-        The orbits come from _face_orbits.  Every dart lies on one face, so
-        each Dart is built once, in number order, straight from its
-        (tail, gen) pair, and each face picks its darts with one gather.  No
-        generator is the identity, so R o T moves every dart and an orbit
-        has at least two darts: the gather returns a tuple.
+        Each face starts at its least dart, and the faces come sorted by
+        their first darts (perms.cycles).
         """
-        darts = list(map(partial(tuple.__new__, Dart), product(self.elements, self.gens)))
-        return [Face(itemgetter(*orbit)(darts)) for orbit in self._face_orbits()]
+        return cycles(compose_maps(self._rotate, self._reverse))
 
     def euler_characteristic(self) -> int:
         v = len(self.elements)
         e = self.dart_count // 2
-        return v - e + len(self._face_orbits())
+        return v - e + len(self.faces())
 
 
 def is_regular(m: CayleyMap, budget=NO_BUDGET) -> SkewMorphismWitness | None:
@@ -143,61 +108,51 @@ def is_regular(m: CayleyMap, budget=NO_BUDGET) -> SkewMorphismWitness | None:
     left translations alone are transitive on the vertices.
     """
     n = m.n
+    successor = list(zip(m.gens, m.gens[1:] + m.gens[:1]))
     for r in range(n + 1):
-        if all(bar_f(x, r) == m.p_next(x) for x in m.gens):
+        if all(bar_f(x, r) == y for x, y in successor):
             w = bar_f_witness(n, r)
             if w is not None:
                 return w
     vmap = _propagate_dart_automorphism(m, budget)
     if vmap is None:
         return None
-    if any(m.elements[vmap[m._eidx[x.image]]] != m.p_next(x) for x in m.gens):
+    if any(m.elements[vmap[m._eidx[x.image]]] != y for x, y in successor):
         return None
-    w = check_skew(m.elements, tuple(vmap))
+    w = check_skew(n, tuple(vmap))
     if w is None:
         raise RuntimeError("dart automorphism exists but is no skew-morphism")
     return w
 
 
 def _propagate_dart_automorphism(m: CayleyMap, budget):
-    """Vertex map of the automorphism sending (iota, gens[0]) to (iota, gens[1]).
+    """Vertex map of the automorphism sending dart 0 = (iota, gens[0]) to dart 1.
 
     Images propagate along R and T over the single <R, T> orbit (the graph
-    is connected); any conflict proves the automorphism does not exist.
+    is connected): an automorphism commutes with both, so img[step[d]] is
+    step[img[d]].  Any conflict proves the automorphism does not exist.
     """
     k = len(m.gens)
     nv = len(m.elements)
     total = nv * k
-    iota = m._eidx[identity(m.n).image]
+    steps = (m._rotate, m._reverse)
     img = [-1] * total
-    d0 = iota * k + 0
-    img[d0] = iota * k + 1
-    queue = [d0]
+    img[0] = 1
+    queue = [0]
     seen = 1
     while queue:
         budget.check()
         d = queue.pop()
         e = img[d]
-        vi, gi = divmod(d, k)
-        wi, hi = divmod(e, k)
-        # rotation: advance both generator slots
-        dn = vi * k + (gi + 1) % k
-        en = wi * k + (hi + 1) % k
-        if img[dn] < 0:
-            img[dn] = en
-            queue.append(dn)
-            seen += 1
-        elif img[dn] != en:
-            return None
-        # reversal: cross both edges
-        dn = m._vmul[vi][gi] * k + m._ginv[gi]
-        en = m._vmul[wi][hi] * k + m._ginv[hi]
-        if img[dn] < 0:
-            img[dn] = en
-            queue.append(dn)
-            seen += 1
-        elif img[dn] != en:
-            return None
+        for step in steps:
+            dn = step[d]
+            en = step[e]
+            if img[dn] < 0:
+                img[dn] = en
+                queue.append(dn)
+                seen += 1
+            elif img[dn] != en:
+                return None
     if seen != total or len(set(img)) != total:
         return None
     # consistency as a vertex map
@@ -286,7 +241,7 @@ def build_map(which: str, n: int | None = None) -> CayleyMap:
 
 
 def map_report(m: CayleyMap, budget=NO_BUDGET) -> dict:
-    faces = m._face_orbits()
+    faces = m.faces()
     histogram: dict[int, int] = {}
     for f in faces:
         histogram[len(f)] = histogram.get(len(f), 0) + 1
@@ -313,5 +268,5 @@ def face_lines(m: CayleyMap) -> str:
     straight from the dart numbers.
     """
     k = m.valency
-    lines = [" ".join(str(d // k) for d in f) for f in m._face_orbits()]
+    lines = [" ".join(str(d // k) for d in f) for f in m.faces()]
     return "\n".join(lines) + "\n"

@@ -295,14 +295,7 @@ class SkewMorphismWitness:
     pi_power: tuple[int, ...]
 
     def index_of(self, p: Permutation) -> int:
-        return self._index()[p.image]
-
-    def _index(self) -> dict[tuple[int, ...], int]:
-        cached = getattr(self, "_idx", None)
-        if cached is None:
-            cached = {q.image: i for i, q in enumerate(self.elements)}
-            object.__setattr__(self, "_idx", cached)
-        return cached
+        return sym_index(self.elements[0].n)[p.image]
 
     def apply(self, p: Permutation) -> Permutation:
         return self.elements[self.psi[self.index_of(p)]]
@@ -311,12 +304,12 @@ class SkewMorphismWitness:
         return self.pi_power[self.index_of(p)]
 
 
-def check_skew(elements, psi) -> SkewMorphismWitness | None:
-    """Decide whether psi (an index map over elements) is a skew-morphism.
+def check_skew(n: int, psi) -> SkewMorphismWitness | None:
+    """Decide whether psi (a rank map over Sym_n) is a skew-morphism.
 
-    elements must be the whole symmetric group sym_group(n) in its
-    lexicographic rank order, so that indices are ranks and rank 0 is the
-    identity; any other table raises ValueError.  Returns a witness carrying
+    psi[i] is the rank of the image of the element of rank i in sym_group(n),
+    whose lexicographic order puts the identity at rank 0.  A psi that is no
+    bijection of the ranks raises ValueError.  Returns a witness carrying
     the power function, or None.
 
     The walk.  x runs through Sym_n along plain changes (perms.plain_changes):
@@ -341,18 +334,15 @@ def check_skew(elements, psi) -> SkewMorphismWitness | None:
     A tie between two distinct exponents cannot happen (distinct powers of
     psi differ as maps); it is guarded as an internal error all the same.
     """
-    elements = tuple(elements)
+    elements = sym_group(n)
     psi = tuple(psi)
     g = len(elements)
-    if not elements or elements != sym_group(elements[0].n):
-        raise ValueError("element table is not the symmetric group in rank order")
     if sorted(psi) != list(range(g)):
         raise ValueError("psi is not a bijection of the element table")
     if psi[0] != 0:
         return None
     if g == 1:
         return SkewMorphismWitness(elements, psi, 1, (0,))
-    n = elements[0].n
 
     # Powers of psi; the loop closes exactly at the order.  power_of[e]
     # composes a rank row with psi^e at C level.
@@ -415,4 +405,4 @@ def bar_f_witness(n: int, r: int) -> SkewMorphismWitness | None:
 
     psi ranks the images of the column twin bar_f_images through sym_index.
     """
-    return check_skew(sym_group(n), tuple(map(sym_index(n).__getitem__, bar_f_images(n, r))))
+    return check_skew(n, tuple(map(sym_index(n).__getitem__, bar_f_images(n, r))))

@@ -257,7 +257,7 @@ def test_c10_general_rotation_system():
         mp = prop72_map(n)
         ok &= mp.valency == n + 1
         faces = mp.faces()
-        ok &= all(f.size == n for f in faces)
+        ok &= all(len(f) == n for f in faces)
         w = is_regular(mp)
         ok &= w is not None
         base = bar_f_witness(n, 1)

@@ -1,5 +1,6 @@
 """Command-line contract: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import pathlib
 
@@ -186,6 +187,27 @@ def test_export_map_faces_json(capsys):
     assert doc["face_count"] == 8
     assert doc["dart_count"] == 24
     assert all(len(f) == 3 for f in doc["faces"])
+
+
+# SHA-256 of `btcayley export --object map-faces`, captured while faces were
+# still traced as (tail, generator) dart objects.
+MAP_FACES_DIGESTS = {
+    (3, "json"): "905a0c60bd071965429acecca57e2bf55b5e42c7f34bab0dc69aaa1d913d1dee",
+    (3, "edges"): "b1cddd01f0831bea7aa0ee9aab930483c42fa11cec31441165bfee2739263af7",
+    (4, "json"): "ac46218cf7cb94c2f1f05cab4fad3e2af930310a7a3b58b5dddb233077a22a0f",
+    (4, "edges"): "dae9b3744aacd3b6511d31d45efaac29d4af4bb0106db2a7d71e19e89f8d3c48",
+    (5, "json"): "21c94db31703a7e54c8c309457b1424341a77211b792cb64d40e31bf291fea3c",
+    (5, "edges"): "c578d248e93b3e161fd1fa2d0b54fca5d53c73466796e2d51d37e73bb5c4196a",
+    (6, "json"): "b2051b56347b5b38006a92cf3844741f417bf432f0b05b5d5cbb919374cf2fbb",
+    (6, "edges"): "0978fba838098610c46ab6a06351442104e989625963e3a5899dc610bf77cb41",
+}
+
+
+@pytest.mark.parametrize("n,fmt", sorted(MAP_FACES_DIGESTS), ids=lambda v: str(v))
+def test_export_map_faces_keeps_its_bytes(capsys, n, fmt):
+    code, out, err = run(capsys, "export", "--n", str(n), "--object", "map-faces", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == MAP_FACES_DIGESTS[n, fmt]
 
 
 def test_export_caps_are_usage_errors(capsys):

@@ -60,7 +60,6 @@ from btcayley.graphs import (
 )
 from btcayley.maps import (
     CayleyMap,
-    Dart,
     face_lines,
     is_regular,
     map_report,
@@ -197,27 +196,36 @@ def _oracle_dense_closed_walks(neighbors, kmax=6):
 
 
 def _oracle_faces(m):
-    """Orbits of R o T on Dart objects, each rotated to its least dart, sorted."""
+    """Orbits of R o T on (tail, generator) pairs, each rotated to its least dart, sorted.
+
+    R advances the generator along the order of m.gens, and T sends
+    (p, x) to (p o x, x^-1); the faces come back as dart numbers
+    rank(tail) * k + slot(generator).
+    """
     rank = {p: i for i, p in enumerate(m.elements)}
     slot = {x: i for i, x in enumerate(m.gens)}
+    k = len(m.gens)
 
-    def key(d):
-        return rank[d.tail], slot[d.gen]
+    def rotation(d):
+        return d[0], m.gens[(slot[d[1]] + 1) % k]
+
+    def reverse(d):
+        return d[0].compose(d[1]), d[1].inverse()
 
     seen = set()
     out = []
     for p in m.elements:
         for x in m.gens:
-            d = Dart(p, x)
+            d = (p, x)
             orbit = []
             while d not in seen:
                 seen.add(d)
-                orbit.append(d)
-                d = m.rotation(m.reverse(d))
+                orbit.append(rank[d[0]] * k + slot[d[1]])
+                d = rotation(reverse(d))
             if orbit:
-                pivot = orbit.index(min(orbit, key=key))
-                out.append(tuple(orbit[pivot:] + orbit[:pivot]))
-    return sorted(out, key=lambda f: key(f[0]))
+                pivot = orbit.index(min(orbit))
+                out.append(orbit[pivot:] + orbit[:pivot])
+    return sorted(out)
 
 
 def _oracle_closed_walks(neighbors, kmax):
@@ -622,10 +630,10 @@ FACE_MAPS = {
 @pytest.mark.parametrize("name", sorted(FACE_MAPS))
 def test_faces_from_the_successor_list_match_the_sorted_orbits(name):
     m = FACE_MAPS[name]()
-    assert [f.darts for f in m.faces()] == _oracle_faces(m)
+    assert m.faces() == _oracle_faces(m)
 
 
-# SHA-256 of face_lines when it read each Dart tail back through sym_index.
+# SHA-256 of face_lines when it read each dart's tail back through sym_index.
 FACE_LINE_DIGESTS = {
     "prop72_map(3)": "b1cddd01f0831bea7aa0ee9aab930483c42fa11cec31441165bfee2739263af7",
     "prop72_map(4)": "dae9b3744aacd3b6511d31d45efaac29d4af4bb0106db2a7d71e19e89f8d3c48",
@@ -642,7 +650,8 @@ def test_face_lines_from_dart_numbers_keep_their_bytes(name):
     text = face_lines(m)
     assert hashlib.sha256(text.encode()).hexdigest() == FACE_LINE_DIGESTS[name]
     faces = m.faces()
-    walks = [" ".join(str(m._eidx[p.image]) for p in f.vertex_walk()) for f in faces]
+    tails = [[m.elements[d // m.valency] for d in f] for f in faces]
+    walks = [" ".join(str(sym_index(m.n)[p.image]) for p in walk) for walk in tails]
     assert text == "\n".join(walks) + "\n"
     assert m.euler_characteristic() == len(m.elements) - m.dart_count // 2 + len(faces)
 
@@ -653,7 +662,7 @@ def test_map_report_counts_the_traced_faces(name):
     faces = m.faces()
     report = map_report(m)
     assert report["face_count"] == len(faces)
-    sizes = Counter(f.size for f in faces)
+    sizes = Counter(map(len, faces))
     assert report["face_size_histogram"] == {str(k): v for k, v in sorted(sizes.items())}
     assert report["euler_characteristic"] == m.euler_characteristic()
 
@@ -692,19 +701,14 @@ def _maps(n):
 def test_check_skew_matches_the_row_by_row_oracle(n):
     elements = sym_group(n)
     for name, psi in _maps(n).items():
-        w = check_skew(elements, psi)
+        w = check_skew(n, psi)
         got = None if w is None else (w.psi, w.order, w.pi_power)
         assert got == _oracle_check_skew(elements, psi), name
 
 
 def test_check_skew_needs_the_whole_group_in_rank_order():
-    elements = sym_group(3)
     with pytest.raises(ValueError):
-        check_skew(elements[:4], range(4))
-    with pytest.raises(ValueError):
-        check_skew(elements[::-1], range(6))
-    with pytest.raises(ValueError):
-        check_skew(elements, (0, 1, 2, 3, 4, 4))
+        check_skew(3, (0, 1, 2, 3, 4, 4))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -714,7 +718,7 @@ def test_bar_f_witness_ranks_the_per_element_images(n):
     for r in range(n + 1):
         psi = tuple(idx[bar_f(p, r).image] for p in elements)
         w = bar_f_witness(n, r)
-        assert w == check_skew(elements, psi), r
+        assert w == check_skew(n, psi), r
         if w is not None:
             assert w.psi == psi, r
 

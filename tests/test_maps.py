@@ -7,7 +7,6 @@ import pytest
 from btcayley.maps import (
     MPRIME_N5_ORDER,
     CayleyMap,
-    Dart,
     aut_order,
     build_map,
     face_lines,
@@ -21,20 +20,14 @@ from btcayley.maps import (
 from btcayley.perms import identity, parse_permutation
 
 
-def test_dart_head_is_tail_times_generator():
-    m = octahedron_map()
-    d = Dart(identity(3), m.gens[0])
-    assert d.head == m.gens[0]
-
-
 def test_faces_partition_the_darts():
     m = prop72_map(4)
     seen = set()
     for f in m.faces():
-        for d in f.darts:
+        for d in f:
             assert d not in seen
             seen.add(d)
-    assert len(seen) == m.dart_count
+    assert seen == set(range(m.dart_count))
 
 
 def test_octahedron_report_frozen():
@@ -62,7 +55,7 @@ def test_general_construction_shape(n):
     assert m.valency == n + 1
     assert m.dart_count == (n + 1) * factorial(n)
     faces = m.faces()
-    assert all(f.size == n for f in faces)
+    assert all(len(f) == n for f in faces)
     assert len(faces) == m.dart_count // n
 
 
@@ -86,7 +79,7 @@ def test_reordering_the_rotation_breaks_regularity():
     gens = octahedron_map().gens
     reordered = CayleyMap(3, (gens[1], gens[0], gens[2], gens[3]))
     assert is_regular(reordered) is None
-    assert sorted(set(f.size for f in reordered.faces())) == [3, 9]
+    assert sorted(set(len(f) for f in reordered.faces())) == [3, 9]
 
 
 def test_second_critical_map_frozen():
@@ -95,7 +88,7 @@ def test_second_critical_map_frozen():
     assert m.dart_count == 720
     faces = m.faces()
     assert len(faces) == 120
-    assert all(f.size == 6 for f in faces)
+    assert all(len(f) == 6 for f in faces)
     w = is_regular(m)
     assert w is not None
     assert w.order == 6
@@ -128,11 +121,16 @@ def test_face_lines_are_deterministic_and_cover_all_faces():
 
 def test_rotation_and_reversal_are_dart_involutions():
     m = prop72_map(4)
+    k = m.valency
+    rank = {p: i for i, p in enumerate(m.elements)}
     for v in (identity(4), m.gens[0]):
-        for q in m.gens:
-            d = Dart(v, q)
-            assert m.reverse(m.reverse(d)) == d
+        for g, q in enumerate(m.gens):
+            d = rank[v] * k + g
+            e = m._reverse[d]
+            assert divmod(e, k) == (rank[v.compose(q)], m.gens.index(q.inverse()))
+            assert m._reverse[e] == d
+            assert m._rotate[d] == rank[v] * k + (g + 1) % k
             seen = d
-            for _ in range(m.valency):
-                seen = m.rotation(seen)
+            for _ in range(k):
+                seen = m._rotate[seen]
             assert seen == d

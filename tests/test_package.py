@@ -1,8 +1,14 @@
-"""The package loads each of its modules on first use (PEP 562).
+"""The package loads each of its modules on first use (PEP 562), and no
+module imports a name it never reads.
 
-Each check runs in a fresh interpreter, because this one has long since
-loaded every module.
+Each load check runs in a fresh interpreter, because this one has long
+since loaded every module.
 """
+
+import ast
+from pathlib import Path
+
+import pytest
 
 
 def test_importing_the_package_loads_no_module_of_it(run_python):
@@ -59,3 +65,42 @@ def test_an_unknown_name_raises_attribute_error(run_python):
         "print(sorted(m for m in sys.modules if m.startswith('btcayley.')))"
     )
     assert out == "module 'btcayley' has no attribute 'no_such_name'\nImportError\n[]\n"
+
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "btcayley"
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _read_names(tree) -> set[str]:
+    """Every name the module loads, including those inside string annotations."""
+    names = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    for annotation in filter(None, _annotations(tree)):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names |= _read_names(ast.parse(node.value, mode="eval"))
+    return names
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_imported_name_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert sorted(set(_imported_names(tree)) - _read_names(tree)) == []

@@ -11,7 +11,7 @@ from operator import itemgetter
 
 import pytest
 
-from btcayley import toric, verify
+from btcayley import maps, toric, verify
 from btcayley.autgroup import orbit, orbit_images
 from btcayley.blocktrans import CutPoints, make_bt
 from btcayley.budget import NO_BUDGET, Budget
@@ -112,6 +112,22 @@ def test_failed_report_always_carries_a_counterexample():
     assert r.status == "failed"
     assert r.counterexample
     assert "degree" in r.counterexample
+
+
+def test_a_face_walked_out_of_order_fails_prop72(monkeypatch):
+    # Reverse the first face after its first dart: every face keeps its size
+    # and the count holds, so only the walk along the cyclic relation sees it.
+    faces = maps.CayleyMap.faces
+
+    def reordered(m):
+        first, *rest = faces(m)
+        return [first[:1] + first[:0:-1], *rest]
+
+    monkeypatch.setattr(maps.CayleyMap, "faces", reordered)
+    r = run_claim("prop7.2", 4)
+    assert r.status == "failed"
+    assert r.details == {"error": "face walk differs"}
+    assert r.counterexample == {"expected": str(CutPoints(2, 3, 4, 4))}
 
 
 def test_budget_zero_skips_heavy_claims():
