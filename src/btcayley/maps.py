@@ -24,9 +24,8 @@ from .perms import (
     cycles,
     parse_permutation,
     sym_group,
-    sym_index,
 )
-from .toric import SkewMorphismWitness, bar_f, bar_f_witness, check_skew
+from .toric import SkewMorphismWitness, check_skew
 
 
 class CayleyMap:
@@ -48,7 +47,6 @@ class CayleyMap:
         self.n = n
         self.gens = gens
         self.elements = sym_group(n)
-        self._eidx = sym_index(n)
 
         # col[g][v] = rank(v o x_g): the vertex-by-generator products, by ranks
         self._columns = _rank_columns(n, imgs)
@@ -102,24 +100,20 @@ class CayleyMap:
 def is_regular(m: CayleyMap, budget=NO_BUDGET) -> SkewMorphismWitness | None:
     """Skew-morphism witness for regularity, or None when the map is not regular.
 
-    Tries the toric candidates bar_f_r first.  Otherwise propagates the
-    single map automorphism that would send the dart (iota, x0) to
-    (iota, p(x0)); it exists if and only if the map is regular, because the
-    left translations alone are transitive on the vertices.
+    The map is regular exactly when some map automorphism phi sends the
+    dart (iota, x_0) to (iota, x_1), because the left translations alone
+    are transitive on the vertices.  _propagate_dart_automorphism builds
+    that phi, or proves it absent, and returns its vertex map psi.  Then
+    psi = p on X: phi commutes with R, so phi(iota, x_g) = (iota, x_{g+1})
+    for every slot g; phi commutes with T, so it carries the tail x_g of
+    T(iota, x_g) to the tail x_{g+1} of T(iota, x_{g+1}).  A psi that
+    check_skew rejects would contradict Jajcay and Siran's theorem, and
+    raises RuntimeError.
     """
-    n = m.n
-    successor = list(zip(m.gens, m.gens[1:] + m.gens[:1]))
-    for r in range(n + 1):
-        if all(bar_f(x, r) == y for x, y in successor):
-            w = bar_f_witness(n, r)
-            if w is not None:
-                return w
-    vmap = _propagate_dart_automorphism(m, budget)
-    if vmap is None:
+    psi = _propagate_dart_automorphism(m, budget)
+    if psi is None:
         return None
-    if any(m.elements[vmap[m._eidx[x.image]]] != y for x, y in successor):
-        return None
-    w = check_skew(n, tuple(vmap))
+    w = check_skew(m.n, psi)
     if w is None:
         raise RuntimeError("dart automorphism exists but is no skew-morphism")
     return w
@@ -131,10 +125,16 @@ def _propagate_dart_automorphism(m: CayleyMap, budget):
     Images propagate along R and T over the single <R, T> orbit (the graph
     is connected): an automorphism commutes with both, so img[step[d]] is
     step[img[d]].  Any conflict proves the automorphism does not exist.
+
+    Once every dart has an image and img is a bijection, img is the
+    automorphism: each dart is popped once and both steps are checked at
+    it, so img commutes with R and T.  R keeps a dart's tail and is
+    transitive on the k darts at a vertex, so img sends the k darts at v
+    onto the k darts at one vertex; the tail of img[v * k] is that vertex,
+    and the vertex map is a bijection because img is one.
     """
     k = len(m.gens)
-    nv = len(m.elements)
-    total = nv * k
+    total = m.dart_count
     steps = (m._rotate, m._reverse)
     img = [-1] * total
     img[0] = 1
@@ -155,18 +155,7 @@ def _propagate_dart_automorphism(m: CayleyMap, budget):
                 return None
     if seen != total or len(set(img)) != total:
         return None
-    # consistency as a vertex map
-    vmap = [-1] * nv
-    for d in range(total):
-        vi = d // k
-        wi = img[d] // k
-        if vmap[vi] < 0:
-            vmap[vi] = wi
-        elif vmap[vi] != wi:
-            return None
-    if sorted(vmap) != list(range(nv)):
-        return None
-    return vmap
+    return tuple(e // k for e in img[::k])
 
 
 def t_balance(witness: SkewMorphismWitness, generators) -> int | None:

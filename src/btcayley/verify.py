@@ -1453,20 +1453,18 @@ def _run_toric_reverse_aut(n, budget):
         tables[d] = vm.images
     images = set(tables.values())
     _need(len(images) == 2 * (n + 1), "induced maps are not distinct", count=len(images))
+    vertices = list(sym_index(n))
     for a in dih:
         budget.check()
-        ta = tables[a]
         for b in dih:
-            tb = tables[b]
-            tab = tables[dihedral_compose(a, b)]
-            if tab != compose_maps(ta, tb):
-                v = next(v for v, x in enumerate(tb) if tab[v] != ta[x])
-                _fail(
-                    "normal-form product disagrees with composition",
-                    a=a,
-                    b=b,
-                    p=cay.labels[v],
-                )
+            _agree(
+                compose_maps(tables[a], tables[b]),
+                tables[dihedral_compose(a, b)],
+                vertices,
+                "normal-form product disagrees with composition",
+                a=a,
+                b=b,
+            )
     return {"maps": len(images)}
 
 
@@ -1544,9 +1542,9 @@ def _run_bfs(n, budget):
         _need(cur == target, "geodesic does not reach the target", target=target)
     # Left invariance on a few shifted pairs.
     w = reverse(n)
+    d2, _ = bfs_distance(source, w)
     for shift in gens[:3]:
         d1, _ = bfs_distance(shift, shift.compose(w))
-        d2, _ = bfs_distance(source, w)
         _need(d1 == d2, "distance is not left invariant", shift=shift)
     return {"targets": reached, "diameter": max(dist)}
 
@@ -1588,8 +1586,7 @@ def _run_prop72(n, budget):
 
     w = is_regular(m, budget=budget)
     _need(w is not None, "no regularity witness")
-    base = bar_f_witness(n, 1)
-    _need(base is not None and w.psi == base.psi, "witness is not the basic inverse-toric map")
+    _need(w.psi == _table(n, budget, bar_f_images, 1), "witness is not the basic inverse-toric map")
     _need(t_balance(w, m.gens) is None, "map is balanced after all")
     first = _bt(0, 1, n, n)
     _need(w.pi_power_of(first) == n, "power at the long generator wrong", got=w.pi_power_of(first))
@@ -1631,8 +1628,9 @@ def _run_thm73(n, budget):
     _need(m.dart_count == 720, "dart count wrong", count=m.dart_count)
     w = is_regular(m, budget=budget)
     _need(w is not None, "no regularity witness")
-    base = bar_f_witness(5, 5)
-    _need(base is not None and w.psi == base.psi, "witness is not the mirrored inverse-toric map")
+    _need(
+        w.psi == _table(5, budget, bar_f_images, 5), "witness is not the mirrored inverse-toric map"
+    )
     _need(w.order == 6, "witness order wrong", order=w.order)
     _need(t_balance(w, m.gens) is None, "map is balanced after all")
     _agree(

@@ -1,5 +1,8 @@
 """Graphs on the generating set: structure, distinguished edges, distances."""
 
+import hashlib
+import random
+
 import pytest
 
 from btcayley import graphs
@@ -21,7 +24,14 @@ from btcayley.graphs import (
     vertex_set_V,
 )
 from btcayley.maps import CayleyMap, mprime_n5_map, prop72_map
-from btcayley.perms import _product_rows, identity, parse_permutation, reverse, sym_group
+from btcayley.perms import (
+    Permutation,
+    _product_rows,
+    identity,
+    parse_permutation,
+    reverse,
+    sym_group,
+)
 
 
 def test_graph_rejects_malformed_adjacency():
@@ -203,6 +213,24 @@ def test_geodesics_have_claimed_length():
         for c in path:
             cur = cur.compose(make_bt(c))
         assert cur == target
+
+
+# SHA-256 of the geodesics below, one line of cut points per pair.
+GEODESICS_SHA256 = "9a12ff5e5ce23ffb625864615a9f4dfc0eadef1be84057e5c787dfdf47ff3e10"
+
+
+def test_geodesics_are_pinned():
+    """Six seeded (source, target) pairs per degree n = 3..9: bfs_distance
+    returns the same geodesic, step for step, as the digest records."""
+    rng = random.Random(2002)
+    lines = []
+    for n in range(3, 10):
+        for _ in range(6):
+            source, target = (Permutation(tuple(rng.sample(range(1, n + 1), n))) for _ in "st")
+            d, path = bfs_distance(source, target)
+            assert len(path) == d
+            lines.append(" ".join(map(str, path)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GEODESICS_SHA256
 
 
 def test_isomorphism_found_for_a_relabelled_copy():

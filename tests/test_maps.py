@@ -17,7 +17,18 @@ from btcayley.maps import (
     prop72_map,
     t_balance,
 )
-from btcayley.perms import identity, parse_permutation
+from btcayley.blocktrans import CutPoints, make_bt
+from btcayley.perms import identity, parse_permutation, sym_group, sym_index
+from btcayley.toric import bar_f, bar_f_images, reverse_image
+
+
+def _ranked(n, images):
+    """Ranks of images of the elements of sym_group(n), in rank order."""
+    return tuple(map(sym_index(n).__getitem__, images))
+
+
+def _adjacent_transpositions_map(n):
+    return CayleyMap(n, [make_bt(CutPoints(i, i + 1, i + 2, n)) for i in range(n - 1)])
 
 
 def test_faces_partition_the_darts():
@@ -134,3 +145,33 @@ def test_rotation_and_reversal_are_dart_involutions():
             for _ in range(k):
                 seen = m._rotate[seen]
             assert seen == d
+
+
+def test_two_adjacent_transpositions_at_degree_three_are_regular_and_balanced():
+    m = _adjacent_transpositions_map(3)
+    successor = list(zip(m.gens, m.gens[1:] + m.gens[:1]))
+    assert not any(all(bar_f(x, r) == y for x, y in successor) for r in range(4))
+    w = is_regular(m)
+    assert w is not None
+    assert w.order == 2
+    assert t_balance(w, m.gens) == 1
+    assert w.psi == _ranked(3, (reverse_image(p.image) for p in sym_group(3)))
+
+
+@pytest.mark.parametrize("n", (4, 5))
+def test_adjacent_transpositions_above_degree_three_are_not_regular(n):
+    assert is_regular(_adjacent_transpositions_map(n)) is None
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_reversed_staircase_rotates_by_the_last_inverse_toric_map(n):
+    w = is_regular(CayleyMap(n, prop72_map(n).gens[::-1]))
+    assert w is not None
+    assert w.psi == _ranked(n, bar_f_images(n, n))
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_staircase_rotates_by_the_first_inverse_toric_map(n):
+    w = is_regular(prop72_map(n))
+    assert w is not None
+    assert w.psi == _ranked(n, bar_f_images(n, 1))

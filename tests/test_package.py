@@ -6,6 +6,7 @@ since loaded every module.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -104,3 +105,23 @@ def _imported_names(tree):
 def test_every_imported_name_is_read(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert sorted(set(_imported_names(tree)) - _read_names(tree)) == []
+
+
+def test_every_spanned_name_is_in_its_layer_module():
+    """perfbench spans these entry points by name; one that goes missing
+    crashes the benchmark's symmetry pass."""
+    source = (Path(__file__).resolve().parent.parent / "perfbench" / "common.py").read_text()
+    spanned = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SPANNED" for t in node.targets
+        )
+    )
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in spanned.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"btcayley.{layer}"), name)
+    ]
+    assert spanned and missing == []

@@ -11,7 +11,7 @@ from operator import itemgetter
 
 import pytest
 
-from btcayley import maps, toric, verify
+from btcayley import graphs, maps, toric, verify
 from btcayley.autgroup import orbit, orbit_images
 from btcayley.blocktrans import CutPoints, make_bt
 from btcayley.budget import NO_BUDGET, Budget
@@ -128,6 +128,20 @@ def test_a_face_walked_out_of_order_fails_prop72(monkeypatch):
     assert r.status == "failed"
     assert r.details == {"error": "face walk differs"}
     assert r.counterexample == {"expected": str(CutPoints(2, 3, 4, 4))}
+
+
+def test_prop515_reports_a_cycle_step_that_is_no_edge(monkeypatch):
+    # Gamma(V) at n = 6 without the edge between the cycle's first two vertices.
+    gv = graphs.gamma_v(6)
+    a, b = (gv.index_of(make_bt(c)) for c in graphs.hamilton_cycle_gamma_v(6)[:2])
+    rows = [[u for u in gv.neighbors[v] if {u, v} != {a, b}] for v in range(gv.num_vertices)]
+    broken = graphs.Graph(gv.labels, rows)
+    monkeypatch.setattr(graphs, "gamma_v", lambda n: broken)
+    monkeypatch.setattr(verify, "gamma_v", lambda n: broken)
+    r = run_claim("prop5.15", 6)
+    assert r.status == "failed"
+    assert r.details == {"error": "cycle step is not an edge"}
+    assert r.counterexample == {"a": str(gv.labels[a]), "b": str(gv.labels[b])}
 
 
 def test_budget_zero_skips_heavy_claims():
