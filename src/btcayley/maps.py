@@ -25,7 +25,7 @@ from .perms import (
     parse_permutation,
     sym_group,
 )
-from .toric import SkewMorphismWitness, check_skew
+from .toric import SkewMorphismWitness
 
 
 class CayleyMap:
@@ -103,37 +103,55 @@ def is_regular(m: CayleyMap, budget=NO_BUDGET) -> SkewMorphismWitness | None:
     The map is regular exactly when some map automorphism phi sends the
     dart (iota, x_0) to (iota, x_1), because the left translations alone
     are transitive on the vertices.  _propagate_dart_automorphism builds
-    that phi, or proves it absent, and returns its vertex map psi.  Then
-    psi = p on X: phi commutes with R, so phi(iota, x_g) = (iota, x_{g+1})
-    for every slot g; phi commutes with T, so it carries the tail x_g of
-    T(iota, x_g) to the tail x_{g+1} of T(iota, x_{g+1}).  A psi that
-    check_skew rejects would contradict Jajcay and Siran's theorem, and
-    raises RuntimeError.
+    that phi as a dart table img, or proves it absent.  The witness is read
+    off img, with no second pass over the group.  Write
+    img[v * k] = psi(v) * k + sigma(v): psi is the vertex map, and sigma(v)
+    the slot shift at v.
+      - phi commutes with R, so phi(v, x_g) = (psi(v), x_{g + sigma(v)})
+        at every slot g of v: the shift is constant at each vertex, and
+        psi(iota) = iota, sigma(iota) = 1, since phi sends dart 0 to dart 1.
+      - By induction phi^j(0) = phi^(j-1)(R(0)) = R(phi^(j-1)(0)) = R^j(0),
+        dart j at iota for j < k, and R^k(0) = 0.  An automorphism that
+        fixes one dart is the identity (propagation fixes every dart), so
+        phi has order k.  Its vertex map psi^j fixes every vertex only when
+        phi^j fixes every dart (a dart is its tail and its head, and the
+        graph is simple), so psi has order k too.
+      - Fix v and let theta = L_psi(v)^-1 o phi o L_v, with L the left
+        translations, which are map automorphisms.  theta sends dart 0 to
+        dart sigma(v) at iota, as phi^sigma(v) does, so theta = phi^sigma(v).
+        Read on vertices: psi(v h) = psi(v) psi^sigma(v)(h) for every h.
+        So psi is a skew morphism whose power function is sigma, with
+        values in range(k) = range(order): the exponent check_skew finds,
+        which is unique because distinct powers of psi differ.
+      - At v = iota and h = x_g, phi carries the head x_g of dart g to the
+        head of dart g + 1, so psi(x_g) = x_{g+1}: psi = p on X, as the
+        theorem of Jajcay and Siran asks of a regular Cayley map.
     """
-    psi = _propagate_dart_automorphism(m, budget)
-    if psi is None:
+    img = _propagate_dart_automorphism(m, budget)
+    if img is None:
         return None
-    w = check_skew(m.n, psi)
-    if w is None:
-        raise RuntimeError("dart automorphism exists but is no skew-morphism")
-    return w
+    k = len(m.gens)
+    at_vertex = img[::k]
+    psi = tuple(e // k for e in at_vertex)
+    pi_power = tuple(e % k for e in at_vertex)
+    return SkewMorphismWitness(m.elements, psi, k, pi_power)
 
 
 def _propagate_dart_automorphism(m: CayleyMap, budget):
-    """Vertex map of the automorphism sending dart 0 = (iota, gens[0]) to dart 1.
+    """Dart table of the automorphism sending dart 0 = (iota, gens[0]) to dart 1.
 
     Images propagate along R and T over the single <R, T> orbit (the graph
     is connected): an automorphism commutes with both, so img[step[d]] is
-    step[img[d]].  Any conflict proves the automorphism does not exist.
+    step[img[d]].  Any conflict proves the automorphism does not exist, and
+    the function returns None.
 
     Once every dart has an image and img is a bijection, img is the
     automorphism: each dart is popped once and both steps are checked at
     it, so img commutes with R and T.  R keeps a dart's tail and is
     transitive on the k darts at a vertex, so img sends the k darts at v
-    onto the k darts at one vertex; the tail of img[v * k] is that vertex,
-    and the vertex map is a bijection because img is one.
+    onto the k darts at one vertex, and the vertex map is a bijection
+    because img is one.
     """
-    k = len(m.gens)
     total = m.dart_count
     steps = (m._rotate, m._reverse)
     img = [-1] * total
@@ -155,7 +173,7 @@ def _propagate_dart_automorphism(m: CayleyMap, budget):
                 return None
     if seen != total or len(set(img)) != total:
         return None
-    return tuple(e // k for e in img[::k])
+    return img
 
 
 def t_balance(witness: SkewMorphismWitness, generators) -> int | None:

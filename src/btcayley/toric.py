@@ -20,14 +20,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress, repeat
-from operator import getitem, itemgetter
+from itertools import chain, repeat
+from operator import itemgetter
 
 from .blocktrans import CutPoints
 from .budget import NO_BUDGET
 from .perms import (
     Permutation,
+    _column,
+    _lanes,
     _lift_columns,
+    _marks,
     _restrict,
     _wrap,
     alpha_power,
@@ -46,6 +49,12 @@ from .perms import (
 def _differences(m: int) -> tuple[tuple[int, ...], ...]:
     """Row c maps v to (v - c) % m, for v and c in range(m)."""
     return tuple(tuple((v - c) % m for v in range(m)) for c in range(m))
+
+
+@lru_cache(maxsize=32)
+def _complements(m: int) -> bytes:
+    """Translate table v -> m - v for v in range(m); other bytes go to 0."""
+    return bytes(range(m, 0, -1)) + bytes(256 - m)
 
 
 def toric_image(a: tuple[int, ...], r: int) -> tuple[int, ...]:
@@ -78,48 +87,66 @@ def bar_f_image(a: tuple[int, ...], r: int) -> tuple[int, ...]:
     return tuple([minus[v] for v in ext[s + 1 :] + ext[:s]])
 
 
-def toric_images(n: int, r: int):
-    """Twin of toric_image over all of Sym_n: f_r of every image, in sym_index order.
+def toric_images(n: int, r: int) -> tuple[bytes, ...]:
+    """Packed twin of toric_image over Sym_n: column t-1 holds entry t of f_r of every image.
 
-    Entry t of f_r(a) is [0 a]((t + r) % m) minus a_r, so column t of the
-    images is lift column (t + r) % m read through the _differences row of
-    each element's a_r: one C-level map per column, and no kernel call per
-    element.  The columns are lazy, and the images come as a lazy zip.
+    The images come in sym_index order.  Entry t of f_r(a) is
+    ([0 a]((t + r) % m) - a_r) mod m.  One translate turns lift column r
+    into the lanes m - a_r, which are added to lift column (t + r) % m as
+    one integer (perms._lanes): every lane sum stays below 2m <= 256, so no
+    carry crosses lanes, and one translate takes each lane mod m.  No
+    kernel is called per element.
     """
     points = _lift_columns(n)
     m = n + 1
     r %= m
-    lefts = list(map(_differences(m).__getitem__, points[r]))
-    return zip(*[map(getitem, lefts, points[(t + r) % m]) for t in range(1, m)])
+    size = len(points[0])
+    back = _lanes(points[r].translate(_complements(m)))
+    mod = bytes(v % m for v in range(2 * m)) + bytes(256 - 2 * m)
+    return tuple(
+        _column(_lanes(points[(t + r) % m]) + back, size).translate(mod)
+        for t in range(1, m)
+    )
 
 
-def bar_f_images(n: int, r: int) -> list[tuple[int, ...]]:
-    """Twin of bar_f_image over all of Sym_n: bar_f_r of every image, in sym_index order.
+def bar_f_images(n: int, r: int) -> tuple[bytes, ...]:
+    """Packed twin of bar_f_image over Sym_n: column t-1 holds entry t of bar_f_r of every image.
 
-    Entry t of bar_f_r(a) is [0 a]((s + t) % m) minus r, with s the
-    position of r in [0 a].  The lift columns are bytes, so subtracting r
-    from a whole column is one bytes.translate.  The elements with one s
-    are those whose lift column s holds r (a translate to a 0/1 mask and a
-    compress); one itemgetter reads their entries from the subtracted
-    columns s+1, ..., s+n (mod m), and their images are put back at their
-    ranks.  No kernel is called per element.
+    The images come in sym_index order.  Entry t of bar_f_r(a) is
+    ([0 a]((s + t) % m) - r) mod m, with s the position of r in [0 a].
+    Subtracting r from a whole lift column is one translate.  The elements
+    with one s are those whose lift column s holds r, and a translate of
+    that column through perms._marks(r) masks their lanes (perms._lanes).
+    So column t is the OR over s of mask s AND subtracted column
+    (s + t) % m, whole columns at a time, and no kernel is called per
+    element.
     """
     points = _lift_columns(n)
     m = n + 1
     r %= m
+    size = len(points[0])
     minus = bytes(_differences(m)[r]) + bytes(256 - m)
-    is_r = bytes(r) + b"\x01" + bytes(255 - r)
-    shifted = [col.translate(minus) for col in points]
-    ranks = tuple(range(len(points[0])))
-    out = [None] * len(ranks)
-    for s in range(m):
-        group = list(compress(ranks, points[s].translate(is_r)))
-        if not group:
-            continue
-        pick = itemgetter(*group) if len(group) > 1 else lambda col, i=group[0]: (col[i],)
-        for i, row in zip(group, zip(*[pick(shifted[(s + t) % m]) for t in range(1, m)])):
-            out[i] = row
-    return out
+    shifted = [_lanes(col.translate(minus)) for col in points]
+    masks = [_lanes(col.translate(_marks(r))) for col in points]
+    columns = []
+    for t in range(1, m):
+        lanes = 0
+        for s, mask in enumerate(masks):
+            if mask:
+                lanes |= mask & shifted[(s + t) % m]
+        columns.append(_column(lanes, size))
+    return tuple(columns)
+
+
+def reverse_images(n: int) -> tuple[bytes, ...]:
+    """Packed twin of reverse_image over Sym_n: column t-1 holds entry t of g of every image.
+
+    The images come in sym_index order.  Entry t of g(a) is m - a_{m-t},
+    so column t is lift column m - t translated by v -> m - v.
+    """
+    points = _lift_columns(n)
+    m = n + 1
+    return tuple(points[m - t].translate(_complements(m)) for t in range(1, m))
 
 
 def toric_f(p: Permutation, r: int) -> Permutation:
@@ -403,6 +430,6 @@ def check_skew(n: int, psi) -> SkewMorphismWitness | None:
 def bar_f_witness(n: int, r: int) -> SkewMorphismWitness | None:
     """Skew-morphism witness for bar_f_r on degree n, when it is one.
 
-    psi ranks the images of the column twin bar_f_images through sym_index.
+    psi ranks the images of the packed twin bar_f_images through sym_index.
     """
-    return check_skew(n, tuple(map(sym_index(n).__getitem__, bar_f_images(n, r))))
+    return check_skew(n, tuple(map(sym_index(n).__getitem__, zip(*bar_f_images(n, r)))))

@@ -14,6 +14,7 @@ whole registry at any n exercises every key.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import sys
@@ -22,9 +23,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, permutations, repeat
+from itertools import chain, permutations
 from math import factorial, gcd
-from operator import add, getitem, itemgetter, mul
+from operator import getitem
 from typing import Callable
 
 from .autgroup import (
@@ -68,7 +69,10 @@ from .graphs import (
 from .maps import aut_order, is_regular, mprime_n5_map, octahedron_map, prop72_map, t_balance
 from .perms import (
     Permutation,
+    _column,
+    _lanes,
     _lift_columns,
+    _marks,
     _product_rows,
     _rank_columns,
     _right_multiplier,
@@ -78,6 +82,7 @@ from .perms import (
     compose_maps,
     identity,
     invert_image,
+    invert_images,
     layers,
     reverse,
     sym_group,
@@ -96,7 +101,7 @@ from .toric import (
     phi_iso,
     reverse_g,
     reverse_g_conj,
-    reverse_image,
+    reverse_images,
     toric_class_stats,
     toric_f,
     toric_images,
@@ -287,6 +292,10 @@ def _run_forked(jobs, workers: int) -> list[list[VerificationReport]] | None:
         os.close(job_w)
     pids: list[int] = []
     reads: list[int] = []  # the read end of each child's result pipe
+    # The children's collections never walk frozen objects, so they do not
+    # touch, and copy, the pages of the heap they inherit.  This process
+    # unfreezes them on its way out, however it leaves.
+    gc.freeze()
     try:
         for _ in range(workers):
             r, w = os.pipe()
@@ -306,6 +315,7 @@ def _run_forked(jobs, workers: int) -> list[list[VerificationReport]] | None:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        gc.unfreeze()
         os.close(job_r)
         for r in reads:
             os.close(r)
@@ -373,53 +383,48 @@ def _bt(i: int, j: int, k: int, n: int) -> Permutation:
     return make_bt(CutPoints(i, j, k, n))
 
 
-def _rank_table(n, budget, kernel, r=None) -> tuple[int, ...]:
+def _rank_table(n, budget, twin, r=None) -> tuple[int, ...]:
     """Rank of the image of every element of sym_group(n), in rank order.
 
-    Without a shift, kernel is a per-element kernel, called as kernel(a)
-    on each image a (reverse_image, invert_image).  With a shift r, kernel
-    is a column twin, called once as kernel(n, r) for the images of all of
-    Sym_n in rank order (toric_images, bar_f_images).  The images are
-    ranked through sym_index in one pass.  An image that is no permutation
-    of the degree fails the claim, naming the lowest-rank element it came
-    from and the shift.
+    twin is a packed twin, called once as twin(n) (invert_images,
+    reverse_images) or, with a shift r, as twin(n, r) (toric_images,
+    bar_f_images).  It gives the images of all of Sym_n in rank order as
+    columns, and zip reads them back as one image tuple per element, ranked
+    through sym_index in one pass.  An image that is no permutation of the
+    degree fails the claim, naming the lowest-rank element it came from and
+    the shift.
     """
     budget.check()
     idx = sym_index(n)
-
-    def images():
-        return map(kernel, idx) if r is None else kernel(n, r)
-
+    columns = twin(n) if r is None else twin(n, r)
     try:
-        return tuple(map(idx.__getitem__, images()))
-    except (KeyError, TypeError):
-        # Make the images again, up to the first that is no permutation; a
-        # kernel that raises raises again.
-        for a, b in zip(idx, images()):
-            if not isinstance(b, tuple) or b not in idx:
+        return tuple(map(idx.__getitem__, zip(*columns)))
+    except KeyError:
+        for a, b in zip(idx, zip(*columns)):
+            if b not in idx:
                 context = {} if r is None else {"r": r}
                 _fail("kernel image is not a permutation", p=_wrap(a), **context)
         raise
 
 
-# Rank tables of the kernels at one degree, keyed on (n, kernel, r).
+# Rank tables of the twins at one degree, keyed on (n, twin, r).
 _tables: dict[tuple, tuple[int, ...]] = {}
 
 
-def _table(n, budget, kernel, r=None) -> tuple[int, ...]:
-    """The _rank_table of kernel (a twin at shift r) over sym_group(n), built once.
+def _table(n, budget, twin, r=None) -> tuple[int, ...]:
+    """The _rank_table of a twin (at shift r) over sym_group(n), built once.
 
     The tables are kept, for every degree, until clear_cache() runs, so a
     process that runs claims at several degrees (the plain loop of run_all)
     builds each table once; a table holds n! ranks, about 0.3 MB at n = 8.
-    The key holds the kernel object, so a kernel replaced at run time gets
+    The key holds the twin object, so a twin replaced at run time gets
     tables of its own.  The budget is read on every call, and a table whose
-    kernel fails is not kept.
+    twin fails is not kept.
     """
-    key = (n, kernel, r)
+    key = (n, twin, r)
     table = _tables.get(key)
     if table is None:
-        table = _tables[key] = _rank_table(n, budget, kernel, r)
+        table = _tables[key] = _rank_table(n, budget, twin, r)
     else:
         budget.check()
     return table
@@ -432,61 +437,80 @@ def _agree(lhs, rhs, images, message: str, key: str = "p", **context):
         _fail(message, **{key: _wrap(images[i])}, **context)
 
 
+def _rotation_table(m: int, shift: int) -> bytes:
+    """Translate table of the rotation alpha^shift of {0, ..., m-1}, from alpha_power."""
+    return bytes(alpha_power(m - 1, shift)) + bytes(256 - m)
+
+
 def _toric_route(points, r):
-    """Columns of the routes [0 f_r(p)] = alpha^(m-p_r) o [0 p] o alpha^r, by rank.
+    """Columns of the routes [0 f_r(p)] = alpha^(m-p_r) o [0 p] o alpha^r, by rank, as bytes.
 
     points are the perms._lift_columns of degree n, so points[x][i] is
     entry x of [0 p] for the p of rank i.  Entry x of [0 p] o alpha^r is
     [0 p](x + r): the right factor makes column (x + r) % m of points
-    column x.  The left factor is one of the m rotations per element,
-    picked by p_r = points[r][i], and acts on each entry: every column is
-    one C-level map(getitem, lefts, column).  The rotations come from
-    alpha_power, so the route never calls the kernel it is checked against.
+    column x.  The left factor is the rotation alpha^(m-c) on the elements
+    whose p_r is c: one translate through that rotation acts on a whole
+    column, a mask of those elements (perms._marks of points[r]) keeps
+    their lanes (perms._lanes), and the OR over c joins them.  The
+    rotations come from alpha_power, so the route shares no arithmetic
+    with the twin toric_images it is checked against.
     """
     m = len(points)
-    rotations = [alpha_power(m - 1, m - c) for c in range(m)]
-    lefts = list(map(rotations.__getitem__, points[r]))
-    return (tuple(map(getitem, lefts, points[(x + r) % m])) for x in range(m))
+    size = len(points[0])
+    rotations = [_rotation_table(m, m - c) for c in range(m)]
+    masks = [_lanes(points[r].translate(_marks(c))) for c in range(m)]
+    for x in range(m):
+        column = points[(x + r) % m]
+        lanes = 0
+        for rotation, mask in zip(rotations, masks):
+            if mask:
+                lanes |= mask & _lanes(column.translate(rotation))
+        yield _column(lanes, size)
 
 
 def _bar_route(points, inv, r):
-    """Columns of the routes [0 bar_f_r(p)] = alpha^(m-r) o [0 p] o alpha^s, by rank.
+    """Columns of the routes [0 bar_f_r(p)] = alpha^(m-r) o [0 p] o alpha^s, by rank, as bytes.
 
     Here s = (p^-1)_r, entry r of the lift of p^-1: points[r][inv[i]] for
-    the p of rank i (inv is the rank table of inversion).  Entry x of
-    [0 p] o alpha^s is [0 p]((x + s) % m).  The lift columns (bytes) are
-    laid end to end twice, once per call; in the window that starts at
-    column x, that entry sits at offset s * n! + i.  So one C-level
-    itemgetter, built once per call, reads column x of the right product
-    for every element from a zero-copy memoryview of that window.  The
-    left factor is one fixed rotation and acts on each column with one
-    compose_maps.
+    the p of rank i (inv is the rank table of inversion), gathered once per
+    call.  Entry x of [0 p] o alpha^s is [0 p]((x + s) % m): a mask of the
+    elements with one s (perms._marks of the gathered column) keeps their
+    lanes of lift column (x + s) % m (perms._lanes), and the OR over s
+    joins them.  The left factor is one fixed rotation, from alpha_power,
+    and acts on each column as one translate.  The twin bar_f_images finds
+    s by scanning the lift columns for r instead, and subtracts r through
+    toric._differences before it selects.
     """
     m = len(points)
     size = len(inv)
-    left = alpha_power(m - 1, m - r)
-    laid = memoryview(b"".join(points) * 2)
-    pick = itemgetter(*map(add, map(mul, compose_maps(points[r], inv), repeat(size)), range(size)))
+    spots = bytes(compose_maps(points[r], inv))
+    masks = [_lanes(spots.translate(_marks(s))) for s in range(m)]
+    lanes = [_lanes(col) for col in points]
+    left = _rotation_table(m, m - r)
     for x in range(m):
-        yield compose_maps(left, pick(laid[x * size :]))
+        column = 0
+        for s, mask in enumerate(masks):
+            if mask:
+                column |= mask & lanes[(x + s) % m]
+        yield _column(column, size).translate(left)
 
 
-def _check_route(columns, points, images, table, r):
-    """Fail at the first element, by rank, whose routed map is not its table image.
+def _check_route(columns, twin, images, r):
+    """Fail at the first element, by rank, whose routed map is not its twin image.
 
-    columns yields column x = 0..n of the routed maps of every element (see
-    _toric_route).  The table image of the element of rank i is
-    images[table[i]], whose lift has entry x points[x][table[i]], so the
-    column it must match is points[x] o table.  Column 0 of that is all
-    zeros: a routed map that does not fix 0 misses it there.
+    columns yields column x = 0..n of the routed maps of every element, as
+    bytes (see _toric_route), and twin holds the packed twin's columns:
+    entry t of every image is twin[t - 1].  Column 0 of a lift is all
+    zeros, so a routed map that does not fix 0 misses there.  Columns are
+    compared as bytes, and only a column that differs is read entry by
+    entry, for its first fault.
     """
-    want = itemgetter(*table)
-    first = len(table)
-    for col, point in zip(columns, points):
-        expect = want(point)
-        if col != expect:
-            first = min(first, next(i for i, (u, v) in enumerate(zip(col, expect)) if u != v))
-    if first < len(table):
+    size = len(images)
+    first = size
+    for col, want in zip(columns, (bytes(size),) + tuple(twin)):
+        if col != want:
+            first = min(first, next(i for i, (u, v) in enumerate(zip(col, want)) if u != v))
+    if first < size:
         _fail("defining forms disagree", p=_wrap(images[first]), r=r)
 
 
@@ -495,10 +519,10 @@ def _dihedral_tables(n, budget) -> list[tuple[int, ...]]:
 
     dihedral_image(d, a) is bar_f_image(a, d.r), after reverse_image when
     d.refl is set, so the tables are B[r] and then B[r] o R for r = 0..n,
-    read from the kernel tables.  A table that is no bijection of the ranks
-    fails the claim, naming the first such symmetry.
+    read from the twins' rank tables.  A table that is no bijection of the
+    ranks fails the claim, naming the first such symmetry.
     """
-    rev = _table(n, budget, reverse_image)
+    rev = _table(n, budget, reverse_images)
     bar = [_table(n, budget, bar_f_images, r) for r in range(n + 1)]
     tables = bar + [compose_maps(b, rev) for b in bar]
     for d, table in zip(dihedral_elements(n), tables):
@@ -509,10 +533,13 @@ def _dihedral_tables(n, budget) -> list[tuple[int, ...]]:
 def _inverse_column(n, budget, r) -> tuple[int, ...]:
     """(p^-1)_r for every p of sym_group(n), in rank order.
 
-    That is entry r of the lift [0 p^-1], so it is lift column r read
-    through the rank table of inversion.
+    That is entry r of the lift [0 p^-1]: zero at r = 0, else column r-1
+    of the packed twin invert_images.
     """
-    return compose_maps(_lift_columns(n)[r], _table(n, budget, invert_image))
+    budget.check()
+    if r == 0:
+        return (0,) * factorial(n)
+    return tuple(invert_images(n)[r - 1])
 
 
 def _barf_iter(p: Permutation, e: int) -> Permutation:
@@ -584,23 +611,25 @@ def _run_eq9(n, budget):
     """Exhaustive over Sym_n: every p, every shift r and every pair (r, s).
 
     The identities are checked on rank tables: T[r][i] is the rank of
-    f_r of the element of rank i, built by the column twin toric_images.
+    f_r of the element of rank i, ranked from the packed twin toric_images.
     sym_index is a bijection from Sym_n onto range(n!), so a composed table
     equals another exactly when the two composed maps agree at every
-    element, and each comparison still covers every element.  The conjugation form [0 f_r(p)] = alpha^(m-p_r) o [0 p]
-    o alpha^r is checked column by column (_toric_route): it composes the
-    lifts with rotations and never calls the kernel it is checked against.
+    element, and each comparison still covers every element.  The
+    conjugation form [0 f_r(p)] = alpha^(m-p_r) o [0 p] o alpha^r is
+    compared with the twin's columns as bytes (_toric_route, _check_route):
+    it composes the lifts with rotations and shares no arithmetic with the
+    twin it is checked against.
     """
     m = n + 1
     images = list(sym_index(n))
     tor = [_table(n, budget, toric_images, r) for r in range(m)]
-    inv = _table(n, budget, invert_image)
+    inv = _table(n, budget, invert_images)
     _agree(tor[0], tuple(range(len(images))), images, "zeroth toric map moved a point")
     # points[r][i] is p_r for the element p of rank i, in its lift [0 p].
     points = _lift_columns(n)
     for r, t in enumerate(tor):
         budget.check()
-        _check_route(_toric_route(points, r), points, images, t, r)
+        _check_route(_toric_route(points, r), toric_images(n, r), images, r)
         # (f_r(p))^-1 = f_{p_r}(p^-1): the shift p_r varies with p.
         mirrored = tuple(map(getitem, map(tor.__getitem__, points[r]), inv))
         _agree(
@@ -652,7 +681,7 @@ def _run_eq12(n, budget):
         _need(reverse_g(p) == reverse_g_conj(p), "defining forms disagree", p=p)
     idx = sym_index(n)
     images = list(idx)
-    rev = _table(n, budget, reverse_image)
+    rev = _table(n, budget, reverse_images)
     ident = tuple(range(len(images)))
     _agree(compose_maps(rev, rev), ident, images, "reversal is not an involution")
     adjacent = [images[0][:i] + (i + 2, i + 1) + images[0][i + 2 :] for i in range(n - 1)]
@@ -679,7 +708,7 @@ def _run_gfg(n, budget):
     m = n + 1
     images = list(sym_index(n))
     tor = [_table(n, budget, toric_images, r) for r in range(m)]
-    rev = _table(n, budget, reverse_image)
+    rev = _table(n, budget, reverse_images)
     for r, t in enumerate(tor):
         _agree(
             compose_maps(rev, compose_maps(t, rev)),
@@ -705,11 +734,11 @@ def _run_eq13(n, budget):
     images = list(sym_index(n))
     bar = [_table(n, budget, bar_f_images, r) for r in range(m)]
     tor = [_table(n, budget, toric_images, r) for r in range(m)]
-    inv = _table(n, budget, invert_image)
+    inv = _table(n, budget, invert_images)
     points = _lift_columns(n)
     for r, b in enumerate(bar):
         budget.check()
-        _check_route(_bar_route(points, inv, r), points, images, b, r)
+        _check_route(_bar_route(points, inv, r), bar_f_images(n, r), images, r)
         _agree(
             compose_maps(inv, compose_maps(tor[r], inv)),
             b,
@@ -735,7 +764,7 @@ def _run_eq16(n, budget):
     m = n + 1
     images = list(sym_index(n))
     bar = [_table(n, budget, bar_f_images, r) for r in range(m)]
-    rev = _table(n, budget, reverse_image)
+    rev = _table(n, budget, reverse_images)
     for r, b in enumerate(bar):
         _agree(
             compose_maps(rev, compose_maps(b, rev)),

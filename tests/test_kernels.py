@@ -2,8 +2,8 @@
 
 Each oracle below is the earlier implementation, kept here only as the
 reference: the arithmetic toric and inverse-toric kernels, the
-per-element kernels behind the column twins that build the toric and
-inverse-toric tables, compose_lh_barf on every pair that prop4.4 reads
+per-element kernels behind the packed twins that build the toric,
+inverse-toric, inversion and reversal tables, compose_lh_barf on every pair that prop4.4 reads
 from tables, the breadth-first closure over left products that lemma6.4
 ran before it traced rank columns, product rows
 hashed through sym_index before they were composed from rank columns,
@@ -77,6 +77,7 @@ from btcayley.perms import (
     group_elements,
     identity,
     invert_image,
+    invert_images,
     layers,
     lift,
     plain_changes,
@@ -94,6 +95,7 @@ from btcayley.toric import (
     dihedral_elements,
     dihedral_image,
     reverse_image,
+    reverse_images,
     toric_image,
     toric_images,
 )
@@ -402,17 +404,32 @@ def test_kernels_read_the_same_differences_as_the_arithmetic_forms(n):
             assert bar_f_image(a, r) == _oracle_bar_f_image(a, r), (a, r)
 
 
-TWINS = {"toric": (toric_images, toric_image), "bar": (bar_f_images, bar_f_image)}
+def _packed(images):
+    """Image tuples as the columns of a packed twin: column t-1 holds every entry t."""
+    return tuple(map(bytes, zip(*images)))
+
+
+# kind: (packed twin, per-element kernel, whether both take a shift r)
+TWINS = {
+    "toric": (toric_images, toric_image, True),
+    "bar": (bar_f_images, bar_f_image, True),
+    "invert": (invert_images, invert_image, False),
+    "reverse": (reverse_images, reverse_image, False),
+}
 
 
 @pytest.mark.parametrize("kind", sorted(TWINS))
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_column_twins_equal_their_kernels_on_all_of_sym_n(n, kind):
-    twin, kernel = TWINS[kind]
+    twin, kernel, shifted = TWINS[kind]
     images = list(sym_index(n))
-    m = n + 1
-    for r in range(-1, m + 2):
-        assert list(twin(n, r)) == [kernel(a, r) for a in images], r
+    if not shifted:
+        assert twin(n) == _packed(map(kernel, images))
+        return
+    # Every shift, and one past each end, below degree 8; at 8 every shift once.
+    shifts = range(-1, n + 3) if n < 8 else range(n + 1)
+    for r in shifts:
+        assert twin(n, r) == _packed(map(kernel, images, repeat(r))), r
 
 
 @settings(max_examples=20, deadline=None)
@@ -422,12 +439,12 @@ def test_column_twins_equal_their_kernels_on_all_of_sym_n(n, kind):
     st.lists(st.integers(min_value=0, max_value=factorial(8) - 1), min_size=1, max_size=200),
 )
 def test_column_twins_equal_their_kernels_at_degree_8(kind, r, ranks):
-    twin, kernel = TWINS[kind]
+    twin, kernel, shifted = TWINS[kind]
     images = list(sym_index(8))
-    got = list(twin(8, r))
+    got = list(zip(*(twin(8, r) if shifted else twin(8))))
     assert len(got) == len(images)
     for i in ranks:
-        assert got[i] == kernel(images[i], r), (i, r)
+        assert got[i] == (kernel(images[i], r) if shifted else kernel(images[i])), (i, r)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -471,33 +488,35 @@ def test_rank_column_closure_is_the_left_product_component(n):
 ROUTES = {"toric": (toric_image, toric_f_conj), "bar": (bar_f_image, bar_f_conj)}
 
 
-def _kernel_tables(n, kernel):
-    idx = sym_index(n)
-    return [tuple(map(idx.__getitem__, map(kernel, idx, repeat(r)))) for r in range(n + 1)]
+def _kernel_images(n, kernel):
+    """The images of all of Sym_n under kernel at every shift r = 0..n, in rank order."""
+    return [list(map(kernel, sym_index(n), repeat(r))) for r in range(n + 1)]
 
 
-def _column_route_fault(n, kind, tables):
+def _column_route_fault(n, kind, shifted_images):
     """The (r, p) the claim's column pass fails at, shift by shift, or None."""
     idx = sym_index(n)
     images = list(idx)
     points = _lift_columns(n)
     inv = tuple(map(idx.__getitem__, map(invert_image, images)))
-    for r, table in enumerate(tables):
+    for r, twin_images in enumerate(shifted_images):
         if kind == "toric":
             columns = verify._toric_route(points, r)
         else:
             columns = verify._bar_route(points, inv, r)
         try:
-            verify._check_route(columns, points, images, table, r)
+            verify._check_route(columns, _packed(twin_images), images, r)
         except verify.ClaimFailure as exc:
             assert str(exc) == "defining forms disagree"
             return exc.counterexample
     return None
 
 
-def _oracle_route_fault(n, kind, tables):
+def _oracle_route_fault(n, kind, shifted_images):
+    idx = sym_index(n)
+    tables = [tuple(map(idx.__getitem__, row)) for row in shifted_images]
     fault = _oracle_first_route_fault(
-        sym_group(n), tables, list(sym_index(n)), lambda p: partial(ROUTES[kind][1], p)
+        sym_group(n), tables, list(idx), lambda p: partial(ROUTES[kind][1], p)
     )
     return None if fault is None else {"p": str(fault[1]), "r": str(fault[0])}
 
@@ -505,9 +524,9 @@ def _oracle_route_fault(n, kind, tables):
 @pytest.mark.parametrize("kind", sorted(ROUTES))
 @pytest.mark.parametrize("n", range(3, 7))
 def test_column_routes_agree_with_the_kernels_on_all_of_sym_n(n, kind):
-    tables = _kernel_tables(n, ROUTES[kind][0])
-    assert _oracle_route_fault(n, kind, tables) is None
-    assert _column_route_fault(n, kind, tables) is None
+    shifted_images = _kernel_images(n, ROUTES[kind][0])
+    assert _oracle_route_fault(n, kind, shifted_images) is None
+    assert _column_route_fault(n, kind, shifted_images) is None
 
 
 @st.composite
@@ -539,11 +558,11 @@ def test_column_routes_report_kernel_faults_as_the_sweep_does(case):
             b[x], b[y] = b[y], b[x]
         return tuple(b)
 
-    tables = _kernel_tables(n, faulty)
+    shifted_images = _kernel_images(n, faulty)
     i, r = min(((i, r) for i, r, _ in faults), key=lambda f: (f[1], f[0]))
     want = {"p": str(grp[i]), "r": str(r)}
-    assert _oracle_route_fault(n, kind, tables) == want
-    assert _column_route_fault(n, kind, tables) == want
+    assert _oracle_route_fault(n, kind, shifted_images) == want
+    assert _column_route_fault(n, kind, shifted_images) == want
 
 
 # ---------------------------------------------------------------------------

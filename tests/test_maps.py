@@ -1,8 +1,11 @@
 """Rotation systems on Cayley graphs: faces, regularity, balance."""
 
+from collections import deque
 from math import factorial
 
 import pytest
+
+from btcayley import verify
 
 from btcayley.maps import (
     MPRIME_N5_ORDER,
@@ -19,7 +22,7 @@ from btcayley.maps import (
 )
 from btcayley.blocktrans import CutPoints, make_bt
 from btcayley.perms import identity, parse_permutation, sym_group, sym_index
-from btcayley.toric import bar_f, bar_f_images, reverse_image
+from btcayley.toric import bar_f, bar_f_images, check_skew, reverse_image
 
 
 def _ranked(n, images):
@@ -167,11 +170,110 @@ def test_adjacent_transpositions_above_degree_three_are_not_regular(n):
 def test_reversed_staircase_rotates_by_the_last_inverse_toric_map(n):
     w = is_regular(CayleyMap(n, prop72_map(n).gens[::-1]))
     assert w is not None
-    assert w.psi == _ranked(n, bar_f_images(n, n))
+    assert w.psi == _ranked(n, zip(*bar_f_images(n, n)))
 
 
 @pytest.mark.parametrize("n", (3, 4, 5, 6))
 def test_staircase_rotates_by_the_first_inverse_toric_map(n):
     w = is_regular(prop72_map(n))
     assert w is not None
-    assert w.psi == _ranked(n, bar_f_images(n, 1))
+    assert w.psi == _ranked(n, zip(*bar_f_images(n, 1)))
+
+
+# ---------------------------------------------------------------------------
+# The witness read off the dart automorphism, against check_skew.
+
+
+def _oracle_witness(m):
+    """Regularity decided on vertices by group products, its psi then run through check_skew.
+
+    The automorphism that sends dart (iota, x_0) to (iota, x_1) carries
+    (v, x_g) to (psi(v), x_h) with h = g + sigma(v).  It commutes with the
+    reversal, so it carries the head v x_g to psi(v) x_h, and the reversed
+    dart at slot(x_g^-1) there to slot(x_h^-1): that fixes sigma at v x_g.
+    A breadth-first pass over the vertices assigns psi and sigma; a
+    conflict, or a psi that is no bijection, means there is no such
+    automorphism, and the answer is None.  Otherwise the answer is
+    check_skew's witness for psi, with sigma beside it.
+    """
+    k = m.valency
+    slot = {x: g for g, x in enumerate(m.gens)}
+    back = [slot[x.inverse()] for x in m.gens]
+    ident = identity(m.n)
+    psi, sigma = {ident: ident}, {ident: 1}
+    queue = deque([ident])
+    while queue:
+        v = queue.popleft()
+        for g, x in enumerate(m.gens):
+            h = (g + sigma[v]) % k
+            u, image, shift = v.compose(x), psi[v].compose(m.gens[h]), (back[h] - back[g]) % k
+            if u not in psi:
+                psi[u], sigma[u] = image, shift
+                queue.append(u)
+            elif (psi[u], sigma[u]) != (image, shift):
+                return None
+    if len(set(psi.values())) != len(psi):
+        return None
+    idx = sym_index(m.n)
+    w = check_skew(m.n, [idx[psi[p].image] for p in m.elements])
+    return w, tuple(sigma[p] for p in m.elements)
+
+
+REGULAR_MAPS = {
+    **{f"prop72_{n}": (prop72_map, n) for n in range(3, 7)},
+    **{f"reversed_staircase_{n}": (lambda n: CayleyMap(n, prop72_map(n).gens[::-1]), n) for n in range(3, 7)},
+    "mprime_n5": (lambda n: mprime_n5_map(), 5),
+    "octahedron": (lambda n: octahedron_map(), 3),
+    "adjacent_3": (_adjacent_transpositions_map, 3),
+}
+
+IRREGULAR_MAPS = {
+    "reordered_octahedron": lambda: CayleyMap(3, [octahedron_map().gens[g] for g in (1, 0, 2, 3)]),
+    "adjacent_4": lambda: _adjacent_transpositions_map(4),
+    "adjacent_5": lambda: _adjacent_transpositions_map(5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGULAR_MAPS))
+def test_witness_read_off_the_dart_automorphism_is_check_skews(name):
+    build, n = REGULAR_MAPS[name]
+    m = build(n)
+    w = is_regular(m)
+    oracle, sigma = _oracle_witness(m)
+    assert oracle is not None
+    assert (w.psi, w.order, w.pi_power) == (oracle.psi, oracle.order, oracle.pi_power)
+    assert w == oracle
+    assert w.pi_power == sigma
+    assert w.order == m.valency
+
+
+@pytest.mark.parametrize("name", sorted(IRREGULAR_MAPS))
+def test_irregular_maps_have_no_witness_on_either_route(name):
+    m = IRREGULAR_MAPS[name]()
+    assert is_regular(m) is None
+    assert _oracle_witness(m) is None
+
+
+def _planted_reverse(monkeypatch):
+    """Swap the reversed darts of two darts of every map, keeping T an involution."""
+    true = CayleyMap._reverse.func
+
+    def planted(self):
+        t = list(true(self))
+        a, b = self.valency, self.dart_count - 1
+        ta, tb = t[a], t[b]
+        assert len({a, b, ta, tb}) == 4
+        t[a], t[b], t[ta], t[tb] = tb, ta, b, a
+        return tuple(t)
+
+    monkeypatch.setattr(CayleyMap, "_reverse", property(planted))
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_a_planted_wrong_reversal_entry_keeps_prop72_from_verified(monkeypatch, n):
+    _planted_reverse(monkeypatch)
+    assert is_regular(prop72_map(n)) is None
+    verify.clear_cache()
+    report = verify.run_claim("prop7.2", n)
+    assert report.status == "failed"
+    verify.clear_cache()

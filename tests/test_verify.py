@@ -1,5 +1,6 @@
 """Claim registry semantics: clamping, caching, statuses, counterexamples."""
 
+import gc
 import os
 import re
 import threading
@@ -11,9 +12,9 @@ from operator import itemgetter
 
 import pytest
 
-from btcayley import graphs, maps, toric, verify
+from btcayley import graphs, maps, perms, toric, verify
 from btcayley.autgroup import orbit, orbit_images
-from btcayley.blocktrans import CutPoints, make_bt
+from btcayley.blocktrans import CutPoints, make_bt, tn_size
 from btcayley.budget import NO_BUDGET, Budget
 from btcayley.perms import (
     Permutation,
@@ -247,6 +248,28 @@ def test_a_pooled_run_caches_its_verified_reports_here(monkeypatch):
 
 
 @pytest.mark.parametrize("ending", ["returns", "raises", "spent budget"])
+def test_run_all_leaves_nothing_frozen_here(monkeypatch, ending):
+    monkeypatch.setattr(verify, "_worker_count", lambda: 2)
+    assert gc.get_freeze_count() == 0
+    if ending == "raises":
+        monkeypatch.setitem(REGISTRY, "eq9", replace(REGISTRY["eq9"], runner=_broken))
+        with pytest.raises(RuntimeError, match="runner fault"):
+            run_all(5)
+    else:
+        run_all(5, Budget(0) if ending == "spent budget" else NO_BUDGET)
+    assert gc.get_freeze_count() == 0
+
+
+def test_the_workers_run_with_the_inherited_heap_frozen(monkeypatch):
+    monkeypatch.setattr(verify, "_worker_count", lambda: 2)
+    for key in claim_keys():
+        claim = replace(REGISTRY[key], runner=lambda n, budget: {"frozen": gc.get_freeze_count()})
+        monkeypatch.setitem(REGISTRY, key, claim)
+    assert all(r.details["frozen"] > 0 for r in run_all(5))
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("ending", ["returns", "raises", "spent budget"])
 def test_no_worker_is_left_after_run_all(monkeypatch, ending):
     monkeypatch.setattr(verify, "_worker_count", lambda: 2)
     if ending == "raises":
@@ -315,7 +338,7 @@ def test_every_runner_declares_a_usable_range():
 def test_kernel_fault_is_reported_with_one_line_permutations(monkeypatch):
     # p -> p o w is an involution but not multiplicative, so the pair sweep
     # of eq12 must catch it and name the pair in one-line notation.
-    monkeypatch.setattr(verify, "reverse_image", lambda a: a[::-1])
+    monkeypatch.setattr(verify, "reverse_images", _twin0(lambda a: a[::-1]))
     r = run_claim("eq12", 3)
     assert r.status == "failed"
     assert set(r.counterexample) == {"rho", "pi"}
@@ -342,17 +365,27 @@ def test_claim_sweeps_do_not_validate_per_pair(monkeypatch, key, n):
 TABLE_CLAIMS = ("eq9", "eq12", "eq13", "eq16", "gfg", "lemma4.3", "cor5.11")
 
 
+def _packed(images):
+    """Image tuples as the columns of a packed twin: column t-1 holds every entry t."""
+    return tuple(map(bytes, zip(*images)))
+
+
 def _twin(kernel):
-    """A column twin (n, r) -> images of all of Sym_n, made by a per-element kernel."""
-    return lambda n, r: map(kernel, sym_index(n), repeat(r))
+    """A packed twin (n, r) -> image columns of all of Sym_n, made by a per-element kernel."""
+    return lambda n, r: _packed(map(kernel, sym_index(n), repeat(r)))
 
 
-# The kernel or column twin each table claim ranks, patched below with a
-# faulty version.
+def _twin0(kernel):
+    """A packed twin n -> image columns of all of Sym_n, for a kernel without a shift."""
+    return lambda n: _packed(map(kernel, sym_index(n)))
+
+
+# The packed twin each table claim ranks, patched below with a faulty
+# version.
 FAULTY_KERNELS = {
     "eq9": ("toric_images", _twin(lambda a, r: (a[0],) * len(a))),
-    "eq12": ("reverse_image", lambda a: (a[0],) * len(a)),
-    "gfg": ("reverse_image", lambda a: a[:-1]),
+    "eq12": ("reverse_images", _twin0(lambda a: (a[0],) * len(a))),
+    "gfg": ("reverse_images", _twin0(lambda a: a[:-1])),
     "eq13": ("bar_f_images", _twin(lambda a, r: (0,) + a[1:])),
     "eq16": ("bar_f_images", _twin(lambda a, r: (a[0],) * len(a))),
     "lemma4.3": ("bar_f_images", _twin(lambda a, r: a + a)),
@@ -427,12 +460,11 @@ def _iterate(f, x, times):
     return x
 
 
-# Each per-element kernel, and what verify ranks for it: its column twin,
-# or the kernel itself.
+# Each per-element kernel, and the packed twin that verify ranks for it.
 KERNELS = {
     "toric_image": (toric_image, "toric_images"),
     "bar_f_image": (bar_f_image, "bar_f_images"),
-    "reverse_image": (reverse_image, "reverse_image"),
+    "reverse_image": (reverse_image, "reverse_images"),
 }
 
 
@@ -455,7 +487,7 @@ def test_table_counterexamples_break_the_identity_they_name(monkeypatch, name, k
         b = true(*args)
         return _swap_first_two(b) if args == bad else b
 
-    monkeypatch.setattr(verify, ranked, faulty if ranked == name else _twin(faulty))
+    monkeypatch.setattr(verify, ranked, _twin0(faulty) if name == "reverse_image" else _twin(faulty))
     kernels = {k: kernel for k, (kernel, _) in KERNELS.items()}
     kernels[name] = faulty
     for key in keys:
@@ -470,11 +502,11 @@ def _tampered_route(true, faults, tamper):
     map of the element of rank i at each (i, r) in faults."""
 
     def route(*args):
-        columns = [list(c) for c in true(*args)]
+        columns = [bytearray(c) for c in true(*args)]
         for i, r in faults:
             if r == args[-1]:
                 tamper(columns, i)
-        return map(tuple, columns)
+        return map(bytes, columns)
 
     return route
 
@@ -520,10 +552,43 @@ def test_a_routed_map_that_moves_0_fails_the_claim_at_its_element_and_shift(
     assert r.counterexample == {"p": "[3 1 4 2]", "r": "2"}
 
 
+# claim: (the packed twin it ranks, its kernel, the oracle route of toric_oracles)
+TWIN_ROUTES = {
+    "eq9": ("toric_images", toric_image, toric_f_conj),
+    "eq13": ("bar_f_images", bar_f_image, bar_f_conj),
+}
+
+
+@pytest.mark.parametrize("key", sorted(TWIN_ROUTES))
+@pytest.mark.parametrize("n,faults", [(4, (17, 3)), (5, (119, 40, 41)), (6, (2, 700, 333))])
+def test_a_faulty_twin_fails_at_the_oracles_lowest_rank_fault(monkeypatch, key, n, faults):
+    # The twin that runs is wrong at shift 1 only, at the elements of the
+    # given ranks, by two swapped entries; every image is still a
+    # permutation.  Shift 0 passes every check, so the route of shift 1 is
+    # the first to disagree, at the lowest rank where the kernel leaves the
+    # conjugation form of tests/toric_oracles.py.
+    name, kernel, route = TWIN_ROUTES[key]
+    grp = sym_group(n)
+    wrong = {grp[i].image for i in faults}
+
+    def faulty(a, r):
+        b = kernel(a, r)
+        return _swap_first_two(b) if r == 1 and a in wrong else b
+
+    monkeypatch.setattr(verify, name, _twin(faulty))
+    oracle = next(p for p in grp if faulty(p.image, 1) != route(p, 1).image)
+    r = run_claim(key, n)
+    assert r.status == "failed"
+    assert r.details["error"] == "defining forms disagree"
+    assert r.counterexample == {"p": str(oracle), "r": "1"}
+    assert oracle == grp[min(faults)]
+
+
 def test_table_claims_call_no_toric_kernel_per_element(monkeypatch):
-    # The toric and inverse-toric tables come from the column twins; only
-    # the reversal is still ranked one element at a time.
-    counts = {"toric_image": 0, "bar_f_image": 0, "reverse_image": 0}
+    # Every kernel table comes from a packed twin, so the table job calls
+    # no kernel at all, and toric-reverse-aut inverts only the elements of
+    # T_n, as Permutations.
+    counts = {"toric_image": 0, "bar_f_image": 0, "reverse_image": 0, "invert_image": 0}
 
     def counting(module, name):
         kernel = getattr(module, name)
@@ -534,10 +599,16 @@ def test_table_claims_call_no_toric_kernel_per_element(monkeypatch):
 
         return wrapper
 
-    for name in ("toric_image", "bar_f_image"):
+    for name in ("toric_image", "bar_f_image", "reverse_image"):
         monkeypatch.setattr(toric, name, counting(toric, name))
-    monkeypatch.setattr(verify, "reverse_image", counting(verify, "reverse_image"))
-    for key in TABLE_CLAIMS + ("toric-reverse-aut",):
+    for module in (perms, verify):
+        monkeypatch.setattr(module, "invert_image", counting(module, "invert_image"))
+    for key in GROUP:
+        assert run_claim(key, 6).status == "verified", key
+    assert counts == dict.fromkeys(counts, 0)
+    assert run_claim("toric-reverse-aut", 6).status == "verified"
+    assert counts == {**dict.fromkeys(counts, 0), "invert_image": tn_size(6)}
+    for key in TABLE_CLAIMS:
         assert run_claim(key, 6).status == "verified", key
     assert counts["toric_image"] == counts["bar_f_image"] == 0
     # prop4.4 calls compose_lh_barf, and so bar_f_image, once per (h, r, k).
@@ -595,7 +666,7 @@ def test_each_kernel_table_is_built_once_in_a_process(monkeypatch, n):
     assert len(built) == len(set(built))
     for name in ("toric_images", "bar_f_images"):
         assert {(name, r, n) for r in range(n + 1)} <= set(built)
-    assert {("reverse_image", None, n), ("invert_image", None, n)} <= set(built)
+    assert {("reverse_images", None, n), ("invert_images", None, n)} <= set(built)
 
 
 @pytest.mark.parametrize("key", ["eq9", "eq13", "eq16", "gfg"])
@@ -605,7 +676,7 @@ def test_a_kernel_patched_after_a_warm_run_is_honoured(monkeypatch, key):
     monkeypatch.setattr(verify, "_worker_count", lambda: 1)
     assert all(r.status == "verified" for r in run_all(4) if r.claim in GROUP)
     names = {kernel.__name__ for n, kernel, r in verify._tables if n == 4}
-    assert names == {"toric_images", "bar_f_images", "reverse_image", "invert_image"}
+    assert names == {"toric_images", "bar_f_images", "reverse_images", "invert_images"}
     verify._cache.clear()  # the reports only: the tables stay
     name, faulty = FAULTY_KERNELS[key]
     # The same name as the kernel it replaces: only the object tells them apart.
@@ -710,7 +781,7 @@ def _eq12_kernels(n):
 def test_eq12_generator_reduction_agrees_with_the_all_pairs_sweep(monkeypatch, n):
     for name, kernel in _eq12_kernels(n).items():
         clear_cache()
-        monkeypatch.setattr(verify, "reverse_image", kernel)
+        monkeypatch.setattr(verify, "reverse_images", _twin0(kernel))
         r = run_claim("eq12", n)
         holds = _oracle_eq12_holds(n, kernel)
         assert (r.status == "verified") == holds, name
@@ -754,12 +825,13 @@ def test_cor511_fails_on_a_symmetry_table_that_is_no_bijection(monkeypatch):
     true = verify.bar_f_images
 
     def faulty(n, r):
-        images = true(n, r)
+        columns = true(n, r)
         if (n, r) == (5, 1):
             idx = sym_index(5)
-            images = list(images)
+            images = list(zip(*columns))
             images[idx[(1, 3, 2, 5, 4)]] = images[idx[(1, 5, 4, 2, 3)]]
-        return images
+            columns = _packed(images)
+        return columns
 
     monkeypatch.setattr(verify, "bar_f_images", faulty)
     r = run_claim("cor5.11", 5)
