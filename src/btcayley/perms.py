@@ -26,6 +26,7 @@ works on whole byte columns (see _lift_columns).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -421,6 +422,177 @@ def group_elements(ident, gens, right, limit: int | None = None, budget=NO_BUDGE
                     reps.append(y)
                     check()
     return elements
+
+
+def _inverse_map(a: tuple[int, ...]) -> tuple[int, ...]:
+    """Inverse of a 0-based map: the points sorted by their images."""
+    return tuple(sorted(range(len(a)), key=a.__getitem__))
+
+
+class StabilizerChain:
+    """Base and strong generators of the group of 0-based maps the generators generate.
+
+    Deterministic Schreier-Sims (Sims 1970; Seress, Permutation Group
+    Algorithms, CUP 2003, ch. 4), on tuples composed with compose_maps.
+    Level i has a base point b_i and strong generators S_i, which fix
+    b_0..b_(i-1); orbits[i] lists the orbit of b_i under <S_i>, and the
+    transversal holds, for each point y of it, a word u_y of S_i with
+    u_y(b_i) = y, and its inverse.  sift(g) strips g level by level,
+    g -> u_y^-1 o g with y = g(b_i), until g moves a b_i outside the
+    orbit or every level is passed.
+
+    The chain is complete when, at every level, each Schreier generator
+    u_(s y)^-1 o s o u_y (y in the orbit, s in S_i), which fixes b_i,
+    sifts to the identity from level i+1.  By Schreier's lemma these
+    generate the stabilizer of b_i in <S_i>, so <S_(i+1)> is that
+    stabilizer, and by induction from the last level up, |<S_0>| is the
+    product of the orbit lengths (orbit-stabilizer at each level) and g
+    lies in <S_0> exactly when it sifts to the identity.
+
+    Building it:
+      - Each generator is sifted, and one that does not sift to the
+        identity leaves its residue h at the levels it passed and the one
+        it stopped at: h joins S_0..S_j, with a new level, based at the
+        first point h moves, when j is past the last.  Members are
+        skipped, so <S_0> is the group of the generators.
+      - Then the levels are completed from the last one up.  A Schreier
+        generator of level i with a residue h at level j is a member of
+        <S_i> that fixes b_0..b_(j-1); h joins S_(i+1)..S_j, and levels j
+        down to i+1 are completed again before level i goes on.  What
+        level i has tried stays tried: each tried Schreier generator now
+        lies in <S_(i+1)>.
+      - Each orbit point keeps the count of the generators tried at it,
+        so every Schreier generator is formed once; one whose u_(s y) is
+        s o u_y (an edge of the orbit's tree) is the identity and is
+        skipped unsifted.
+
+    At every stage the products u_0 o u_1 o ... of one word per level are
+    members of <S_0>, and distinct: such a product sends b_0 to the point
+    of u_0, and with u_0 stripped, b_1 to the point of u_1, and so on.  So
+    the product of the orbit lengths is a lower bound of |<S_0>|.  The
+    group lies in the symmetric group of the points, and in the
+    alternating group when every generator is even.  Once the product
+    reaches the order of that group, the products are the whole group
+    and the chain is complete: no further generator or Schreier generator
+    is sifted.  The budget is read once per sift.
+    """
+
+    def __init__(self, degree: int, gens, budget=NO_BUDGET):
+        self.degree = degree
+        self.identity = tuple(range(degree))
+        self.base: list[int] = []
+        self.strong: list[list[tuple[int, ...]]] = []
+        self.orbits: list[list[int]] = []
+        # Per level: the words u_y (the transversal) and their inverses,
+        # indexed by the point y (None off the orbit), and the count of
+        # generators tried at each orbit point, in orbit order.
+        self.transversals: list[list] = []
+        self._inverses: list[list] = []
+        self._tried: list[list[int]] = []
+        self._budget = budget
+        gens = [tuple(g) for g in gens]
+        even = all((degree - len(cycles(g))) % 2 == 0 for g in gens)
+        self._bound = math.factorial(degree) // (2 if even and degree > 1 else 1)
+        self._full = degree < 2
+        for g in gens:
+            if self._full:
+                break
+            budget.check()
+            h, j = self.sift(g)
+            if h != self.identity:
+                self._add(h, 0, j)
+        for level in range(len(self.base) - 1, -1, -1):
+            self._complete(level)
+
+    def order(self) -> int:
+        """|<gens>|: the product of the orbit lengths."""
+        size = 1
+        for orbit in self.orbits:
+            size *= len(orbit)
+        return size
+
+    def sift(self, g: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
+        """The residue of g stripped from level start on, and the level it stopped at."""
+        base, inverses = self.base, self._inverses
+        for level in range(start, len(base)):
+            u = inverses[level][g[base[level]]]
+            if u is None:
+                return g, level
+            g = compose_maps(u, g)
+        return g, len(base)
+
+    def _extend(self, h, top: int, last: int):
+        """Add h to S_top..S_last and complete levels last down to top."""
+        self._add(h, top, last)
+        for level in range(last, top - 1, -1):
+            self._complete(level)
+
+    def _add(self, h, top: int, last: int):
+        """Add h to S_top..S_last, with a new last level if last is past the end."""
+        if last == len(self.base):
+            moved = next(x for x, y in enumerate(h) if x != y)
+            words = [None] * self.degree
+            inverses = [None] * self.degree
+            words[moved] = inverses[moved] = self.identity
+            self.base.append(moved)
+            self.strong.append([])
+            self.orbits.append([moved])
+            self.transversals.append(words)
+            self._inverses.append(inverses)
+            self._tried.append([0])
+        h_inv = _inverse_map(h)
+        for level in range(top, last + 1):
+            self.strong[level].append(h)
+            self._grow(level, h, h_inv)
+
+    def _grow(self, level: int, h, h_inv):
+        """Close orbits[level] under S_level, to which h was just added.
+
+        The old points were closed under the old generators, so only h is
+        applied to them; each new point gets every generator.  The word of
+        a new point s(y) is s o u_y, an edge of the orbit's tree.
+        """
+        orbit, words, inverses = self.orbits[level], self.transversals[level], self._inverses[level]
+        tried = self._tried[level]
+        old = len(orbit)
+        pairs = [(h, h_inv)]
+        for i, y in enumerate(orbit):  # new points are appended as it runs
+            if i == old:
+                pairs = [(s, _inverse_map(s)) for s in self.strong[level]]
+            for s, s_inv in pairs:
+                z = s[y]
+                if words[z] is None:
+                    words[z] = compose_maps(s, words[y])
+                    inverses[z] = compose_maps(inverses[y], s_inv)
+                    orbit.append(z)
+                    tried.append(0)
+        self._full = self.order() == self._bound
+
+    def _complete(self, level: int):
+        """Sift each Schreier generator of level not yet tried, from level+1.
+
+        Neither the generators nor the orbit of this level change while it
+        is completed: a residue joins the deeper levels only.
+        """
+        b = self.base[level]
+        orbit, words, inverses = self.orbits[level], self.transversals[level], self._inverses[level]
+        strong, tried = self.strong[level], self._tried[level]
+        check, sift, ident = self._budget.check, self.sift, self.identity
+        for i, y in enumerate(orbit):
+            first = tried[i]
+            tried[i] = len(strong)
+            u = words[y]
+            for s in strong[first:]:
+                if self._full:
+                    return
+                x = compose_maps(s, u)
+                z = x[b]
+                if x == words[z]:
+                    continue
+                check()
+                h, j = sift(compose_maps(inverses[z], x), level + 1)
+                if h != ident:
+                    self._extend(h, level + 1, j)
 
 
 def parse_permutation(text: str) -> Permutation:

@@ -29,8 +29,6 @@ from operator import getitem
 from typing import Callable
 
 from .autgroup import (
-    VertexMap,
-    _subgroup_images,
     aut_group,
     is_automorphism,
     orbit,
@@ -69,6 +67,7 @@ from .graphs import (
 from .maps import aut_order, is_regular, mprime_n5_map, octahedron_map, prop72_map, t_balance
 from .perms import (
     Permutation,
+    StabilizerChain,
     _column,
     _lanes,
     _lift_columns,
@@ -78,7 +77,6 @@ from .perms import (
     _right_multiplier,
     _wrap,
     alpha_power,
-    closure,
     compose_maps,
     identity,
     invert_image,
@@ -272,6 +270,11 @@ def _run_forked(jobs, workers: int) -> list[list[VerificationReport]] | None:
     reports, re-raises a child's exception, and caches the verified
     reports here.
 
+    Each child is pinned to its own CPU of this process's affinity set,
+    the i-th child to the i-th CPU, before it reads a job, so that the
+    scheduler cannot stack the children on one CPU; where that call
+    fails, or there is no such CPU, the child runs unpinned.
+
     Nothing is forked where os.fork is missing, from a multiprocessing
     daemon (which may not have children), or while another thread runs: a
     forked child gets no copy of that thread, so a lock it holds would stay
@@ -284,6 +287,10 @@ def _run_forked(jobs, workers: int) -> list[list[VerificationReport]] | None:
         or threading.active_count() > 1
     ):
         return None
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = []
     job_r, job_w = os.pipe()
     try:
         # A few dozen job numbers: they fit in the pipe's buffer at once.
@@ -297,13 +304,13 @@ def _run_forked(jobs, workers: int) -> list[list[VerificationReport]] | None:
     # unfreezes them on its way out, however it leaves.
     gc.freeze()
     try:
-        for _ in range(workers):
+        for i in range(workers):
             r, w = os.pipe()
             reads.append(r)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve(jobs, job_r, r, w)
+                    _serve(jobs, job_r, r, w, cpus[i] if i < len(cpus) else None)
             finally:
                 os.close(w)
             pids.append(pid)
@@ -335,8 +342,8 @@ def _run_forked(jobs, workers: int) -> list[list[VerificationReport]] | None:
     return [done[i] for i in range(len(jobs))]
 
 
-def _serve(jobs, job_r: int, result_r: int, result_w: int):
-    """Child side of _run_forked: run the jobs read from job_r, send the reports, exit.
+def _serve(jobs, job_r: int, result_r: int, result_w: int, cpu: int | None):
+    """Child side of _run_forked: pin to cpu, run the jobs read from job_r, send the reports, exit.
 
     The child leaves by os._exit, so it runs no exit handler and never
     flushes a stdio buffer it inherited: text the parent had not yet
@@ -345,6 +352,11 @@ def _serve(jobs, job_r: int, result_r: int, result_w: int):
     code = 1
     try:
         os.close(result_r)
+        if cpu is not None:
+            try:
+                os.sched_setaffinity(0, {cpu})
+            except OSError:
+                pass  # the child runs unpinned
         pairs = []
         try:
             while raw := os.read(job_r, 2):
@@ -919,17 +931,35 @@ for _key, _summary, _shifted, _fixed in _INVARIANCES:
 
 @_claim("prop4.4", "translations with inverse-toric maps form a group of order (n+1)!", 3, 4)
 def _run_prop44(n, budget):
-    """Exhaustive over every pair of maps L_h o bar_f_r.
+    """Closure of the (n+1)! maps L_h o bar_f_r under the generators G.
 
     T(h, r)[i] is the rank of h o bar_f_r(element i): the row of h o x over
-    every x, read at B[r].  The normal form of (L_h o bar_f_r) o
+    every x, read at B[r]; S is the set of these tables.  G is the L_(s_t)
+    = T(s_t, 0) of the adjacent transpositions s_t, t = 1..n-1, then the
+    bar_f_u = T(iota, u), u = 1..n.  The normal form of (L_h o bar_f_r) o
     (L_k o bar_f_u) is L_d o bar_f_e with d = h o bar_f_r(k), whose rank is
     T(h, r)[rank k], and e = (u + s) mod (n+1), s the position of r in
-    [0 k].  Both are read from tables, and every pair is checked on them:
-    T(h, r) o T(k, u) == T(d, e) and phi(h, r) o phi(k, u) == phi(d, e),
-    with phi the extended images of phi_iso.  compose_lh_barf is checked
-    against this normal form once per (h, r, k), at u = 0; its answer at
-    every u is compared with the tables in tests/test_kernels.py.
+    [0 k].  For every (h, r) and every (k, u) in G, T(h, r) o T(k, u) ==
+    T(d, e) and phi(h, r) o phi(k, u) == phi(d, e), with phi the extended
+    images of phi_iso; compose_lh_barf must give this normal form once per
+    (h, r, k).
+    Besides, T(iota, 0) and phi(iota, 0) are identities, the (n+1)! tables
+    are distinct, and the stabilizer chain of the n+1 images phi(G) has
+    order (n+1)!.  Then S is a group of that order:
+      - Let W be the maps id o g_1 o ... o g_j, for words in G.  W is in S:
+        id = T(iota, 0), and S o G is in S by the checks.
+      - The tables are distinct, so Phi(T(h, r)) = phi(h, r) is a function
+        on S, and Phi(X o g) = Phi(X) Phi(g) for X in S and g in G.  By
+        induction on the length of w, Phi(X o w) = Phi(X) Phi(w) for w in W,
+        Phi(w) being the product of the Phi(g_i).
+      - So Phi(W) is the monoid that phi(G) generates, which in a finite
+        group is the group <phi(G)>, of order (n+1)! by the chain.  Then
+        (n+1)! <= |W| <= |S| = (n+1)!, so W = S: S is closed under
+        composition, and Phi is a bijective homomorphism from S onto the
+        symmetric group of {0, ..., n}, so S is a group of order (n+1)!.
+    The exhaustive product over every pair of tables is the oracle in
+    tests/test_verify.py, and compose_lh_barf is compared with the tables
+    at every pair in tests/test_kernels.py.
     """
     m = n + 1
     idx = sym_index(n)
@@ -945,8 +975,23 @@ def _run_prop44(n, budget):
     _need(len(values) == factorial(m), "maps are not pairwise distinct", count=len(values))
     grp = sym_group(n)
     phi = [[phi_iso(h, r) for r in range(m)] for h in grp]
-    # spots[k][r] is the position of r in [0 k], entry r of [0 k^-1].
-    spots = [(0,) + invert_image(a) for a in images]
+    _need(
+        table[0][0] == tuple(range(len(grp))) and phi[0][0] == tuple(range(m)),
+        "L_iota o bar_f_0 is not the identity",
+    )
+    ident = images[0]
+    adjacent = [idx[ident[:t] + (t + 2, t + 1) + ident[t + 2 :]] for t in range(n - 1)]
+    gens = [(k, 0) for k in adjacent] + [(0, u) for u in range(1, m)]
+    order = StabilizerChain(m, [phi[k][u] for k, u in gens], budget).order()
+    _need(order == factorial(m), "generator images do not generate the target group", order=order)
+    # spot[k][r] is the position of r in [0 k], entry r of [0 k^-1].
+    spot = {k: (0,) + invert_image(images[k]) for k, _ in gens}
+    # compose_lh_barf at the least u of G with each k: e is u plus a
+    # constant, and its answer at every u meets the tables in
+    # tests/test_kernels.py.
+    least = {}
+    for k, u in gens:
+        least.setdefault(k, u)
 
     def pair_fault(message, h, r, k, u):
         _fail(message, h=grp[h], r=r, k=grp[k], u=u)
@@ -955,16 +1000,14 @@ def _run_prop44(n, budget):
     for h, (row, extended) in enumerate(zip(table, phi)):
         for r, ta, pa in zip(range(m), row, extended):
             budget.check()
-            for k, spot in enumerate(spots):
-                d, s = ta[k], spot[r]
-                if compose_lh_barf(grp[h], r, grp[k], 0) != (grp[d], s):
-                    pair_fault(rule, h, r, k, 0)
-                for u in range(m):
-                    e = (u + s) % m
-                    if compose_maps(ta, table[k][u]) != table[d][e]:
-                        pair_fault(rule, h, r, k, u)
-                    if compose_maps(pa, phi[k][u]) != phi[d][e]:
-                        pair_fault("extended images do not multiply", h, r, k, u)
+            for k, u in gens:
+                d, e = ta[k], (u + spot[k][r]) % m
+                if u == least[k] and compose_lh_barf(grp[h], r, grp[k], u) != (grp[d], e):
+                    pair_fault(rule, h, r, k, u)
+                if compose_maps(ta, table[k][u]) != table[d][e]:
+                    pair_fault(rule, h, r, k, u)
+                if compose_maps(pa, phi[k][u]) != phi[d][e]:
+                    pair_fault("extended images do not multiply", h, r, k, u)
     _need(
         set(chain.from_iterable(phi)) == set(permutations(range(m))),
         "extended images miss part of the target group",
@@ -1459,33 +1502,62 @@ def _run_thm2(n, budget):
 
 @_claim("toric-reverse-aut", "dihedral symmetries are automorphisms fixing the identity", 4, 6)
 def _run_toric_reverse_aut(n, budget):
-    """Each of the 2(n+1) dihedral maps is an automorphism fixing the
-    identity, the maps are distinct, and the normal-form product agrees
-    with composition for every pair (a, b) at every p in Sym_n.
+    """Each of the 2(n+1) dihedral maps is an automorphism of
+    Cay(Sym_n, T_n) fixing the identity, the maps are distinct, and the
+    normal-form product agrees with composition for every pair (a, b) at
+    every p in Sym_n.
 
-    The product law is checked on the vertex maps as rank tables:
-    table[d][v] is the rank of d(p) for the vertex p of rank v.  The
-    vertices of the Cayley graph are sym_group(n), ranked by sym_index, so
-    the tables are those of _dihedral_tables.  table[ab] = table[a] o
-    table[b] holds exactly when ab(p) = a(b(p)) for every p in Sym_n.
+    The maps are the rank tables of _dihedral_tables: table[d][v] is the
+    rank of d(p) for the vertex p of rank v, and each is a bijection of
+    the ranks.  The edges of the graph join rho and rho o t, t in T_n.
+      - The rotation form gives bar_f_r(rho o t) = bar_f_r(rho) o
+        bar_f_s(t), with s the position of r in [0 rho]: write [0 x] as x
+        and s' for the position of s in [0 t], the position of r in
+        [0 rho o t]; then alpha^-r o rho t o alpha^s' = (alpha^-r o rho o
+        alpha^s) o (alpha^-s o t o alpha^s').  So once bar_f_s(T_n) lies in
+        T_n for every s, each bar_f_r sends every edge to an edge.  A
+        bijection of a finite graph that sends edges to edges permutes
+        them, so it is an automorphism.
+      - The reversal is conjugation by w0 = [n ... 1] (eq12), so g(rho o t)
+        = g(rho) o g(t), and g is an automorphism once g(T_n) lies in T_n.
+        bar_f_0 is the identity, so g is the symmetry t^0*g, and every
+        t^r*g = bar_f_r o g is a product of two automorphisms.
+      - Conversely an automorphism fixing the identity permutes its
+        neighbours T_n.
+    So all 2(n+1) maps are automorphisms exactly when the n+1 rotation
+    tables and the reversal table send the ranks of T_n into T_n, which is
+    (n+2)|T_n| lookups.  is_automorphism on build_cayley is the oracle in
+    tests/test_verify.py.
+
+    table[ab] = table[a] o table[b] holds exactly when ab(p) = a(b(p)) for
+    every p in Sym_n.  It is checked for every a and each x of t^1 and
+    t^0*g, with table[t^0] the identity; then it holds for every pair, by
+    induction on b as a word in t^1 and t^0*g (dihedral_compose is the
+    group law of the normal forms, so it is associative): with b = c x,
+    table[a b] = table[(a c) x] = table[a c] o table[x] = table[a] o
+    table[c] o table[x] = table[a] o table[b].
     """
-    cay = build_cayley(n, tn_realizations(n))
-    _need(cay.num_vertices == factorial(n), "vertex set is not the whole group")
-    ident_rank = cay.index_of(identity(n))
-    tables = {}
+    index = sym_index(n)
+    tn = sorted(index[p.image] for p in tn_realizations(n))
+    members = set(tn)
     dih = dihedral_elements(n)
-    for d, table in zip(dih, _dihedral_tables(n, budget)):
+    tables = dict(zip(dih, _dihedral_tables(n, budget)))
+    rotations = [(d, tables[d]) for d in dih[: n + 1]]
+    vertices = list(index)
+    for d, table in rotations + [(dih[n + 1], _table(n, budget, reverse_images))]:
         budget.check()
-        vm = VertexMap(cay, table)
-        _need(is_automorphism(cay, vm), "induced map is not an automorphism", symmetry=d)
-        _need(vm.apply(ident_rank) == ident_rank, "identity vertex moved", symmetry=d)
-        tables[d] = vm.images
+        for t in tn:
+            if table[t] not in members:
+                _fail("induced map is not an automorphism", symmetry=d, t=_wrap(vertices[t]))
+    ident_rank = index[tuple(range(1, n + 1))]
+    for d, table in tables.items():
+        _need(table[ident_rank] == ident_rank, "identity vertex moved", symmetry=d)
     images = set(tables.values())
     _need(len(images) == 2 * (n + 1), "induced maps are not distinct", count=len(images))
-    vertices = list(sym_index(n))
+    _agree(tables[dih[0]], tuple(range(len(vertices))), vertices, "t^0 is not the identity")
     for a in dih:
         budget.check()
-        for b in dih:
+        for b in (dih[1], dih[n + 1]):
             _agree(
                 compose_maps(tables[a], tables[b]),
                 tables[dihedral_compose(a, b)],
@@ -1501,45 +1573,59 @@ def _run_toric_reverse_aut(n, budget):
 # Generated subgroups and components.
 
 
+def _generated_order(n, gens, budget) -> int:
+    """|<gens>| for Permutations of degree n, from a StabilizerChain."""
+    return StabilizerChain(n, [tuple(v - 1 for v in p.image) for p in gens], budget).order()
+
+
 @_claim("lemma6.3", "the special vertices generate the whole or even half", 4, 8)
 def _run_lemma63(n, budget):
+    """|<V>| from a stabilizer chain of V, against n!/2 or n!.
+
+    The chain's order is |<V>| (see perms.StabilizerChain); with V all
+    even at even n, <V> lies in the alternating group, and at odd n an odd
+    generator rules that out.  The Dimino listing is the oracle in
+    tests/test_verify.py, and the chain is checked against it and sympy
+    in tests/test_perms.py.
+    """
     budget.check()
     gens = [make_bt(c) for c in vertex_set_V(n)]
-    sub = _subgroup_images(gens, budget=budget)
     if n % 2 == 0:
         _need(
             all(p.is_even() for p in gens),
             "an odd generator appeared at even degree",
         )
-        _need(len(sub) == factorial(n) // 2, "subgroup is not the even half", order=len(sub))
+        want, message = factorial(n) // 2, "subgroup is not the even half"
     else:
         _need(
             any(not p.is_even() for p in gens),
             "no odd generator at odd degree",
         )
-        _need(len(sub) == factorial(n), "subgroup is not the whole group", order=len(sub))
-    return {"order": len(sub), "index": factorial(n) // len(sub)}
+        want, message = factorial(n), "subgroup is not the whole group"
+    order = _generated_order(n, gens, budget)
+    _need(order == want, message, order=order)
+    return {"order": order, "index": factorial(n) // order}
 
 
 @_claim("lemma6.4", "components of the Cayley graph over the special vertices", 4, 8)
 def _run_lemma64(n, budget):
+    """n!/|<V>| components, each of |<V>| vertices.
+
+    V is symmetric (checked), so the edges p -- p o v join p to every
+    p o v1 o ... o vj, and in a finite group every element of <V> is such
+    a word: the component of the identity is <V>.  Left translation by g
+    is a graph automorphism, so the component of g is the coset g<V>, and
+    the cosets split Sym_n into n!/|<V>| blocks of |<V>| vertices.  |<V>|
+    comes from a stabilizer chain; a breadth-first search of every
+    component is the oracle in tests/test_verify.py.
+    """
     gens = [make_bt(c) for c in vertex_set_V(n)]
     gen_set = set(gens)
     _need(all(p.inverse() in gen_set for p in gens), "connection set is not symmetric")
-    sub = _subgroup_images(gens, budget=budget)
-
-    # Component of the identity, traced breadth-first on ranks through the
-    # rank columns of the generators: a second route beside the coset
-    # listing of _subgroup_images.  Rank 0 is the identity.
-    steps = [column.__getitem__ for column in _rank_columns(n, [p.image for p in gens])]
-    seen = closure([0], steps, budget=budget)
-    _need(
-        seen == set(map(sym_index(n).__getitem__, sub)),
-        "identity component differs from the generated subgroup",
-    )
-    components = factorial(n) // len(sub)
+    order = _generated_order(n, gens, budget)
+    components = factorial(n) // order
     _need(components == (1 if n % 2 else 2), "component count wrong", count=components)
-    return {"components": components, "component_size": len(sub)}
+    return {"components": components, "component_size": order}
 
 
 # ---------------------------------------------------------------------------
@@ -1593,6 +1679,15 @@ def _run_example71(n, budget):
     _need(m.euler_characteristic() == 2, "not spherical", chi=m.euler_characteristic())
     w = is_regular(m, budget=budget)
     _need(w is not None, "no regularity witness")
+    # The map is prop72_map(3) (checked below), so its witness has the
+    # columns prop7.2 reads at n = 3.
+    _need(w.psi == _table(n, budget, bar_f_images, 1), "witness is not the basic inverse-toric map")
+    _agree(
+        w.pi_power,
+        _inverse_column(n, budget, 1),
+        list(sym_index(n)),
+        "power function is not the first entry of the inverse",
+    )
     _need(aut_order(m, w) == 24, "symmetry count wrong", order=aut_order(m, w))
     other = prop72_map(3)
     _need(m.gens == other.gens, "differs from the general construction at its smallest size")

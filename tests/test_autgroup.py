@@ -192,7 +192,7 @@ def test_subgroup_claims_report_a_budget_spent_at_any_read(key):
     clear_cache()
     full = _CountedBudget()
     assert run_claim(key, 6, full).status == "verified"
-    # Besides run_claim's own read, the listing reads it once per coset.
+    # Besides run_claim's own read, the stabilizer chain reads it once per sift.
     assert full.reads > 3
     for k in range(1, full.reads + 1):
         clear_cache()

@@ -1,18 +1,27 @@
-"""Permutations in one-line notation and 0-based maps, the extended forms among them."""
+"""Permutations in one-line notation and 0-based maps, the extended forms among them,
+and the stabilizer chain of a generated group."""
 
-from itertools import combinations
+import random
+from itertools import combinations, permutations
+from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btcayley.blocktrans import make_bt, tn_realizations
+from btcayley.budget import BudgetExceeded
+from btcayley.graphs import vertex_set_V
 from btcayley.perms import (
     Permutation,
+    StabilizerChain,
+    _right_multiplier,
     alpha,
     alpha_power,
     compose_images,
     compose_maps,
     cycles,
+    group_elements,
     identity,
     invert_image,
     lift,
@@ -161,3 +170,196 @@ def test_cycles_partition_the_points_from_their_least_points(succ):
     assert [cycle[0] for cycle in found] == sorted(cycle[0] for cycle in found)
     for cycle in found:
         assert [succ[x] for x in cycle] == cycle[1:] + cycle[:1]
+
+
+# ---------------------------------------------------------------------------
+# The stabilizer chain.
+
+
+def _zero_based(images):
+    return [tuple(v - 1 for v in a) for a in images]
+
+
+def _adjacent(n, skip=None):
+    """The adjacent transpositions (t t+1) of range(n), without the one at skip."""
+    ident = tuple(range(n))
+    return [ident[:t] + (t + 1, t) + ident[t + 2 :] for t in range(n - 1) if t != skip]
+
+
+def _cycle_and_swap(n):
+    """(0 1 ... n-1) and (0 1): they generate Sym_n, but no generator fixes 0."""
+    return [tuple((x + 1) % n for x in range(n)), (1, 0) + tuple(range(2, n))]
+
+
+def _dihedral(n):
+    """The rotation and the reflection x -> -x of the n-gon: a group of order 2n."""
+    return [tuple((x + 1) % n for x in range(n)), tuple((-x) % n for x in range(n))]
+
+
+def _bridged(n):
+    """(0 1), (2 3), then (1 2): the orbit of 0 grows through the last one
+    to a point that only an earlier one moves on.  Sym_4 on the first four
+    points."""
+    adjacent = _adjacent(n)
+    return [adjacent[0], adjacent[2], adjacent[1]]
+
+
+def _generating_sets(n):
+    """Named generating sets of degree n: V_n, T_n, the adjacent
+    transpositions, and proper subgroups (a Young subgroup, a dihedral
+    group, and the Sym_4 of _bridged, proper from n = 5)."""
+    sets = {
+        "T_n": _zero_based(p.image for p in tn_realizations(n)),
+        "adjacent": _adjacent(n),
+        "young": _adjacent(n, skip=n // 2 - 1),
+        "dihedral": _dihedral(n),
+        "cycle_and_swap": _cycle_and_swap(n),
+    }
+    if n >= 4:
+        sets["bridged"] = _bridged(n)
+    if n >= 4:
+        sets["V_n"] = _zero_based(make_bt(c).image for c in vertex_set_V(n))
+    return sets
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_chain_order_matches_sympy(n):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    for name, gens in _generating_sets(n).items():
+        want = combinatorics.PermutationGroup([combinatorics.Permutation(list(g)) for g in gens])
+        assert StabilizerChain(n, gens).order() == want.order(), name
+
+
+def test_chain_orders_of_the_proper_subgroups():
+    for n in range(3, 13):
+        sets = _generating_sets(n)
+        assert StabilizerChain(n, sets["dihedral"]).order() == 2 * n
+        half = n // 2
+        assert StabilizerChain(n, sets["young"]).order() == factorial(half) * factorial(n - half)
+        if n >= 4:
+            assert StabilizerChain(n, sets["bridged"]).order() == 24
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_chain_order_is_the_size_of_the_dimino_listing(n):
+    sets = _generating_sets(n) if n >= 3 else {"adjacent": _adjacent(n)}
+    ident = tuple(range(n))
+    for name, gens in sets.items():
+        listed = group_elements(ident, gens, lambda b: _right_multiplier(b, base=0))
+        assert StabilizerChain(n, gens).order() == len(listed), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=4)
+    )
+)
+def test_chain_of_random_generators_is_the_dimino_listing(gens):
+    n = len(gens[0])
+    ident = tuple(range(n))
+    listed = set(group_elements(ident, gens, lambda b: _right_multiplier(b, base=0)))
+    chain = StabilizerChain(n, gens)
+    assert chain.order() == len(listed)
+    everything = list(permutations(range(n)))
+    if n == 7:  # a seeded sample of Sym_7, and members
+        everything = random.Random(len(listed)).sample(everything, 300) + sorted(listed)[:50]
+    for g in everything:
+        assert (chain.sift(g)[0] == chain.identity) == (g in listed)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_sift_accepts_the_members_and_rejects_the_rest(n):
+    for name, gens in _generating_sets(n).items():
+        chain = StabilizerChain(n, gens)
+        listed = set(group_elements(tuple(range(n)), gens, lambda b: _right_multiplier(b, base=0)))
+        for g in permutations(range(n)):
+            residue, level = chain.sift(g)
+            assert (residue == chain.identity) == (g in listed), (name, g)
+            if residue == chain.identity:
+                assert level == len(chain.base)
+
+
+def test_chain_of_the_trivial_group():
+    for n in range(0, 5):
+        chain = StabilizerChain(n, [tuple(range(n))])
+        assert chain.order() == 1
+        assert chain.base == []
+        assert chain.sift(tuple(range(n))) == (chain.identity, 0)
+    assert StabilizerChain(3, []).order() == 1
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_chain_levels_fix_the_earlier_base_points_and_close_their_orbits(n):
+    for name, gens in _generating_sets(n).items():
+        _check_levels(StabilizerChain(n, gens))
+
+
+def _check_levels(chain):
+    for level, gens in enumerate(chain.strong):
+        for s in gens:
+            assert all(s[b] == b for b in chain.base[:level])
+        orbit = chain.orbits[level]
+        assert orbit[0] == chain.base[level]
+        assert len(set(orbit)) == len(orbit)
+        assert {s[y] for y in orbit for s in gens} <= set(orbit)
+
+
+class _CountedBudget:
+    """A budget that runs out at its k-th read (never, for k = None)."""
+
+    def __init__(self, k=None):
+        self.k = k
+        self.reads = 0
+
+    def check(self):
+        self.reads += 1
+        if self.reads == self.k:
+            raise BudgetExceeded(f"read {self.k}")
+
+
+@pytest.mark.parametrize("name", ["V_n", "cycle_and_swap", "young"])
+def test_chain_reads_the_budget_once_per_sift_and_stops_at_any_read(name):
+    gens = _generating_sets(7)[name]
+    sifts = []
+    full = _CountedBudget()
+
+    class Counting(StabilizerChain):
+        def sift(self, g, start=0):
+            sifts.append(start)
+            return super().sift(g, start)
+
+    assert Counting(7, gens, full).order() == StabilizerChain(7, gens).order()
+    assert full.reads == len(sifts) > 0
+    for k in range(1, full.reads + 1):
+        with pytest.raises(BudgetExceeded):
+            StabilizerChain(7, gens, _CountedBudget(k))
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_v_n_reaches_the_order_bound_before_any_schreier_generator(n):
+    # V_n generates Sym_n or Alt_n, and the orbits of its own residues
+    # already multiply to that order, so the chain is certified complete
+    # without forming a Schreier generator.
+    starts = []
+
+    class Counting(StabilizerChain):
+        def sift(self, g, start=0):
+            starts.append(start)
+            return super().sift(g, start)
+
+    gens = _zero_based(make_bt(c).image for c in vertex_set_V(n))
+    assert Counting(n, gens).order() == factorial(n) // (2 if n % 2 == 0 else 1)
+    assert set(starts) == {0}
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_a_chain_that_drops_a_schreier_generator_gets_the_order_wrong(n):
+    # The negative control of the sift: where the order bound is reached
+    # only through Schreier generators, leaving one class of them unsifted
+    # gives a smaller order.
+    from chain_mutants import DroppingChain
+
+    gens = _cycle_and_swap(n)
+    assert StabilizerChain(n, gens).order() == factorial(n)
+    assert DroppingChain(n, gens).order() < factorial(n)

@@ -4,6 +4,7 @@ import gc
 import os
 import re
 import threading
+import time
 from dataclasses import replace
 from functools import lru_cache, wraps
 from itertools import repeat
@@ -13,8 +14,14 @@ from operator import itemgetter
 import pytest
 
 from btcayley import graphs, maps, perms, toric, verify
-from btcayley.autgroup import orbit, orbit_images
-from btcayley.blocktrans import CutPoints, make_bt, tn_size
+from btcayley.autgroup import (
+    VertexMap,
+    _subgroup_images,
+    is_automorphism,
+    orbit,
+    orbit_images,
+)
+from btcayley.blocktrans import CutPoints, make_bt, tn_realizations
 from btcayley.budget import NO_BUDGET, Budget
 from btcayley.perms import (
     Permutation,
@@ -43,6 +50,7 @@ from btcayley.verify import (
     run_all,
     run_claim,
 )
+from chain_mutants import DroppingChain
 from toric_oracles import bar_f_conj, toric_f_conj
 
 
@@ -586,8 +594,8 @@ def test_a_faulty_twin_fails_at_the_oracles_lowest_rank_fault(monkeypatch, key, 
 
 def test_table_claims_call_no_toric_kernel_per_element(monkeypatch):
     # Every kernel table comes from a packed twin, so the table job calls
-    # no kernel at all, and toric-reverse-aut inverts only the elements of
-    # T_n, as Permutations.
+    # no kernel at all, and toric-reverse-aut, which reads the ranks of
+    # T_n in those tables, calls none either.
     counts = {"toric_image": 0, "bar_f_image": 0, "reverse_image": 0, "invert_image": 0}
 
     def counting(module, name):
@@ -607,14 +615,16 @@ def test_table_claims_call_no_toric_kernel_per_element(monkeypatch):
         assert run_claim(key, 6).status == "verified", key
     assert counts == dict.fromkeys(counts, 0)
     assert run_claim("toric-reverse-aut", 6).status == "verified"
-    assert counts == {**dict.fromkeys(counts, 0), "invert_image": tn_size(6)}
+    assert counts == dict.fromkeys(counts, 0)
     for key in TABLE_CLAIMS:
         assert run_claim(key, 6).status == "verified", key
     assert counts["toric_image"] == counts["bar_f_image"] == 0
-    # prop4.4 calls compose_lh_barf, and so bar_f_image, once per (h, r, k).
+    # prop4.4 calls compose_lh_barf, and so bar_f_image, once per (h, r, k)
+    # with (k, u) a generator: k is one of the n-1 adjacent transpositions
+    # or the identity.
     assert run_claim("prop4.4", 4).status == "verified"
     assert counts["toric_image"] == 0
-    assert counts["bar_f_image"] == 5 * factorial(4) ** 2
+    assert counts["bar_f_image"] == factorial(5) * 4
     clear_cache()
     counts["reverse_image"] = 0
     assert run_claim("eq12", 5).status == "verified"
@@ -793,15 +803,19 @@ def test_eq12_generator_reduction_agrees_with_the_all_pairs_sweep(monkeypatch, n
 
 
 def test_prop44_reports_the_first_faulty_pair_in_sweep_order(monkeypatch):
-    # Wrong at two pairs that the claim reads (it calls compose_lh_barf at
-    # u = 0); the sweep runs (h, r) outside and k inside.
+    # Wrong at two generator pairs that the claim reads, and at one pair
+    # that is no generator pair.  The sweep runs (h, r) outside and the
+    # generators inside: the adjacent transpositions (s_1 = [2 1 3] is
+    # grp[2]) at u = 0, then the identity grp[0] at u = 1..n, read by
+    # compose_lh_barf at u = 1.
     grp = sym_group(3)
-    late = (grp[5], 2, grp[1], 0)
-    early = (grp[2], 1, grp[4], 0)
+    late = (grp[5], 2, grp[2], 0)
+    early = (grp[2], 1, grp[0], 1)
+    unread = (grp[1], 0, grp[3], 0)
 
     def faulty(h, r, k, u):
         d, e = compose_lh_barf(h, r, k, u)
-        return (d, (e + 1) % 4) if (h, r, k, u) in (late, early) else (d, e)
+        return (d, (e + 1) % 4) if (h, r, k, u) in (late, early, unread) else (d, e)
 
     monkeypatch.setattr(verify, "compose_lh_barf", faulty)
     r = run_claim("prop4.4", 3)
@@ -838,3 +852,264 @@ def test_cor511_fails_on_a_symmetry_table_that_is_no_bijection(monkeypatch):
     assert r.status == "failed"
     assert r.details["error"] == "induced map is not a bijection"
     assert r.counterexample == {"symmetry": "t^1"}
+
+
+# ---------------------------------------------------------------------------
+# Forked workers, one CPU each.
+
+
+def _affinity_claims(monkeypatch):
+    def runner(n, budget):
+        time.sleep(0.005)  # so that both workers take jobs
+        return {"pid": os.getpid(), "cpus": sorted(os.sched_getaffinity(0))}
+
+    for key in claim_keys():
+        monkeypatch.setitem(REGISTRY, key, replace(REGISTRY[key], runner=runner))
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two CPUs in the affinity set",
+)
+def test_each_worker_is_pinned_to_its_own_cpu(monkeypatch):
+    monkeypatch.setattr(verify, "_worker_count", lambda: 2)
+    _affinity_claims(monkeypatch)
+    mine = os.sched_getaffinity(0)
+    cpus = {}
+    for r in run_all(5):
+        assert cpus.setdefault(r.details["pid"], r.details["cpus"]) == r.details["cpus"]
+    assert len(cpus) == 2
+    first, second = (set(c) for c in cpus.values())
+    assert len(first) == len(second) == 1
+    assert first.isdisjoint(second)
+    assert first | second <= mine
+    assert os.sched_getaffinity(0) == mine
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+def test_a_worker_that_cannot_be_pinned_runs_unpinned(monkeypatch):
+    def refuse(pid, cpus):
+        raise OSError("not allowed")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    monkeypatch.setattr(verify, "_worker_count", lambda: 2)
+    _affinity_claims(monkeypatch)
+    reports = run_all(5)
+    assert {r.status for r in reports} == {"verified"}
+    assert {tuple(r.details["cpus"]) for r in reports} == {tuple(sorted(os.sched_getaffinity(0)))}
+    assert os.getpid() not in {r.details["pid"] for r in reports}
+
+
+# ---------------------------------------------------------------------------
+# example7.1 reads its witness.
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("pi_power", "power function is not the first entry of the inverse"),
+        ("psi", "witness is not the basic inverse-toric map"),
+    ],
+)
+def test_example71_fails_when_its_witness_reads_the_next_slot(monkeypatch, field, message):
+    # is_regular with every slot-shift read moved on by one: the power
+    # function is shifted by one, or psi is read one vertex on.
+    true = verify.is_regular
+
+    def shifted(m, budget=NO_BUDGET):
+        w = true(m, budget=budget)
+        if field == "pi_power":
+            return replace(w, pi_power=tuple((e + 1) % w.order for e in w.pi_power))
+        return replace(w, psi=w.psi[1:] + w.psi[:1])
+
+    monkeypatch.setattr(verify, "is_regular", shifted)
+    r = run_claim("example7.1")
+    assert r.status == "failed"
+    assert r.details == {"error": message}
+
+
+# ---------------------------------------------------------------------------
+# The group claims checked on generators, against the exhaustive routes
+# they replaced, and their negative controls.
+
+
+def _oracle_prop44_closed(n):
+    """The all-pairs sweep prop4.4 ran before its generator reduction: True
+    when T(h, r) o T(k, u) is T of the normal form at every pair of the
+    (n+1)! tables, with the twin that verify reads."""
+    m = n + 1
+    idx = sym_index(n)
+    images = list(idx)
+    bar = [verify._rank_table(n, NO_BUDGET, verify.bar_f_images, r) for r in range(m)]
+    rows = list(zip(*perms._rank_columns(n, images)))
+    table = [[compose_maps(row, b) for b in bar] for row in rows]
+    spots = [(0,) + invert_image(a) for a in images]
+    return all(
+        compose_maps(table[h][r], table[k][u]) == table[table[h][r][k]][(u + spots[k][r]) % m]
+        for h in range(len(images))
+        for r in range(m)
+        for k in range(len(images))
+        for u in range(m)
+    )
+
+
+def _swapped(twin, r, i, j):
+    """twin with the images of the elements of ranks i and j exchanged at shift r."""
+
+    def faulty(n, s):
+        columns = twin(n, s)
+        if s % (n + 1) != r:
+            return columns
+        images = list(zip(*columns))
+        images[i], images[j] = images[j], images[i]
+        return _packed(images)
+
+    return faulty
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_prop44_generator_closure_agrees_with_the_all_pairs_sweep(monkeypatch, n):
+    assert _oracle_prop44_closed(n)
+    assert run_claim("prop4.4", n).status == "verified"
+    true = verify.bar_f_images
+    # Wrong inputs: bar_f_r with the images of two elements exchanged.
+    for r, i, j in [(1, 0, 1), (1, 3, 5), (2, 1, 4), (n, 2, factorial(n) - 1)]:
+        clear_cache()
+        monkeypatch.setattr(verify, "bar_f_images", _swapped(true, r, i, j))
+        assert not _oracle_prop44_closed(n), (r, i, j)
+        report = run_claim("prop4.4", n)
+        assert report.status == "failed", (r, i, j)
+
+
+def test_prop44_fails_when_the_generator_images_fall_short_of_the_order(monkeypatch):
+    # The closure proof needs <phi(G)> to be the whole symmetric group of
+    # {0, ..., n}: a chain that finds half that order must fail the claim.
+    class Short(perms.StabilizerChain):
+        def order(self):
+            return super().order() // 2
+
+    monkeypatch.setattr(verify, "StabilizerChain", Short)
+    r = run_claim("prop4.4", 4)
+    assert r.status == "failed"
+    assert r.details == {"error": "generator images do not generate the target group"}
+    assert r.counterexample == {"order": "60"}
+
+
+def _oracle_dihedral_automorphisms(n):
+    """is_automorphism on build_cayley for each dihedral table, as
+    toric-reverse-aut checked it before its reduction to T_n."""
+    cay = graphs.build_cayley(n, tn_realizations(n))
+    return [is_automorphism(cay, VertexMap(cay, t)) for t in verify._dihedral_tables(n, NO_BUDGET)]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_toric_reverse_aut_agrees_with_is_automorphism(n):
+    assert all(_oracle_dihedral_automorphisms(n))
+    assert run_claim("toric-reverse-aut", n).status == "verified"
+
+
+def _outside_t_n(n):
+    """The rank of the least element of T_n and of the least element outside T_n and iota."""
+    idx = sym_index(n)
+    tn = sorted(idx[p.image] for p in tn_realizations(n))
+    return tn[0], min(set(range(1, factorial(n))) - set(tn))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_toric_reverse_aut_fails_on_a_rotation_that_leaves_t_n(monkeypatch, n):
+    # A bijection that fixes the identity but sends the least element t
+    # of T_n outside T_n at shift 1.
+    t, q = _outside_t_n(n)
+    true = verify.bar_f_images
+    monkeypatch.setattr(verify, "bar_f_images", _swapped(true, 1, t, _preimage(true, n, 1, q)))
+    assert not all(_oracle_dihedral_automorphisms(n))
+    r = run_claim("toric-reverse-aut", n)
+    assert r.status == "failed"
+    assert r.details == {"error": "induced map is not an automorphism"}
+    assert r.counterexample == {"symmetry": "t^1", "t": str(sym_group(n)[t])}
+
+
+def _preimage(twin, n, r, q):
+    """The rank of the element whose image under the twin at shift r has rank q."""
+    idx = sym_index(n)
+    return next(i for i, a in enumerate(zip(*twin(n, r))) if idx[a] == q)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_toric_reverse_aut_fails_on_a_reversal_that_leaves_t_n(monkeypatch, n):
+    t, q = _outside_t_n(n)
+    idx = sym_index(n)
+    true = verify.reverse_images
+    images = list(zip(*true(n)))
+    j = next(i for i, a in enumerate(images) if idx[a] == q)
+
+    def faulty(n):
+        swapped = list(images)
+        swapped[t], swapped[j] = swapped[j], swapped[t]
+        return _packed(swapped)
+
+    monkeypatch.setattr(verify, "reverse_images", faulty)
+    assert not all(_oracle_dihedral_automorphisms(n))
+    r = run_claim("toric-reverse-aut", n)
+    assert r.status == "failed"
+    assert r.details == {"error": "induced map is not an automorphism"}
+    assert r.counterexample == {"symmetry": "t^0*g", "t": str(sym_group(n)[t])}
+
+
+def _oracle_components(n):
+    """Components of Cay(Sym_n, V) by breadth-first search over rank
+    columns, from every vertex not yet reached, as lemma6.4 traced the
+    identity component before it read |<V>| from a chain."""
+    gens = [make_bt(c).image for c in graphs.vertex_set_V(n)]
+    steps = [column.__getitem__ for column in perms._rank_columns(n, gens)]
+    seen: set = set()
+    sizes = []
+    for v in range(factorial(n)):
+        if v not in seen:
+            component = perms.closure([v], steps)
+            seen |= component
+            sizes.append(len(component))
+    return sizes
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_group_claims_match_the_listing_and_the_search(n):
+    gens = [make_bt(c) for c in graphs.vertex_set_V(n)]
+    order = len(_subgroup_images(gens))
+    assert run_claim("lemma6.3", n).details == {"order": order, "index": factorial(n) // order}
+    sizes = _oracle_components(n)
+    assert set(sizes) == {order}
+    assert run_claim("lemma6.4", n).details == {"components": len(sizes), "component_size": order}
+
+
+def _planted_v(monkeypatch, cuts):
+    monkeypatch.setattr(verify, "vertex_set_V", lambda n: tuple(cuts(n)))
+
+
+def test_section6_claims_fail_on_a_proper_subgroup(monkeypatch):
+    # (1 2) and (2 3), both block transpositions, generate Sym_3 on the
+    # first three points.
+    _planted_v(monkeypatch, lambda n: [CutPoints(0, 1, 2, n), CutPoints(1, 2, 3, n)])
+    r = run_claim("lemma6.3", 7)
+    assert r.status == "failed"
+    assert r.details == {"error": "subgroup is not the whole group"}
+    assert r.counterexample == {"order": "6"}
+    r = run_claim("lemma6.4", 7)
+    assert r.status == "failed"
+    assert r.details == {"error": "component count wrong"}
+    assert r.counterexample == {"count": "840"}
+
+
+@pytest.mark.parametrize("key", ["lemma6.3", "lemma6.4"])
+def test_section6_claims_fail_with_a_chain_that_drops_schreier_generators(monkeypatch, key):
+    # The n-cycle, its inverse and (1 2) generate Sym_7, but only through
+    # Schreier generators: the true chain verifies the claim, and one that
+    # leaves a class of them unsifted fails it.
+    _planted_v(
+        monkeypatch,
+        lambda n: [CutPoints(0, 1, n, n), CutPoints(0, n - 1, n, n), CutPoints(0, 1, 2, n)],
+    )
+    assert run_claim(key, 7).status == "verified"
+    clear_cache()
+    monkeypatch.setattr(verify, "StabilizerChain", DroppingChain)
+    assert run_claim(key, 7).status == "failed"
