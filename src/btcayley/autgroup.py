@@ -4,13 +4,15 @@ Vertex maps are stored as image tuples over a graph's vertex ranks.  The
 full automorphism group of a small graph is listed from generators: a
 partition-refinement search pruned by the automorphisms it has already
 found (graphs.automorphism_generators, whose docstring holds the proof
-that they generate the whole group) yields them, and perms.group_elements
-lists the group they generate, coset by coset.  The search starts from
-raw vertex signatures, which the one refinement engine of graphs ranks
-in its first round.  The
-stabilizer of the identity vertex in the full Cayley graph is found the
-same way after pinning that vertex and coloring by distance layers, which
-is exactly the constraint an identity-fixing automorphism must respect.
+that they generate the whole group) yields them, and the stabilizer chain
+of those generators (perms.StabilizerChain) lists the group they
+generate, each element once.  Every generated group of the package is
+sized and listed by that one chain.  The search starts from raw vertex
+signatures, which the one refinement engine of graphs ranks in its first
+round.  The stabilizer of the identity vertex in the full Cayley graph is
+found the same way after pinning that vertex and coloring by distance
+layers, which is exactly the constraint an identity-fixing automorphism
+must respect.
 is_automorphism checks edges with the same C-level check as the search's
 leaves.
 """
@@ -32,11 +34,12 @@ from .graphs import (
 )
 from .perms import (
     Permutation,
+    StabilizerChain,
+    _inverse_map,
     _right_multiplier,
     _wrap,
     closure,
     compose_maps,
-    group_elements,
     identity,
     layers,
     sym_index,
@@ -66,10 +69,7 @@ class VertexMap:
         return VertexMap(self.graph, compose_maps(self.images, other.images))
 
     def inverse(self) -> "VertexMap":
-        inv = [0] * len(self.images)
-        for v, w in enumerate(self.images):
-            inv[w] = v
-        return VertexMap(self.graph, tuple(inv))
+        return VertexMap(self.graph, _inverse_map(self.images))
 
     def is_identity(self) -> bool:
         return all(v == w for v, w in enumerate(self.images))
@@ -99,12 +99,13 @@ def is_automorphism(g: Graph, m: VertexMap) -> bool:
 def _automorphisms(nbrs, sigs, budget) -> list[tuple[int, ...]]:
     """Image tuples of the automorphisms keeping the vertex signatures, sorted.
 
-    group_elements lists the group the generators automorphism_generators
-    finds, one right coset at a time; it reads the budget once per coset.
+    The stabilizer chain of the generators automorphism_generators finds
+    lists the group they generate; it reads the budget once per sift and
+    once per level of the listing.
     """
     gens = automorphism_generators(nbrs, sigs, budget)
-    right = partial(_right_multiplier, base=0)
-    return sorted(group_elements(tuple(range(len(nbrs))), gens, right, budget=budget))
+    chain = StabilizerChain(len(nbrs), gens, budget)
+    return sorted(chain.elements(chain.identity))
 
 
 MAX_AUT_VERTICES = 5000
@@ -139,8 +140,8 @@ def stabilizer_of_identity(n: int, budget=NO_BUDGET) -> list[VertexMap]:
 
     Pins the identity vertex and colors everything by its distance layer.
     The automorphisms keeping those colors are exactly the identity-fixing
-    ones; the pruned generator search finds generators of them, and
-    group_elements lists the group they generate, sorted by image tuple.
+    ones; the pruned generator search finds generators of them, and their
+    stabilizer chain lists the group they generate, sorted by image tuple.
     """
     if n > 5:
         raise ValueError(f"degree {n} beyond the exhaustive-search range (max 5)")
@@ -165,26 +166,23 @@ def stabilizer_of_identity(n: int, budget=NO_BUDGET) -> list[VertexMap]:
 def generated_subgroup(
     generators, limit: int = 3_628_800, budget=NO_BUDGET
 ) -> frozenset[Permutation]:
-    """The subgroup the generators generate, listed by right cosets.
+    """The subgroup the generators generate, listed by their stabilizer chain.
 
-    perms.group_elements forms each element once, reading the budget once
-    per coset.  It materializes the subgroup, so the size cap (10! by
-    default) is a hard error, not a truncation.
+    The chain's order is compared with limit (10! by default) before any
+    element is formed: a larger group is a hard error, not a truncation.
+    The chain reads the budget once per sift and once per level of the
+    listing, which forms each element once as its 1-based image.
     """
-    return frozenset(map(_wrap, _subgroup_images(generators, limit, budget)))
-
-
-def _subgroup_images(generators, limit: int = 3_628_800, budget=NO_BUDGET) -> list:
-    """Image tuples of generated_subgroup, each listed once, as group_elements lists them."""
-    gens = [p for p in generators]
+    gens = list(generators)
     if not gens:
         raise ValueError("no generators")
     n = gens[0].n
     if any(p.n != n for p in gens):
         raise ValueError("generators of mixed degree")
-    ident = tuple(range(1, n + 1))
-    images = [p.image for p in gens]
-    return group_elements(ident, images, _right_multiplier, limit, budget)
+    chain = StabilizerChain(n, [tuple(v - 1 for v in p.image) for p in gens], budget)
+    if chain.order() > limit:
+        raise ValueError(f"group exceeds the cap of {limit} elements")
+    return frozenset(map(_wrap, chain.elements(tuple(range(1, n + 1)))))
 
 
 def orbit_images(dihedral_gens, seed: tuple[int, ...]) -> set[tuple[int, ...]]:

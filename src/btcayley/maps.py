@@ -18,8 +18,8 @@ from .blocktrans import CutPoints, make_bt
 from .budget import NO_BUDGET
 from .graphs import connection_set_images
 from .perms import (
+    StabilizerChain,
     _rank_columns,
-    closure,
     compose_maps,
     cycles,
     parse_permutation,
@@ -48,13 +48,13 @@ class CayleyMap:
         self.gens = gens
         self.elements = sym_group(n)
 
+        # The connection set must generate the whole group.
+        chain = StabilizerChain(n, [tuple(v - 1 for v in x) for x in imgs])
+        if chain.order() != len(self.elements):
+            raise ValueError("connection set does not generate the group")
+
         # col[g][v] = rank(v o x_g): the vertex-by-generator products, by ranks
         self._columns = _rank_columns(n, imgs)
-
-        # The connection set must generate the whole group.
-        steps = [col.__getitem__ for col in self._columns]
-        if len(closure([0], steps)) != len(self.elements):
-            raise ValueError("connection set does not generate the group")
 
     @property
     def valency(self) -> int:

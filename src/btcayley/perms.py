@@ -70,6 +70,12 @@ def cycles(succ) -> list[list[int]]:
     return out
 
 
+def _is_even(succ) -> bool:
+    """Parity of a bijection of range(len(succ)): even iff the number of
+    points minus the number of cycles is even."""
+    return (len(succ) - len(cycles(succ))) % 2 == 0
+
+
 def compose_maps(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """0-based map a o b (apply b first): entry x is a[b[x]]."""
     if len(b) == 1:
@@ -121,8 +127,7 @@ class Permutation:
         return all(v == t for t, v in enumerate(self.image, start=1))
 
     def is_even(self) -> bool:
-        """Parity: even iff n minus the number of cycles is even."""
-        return (self.n - len(cycles([v - 1 for v in self.image]))) % 2 == 0
+        return _is_even([v - 1 for v in self.image])
 
     def __str__(self) -> str:
         return "[" + " ".join(str(v) for v in self.image) + "]"
@@ -203,6 +208,12 @@ def sym_index(n: int) -> dict[tuple[int, ...], int]:
     return {p.image: i for i, p in enumerate(sym_group(n))}
 
 
+def adjacent_transpositions(n: int) -> list[tuple[int, ...]]:
+    """Image tuples of the adjacent transpositions s_t = (t+1 t+2), t = 0..n-2."""
+    ident = tuple(range(1, n + 1))
+    return [ident[:t] + (t + 2, t + 1) + ident[t + 2 :] for t in range(n - 1)]
+
+
 def _right_multiplier(b: tuple[int, ...], base: int = 1):
     """C-level callable a -> a o b, for tuples of b's length.
 
@@ -231,13 +242,11 @@ def _rank_columns(n: int, images) -> list:
     chains meet share the columns from there down.
     """
     index = sym_index(n)
-    ident = tuple(range(1, n + 1))
-    columns = {ident: range(len(index))}
-    adjacent = []
-    for t in range(n - 1):
-        s = list(ident)
-        s[t], s[t + 1] = s[t + 1], s[t]
-        adjacent.append(tuple(map(index.__getitem__, map(_right_multiplier(s), index))))
+    columns = {tuple(range(1, n + 1)): range(len(index))}
+    adjacent = [
+        tuple(map(index.__getitem__, map(_right_multiplier(s), index)))
+        for s in adjacent_transpositions(n)
+    ]
 
     def column(x):
         col = columns.get(x)
@@ -369,61 +378,6 @@ def closure(seed, steps, budget=NO_BUDGET) -> set:
     return seen
 
 
-def group_elements(ident, gens, right, limit: int | None = None, budget=NO_BUDGET) -> list:
-    """Every element of the group the generators generate, each formed once.
-
-    Dimino's algorithm (Butler, Fundamental Algorithms for Permutation
-    Groups, LNCS 559, 1991) over right cosets.  ident is the identity
-    element and right(b) a callable a -> a o b.  The list holds
-    H = <g_1..g_(i-1)>; a generator g_i already in it is skipped.
-    Otherwise reps starts as [ident], and for each rep c (reps grows as
-    it is read) and each s in g_1..g_i with c o s not yet seen, the
-    whole coset H o (c o s) is appended, formed by one C-level map over
-    H, and c o s joins reps.  The set S listed is then the group:
-      - S is a union of blocks H o c over c in reps.  If c o s lies in S,
-        say c o s = h' o c', then (h o c) o s = (h o h') o c' is in S
-        too; if not, the block of c o s is appended.  So S is closed
-        under right multiplication by every generator, and it contains
-        ident.  In a finite group each inverse is a positive power, so
-        every element of <g_1..g_i> is ident times a word in the
-        generators, and S holds exactly those: S = <g_1..g_i>.
-      - Right cosets of H are equal or disjoint, and a new c o s is
-        outside S, which is a union of right cosets of H, so no element
-        is appended twice.
-    That is one composition per element plus one membership test per
-    (rep, generator) pair.  More than limit elements raise ValueError
-    (a hard cap, not a truncation): the size is checked after each
-    coset, and only grows to |G|, so it raises iff |G| > limit.  The
-    budget is read once per new coset.
-    """
-    elements = [ident]
-    seen = {ident}
-
-    def check():
-        if limit is not None and len(elements) > limit:
-            raise ValueError(f"group exceeds the cap of {limit} elements")
-
-    check()
-    steps = []
-    for g in gens:
-        if g in seen:
-            continue
-        steps.append(right(g))
-        block = elements[:]
-        reps = [ident]
-        for c in reps:
-            for step in steps:
-                y = step(c)
-                if y not in seen:
-                    budget.check()
-                    coset = list(map(right(y), block))
-                    elements += coset
-                    seen.update(coset)
-                    reps.append(y)
-                    check()
-    return elements
-
-
 def _inverse_map(a: tuple[int, ...]) -> tuple[int, ...]:
     """Inverse of a 0-based map: the points sorted by their images."""
     return tuple(sorted(range(len(a)), key=a.__getitem__))
@@ -491,7 +445,7 @@ class StabilizerChain:
         self._tried: list[list[int]] = []
         self._budget = budget
         gens = [tuple(g) for g in gens]
-        even = all((degree - len(cycles(g))) % 2 == 0 for g in gens)
+        even = all(map(_is_even, gens))
         self._bound = math.factorial(degree) // (2 if even and degree > 1 else 1)
         self._full = degree < 2
         for g in gens:
@@ -510,6 +464,36 @@ class StabilizerChain:
         for orbit in self.orbits:
             size *= len(orbit)
         return size
+
+    def elements(self, ident: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """ident o g for every member g of the group, each once, ident o identity first.
+
+        ident is the identity in the caller's values: range(degree) lists
+        the 0-based maps, range(1, degree + 1) their 1-based one-line
+        images, since a o g gathers a's entries at the points g names.
+
+        The chain is complete or full at its bound, so every member g is
+        u_0 o u_1 o ... o u_k for exactly one word u_i of each level's
+        transversal: the products are distinct (see the class docstring)
+        and their count is the order.  Inversion is a bijection of the group, so the
+        products u_k^-1 o ... o u_1^-1 o u_0^-1 = (u_0 o ... o u_k)^-1 are
+        again every member once.  They are formed from the last level up:
+        the list L holds ident o u_k^-1 o ... o u_(i+1)^-1 for every choice
+        of words below level i, and L o u_y^-1 for each orbit point y of
+        level i, one C-level gather over L per point, gives the list for
+        level i.  No seen-set is needed.  The base point comes first in
+        its orbit with the identity as its word, so ident comes first.
+        Built from the last level up, every list but the final one holds
+        only the products of the later levels' words.  The budget is read
+        once per level.
+        """
+        listing = [ident]
+        for orbit, inverses in zip(reversed(self.orbits), reversed(self._inverses)):
+            self._budget.check()
+            block, listing = listing, []
+            for y in orbit:
+                listing += map(_right_multiplier(inverses[y], base=0), block)
+        return listing
 
     def sift(self, g: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
         """The residue of g stripped from level start on, and the level it stopped at."""

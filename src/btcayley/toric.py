@@ -33,6 +33,7 @@ from .perms import (
     _marks,
     _restrict,
     _wrap,
+    adjacent_transpositions,
     alpha_power,
     compose_images,
     compose_maps,
@@ -398,8 +399,7 @@ def check_skew(n: int, psi) -> SkewMorphismWitness | None:
             get = left[t] = itemgetter(*map(rank, images))
         return get
 
-    ident = tuple(range(1, n + 1))
-    adjacent = [rank(ident[:i] + (i + 2, i + 1) + ident[i + 2 :]) for i in range(n - 1)]
+    adjacent = list(map(rank, adjacent_transpositions(n)))
     pi_power = [0] * g
     row_x = row_px = powers[0]
     for i in chain(plain_changes(n), [None]):

@@ -76,6 +76,7 @@ from .perms import (
     _rank_columns,
     _right_multiplier,
     _wrap,
+    adjacent_transpositions,
     alpha_power,
     compose_maps,
     identity,
@@ -696,7 +697,7 @@ def _run_eq12(n, budget):
     rev = _table(n, budget, reverse_images)
     ident = tuple(range(len(images)))
     _agree(compose_maps(rev, rev), ident, images, "reversal is not an involution")
-    adjacent = [images[0][:i] + (i + 2, i + 1) + images[0][i + 2 :] for i in range(n - 1)]
+    adjacent = adjacent_transpositions(n)
     mirrors = [images[rev[idx[s]]] for s in adjacent]
     budget.check()
     columns = _rank_columns(n, adjacent + mirrors)
@@ -979,8 +980,7 @@ def _run_prop44(n, budget):
         table[0][0] == tuple(range(len(grp))) and phi[0][0] == tuple(range(m)),
         "L_iota o bar_f_0 is not the identity",
     )
-    ident = images[0]
-    adjacent = [idx[ident[:t] + (t + 2, t + 1) + ident[t + 2 :]] for t in range(n - 1)]
+    adjacent = [idx[s] for s in adjacent_transpositions(n)]
     gens = [(k, 0) for k in adjacent] + [(0, u) for u in range(1, m)]
     order = StabilizerChain(m, [phi[k][u] for k, u in gens], budget).order()
     _need(order == factorial(m), "generator images do not generate the target group", order=order)
@@ -1584,9 +1584,9 @@ def _run_lemma63(n, budget):
 
     The chain's order is |<V>| (see perms.StabilizerChain); with V all
     even at even n, <V> lies in the alternating group, and at odd n an odd
-    generator rules that out.  The Dimino listing is the oracle in
-    tests/test_verify.py, and the chain is checked against it and sympy
-    in tests/test_perms.py.
+    generator rules that out.  The breadth-first search of the identity's
+    component is the oracle in tests/test_verify.py, and the chain is
+    checked against breadth-first closures and sympy in tests/test_perms.py.
     """
     budget.check()
     gens = [make_bt(c) for c in vertex_set_V(n)]

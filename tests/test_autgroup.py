@@ -181,7 +181,7 @@ def test_generated_subgroup_honours_a_budget_spent_at_any_read():
         generated_subgroup(gens, budget=Budget(0))
     full = _CountedBudget()
     assert len(generated_subgroup(gens, budget=full)) == 360
-    assert full.reads > 1  # one read per coset
+    assert full.reads > 1  # one read per sift and per level of the listing
     for k in range(1, full.reads + 1):
         with pytest.raises(BudgetExceeded):
             generated_subgroup(gens, budget=_CountedBudget(k))

@@ -16,7 +16,7 @@ prop7.2 and thm7.3 before each became one column comparison,
 the plain-changes walk behind check_skew, face tracing by rotating each
 orbit to its least dart and sorting, the breadth-first closure and
 its levels, the breadth-first listing of a generated group before it was
-listed by cosets, closed-walk counts from dense powers of A before they were
+listed by cosets (now those of a stabilizer chain), closed-walk counts from dense powers of A before they were
 packed into one int per row, colour refinement through per-vertex
 gathers, and the complete backtracking search that listed every
 automorphism leaf by leaf before the search for generators pruned by the
@@ -68,13 +68,14 @@ from btcayley.maps import (
     prop72_map,
 )
 from btcayley.perms import (
+    Permutation,
+    StabilizerChain,
     _lift_columns,
     _product_rows,
     _rank_columns,
     _right_multiplier,
     closure,
     compose_images,
-    group_elements,
     identity,
     invert_image,
     invert_images,
@@ -1007,33 +1008,32 @@ def test_closure_matches_the_subgroup_loop(n):
     assert {p.image for p in generated_subgroup(gens)} == want
 
 
-def test_group_elements_honours_the_limit():
-    # Z_10 written additively: 10 elements pass a limit of 10, not of 9.
-    def right(b):
-        return lambda a: (a + b) % 10
-
-    assert sorted(group_elements(0, [1], right, limit=10)) == list(range(10))
-    with pytest.raises(ValueError):
-        group_elements(0, [1], right, limit=9)
-    with pytest.raises(ValueError):
-        generated_subgroup(tn_realizations(4), limit=23)
-    assert len(generated_subgroup(tn_realizations(4), limit=24)) == 24
-
-
-def _check_coset_listing(ident, gens, right, want):
-    """group_elements against the breadth-first set, at and just under |G|."""
-    got = group_elements(ident, gens, right)
+def _check_coset_listing(ident, gens, want):
+    """The stabilizer chain's listing, one right coset of each level's
+    stabilizer at a time, against the breadth-first set."""
+    base = ident[0]  # 1 for one-line images, 0 for vertex maps
+    chain = StabilizerChain(len(ident), [tuple(v - base for v in g) for g in gens])
+    got = chain.elements(ident)
     assert got[0] == ident
     assert len(got) == len(set(got))  # each element formed once
     assert set(got) == want
-    assert len(group_elements(ident, gens, right, limit=len(want))) == len(want)
+    assert chain.order() == len(want)
+
+
+def _check_subgroup_listing(gens):
+    """The listing of one-line images, and generated_subgroup at and just under |G|."""
+    want = _oracle_subgroup(gens)
+    _check_coset_listing(tuple(range(1, len(gens[0]) + 1)), gens, want)
+    perms = [Permutation(g) for g in gens]
+    assert {p.image for p in generated_subgroup(perms, limit=len(want))} == want
     with pytest.raises(ValueError):
-        group_elements(ident, gens, right, limit=len(want) - 1)
+        generated_subgroup(perms, limit=len(want) - 1)
 
 
 @st.composite
 def _generator_lists(draw):
-    """Generator images in Sym_n, n = 1..6, with the cases Dimino skips."""
+    """Generator images in Sym_n, n = 1..6, with the identity, repeats and
+    members of the group so far among them."""
     n = draw(st.integers(min_value=1, max_value=6))
     ident = tuple(range(1, n + 1))
     perm = st.permutations(ident).map(tuple)
@@ -1051,8 +1051,8 @@ def _generator_lists(draw):
 @settings(max_examples=200, deadline=None)
 @given(_generator_lists())
 def test_coset_listing_matches_the_breadth_first_subgroup(case):
-    ident, gens = case
-    _check_coset_listing(ident, gens, _right_multiplier, _oracle_subgroup(gens))
+    _, gens = case
+    _check_subgroup_listing(gens)
 
 
 @pytest.mark.parametrize(
@@ -1061,9 +1061,8 @@ def test_coset_listing_matches_the_breadth_first_subgroup(case):
     ids=["n1", "identity", "swap", "3-cycle", "repeat", "identity-then-powers"],
 )
 def test_coset_listing_of_small_generator_lists(gens):
-    # At n = 1, _right_multiplier returns tuple itself.
-    ident = tuple(range(1, len(gens[0]) + 1))
-    _check_coset_listing(ident, gens, _right_multiplier, _oracle_subgroup(gens))
+    # At n = 1 the chain has no level, and the listing is the identity alone.
+    _check_subgroup_listing(gens)
 
 
 def _shifted_oracle(nv, gens):
@@ -1079,14 +1078,12 @@ def test_coset_listing_of_vertex_maps_matches_the_breadth_first_group(pair):
     nbrs, _, colors, _ = pair
     assume(nbrs)  # the empty graph has no identity tuple to compose
     gens = automorphism_generators(nbrs, colors, NO_BUDGET)
-    right = partial(_right_multiplier, base=0)
     nv = len(nbrs)
-    _check_coset_listing(tuple(range(nv)), gens, right, _shifted_oracle(nv, gens))
+    _check_coset_listing(tuple(range(nv)), gens, _shifted_oracle(nv, gens))
 
 
 def test_coset_listing_on_one_vertex():
-    right = partial(_right_multiplier, base=0)
-    assert group_elements((0,), [(0,)], right) == [(0,)]
+    assert StabilizerChain(1, [(0,)]).elements((0,)) == [(0,)]
     assert _automorphisms([()], [0], NO_BUDGET) == [(0,)]
 
 

@@ -34,6 +34,22 @@ def _adjacent_transpositions_map(n):
     return CayleyMap(n, [make_bt(CutPoints(i, i + 1, i + 2, n)) for i in range(n - 1)])
 
 
+@pytest.mark.parametrize(
+    "literals",
+    [
+        ["[2 1 3 4]", "[1 2 4 3]"],  # (1 2), (3 4): a Klein four-group
+        ["[2 3 1 4]", "[3 1 2 4]"],  # (1 2 3) and its inverse: all even
+        # (1 2 3), (2 3 4) and their inverses: the whole of Alt_4, so the
+        # chain reaches its even bound n!/2 and stops there.
+        ["[2 3 1 4]", "[3 1 2 4]", "[1 3 4 2]", "[1 4 2 3]"],
+    ],
+    ids=["klein", "three-cycle", "alt4"],
+)
+def test_a_connection_set_that_misses_part_of_the_group_is_refused(literals):
+    with pytest.raises(ValueError, match="connection set does not generate the group"):
+        CayleyMap(4, [parse_permutation(t) for t in literals])
+
+
 def test_faces_partition_the_darts():
     m = prop72_map(4)
     seen = set()

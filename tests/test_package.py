@@ -125,3 +125,34 @@ def test_every_spanned_name_is_in_its_layer_module():
         if not hasattr(importlib.import_module(f"btcayley.{layer}"), name)
     ]
     assert spanned and missing == []
+
+
+def _registered(node) -> bool:
+    """Whether a package decorator, a call to a private function such as
+    verify._claim(...), registers the definition: it is then read through
+    the registry, not by name."""
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id.startswith("_")
+        for d in node.decorator_list
+    )
+
+
+def test_every_private_helper_is_read_in_the_package():
+    """A module-level private function or class that no module of the
+    package reads is dead code."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        read |= _read_names(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unread = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and not _registered(node)
+        and node.name not in read
+    ]
+    assert unread == []

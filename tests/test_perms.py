@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btcayley.autgroup import generated_subgroup
 from btcayley.blocktrans import make_bt, tn_realizations
 from btcayley.budget import BudgetExceeded
 from btcayley.graphs import vertex_set_V
@@ -16,12 +17,13 @@ from btcayley.perms import (
     Permutation,
     StabilizerChain,
     _right_multiplier,
+    adjacent_transpositions,
     alpha,
     alpha_power,
+    closure,
     compose_images,
     compose_maps,
     cycles,
-    group_elements,
     identity,
     invert_image,
     lift,
@@ -162,6 +164,17 @@ def test_parity_is_the_parity_of_the_inversion_count(n):
         assert p.is_even() == (inversions % 2 == 0), p
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_adjacent_transpositions_are_the_elements_with_one_inversion(n):
+    # In the order of the position of their descent.
+    def descents(image):
+        return [t for t in range(n - 1) if image[t] > image[t + 1]]
+
+    one = [p.image for p in sym_group(n) if p.image != tuple(range(1, n + 1))]
+    one = [a for a in one if sum(x > y for x, y in combinations(a, 2)) == 1]
+    assert adjacent_transpositions(n) == sorted(one, key=descents)
+
+
 @given(st.integers(0, 12).flatmap(lambda k: st.permutations(range(k))))
 def test_cycles_partition_the_points_from_their_least_points(succ):
     found = cycles(succ)
@@ -178,6 +191,10 @@ def test_cycles_partition_the_points_from_their_least_points(succ):
 
 def _zero_based(images):
     return [tuple(v - 1 for v in a) for a in images]
+
+
+def _one_based(maps):
+    return [tuple(v + 1 for v in g) for g in maps]
 
 
 def _adjacent(n, skip=None):
@@ -240,25 +257,29 @@ def test_chain_orders_of_the_proper_subgroups():
             assert StabilizerChain(n, sets["bridged"]).order() == 24
 
 
+def _breadth_first(n, gens):
+    """The group of 0-based maps the generators generate: perms.closure of
+    the identity under the right multipliers."""
+    return closure([tuple(range(n))], [_right_multiplier(g, base=0) for g in gens])
+
+
 @pytest.mark.parametrize("n", range(1, 9))
-def test_chain_order_is_the_size_of_the_dimino_listing(n):
+def test_chain_order_is_the_size_of_the_breadth_first_group(n):
     sets = _generating_sets(n) if n >= 3 else {"adjacent": _adjacent(n)}
-    ident = tuple(range(n))
     for name, gens in sets.items():
-        listed = group_elements(ident, gens, lambda b: _right_multiplier(b, base=0))
-        assert StabilizerChain(n, gens).order() == len(listed), name
+        assert StabilizerChain(n, gens).order() == len(_breadth_first(n, gens)), name
+
+
+_random_generators = st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=4)
+)
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 7).flatmap(
-        lambda n: st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=4)
-    )
-)
-def test_chain_of_random_generators_is_the_dimino_listing(gens):
+@given(_random_generators)
+def test_chain_of_random_generators_is_the_breadth_first_group(gens):
     n = len(gens[0])
-    ident = tuple(range(n))
-    listed = set(group_elements(ident, gens, lambda b: _right_multiplier(b, base=0)))
+    listed = _breadth_first(n, gens)
     chain = StabilizerChain(n, gens)
     assert chain.order() == len(listed)
     everything = list(permutations(range(n)))
@@ -268,11 +289,29 @@ def test_chain_of_random_generators_is_the_dimino_listing(gens):
         assert (chain.sift(g)[0] == chain.identity) == (g in listed)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_random_generators)
+def test_chain_lists_each_member_once_from_the_identity(gens):
+    n = len(gens[0])
+    want = _breadth_first(n, gens)
+    chain = StabilizerChain(n, gens)
+    for base in (0, 1):  # 0-based maps and 1-based one-line images
+        ident = tuple(range(base, n + base))
+        listed = chain.elements(ident)
+        assert listed[0] == ident
+        assert len(listed) == len(set(listed)) == len(want)
+        assert {tuple(v - base for v in a) for a in listed} == want
+    images = [Permutation(a) for a in _one_based(gens)]
+    assert len(generated_subgroup(images, limit=len(want))) == len(want)
+    with pytest.raises(ValueError, match="cap"):
+        generated_subgroup(images, limit=len(want) - 1)
+
+
 @pytest.mark.parametrize("n", range(3, 7))
 def test_sift_accepts_the_members_and_rejects_the_rest(n):
     for name, gens in _generating_sets(n).items():
         chain = StabilizerChain(n, gens)
-        listed = set(group_elements(tuple(range(n)), gens, lambda b: _right_multiplier(b, base=0)))
+        listed = _breadth_first(n, gens)
         for g in permutations(range(n)):
             residue, level = chain.sift(g)
             assert (residue == chain.identity) == (g in listed), (name, g)
@@ -329,11 +368,20 @@ def test_chain_reads_the_budget_once_per_sift_and_stops_at_any_read(name):
             sifts.append(start)
             return super().sift(g, start)
 
-    assert Counting(7, gens, full).order() == StabilizerChain(7, gens).order()
+    chain = Counting(7, gens, full)
+    assert chain.order() == StabilizerChain(7, gens).order()
     assert full.reads == len(sifts) > 0
     for k in range(1, full.reads + 1):
         with pytest.raises(BudgetExceeded):
             StabilizerChain(7, gens, _CountedBudget(k))
+    # The listing reads it once per level, and generated_subgroup stops at
+    # any read of the chain or of the listing.
+    assert len(chain.elements(chain.identity)) == chain.order()
+    assert full.reads == len(sifts) + len(chain.base)
+    images = [Permutation(a) for a in _one_based(gens)]
+    for k in range(1, full.reads + 1):
+        with pytest.raises(BudgetExceeded):
+            generated_subgroup(images, budget=_CountedBudget(k))
 
 
 @pytest.mark.parametrize("n", range(4, 17))
