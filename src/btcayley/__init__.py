@@ -116,6 +116,7 @@ _HOME = {
     "maximal_2_cliques": "graphs",
     "vertex_set_V": "graphs",
     "CayleyMap": "maps",
+    "SkewMorphismWitness": "maps",
     "aut_order": "maps",
     "build_map": "maps",
     "is_regular": "maps",
@@ -132,7 +133,6 @@ _HOME = {
     "reverse": "perms",
     "sym_group": "perms",
     "DihedralElement": "toric",
-    "SkewMorphismWitness": "toric",
     "apply_dihedral": "toric",
     "bar_f": "toric",
     "bar_f_witness": "toric",

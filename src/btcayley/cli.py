@@ -251,10 +251,10 @@ def _export_graph(args) -> "tuple[str, object]":
 
 def cmd_export(args, out) -> int:
     if args.object == "map-faces":
-        _require_range(args.n, 3, 6, "export map-faces")
-        m = prop72_map(args.n)
         if args.format == "dot":
             raise UsageError("map-faces has no dot form; use edges or json")
+        _require_range(args.n, 3, 6, "export map-faces")
+        m = prop72_map(args.n)
         if args.format == "edges":
             out.write(face_lines(m))
             return EXIT_OK

@@ -10,6 +10,7 @@ the left translations together with psi and has order |G| * order(psi).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, cycle
 from operator import add
@@ -18,14 +19,40 @@ from .blocktrans import CutPoints, make_bt
 from .budget import NO_BUDGET
 from .graphs import connection_set_images
 from .perms import (
+    Permutation,
     StabilizerChain,
     _rank_columns,
     compose_maps,
     cycles,
     parse_permutation,
     sym_group,
+    sym_index,
 )
-from .toric import SkewMorphismWitness
+
+
+@dataclass(frozen=True)
+class SkewMorphismWitness:
+    """A skew morphism of Sym_n: is_regular reads one off a regular Cayley
+    map, and the identity is the one of order 1.
+
+    psi maps element ranks to element ranks over elements = sym_group(n),
+    order is its order as a permutation of the ranks, and pi_power[i] is
+    the exponent attached to elements[i] in psi(x y) = psi(x) psi^pi(x)(y).
+    """
+
+    elements: tuple[Permutation, ...]
+    psi: tuple[int, ...]
+    order: int
+    pi_power: tuple[int, ...]
+
+    def index_of(self, p: Permutation) -> int:
+        return sym_index(self.elements[0].n)[p.image]
+
+    def apply(self, p: Permutation) -> Permutation:
+        return self.elements[self.psi[self.index_of(p)]]
+
+    def pi_power_of(self, p: Permutation) -> int:
+        return self.pi_power[self.index_of(p)]
 
 
 class CayleyMap:
@@ -121,8 +148,8 @@ def is_regular(m: CayleyMap, budget=NO_BUDGET) -> SkewMorphismWitness | None:
         dart sigma(v) at iota, as phi^sigma(v) does, so theta = phi^sigma(v).
         Read on vertices: psi(v h) = psi(v) psi^sigma(v)(h) for every h.
         So psi is a skew morphism whose power function is sigma, with
-        values in range(k) = range(order): the exponent check_skew finds,
-        which is unique because distinct powers of psi differ.
+        values in range(k) = range(order).  That power function is the
+        only one, because distinct powers of psi differ as maps.
       - At v = iota and h = x_g, phi carries the head x_g of dart g to the
         head of dart g + 1, so psi(x_g) = x_{g+1}: psi = p on X, as the
         theorem of Jajcay and Siran asks of a regular Cayley map.

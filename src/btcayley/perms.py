@@ -189,11 +189,6 @@ def _rotation(n: int, r: int) -> tuple[int, ...]:
     return tuple(range(r, n + 1)) + tuple(range(r))
 
 
-def alpha(n: int) -> tuple[int, ...]:
-    """The basic rotation [1 2 ... n 0]."""
-    return alpha_power(n, 1)
-
-
 @lru_cache(maxsize=8)
 def sym_group(n: int) -> tuple[Permutation, ...]:
     """All n! permutations of degree n in lexicographic one-line order."""
@@ -322,28 +317,6 @@ def invert_images(n: int) -> tuple[bytes, ...]:
             lanes |= _lanes(points[t].translate(bytes(v) + bytes((t,)) + bytes(255 - v)))
         columns.append(_column(lanes, size))
     return tuple(columns)
-
-
-def plain_changes(n: int):
-    """Johnson-Trotter "plain changes" walk of Sym_n from the identity.
-
-    Yields n! - 1 positions i; swapping the entries at i and i+1 (0-based)
-    of the current one-line image, i.e. composing on the right with the
-    adjacent transposition (i+1 i+2), visits every permutation once.  The
-    largest entry sweeps across the others, and between two sweeps the
-    others take one step of the walk of degree n-1.
-    """
-    if n < 2:
-        return
-    down, up = range(n - 2, -1, -1), range(n - 1)
-    left = True
-    for i in itertools.chain(plain_changes(n - 1), [None]):
-        yield from down if left else up
-        if i is None:
-            return
-        # The largest entry sits first after a left sweep, last after a right one.
-        yield i + 1 if left else i
-        left = not left
 
 
 def layers(seed, steps, budget=NO_BUDGET, seen: set | None = None):

@@ -11,20 +11,21 @@ bar_f_r(p) = (f_r(p^-1))^-1 together with g generates a dihedral group of
 order 2(n+1) acting on the symmetric group; every element fixes the
 identity permutation and maps block transpositions to block transpositions.
 
-check_skew decides whether a permutation of the elements of the symmetric
-group is a skew-morphism: psi(1) = 1 and for all x, y there is a single exponent
-e = pi(x) with psi(x y) = psi(x) psi^e(y).
+A skew morphism of the group is a permutation psi of its elements with
+psi(1) = 1 and, at each x, an exponent e = pi(x) with
+psi(x y) = psi(x) psi^e(y) for all y.  bar_f_witness decides which bar_f_r
+are skew morphisms: a witness read off a regular Cayley map (maps.is_regular)
+when one is, and a checked counterexample when one is not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
-from operator import itemgetter
 
-from .blocktrans import CutPoints
+from .blocktrans import CutPoints, make_bt
 from .budget import NO_BUDGET
+from .maps import CayleyMap, SkewMorphismWitness, is_regular
 from .perms import (
     Permutation,
     _column,
@@ -33,13 +34,10 @@ from .perms import (
     _marks,
     _restrict,
     _wrap,
-    adjacent_transpositions,
     alpha_power,
     compose_images,
     compose_maps,
-    cycles,
     lift,
-    plain_changes,
     reverse,
     sym_group,
     sym_index,
@@ -305,131 +303,95 @@ def phi_iso(h: Permutation, r: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Skew-morphism checking over an explicit element table.
+# Which maps bar_f_r are skew morphisms.
 
 
-@dataclass(frozen=True)
-class SkewMorphismWitness:
-    """A verified skew-morphism over an element table.
+def _counterexample(n: int, r: int, psi) -> tuple[tuple[int, ...], ...] | None:
+    """At x = rho, one y per exponent e on which the skew law of psi fails, or None.
 
-    psi maps element indices to element indices, order is its order as a
-    permutation of the table, and pi_power[i] is the exponent attached to
-    elements[i] in psi(x y) = psi(x) psi^pi(x)(y).
+    psi is a rank map over Sym_n (psi[i] is the rank of the image of the
+    element of rank i in sym_group(n)), and 1 <= r <= n.  rho is the least
+    element with rho_1 = r.  A skew morphism psi has, at every x, an
+    exponent e in range(order of psi) with psi(x y) = psi(x) psi^e(y) for
+    every y; any other exponent acts as its residue, since psi^e depends
+    only on e mod the order.  The answer holds, for each e in turn, the
+    image tuple of the first y in rank order with
+    psi(rho y) != psi(rho) psi^e(y), both sides read off psi and the group
+    product.  So no exponent works at rho, and psi is no skew morphism.
+    None means that some e passed every y.
     """
-
-    elements: tuple[Permutation, ...]
-    psi: tuple[int, ...]
-    order: int
-    pi_power: tuple[int, ...]
-
-    def index_of(self, p: Permutation) -> int:
-        return sym_index(self.elements[0].n)[p.image]
-
-    def apply(self, p: Permutation) -> Permutation:
-        return self.elements[self.psi[self.index_of(p)]]
-
-    def pi_power_of(self, p: Permutation) -> int:
-        return self.pi_power[self.index_of(p)]
-
-
-def check_skew(n: int, psi) -> SkewMorphismWitness | None:
-    """Decide whether psi (a rank map over Sym_n) is a skew-morphism.
-
-    psi[i] is the rank of the image of the element of rank i in sym_group(n),
-    whose lexicographic order puts the identity at rank 0.  A psi that is no
-    bijection of the ranks raises ValueError.  Returns a witness carrying
-    the power function, or None.
-
-    The walk.  x runs through Sym_n along plain changes (perms.plain_changes):
-    each step is x -> x o s with s an adjacent transposition.  Two
-    left-multiplication rows are kept, row[z][y] = rank(z o y) for z = x and
-    z = psi(x).  x passes with exponent e when psi(row[x][y]) equals
-    row[psi(x)][psi^e(y)] for every y, and then pi(x) = e.  A step applies
-    one table composition to each row, with L_t[y] = rank(t o y):
-
-        row[x o s]      = row[x] o L_s,
-        row[psi(x o s)] = row[psi(x)] o L_{psi^e(s)},   e = pi(x).
-
-    The first is associativity.  The second holds because
-    psi(x o s) = psi(x) o psi^e(s) is the y = s entry of the check that x
-    has just passed.  The walk starts at x = iota with both rows the
-    identity (psi(iota) = iota is checked first), so by induction every row
-    is exact, and an element that fails its check ends the walk before its
-    rows are used.  The guard row[psi(x)][iota] == psi[x] re-reads this at
-    every step.  L tables are built lazily, one per distinct psi^e(s): at
-    most (n-1)(order+1) of them.  The n! x n! product table is never held.
-
-    A tie between two distinct exponents cannot happen (distinct powers of
-    psi differ as maps); it is guarded as an internal error all the same.
-    """
-    elements = sym_group(n)
-    psi = tuple(psi)
-    g = len(elements)
-    if sorted(psi) != list(range(g)):
-        raise ValueError("psi is not a bijection of the element table")
-    if psi[0] != 0:
-        return None
-    if g == 1:
-        return SkewMorphismWitness(elements, psi, 1, (0,))
-
-    # Powers of psi; the loop closes exactly at the order.  power_of[e]
-    # composes a rank row with psi^e at C level.
-    powers = [tuple(range(g))]
-    cur = psi
-    while cur != powers[0]:
-        powers.append(cur)
-        cur = itemgetter(*cur)(psi)
-    order = len(powers)
-    power_of = [itemgetter(*pw) for pw in powers]
-
-    # Probe point on a longest cycle of psi, to cut the exponent candidates:
-    # the least point of the first longest cycle.
-    best_probe = max(cycles(psi), key=len)[0]
-
     index = sym_index(n)
     rank = index.__getitem__
-    left: dict[int, itemgetter] = {}
-
-    def times_left(t: int) -> itemgetter:
-        # Composes a rank row with L_t: the ranks of t o y, y in rank order.
-        get = left.get(t)
-        if get is None:
-            ext = (0,) + elements[t].image
-            images = map(tuple, map(map, repeat(ext.__getitem__), index))
-            get = left[t] = itemgetter(*map(rank, images))
-        return get
-
-    adjacent = list(map(rank, adjacent_transpositions(n)))
-    pi_power = [0] * g
-    row_x = row_px = powers[0]
-    for i in chain(plain_changes(n), [None]):
-        ix = row_x[0]
-        if row_px[0] != psi[ix]:
-            raise RuntimeError(f"row of psi(x) lost track at {elements[ix]}")
-        lhs = itemgetter(*row_x)(psi)
-        probe = lhs[best_probe]
-        valid = [
-            e
-            for e in range(order)
-            if row_px[powers[e][best_probe]] == probe and power_of[e](row_px) == lhs
-        ]
-        if not valid:
+    images = list(index)
+    rho = (r,) + tuple(v for v in range(1, n + 1) if v != r)
+    head = images[psi[rank(rho)]]
+    powers = [tuple(range(len(psi)))]
+    while (cur := tuple(map(psi.__getitem__, powers[-1]))) != powers[0]:
+        powers.append(cur)
+    found = []
+    for power in powers:
+        misses = (
+            y
+            for i, y in enumerate(images)
+            if psi[rank(compose_images(rho, y))] != rank(compose_images(head, images[power[i]]))
+        )
+        y = next(misses, None)
+        if y is None:
             return None
-        if len(valid) > 1:
-            raise RuntimeError(f"ambiguous exponent for element {elements[ix]}")
-        e = pi_power[ix] = valid[0]
-        if i is not None:
-            s = adjacent[i]
-            row_x = times_left(s)(row_x)
-            row_px = times_left(powers[e][s])(row_px)
-
-    return SkewMorphismWitness(elements, psi, order, tuple(pi_power))
+        found.append(y)
+    return tuple(found)
 
 
 @lru_cache(maxsize=32)
 def bar_f_witness(n: int, r: int) -> SkewMorphismWitness | None:
-    """Skew-morphism witness for bar_f_r on degree n, when it is one.
+    """Skew-morphism witness for bar_f_r on degree n, or None when it is none.
 
     psi ranks the images of the packed twin bar_f_images through sym_index.
+    No step reads gcd(r, n+1), the rule that skew-toric checks.
+      - psi is the identity table: the identity is a skew morphism of
+        order 1 whose power function is 0.
+      - The positive route.  X is the orbit of x_0 = s(0,1,n) under
+        bar_f_r, in orbit order.  When X is inverse-closed, is_regular
+        decides the Cayley map over X, whose rotation sends each x to
+        bar_f_r(x).  Its witness is a skew morphism with its power function
+        and order (see the proof in is_regular).  When that witness's psi
+        is psi, it is the answer: the power function of a skew morphism is
+        unique, since distinct powers of psi differ as maps.
+      - The negative route.  _counterexample finds, at x = rho, a failing
+        y for every exponent, so the answer is None.
+      - If neither route decides, RuntimeError.
+
+    Why one route always decides, for n <= 7.  At n <= 2 every bar_f_r
+    is the identity map, so a psi that is not the identity table has
+    n >= 3, and bar_f_r = bar_f_1^r.  By the closed form (bt_image_closed_form), bar_f_1
+    moves x_0 through x_1 = s(0,n-1,n) = x_0^-1 and
+    x_j = s(n-j, n-j+1, n-j+2) for 2 <= j <= n back to x_0: a cycle of
+    n+1 distinct elements.  So X = {x_(jd)}, with d = gcd(r, n+1).
+      - d = 1: X is the staircase of prop72_map, inverse-closed, and it
+        generates Sym_n.  The product rule bar_f_r(rho pi) =
+        bar_f_r(rho) bar_f_s(pi), s = (rho^-1)_r, with bar_f_s =
+        bar_f_r^(s r') for r r' = 1 mod n+1, makes bar_f_r a skew morphism
+        that agrees with the rotation on X.  Then the map is regular
+        (Jajcay and Siran), and its witness, the vertex map of the one
+        automorphism sending dart (iota, x_0) to (iota, x_1), is bar_f_r.
+      - d > 1: X misses x_1 = x_0^-1, so the positive route does not run.
+        rho_1 = r puts r at position 1 of [0 rho], so the product rule
+        reads bar_f_r(rho y) = bar_f_r(rho) bar_f_1(y).  At y = x_0,
+        bar_f_1(x_0) = x_1, while psi^e(x_0) = x_(re mod n+1) is not x_1,
+        since d divides re and n+1 but not 1.  So every exponent fails at
+        some y.
+    At n >= 8 the positive route stops at the degree cap of CayleyMap.
     """
-    return check_skew(n, tuple(map(sym_index(n).__getitem__, zip(*bar_f_images(n, r)))))
+    psi = tuple(map(sym_index(n).__getitem__, zip(*bar_f_images(n, r))))
+    if psi == tuple(range(len(psi))):
+        return SkewMorphismWitness(sym_group(n), psi, 1, (0,) * len(psi))
+    orbit = [make_bt(CutPoints(0, 1, n, n))]
+    while (x := bar_f(orbit[-1], r)) != orbit[0]:
+        orbit.append(x)
+    if {x.inverse() for x in orbit} == set(orbit):
+        w = is_regular(CayleyMap(n, orbit))
+        if w is not None and w.psi == psi:
+            return w
+    if _counterexample(n, r % (n + 1), psi) is not None:
+        return None
+    raise RuntimeError(f"neither route decides whether bar_f_{r} is a skew morphism at n={n}")

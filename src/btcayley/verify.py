@@ -144,11 +144,8 @@ class Claim:
     min_n: int
     max_n: int
     runner: Callable = field(compare=False)
-    fixed_n: int | None = None
 
     def resolve_n(self, n: int | None) -> int:
-        if self.fixed_n is not None:
-            return self.fixed_n
         if n is None:
             n = DEFAULT_N
         return min(max(n, self.min_n), self.max_n)
@@ -159,9 +156,9 @@ REGISTRY: dict[str, Claim] = {}
 _cache: dict[tuple[str, int], VerificationReport] = {}
 
 
-def _claim(key: str, summary: str, min_n: int, max_n: int, fixed_n: int | None = None):
+def _claim(key: str, summary: str, min_n: int, max_n: int):
     def register(fn):
-        REGISTRY[key] = Claim(key, summary, min_n, max_n, fn, fixed_n)
+        REGISTRY[key] = Claim(key, summary, min_n, max_n, fn)
         return fn
 
     return register
@@ -1668,7 +1665,7 @@ def _run_bfs(n, budget):
 # Rotation systems.
 
 
-@_claim("example7.1", "the four-generator rotation system is the octahedron", 2, 8, fixed_n=3)
+@_claim("example7.1", "the four-generator rotation system is the octahedron", 3, 3)
 def _run_example71(n, budget):
     budget.check()
     m = octahedron_map()
@@ -1745,7 +1742,7 @@ def _run_prop72(n, budget):
     }
 
 
-@_claim("thm7.3", "a second regular unbalanced system at the critical valency", 2, 8, fixed_n=5)
+@_claim("thm7.3", "a second regular unbalanced system at the critical valency", 5, 5)
 def _run_thm73(n, budget):
     m = mprime_n5_map()
     _need(m.valency == 6, "valency wrong", valency=m.valency)
@@ -1770,7 +1767,7 @@ def _run_thm73(n, budget):
     return {"valency": 6, "aut_order": 720, "witness_order": 6}
 
 
-@_claim("remark7", "the two critical connection sets give different graphs", 2, 8, fixed_n=5)
+@_claim("remark7", "the two critical connection sets give different graphs", 5, 5)
 def _run_remark7(n, budget):
     g1 = build_cayley(5, prop72_map(5).gens)
     g2 = build_cayley(5, mprime_n5_map().gens)

@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from btcayley import cli
 from btcayley.cli import main
 from btcayley.verify import claim_keys, clear_cache
 
@@ -210,11 +211,18 @@ def test_export_map_faces_keeps_its_bytes(capsys, n, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == MAP_FACES_DIGESTS[n, fmt]
 
 
-def test_export_caps_are_usage_errors(capsys):
+def test_export_caps_are_usage_errors(capsys, monkeypatch):
     code, out, err = run(capsys, "export", "--n", "7", "--object", "cayley", "--format", "json")
     assert code == 2
+
+    def unreachable(n):
+        raise AssertionError("the map was built for a format that is refused")
+
+    # The dot format is refused before any map is built.
+    monkeypatch.setattr(cli, "prop72_map", unreachable)
     code, out, err = run(capsys, "export", "--n", "4", "--object", "map-faces", "--format", "dot")
     assert code == 2
+    assert "map-faces has no dot form" in err
 
 
 def test_export_cayley_within_cap(capsys):

@@ -13,7 +13,8 @@ maps induced one vertex at a time before they were read from the shared
 rank tables, bar_f_r ranked element by element before its witness ranked
 the column twin, the per-element power-function loops of skew-toric,
 prop7.2 and thm7.3 before each became one column comparison,
-the plain-changes walk behind check_skew, face tracing by rotating each
+the row-by-row skew-morphism decision (toric_oracles.oracle_check_skew)
+behind bar_f_witness and its counterexample search, face tracing by rotating each
 orbit to its least dart and sorting, the breadth-first closure and
 its levels, the breadth-first listing of a generated group before it was
 listed by cosets (now those of a stabilizer chain), closed-walk counts from dense powers of A before they were
@@ -30,13 +31,13 @@ from dataclasses import replace
 from functools import partial
 from itertools import permutations, repeat
 from math import factorial
-from operator import itemgetter, mul
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from btcayley import verify
+from btcayley import toric, verify
 from btcayley.autgroup import (
     _automorphisms,
     aut_group,
@@ -81,7 +82,6 @@ from btcayley.perms import (
     invert_images,
     layers,
     lift,
-    plain_changes,
     sym_group,
     sym_index,
 )
@@ -91,7 +91,6 @@ from btcayley.toric import (
     bar_f_image,
     bar_f_images,
     bar_f_witness,
-    check_skew,
     compose_lh_barf,
     dihedral_elements,
     dihedral_image,
@@ -100,7 +99,7 @@ from btcayley.toric import (
     toric_image,
     toric_images,
 )
-from toric_oracles import bar_f_conj, toric_f_conj
+from toric_oracles import bar_f_conj, oracle_check_skew, toric_f_conj
 
 
 # ---------------------------------------------------------------------------
@@ -121,49 +120,6 @@ def _oracle_bar_f_image(a, r):
     ext = (0,) + a
     s = ext.index(r)
     return tuple([(v - r) % m for v in ext[s + 1 :] + ext[:s]])
-
-
-def _oracle_check_skew(elements, psi):
-    """(psi, order, pi_power) by full left-multiplication rows, or None."""
-    g = len(elements)
-    images = [p.image for p in elements]
-    idx = {img: i for i, img in enumerate(images)}
-    ident_i = idx[tuple(range(1, elements[0].n + 1))]
-    if psi[ident_i] != ident_i:
-        return None
-    if g == 1:
-        return psi, 1, (0,)
-    powers = [tuple(range(g))]
-    cur = psi
-    while cur != powers[0]:
-        powers.append(cur)
-        cur = tuple(psi[x] for x in cur)
-    best_probe, best_len = 0, 0
-    seen = [False] * g
-    for start in range(g):
-        length, x = 0, start
-        while not seen[x]:
-            seen[x] = True
-            x = psi[x]
-            length += 1
-        if length > best_len:
-            best_probe, best_len = start, length
-    getters = [itemgetter(*(v - 1 for v in y)) for y in images]
-    pi_power = []
-    for ix in range(g):
-        row_x = [idx[get(images[ix])] for get in getters]
-        mult_px = [idx[get(images[psi[ix]])] for get in getters]
-        lhs = [psi[z] for z in row_x]
-        candidates = [
-            e for e in range(len(powers)) if lhs[best_probe] == mult_px[powers[e][best_probe]]
-        ]
-        valid = [
-            e for e in candidates if all(lhs[iy] == mult_px[powers[e][iy]] for iy in range(g))
-        ]
-        if len(valid) != 1:
-            return None
-        pi_power.append(valid[0])
-    return psi, len(powers), tuple(pi_power)
 
 
 def _oracle_product_rows(n, images):
@@ -568,7 +524,7 @@ def test_column_routes_report_kernel_faults_as_the_sweep_does(case):
 
 
 # ---------------------------------------------------------------------------
-# Product rows, the products behind gamma, and the plain-changes walk.
+# Product rows and the products behind gamma.
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -617,19 +573,6 @@ def test_gamma_products_give_the_pairwise_neighbours(n):
     g = gamma(n)
     assert list(g.labels) == sorted(tn_realizations(n), key=lambda p: p.image)
     assert list(g.neighbors) == _oracle_gamma_neighbors(g.labels)
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_plain_changes_visit_every_element_once_by_adjacent_swaps(n):
-    cur = list(range(1, n + 1))
-    seen = {tuple(cur)}
-    swaps = list(plain_changes(n))
-    assert len(swaps) == factorial(n) - 1
-    for i in swaps:
-        assert 0 <= i < n - 1
-        cur[i], cur[i + 1] = cur[i + 1], cur[i]
-        seen.add(tuple(cur))
-    assert len(seen) == factorial(n)
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +632,8 @@ def test_map_report_counts_the_traced_faces(name):
 
 
 # ---------------------------------------------------------------------------
-# check_skew.
+# Which maps bar_f_r are skew morphisms: bar_f_witness and its counterexample
+# search against the row-by-row oracle.
 
 
 def _rank_map(n, kernel):
@@ -718,18 +662,41 @@ def _maps(n):
     return maps
 
 
+def _skew_law_fails(n, psi, r, e, y):
+    """psi(rho y) != psi(rho) psi^e(y) at the least rho with rho_1 = r, by Permutation products."""
+    elements = sym_group(n)
+    idx = sym_index(n)
+    rho = next(p for p in elements if p(1) == r)
+    image = idx[y]
+    for _ in range(e):
+        image = psi[image]
+    lhs = elements[psi[idx[rho.compose(Permutation(y)).image]]]
+    return lhs != elements[psi[idx[rho.image]]].compose(elements[image])
+
+
+def _order(psi):
+    order, image = 1, psi
+    while image != tuple(range(len(psi))):
+        order, image = order + 1, tuple(psi[x] for x in image)
+    return order
+
+
 @pytest.mark.parametrize("n", range(2, 7))
-def test_check_skew_matches_the_row_by_row_oracle(n):
+def test_counterexamples_only_where_the_row_by_row_oracle_refutes(n):
+    """No counterexample at any rho for a map the oracle accepts; one at its own
+    shift for every bar_f_r the oracle refutes; and each y it lists fails."""
     elements = sym_group(n)
     for name, psi in _maps(n).items():
-        w = check_skew(n, psi)
-        got = None if w is None else (w.psi, w.order, w.pi_power)
-        assert got == _oracle_check_skew(elements, psi), name
-
-
-def test_check_skew_needs_the_whole_group_in_rank_order():
-    with pytest.raises(ValueError):
-        check_skew(3, (0, 1, 2, 3, 4, 4))
+        accepted = oracle_check_skew(elements, psi) is not None
+        for r in range(1, n + 1):
+            found = toric._counterexample(n, r, psi)
+            if name == f"bar_f_{r}":
+                assert (found is None) == accepted, name
+            if accepted:
+                assert found is None, (name, r)
+            elif found is not None:
+                assert len(found) == _order(psi), (name, r)
+                assert all(_skew_law_fails(n, psi, r, e, y) for e, y in enumerate(found)), (name, r)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -739,9 +706,67 @@ def test_bar_f_witness_ranks_the_per_element_images(n):
     for r in range(n + 1):
         psi = tuple(idx[bar_f(p, r).image] for p in elements)
         w = bar_f_witness(n, r)
-        assert w == check_skew(n, psi), r
+        got = None if w is None else (w.psi, w.order, w.pi_power)
+        assert got == oracle_check_skew(elements, psi), r
         if w is not None:
-            assert w.psi == psi, r
+            assert w.elements is elements, r
+
+
+@pytest.fixture
+def plant_bar_f_images(monkeypatch):
+    """plant(n, r, change) makes toric.bar_f_images give change(images) at (n, r).
+
+    The witness cache and the verified reports are cleared on the way in and
+    on the way out, so no planted witness outlives the test.
+    """
+    true = toric.bar_f_images
+
+    def plant(n, r, change):
+        def planted(m, s):
+            columns = true(m, s)
+            if (m, s) != (n, r):
+                return columns
+            return tuple(map(bytes, zip(*change(list(zip(*columns))))))
+
+        monkeypatch.setattr(toric, "bar_f_images", planted)
+        bar_f_witness.cache_clear()
+        verify.clear_cache()
+
+    yield plant
+    bar_f_witness.cache_clear()
+    verify.clear_cache()
+
+
+def _swap_last_two(images):
+    images[-2], images[-1] = images[-1], images[-2]
+    return images
+
+
+def test_two_swapped_ranks_at_a_coprime_shift_fail_skew_toric(plant_bar_f_images):
+    plant_bar_f_images(5, 5, _swap_last_two)
+    assert bar_f_witness(5, 5) is None
+    report = verify.run_claim("skew-toric", 5)
+    assert report.status == "failed"
+    assert report.details["error"] == "skew-morphism pattern disagrees with the coprimality rule"
+    assert report.counterexample == {"r": "5", "modulus": "6"}
+
+
+def test_a_wrong_table_no_route_decides_raises(plant_bar_f_images):
+    # At r = 1, rho is the identity, where e = 1 passes every y.
+    plant_bar_f_images(5, 1, _swap_last_two)
+    with pytest.raises(RuntimeError, match="neither route decides"):
+        bar_f_witness(5, 1)
+
+
+def test_an_identity_table_at_a_shift_sharing_a_factor_is_no_counterexample(plant_bar_f_images):
+    identity_table = tuple(range(factorial(5)))
+    assert toric._counterexample(5, 2, identity_table) is None
+    plant_bar_f_images(5, 2, lambda images: list(sym_index(5)))
+    w = bar_f_witness(5, 2)
+    assert (w.psi, w.order, w.pi_power) == (identity_table, 1, (0,) * len(identity_table))
+    report = verify.run_claim("skew-toric", 5)
+    assert report.status == "failed"
+    assert report.counterexample == {"r": "2", "modulus": "6"}
 
 
 # ---------------------------------------------------------------------------

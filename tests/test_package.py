@@ -1,5 +1,5 @@
 """The package loads each of its modules on first use (PEP 562), and no
-module imports a name it never reads.
+module imports a name it never reads or defines one that nothing reads.
 
 Each load check runs in a fresh interpreter, because this one has long
 since loaded every module.
@@ -10,6 +10,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+import btcayley
 
 
 def test_importing_the_package_loads_no_module_of_it(run_python):
@@ -137,14 +139,20 @@ def _registered(node) -> bool:
     )
 
 
-def test_every_private_helper_is_read_in_the_package():
-    """A module-level private function or class that no module of the
-    package reads is dead code."""
+def _package_reads():
+    """Each module's tree, and every name or attribute some module of the package reads."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     read = set()
     for tree in trees.values():
         read |= _read_names(tree)
         read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return trees, read
+
+
+def test_every_private_helper_is_read_in_the_package():
+    """A module-level private function or class that no module of the
+    package reads is dead code."""
+    trees, read = _package_reads()
     unread = [
         f"{name}:{node.name}"
         for name, tree in trees.items()
@@ -156,3 +164,24 @@ def test_every_private_helper_is_read_in_the_package():
         and node.name not in read
     ]
     assert unread == []
+
+
+# Public, read by no module and not exported: the registry reset the tests call.
+UNEXPORTED_ENTRY_POINTS = {"verify.py:clear_cache"}
+
+
+def test_every_public_definition_is_exported_or_read_in_the_package():
+    """A module-level public function or class that is neither in
+    btcayley.__all__ nor read by any module of the package is dead code,
+    however many tests still call it."""
+    trees, read = _package_reads()
+    unused = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in btcayley.__all__
+        and node.name not in read
+    ]
+    assert sorted(unused) == sorted(UNEXPORTED_ENTRY_POINTS)

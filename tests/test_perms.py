@@ -18,7 +18,6 @@ from btcayley.perms import (
     StabilizerChain,
     _right_multiplier,
     adjacent_transpositions,
-    alpha,
     alpha_power,
     closure,
     compose_images,
@@ -120,7 +119,7 @@ def test_restrict_validates_the_tuple_it_is_given():
 
 def test_alpha_cycles_the_extended_points():
     n = 4
-    a = alpha(n)
+    a = alpha_power(n, 1)
     assert [a[t] for t in range(n + 1)] == [1, 2, 3, 4, 0]
     acc = tuple(range(n + 1))
     for r in range(n + 2):

@@ -1,8 +1,11 @@
-"""Toric maps, the reversal, skew-morphism witnesses, class statistics."""
+"""Toric maps, the reversal, skew-morphism witnesses, class statistics, and
+the point kernels and dihedral relations at degrees 9..14."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from btcayley.blocktrans import CutPoints, enumerate_tn, make_bt, tn_realizations
+from btcayley.blocktrans import CutPoints, enumerate_tn, make_bt, recognize, tn_realizations
 from btcayley.perms import compose_maps, lift, sym_group
 from btcayley.perms import Permutation
 from btcayley.toric import (
@@ -15,6 +18,7 @@ from btcayley.toric import (
     compose_lh_barf,
     dihedral_compose,
     dihedral_elements,
+    dihedral_image,
     euler_phi,
     phi_iso,
     reverse_g,
@@ -250,3 +254,75 @@ def test_witness_satisfies_the_skew_law():
             for _ in range(k):
                 img = w.apply(img)
             assert w.apply(rho.compose(pi)) == w.apply(rho).compose(img)
+
+
+# ---------------------------------------------------------------------------
+# Degrees 9..14, above every claim's range: the point kernels on cut points
+# and image tuples, with no table of Sym_n.
+
+LARGE_DEGREES = st.integers(min_value=9, max_value=14)
+
+
+@st.composite
+def _large_cut_points(draw):
+    n = draw(LARGE_DEGREES)
+    i, j, k = sorted(draw(st.lists(st.integers(0, n), min_size=3, max_size=3, unique=True)))
+    return CutPoints(i, j, k, n)
+
+
+@st.composite
+def _large_images(draw):
+    n = draw(LARGE_DEGREES)
+    return tuple(draw(st.permutations(range(1, n + 1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_large_cut_points())
+def test_recognize_inverts_construction_at_large_degrees(c):
+    assert recognize(make_bt(c)) == c
+
+
+@settings(max_examples=200, deadline=None)
+@given(_large_cut_points())
+def test_closed_forms_of_lemma31_lemma41_and_eq11_at_large_degrees(c):
+    a = make_bt(c).image
+    assert make_bt(bt_image_closed_form(c, "f")).image == toric_image(a, 1)
+    assert make_bt(bt_image_closed_form(c, "bar_f")).image == bar_f_image(a, 1)
+    assert make_bt(bt_image_closed_form(c, "g")).image == reverse_image(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_large_images(), st.integers(0, 14), st.integers(0, 14), st.integers(0, 1))
+def test_dihedral_relations_on_image_tuples_at_large_degrees(a, r, u, refl):
+    n = len(a)
+    m = n + 1
+    r, u = r % m, u % m
+    rotation = DihedralElement(1, 0, n)
+    g = DihedralElement(0, 1, n)
+    identity_element = DihedralElement(0, 0, n)
+
+    # bar_f^(n+1) = id, on normal forms and on the tuple
+    power, image = identity_element, a
+    for _ in range(m):
+        power = dihedral_compose(rotation, power)
+        image = dihedral_image(rotation, image)
+    assert power == identity_element
+    assert image == a
+
+    # g^2 = id
+    assert dihedral_compose(g, g) == identity_element
+    assert dihedral_image(g, dihedral_image(g, a)) == a
+
+    # g o bar_f_r o g = bar_f_(n+1-r)
+    bar_f_r = DihedralElement(r, 0, n)
+    mirrored = DihedralElement((m - r) % m, 0, n)
+    assert dihedral_compose(g, dihedral_compose(bar_f_r, g)) == mirrored
+    assert dihedral_image(g, dihedral_image(bar_f_r, dihedral_image(g, a))) == dihedral_image(
+        mirrored, a
+    )
+
+    # The normal form composes as the maps do.
+    other = DihedralElement(u, refl, n)
+    assert dihedral_image(dihedral_compose(bar_f_r, other), a) == dihedral_image(
+        bar_f_r, dihedral_image(other, a)
+    )

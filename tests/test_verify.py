@@ -80,20 +80,17 @@ def test_default_degree_is_clamped_into_each_claims_range():
     for key in claim_keys():
         c = get_claim(key)
         n = c.resolve_n(None)
-        if c.fixed_n is not None:
-            assert n == c.fixed_n
-        else:
-            assert c.min_n <= n <= c.max_n
-            if c.min_n <= DEFAULT_N <= c.max_n:
-                assert n == DEFAULT_N
+        assert c.min_n <= n <= c.max_n
+        if c.min_n <= DEFAULT_N <= c.max_n:
+            assert n == DEFAULT_N
 
 
 def test_requested_degree_outside_range_is_clamped():
     c = get_claim("thm1")
     assert c.resolve_n(1) == c.min_n
     assert c.resolve_n(99) == c.max_n
-    fixed = get_claim("thm7.3")
-    assert fixed.resolve_n(8) == fixed.fixed_n
+    single = get_claim("thm7.3")
+    assert single.resolve_n(8) == single.resolve_n(None) == 5
 
 
 def test_verified_report_shape():
@@ -338,8 +335,12 @@ def test_a_forked_run_loads_no_multiprocessing(run_python):
 
 def test_every_runner_declares_a_usable_range():
     for key, c in REGISTRY.items():
-        if c.fixed_n is not None:
-            assert c.min_n <= c.fixed_n <= c.max_n, key
+        assert 1 <= c.min_n <= c.max_n, key
+    # The claims about one named map run at its degree only, whatever is asked.
+    for key, n in (("example7.1", 3), ("thm7.3", 5), ("remark7", 5)):
+        c = REGISTRY[key]
+        assert (c.min_n, c.max_n) == (n, n), key
+        assert {c.resolve_n(asked) for asked in (None, 1, 2, 3, 4, 5, 8, 99)} == {n}, key
 
 
 def test_kernel_fault_is_reported_with_one_line_permutations(monkeypatch):

@@ -2,9 +2,12 @@
 
 Nothing in the package calls these: the conjugation forms of the toric and
 inverse-toric maps, the identity and inverse of the dihedral normal form,
-the pointwise action of L_h o bar_f_r and both sides of the skew identity
-of bar_f_r.  The tests check the package's kernels and tables against them.
+the pointwise action of L_h o bar_f_r, both sides of the skew identity
+of bar_f_r, and a skew-morphism decision by full left-multiplication rows.
+The tests check the package's kernels, tables and witnesses against them.
 """
+
+from operator import itemgetter
 
 from btcayley.perms import Permutation, _restrict, alpha_power, compose_maps, lift
 from btcayley.toric import DihedralElement, bar_f
@@ -50,3 +53,51 @@ def skew_identity_bar_f(
     lhs = bar_f(rho.compose(pi), r)
     rhs = bar_f(rho, r).compose(bar_f(pi, s))
     return lhs, rhs, s
+
+
+def oracle_check_skew(elements, psi):
+    """(psi, order, pi_power) by full left-multiplication rows, or None.
+
+    elements is sym_group(n) and psi a rank map over it.  Each x must have
+    exactly one exponent e in range(order of psi) with
+    psi(x y) = psi(x) psi^e(y) for every y, found by comparing whole rows.
+    """
+    g = len(elements)
+    images = [p.image for p in elements]
+    idx = {img: i for i, img in enumerate(images)}
+    ident_i = idx[tuple(range(1, elements[0].n + 1))]
+    if psi[ident_i] != ident_i:
+        return None
+    if g == 1:
+        return psi, 1, (0,)
+    powers = [tuple(range(g))]
+    cur = psi
+    while cur != powers[0]:
+        powers.append(cur)
+        cur = tuple(psi[x] for x in cur)
+    best_probe, best_len = 0, 0
+    seen = [False] * g
+    for start in range(g):
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = psi[x]
+            length += 1
+        if length > best_len:
+            best_probe, best_len = start, length
+    getters = [itemgetter(*(v - 1 for v in y)) for y in images]
+    pi_power = []
+    for ix in range(g):
+        row_x = [idx[get(images[ix])] for get in getters]
+        mult_px = [idx[get(images[psi[ix]])] for get in getters]
+        lhs = [psi[z] for z in row_x]
+        candidates = [
+            e for e in range(len(powers)) if lhs[best_probe] == mult_px[powers[e][best_probe]]
+        ]
+        valid = [
+            e for e in candidates if all(lhs[iy] == mult_px[powers[e][iy]] for iy in range(g))
+        ]
+        if len(valid) != 1:
+            return None
+        pi_power.append(valid[0])
+    return psi, len(powers), tuple(pi_power)
