@@ -42,6 +42,7 @@ from .perms import (
     compose_maps,
     identity,
     layers,
+    lift,
     sym_index,
 )
 
@@ -104,8 +105,7 @@ def _automorphisms(nbrs, sigs, budget) -> list[tuple[int, ...]]:
     once per level of the listing.
     """
     gens = automorphism_generators(nbrs, sigs, budget)
-    chain = StabilizerChain(len(nbrs), gens, budget)
-    return sorted(chain.elements(chain.identity))
+    return sorted(StabilizerChain(len(nbrs), gens, budget).elements(0))
 
 
 MAX_AUT_VERTICES = 5000
@@ -168,10 +168,11 @@ def generated_subgroup(
 ) -> frozenset[Permutation]:
     """The subgroup the generators generate, listed by their stabilizer chain.
 
-    The chain's order is compared with limit (10! by default) before any
-    element is formed: a larger group is a hard error, not a truncation.
-    The chain reads the budget once per sift and once per level of the
-    listing, which forms each element once as its 1-based image.
+    The chain of the lifts [0 p] has its order compared with limit (10! by
+    default) before any element is formed: a larger group is a hard error,
+    not a truncation.  The chain reads the budget once per sift and once
+    per level of the listing, which forms each element once as its lift
+    from point 1 on: its one-line image.
     """
     gens = list(generators)
     if not gens:
@@ -179,10 +180,10 @@ def generated_subgroup(
     n = gens[0].n
     if any(p.n != n for p in gens):
         raise ValueError("generators of mixed degree")
-    chain = StabilizerChain(n, [tuple(v - 1 for v in p.image) for p in gens], budget)
+    chain = StabilizerChain(n + 1, map(lift, gens), budget)
     if chain.order() > limit:
         raise ValueError(f"group exceeds the cap of {limit} elements")
-    return frozenset(map(_wrap, chain.elements(tuple(range(1, n + 1)))))
+    return frozenset(map(_wrap, chain.elements(1)))
 
 
 def orbit_images(dihedral_gens, seed: tuple[int, ...]) -> set[tuple[int, ...]]:

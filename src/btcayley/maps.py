@@ -24,6 +24,7 @@ from .perms import (
     _rank_columns,
     compose_maps,
     cycles,
+    lift,
     parse_permutation,
     sym_group,
     sym_index,
@@ -76,7 +77,7 @@ class CayleyMap:
         self.elements = sym_group(n)
 
         # The connection set must generate the whole group.
-        chain = StabilizerChain(n, [tuple(v - 1 for v in x) for x in imgs])
+        chain = StabilizerChain(n + 1, map(lift, gens))
         if chain.order() != len(self.elements):
             raise ValueError("connection set does not generate the group")
 

@@ -1,26 +1,28 @@
-"""Permutations in one-line notation.
+"""Permutations, and the one algebra of 0-based maps.
 
 A permutation of degree n is a bijection of [n] = {1, ..., n}, written
-[p_1 p_2 ... p_n] where p(t) = p_t.  Permutation, the one permutation
-class, stores the image tuple indexed from 0 and reads it 1-based.
+[p_1 p_2 ... p_n] where p(t) = p_t.  Permutation, the boundary type of the
+package, stores the image tuple indexed from 0 and reads it 1-based.
 
-Every other bijection of a point set {0, ..., m-1} is a plain 0-based
-tuple e, with e[x] the image of x: the extended permutations of
-[n]^0 = {0, 1, ..., n} (the lift [0 p] of p and the rotations alpha^r),
-the rank tables over sym_group(n) and the vertex maps of a graph.
-compose_maps is the one composition of such tuples; lift and restrict
-move between p and [0 p].
+Inside, every bijection of {0, ..., m-1} is a 0-based tuple e, with e[x]
+the image of x: the lift [0 p] of p and the rotations alpha^r of
+[n]^0 = {0, 1, ..., n}, the rank tables over sym_group(n), the vertex maps
+of a graph.  compose_maps, _inverse_map, _is_even and StabilizerChain are
+their one algebra, and a one-line image a enters it as its lift [0 a]:
+compose_maps(lift(a), b) is the image of a o b (entry t is a(b_t)), entry
+r of _inverse_map(lift(a)) is the position of r in [0 a], so its entries
+from 1 on are the image of a^-1, and [0 a] has the parity of a (0 adds a
+point and a cycle).  lift and restrict move between p and [0 p].
 
-Validation happens once, at the API boundary.  Permutation(...),
-parse_permutation and restrict check that what they are given is a
-bijection, because it comes from outside.  The algebra runs on kernels
-over plain image tuples (compose_images and invert_image here; the toric,
-inverse-toric and reversal kernels in toric): each kernel maps
-permutations to a permutation by construction, so its result is wrapped
-without a second check by the internal constructor _wrap.  Hot loops call
-the kernels directly and wrap a tuple only when they hand it back to a
-caller.  Over all of Sym_n at once, each kernel has a packed twin that
-works on whole byte columns (see _lift_columns).
+Validation happens once, at the API boundary: Permutation(...),
+parse_permutation and restrict check that they are given a tuple of ints
+that is a bijection.  The kernels (compose_maps and _inverse_map here; the
+toric, inverse-toric and reversal kernels in toric) map permutations to a
+permutation by construction, so their results are wrapped without a second
+check by the internal constructor _wrap.  Hot loops call the kernels
+directly and wrap a tuple only when they hand it back to a caller.  Over all
+of Sym_n at once, each kernel has a packed twin that works on whole byte
+columns (see _lift_columns).
 """
 
 from __future__ import annotations
@@ -29,24 +31,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from operator import itemgetter, ne
 
 from .budget import NO_BUDGET
-
-
-def compose_images(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Image tuple of a o b (apply b first) for two images of one degree."""
-    if len(b) == 1:
-        return a
-    return itemgetter(*b)((0,) + a)
-
-
-def invert_image(a: tuple[int, ...]) -> tuple[int, ...]:
-    """Image tuple of the inverse permutation."""
-    inv = [0] * len(a)
-    for t, v in enumerate(a, start=1):
-        inv[v - 1] = t
-    return tuple(inv)
 
 
 def cycles(succ) -> list[list[int]]:
@@ -83,6 +70,14 @@ def compose_maps(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return itemgetter(*b)(a)
 
 
+def _inverse_map(a: tuple[int, ...]) -> tuple[int, ...]:
+    """Inverse of a 0-based map: entry a[x] is x."""
+    inv = [0] * len(a)
+    for x, y in enumerate(a):
+        inv[y] = x
+    return tuple(inv)
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A bijection of {1, ..., n} in one-line notation.
@@ -97,9 +92,10 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.image)
-        if n == 0 or sorted(self.image) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.image!r}")
+        a, n = self.image, len(self.image)
+        ints = type(a) is tuple and 0 < n == [*map(type, a)].count(int)  # no bool or float
+        if not ints or sorted(a) != [*range(1, n + 1)]:
+            raise ValueError(f"not a permutation of 1..{n}: {a!r}")
 
     @property
     def n(self) -> int:
@@ -116,18 +112,18 @@ class Permutation:
             raise TypeError(f"cannot compose Permutation with {type(other).__name__}")
         if other.n != self.n:
             raise ValueError(f"degree mismatch: {self.n} vs {other.n}")
-        return _wrap(compose_images(self.image, other.image))
+        return _wrap(compose_maps(lift(self), other.image))
 
     __mul__ = compose
 
     def inverse(self) -> "Permutation":
-        return _wrap(invert_image(self.image))
+        return _wrap(_inverse_map(lift(self))[1:])
 
     def is_identity(self) -> bool:
         return all(v == t for t, v in enumerate(self.image, start=1))
 
     def is_even(self) -> bool:
-        return _is_even([v - 1 for v in self.image])
+        return _is_even(lift(self))
 
     def __str__(self) -> str:
         return "[" + " ".join(str(v) for v in self.image) + "]"
@@ -161,8 +157,10 @@ def lift(p: Permutation) -> tuple[int, ...]:
 def restrict(e: tuple[int, ...]) -> Permutation:
     """Restrict a bijection e of {0, ..., n} fixing 0 back to {1, ..., n}.
 
-    e can be any tuple, so the rest of it is validated as a permutation.
+    e can be anything, so all of it is validated: entry 0 as the int 0.
     """
+    if not isinstance(e, tuple) or not e or type(e[0]) is not int:
+        raise ValueError(f"not an extended permutation: {e!r}")
     return Permutation(_restrict(e).image)
 
 
@@ -209,13 +207,9 @@ def adjacent_transpositions(n: int) -> list[tuple[int, ...]]:
     return [ident[:t] + (t + 2, t + 1) + ident[t + 2 :] for t in range(n - 1)]
 
 
-def _right_multiplier(b: tuple[int, ...], base: int = 1):
-    """C-level callable a -> a o b, for tuples of b's length.
-
-    b and a are 1-based one-line images by default, 0-based maps with
-    base=0.  At length 1, a o b = a, and tuple returns a itself.
-    """
-    return itemgetter(*(v - base for v in b)) if len(b) > 1 else tuple
+def _right_multiplier(b: tuple[int, ...]):
+    """C-level a -> a o b on one-line images: entry t is a[b_t - 1] (a itself at degree 1)."""
+    return itemgetter(*(v - 1 for v in b)) if len(b) > 1 else tuple
 
 
 def _rank_columns(n: int, images) -> list:
@@ -301,12 +295,13 @@ def _marks(v: int) -> bytes:
 
 
 def invert_images(n: int) -> tuple[bytes, ...]:
-    """Packed twin of invert_image over Sym_n: column v-1 holds entry v of every inverse.
+    """Packed twin of Permutation.inverse over Sym_n: column v-1 holds entry v of every inverse.
 
-    The images come in sym_index order.  Entry v of a^-1 is the position t
-    with a_t = v, so one translate of lift column t writes t where the
-    entry is v and 0 elsewhere.  Exactly one t matches in each lane, so
-    the OR over t of these columns, as _lanes, is column v of the inverses.
+    The images come in sym_index order.  Entry v of a^-1, as of
+    _inverse_map(lift(a)), is the position t with a_t = v, so one translate
+    of lift column t writes t where the entry is v and 0 elsewhere.  Exactly
+    one t matches in each lane, so the OR over t of these columns, as
+    _lanes, is column v of the inverses.
     """
     points = _lift_columns(n)
     size = len(points[0])
@@ -351,11 +346,6 @@ def closure(seed, steps, budget=NO_BUDGET) -> set:
     return seen
 
 
-def _inverse_map(a: tuple[int, ...]) -> tuple[int, ...]:
-    """Inverse of a 0-based map: the points sorted by their images."""
-    return tuple(sorted(range(len(a)), key=a.__getitem__))
-
-
 class StabilizerChain:
     """Base and strong generators of the group of 0-based maps the generators generate.
 
@@ -397,11 +387,15 @@ class StabilizerChain:
     members of <S_0>, and distinct: such a product sends b_0 to the point
     of u_0, and with u_0 stripped, b_1 to the point of u_1, and so on.  So
     the product of the orbit lengths is a lower bound of |<S_0>|.  The
-    group lies in the symmetric group of the points, and in the
-    alternating group when every generator is even.  Once the product
-    reaches the order of that group, the products are the whole group
-    and the chain is complete: no further generator or Schreier generator
-    is sifted.  The budget is read once per sift.
+    bound is an upper bound: with M the points some generator moves, the
+    group fixes every point outside M, so it lies in Sym(M), and in Alt(M)
+    when every generator is even (a map fixing the points outside M has
+    the same cycles on M, so it is even on M too).  Once the product
+    reaches |M|!, or |M|!/2, the products are the whole group and the
+    chain is complete: no further generator or Schreier generator is
+    sifted, and the chain never stops early.  So lifts [0 p] on n+1
+    points have the bound n!, as p on n points do.  The budget is read
+    once per sift.
     """
 
     def __init__(self, degree: int, gens, budget=NO_BUDGET):
@@ -418,9 +412,10 @@ class StabilizerChain:
         self._tried: list[list[int]] = []
         self._budget = budget
         gens = [tuple(g) for g in gens]
-        even = all(map(_is_even, gens))
-        self._bound = math.factorial(degree) // (2 if even and degree > 1 else 1)
-        self._full = degree < 2
+        ident = self.identity
+        moved = set().union(*(itertools.compress(ident, map(ne, g, ident)) for g in gens))
+        self._bound = self._order_bound(len(moved), all(map(_is_even, gens)))
+        self._full = self._bound == 1
         for g in gens:
             if self._full:
                 break
@@ -431,6 +426,11 @@ class StabilizerChain:
         for level in range(len(self.base) - 1, -1, -1):
             self._complete(level)
 
+    @staticmethod
+    def _order_bound(moved: int, even: bool) -> int:
+        """|Sym(M)|, or |Alt(M)| when every generator is even, for |M| = moved."""
+        return math.factorial(moved) // (2 if even and moved > 1 else 1)
+
     def order(self) -> int:
         """|<gens>|: the product of the orbit lengths."""
         size = 1
@@ -438,35 +438,34 @@ class StabilizerChain:
             size *= len(orbit)
         return size
 
-    def elements(self, ident: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """ident o g for every member g of the group, each once, ident o identity first.
+    def elements(self, start: int = 0) -> list[tuple[int, ...]]:
+        """Every member g of the group, each once, the identity first, as g[start:].
 
-        ident is the identity in the caller's values: range(degree) lists
-        the 0-based maps, range(1, degree + 1) their 1-based one-line
-        images, since a o g gathers a's entries at the points g names.
+        start is 0, or 1 on lifts [0 p], which never move 0 (so a level
+        has two moved points from 1 on): then it lists the images p.
 
         The chain is complete or full at its bound, so every member g is
         u_0 o u_1 o ... o u_k for exactly one word u_i of each level's
         transversal: the products are distinct (see the class docstring)
-        and their count is the order.  Inversion is a bijection of the group, so the
-        products u_k^-1 o ... o u_1^-1 o u_0^-1 = (u_0 o ... o u_k)^-1 are
-        again every member once.  They are formed from the last level up:
-        the list L holds ident o u_k^-1 o ... o u_(i+1)^-1 for every choice
-        of words below level i, and L o u_y^-1 for each orbit point y of
-        level i, one C-level gather over L per point, gives the list for
-        level i.  No seen-set is needed.  The base point comes first in
-        its orbit with the identity as its word, so ident comes first.
-        Built from the last level up, every list but the final one holds
-        only the products of the later levels' words.  The budget is read
+        and their count is the order.  Inversion is a bijection of the
+        group, so the products u_k^-1 o ... o u_0^-1 = (u_0 o ... o u_k)^-1
+        are again every member once.  They are formed from the last level
+        up: the list L holds u_k^-1 o ... o u_(i+1)^-1 for every choice of
+        words below level i, and L o u_y^-1 for each orbit point y of level
+        i, one C-level gather over L per point, gives the list for level i.
+        No seen-set is needed, and the identity, the word of the base point,
+        which comes first in its orbit, comes first.  Entry x of a o u_y^-1
+        is a[u_y^-1[x]], so the last gather, at level 0, reads u_y^-1 from
+        point start on and forms only those entries.  The budget is read
         once per level.
         """
-        listing = [ident]
-        for orbit, inverses in zip(reversed(self.orbits), reversed(self._inverses)):
+        listing = [self.identity]
+        for level in range(len(self.orbits) - 1, -1, -1):
             self._budget.check()
-            block, listing = listing, []
-            for y in orbit:
-                listing += map(_right_multiplier(inverses[y], base=0), block)
-        return listing
+            block, listing, cut = listing, [], start if level == 0 else 0
+            for y in self.orbits[level]:
+                listing += map(itemgetter(*self._inverses[level][y][cut:]), block)
+        return listing if self.orbits else [self.identity[start:]]
 
     def sift(self, g: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
         """The residue of g stripped from level start on, and the level it stopped at."""
@@ -523,7 +522,7 @@ class StabilizerChain:
                     inverses[z] = compose_maps(inverses[y], s_inv)
                     orbit.append(z)
                     tried.append(0)
-        self._full = self.order() == self._bound
+        self._full = self.order() >= self._bound
 
     def _complete(self, level: int):
         """Sift each Schreier generator of level not yet tried, from level+1.

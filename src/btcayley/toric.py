@@ -35,7 +35,6 @@ from .perms import (
     _restrict,
     _wrap,
     alpha_power,
-    compose_images,
     compose_maps,
     lift,
     reverse,
@@ -288,7 +287,7 @@ def compose_lh_barf(
         raise ValueError(f"degree mismatch: {h.n} vs {k.n}")
     m = h.n + 1
     e = (u + lift(k).index(r % m)) % m
-    return _wrap(compose_images(h.image, bar_f_image(k.image, r))), e
+    return _wrap(compose_maps(lift(h), bar_f_image(k.image, r))), e
 
 
 def phi_iso(h: Permutation, r: int) -> tuple[int, ...]:
@@ -323,8 +322,9 @@ def _counterexample(n: int, r: int, psi) -> tuple[tuple[int, ...], ...] | None:
     index = sym_index(n)
     rank = index.__getitem__
     images = list(index)
-    rho = (r,) + tuple(v for v in range(1, n + 1) if v != r)
-    head = images[psi[rank(rho)]]
+    # rho and psi(rho) as lifts [0 a]: compose_maps(a, y) is the image of a o y.
+    rho = (0, r) + tuple(v for v in range(1, n + 1) if v != r)
+    head = (0,) + images[psi[rank(rho[1:])]]
     powers = [tuple(range(len(psi)))]
     while (cur := tuple(map(psi.__getitem__, powers[-1]))) != powers[0]:
         powers.append(cur)
@@ -333,7 +333,7 @@ def _counterexample(n: int, r: int, psi) -> tuple[tuple[int, ...], ...] | None:
         misses = (
             y
             for i, y in enumerate(images)
-            if psi[rank(compose_images(rho, y))] != rank(compose_images(head, images[power[i]]))
+            if psi[rank(compose_maps(rho, y))] != rank(compose_maps(head, images[power[i]]))
         )
         y = next(misses, None)
         if y is None:

@@ -8,8 +8,7 @@ reports always carry a concrete counterexample.
 
 Keys are opaque command-line identifiers.  Each claim declares the
 degree range it supports; run_claim clamps a requested degree into that
-range (fixed-degree claims ignore the request entirely), so sweeping the
-whole registry at any n exercises every key.
+range, so sweeping the whole registry at any n exercises every key.
 """
 
 from __future__ import annotations
@@ -69,6 +68,7 @@ from .perms import (
     Permutation,
     StabilizerChain,
     _column,
+    _inverse_map,
     _lanes,
     _lift_columns,
     _marks,
@@ -80,9 +80,9 @@ from .perms import (
     alpha_power,
     compose_maps,
     identity,
-    invert_image,
     invert_images,
     layers,
+    lift,
     reverse,
     sym_group,
     sym_index,
@@ -803,7 +803,7 @@ def _run_lemma43(n, budget):
     product = list(_product_rows(n, images))
     for i, rho in enumerate(images):
         budget.check()
-        exponent = (0,) + invert_image(rho)
+        exponent = _inverse_map((0,) + rho)  # entry r: the position of r in [0 rho]
         for r, b in enumerate(bar):
             _agree(
                 compose_maps(b, product[i]),
@@ -982,7 +982,7 @@ def _run_prop44(n, budget):
     order = StabilizerChain(m, [phi[k][u] for k, u in gens], budget).order()
     _need(order == factorial(m), "generator images do not generate the target group", order=order)
     # spot[k][r] is the position of r in [0 k], entry r of [0 k^-1].
-    spot = {k: (0,) + invert_image(images[k]) for k, _ in gens}
+    spot = {k: _inverse_map(lift(grp[k])) for k, _ in gens}
     # compose_lh_barf at the least u of G with each k: e is u plus a
     # constant, and its answer at every u meets the tables in
     # tests/test_kernels.py.
@@ -1570,14 +1570,9 @@ def _run_toric_reverse_aut(n, budget):
 # Generated subgroups and components.
 
 
-def _generated_order(n, gens, budget) -> int:
-    """|<gens>| for Permutations of degree n, from a StabilizerChain."""
-    return StabilizerChain(n, [tuple(v - 1 for v in p.image) for p in gens], budget).order()
-
-
 @_claim("lemma6.3", "the special vertices generate the whole or even half", 4, 8)
 def _run_lemma63(n, budget):
-    """|<V>| from a stabilizer chain of V, against n!/2 or n!.
+    """|<V>| from a stabilizer chain of the lifts [0 v] of V, against n!/2 or n!.
 
     The chain's order is |<V>| (see perms.StabilizerChain); with V all
     even at even n, <V> lies in the alternating group, and at odd n an odd
@@ -1599,7 +1594,7 @@ def _run_lemma63(n, budget):
             "no odd generator at odd degree",
         )
         want, message = factorial(n), "subgroup is not the whole group"
-    order = _generated_order(n, gens, budget)
+    order = StabilizerChain(n + 1, map(lift, gens), budget).order()
     _need(order == want, message, order=order)
     return {"order": order, "index": factorial(n) // order}
 
@@ -1619,7 +1614,7 @@ def _run_lemma64(n, budget):
     gens = [make_bt(c) for c in vertex_set_V(n)]
     gen_set = set(gens)
     _need(all(p.inverse() in gen_set for p in gens), "connection set is not symmetric")
-    order = _generated_order(n, gens, budget)
+    order = StabilizerChain(n + 1, map(lift, gens), budget).order()
     components = factorial(n) // order
     _need(components == (1 if n % 2 else 2), "component count wrong", count=components)
     return {"components": components, "component_size": order}

@@ -19,3 +19,12 @@ class DroppingChain(StabilizerChain):
         finally:
             strong.append(last)
         self._tried[0] = [len(strong)] * len(self._tried[0])
+
+
+class ShortBoundChain(StabilizerChain):
+    """The order bound of a chain that counts one moved point too few:
+    (|M|-1)! in place of |M|!, halved as the true bound is."""
+
+    @staticmethod
+    def _order_bound(moved, even):
+        return StabilizerChain._order_bound(max(moved - 1, 0), even)

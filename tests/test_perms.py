@@ -2,6 +2,7 @@
 and the stabilizer chain of a generated group."""
 
 import random
+from functools import partial
 from itertools import combinations, permutations
 from math import factorial
 
@@ -16,15 +17,12 @@ from btcayley.graphs import vertex_set_V
 from btcayley.perms import (
     Permutation,
     StabilizerChain,
-    _right_multiplier,
     adjacent_transpositions,
     alpha_power,
     closure,
-    compose_images,
     compose_maps,
     cycles,
     identity,
-    invert_image,
     lift,
     parse_permutation,
     restrict,
@@ -32,6 +30,7 @@ from btcayley.perms import (
     sym_group,
     sym_index,
 )
+from toric_oracles import oracle_compose, oracle_invert
 
 
 def test_call_reads_one_line_entries():
@@ -55,23 +54,37 @@ def test_inverse_cancels_on_both_sides():
         assert inv.compose(p) == identity(4)
 
 
+def _check_against_the_row_oracles(p, q):
+    """compose, inverse, is_even and restrict o lift of p, q against the
+    row-by-row definitions of toric_oracles and the inversion count."""
+    a, b = p.image, q.image
+    assert p.compose(q).image == oracle_compose(a, b)
+    assert compose_maps(lift(p), lift(q)) == lift(p.compose(q))
+    # The same product on 0-based maps: the images shifted to 0..n-1.
+    a0, b0 = (tuple(v - 1 for v in c) for c in (a, b))
+    assert compose_maps(a0, b0) == tuple(v - 1 for v in oracle_compose(a, b))
+    assert p.inverse().image == oracle_invert(a)
+    inversions = sum(1 for x, y in combinations(a, 2) if x > y)
+    assert p.is_even() == (inversions % 2 == 0)
+    assert restrict(lift(p)) == p
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_kernels_match_pointwise_formulas(n):
     grp = sym_group(n)
     for i, p in enumerate(grp):
-        a = p.image
-        for b in (a, grp[(i + 1) % len(grp)].image, grp[-1 - i].image):
-            # (a o b)(t) = a(b(t))
-            want = tuple(a[b[t - 1] - 1] for t in range(1, n + 1))
-            assert Permutation(compose_images(a, b)).image == want
-            # The same product on 0-based maps: the images shifted to
-            # 0..n-1, and the lifts [0 a] and [0 b].
-            a0, b0 = (tuple(v - 1 for v in c) for c in (a, b))
-            assert compose_maps(a0, b0) == tuple(v - 1 for v in want)
-            assert compose_maps((0,) + a, (0,) + b) == (0,) + want
-        # inv(a(t)) = t
-        inv = Permutation(invert_image(a)).image
-        assert all(inv[a[t - 1] - 1] == t for t in range(1, n + 1))
+        for q in (p, grp[(i + 1) % len(grp)], grp[-1 - i]):
+            _check_against_the_row_oracles(p, q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(7, 14).flatmap(
+        lambda n: st.tuples(st.permutations(range(1, n + 1)), st.permutations(range(1, n + 1)))
+    )
+)
+def test_operations_match_the_row_oracles_at_degrees_7_to_14(pair):
+    _check_against_the_row_oracles(*(Permutation(tuple(a)) for a in pair))
 
 
 def test_rejects_non_permutations():
@@ -81,6 +94,38 @@ def test_rejects_non_permutations():
         Permutation(())
     with pytest.raises(ValueError):
         Permutation((0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "image",
+    [[2, 1], [1], (2.0, 1.0), (1.0,), (True,), (2, True), (1, 2.0)],
+    ids=["list", "list-1", "floats", "float-1", "bool", "bool-entry", "float-entry"],
+)
+def test_rejects_images_that_are_not_tuples_of_ints(image):
+    # Accepted, each would break later: a list is not hashable, a float
+    # entry cannot index the lift, and a bool prints as True.
+    with pytest.raises(ValueError, match="not a permutation") as info:
+        Permutation(image)
+    assert repr(image) in str(info.value)
+    with pytest.raises(ValueError):
+        restrict([0, *image] if isinstance(image, list) else (0, *image))
+
+
+def test_restrict_rejects_a_zero_that_is_not_the_int_0():
+    for bad in ((0.0, 1, 2), (False, 2, 1), [0, 2, 1], ()):
+        with pytest.raises(ValueError, match="not an extended permutation"):
+            restrict(bad)
+    assert restrict((0, 2, 1)) == Permutation((2, 1))
+
+
+def test_parse_gives_tuples_of_ints_and_rejects_other_numbers():
+    for bad in ("[2.0 1.0]", "[True]", "[1.0]", "[2 1.5]"):
+        with pytest.raises(ValueError):
+            parse_permutation(bad)
+    p = parse_permutation("[2 1]")
+    assert type(p.image) is tuple and {type(v) for v in p.image} == {int}
+    assert hash(p) == hash(Permutation((2, 1)))
+    assert p.inverse() == p
 
 
 def test_call_outside_domain_raises():
@@ -259,7 +304,7 @@ def test_chain_orders_of_the_proper_subgroups():
 def _breadth_first(n, gens):
     """The group of 0-based maps the generators generate: perms.closure of
     the identity under the right multipliers."""
-    return closure([tuple(range(n))], [_right_multiplier(g, base=0) for g in gens])
+    return closure([tuple(range(n))], [partial(compose_maps, b=g) for g in gens])
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -269,13 +314,26 @@ def test_chain_order_is_the_size_of_the_breadth_first_group(n):
         assert StabilizerChain(n, gens).order() == len(_breadth_first(n, gens)), name
 
 
-_random_generators = st.integers(1, 7).flatmap(
-    lambda n: st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=4)
-)
+@st.composite
+def _random_generators(draw):
+    """One to four maps of degree n = 1..7 that fix the same n-k points:
+    maps of range(k) extended by fixed points, relabelled by one
+    permutation sigma of range(n) so that the fixed points fall anywhere."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, n))
+    sigma = draw(st.permutations(range(n)))
+    inner = draw(st.lists(st.permutations(range(k)), min_size=1, max_size=4))
+    gens = []
+    for g in inner:
+        h = [0] * n
+        for x in range(n):
+            h[sigma[x]] = sigma[g[x]] if x < k else sigma[x]
+        gens.append(tuple(h))
+    return gens
 
 
 @settings(max_examples=60, deadline=None)
-@given(_random_generators)
+@given(_random_generators())
 def test_chain_of_random_generators_is_the_breadth_first_group(gens):
     n = len(gens[0])
     listed = _breadth_first(n, gens)
@@ -289,17 +347,19 @@ def test_chain_of_random_generators_is_the_breadth_first_group(gens):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_random_generators)
+@given(_random_generators())
 def test_chain_lists_each_member_once_from_the_identity(gens):
     n = len(gens[0])
     want = _breadth_first(n, gens)
-    chain = StabilizerChain(n, gens)
-    for base in (0, 1):  # 0-based maps and 1-based one-line images
-        ident = tuple(range(base, n + base))
-        listed = chain.elements(ident)
-        assert listed[0] == ident
+    # The maps from point 0 on, and from the chain of their lifts on
+    # {0, ..., n}, the one-line images from point 1 on.
+    lifts = [(0,) + a for a in _one_based(gens)]
+    for chain, start in ((StabilizerChain(n, gens), 0), (StabilizerChain(n + 1, lifts), 1)):
+        assert chain.order() == len(want)
+        listed = chain.elements(start)
+        assert listed[0] == tuple(range(start, n + start))
         assert len(listed) == len(set(listed)) == len(want)
-        assert {tuple(v - base for v in a) for a in listed} == want
+        assert {tuple(v - start for v in a) for a in listed} == want
     images = [Permutation(a) for a in _one_based(gens)]
     assert len(generated_subgroup(images, limit=len(want))) == len(want)
     with pytest.raises(ValueError, match="cap"):
@@ -375,7 +435,7 @@ def test_chain_reads_the_budget_once_per_sift_and_stops_at_any_read(name):
             StabilizerChain(7, gens, _CountedBudget(k))
     # The listing reads it once per level, and generated_subgroup stops at
     # any read of the chain or of the listing.
-    assert len(chain.elements(chain.identity)) == chain.order()
+    assert len(chain.elements()) == chain.order()
     assert full.reads == len(sifts) + len(chain.base)
     images = [Permutation(a) for a in _one_based(gens)]
     for k in range(1, full.reads + 1):
@@ -383,11 +443,8 @@ def test_chain_reads_the_budget_once_per_sift_and_stops_at_any_read(name):
             generated_subgroup(images, budget=_CountedBudget(k))
 
 
-@pytest.mark.parametrize("n", range(4, 17))
-def test_v_n_reaches_the_order_bound_before_any_schreier_generator(n):
-    # V_n generates Sym_n or Alt_n, and the orbits of its own residues
-    # already multiply to that order, so the chain is certified complete
-    # without forming a Schreier generator.
+def _sift_starts(degree, gens):
+    """The order of the chain of gens, and the level every sift started at."""
     starts = []
 
     class Counting(StabilizerChain):
@@ -395,9 +452,58 @@ def test_v_n_reaches_the_order_bound_before_any_schreier_generator(n):
             starts.append(start)
             return super().sift(g, start)
 
-    gens = _zero_based(make_bt(c).image for c in vertex_set_V(n))
-    assert Counting(n, gens).order() == factorial(n) // (2 if n % 2 == 0 else 1)
+    return Counting(degree, gens).order(), starts
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_v_n_reaches_the_order_bound_before_any_schreier_generator(n):
+    # V_n generates Sym_n or Alt_n, and the orbits of its own residues
+    # already multiply to that order, so the chain is certified complete
+    # without forming a Schreier generator.  The lifts [0 v] on n+1 points
+    # never move 0, so their bound is n! (or n!/2) as well.
+    gens = [make_bt(c) for c in vertex_set_V(n)]
+    for degree, form in ((n, _zero_based(p.image for p in gens)), (n + 1, map(lift, gens))):
+        order, starts = _sift_starts(degree, form)
+        assert order == factorial(n) // (2 if n % 2 == 0 else 1)
+        assert set(starts) == {0}
+
+
+def test_the_bound_counts_only_the_moved_points():
+    # (1 2 3) and (1 2) in degree 6 generate Sym({1, 2, 3}): the bound is
+    # 3! = 6, not 6!, so the chain stops at order 6 with no Schreier
+    # generator sifted.
+    gens = [(0, 2, 3, 1, 4, 5), (0, 2, 1, 3, 4, 5)]
+    order, starts = _sift_starts(6, gens)
+    assert order == 6
     assert set(starts) == {0}
+    assert sorted(StabilizerChain(6, gens).elements(1)) == sorted(
+        (a[0], a[1], a[2], 4, 5) for a in permutations((1, 2, 3))
+    )
+
+
+def test_a_chain_whose_bound_misses_a_moved_point_gets_orders_wrong():
+    # The negative control of the bound: (|M|-1)! in place of |M|! stops
+    # the chain before its group is complete.
+    from chain_mutants import ShortBoundChain
+
+    adjacent = _adjacent(4)
+    assert StabilizerChain(4, adjacent).order() == 24
+    assert ShortBoundChain(4, adjacent).order() == 6
+    for n in range(4, 9):
+        gens = [lift(make_bt(c)) for c in vertex_set_V(n)]
+        assert ShortBoundChain(n + 1, gens).order() < StabilizerChain(n + 1, gens).order()
+
+
+def test_generated_subgroup_at_degrees_1_and_2():
+    one, swap = identity(1), Permutation((2, 1))
+    assert generated_subgroup([one]) == {one}
+    assert generated_subgroup([one], limit=1) == {one}
+    with pytest.raises(ValueError, match="cap"):
+        generated_subgroup([one], limit=0)
+    assert generated_subgroup([identity(2)]) == {identity(2)}
+    assert generated_subgroup([swap], limit=2) == {identity(2), swap}
+    with pytest.raises(ValueError, match="cap"):
+        generated_subgroup([swap], limit=1)
 
 
 @pytest.mark.parametrize("n", range(4, 10))

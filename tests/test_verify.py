@@ -24,9 +24,7 @@ from btcayley.blocktrans import CutPoints, make_bt, tn_realizations
 from btcayley.budget import NO_BUDGET, Budget
 from btcayley.perms import (
     Permutation,
-    compose_images,
     compose_maps,
-    invert_image,
     parse_permutation,
     sym_group,
     sym_index,
@@ -49,8 +47,8 @@ from btcayley.verify import (
     run_all,
     run_claim,
 )
-from chain_mutants import DroppingChain
-from toric_oracles import bar_f_conj, toric_f_conj
+from chain_mutants import DroppingChain, ShortBoundChain
+from toric_oracles import bar_f_conj, oracle_compose, oracle_invert, toric_f_conj
 
 
 @pytest.fixture(autouse=True)
@@ -431,7 +429,7 @@ def _identity_holds(key, message, ce, K):
         ("eq9", "zeroth toric map moved a point"): lambda: T(a, 0) == a,
         ("eq9", "defining forms disagree"): lambda: T(a, r) == toric_f_conj(p, r).image,
         ("eq9", "inverse of a toric image is not the mirrored toric image"): lambda: (
-            invert_image(T(a, r)) == T(invert_image(a), ((0,) + a)[r])
+            oracle_invert(T(a, r)) == T(oracle_invert(a), ((0,) + a)[r])
         ),
         ("eq9", "toric shifts do not add"): lambda: (
             T(T(a, r), int(ce["s"])) == T(a, (r + int(ce["s"])) % m)
@@ -439,14 +437,14 @@ def _identity_holds(key, message, ce, K):
         ("eq12", "defining forms disagree"): lambda: reverse_g(p) == reverse_g_conj(p),
         ("eq12", "reversal is not an involution"): lambda: R(R(a)) == a,
         ("eq12", "reversal is not multiplicative"): lambda: (
-            R(compose_images(rho, pi)) == compose_images(R(rho), R(pi))
+            R(oracle_compose(rho, pi)) == oracle_compose(R(rho), R(pi))
         ),
         ("gfg", "conjugated toric map is not the mirror shift"): lambda: (
             R(T(R(a), r)) == T(a, -r % m)
         ),
         ("eq13", "defining forms disagree"): lambda: B(a, r) == bar_f_conj(p, r).image,
         ("eq13", "inverse-toric route broke"): lambda: (
-            B(a, r) == invert_image(T(invert_image(a), r))
+            B(a, r) == oracle_invert(T(oracle_invert(a), r))
         ),
         ("eq13", "iteration disagrees with direct shift"): lambda: (
             B(a, r) == _iterate(lambda x: B(x, 1), a, r)
@@ -455,8 +453,8 @@ def _identity_holds(key, message, ce, K):
             R(B(R(a), r)) == B(a, -r % m)
         ),
         ("lemma4.3", "product rule violated"): lambda: (
-            B(compose_images(rho, pi), r)
-            == compose_images(B(rho, r), B(pi, ((0,) + invert_image(rho))[r]))
+            B(oracle_compose(rho, pi), r)
+            == oracle_compose(B(rho, r), B(pi, ((0,) + oracle_invert(rho))[r]))
         ),
     }
     return checks[key, message]()
@@ -595,8 +593,9 @@ def test_a_faulty_twin_fails_at_the_oracles_lowest_rank_fault(monkeypatch, key, 
 def test_table_claims_call_no_toric_kernel_per_element(monkeypatch):
     # Every kernel table comes from a packed twin, so the table job calls
     # no kernel at all, and toric-reverse-aut, which reads the ranks of
-    # T_n in those tables, calls none either.
-    counts = {"toric_image": 0, "bar_f_image": 0, "reverse_image": 0, "invert_image": 0}
+    # T_n in those tables, calls none either.  verify inverts a map only
+    # through _inverse_map, counted as verify reads it.
+    counts = {"toric_image": 0, "bar_f_image": 0, "reverse_image": 0, "_inverse_map": 0}
 
     def counting(module, name):
         kernel = getattr(module, name)
@@ -609,8 +608,7 @@ def test_table_claims_call_no_toric_kernel_per_element(monkeypatch):
 
     for name in ("toric_image", "bar_f_image", "reverse_image"):
         monkeypatch.setattr(toric, name, counting(toric, name))
-    for module in (perms, verify):
-        monkeypatch.setattr(module, "invert_image", counting(module, "invert_image"))
+    monkeypatch.setattr(verify, "_inverse_map", counting(verify, "_inverse_map"))
     for key in GROUP:
         assert run_claim(key, 6).status == "verified", key
     assert counts == dict.fromkeys(counts, 0)
@@ -619,12 +617,19 @@ def test_table_claims_call_no_toric_kernel_per_element(monkeypatch):
     for key in TABLE_CLAIMS:
         assert run_claim(key, 6).status == "verified", key
     assert counts["toric_image"] == counts["bar_f_image"] == 0
+    # lemma4.3, clamped to its cap 5, compares whole rows over pi, so it
+    # inverts the lift of each rho once, and nothing per pair (rho, pi).
+    assert counts["_inverse_map"] == factorial(get_claim("lemma4.3").max_n) == factorial(5)
+    counts["_inverse_map"] = 0
     # prop4.4 calls compose_lh_barf, and so bar_f_image, once per (h, r, k)
     # with (k, u) a generator: k is one of the n-1 adjacent transpositions
     # or the identity.
     assert run_claim("prop4.4", 4).status == "verified"
     assert counts["toric_image"] == 0
     assert counts["bar_f_image"] == factorial(5) * 4
+    # ... and inverts the lift of k once per generator (k, u): the n-1
+    # adjacent transpositions with u = 0 and the identity with u = 1..n.
+    assert counts["_inverse_map"] == 3 + 4
     clear_cache()
     counts["reverse_image"] = 0
     assert run_claim("eq12", 5).status == "verified"
@@ -774,14 +779,14 @@ def _eq12_kernels(n):
     def last_generator_only(a):
         # (2 3) o a when a(n) = 1, else a: an involution that respects
         # every adjacent transposition fixing n, and no other.
-        return compose_images((1, 3, 2) + tuple(range(4, n + 1)), a) if a[-1] == 1 else a
+        return oracle_compose((1, 3, 2) + tuple(range(4, n + 1)), a) if a[-1] == 1 else a
 
     return {
         "reversal": reverse_image,
         "identity": lambda a: a,
-        "conjugation": lambda a: compose_images(compose_images(swap, a), swap),
+        "conjugation": lambda a: oracle_compose(oracle_compose(swap, a), swap),
         "right_reversal": lambda a: a[::-1],
-        "inversion": invert_image,
+        "inversion": oracle_invert,
         "one_wrong": one_wrong,
         "last_generator_only": last_generator_only,
     }
@@ -943,7 +948,7 @@ def _oracle_prop44_closed(n):
     bar = [verify._rank_table(n, NO_BUDGET, verify.bar_f_images, r) for r in range(m)]
     rows = list(zip(*perms._rank_columns(n, images)))
     table = [[compose_maps(row, b) for b in bar] for row in rows]
-    spots = [(0,) + invert_image(a) for a in images]
+    spots = [(0,) + oracle_invert(a) for a in images]
     return all(
         compose_maps(table[h][r], table[k][u]) == table[table[h][r][k]][(u + spots[k][r]) % m]
         for h in range(len(images))
@@ -1115,3 +1120,14 @@ def test_section6_claims_fail_with_a_chain_that_drops_schreier_generators(monkey
     clear_cache()
     monkeypatch.setattr(verify, "StabilizerChain", DroppingChain)
     assert run_claim(key, 7).status == "failed"
+
+
+@pytest.mark.parametrize("key", ["lemma6.3", "lemma6.4"])
+@pytest.mark.parametrize("n", [4, 7])
+def test_section6_claims_fail_with_a_chain_whose_bound_misses_a_moved_point(monkeypatch, key, n):
+    # The true V_n verifies the claim; a chain whose order bound counts one
+    # moved point too few stops before <V> is complete, and fails it.
+    assert run_claim(key, n).status == "verified"
+    clear_cache()
+    monkeypatch.setattr(verify, "StabilizerChain", ShortBoundChain)
+    assert run_claim(key, n).status == "failed"

@@ -1,9 +1,12 @@
-"""Second routes to the toric maps and the dihedral group, kept as test oracles.
+"""Second routes to the permutation algebra, the toric maps and the dihedral
+group, kept as test oracles.
 
-Nothing in the package calls these: the conjugation forms of the toric and
-inverse-toric maps, the identity and inverse of the dihedral normal form,
-the pointwise action of L_h o bar_f_r, both sides of the skew identity
-of bar_f_r, and a skew-morphism decision by full left-multiplication rows.
+Nothing in the package calls these: the row-by-row definitions of the
+product and the inverse of one-line images, the conjugation forms of the
+toric and inverse-toric maps, the identity and inverse of the dihedral
+normal form, the pointwise action of L_h o bar_f_r, both sides of the skew
+identity of bar_f_r, and a skew-morphism decision by full left-multiplication
+rows.
 The tests check the package's kernels, tables and witnesses against them.
 """
 
@@ -11,6 +14,19 @@ from operator import itemgetter
 
 from btcayley.perms import Permutation, _restrict, alpha_power, compose_maps, lift
 from btcayley.toric import DihedralElement, bar_f
+
+
+def oracle_compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The one-line image of a o b (apply b first): entry t is a(b(t))."""
+    return tuple(a[b[t - 1] - 1] for t in range(1, len(b) + 1))
+
+
+def oracle_invert(a: tuple[int, ...]) -> tuple[int, ...]:
+    """The one-line image of a^-1: inv(a(t)) = t."""
+    inv = [0] * len(a)
+    for t in range(1, len(a) + 1):
+        inv[a[t - 1] - 1] = t
+    return tuple(inv)
 
 
 def toric_f_conj(p: Permutation, r: int) -> Permutation:
