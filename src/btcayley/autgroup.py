@@ -30,20 +30,18 @@ from .graphs import (
     _preserves_edges,
     automorphism_generators,
     build_cayley,
+    identity_distances,
     maximal_2_cliques,
 )
 from .perms import (
     Permutation,
     StabilizerChain,
     _inverse_map,
-    _right_multiplier,
     _wrap,
     closure,
     compose_maps,
     identity,
-    layers,
     lift,
-    sym_index,
 )
 
 
@@ -145,16 +143,10 @@ def stabilizer_of_identity(n: int, budget=NO_BUDGET) -> list[VertexMap]:
     """
     if n > 5:
         raise ValueError(f"degree {n} beyond the exhaustive-search range (max 5)")
-    gens = tn_realizations(n)
-    g = build_cayley(n, gens)
+    g = build_cayley(n, tn_realizations(n))
     iota = g.index_of(identity(n))
-    # The vertices are sym_group(n) in rank order, so sym_index ranks them.
-    index = sym_index(n)
-    layer = [-1] * g.num_vertices
-    steps = [_right_multiplier(t.image) for t in gens]
-    for d, level in enumerate(layers([identity(n).image], steps, budget)):
-        for a in level:
-            layer[index[a]] = d
+    # The vertices are sym_group(n) in rank order, as the distances are.
+    layer = identity_distances(n, budget)
     sigs = [(0 if v == iota else 1, layer[v]) for v in range(g.num_vertices)]
     maps = [VertexMap(g, imgs) for imgs in _automorphisms(g.neighbors, sigs, budget)]
     for m in maps:

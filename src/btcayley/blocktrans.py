@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .perms import Permutation
+from .perms import Permutation, _wrap
 
 # Distinguished recognize() answer for the identity permutation, which has
 # no cut-point representation.
@@ -48,7 +48,9 @@ class CutPoints:
 
 
 def make_bt(c: CutPoints) -> Permutation:
-    """One-line form by block concatenation: [1..i  j+1..k  i+1..j  k+1..n]."""
+    """One-line form by block concatenation: [1..i  j+1..k  i+1..j  k+1..n].
+
+    Valid cut points make the blocks hold 1..n once each, so no check runs."""
     i, j, k, n = c.i, c.j, c.k, c.n
     img = (
         tuple(range(1, i + 1))
@@ -56,7 +58,7 @@ def make_bt(c: CutPoints) -> Permutation:
         + tuple(range(i + 1, j + 1))
         + tuple(range(k + 1, n + 1))
     )
-    return Permutation(img)
+    return _wrap(img)
 
 
 def bt_piecewise(c: CutPoints) -> Permutation:
@@ -65,6 +67,8 @@ def bt_piecewise(c: CutPoints) -> Permutation:
     t         for t <= i or t > k
     t + j - i for i < t <= k - j + i
     t + j - k for k - j + i < t <= k
+
+    The pieces are onto the blocks of make_bt, so no check runs.
     """
     i, j, k, n = c.i, c.j, c.k, c.n
     vals = []
@@ -75,7 +79,7 @@ def bt_piecewise(c: CutPoints) -> Permutation:
             vals.append(t + j - i)
         else:
             vals.append(t + j - k)
-    return Permutation(tuple(vals))
+    return _wrap(tuple(vals))
 
 
 def bt_inverse(c: CutPoints) -> CutPoints:

@@ -26,7 +26,9 @@ from .perms import (
     _product_rows,
     _right_multiplier,
     closure,
+    layers,
     sym_group,
+    sym_index,
 )
 
 
@@ -284,6 +286,20 @@ def hamilton_cycle_gamma_v(n: int) -> list[CutPoints]:
 
 # ---------------------------------------------------------------------------
 # Distances.
+
+
+def identity_distances(n: int, budget=NO_BUDGET) -> list[int | None]:
+    """Distance in the Cayley graph over T_n from the identity to each rank
+    of sym_index(n): level d of the layers (perms.layers) under right
+    multiplication by T_n, read with the budget once per level.  A rank no
+    level reaches keeps None."""
+    index = sym_index(n)
+    dist = [None] * len(index)
+    steps = [_right_multiplier(t.image) for t in tn_realizations(n)]
+    for d, level in enumerate(layers([tuple(range(1, n + 1))], steps, budget)):
+        for a in level:
+            dist[index[a]] = d
+    return dist
 
 
 _BUDGET_STRIDE = 64

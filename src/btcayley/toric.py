@@ -374,6 +374,8 @@ def bar_f_witness(n: int, r: int) -> SkewMorphismWitness | None:
         that agrees with the rotation on X.  Then the map is regular
         (Jajcay and Siran), and its witness, the vertex map of the one
         automorphism sending dart (iota, x_0) to (iota, x_1), is bar_f_r.
+        Its power function is the power rule: at p it is r'(p^-1)_r mod
+        n+1, which the claims of verify check on every witness.
       - d > 1: X misses x_1 = x_0^-1, so the positive route does not run.
         rho_1 = r puts r at position 1 of [0 rho], so the product rule
         reads bar_f_r(rho y) = bar_f_r(rho) bar_f_1(y).  At y = x_0,

@@ -9,11 +9,12 @@ reports always carry a concrete counterexample.
 Keys are opaque command-line identifiers.  Each claim declares the
 degree range it supports; run_claim clamps a requested degree into that
 range, so sweeping the whole registry at any n exercises every key.
+Every call runs its claim afresh; only the rank tables of the kernel
+twins (see _table) are kept between calls.
 """
 
 from __future__ import annotations
 
-import gc
 import os
 import pickle
 import sys
@@ -60,6 +61,7 @@ from .graphs import (
     gamma_v,
     graphs_isomorphic,
     hamilton_cycle_gamma_v,
+    identity_distances,
     maximal_2_cliques,
     vertex_set_V,
 )
@@ -74,14 +76,12 @@ from .perms import (
     _marks,
     _product_rows,
     _rank_columns,
-    _right_multiplier,
     _wrap,
     adjacent_transpositions,
     alpha_power,
     compose_maps,
     identity,
     invert_images,
-    layers,
     lift,
     reverse,
     sym_group,
@@ -153,8 +153,6 @@ class Claim:
 
 REGISTRY: dict[str, Claim] = {}
 
-_cache: dict[tuple[str, int], VerificationReport] = {}
-
 
 def _claim(key: str, summary: str, min_n: int, max_n: int):
     def register(fn):
@@ -177,17 +175,13 @@ def get_claim(key: str) -> Claim:
 
 
 def clear_cache():
-    """Forget the verified reports and the kernel tables (see _table)."""
-    _cache.clear()
+    """Forget the kernel tables (see _table)."""
     _tables.clear()
 
 
 def run_claim(key: str, n: int | None = None, budget=NO_BUDGET) -> VerificationReport:
     claim = get_claim(key)
     use_n = claim.resolve_n(n)
-    cached = _cache.get((key, use_n))
-    if cached is not None:
-        return cached
     start = time.perf_counter()
     counterexample = None
     try:
@@ -202,10 +196,7 @@ def run_claim(key: str, n: int | None = None, budget=NO_BUDGET) -> VerificationR
         details = {"error": str(exc)}
         status = "skipped-budget"
     wall = round((time.perf_counter() - start) * 1000.0, 3)
-    report = VerificationReport(key, use_n, status, details, counterexample, wall)
-    if status == "verified":
-        _cache[(key, use_n)] = report
-    return report
+    return VerificationReport(key, use_n, status, details, counterexample, wall)
 
 
 def _worker_count() -> int:
@@ -231,24 +222,20 @@ def _run_claim_job(job: tuple) -> list[VerificationReport]:
 def run_all(n: int | None = None, budget=NO_BUDGET) -> list[VerificationReport]:
     """Every claim at degree n (clamped per claim), in claim_keys() order.
 
-    Claims are independent, so the ones not already cached run as jobs in
-    forked child processes, one per available CPU (see _run_forked).
-    The claims of _TABLE_GROUP form the first job; every other claim is a
-    job of its own.  With one CPU or one job to run, the jobs run in this
-    process, in the same order.
+    Claims are independent, so they run as jobs in forked child processes,
+    one per available CPU (see _run_forked).  The claims of _TABLE_GROUP
+    form the first job; every other claim is a job of its own.  With one
+    CPU, the jobs run in this process, in the same order.  Each call runs
+    every claim afresh.
     """
     keys = claim_keys()
-    reports = {key: _cache.get((key, get_claim(key).resolve_n(n))) for key in keys}
-    pending = [key for key in keys if reports[key] is None]
-    group = [key for key in pending if key in _TABLE_GROUP]
-    batches = ([group] if group else []) + [[k] for k in pending if k not in _TABLE_GROUP]
-    jobs = [(batch, n, budget) for batch in batches]
+    group = [key for key in keys if key in _TABLE_GROUP]
+    jobs = [(batch, n, budget) for batch in [group] + [[k] for k in keys if k not in group]]
     workers = min(_worker_count(), len(jobs))
     done = _run_forked(jobs, workers) if workers > 1 else None
     if done is None:
         done = map(_run_claim_job, jobs)
-    for report in chain.from_iterable(done):
-        reports[report.claim] = report
+    reports = {report.claim: report for report in chain.from_iterable(done)}
     return [reports[key] for key in keys]
 
 
@@ -265,8 +252,7 @@ def _run_forked(jobs, workers: int) -> list[list[VerificationReport]] | None:
     pickle through a pipe of its own (see _serve).  This process runs no
     claim: it reads every pipe to its end, reaps every child (killing them
     first if it is interrupted), raises if a child died before it sent its
-    reports, re-raises a child's exception, and caches the verified
-    reports here.
+    reports, and re-raises a child's exception.
 
     Each child is pinned to its own CPU of this process's affinity set,
     the i-th child to the i-th CPU, before it reads a job, so that the
@@ -297,10 +283,6 @@ def _run_forked(jobs, workers: int) -> list[list[VerificationReport]] | None:
         os.close(job_w)
     pids: list[int] = []
     reads: list[int] = []  # the read end of each child's result pipe
-    # The children's collections never walk frozen objects, so they do not
-    # touch, and copy, the pages of the heap they inherit.  This process
-    # unfreezes them on its way out, however it leaves.
-    gc.freeze()
     try:
         for i in range(workers):
             r, w = os.pipe()
@@ -320,7 +302,6 @@ def _run_forked(jobs, workers: int) -> list[list[VerificationReport]] | None:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        gc.unfreeze()
         os.close(job_r)
         for r in reads:
             os.close(r)
@@ -334,9 +315,6 @@ def _run_forked(jobs, workers: int) -> list[list[VerificationReport]] | None:
         if isinstance(result, BaseException):
             raise result
         done.update(result)
-    for report in chain.from_iterable(done.values()):
-        if report.status == "verified":
-            _cache[(report.claim, report.n)] = report
     return [done[i] for i in range(len(jobs))]
 
 
@@ -540,16 +518,24 @@ def _dihedral_tables(n, budget) -> list[tuple[int, ...]]:
     return tables
 
 
-def _inverse_column(n, budget, r) -> tuple[int, ...]:
-    """(p^-1)_r for every p of sym_group(n), in rank order.
+_FIRST_ENTRY = "power function is not the first entry of the inverse"
 
-    That is entry r of the lift [0 p^-1]: zero at r = 0, else column r-1
-    of the packed twin invert_images.
+
+def _power_rule(w, n, budget, r, message, /, **context):
+    """Fail at the first p, by rank, whose power in w is not r'(p^-1)_r mod n+1.
+
+    w is a skew-morphism witness of bar_f_r, r prime to n+1, and r r' = 1
+    mod n+1.  By the product rule bar_f_r(p o x) = bar_f_r(p) o
+    bar_f_s(x), s = (p^-1)_r, and bar_f_s = bar_f_r^(s r'), so the power
+    function at p is s r' (see toric.bar_f_witness), unique since distinct
+    powers of bar_f_r differ.  (p^-1)_r is column r-1 of the packed twin
+    invert_images; context names the fault beyond p.
     """
     budget.check()
-    if r == 0:
-        return (0,) * factorial(n)
-    return tuple(invert_images(n)[r - 1])
+    m = n + 1
+    r_inv = pow(r, -1, m)
+    want = tuple(r_inv * s % m for s in invert_images(n)[r - 1])
+    _agree(w.pi_power, want, list(sym_index(n)), message, **context)
 
 
 def _barf_iter(p: Permutation, e: int) -> Permutation:
@@ -562,7 +548,7 @@ def _barf_iter(p: Permutation, e: int) -> Permutation:
 # Block transposition census.
 
 
-@_claim("lemma2.1", "census of the block transpositions and their four classes", 2, 8)
+@_claim("lemma2.1", "census of the block transpositions and their four classes", 2, 16)
 def _run_lemma21(n, budget):
     cuts = enumerate_tn(n)
     _need(len(cuts) == tn_size(n), "enumeration size mismatch", n=n, got=len(cuts))
@@ -710,24 +696,27 @@ def _run_eq12(n, budget):
     return {"elements": len(images), "pairs": len(images) ** 2}
 
 
-@_claim("gfg", "reversal conjugates each toric map to its mirror", 3, 7)
-def _run_gfg(n, budget):
+def _run_mirror(twin: str, kind: str, n, budget):
     """Exhaustive over every p in Sym_n and every shift r: R o T[r] o R is
-    compared with T[-r] as rank tables, which agree exactly when the maps
-    agree at every element because sym_index is a bijection."""
+    compared with T[-r] as rank tables, T the tables of the packed twin of
+    that name, which agree exactly when the maps agree at every element
+    because sym_index is a bijection.  The twin is looked up by name when
+    the claim runs, so a twin replaced at run time is the one checked."""
     m = n + 1
     images = list(sym_index(n))
-    tor = [_table(n, budget, toric_images, r) for r in range(m)]
+    tables = [_table(n, budget, globals()[twin], r) for r in range(m)]
     rev = _table(n, budget, reverse_images)
-    for r, t in enumerate(tor):
-        _agree(
-            compose_maps(rev, compose_maps(t, rev)),
-            tor[-r],
-            images,
-            "conjugated toric map is not the mirror shift",
-            r=r,
-        )
+    message = f"conjugated {kind} map is not the mirror shift"
+    for r, t in enumerate(tables):
+        _agree(compose_maps(rev, compose_maps(t, rev)), tables[-r], images, message, r=r)
     return {"elements": len(images), "shifts": m}
+
+
+# (key, twin, kind of map) for each mirror rule g o T_r o g = T_-r.
+_MIRRORS = (("gfg", "toric_images", "toric"), ("eq16", "bar_f_images", "inverse-toric"))
+for _key, _twin, _kind in _MIRRORS:
+    _summary = f"reversal conjugates each {_kind} map to its mirror"
+    _claim(_key, _summary, 3, 7)(partial(_run_mirror, _twin, _kind))
 
 
 @_claim("eq13", "inverse-toric maps: defining route and iteration", 3, 7)
@@ -761,26 +750,6 @@ def _run_eq13(n, budget):
             b,
             images,
             "iteration disagrees with direct shift",
-            r=r,
-        )
-    return {"elements": len(images), "shifts": m}
-
-
-@_claim("eq16", "reversal conjugates each inverse-toric map to its mirror", 3, 7)
-def _run_eq16(n, budget):
-    """Exhaustive over every p in Sym_n and every shift r: R o B[r] o R is
-    compared with B[-r] as rank tables, which agree exactly when the maps
-    agree at every element because sym_index is a bijection."""
-    m = n + 1
-    images = list(sym_index(n))
-    bar = [_table(n, budget, bar_f_images, r) for r in range(m)]
-    rev = _table(n, budget, reverse_images)
-    for r, b in enumerate(bar):
-        _agree(
-            compose_maps(rev, compose_maps(b, rev)),
-            bar[-r],
-            images,
-            "conjugated inverse-toric map is not the mirror shift",
             r=r,
         )
     return {"elements": len(images), "shifts": m}
@@ -842,10 +811,10 @@ _CLOSED_FORMS = (
     ("lemma4.1", "inverse-toric image of a block transposition, closed form", "bar_f", partial(bar_f, r=1)),
 )
 for _key, _summary, _tag, _map in _CLOSED_FORMS:
-    _claim(_key, _summary, 2, 8)(partial(_run_closed_form, _tag, _map))
+    _claim(_key, _summary, 2, 16)(partial(_run_closed_form, _tag, _map))
 
 
-@_claim("eqa14oct", "iterated inverse-toric images of the left-border elements", 4, 8)
+@_claim("eqa14oct", "iterated inverse-toric images of the left-border elements", 4, 16)
 def _run_eqa14oct(n, budget):
     cases = 0
 
@@ -920,7 +889,7 @@ _INVARIANCES = (
     ),
 )
 for _key, _summary, _shifted, _fixed in _INVARIANCES:
-    _claim(_key, _summary, 2, 8)(partial(_run_invariance, _shifted, _fixed))
+    _claim(_key, _summary, 2, 16)(partial(_run_invariance, _shifted, _fixed))
 
 
 # ---------------------------------------------------------------------------
@@ -981,14 +950,14 @@ def _run_prop44(n, budget):
     gens = [(k, 0) for k in adjacent] + [(0, u) for u in range(1, m)]
     order = StabilizerChain(m, [phi[k][u] for k, u in gens], budget).order()
     _need(order == factorial(m), "generator images do not generate the target group", order=order)
-    # spot[k][r] is the position of r in [0 k], entry r of [0 k^-1].
-    spot = {k: _inverse_map(lift(grp[k])) for k, _ in gens}
     # compose_lh_barf at the least u of G with each k: e is u plus a
     # constant, and its answer at every u meets the tables in
     # tests/test_kernels.py.
     least = {}
     for k, u in gens:
         least.setdefault(k, u)
+    # spot[k][r] is the position of r in [0 k], entry r of [0 k^-1], once per k.
+    spot = {k: _inverse_map(lift(grp[k])) for k in least}
 
     def pair_fault(message, h, r, k, u):
         _fail(message, h=grp[h], r=r, k=grp[k], u=u)
@@ -1032,6 +1001,9 @@ def _run_prop44(n, budget):
 
 @_claim("skew-toric", "which inverse-toric maps are skew-morphisms of the group", 3, 5)
 def _run_skew_toric(n, budget):
+    """bar_f_r has a skew-morphism witness exactly at r = 0 and at r prime to
+    n+1, of order 1 or n+1, and at each r prime to n+1 its powers follow
+    the power rule (_power_rule)."""
     m = n + 1
     orders = {}
     for r in range(m):
@@ -1044,16 +1016,16 @@ def _run_skew_toric(n, budget):
             r=r,
             modulus=m,
         )
-        if w is not None:
-            want_order = 1 if r == 0 else m
-            _need(w.order == want_order, "witness order wrong", r=r, order=w.order)
-            orders[str(r)] = w.order
-    _agree(
-        bar_f_witness(n, 1).pi_power,
-        _inverse_column(n, budget, 1),
-        list(sym_index(n)),
-        "power function is not the first entry of the inverse",
-    )
+        if w is None:
+            continue
+        want_order = 1 if r == 0 else m
+        _need(w.order == want_order, "witness order wrong", r=r, order=w.order)
+        orders[str(r)] = w.order
+        if r == 1:
+            _power_rule(w, n, budget, 1, _FIRST_ENTRY)
+        elif r:
+            message = "power function is not r' times entry r of the inverse"
+            _power_rule(w, n, budget, r, message, r=r)
     return {"orders": orders, "coprime_count": 1 + euler_phi(m) - 1}
 
 
@@ -1077,7 +1049,7 @@ def _run_toric_singletons(n, budget):
 # Structure of the graph on the block transpositions.
 
 
-@_claim("cor5.1", "reversal fixes the border classes and swaps the mixed ones", 4, 8)
+@_claim("cor5.1", "reversal fixes the border classes and swaps the mixed ones", 4, 16)
 def _run_cor51(n, budget):
     swap = {"B": "B", "S": "S", "L": "F", "F": "L"}
     by_class = {cls: set() for cls in TN_CLASSES}
@@ -1099,7 +1071,7 @@ def _run_cor51(n, budget):
     return {"classes": {cls: len(by_class[cls]) for cls in TN_CLASSES}}
 
 
-@_claim("lemma5.2", "no edges join the two extreme classes", 4, 8)
+@_claim("lemma5.2", "no edges join the two extreme classes", 4, 16)
 def _run_lemma52(n, budget):
     g = gamma(n)
     b_ranks = [g.index_of(make_bt(c)) for c in enumerate_tn(n) if classify(c) == "B"]
@@ -1116,7 +1088,7 @@ def _run_lemma52(n, budget):
     return {"border": len(b_ranks), "interior": len(s_ranks)}
 
 
-@_claim("lemma5.3", "five two-parameter families exhaust the edges", 4, 8)
+@_claim("lemma5.3", "five two-parameter families exhaust the edges", 4, 16)
 def _run_lemma53(n, budget):
     g = gamma(n)
     pairs = set()
@@ -1150,7 +1122,7 @@ def _run_lemma53(n, budget):
     return {"edges": len(edges)}
 
 
-@_claim("lemma5.4", "four ways to split a right-anchored element", 4, 8)
+@_claim("lemma5.4", "four ways to split a right-anchored element", 4, 16)
 def _run_lemma54(n, budget):
     checked = 0
     for j in range(1, n):
@@ -1187,7 +1159,7 @@ def _run_lemma54(n, budget):
     return {"identities": checked}
 
 
-@_claim("lemma5.5", "the border factor in a splitting is forced", 4, 8)
+@_claim("lemma5.5", "the border factor in a splitting is forced", 4, 16)
 def _run_lemma55(n, budget):
     tested = 0
     for j in range(2, n):
@@ -1207,7 +1179,7 @@ def _run_lemma55(n, budget):
     return {"candidates": tested}
 
 
-@_claim("prop5.6", "bipartite degrees between classes and the mixed matching", 4, 8)
+@_claim("prop5.6", "bipartite degrees between classes and the mixed matching", 4, 16)
 def _run_prop56(n, budget):
     g = gamma(n)
     classes = {c: classify(c) for c in enumerate_tn(n)}
@@ -1242,7 +1214,7 @@ def _run_prop56(n, budget):
     return {"matching": len(by["F"]), "border_degree": n - 2}
 
 
-@_claim("cor5.7", "the border class is the unique clique of its size", 4, 8)
+@_claim("cor5.7", "the border class is the unique clique of its size", 4, 16)
 def _run_cor57(n, budget):
     g = gamma(n)
     b_ranks = [g.index_of(make_bt(c)) for c in enumerate_tn(n) if classify(c) == "B"]
@@ -1269,7 +1241,7 @@ def _run_cor57(n, budget):
     return {"clique_size": n - 1}
 
 
-@_claim("prop5.8", "degree of the graph on the block transpositions", 4, 8)
+@_claim("prop5.8", "degree of the graph on the block transpositions", 4, 16)
 def _run_prop58(n, budget):
     budget.check()
     g = gamma(n)
@@ -1290,7 +1262,7 @@ def _run_prop58(n, budget):
     return {"regular": want, "vertices": g.num_vertices}
 
 
-@_claim("prop5.9", "n+1 disjoint edges that are maximal 2-cliques", 5, 8)
+@_claim("prop5.9", "n+1 disjoint edges that are maximal 2-cliques", 5, 16)
 def _run_prop59(n, budget):
     g = gamma(n)
     ee = e_edges(n)
@@ -1321,7 +1293,7 @@ def _run_prop59(n, budget):
     return {"edges": n + 1, "vertices": len(seen)}
 
 
-@_claim("lemma5.10", "the dihedral symmetries act regularly on the special vertices", 5, 8)
+@_claim("lemma5.10", "the dihedral symmetries act regularly on the special vertices", 5, 16)
 def _run_lemma510(n, budget):
     V = vertex_set_V(n)
     reals = {make_bt(c) for c in V}
@@ -1414,7 +1386,7 @@ def _run_cor511(n, budget):
     return {"orbit_sizes": {str(k): v for k, v in sorted(sizes.items())}}
 
 
-@_claim("lemma5.12", "the distinguished edges are the only maximal 2-cliques", 4, 8)
+@_claim("lemma5.12", "the distinguished edges are the only maximal 2-cliques", 4, 16)
 def _run_lemma512(n, budget):
     budget.check()
     g = gamma(n)
@@ -1429,7 +1401,7 @@ def _run_lemma512(n, budget):
     return {"count": n + 1, "disjoint": n >= 5}
 
 
-@_claim("prop5.13", "the subgraph on the special vertices is cubic", 5, 8)
+@_claim("prop5.13", "the subgraph on the special vertices is cubic", 5, 16)
 def _run_prop513(n, budget):
     budget.check()
     gv = gamma_v(n)
@@ -1439,7 +1411,7 @@ def _run_prop513(n, budget):
     return {"vertices": gv.num_vertices, "edges": gv.num_edges}
 
 
-@_claim("prop5.15", "explicit Hamilton cycle through the special vertices", 5, 8)
+@_claim("prop5.15", "explicit Hamilton cycle through the special vertices", 5, 16)
 def _run_prop515(n, budget):
     budget.check()
     cycle = hamilton_cycle_gamma_v(n)
@@ -1570,7 +1542,7 @@ def _run_toric_reverse_aut(n, budget):
 # Generated subgroups and components.
 
 
-@_claim("lemma6.3", "the special vertices generate the whole or even half", 4, 8)
+@_claim("lemma6.3", "the special vertices generate the whole or even half", 4, 16)
 def _run_lemma63(n, budget):
     """|<V>| from a stabilizer chain of the lifts [0 v] of V, against n!/2 or n!.
 
@@ -1599,7 +1571,7 @@ def _run_lemma63(n, budget):
     return {"order": order, "index": factorial(n) // order}
 
 
-@_claim("lemma6.4", "components of the Cayley graph over the special vertices", 4, 8)
+@_claim("lemma6.4", "components of the Cayley graph over the special vertices", 4, 16)
 def _run_lemma64(n, budget):
     """n!/|<V>| components, each of |<V>| vertices.
 
@@ -1630,12 +1602,7 @@ def _run_bfs(n, budget):
     layer from the identity, checked in rank order."""
     gens = tn_realizations(n)
     source = identity(n)
-    index = sym_index(n)
-    dist = [None] * len(index)
-    steps = [_right_multiplier(q.image) for q in gens]
-    for d, level in enumerate(layers([source.image], steps, budget)):
-        for a in level:
-            dist[index[a]] = d
+    dist = identity_distances(n, budget)
     reached = len(dist) - dist.count(None)
     _need(reached == factorial(n), "search did not reach the whole group", reached=reached)
     for target, want in zip(sym_group(n), dist):
@@ -1674,12 +1641,7 @@ def _run_example71(n, budget):
     # The map is prop72_map(3) (checked below), so its witness has the
     # columns prop7.2 reads at n = 3.
     _need(w.psi == _table(n, budget, bar_f_images, 1), "witness is not the basic inverse-toric map")
-    _agree(
-        w.pi_power,
-        _inverse_column(n, budget, 1),
-        list(sym_index(n)),
-        "power function is not the first entry of the inverse",
-    )
+    _power_rule(w, n, budget, 1, _FIRST_ENTRY)
     _need(aut_order(m, w) == 24, "symmetry count wrong", order=aut_order(m, w))
     other = prop72_map(3)
     _need(m.gens == other.gens, "differs from the general construction at its smallest size")
@@ -1708,12 +1670,7 @@ def _run_prop72(n, budget):
     _need(w.pi_power_of(first) == n, "power at the long generator wrong", got=w.pi_power_of(first))
     small = _bt(1, 2, 3, n)
     _need(w.pi_power_of(small) == 1, "power at the short generator wrong", got=w.pi_power_of(small))
-    _agree(
-        w.pi_power,
-        _inverse_column(n, budget, 1),
-        list(sym_index(n)),
-        "power function is not the first entry of the inverse",
-    )
+    _power_rule(w, n, budget, 1, _FIRST_ENTRY)
     _need(aut_order(m, w) == factorial(n + 1), "symmetry count wrong", order=aut_order(m, w))
 
     # The face at the identity along the long generator walks the cyclic
@@ -1749,12 +1706,7 @@ def _run_thm73(n, budget):
     )
     _need(w.order == 6, "witness order wrong", order=w.order)
     _need(t_balance(w, m.gens) is None, "map is balanced after all")
-    _agree(
-        w.pi_power,
-        tuple(6 - s for s in _inverse_column(n, budget, 5)),
-        list(sym_index(n)),
-        "power function is not the mirrored last entry",
-    )
+    _power_rule(w, n, budget, 5, "power function is not the mirrored last entry")
     _need(aut_order(m, w) == 720, "symmetry count wrong", order=aut_order(m, w))
     other = prop72_map(5)
     wo = is_regular(other, budget=budget)

@@ -326,13 +326,14 @@ GOLDEN = pathlib.Path(__file__).parent / "data"
 # Captured from `btcayley verify all --n N`: n = 6 before the table sweeps,
 # n = 4 and 5 before the extended permutations became 0-based tuples, n = 7
 # before the conjugation routes became column passes, n = 8 before the
-# symmetry, power-function and cycle passes moved onto the shared tables.
-# At n = 4 prop5.8 fails (the stated degree 3 is wrong there), so the exit
-# code is 1.
+# symmetry, power-function and cycle passes moved onto the shared tables,
+# n = 12 when the claims that read only T_n, Gamma_n or a chain were widened
+# to 16.  At n = 4 prop5.8 fails (the stated degree 3 is wrong there), so
+# the exit code is 1.
 @pytest.mark.parametrize(
     "n,exit_code",
-    [(4, 1), (5, 0), (6, 0), (7, 0), (8, 0)],
-    ids=["4", "5", "6", "7", "8"],
+    [(4, 1), (5, 0), (6, 0), (7, 0), (8, 0), (12, 0)],
+    ids=["4", "5", "6", "7", "8", "12"],
 )
 def test_verify_all_bytes_match_the_golden_file(capsys, n, exit_code):
     clear_cache()

@@ -30,8 +30,9 @@ from collections import Counter, deque
 from dataclasses import replace
 from functools import partial
 from itertools import permutations, repeat
-from math import factorial
+from math import factorial, gcd
 from operator import mul
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -57,6 +58,7 @@ from btcayley.graphs import (
     build_cayley,
     closed_walk_counts,
     gamma,
+    identity_distances,
     vertex_set_V,
 )
 from btcayley.maps import (
@@ -804,12 +806,57 @@ POWER_CLAIMS = {
 }
 
 
+def _oracle_powers(n, r, elements):
+    """r'(p^-1)_r mod n+1 at each p, row by row, with r r' = 1 mod n+1."""
+    m = n + 1
+    return [pow(r, -1, m) * p.inverse()(r) % m for p in elements]
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_inverse_column_is_the_entry_of_each_inverse(n):
+    # The power rule passes exactly the powers r'(p^-1)_r, at every shift r
+    # prime to n+1, and names the one element where they are changed.
     grp = sym_group(n)
-    for r in range(n + 1):
-        want = tuple(lift(p.inverse())[r] for p in grp)
-        assert verify._inverse_column(n, NO_BUDGET, r) == want, r
+    for r in range(1, n + 1):
+        if gcd(r, n + 1) != 1:
+            continue
+        powers = _oracle_powers(n, r, grp)
+        verify._power_rule(SimpleNamespace(pi_power=tuple(powers)), n, NO_BUDGET, r, "fault")
+        powers[-1] = (powers[-1] + 1) % (n + 1)
+        with pytest.raises(verify.ClaimFailure, match="fault") as exc:
+            witness = SimpleNamespace(pi_power=tuple(powers))
+            verify._power_rule(witness, n, NO_BUDGET, r, "fault", r=r)
+        assert exc.value.counterexample == {"p": str(grp[-1]), "r": str(r)}
+
+
+def test_the_power_rule_holds_on_every_skew_morphism_witness():
+    witnesses = [(n, r, bar_f_witness(n, r)) for n in range(3, 8) for r in range(1, n + 1)]
+    witnesses.append((5, 5, is_regular(mprime_n5_map())))
+    checked = 0
+    for n, r, w in witnesses:
+        if w is None:
+            continue
+        assert [w.pi_power_of(p) for p in w.elements] == _oracle_powers(n, r, w.elements), (n, r)
+        verify._power_rule(w, n, NO_BUDGET, r, "fault")
+        checked += 1
+    # The shifts prime to n+1 for n = 3..7, and M'.
+    assert checked == 2 + 4 + 2 + 6 + 4 + 1
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_a_tampered_power_at_the_last_shift_fails_skew_toric(monkeypatch, n):
+    true = bar_f_witness(n, n)
+    powers = list(true.pi_power)
+    i = len(powers) // 2
+    powers[i] = (powers[i] + 1) % true.order
+    tampered = replace(true, pi_power=tuple(powers))
+    monkeypatch.setattr(
+        verify, "bar_f_witness", lambda m, s: tampered if (m, s) == (n, n) else bar_f_witness(m, s)
+    )
+    report = verify.run_claim("skew-toric", n)
+    assert report.status == "failed"
+    assert report.details["error"] == "power function is not r' times entry r of the inverse"
+    assert report.counterexample == {"p": str(true.elements[i]), "r": str(n)}
 
 
 @pytest.mark.parametrize("key", sorted(POWER_CLAIMS))
@@ -1131,3 +1178,9 @@ def test_layers_are_the_distance_layers_of_a_queue_bfs():
         assert got == want
         assert min(want) == 0  # the group is connected over T_n
         assert seen == set(sym_index(n))
+
+
+def test_identity_distances_are_the_layers_of_a_queue_bfs():
+    for n in range(2, 6):
+        g = build_cayley(n, tn_realizations(n))
+        assert identity_distances(n) == _oracle_bfs_layers(g, g.index_of(identity(n)))

@@ -1,6 +1,5 @@
-"""Claim registry semantics: clamping, caching, statuses, counterexamples."""
+"""Claim registry semantics: clamping, statuses, counterexamples, the worker pool."""
 
-import gc
 import os
 import re
 import threading
@@ -8,7 +7,7 @@ import time
 from dataclasses import replace
 from functools import lru_cache, wraps
 from itertools import repeat
-from math import factorial
+from math import comb, factorial
 from operator import itemgetter
 
 import pytest
@@ -153,15 +152,6 @@ def test_budget_zero_skips_heavy_claims():
     assert r.counterexample is None
 
 
-def test_verified_reports_are_cached_failures_are_not():
-    a = run_claim("prop5.9", 5)
-    b = run_claim("prop5.9", 5)
-    assert a is b
-    f1 = run_claim("prop5.8", 4)
-    f2 = run_claim("prop5.8", 4)
-    assert f1 is not f2
-
-
 def test_run_all_is_ordered_and_statuses_are_legal():
     reports = run_all(5)
     assert [r.claim for r in reports] == list(claim_keys())
@@ -235,40 +225,6 @@ def test_a_spent_budget_skips_every_claim(monkeypatch, workers):
     assert [r.claim for r in reports] == list(claim_keys())
     assert {r.status for r in reports} == {"skipped-budget"}
     assert all(r.counterexample is None for r in reports)
-
-
-def test_a_pooled_run_caches_its_verified_reports_here(monkeypatch):
-    monkeypatch.setattr(verify, "_worker_count", lambda: 2)
-    reports = run_all(5)
-    assert all(verify._cache[(r.claim, r.n)] is r for r in reports)
-
-    def no_pool(*args):
-        raise AssertionError("every report is cached; no worker is needed")
-
-    monkeypatch.setattr(verify, "_run_forked", no_pool)
-    assert all(a is b for a, b in zip(run_all(5), reports))
-
-
-@pytest.mark.parametrize("ending", ["returns", "raises", "spent budget"])
-def test_run_all_leaves_nothing_frozen_here(monkeypatch, ending):
-    monkeypatch.setattr(verify, "_worker_count", lambda: 2)
-    assert gc.get_freeze_count() == 0
-    if ending == "raises":
-        monkeypatch.setitem(REGISTRY, "eq9", replace(REGISTRY["eq9"], runner=_broken))
-        with pytest.raises(RuntimeError, match="runner fault"):
-            run_all(5)
-    else:
-        run_all(5, Budget(0) if ending == "spent budget" else NO_BUDGET)
-    assert gc.get_freeze_count() == 0
-
-
-def test_the_workers_run_with_the_inherited_heap_frozen(monkeypatch):
-    monkeypatch.setattr(verify, "_worker_count", lambda: 2)
-    for key in claim_keys():
-        claim = replace(REGISTRY[key], runner=lambda n, budget: {"frozen": gc.get_freeze_count()})
-        monkeypatch.setitem(REGISTRY, key, claim)
-    assert all(r.details["frozen"] > 0 for r in run_all(5))
-    assert gc.get_freeze_count() == 0
 
 
 @pytest.mark.parametrize("ending", ["returns", "raises", "spent budget"])
@@ -627,9 +583,9 @@ def test_table_claims_call_no_toric_kernel_per_element(monkeypatch):
     assert run_claim("prop4.4", 4).status == "verified"
     assert counts["toric_image"] == 0
     assert counts["bar_f_image"] == factorial(5) * 4
-    # ... and inverts the lift of k once per generator (k, u): the n-1
-    # adjacent transpositions with u = 0 and the identity with u = 1..n.
-    assert counts["_inverse_map"] == 3 + 4
+    # ... and inverts the lift of each distinct k of a generator (k, u)
+    # once: the n-1 adjacent transpositions and the identity.
+    assert counts["_inverse_map"] == 3 + 1
     clear_cache()
     counts["reverse_image"] = 0
     assert run_claim("eq12", 5).status == "verified"
@@ -692,7 +648,6 @@ def test_a_kernel_patched_after_a_warm_run_is_honoured(monkeypatch, key):
     assert all(r.status == "verified" for r in run_all(4) if r.claim in GROUP)
     names = {kernel.__name__ for n, kernel, r in verify._tables if n == 4}
     assert names == {"toric_images", "bar_f_images", "reverse_images", "invert_images"}
-    verify._cache.clear()  # the reports only: the tables stay
     name, faulty = FAULTY_KERNELS[key]
     # The same name as the kernel it replaces: only the object tells them apart.
     monkeypatch.setattr(verify, name, wraps(getattr(verify, name))(faulty))
@@ -713,7 +668,6 @@ def test_the_provider_keeps_the_tables_of_each_degree(monkeypatch):
     run_claim("eq16", 4)
     run_claim("gfg", 5)
     assert {key[0] for key in verify._tables} == {4, 5}
-    verify._cache.clear()  # the reports only: the tables stay
 
     def no_build(*args):
         raise AssertionError("every table of degree 4 is kept")
@@ -1131,3 +1085,50 @@ def test_section6_claims_fail_with_a_chain_whose_bound_misses_a_moved_point(monk
     clear_cache()
     monkeypatch.setattr(verify, "StabilizerChain", ShortBoundChain)
     assert run_claim(key, n).status == "failed"
+
+
+# ---------------------------------------------------------------------------
+# The claims that read only T_n, Gamma_n or a chain, past the degrees of the
+# goldens.
+
+
+def _paper_details(n):
+    """The details of each widened claim at degree n, from the paper's closed
+    forms and the loop counts of its runner, with math only."""
+    size, left, mixed, interior = comb(n + 1, 3), comb(n, 2), comb(n - 1, 2), comb(n - 1, 3)
+    classes = {"B": n - 1, "L": mixed, "F": mixed, "S": interior}
+    special = 2 * (n + 1)
+    components = 2 if n % 2 == 0 else 1
+    return {
+        "lemma2.1": {"size": size, "partition": classes},
+        "lemma3.1": {"checked": size},
+        "eq11": {"checked": size},
+        "lemma4.1": {"checked": size},
+        "eqa14oct": {"cases": left},  # every left-border element s(0,j,k)
+        "cor3.2": {"size": size, "shifts": n + 1},
+        "cor4.2": {"size": size, "shifts": n + 1},
+        "cor5.1": {"classes": classes},
+        "lemma5.2": {"border": n - 1, "interior": interior},
+        # Gamma_n is 2(n-2)-regular on C(n+1, 3) vertices.
+        "lemma5.3": {"edges": size * (n - 2)},
+        "lemma5.4": {"identities": 4 * mixed},
+        "lemma5.5": {"candidates": (n - 1) * mixed},
+        "prop5.6": {"matching": mixed, "border_degree": n - 2},
+        "cor5.7": {"clique_size": n - 1},
+        "prop5.8": {"regular": 2 * (n - 2), "vertices": size},
+        "prop5.9": {"edges": n + 1, "vertices": special},
+        "lemma5.10": {"orbit": special, "symmetries": special},
+        "lemma5.12": {"count": n + 1, "disjoint": True},
+        "prop5.13": {"vertices": special, "edges": 3 * (n + 1)},
+        "prop5.15": {"length": special},
+        "lemma6.3": {"order": factorial(n) // components, "index": components},
+        "lemma6.4": {"components": components, "component_size": factorial(n) // components},
+    }
+
+
+@pytest.mark.parametrize("n", range(9, 17))
+def test_widened_claims_match_the_papers_closed_forms(n):
+    for key, want in _paper_details(n).items():
+        report = run_claim(key, n)
+        assert (report.status, report.n) == ("verified", n), key
+        assert report.details == want, key
