@@ -45,6 +45,7 @@ __all__ = [
     "build_map",
     "classify",
     "claim_keys",
+    "compose_lh_barf",
     "degree_profile",
     "dihedral_elements",
     "e_edges",
@@ -136,6 +137,7 @@ _HOME = {
     "apply_dihedral": "toric",
     "bar_f": "toric",
     "bar_f_witness": "toric",
+    "compose_lh_barf": "toric",
     "dihedral_elements": "toric",
     "euler_phi": "toric",
     "reverse_g": "toric",

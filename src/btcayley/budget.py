@@ -22,7 +22,7 @@ class Budget:
         self._deadline = None if ms is None else time.monotonic() + ms / 1000.0
 
     def check(self):
-        if self._deadline is not None and time.monotonic() > self._deadline:
+        if self._deadline is not None and time.monotonic() >= self._deadline:
             raise BudgetExceeded(f"budget of {self.ms} ms exceeded")
 
 

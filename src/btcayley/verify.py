@@ -23,7 +23,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, permutations
+from itertools import chain
 from math import factorial, gcd
 from operator import getitem
 from typing import Callable
@@ -70,11 +70,9 @@ from .perms import (
     Permutation,
     StabilizerChain,
     _column,
-    _inverse_map,
     _lanes,
     _lift_columns,
     _marks,
-    _product_rows,
     _rank_columns,
     _wrap,
     adjacent_transpositions,
@@ -93,7 +91,6 @@ from .toric import (
     bar_f_images,
     bar_f_witness,
     bt_image_closed_form,
-    compose_lh_barf,
     dihedral_compose,
     dihedral_elements,
     euler_phi,
@@ -604,7 +601,7 @@ def _run_lemma21(n, budget):
 
 @_claim("eq9", "toric maps: conjugation form, additivity, inverse rule", 3, 7)
 def _run_eq9(n, budget):
-    """Exhaustive over Sym_n: every p, every shift r and every pair (r, s).
+    """Exhaustive over Sym_n: every p and every shift r.
 
     The identities are checked on rank tables: T[r][i] is the rank of
     f_r of the element of rank i, ranked from the packed twin toric_images.
@@ -615,6 +612,9 @@ def _run_eq9(n, budget):
     compared with the twin's columns as bytes (_toric_route, _check_route):
     it composes the lifts with rotations and shares no arithmetic with the
     twin it is checked against.
+
+    Additivity f_s o f_r = f_(r+s), shifts mod m, is checked as f_0 = id
+    and f_1 o f_r = f_(r+1): by induction f_r = f_1^r, and f_1^m = f_0.
     """
     m = n + 1
     images = list(sym_index(n))
@@ -635,15 +635,9 @@ def _run_eq9(n, budget):
             "inverse of a toric image is not the mirrored toric image",
             r=r,
         )
-        for s in range(m):
-            _agree(
-                compose_maps(tor[s], t),
-                tor[(r + s) % m],
-                images,
-                "toric shifts do not add",
-                r=r,
-                s=s,
-            )
+        _agree(
+            compose_maps(tor[1], t), tor[(r + 1) % m], images, "toric shifts do not add", r=r, s=1
+        )
     return {"elements": len(images), "shifts": m}
 
 
@@ -755,35 +749,54 @@ def _run_eq13(n, budget):
     return {"elements": len(images), "shifts": m}
 
 
-@_claim("lemma4.3", "product rule for inverse-toric images", 3, 5)
-def _run_lemma43(n, budget):
-    """Exhaustive: bar_f_r(rho o pi) = bar_f_r(rho) o bar_f_s(pi) with
-    s = (rho^-1)_r, for every pair (rho, pi) in Sym_n x Sym_n and every r.
+def _product_rule(n, budget, bar):
+    """bar_f_r(rho o pi) = bar_f_r(rho) o bar_f_s(pi) for every pair (rho, pi)
+    of Sym_n and every r, with s = s(rho, r) the position of r in [0 rho],
+    checked on the adjacent transpositions t; bar[r] is the rank table B[r].
 
-    On ranks, with P the full product table (perms._product_rows) and B[r]
-    the bar_f_r table, the row of rho reads B[r] o P[rho] == P[B[r][rho]] o
-    B[s] over all pi at once.  sym_index is a bijection, so each row
-    comparison covers every pi, and one runs for every rho and r.
+    For each r and t one comparison covers every rho: entry rho of B[r] o
+    col_t is the rank of bar_f_r(rho o t), and entry B[r][rho] of the column
+    of y = bar_f_s(t) the rank of bar_f_r(rho) o y.  s is entry r of
+    [0 rho^-1] (column r-1 of invert_images, 0 at r = 0); the y are read
+    off B[s], and perms._rank_columns memoises their columns.  This covers
+    every pi, by induction on its length as a word in the t:
+    - Length 0: at rho = iota, s = r, the check reads bar_f_r(t) =
+      bar_f_r(iota) o bar_f_r(t), so bar_f_r(iota) = iota.
+    - pi = pi' o t: with s = s(rho, r) and s' = s(rho o pi', r) = s(pi', s),
+      a cocycle that holds as [0 rho o pi'] = [0 rho] o [0 pi'],
+          bar_f_r(rho o pi) = bar_f_r(rho o pi') o bar_f_s'(t)         (at rho o pi')
+                            = bar_f_r(rho) o bar_f_s(pi') o bar_f_s'(t)  (induction)
+                            = bar_f_r(rho) o bar_f_s(pi)               (at pi', shift s).
+    A fault names rho, t as pi, and r.
     """
-    m = n + 1
     idx = sym_index(n)
     images = list(idx)
-    bar = [_table(n, budget, bar_f_images, r) for r in range(m)]
-    product = list(_product_rows(n, images))
-    for i, rho in enumerate(images):
+    adjacent = adjacent_transpositions(n)
+    ys = [images[b[idx[t]]] for b in bar for t in adjacent]
+    columns = _rank_columns(n, adjacent + ys)
+    spots = (bytes(len(images)),) + invert_images(n)  # spots[r][i]: s(rho, r), rho of rank i
+    for r, b in enumerate(bar):
         budget.check()
-        exponent = _inverse_map((0,) + rho)  # entry r: the position of r in [0 rho]
-        for r, b in enumerate(bar):
+        for j, t in enumerate(adjacent):
+            barred = columns[n - 1 + j :: n - 1]  # the column of bar_f_s(t), for each s
             _agree(
-                compose_maps(b, product[i]),
-                compose_maps(product[b[i]], bar[exponent[r]]),
+                compose_maps(b, columns[j]),
+                tuple(map(getitem, map(barred.__getitem__, spots[r]), b)),
                 images,
                 "product rule violated",
-                key="pi",
-                rho=_wrap(rho),
+                key="rho",
+                pi=_wrap(t),
                 r=r,
             )
-    return {"pairs": len(images) ** 2, "shifts": m}
+
+
+@_claim("lemma4.3", "product rule for inverse-toric images", 3, 5)
+def _run_lemma43(n, budget):
+    """bar_f_r(rho o pi) = bar_f_r(rho) o bar_f_s(pi) with s = (rho^-1)_r, for
+    every pair (rho, pi) in Sym_n x Sym_n and every r: _product_rule on the
+    B tables.  "pairs" counts the pairs its proof covers."""
+    _product_rule(n, budget, [_table(n, budget, bar_f_images, r) for r in range(n + 1)])
+    return {"pairs": factorial(n) ** 2, "shifts": n + 1}
 
 
 # ---------------------------------------------------------------------------
@@ -898,104 +911,51 @@ for _key, _summary, _shifted, _fixed in _INVARIANCES:
 
 @_claim("prop4.4", "translations with inverse-toric maps form a group of order (n+1)!", 3, 4)
 def _run_prop44(n, budget):
-    """Closure of the (n+1)! maps L_h o bar_f_r under the generators G.
+    """S = {L_h o bar_f_r : h in Sym_n, r mod m}, m = n+1, is a group of
+    order (n+1)!, and right translation R by w0 = reverse(n) doubles it.
 
-    T(h, r)[i] is the rank of h o bar_f_r(element i): the row of h o x over
-    every x, read at B[r]; S is the set of these tables.  G is the L_(s_t)
-    = T(s_t, 0) of the adjacent transpositions s_t, t = 1..n-1, then the
-    bar_f_u = T(iota, u), u = 1..n.  The normal form of (L_h o bar_f_r) o
-    (L_k o bar_f_u) is L_d o bar_f_e with d = h o bar_f_r(k), whose rank is
-    T(h, r)[rank k], and e = (u + s) mod (n+1), s the position of r in
-    [0 k].  For every (h, r) and every (k, u) in G, T(h, r) o T(k, u) ==
-    T(d, e) and phi(h, r) o phi(k, u) == phi(d, e), with phi the extended
-    images of phi_iso; compose_lh_barf must give this normal form once per
-    (h, r, k).
-    Besides, T(iota, 0) and phi(iota, 0) are identities, the (n+1)! tables
-    are distinct, and the stabilizer chain of the n+1 images phi(G) has
-    order (n+1)!.  Then S is a group of that order:
-      - Let W be the maps id o g_1 o ... o g_j, for words in G.  W is in S:
-        id = T(iota, 0), and S o G is in S by the checks.
-      - The tables are distinct, so Phi(T(h, r)) = phi(h, r) is a function
-        on S, and Phi(X o g) = Phi(X) Phi(g) for X in S and g in G.  By
-        induction on the length of w, Phi(X o w) = Phi(X) Phi(w) for w in W,
-        Phi(w) being the product of the Phi(g_i).
-      - So Phi(W) is the monoid that phi(G) generates, which in a finite
-        group is the group <phi(G)>, of order (n+1)! by the chain.  Then
-        (n+1)! <= |W| <= |S| = (n+1)!, so W = S: S is closed under
-        composition, and Phi is a bijective homomorphism from S onto the
-        symmetric group of {0, ..., n}, so S is a group of order (n+1)!.
-    The exhaustive product over every pair of tables is the oracle in
-    tests/test_verify.py, and compose_lh_barf is compared with the tables
-    at every pair in tests/test_kernels.py.
+    Checked on the rank tables B[r]: the product rule (_product_rule); B[0]
+    = id and B[1] o B[r] = B[r+1]; the B[r] are distinct; each B[r] fixes
+    w0; w0 o w0 = iota, so R o R, right translation by w0 o w0, is id; no
+    B[r] is the table of g(x) = w0 o x o w0 (the reverse_images table,
+    checked against that form by eq12).  Then:
+      - Additivity: B[r] = B[1]^r by induction and B[1]^m = B[0] = id, so
+        bar_f_s o bar_f_u = bar_f_(s+u) (mod m), each a bijection.
+      - Closure: (L_h o bar_f_r) o (L_k o bar_f_u) = L_d o bar_f_(s+u) with
+        d = h o bar_f_r(k) and s = s(k, r), since bar_f_r(k o bar_f_u(x)) =
+        bar_f_r(k) o bar_f_s(bar_f_u(x)).
+      - Size: bar_f_r(iota) = iota, so L_h o bar_f_r sends iota to h, and
+        for one h the maps differ as the B[r] do: |S| = n! m = (n+1)!.
+      - Group: a finite set of bijections closed under composition is one.
+      - Doubling: R commutes with each L_h, and with each bar_f_r, since
+        bar_f_r(x o w0) = bar_f_r(x) o bar_f_s(w0) = bar_f_r(x) o w0.  A map
+        of S equal to R sends iota to w0, so it is L_w0 o bar_f_r with
+        bar_f_r = L_w0 o R = g, which no B[r] is.  So R is a central
+        involution outside S, and S u R o S is a group of order 2 (n+1)!.
+    The chain order of phi_iso of G (the L_t of the adjacent t, and bar_f_u
+    for u = 1..n) is a cross-check.  The product over every pair of the
+    (n+1)! tables is the oracle in tests/test_verify.py.
     """
     m = n + 1
     idx = sym_index(n)
     images = list(idx)
     bar = [_table(n, budget, bar_f_images, r) for r in range(m)]
-    # table[h][r] is T(h, r) and phi[h][r] the extended image, h a rank.
-    columns = _rank_columns(n, images)
-    table = []
-    for row in zip(*columns):
-        budget.check()
-        table.append([compose_maps(row, b) for b in bar])
-    values = set(chain.from_iterable(table))
-    _need(len(values) == factorial(m), "maps are not pairwise distinct", count=len(values))
-    grp = sym_group(n)
-    phi = [[phi_iso(h, r) for r in range(m)] for h in grp]
-    _need(
-        table[0][0] == tuple(range(len(grp))) and phi[0][0] == tuple(range(m)),
-        "L_iota o bar_f_0 is not the identity",
-    )
-    adjacent = [idx[s] for s in adjacent_transpositions(n)]
-    gens = [(k, 0) for k in adjacent] + [(0, u) for u in range(1, m)]
-    order = StabilizerChain(m, [phi[k][u] for k, u in gens], budget).order()
+    _product_rule(n, budget, bar)
+    _need(bar[0] == tuple(range(len(images))), "L_iota o bar_f_0 is not the identity")
+    for r, (b, after) in enumerate(zip(bar, bar[1:] + bar[:1])):
+        _agree(compose_maps(bar[1], b), after, images, "inverse-toric shifts do not add", r=r)
+    distinct = len(set(bar))
+    _need(distinct == m, "maps are not pairwise distinct", count=distinct * len(images))
+    gens = [phi_iso(_wrap(t), 0) for t in adjacent_transpositions(n)]
+    gens += [phi_iso(identity(n), u) for u in range(1, m)]
+    order = StabilizerChain(m, gens, budget).order()
     _need(order == factorial(m), "generator images do not generate the target group", order=order)
-    # compose_lh_barf at the least u of G with each k: e is u plus a
-    # constant, and its answer at every u meets the tables in
-    # tests/test_kernels.py.
-    least = {}
-    for k, u in gens:
-        least.setdefault(k, u)
-    # spot[k][r] is the position of r in [0 k], entry r of [0 k^-1], once per k.
-    spot = {k: _inverse_map(lift(grp[k])) for k in least}
-
-    def pair_fault(message, h, r, k, u):
-        _fail(message, h=grp[h], r=r, k=grp[k], u=u)
-
-    rule = "product rule disagrees with pointwise composition"
-    for h, (row, extended) in enumerate(zip(table, phi)):
-        for r, ta, pa in zip(range(m), row, extended):
-            budget.check()
-            for k, u in gens:
-                d, e = ta[k], (u + spot[k][r]) % m
-                if u == least[k] and compose_lh_barf(grp[h], r, grp[k], u) != (grp[d], e):
-                    pair_fault(rule, h, r, k, u)
-                if compose_maps(ta, table[k][u]) != table[d][e]:
-                    pair_fault(rule, h, r, k, u)
-                if compose_maps(pa, phi[k][u]) != phi[d][e]:
-                    pair_fault("extended images do not multiply", h, r, k, u)
-    _need(
-        set(chain.from_iterable(phi)) == set(permutations(range(m))),
-        "extended images miss part of the target group",
-        count=len(set(chain.from_iterable(phi))),
-    )
-
-    # Right translation by the order-reversing involution: central, outside,
-    # and together with the group it doubles the order.  tmap[i] is the rank
-    # of (element i) o w, the rank column of w.
-    tmap = columns[idx[reverse(n).image]]
-    _need(tmap not in values, "the doubling involution lies inside the group")
-    _need(
-        compose_maps(tmap, tmap) == tuple(range(len(grp))),
-        "the doubling map is not an involution",
-    )
-    for v in values:
-        _need(
-            compose_maps(tmap, v) == compose_maps(v, tmap),
-            "the doubling involution does not centralize the group",
-        )
-    doubled = values | {compose_maps(tmap, v) for v in values}
-    _need(len(doubled) == 2 * factorial(m), "doubled set has wrong size", count=len(doubled))
+    w = reverse(n)
+    w0 = idx[w.image]
+    _need(all(b[w0] == w0 for b in bar), "the doubling involution does not centralize the group")
+    _need(w.compose(w) == identity(n), "the doubling map is not an involution")
+    inside = _table(n, budget, reverse_images) in bar
+    _need(not inside, "the doubling involution lies inside the group")
     return {"group_order": factorial(m), "doubled_order": 2 * factorial(m)}
 
 

@@ -3,8 +3,9 @@
 Each oracle below is the earlier implementation, kept here only as the
 reference: the arithmetic toric and inverse-toric kernels, the
 per-element kernels behind the packed twins that build the toric,
-inverse-toric, inversion and reversal tables, compose_lh_barf on every pair (prop4.4 reads the
-generator pairs from tables), the breadth-first closure over left products that lemma6.4
+inverse-toric, inversion and reversal tables, compose_lh_barf on every
+pair (the normal form that the closure proof of prop4.4 derives), the
+breadth-first closure over left products that lemma6.4
 ran before it traced rank columns, product rows
 hashed through sym_index before they were composed from rank columns,
 the per-element sweep of the toric and inverse-toric conjugation routes
@@ -412,9 +413,9 @@ def test_column_twins_equal_their_kernels_at_degree_8(kind, r, ranks):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_compose_lh_barf_is_the_table_normal_form_at_every_pair(n):
-    # prop4.4 reads d = T(h, r)[rank k] and e = (u + (k^-1)_r) mod m from
-    # tables and calls compose_lh_barf once per (h, r, k) of its generator
-    # pairs; here at every pair and every u.
+    # The normal form L_d o bar_f_e of the closure proof of prop4.4, with
+    # d = T(h, r)[rank k] and e = (u + (k^-1)_r) mod m read from tables,
+    # at every pair and every u.
     m = n + 1
     idx = sym_index(n)
     grp = sym_group(n)
@@ -542,7 +543,8 @@ def test_product_rows_are_the_ranks_of_the_products(n):
     assert list(_product_rows(n, gens)) == want
 
 
-# prop4.4 multiplies by every element of Sym_n, the identity included.
+# The prop4.4 oracle of test_verify.py multiplies by every element of Sym_n,
+# the identity included.
 @pytest.mark.parametrize(
     "n, group", [(n, "T_n") for n in range(2, 8)] + [(n, "Sym_n") for n in range(1, 5)]
 )

@@ -20,7 +20,7 @@ from btcayley.autgroup import (
     orbit_images,
 )
 from btcayley.blocktrans import CutPoints, make_bt, tn_realizations
-from btcayley.budget import NO_BUDGET, Budget
+from btcayley.budget import NO_BUDGET, Budget, BudgetExceeded
 from btcayley.perms import (
     Permutation,
     compose_maps,
@@ -30,7 +30,6 @@ from btcayley.perms import (
 )
 from btcayley.toric import (
     bar_f_image,
-    compose_lh_barf,
     dihedral_elements,
     reverse_g,
     reverse_g_conj,
@@ -150,6 +149,16 @@ def test_budget_zero_skips_heavy_claims():
     r = run_claim("lemma4.3", 5, Budget(0))
     assert r.status == "skipped-budget"
     assert r.counterexample is None
+
+
+def test_a_zero_budget_is_spent_before_the_clock_moves(monkeypatch):
+    # A coarse monotonic clock can read the same value for several
+    # milliseconds: Budget(0) must be spent at that very reading.
+    monkeypatch.setattr(time, "monotonic", lambda: 1000.0)
+    with pytest.raises(BudgetExceeded):
+        Budget(0).check()
+    Budget(1).check()
+    NO_BUDGET.check()
 
 
 def test_run_all_is_ordered_and_statuses_are_legal():
@@ -514,6 +523,27 @@ def test_a_routed_map_that_moves_0_fails_the_claim_at_its_element_and_shift(
     assert r.counterexample == {"p": "[3 1 4 2]", "r": "2"}
 
 
+def test_eq9_additivity_on_f_1_catches_a_fault_at_shift_2(monkeypatch):
+    # f_2 is wrong at x = [2 4 1 3] only (two entries swapped), and the
+    # conjugation route is skipped, so only an algebraic check can see it.
+    # x(2) != 1, so the inverse rule at r = 1 never reads f_2 at x, and
+    # f_1 o f_1 = f_2 at r = 1 is the first check that does.
+    x = (2, 4, 1, 3)
+
+    def faulty(a, r):
+        b = toric_image(a, r)
+        return _swap_first_two(b) if (a, r) == (x, 2) else b
+
+    monkeypatch.setattr(verify, "toric_images", _twin(faulty))
+    monkeypatch.setattr(verify, "_check_route", lambda *args: None)
+    r = run_claim("eq9", 4)
+    assert r.status == "failed"
+    assert r.details == {"error": "toric shifts do not add"}
+    assert r.counterexample == {"p": "[2 4 1 3]", "r": "1", "s": "1"}
+    kernels = {"toric_image": faulty, "bar_f_image": bar_f_image, "reverse_image": reverse_image}
+    assert not _identity_holds("eq9", r.details["error"], r.counterexample, kernels)
+
+
 # claim: (the packed twin it ranks, its kernel, the oracle route of toric_oracles)
 TWIN_ROUTES = {
     "eq9": ("toric_images", toric_image, toric_f_conj),
@@ -549,9 +579,11 @@ def test_a_faulty_twin_fails_at_the_oracles_lowest_rank_fault(monkeypatch, key, 
 def test_table_claims_call_no_toric_kernel_per_element(monkeypatch):
     # Every kernel table comes from a packed twin, so the table job calls
     # no kernel at all, and toric-reverse-aut, which reads the ranks of
-    # T_n in those tables, calls none either.  verify inverts a map only
-    # through _inverse_map, counted as verify reads it.
-    counts = {"toric_image": 0, "bar_f_image": 0, "reverse_image": 0, "_inverse_map": 0}
+    # T_n in those tables, calls none either; neither do lemma4.3 and
+    # prop4.4, which read the product rule off the same tables.  verify
+    # inverts no map one at a time: it does not import _inverse_map.
+    assert not hasattr(verify, "_inverse_map")
+    counts = {"toric_image": 0, "bar_f_image": 0, "reverse_image": 0}
 
     def counting(module, name):
         kernel = getattr(module, name)
@@ -562,30 +594,17 @@ def test_table_claims_call_no_toric_kernel_per_element(monkeypatch):
 
         return wrapper
 
-    for name in ("toric_image", "bar_f_image", "reverse_image"):
+    for name in counts:
         monkeypatch.setattr(toric, name, counting(toric, name))
-    monkeypatch.setattr(verify, "_inverse_map", counting(verify, "_inverse_map"))
     for key in GROUP:
         assert run_claim(key, 6).status == "verified", key
     assert counts == dict.fromkeys(counts, 0)
-    assert run_claim("toric-reverse-aut", 6).status == "verified"
+    for key in ("toric-reverse-aut", "lemma4.3", "prop4.4"):
+        assert run_claim(key, 6).status == "verified", key
     assert counts == dict.fromkeys(counts, 0)
     for key in TABLE_CLAIMS:
         assert run_claim(key, 6).status == "verified", key
     assert counts["toric_image"] == counts["bar_f_image"] == 0
-    # lemma4.3, clamped to its cap 5, compares whole rows over pi, so it
-    # inverts the lift of each rho once, and nothing per pair (rho, pi).
-    assert counts["_inverse_map"] == factorial(get_claim("lemma4.3").max_n) == factorial(5)
-    counts["_inverse_map"] = 0
-    # prop4.4 calls compose_lh_barf, and so bar_f_image, once per (h, r, k)
-    # with (k, u) a generator: k is one of the n-1 adjacent transpositions
-    # or the identity.
-    assert run_claim("prop4.4", 4).status == "verified"
-    assert counts["toric_image"] == 0
-    assert counts["bar_f_image"] == factorial(5) * 4
-    # ... and inverts the lift of each distinct k of a generator (k, u)
-    # once: the n-1 adjacent transpositions and the identity.
-    assert counts["_inverse_map"] == 3 + 1
     clear_cache()
     counts["reverse_image"] = 0
     assert run_claim("eq12", 5).status == "verified"
@@ -761,28 +780,6 @@ def test_eq12_generator_reduction_agrees_with_the_all_pairs_sweep(monkeypatch, n
     }
 
 
-def test_prop44_reports_the_first_faulty_pair_in_sweep_order(monkeypatch):
-    # Wrong at two generator pairs that the claim reads, and at one pair
-    # that is no generator pair.  The sweep runs (h, r) outside and the
-    # generators inside: the adjacent transpositions (s_1 = [2 1 3] is
-    # grp[2]) at u = 0, then the identity grp[0] at u = 1..n, read by
-    # compose_lh_barf at u = 1.
-    grp = sym_group(3)
-    late = (grp[5], 2, grp[2], 0)
-    early = (grp[2], 1, grp[0], 1)
-    unread = (grp[1], 0, grp[3], 0)
-
-    def faulty(h, r, k, u):
-        d, e = compose_lh_barf(h, r, k, u)
-        return (d, (e + 1) % 4) if (h, r, k, u) in (late, early, unread) else (d, e)
-
-    monkeypatch.setattr(verify, "compose_lh_barf", faulty)
-    r = run_claim("prop4.4", 3)
-    assert r.status == "failed"
-    assert r.details["error"] == "product rule disagrees with pointwise composition"
-    assert r.counterexample == dict(zip("hrku", map(str, early)))
-
-
 def test_toric_reverse_aut_fails_on_a_table_that_is_no_bijection(monkeypatch):
     # Every image is a permutation, but all of them the identity.
     monkeypatch.setattr(verify, "bar_f_images", _twin(lambda a, r: tuple(sorted(a))))
@@ -811,6 +808,134 @@ def test_cor511_fails_on_a_symmetry_table_that_is_no_bijection(monkeypatch):
     assert r.status == "failed"
     assert r.details["error"] == "induced map is not a bijection"
     assert r.counterexample == {"symmetry": "t^1"}
+
+
+# ---------------------------------------------------------------------------
+# The product rule on the adjacent transpositions (lemma4.3 and prop4.4),
+# against the all-pairs row check it replaced.
+
+
+def _oracle_product_rule_holds(n):
+    """The all-pairs row check lemma4.3 ran before its reduction to the
+    adjacent transpositions: True when, with the twin that verify reads,
+    B[r] o P[rho] == P[B[r][rho]] o B[s] for every rho and r, with P[rho]
+    the row of rho o pi over every pi and s = (rho^-1)_r."""
+    images = list(sym_index(n))
+    bar = [verify._rank_table(n, NO_BUDGET, verify.bar_f_images, r) for r in range(n + 1)]
+    product = list(perms._product_rows(n, images))
+    return all(
+        compose_maps(b, product[i])
+        == compose_maps(product[b[i]], bar[((0,) + oracle_invert(rho))[r]])
+        for i, rho in enumerate(images)
+        for r, b in enumerate(bar)
+    )
+
+
+def _verdict(key, n):
+    """None when the runner of key verifies at n (past its cap too), else
+    the message and counterexample of its failure."""
+    try:
+        REGISTRY[key].runner(n, NO_BUDGET)
+    except verify.ClaimFailure as exc:
+        return str(exc), exc.counterexample
+    return None
+
+
+def _first_generator_fault(n):
+    """The counterexample of the first (rho, t, r) at which the twin that
+    verify reads breaks the rule pointwise, t adjacent, swept as
+    _product_rule sweeps: r, then t, then rho by rank."""
+    idx = sym_index(n)
+    images = list(idx)
+    bar = [verify._rank_table(n, NO_BUDGET, verify.bar_f_images, r) for r in range(n + 1)]
+
+    def image(a, r):
+        return images[bar[r][idx[a]]]
+
+    for r in range(n + 1):
+        for t in perms.adjacent_transpositions(n):
+            for rho in images:
+                s = ((0,) + oracle_invert(rho))[r]
+                if image(oracle_compose(rho, t), r) != oracle_compose(image(rho, r), image(t, s)):
+                    return {"rho": str(Permutation(rho)), "pi": str(Permutation(t)), "r": str(r)}
+    return None
+
+
+def _planted_twins(n):
+    """bar_f_images and wrong twins, each of whose images is a permutation."""
+    true = verify.bar_f_images
+    identities = _twin(lambda a, r: a)
+    c = (2, 3, 1) + tuple(range(4, n + 1))
+    conjugation = _twin(lambda a, r: oracle_compose(oracle_compose(c, a), oracle_invert(c)))
+    return {
+        "true": true,
+        # Both hold the rule with every s: prop4.4 must still refuse them.
+        "identities": identities,
+        "conjugation": conjugation,
+        "next_shift": lambda n, r: true(n, (r + 1) % (n + 1)),
+        "swap_late": _swapped(true, 1, 3, 5),
+        "swap_generator": _swapped(true, 2, 1, 4),
+        "swap_last": _swapped(true, n, 2, factorial(n) - 1),
+    }
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_product_rule_claims_agree_with_the_all_pairs_rows(monkeypatch, n):
+    verdicts = {}
+    for name, twin in _planted_twins(n).items():
+        clear_cache()
+        monkeypatch.setattr(verify, "bar_f_images", twin)
+        holds = _oracle_product_rule_holds(n)
+        lemma, prop = _verdict("lemma4.3", n), _verdict("prop4.4", n)
+        assert (lemma is None) == holds, name
+        if not holds:
+            assert prop is not None, name
+        verdicts[name] = (holds, lemma is None, prop is None)
+    assert verdicts["true"] == (True, True, True)
+    assert verdicts["identities"] == verdicts["conjugation"] == (True, True, False)
+    assert [name for name, v in verdicts.items() if not v[0]] == [
+        "next_shift",
+        "swap_late",
+        "swap_generator",
+        "swap_last",
+    ]
+
+
+@pytest.mark.parametrize(
+    "r, pair",
+    [
+        (2, ((2, 3, 1), (3, 1, 2))),
+        (2, ((1, 3, 4, 2), (1, 4, 3, 2))),
+        (2, ((1, 2, 4, 5, 3), (1, 2, 5, 4, 3))),
+        # One wrong image of the adjacent transposition [1 3 2 4].
+        (1, ((1, 3, 2, 4), (2, 4, 1, 3))),
+    ],
+)
+def test_a_twin_that_breaks_the_rule_fails_both_claims_at_its_first_fault(monkeypatch, r, pair):
+    # bar_f_r with the images of the pair exchanged, so the table is still
+    # a bijection: both claims name the first (rho, t, r) at which the rule
+    # breaks pointwise, in sweep order.
+    n = len(pair[0])
+    i, j = map(sym_index(n).get, pair)
+    monkeypatch.setattr(verify, "bar_f_images", _swapped(verify.bar_f_images, r, i, j))
+    want = _first_generator_fault(n)
+    assert want is not None and want["r"] == str(r)
+    for key in ("lemma4.3", "prop4.4"):
+        assert _verdict(key, n) == ("product rule violated", want), key
+
+
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("key", ["lemma4.3", "prop4.4"])
+def test_product_rule_claims_verify_past_their_caps(key, n):
+    claim = REGISTRY[key]
+    assert claim.max_n < n
+    details = claim.runner(n, NO_BUDGET)
+    if key == "lemma4.3":
+        assert details == {"pairs": factorial(n) ** 2, "shifts": n + 1}
+    else:
+        assert details == {"group_order": factorial(n + 1), "doubled_order": 2 * factorial(n + 1)}
+    with pytest.raises(BudgetExceeded):
+        claim.runner(n, Budget(0))
 
 
 # ---------------------------------------------------------------------------
