@@ -16,78 +16,9 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Budget",
-    "BudgetExceeded",
-    "CayleyMap",
-    "Claim",
-    "ClaimFailure",
-    "CutPoints",
-    "DihedralElement",
-    "Graph",
-    "IDENTITY",
-    "NO_BUDGET",
-    "Permutation",
-    "SkewMorphismWitness",
-    "TN_CLASSES",
-    "VerificationReport",
-    "VertexMap",
-    "apply_dihedral",
-    "aut_group",
-    "aut_order",
-    "bar_f",
-    "bar_f_witness",
-    "beta",
-    "bfs_distance",
-    "bt_inverse",
-    "bt_power",
-    "build_cayley",
-    "build_map",
-    "classify",
-    "claim_keys",
-    "compose_lh_barf",
-    "degree_profile",
-    "dihedral_elements",
-    "e_edges",
-    "enumerate_tn",
-    "euler_phi",
-    "gamma",
-    "gamma_v",
-    "generated_subgroup",
-    "graphs_isomorphic",
-    "hamilton_cycle_gamma_v",
-    "identity",
-    "is_automorphism",
-    "is_regular",
-    "left_translation",
-    "lift",
-    "make_bt",
-    "map_report",
-    "maximal_2_cliques",
-    "mprime_n5_map",
-    "octahedron_map",
-    "parse_permutation",
-    "partition_counts",
-    "prop72_map",
-    "recognize",
-    "restrict",
-    "reverse",
-    "reverse_g",
-    "run_all",
-    "run_claim",
-    "stabilizer_of_identity",
-    "sym_group",
-    "t_balance",
-    "tn_realizations",
-    "tn_size",
-    "toric_class",
-    "toric_class_stats",
-    "toric_f",
-    "vertex_set_V",
-]
-
-# Home module of every exported name, and of every submodule (its own home).
-# Nothing is imported until a name is first read: see __getattr__.
+# Home module of every exported name, and of every submodule (its own home):
+# __all__ is every key that is no submodule.  Nothing is imported until a
+# name is first read: see __getattr__.
 _HOME = {
     "IDENTITY": "blocktrans",
     "TN_CLASSES": "blocktrans",
@@ -141,6 +72,7 @@ _HOME = {
     "dihedral_elements": "toric",
     "euler_phi": "toric",
     "reverse_g": "toric",
+    "reverse_g_conj": "toric",
     "toric_class": "toric",
     "toric_class_stats": "toric",
     "toric_f": "toric",
@@ -166,6 +98,8 @@ _HOME = {
     "toric": "toric",
     "verify": "verify",
 }
+
+__all__ = [name for name, home in _HOME.items() if name != home]
 
 
 def __getattr__(name: str):

@@ -191,23 +191,33 @@ def toric_class(p: Permutation) -> frozenset[Permutation]:
 
 
 def toric_class_stats(n: int, budget=NO_BUDGET) -> tuple[int, int, dict[int, int]]:
-    """(classes, singleton classes, size histogram); reads the budget once per class."""
-    seen: set[tuple[int, ...]] = set()
-    classes = singletons = 0
+    """(classes, singleton classes, size histogram) of the toric classes of Sym_n.
+
+    The f_r form a cyclic group of order m = n+1 acting on Sym_n (f_0 = id
+    and f_s o f_r = f_(r+s), eq9).  So the shifts that fix p are the
+    multiples of the least such r > 0, and the class of p has r elements
+    (orbit-stabilizer).  For r = 1..m in turn, the lanes of the elements
+    that f_r fixes are marked: the OR over t of the _lanes of column t of
+    toric_images(n, r) XOR lift column t is 0 exactly there, and a
+    translate through perms._marks(0) masks them.  An element first marked
+    at r lies in a class of r elements, and r of them make one class; at
+    r = m the twin is f_0, which marks every element left.  The budget is
+    read once per shift, and no kernel is called per element.
+    """
+    points = _lift_columns(n)
+    size = len(points[0])
     histogram: dict[int, int] = {}
-    for p in sym_group(n):
-        img = p.image
-        if img in seen:
-            continue
+    seen = 0
+    for r in range(1, n + 2):
         budget.check()
-        orbit = {toric_image(img, r) for r in range(n + 1)}
-        seen |= orbit
-        classes += 1
-        size = len(orbit)
-        histogram[size] = histogram.get(size, 0) + 1
-        if size == 1:
-            singletons += 1
-    return classes, singletons, histogram
+        moved = 0
+        for image, point in zip(toric_images(n, r), points[1:]):
+            moved |= _lanes(image) ^ _lanes(point)
+        fixed = _lanes(_column(moved, size).translate(_marks(0)))
+        if first := fixed & ~seen:
+            histogram[r] = first.bit_count() // 8 // r
+            seen |= fixed
+    return sum(histogram.values()), histogram.get(1, 0), histogram
 
 
 def euler_phi(m: int) -> int:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import sys
 import threading
 import time
 from collections import Counter
@@ -96,7 +95,6 @@ from .toric import (
     euler_phi,
     phi_iso,
     reverse_g,
-    reverse_g_conj,
     reverse_images,
     toric_class_stats,
     toric_f,
@@ -256,17 +254,12 @@ def _run_forked(jobs, workers: int) -> list[list[VerificationReport]] | None:
     scheduler cannot stack the children on one CPU; where that call
     fails, or there is no such CPU, the child runs unpinned.
 
-    Nothing is forked where os.fork is missing, from a multiprocessing
-    daemon (which may not have children), or while another thread runs: a
-    forked child gets no copy of that thread, so a lock it holds would stay
-    held in the child.  multiprocessing is read only if it is loaded.
+    Nothing is forked where os.fork is missing, or while another thread
+    runs: a forked child gets no copy of that thread, so a lock it holds
+    would stay held in the child.  A multiprocessing daemon may fork too:
+    only multiprocessing's own Process refuses to start there.
     """
-    mp = sys.modules.get("multiprocessing")
-    if (
-        not hasattr(os, "fork")
-        or (mp is not None and mp.current_process().daemon)
-        or threading.active_count() > 1
-    ):
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         return None
     try:
         cpus = sorted(os.sched_getaffinity(0))
@@ -480,7 +473,7 @@ def _bar_route(points, inv, r):
         yield _column(column, size).translate(left)
 
 
-def _check_route(columns, twin, images, r):
+def _check_route(columns, twin, images, **context):
     """Fail at the first element, by rank, whose routed map is not its twin image.
 
     columns yields column x = 0..n of the routed maps of every element, as
@@ -488,7 +481,7 @@ def _check_route(columns, twin, images, r):
     entry t of every image is twin[t - 1].  Column 0 of a lift is all
     zeros, so a routed map that does not fix 0 misses there.  Columns are
     compared as bytes, and only a column that differs is read entry by
-    entry, for its first fault.
+    entry, for its first fault; context (the shift r) names it beyond p.
     """
     size = len(images)
     first = size
@@ -496,7 +489,7 @@ def _check_route(columns, twin, images, r):
         if col != want:
             first = min(first, next(i for i, (u, v) in enumerate(zip(col, want)) if u != v))
     if first < size:
-        _fail("defining forms disagree", p=_wrap(images[first]), r=r)
+        _fail("defining forms disagree", p=_wrap(images[first]), **context)
 
 
 def _dihedral_tables(n, budget) -> list[tuple[int, ...]]:
@@ -625,7 +618,7 @@ def _run_eq9(n, budget):
     points = _lift_columns(n)
     for r, t in enumerate(tor):
         budget.check()
-        _check_route(_toric_route(points, r), toric_images(n, r), images, r)
+        _check_route(_toric_route(points, r), toric_images(n, r), images, r=r)
         # (f_r(p))^-1 = f_{p_r}(p^-1): the shift p_r varies with p.
         mirrored = tuple(map(getitem, map(tor.__getitem__, points[r]), inv))
         _agree(
@@ -645,7 +638,15 @@ def _run_eq9(n, budget):
 def _run_eq12(n, budget):
     """Both forms and the involution on every p in Sym_n, exhaustively, and
     multiplicativity g(rho o pi) = g(rho) o g(pi) on every pair (rho, pi) in
-    Sym_n x Sym_n, by a reduction to the adjacent transpositions.
+    Sym_n x Sym_n, by a reduction to the adjacent transpositions.  All three
+    are checked on the packed twin reverse_images.
+
+    The conjugation form [0 g(p)] = [0 w] o [0 p] o [0 w], w = reverse(n),
+    is computed on the lift columns of all of Sym_n: entry x of it is
+    w(p(w(x))), so its column x is lift column w(x) translated through w.
+    These columns are compared with the twin's as bytes (_check_route): the
+    route takes w from perms.reverse, the twin its v -> m - v table from
+    toric._complements.
 
     On ranks, R[i] is the rank of g of the element of rank i, and col_b[i]
     the rank of (element i) o b.  For each of the n-1 adjacent
@@ -666,12 +667,13 @@ def _run_eq12(n, budget):
     g(s) come from perms._rank_columns, which memoises them: g(s) of an
     adjacent s is adjacent again, so its column is one already built.
     """
-    grp = sym_group(n)
-    for p in grp:
-        _need(reverse_g(p) == reverse_g_conj(p), "defining forms disagree", p=p)
     idx = sym_index(n)
     images = list(idx)
     rev = _table(n, budget, reverse_images)
+    points = _lift_columns(n)
+    w = lift(reverse(n))
+    flip = bytes(w) + bytes(256 - len(w))
+    _check_route((points[x].translate(flip) for x in w), reverse_images(n), images)
     ident = tuple(range(len(images)))
     _agree(compose_maps(rev, rev), ident, images, "reversal is not an involution")
     adjacent = adjacent_transpositions(n)
@@ -731,7 +733,7 @@ def _run_eq13(n, budget):
     points = _lift_columns(n)
     for r, b in enumerate(bar):
         budget.check()
-        _check_route(_bar_route(points, inv, r), bar_f_images(n, r), images, r)
+        _check_route(_bar_route(points, inv, r), bar_f_images(n, r), images, r=r)
         _agree(
             compose_maps(inv, compose_maps(tor[r], inv)),
             b,

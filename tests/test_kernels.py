@@ -470,7 +470,7 @@ def _column_route_fault(n, kind, shifted_images):
         else:
             columns = verify._bar_route(points, inv, r)
         try:
-            verify._check_route(columns, _packed(twin_images), images, r)
+            verify._check_route(columns, _packed(twin_images), images, r=r)
         except verify.ClaimFailure as exc:
             assert str(exc) == "defining forms disagree"
             return exc.counterexample

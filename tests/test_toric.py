@@ -34,6 +34,7 @@ from toric_oracles import (
     bar_f_conj,
     dihedral_identity,
     dihedral_inverse,
+    oracle_toric_class_stats,
     skew_identity_bar_f,
     toric_f_conj,
 )
@@ -174,6 +175,11 @@ def test_class_statistics(n, classes, singletons, histogram):
     got = toric_class_stats(n)
     assert got == (classes, singletons, histogram)
     assert singletons == euler_phi(n + 1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_class_statistics_on_the_twins_match_one_orbit_per_class(n):
+    assert toric_class_stats(n) == oracle_toric_class_stats(n)
 
 
 def test_classes_partition_the_group():

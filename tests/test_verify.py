@@ -9,10 +9,11 @@ from functools import lru_cache, wraps
 from itertools import repeat
 from math import comb, factorial
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 
-from btcayley import graphs, maps, perms, toric, verify
+from btcayley import cli, graphs, maps, perms, toric, verify
 from btcayley.autgroup import (
     VertexMap,
     is_automorphism,
@@ -31,7 +32,6 @@ from btcayley.perms import (
 from btcayley.toric import (
     bar_f_image,
     dihedral_elements,
-    reverse_g,
     reverse_g_conj,
     reverse_image,
     toric_image,
@@ -296,6 +296,39 @@ def test_a_forked_run_loads_no_multiprocessing(run_python):
     assert out == "False\n"
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_run_all_forks_its_workers_inside_a_multiprocessing_daemon(run_python):
+    # A daemon of multiprocessing may not start a multiprocessing.Process,
+    # but run_all forks with os.fork: inside a pool worker it gives the
+    # reports of the plain loop, and its claims run in other processes.
+    out = run_python(
+        "import multiprocessing, os\n"
+        "from dataclasses import replace\n"
+        "from btcayley import verify\n"
+        "def reports(n):\n"
+        "    return [(r.claim, r.n, r.status, r.details, r.counterexample)\n"
+        "            for r in verify.run_all(n)]\n"
+        "def pids(n):\n"
+        "    daemon = multiprocessing.current_process().daemon\n"
+        "    return daemon, os.getpid(), {r.details['pid'] for r in verify.run_all(n)}\n"
+        "pool = multiprocessing.get_context('fork').Pool\n"
+        "with pool(1) as workers:\n"
+        "    inside = workers.apply(reports, (5,))\n"
+        "count = verify._worker_count\n"
+        "verify._worker_count = lambda: 1\n"
+        "print(inside == reports(5))\n"
+        "verify._worker_count = count\n"
+        "for key in verify.claim_keys():\n"
+        "    claim = verify.REGISTRY[key]\n"
+        "    verify.REGISTRY[key] = replace(claim, runner=lambda n, b: {'pid': os.getpid()})\n"
+        "with pool(1) as workers:\n"
+        "    daemon, worker, seen = workers.apply(pids, (5,))\n"
+        "print(daemon, worker in seen, os.getpid() in seen)\n",
+        timeout=60,
+    )
+    assert out == "True\nTrue False False\n"
+
+
 def test_every_runner_declares_a_usable_range():
     for key, c in REGISTRY.items():
         assert 1 <= c.min_n <= c.max_n, key
@@ -308,8 +341,10 @@ def test_every_runner_declares_a_usable_range():
 
 def test_kernel_fault_is_reported_with_one_line_permutations(monkeypatch):
     # p -> p o w is an involution but not multiplicative, so the pair sweep
-    # of eq12 must catch it and name the pair in one-line notation.
+    # of eq12 must catch it and name the pair in one-line notation.  The
+    # conjugation route, which would stop at the first p, is skipped.
     monkeypatch.setattr(verify, "reverse_images", _twin0(lambda a: a[::-1]))
+    monkeypatch.setattr(verify, "_check_route", lambda *args, **context: None)
     r = run_claim("eq12", 3)
     assert r.status == "failed"
     assert set(r.counterexample) == {"rho", "pi"}
@@ -399,7 +434,7 @@ def _identity_holds(key, message, ce, K):
         ("eq9", "toric shifts do not add"): lambda: (
             T(T(a, r), int(ce["s"])) == T(a, (r + int(ce["s"])) % m)
         ),
-        ("eq12", "defining forms disagree"): lambda: reverse_g(p) == reverse_g_conj(p),
+        ("eq12", "defining forms disagree"): lambda: R(a) == reverse_g_conj(p).image,
         ("eq12", "reversal is not an involution"): lambda: R(R(a)) == a,
         ("eq12", "reversal is not multiplicative"): lambda: (
             R(oracle_compose(rho, pi)) == oracle_compose(R(rho), R(pi))
@@ -535,7 +570,7 @@ def test_eq9_additivity_on_f_1_catches_a_fault_at_shift_2(monkeypatch):
         return _swap_first_two(b) if (a, r) == (x, 2) else b
 
     monkeypatch.setattr(verify, "toric_images", _twin(faulty))
-    monkeypatch.setattr(verify, "_check_route", lambda *args: None)
+    monkeypatch.setattr(verify, "_check_route", lambda *args, **context: None)
     r = run_claim("eq9", 4)
     assert r.status == "failed"
     assert r.details == {"error": "toric shifts do not add"}
@@ -580,8 +615,10 @@ def test_table_claims_call_no_toric_kernel_per_element(monkeypatch):
     # Every kernel table comes from a packed twin, so the table job calls
     # no kernel at all, and toric-reverse-aut, which reads the ranks of
     # T_n in those tables, calls none either; neither do lemma4.3 and
-    # prop4.4, which read the product rule off the same tables.  verify
-    # inverts no map one at a time: it does not import _inverse_map.
+    # prop4.4, which read the product rule off the same tables, eq12,
+    # whose conjugation form is read off the lift columns, nor the toric
+    # class census.  verify inverts no map one at a time: it does not
+    # import _inverse_map.
     assert not hasattr(verify, "_inverse_map")
     counts = {"toric_image": 0, "bar_f_image": 0, "reverse_image": 0}
 
@@ -604,11 +641,86 @@ def test_table_claims_call_no_toric_kernel_per_element(monkeypatch):
     assert counts == dict.fromkeys(counts, 0)
     for key in TABLE_CLAIMS:
         assert run_claim(key, 6).status == "verified", key
-    assert counts["toric_image"] == counts["bar_f_image"] == 0
     clear_cache()
-    counts["reverse_image"] = 0
     assert run_claim("eq12", 5).status == "verified"
-    assert counts["reverse_image"] <= 3 * factorial(5)
+    assert run_claim("toric-singletons", 7).status == "verified"
+    assert toric.toric_class_stats(8)[1] == 6
+    assert counts == dict.fromkeys(counts, 0)
+
+
+def test_a_reversal_twin_wrong_at_one_element_fails_eq12_at_its_conjugation_form(monkeypatch):
+    # Two entries of g([3 1 5 2 4]) swapped: every image is still a
+    # permutation, and the conjugation form, checked first, names the
+    # element and no shift.
+    bad = (3, 1, 5, 2, 4)
+
+    def faulty(a):
+        b = reverse_image(a)
+        return _swap_first_two(b) if a == bad else b
+
+    monkeypatch.setattr(verify, "reverse_images", _twin0(faulty))
+    r = run_claim("eq12", 5)
+    assert r.status == "failed"
+    assert r.details == {"error": "defining forms disagree"}
+    assert r.counterexample == {"p": "[3 1 5 2 4]"}
+
+
+def _f3_fixes_one_more(true, image):
+    """The toric twin true, except that f_3 at degree 7 fixes image."""
+
+    def twin(n, r):
+        columns = true(n, r)
+        if (n, r % (n + 1)) != (7, 3):
+            return columns
+        i = sym_index(7)[image]
+        return tuple(c[:i] + bytes((v,)) + c[i + 1 :] for c, v in zip(columns, image))
+
+    return twin
+
+
+def test_a_toric_twin_with_one_extra_fixed_point_changes_the_census(monkeypatch, capsys):
+    # 3 is prime to 8, so f_3 fixes just what f_1 fixes; a class of size 3
+    # appears, and the class count drops.
+    image = (2, 4, 1, 3, 7, 5, 6)
+    assert len(toric.toric_class(Permutation(image))) == 8
+    monkeypatch.setattr(toric, "toric_images", _f3_fixes_one_more(toric.toric_images, image))
+    r = run_claim("toric-singletons", 7)
+    assert r.status == "failed"
+    assert r.details == {"error": "class size does not divide the modulus"}
+    assert cli.main(["enumerate", "--n", "7", "--what", "toric-classes"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith('{"classes":639,"histogram":{"1":4,"2":2,"3":0,"4":10,"8":623}')
+
+
+@pytest.mark.parametrize("key,n", [("eq12", 7), ("eq12", 8), ("toric-singletons", 8)])
+def test_whole_group_claims_on_the_twins_verify_past_their_caps(key, n):
+    claim = REGISTRY[key]
+    assert claim.max_n < n
+    details = claim.runner(n, NO_BUDGET)
+    if key == "eq12":
+        assert details == {"elements": factorial(n), "pairs": factorial(n) ** 2}
+    else:
+        histogram = {"1": 6, "3": 10, "9": 4476}
+        assert details == {"classes": 4492, "singletons": 6, "histogram": histogram}
+    with pytest.raises(BudgetExceeded):
+        claim.runner(n, Budget(0))
+
+
+def test_the_readme_claim_table_matches_the_registry():
+    # Each row gives a claim's key, its min_n..max_n (one number when they
+    # are equal) and its summary, once, for every claim of the registry.
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = text[text.index("| key | degrees | checks |") :].split("\n\n", 1)[0]
+    rows = [
+        tuple(cell.strip() for cell in line.strip().strip("|").split("|"))
+        for line in table.splitlines()[2:]
+    ]
+    want = []
+    for key in claim_keys():
+        c = REGISTRY[key]
+        degrees = str(c.min_n) if c.min_n == c.max_n else f"{c.min_n}..{c.max_n}"
+        want.append((f"`{key}`", degrees, c.summary))
+    assert sorted(rows) == sorted(want)
 
 
 @pytest.mark.parametrize("key", TABLE_CLAIMS)
@@ -767,6 +879,9 @@ def _eq12_kernels(n):
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_eq12_generator_reduction_agrees_with_the_all_pairs_sweep(monkeypatch, n):
+    # The conjugation route would reject every planted twin but the true
+    # one, so it is skipped: the verdict is the multiplicativity sweep's.
+    monkeypatch.setattr(verify, "_check_route", lambda *args, **context: None)
     for name, kernel in _eq12_kernels(n).items():
         clear_cache()
         monkeypatch.setattr(verify, "reverse_images", _twin0(kernel))

@@ -5,15 +5,15 @@ Nothing in the package calls these: the row-by-row definitions of the
 product and the inverse of one-line images, the conjugation forms of the
 toric and inverse-toric maps, the identity and inverse of the dihedral
 normal form, the pointwise action of L_h o bar_f_r, both sides of the skew
-identity of bar_f_r, and a skew-morphism decision by full left-multiplication
-rows.
+identity of bar_f_r, a skew-morphism decision by full left-multiplication
+rows, and the toric class census by one orbit per class.
 The tests check the package's kernels, tables and witnesses against them.
 """
 
 from operator import itemgetter
 
-from btcayley.perms import Permutation, _restrict, alpha_power, compose_maps, lift
-from btcayley.toric import DihedralElement, bar_f
+from btcayley.perms import Permutation, _restrict, alpha_power, compose_maps, lift, sym_group
+from btcayley.toric import DihedralElement, bar_f, toric_image
 
 
 def oracle_compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -117,3 +117,17 @@ def oracle_check_skew(elements, psi):
             return None
         pi_power.append(valid[0])
     return psi, len(powers), tuple(pi_power)
+
+
+def oracle_toric_class_stats(n: int) -> tuple[int, int, dict[int, int]]:
+    """(classes, singleton classes, size histogram) of the toric classes of
+    Sym_n, by the orbit of each class's least element under every f_r."""
+    seen: set[tuple[int, ...]] = set()
+    histogram: dict[int, int] = {}
+    for p in sym_group(n):
+        if p.image in seen:
+            continue
+        orbit = {toric_image(p.image, r) for r in range(n + 1)}
+        seen |= orbit
+        histogram[len(orbit)] = histogram.get(len(orbit), 0) + 1
+    return sum(histogram.values()), histogram.get(1, 0), histogram
