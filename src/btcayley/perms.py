@@ -78,7 +78,7 @@ def _inverse_map(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     """A bijection of {1, ..., n} in one-line notation.
 

@@ -14,28 +14,33 @@ identity permutation and maps block transpositions to block transpositions.
 A skew morphism of the group is a permutation psi of its elements with
 psi(1) = 1 and, at each x, an exponent e = pi(x) with
 psi(x y) = psi(x) psi^e(y) for all y.  bar_f_witness decides which bar_f_r
-are skew morphisms: a witness read off a regular Cayley map (maps.is_regular)
-when one is, and a checked counterexample when one is not.
+are skew morphisms from the rank tables of the bar_f_s alone: once the
+tables add and hold the product rule, bar_f_r is one exactly when bar_f_1
+is one of its powers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import getitem
 
-from .blocktrans import CutPoints, make_bt
+from .blocktrans import CutPoints
 from .budget import NO_BUDGET
-from .maps import CayleyMap, SkewMorphismWitness, is_regular
+from .maps import SkewMorphismWitness
 from .perms import (
     Permutation,
     _column,
     _lanes,
     _lift_columns,
     _marks,
+    _rank_columns,
     _restrict,
     _wrap,
+    adjacent_transpositions,
     alpha_power,
     compose_maps,
+    invert_images,
     lift,
     reverse,
     sym_group,
@@ -312,98 +317,115 @@ def phi_iso(h: Permutation, r: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Which maps bar_f_r are skew morphisms.
+# Which maps bar_f_r are skew morphisms, from the rank tables B[r] of bar_f.
 
 
-def _counterexample(n: int, r: int, psi) -> tuple[tuple[int, ...], ...] | None:
-    """At x = rho, one y per exponent e on which the skew law of psi fails, or None.
+def _miss(lhs: tuple[int, ...], rhs: tuple[int, ...]) -> int | None:
+    """The first rank at which two tables differ, or None."""
+    if lhs != rhs:
+        return next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+    return None
 
-    psi is a rank map over Sym_n (psi[i] is the rank of the image of the
-    element of rank i in sym_group(n)), and 1 <= r <= n.  rho is the least
-    element with rho_1 = r.  A skew morphism psi has, at every x, an
-    exponent e in range(order of psi) with psi(x y) = psi(x) psi^e(y) for
-    every y; any other exponent acts as its residue, since psi^e depends
-    only on e mod the order.  The answer holds, for each e in turn, the
-    image tuple of the first y in rank order with
-    psi(rho y) != psi(rho) psi^e(y), both sides read off psi and the group
-    product.  So no exponent works at rho, and psi is no skew morphism.
-    None means that some e passed every y.
+
+def product_rule_fault(n: int, bar, budget=NO_BUDGET) -> tuple[int, tuple[int, ...], int] | None:
+    """(r, t, rank of rho) at the first fault of bar_f_r(rho o pi) =
+    bar_f_r(rho) o bar_f_s(pi), or None when it holds for every pair (rho, pi)
+    of Sym_n and every r, with s = s(rho, r) the position of r in [0 rho].
+    bar[r] is the rank table B[r]; the rule is checked on the adjacent
+    transpositions t, sweeping r, then t, then rho by rank.
+
+    For each r and t one comparison covers every rho: entry rho of B[r] o
+    col_t is the rank of bar_f_r(rho o t), and entry B[r][rho] of the column
+    of y = bar_f_s(t) the rank of bar_f_r(rho) o y.  s is entry r of
+    [0 rho^-1] (column r-1 of invert_images, 0 at r = 0); the y are read
+    off B[s], and perms._rank_columns memoises their columns.  This covers
+    every pi, by induction on its length as a word in the t:
+    - Length 0: at rho = iota, s = r, the check reads bar_f_r(t) =
+      bar_f_r(iota) o bar_f_r(t), so bar_f_r(iota) = iota.
+    - pi = pi' o t: with s = s(rho, r) and s' = s(rho o pi', r) = s(pi', s),
+      a cocycle that holds as [0 rho o pi'] = [0 rho] o [0 pi'],
+          bar_f_r(rho o pi) = bar_f_r(rho o pi') o bar_f_s'(t)         (at rho o pi')
+                            = bar_f_r(rho) o bar_f_s(pi') o bar_f_s'(t)  (induction)
+                            = bar_f_r(rho) o bar_f_s(pi)               (at pi', shift s).
     """
-    index = sym_index(n)
-    rank = index.__getitem__
-    images = list(index)
-    # rho and psi(rho) as lifts [0 a]: compose_maps(a, y) is the image of a o y.
-    rho = (0, r) + tuple(v for v in range(1, n + 1) if v != r)
-    head = (0,) + images[psi[rank(rho[1:])]]
-    powers = [tuple(range(len(psi)))]
-    while (cur := tuple(map(psi.__getitem__, powers[-1]))) != powers[0]:
-        powers.append(cur)
-    found = []
-    for power in powers:
-        misses = (
-            y
-            for i, y in enumerate(images)
-            if psi[rank(compose_maps(rho, y))] != rank(compose_maps(head, images[power[i]]))
-        )
-        y = next(misses, None)
-        if y is None:
-            return None
-        found.append(y)
-    return tuple(found)
+    idx = sym_index(n)
+    images = list(idx)
+    adjacent = adjacent_transpositions(n)
+    ys = [images[b[idx[t]]] for b in bar for t in adjacent]
+    columns = _rank_columns(n, adjacent + ys)
+    spots = (bytes(len(images)),) + invert_images(n)  # spots[r][i]: s(rho, r), rho of rank i
+    for r, b in enumerate(bar):
+        budget.check()
+        for j, t in enumerate(adjacent):
+            barred = columns[n - 1 + j :: n - 1]  # the column of bar_f_s(t), for each s
+            lhs = compose_maps(b, columns[j])
+            rank = _miss(lhs, tuple(map(getitem, map(barred.__getitem__, spots[r]), b)))
+            if rank is not None:
+                return r, t, rank
+    return None
+
+
+@lru_cache(maxsize=8)
+def _bar_group(n: int, twin) -> tuple[tuple[tuple[int, ...], ...], tuple[str, dict] | None]:
+    """The rank tables B[r] of twin(n, r), r = 0..n, and their first fault (message, context).
+
+    In turn: every image is a permutation; B[0] = id and B[s] = B[1] o
+    B[s-1] for s = 1..n+1, read mod n+1, so B[s] = B[1]^s and each is a
+    bijection ("shifts do not add" names s as r); the product rule
+    (product_rule_fault).  The key holds the twin object, so a twin
+    replaced at run time gets tables of its own.
+    """
+    idx = sym_index(n)
+    images = list(idx)
+    m = n + 1
+    bar = tuple(tuple(map(idx.get, zip(*twin(n, r)))) for r in range(m))
+    for r, b in enumerate(bar):
+        if None in b:
+            return bar, ("kernel image is not a permutation", {"p": _wrap(images[b.index(None)]), "r": r})
+    for s in range(m + 1):
+        want = compose_maps(bar[1], bar[s - 1]) if s else tuple(range(len(images)))
+        if (rank := _miss(bar[s % m], want)) is not None:
+            return bar, ("inverse-toric shifts do not add", {"p": _wrap(images[rank]), "r": s % m})
+    if fault := product_rule_fault(n, bar):
+        r, t, rank = fault
+        return bar, ("product rule violated", {"rho": _wrap(images[rank]), "pi": _wrap(t), "r": r})
+    return bar, None
+
+
+def bar_f_fault(n: int) -> tuple[str, dict] | None:
+    """The first fault of the B tables of bar_f_images at n, or None (see _bar_group)."""
+    return _bar_group(n, bar_f_images)[1]
 
 
 @lru_cache(maxsize=32)
 def bar_f_witness(n: int, r: int) -> SkewMorphismWitness | None:
     """Skew-morphism witness for bar_f_r on degree n, or None when it is none.
 
-    psi ranks the images of the packed twin bar_f_images through sym_index.
-    No step reads gcd(r, n+1), the rule that skew-toric checks.
-      - psi is the identity table: the identity is a skew morphism of
-        order 1 whose power function is 0.
-      - The positive route.  X is the orbit of x_0 = s(0,1,n) under
-        bar_f_r, in orbit order.  When X is inverse-closed, is_regular
-        decides the Cayley map over X, whose rotation sends each x to
-        bar_f_r(x).  Its witness is a skew morphism with its power function
-        and order (see the proof in is_regular).  When that witness's psi
-        is psi, it is the answer: the power function of a skew morphism is
-        unique, since distinct powers of psi differ as maps.
-      - The negative route.  _counterexample finds, at x = rho, a failing
-        y for every exponent, so the answer is None.
-      - If neither route decides, RuntimeError.
-
-    Why one route always decides, for n <= 7.  At n <= 2 every bar_f_r
-    is the identity map, so a psi that is not the identity table has
-    n >= 3, and bar_f_r = bar_f_1^r.  By the closed form (bt_image_closed_form), bar_f_1
-    moves x_0 through x_1 = s(0,n-1,n) = x_0^-1 and
-    x_j = s(n-j, n-j+1, n-j+2) for 2 <= j <= n back to x_0: a cycle of
-    n+1 distinct elements.  So X = {x_(jd)}, with d = gcd(r, n+1).
-      - d = 1: X is the staircase of prop72_map, inverse-closed, and it
-        generates Sym_n.  The product rule bar_f_r(rho pi) =
-        bar_f_r(rho) bar_f_s(pi), s = (rho^-1)_r, with bar_f_s =
-        bar_f_r^(s r') for r r' = 1 mod n+1, makes bar_f_r a skew morphism
-        that agrees with the rotation on X.  Then the map is regular
-        (Jajcay and Siran), and its witness, the vertex map of the one
-        automorphism sending dart (iota, x_0) to (iota, x_1), is bar_f_r.
-        Its power function is the power rule: at p it is r'(p^-1)_r mod
-        n+1, which the claims of verify check on every witness.
-      - d > 1: X misses x_1 = x_0^-1, so the positive route does not run.
-        rho_1 = r puts r at position 1 of [0 rho], so the product rule
-        reads bar_f_r(rho y) = bar_f_r(rho) bar_f_1(y).  At y = x_0,
-        bar_f_1(x_0) = x_1, while psi^e(x_0) = x_(re mod n+1) is not x_1,
-        since d divides re and n+1 but not 1.  So every exponent fails at
-        some y.
-    At n >= 8 the positive route stops at the degree cap of CayleyMap.
+    psi = B[r], read off the rank tables of _bar_group.  No step reads
+    gcd(r, n+1), the rule that skew-toric checks.
+      - psi = id: the identity is a skew morphism of order 1 and power 0.
+      - Otherwise a fault of the tables raises RuntimeError.  So B[s] =
+        B[1]^s, and psi, a power of B[1], is a bijection with r != 0.
+      - B[1] = psi^e: then B[s] = psi^(e s), and the product rule reads
+        psi(rho pi) = psi(rho) psi^(e s)(pi), s = (rho^-1)_r.  So psi is a
+        skew morphism whose power function is e (p^-1)_r mod its order,
+        unique since distinct powers of psi differ as maps.
+      - Otherwise None: take rho with rho_1 = r, so s = 1.  A skew law
+        psi(rho pi) = psi(rho) psi^e(pi) at rho would force bar_f_1 = psi^e.
     """
-    psi = tuple(map(sym_index(n).__getitem__, zip(*bar_f_images(n, r))))
-    if psi == tuple(range(len(psi))):
+    r %= n + 1
+    bar, fault = _bar_group(n, bar_f_images)
+    psi = bar[r]
+    powers = [tuple(range(len(psi)))]
+    if psi == powers[0]:
         return SkewMorphismWitness(sym_group(n), psi, 1, (0,) * len(psi))
-    orbit = [make_bt(CutPoints(0, 1, n, n))]
-    while (x := bar_f(orbit[-1], r)) != orbit[0]:
-        orbit.append(x)
-    if {x.inverse() for x in orbit} == set(orbit):
-        w = is_regular(CayleyMap(n, orbit))
-        if w is not None and w.psi == psi:
-            return w
-    if _counterexample(n, r % (n + 1), psi) is not None:
+    if fault:
+        named = ", ".join(f"{k}={v}" for k, v in fault[1].items())
+        raise RuntimeError(f"the bar_f tables at n={n} fail: {fault[0]} at {named}")
+    while (power := compose_maps(psi, powers[-1])) != powers[0]:
+        powers.append(power)
+    if bar[1] not in powers:
         return None
-    raise RuntimeError(f"neither route decides whether bar_f_{r} is a skew morphism at n={n}")
+    e, order = powers.index(bar[1]), len(powers)
+    pi_power = tuple(e * s % order for s in invert_images(n)[r - 1])
+    return SkewMorphismWitness(sym_group(n), psi, order, pi_power)

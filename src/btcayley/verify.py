@@ -85,8 +85,10 @@ from .perms import (
     sym_index,
 )
 from .toric import (
+    _miss,
     apply_dihedral,
     bar_f,
+    bar_f_fault,
     bar_f_images,
     bar_f_witness,
     bt_image_closed_form,
@@ -94,6 +96,7 @@ from .toric import (
     dihedral_elements,
     euler_phi,
     phi_iso,
+    product_rule_fault,
     reverse_g,
     reverse_images,
     toric_class_stats,
@@ -410,8 +413,7 @@ def _table(n, budget, twin, r=None) -> tuple[int, ...]:
 
 def _agree(lhs, rhs, images, message: str, key: str = "p", **context):
     """Fail at the first rank where two tables differ, naming that element as key."""
-    if lhs != rhs:
-        i = next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+    if (i := _miss(lhs, rhs)) is not None:
         _fail(message, **{key: _wrap(images[i])}, **context)
 
 
@@ -517,9 +519,11 @@ def _power_rule(w, n, budget, r, message, /, **context):
     w is a skew-morphism witness of bar_f_r, r prime to n+1, and r r' = 1
     mod n+1.  By the product rule bar_f_r(p o x) = bar_f_r(p) o
     bar_f_s(x), s = (p^-1)_r, and bar_f_s = bar_f_r^(s r'), so the power
-    function at p is s r' (see toric.bar_f_witness), unique since distinct
-    powers of bar_f_r differ.  (p^-1)_r is column r-1 of the packed twin
-    invert_images; context names the fault beyond p.
+    function at p is s r', unique since distinct powers of bar_f_r differ.
+    toric.bar_f_witness derives it as e s with bar_f_1 = bar_f_r^e, read
+    off the tables; this closed form, e = r', is the check on that
+    derivation.  (p^-1)_r is column r-1 of the packed twin invert_images;
+    context names the fault beyond p.
     """
     budget.check()
     m = n + 1
@@ -752,44 +756,12 @@ def _run_eq13(n, budget):
 
 
 def _product_rule(n, budget, bar):
-    """bar_f_r(rho o pi) = bar_f_r(rho) o bar_f_s(pi) for every pair (rho, pi)
-    of Sym_n and every r, with s = s(rho, r) the position of r in [0 rho],
-    checked on the adjacent transpositions t; bar[r] is the rank table B[r].
-
-    For each r and t one comparison covers every rho: entry rho of B[r] o
-    col_t is the rank of bar_f_r(rho o t), and entry B[r][rho] of the column
-    of y = bar_f_s(t) the rank of bar_f_r(rho) o y.  s is entry r of
-    [0 rho^-1] (column r-1 of invert_images, 0 at r = 0); the y are read
-    off B[s], and perms._rank_columns memoises their columns.  This covers
-    every pi, by induction on its length as a word in the t:
-    - Length 0: at rho = iota, s = r, the check reads bar_f_r(t) =
-      bar_f_r(iota) o bar_f_r(t), so bar_f_r(iota) = iota.
-    - pi = pi' o t: with s = s(rho, r) and s' = s(rho o pi', r) = s(pi', s),
-      a cocycle that holds as [0 rho o pi'] = [0 rho] o [0 pi'],
-          bar_f_r(rho o pi) = bar_f_r(rho o pi') o bar_f_s'(t)         (at rho o pi')
-                            = bar_f_r(rho) o bar_f_s(pi') o bar_f_s'(t)  (induction)
-                            = bar_f_r(rho) o bar_f_s(pi)               (at pi', shift s).
-    A fault names rho, t as pi, and r.
-    """
-    idx = sym_index(n)
-    images = list(idx)
-    adjacent = adjacent_transpositions(n)
-    ys = [images[b[idx[t]]] for b in bar for t in adjacent]
-    columns = _rank_columns(n, adjacent + ys)
-    spots = (bytes(len(images)),) + invert_images(n)  # spots[r][i]: s(rho, r), rho of rank i
-    for r, b in enumerate(bar):
-        budget.check()
-        for j, t in enumerate(adjacent):
-            barred = columns[n - 1 + j :: n - 1]  # the column of bar_f_s(t), for each s
-            _agree(
-                compose_maps(b, columns[j]),
-                tuple(map(getitem, map(barred.__getitem__, spots[r]), b)),
-                images,
-                "product rule violated",
-                key="rho",
-                pi=_wrap(t),
-                r=r,
-            )
+    """Fail at the first fault of toric.product_rule_fault on the rank
+    tables bar[r] = B[r], naming rho, t as pi, and r."""
+    fault = product_rule_fault(n, bar, budget)
+    if fault is not None:
+        r, t, rank = fault
+        _fail("product rule violated", rho=_wrap(list(sym_index(n))[rank]), pi=_wrap(t), r=r)
 
 
 @_claim("lemma4.3", "product rule for inverse-toric images", 3, 5)
@@ -965,8 +937,13 @@ def _run_prop44(n, budget):
 def _run_skew_toric(n, budget):
     """bar_f_r has a skew-morphism witness exactly at r = 0 and at r prime to
     n+1, of order 1 or n+1, and at each r prime to n+1 its powers follow
-    the power rule (_power_rule)."""
+    the power rule (_power_rule).  The B tables must first add and hold the
+    product rule (toric.bar_f_fault), the facts bar_f_witness derives its
+    answer from, so a wrong table fails here with its counterexample."""
     m = n + 1
+    fault = bar_f_fault(n)
+    if fault is not None:
+        _fail(fault[0], **fault[1])
     orders = {}
     for r in range(m):
         budget.check()

@@ -15,7 +15,9 @@ rank tables, bar_f_r ranked element by element before its witness ranked
 the column twin, the per-element power-function loops of skew-toric,
 prop7.2 and thm7.3 before each became one column comparison,
 the row-by-row skew-morphism decision (toric_oracles.oracle_check_skew)
-behind bar_f_witness and its counterexample search, face tracing by rotating each
+and the regular Cayley map (toric_oracles.oracle_map_witness) that
+bar_f_witness read its witness off before it derived it from the B tables
+and the product rule, face tracing by rotating each
 orbit to its least dart and sorting, the breadth-first closure and
 its levels, the breadth-first listing of a generated group before it was
 listed by cosets (now those of a stabilizer chain), closed-walk counts from dense powers of A before they were
@@ -26,7 +28,6 @@ automorphisms already found.
 """
 
 import hashlib
-import random
 from collections import Counter, deque
 from dataclasses import replace
 from functools import partial
@@ -105,6 +106,7 @@ from toric_oracles import (
     oracle_check_skew,
     oracle_compose,
     oracle_invert,
+    oracle_map_witness,
     toric_f_conj,
 )
 
@@ -640,71 +642,8 @@ def test_map_report_counts_the_traced_faces(name):
 
 
 # ---------------------------------------------------------------------------
-# Which maps bar_f_r are skew morphisms: bar_f_witness and its counterexample
-# search against the row-by-row oracle.
-
-
-def _rank_map(n, kernel):
-    idx = sym_index(n)
-    return tuple(idx[kernel(a)] for a in idx)
-
-
-def _random_involution(n, seed):
-    # Swaps disjoint pairs of non-identity ranks; rank 0 (the identity) stays.
-    rng = random.Random(seed)
-    g = factorial(n)
-    points = rng.sample(range(1, g), 2 * rng.randint(0, (g - 1) // 2))
-    psi = list(range(g))
-    for a, b in zip(points[::2], points[1::2]):
-        psi[a], psi[b] = b, a
-    return tuple(psi)
-
-
-def _maps(n):
-    maps = {f"bar_f_{r}": _rank_map(n, lambda a, r=r: bar_f_image(a, r)) for r in range(n + 1)}
-    maps["reverse_g"] = _rank_map(n, reverse_image)
-    maps["inversion"] = _rank_map(n, oracle_invert)
-    maps["toric_f_1"] = _rank_map(n, lambda a: toric_image(a, 1))
-    for seed in range(3):
-        maps[f"involution_{seed}"] = _random_involution(n, 100 * n + seed)
-    return maps
-
-
-def _skew_law_fails(n, psi, r, e, y):
-    """psi(rho y) != psi(rho) psi^e(y) at the least rho with rho_1 = r, by Permutation products."""
-    elements = sym_group(n)
-    idx = sym_index(n)
-    rho = next(p for p in elements if p(1) == r)
-    image = idx[y]
-    for _ in range(e):
-        image = psi[image]
-    lhs = elements[psi[idx[rho.compose(Permutation(y)).image]]]
-    return lhs != elements[psi[idx[rho.image]]].compose(elements[image])
-
-
-def _order(psi):
-    order, image = 1, psi
-    while image != tuple(range(len(psi))):
-        order, image = order + 1, tuple(psi[x] for x in image)
-    return order
-
-
-@pytest.mark.parametrize("n", range(2, 7))
-def test_counterexamples_only_where_the_row_by_row_oracle_refutes(n):
-    """No counterexample at any rho for a map the oracle accepts; one at its own
-    shift for every bar_f_r the oracle refutes; and each y it lists fails."""
-    elements = sym_group(n)
-    for name, psi in _maps(n).items():
-        accepted = oracle_check_skew(elements, psi) is not None
-        for r in range(1, n + 1):
-            found = toric._counterexample(n, r, psi)
-            if name == f"bar_f_{r}":
-                assert (found is None) == accepted, name
-            if accepted:
-                assert found is None, (name, r)
-            elif found is not None:
-                assert len(found) == _order(psi), (name, r)
-                assert all(_skew_law_fails(n, psi, r, e, y) for e, y in enumerate(found)), (name, r)
+# Which maps bar_f_r are skew morphisms: bar_f_witness, derived from the B
+# tables, against the row-by-row oracle and the Cayley-map witness it replaced.
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -722,7 +661,8 @@ def test_bar_f_witness_ranks_the_per_element_images(n):
 
 @pytest.fixture
 def plant_bar_f_images(monkeypatch):
-    """plant(n, r, change) makes toric.bar_f_images give change(images) at (n, r).
+    """plant(n, r, change) makes toric.bar_f_images give change(images) at (n, r),
+    or at (n, s) for each s in r when r is a range.
 
     The witness cache and the verified reports are cleared on the way in and
     on the way out, so no planted witness outlives the test.
@@ -730,9 +670,11 @@ def plant_bar_f_images(monkeypatch):
     true = toric.bar_f_images
 
     def plant(n, r, change):
+        shifts = r if isinstance(r, range) else (r,)
+
         def planted(m, s):
             columns = true(m, s)
-            if (m, s) != (n, r):
+            if m != n or s not in shifts:
                 return columns
             return tuple(map(bytes, zip(*change(list(zip(*columns))))))
 
@@ -751,30 +693,100 @@ def _swap_last_two(images):
 
 
 def test_two_swapped_ranks_at_a_coprime_shift_fail_skew_toric(plant_bar_f_images):
+    # B[5] is no longer B[1] o B[4], first at the rank of the second-last element.
     plant_bar_f_images(5, 5, _swap_last_two)
-    assert bar_f_witness(5, 5) is None
+    with pytest.raises(RuntimeError, match="inverse-toric shifts do not add"):
+        bar_f_witness(5, 5)
     report = verify.run_claim("skew-toric", 5)
     assert report.status == "failed"
-    assert report.details["error"] == "skew-morphism pattern disagrees with the coprimality rule"
-    assert report.counterexample == {"r": "5", "modulus": "6"}
+    assert report.details["error"] == "inverse-toric shifts do not add"
+    assert report.counterexample == {"p": str(sym_group(5)[-2]), "r": "5"}
 
 
 def test_a_wrong_table_no_route_decides_raises(plant_bar_f_images):
-    # At r = 1, rho is the identity, where e = 1 passes every y.
+    # A wrong B[1] breaks B[2] = B[1] o B[1], so no witness is derived.
     plant_bar_f_images(5, 1, _swap_last_two)
-    with pytest.raises(RuntimeError, match="neither route decides"):
+    with pytest.raises(RuntimeError, match="inverse-toric shifts do not add at p=.*, r=2"):
         bar_f_witness(5, 1)
 
 
 def test_an_identity_table_at_a_shift_sharing_a_factor_is_no_counterexample(plant_bar_f_images):
+    # The identity is a skew morphism, whatever the other tables hold; but
+    # B[2] = id is not B[1] o B[1], so skew-toric fails at r = 2.
     identity_table = tuple(range(factorial(5)))
-    assert toric._counterexample(5, 2, identity_table) is None
     plant_bar_f_images(5, 2, lambda images: list(sym_index(5)))
     w = bar_f_witness(5, 2)
     assert (w.psi, w.order, w.pi_power) == (identity_table, 1, (0,) * len(identity_table))
     report = verify.run_claim("skew-toric", 5)
     assert report.status == "failed"
-    assert report.counterexample == {"r": "2", "modulus": "6"}
+    assert report.details["error"] == "inverse-toric shifts do not add"
+    assert report.counterexample["r"] == "2"
+
+
+def test_relabelled_tables_keep_additivity_and_break_the_product_rule(plant_bar_f_images):
+    # Conjugate every B table at n = 5 by the rank involution i -> n! - i,
+    # which fixes the identity: the tables still add, but the product rule
+    # fails, and the pair skew-toric names breaks it on the planted tables.
+    images = list(sym_index(5))
+    relabel = {a: images[-i] if i else a for i, a in enumerate(images)}
+    plant_bar_f_images(5, range(6), lambda old: [relabel[old[images.index(relabel[a])]] for a in images])
+    with pytest.raises(RuntimeError, match="product rule violated"):
+        bar_f_witness(5, 1)
+    report = verify.run_claim("skew-toric", 5)
+    assert report.status == "failed"
+    assert report.details["error"] == "product rule violated"
+    assert report.counterexample == {"rho": "[1 2 3 5 4]", "pi": "[2 1 3 4 5]", "r": "1"}
+    rho, pi, r = (1, 2, 3, 5, 4), (2, 1, 3, 4, 5), 1
+
+    def bar(a, s):
+        return tuple(column[images.index(a)] for column in toric.bar_f_images(5, s))
+
+    s = ((0,) + oracle_invert(rho))[r]
+    assert bar(oracle_compose(rho, pi), r) != oracle_compose(bar(rho, r), bar(pi, s))
+
+
+@pytest.mark.parametrize(
+    "shifts, change, fault",
+    [
+        # The image of [1 3 2 5 4], of rank 7, is no permutation.
+        (range(3, 4), lambda old: old[:7] + [(1,) * 5] + old[8:], {"p": "[1 3 2 5 4]", "r": "3"}),
+        # B[r] sends everything to iota for r >= 1: B[s] = B[1] o B[s-1] for
+        # s = 1..n and the product rule hold, but B[1] o B[n] is no identity,
+        # and B[1], no bijection, has no order to list its powers by.
+        (range(1, 6), lambda old: [old[0]] * len(old), {"p": "[1 2 3 5 4]", "r": "0"}),
+    ],
+)
+def test_tables_that_are_no_bijections_fail_skew_toric(plant_bar_f_images, shifts, change, fault):
+    plant_bar_f_images(5, shifts, change)
+    with pytest.raises(RuntimeError):
+        bar_f_witness(5, 1)
+    report = verify.run_claim("skew-toric", 5)
+    assert report.status == "failed"
+    assert report.counterexample == fault
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_bar_f_witness_is_the_witness_of_the_cayley_map(n):
+    # At r prime to n+1 the orbit of s(0,1,n) spans a regular Cayley map whose
+    # witness is bar_f_witness; at every other r > 0 there is neither.
+    for r in range(1, n + 1):
+        w, oracle = bar_f_witness(n, r), oracle_map_witness(n, r)
+        assert (oracle is not None) == (gcd(r, n + 1) == 1), r
+        if oracle is None:
+            assert w is None, r
+        else:
+            assert (w.psi, w.order, w.pi_power) == (oracle.psi, oracle.order, oracle.pi_power), r
+            assert w.elements is oracle.elements, r
+
+
+@pytest.mark.parametrize("n, orders", [(7, [8, 0, 8, 0, 8, 0, 8]), (8, [9, 9, 0, 9, 9, 0, 9, 9])])
+def test_skew_toric_verifies_past_its_cap(n, orders):
+    # No Cayley map is built, so the degree cap of CayleyMap does not stop it.
+    claim = verify.REGISTRY["skew-toric"]
+    assert claim.max_n < n
+    details = claim.runner(n, NO_BUDGET)
+    want = {"0": 1} | {str(r): o for r, o in enumerate(orders, start=1) if o}
+    assert details == {"orders": want, "coprime_count": len(want) - 1}
 
 
 # ---------------------------------------------------------------------------

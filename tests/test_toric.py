@@ -1,10 +1,14 @@
 """Toric maps, the reversal, skew-morphism witnesses, class statistics, and
 the point kernels and dihedral relations at degrees 9..14."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btcayley import toric
 from btcayley.blocktrans import CutPoints, enumerate_tn, make_bt, recognize, tn_realizations
 from btcayley.perms import compose_maps, lift, sym_group
 from btcayley.perms import Permutation
@@ -260,6 +264,27 @@ def test_witness_satisfies_the_skew_law():
             for _ in range(k):
                 img = w.apply(img)
             assert w.apply(rho.compose(pi)) == w.apply(rho).compose(img)
+
+
+def test_toric_reads_nothing_of_maps_but_the_witness_type():
+    # bar_f_witness derives its witness from the B tables, with no Cayley map.
+    tree = ast.parse(Path(toric.__file__).read_text())
+    from_maps = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.endswith("maps")
+        for alias in node.names
+    ]
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert from_maps == ["SkewMorphismWitness"]
+    assert not {"btcayley.maps", "maps"} & imported
+    assert not hasattr(toric, "_counterexample")
+
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,15 @@ product and the inverse of one-line images, the conjugation forms of the
 toric and inverse-toric maps, the identity and inverse of the dihedral
 normal form, the pointwise action of L_h o bar_f_r, both sides of the skew
 identity of bar_f_r, a skew-morphism decision by full left-multiplication
-rows, and the toric class census by one orbit per class.
+rows, the skew-morphism witness of bar_f_r read off a regular Cayley map,
+and the toric class census by one orbit per class.
 The tests check the package's kernels, tables and witnesses against them.
 """
 
 from operator import itemgetter
 
+from btcayley.blocktrans import CutPoints, make_bt
+from btcayley.maps import CayleyMap, SkewMorphismWitness, is_regular
 from btcayley.perms import Permutation, _restrict, alpha_power, compose_maps, lift, sym_group
 from btcayley.toric import DihedralElement, bar_f, toric_image
 
@@ -117,6 +120,25 @@ def oracle_check_skew(elements, psi):
             return None
         pi_power.append(valid[0])
     return psi, len(powers), tuple(pi_power)
+
+
+def oracle_map_witness(n: int, r: int) -> SkewMorphismWitness | None:
+    """The witness of the Cayley map whose rotation is bar_f_r, or None.
+
+    X is the orbit of x_0 = s(0,1,n) under bar_f_r, in orbit order.  When X
+    is inverse-closed, is_regular decides CM(Sym_n, X), whose rotation
+    sends each x to bar_f_r(x), and reads its skew-morphism witness off the
+    dart table; a regular map's witness restricts to the rotation on X
+    (Jajcay and Siran).  bar_f_1 moves x_0 through the n+1 distinct
+    elements x_1 = x_0^-1 and x_j = s(n-j, n-j+1, n-j+2), so X is
+    inverse-closed exactly when r is prime to n+1.  CayleyMap caps n at 7.
+    """
+    orbit = [make_bt(CutPoints(0, 1, n, n))]
+    while (x := bar_f(orbit[-1], r)) != orbit[0]:
+        orbit.append(x)
+    if {x.inverse() for x in orbit} != set(orbit):
+        return None
+    return is_regular(CayleyMap(n, orbit))
 
 
 def oracle_toric_class_stats(n: int) -> tuple[int, int, dict[int, int]]:
