@@ -33,8 +33,9 @@ from .perms import (
 
 @dataclass(frozen=True)
 class SkewMorphismWitness:
-    """A skew morphism of Sym_n: is_regular reads one off a regular Cayley
-    map, and the identity is the one of order 1.
+    """A skew morphism of Sym_n, from one of two producers: is_regular reads
+    one off a regular Cayley map, and toric.bar_f_witness derives the one of
+    each bar_f_r (the identity, of order 1, at r = 0) from the B tables.
 
     psi maps element ranks to element ranks over elements = sym_group(n),
     order is its order as a permutation of the ranks, and pi_power[i] is

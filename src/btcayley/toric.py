@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 from operator import getitem
 
 from .blocktrans import CutPoints
@@ -317,22 +318,53 @@ def phi_iso(h: Permutation, r: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Which maps bar_f_r are skew morphisms, from the rank tables B[r] of bar_f.
+# The one provider of the rank tables of the twins and of the faults of the
+# B tables, a fault being a (message, context) pair on which a claim fails;
+# and which maps bar_f_r are skew morphisms, from the B tables alone.
+
+_tables: dict[tuple, tuple[int, ...]] = {}  # keyed on (n, twin, r)
+_faults: dict[tuple, tuple[str, dict] | None] = {}  # keyed on (check, n, twin)
+
+
+def rank_table(n: int, budget, twin, r=None):
+    """(table, None), table[i] the rank of the image of the element of rank
+    i, or (None, fault) when an image is no permutation ("kernel image is
+    not a permutation", naming the lowest-rank such element as p, and r).
+
+    twin is a packed twin, called as twin(n) (invert_images,
+    reverse_images) or twin(n, r) (toric_images, bar_f_images); zip reads
+    its columns back as one image per element, ranked through sym_index.
+    The tables are kept, keyed on the twin object, until clear_cache()
+    runs; a table holds n! ranks, about 0.3 MB at n = 8.  The budget is
+    read on every call, before any build, and a failed table is not kept.
+    """
+    budget.check()
+    key = (n, twin, r)
+    if (table := _tables.get(key)) is not None:
+        return table, None
+    idx = sym_index(n)
+    table = tuple(map(idx.get, zip(*(twin(n) if r is None else twin(n, r)))))
+    if None in table:
+        context = {"p": _wrap(list(idx)[table.index(None)])} | ({} if r is None else {"r": r})
+        return None, ("kernel image is not a permutation", context)
+    _tables[key] = table
+    return table, None
 
 
 def _miss(lhs: tuple[int, ...], rhs: tuple[int, ...]) -> int | None:
-    """The first rank at which two tables differ, or None."""
+    """The first index at which two tables (or byte columns) differ, or None."""
     if lhs != rhs:
         return next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
     return None
 
 
-def product_rule_fault(n: int, bar, budget=NO_BUDGET) -> tuple[int, tuple[int, ...], int] | None:
-    """(r, t, rank of rho) at the first fault of bar_f_r(rho o pi) =
-    bar_f_r(rho) o bar_f_s(pi), or None when it holds for every pair (rho, pi)
-    of Sym_n and every r, with s = s(rho, r) the position of r in [0 rho].
-    bar[r] is the rank table B[r]; the rule is checked on the adjacent
-    transpositions t, sweeping r, then t, then rho by rank.
+def product_rule_fault(n: int, bar, budget=NO_BUDGET) -> tuple[str, dict] | None:
+    """The first fault ("product rule violated", naming rho, t as pi, and r)
+    of bar_f_r(rho o pi) = bar_f_r(rho) o bar_f_s(pi), or None when it holds
+    for every pair (rho, pi) of Sym_n and every r, with s = s(rho, r) the
+    position of r in [0 rho].  bar[r] is the rank table B[r]; the rule is
+    checked on the adjacent transpositions t, sweeping r, then t, then rho
+    by rank.
 
     For each r and t one comparison covers every rho: entry rho of B[r] o
     col_t is the rank of bar_f_r(rho o t), and entry B[r][rho] of the column
@@ -361,48 +393,66 @@ def product_rule_fault(n: int, bar, budget=NO_BUDGET) -> tuple[int, tuple[int, .
             lhs = compose_maps(b, columns[j])
             rank = _miss(lhs, tuple(map(getitem, map(barred.__getitem__, spots[r]), b)))
             if rank is not None:
-                return r, t, rank
+                return "product rule violated", {"rho": _wrap(images[rank]), "pi": _wrap(t), "r": r}
     return None
 
 
-@lru_cache(maxsize=8)
-def _bar_group(n: int, twin) -> tuple[tuple[tuple[int, ...], ...], tuple[str, dict] | None]:
-    """The rank tables B[r] of twin(n, r), r = 0..n, and their first fault (message, context).
-
-    In turn: every image is a permutation; B[0] = id and B[s] = B[1] o
-    B[s-1] for s = 1..n+1, read mod n+1, so B[s] = B[1]^s and each is a
-    bijection ("shifts do not add" names s as r); the product rule
-    (product_rule_fault).  The key holds the twin object, so a twin
-    replaced at run time gets tables of its own.
-    """
-    idx = sym_index(n)
-    images = list(idx)
+def additivity_fault(n: int, bar, budget=NO_BUDGET) -> tuple[str, dict] | None:
+    """The first fault ("inverse-toric shifts do not add", naming p, and s as
+    r) of B[0] = id and B[s] = B[1] o B[s-1] for s = 1..n+1, read mod n+1,
+    or None.  So B[s] = B[1]^s, and the wrap-around step makes each a
+    bijection (tables with B[r] = iota for every r >= 1 pass the others)."""
     m = n + 1
-    bar = tuple(tuple(map(idx.get, zip(*twin(n, r)))) for r in range(m))
-    for r, b in enumerate(bar):
-        if None in b:
-            return bar, ("kernel image is not a permutation", {"p": _wrap(images[b.index(None)]), "r": r})
+    images = list(sym_index(n))
     for s in range(m + 1):
+        budget.check()
         want = compose_maps(bar[1], bar[s - 1]) if s else tuple(range(len(images)))
         if (rank := _miss(bar[s % m], want)) is not None:
-            return bar, ("inverse-toric shifts do not add", {"p": _wrap(images[rank]), "r": s % m})
-    if fault := product_rule_fault(n, bar):
-        r, t, rank = fault
-        return bar, ("product rule violated", {"rho": _wrap(images[rank]), "pi": _wrap(t), "r": r})
+            return "inverse-toric shifts do not add", {"p": _wrap(images[rank]), "r": s % m}
+    return None
+
+
+def bar_tables(n: int, budget, *checks: str):
+    """(B, fault): the rank tables B[r] of bar_f_images(n, r), r = 0..n, and
+    the first fault of a table (B is then None), or else of each check
+    named, in the order given: "additivity" (additivity_fault) or "product
+    rule" (product_rule_fault).
+
+    bar_f_images is read when this runs, so every reader of the B tables
+    takes the twin of that one name.  Each check runs once per degree and
+    twin; its fault, or None, is kept until clear_cache() runs, and a check
+    the budget interrupted keeps nothing.
+    """
+    twin = bar_f_images
+    bar = []
+    for r in range(n + 1):
+        table, fault = rank_table(n, budget, twin, r)
+        if fault:
+            return None, fault
+        bar.append(table)
+    for check in checks:
+        key = (check, n, twin)
+        if key not in _faults:
+            run = {"additivity": additivity_fault, "product rule": product_rule_fault}[check]
+            _faults[key] = run(n, bar, budget)
+        if _faults[key]:
+            return bar, _faults[key]
     return bar, None
 
 
-def bar_f_fault(n: int) -> tuple[str, dict] | None:
-    """The first fault of the B tables of bar_f_images at n, or None (see _bar_group)."""
-    return _bar_group(n, bar_f_images)[1]
+def clear_cache():
+    """Forget the rank tables, the faults of the B tables and the witnesses."""
+    _tables.clear()
+    _faults.clear()
+    bar_f_witness.cache_clear()
 
 
 @lru_cache(maxsize=32)
 def bar_f_witness(n: int, r: int) -> SkewMorphismWitness | None:
     """Skew-morphism witness for bar_f_r on degree n, or None when it is none.
 
-    psi = B[r], read off the rank tables of _bar_group.  No step reads
-    gcd(r, n+1), the rule that skew-toric checks.
+    psi = B[r], read off bar_tables with the faults of the tables.  No step
+    reads gcd(r, n+1), the rule that skew-toric checks.
       - psi = id: the identity is a skew morphism of order 1 and power 0.
       - Otherwise a fault of the tables raises RuntimeError.  So B[s] =
         B[1]^s, and psi, a power of B[1], is a bijection with r != 0.
@@ -414,9 +464,9 @@ def bar_f_witness(n: int, r: int) -> SkewMorphismWitness | None:
         psi(rho pi) = psi(rho) psi^e(pi) at rho would force bar_f_1 = psi^e.
     """
     r %= n + 1
-    bar, fault = _bar_group(n, bar_f_images)
-    psi = bar[r]
-    powers = [tuple(range(len(psi)))]
+    psi, _ = rank_table(n, NO_BUDGET, bar_f_images, r)
+    bar, fault = bar_tables(n, NO_BUDGET, "additivity", "product rule")
+    powers = [tuple(range(factorial(n)))]
     if psi == powers[0]:
         return SkewMorphismWitness(sym_group(n), psi, 1, (0,) * len(psi))
     if fault:

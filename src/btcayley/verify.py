@@ -9,8 +9,8 @@ reports always carry a concrete counterexample.
 Keys are opaque command-line identifiers.  Each claim declares the
 degree range it supports; run_claim clamps a requested degree into that
 range, so sweeping the whole registry at any n exercises every key.
-Every call runs its claim afresh; only the rank tables of the kernel
-twins (see _table) are kept between calls.
+Every call runs its claim afresh; only the rank tables and B-table faults
+that toric keeps (see toric.rank_table) last between calls.
 """
 
 from __future__ import annotations
@@ -84,19 +84,19 @@ from .perms import (
     sym_group,
     sym_index,
 )
+from . import toric
 from .toric import (
     _miss,
     apply_dihedral,
     bar_f,
-    bar_f_fault,
-    bar_f_images,
     bar_f_witness,
+    bar_tables,
     bt_image_closed_form,
     dihedral_compose,
     dihedral_elements,
     euler_phi,
     phi_iso,
-    product_rule_fault,
+    rank_table,
     reverse_g,
     reverse_images,
     toric_class_stats,
@@ -172,11 +172,6 @@ def get_claim(key: str) -> Claim:
         raise ValueError(f"unknown claim {key!r}; known claims: {known}") from None
 
 
-def clear_cache():
-    """Forget the kernel tables (see _table)."""
-    _tables.clear()
-
-
 def run_claim(key: str, n: int | None = None, budget=NO_BUDGET) -> VerificationReport:
     claim = get_claim(key)
     use_n = claim.resolve_n(n)
@@ -205,10 +200,10 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-# Claims that read the toric, inverse-toric and reversal tables of their
-# degree (see _table).  run_all runs them as one job, ahead of the others,
-# so that each of those tables is built once per run.
-_TABLE_GROUP = frozenset({"cor5.11", "eq13", "eq16", "eq9", "gfg"})
+# Claims that read the twins' rank tables or the B-table faults (see
+# toric.rank_table).  run_all runs them as one job, ahead of the others, so
+# that each table and fault of a degree is built once per run.
+_TABLE_GROUP = ("cor5.11", "eq13", "eq16", "eq9", "gfg", "lemma4.3", "prop4.4", "skew-toric")
 
 
 def _run_claim_job(job: tuple) -> list[VerificationReport]:
@@ -364,51 +359,12 @@ def _bt(i: int, j: int, k: int, n: int) -> Permutation:
     return make_bt(CutPoints(i, j, k, n))
 
 
-def _rank_table(n, budget, twin, r=None) -> tuple[int, ...]:
-    """Rank of the image of every element of sym_group(n), in rank order.
-
-    twin is a packed twin, called once as twin(n) (invert_images,
-    reverse_images) or, with a shift r, as twin(n, r) (toric_images,
-    bar_f_images).  It gives the images of all of Sym_n in rank order as
-    columns, and zip reads them back as one image tuple per element, ranked
-    through sym_index in one pass.  An image that is no permutation of the
-    degree fails the claim, naming the lowest-rank element it came from and
-    the shift.
-    """
-    budget.check()
-    idx = sym_index(n)
-    columns = twin(n) if r is None else twin(n, r)
-    try:
-        return tuple(map(idx.__getitem__, zip(*columns)))
-    except KeyError:
-        for a, b in zip(idx, zip(*columns)):
-            if b not in idx:
-                context = {} if r is None else {"r": r}
-                _fail("kernel image is not a permutation", p=_wrap(a), **context)
-        raise
-
-
-# Rank tables of the twins at one degree, keyed on (n, twin, r).
-_tables: dict[tuple, tuple[int, ...]] = {}
-
-
-def _table(n, budget, twin, r=None) -> tuple[int, ...]:
-    """The _rank_table of a twin (at shift r) over sym_group(n), built once.
-
-    The tables are kept, for every degree, until clear_cache() runs, so a
-    process that runs claims at several degrees (the plain loop of run_all)
-    builds each table once; a table holds n! ranks, about 0.3 MB at n = 8.
-    The key holds the twin object, so a twin replaced at run time gets
-    tables of its own.  The budget is read on every call, and a table whose
-    twin fails is not kept.
-    """
-    key = (n, twin, r)
-    table = _tables.get(key)
-    if table is None:
-        table = _tables[key] = _rank_table(n, budget, twin, r)
-    else:
-        budget.check()
-    return table
+def _checked(pair):
+    """The value of a (value, fault) pair from toric; a fault fails the claim."""
+    value, fault = pair
+    if fault is not None:
+        _fail(fault[0], **fault[1])
+    return value
 
 
 def _agree(lhs, rhs, images, message: str, key: str = "p", **context):
@@ -488,8 +444,8 @@ def _check_route(columns, twin, images, **context):
     size = len(images)
     first = size
     for col, want in zip(columns, (bytes(size),) + tuple(twin)):
-        if col != want:
-            first = min(first, next(i for i, (u, v) in enumerate(zip(col, want)) if u != v))
+        if (i := _miss(col, want)) is not None:
+            first = min(first, i)
     if first < size:
         _fail("defining forms disagree", p=_wrap(images[first]), **context)
 
@@ -502,8 +458,8 @@ def _dihedral_tables(n, budget) -> list[tuple[int, ...]]:
     read from the twins' rank tables.  A table that is no bijection of the
     ranks fails the claim, naming the first such symmetry.
     """
-    rev = _table(n, budget, reverse_images)
-    bar = [_table(n, budget, bar_f_images, r) for r in range(n + 1)]
+    rev = _checked(rank_table(n, budget, reverse_images))
+    bar = _checked(bar_tables(n, budget))
     tables = bar + [compose_maps(b, rev) for b in bar]
     for d, table in zip(dihedral_elements(n), tables):
         _need(len(set(table)) == len(table), "induced map is not a bijection", symmetry=d)
@@ -615,8 +571,8 @@ def _run_eq9(n, budget):
     """
     m = n + 1
     images = list(sym_index(n))
-    tor = [_table(n, budget, toric_images, r) for r in range(m)]
-    inv = _table(n, budget, invert_images)
+    tor = [_checked(rank_table(n, budget, toric_images, r)) for r in range(m)]
+    inv = _checked(rank_table(n, budget, invert_images))
     _agree(tor[0], tuple(range(len(images))), images, "zeroth toric map moved a point")
     # points[r][i] is p_r for the element p of rank i, in its lift [0 p].
     points = _lift_columns(n)
@@ -673,7 +629,7 @@ def _run_eq12(n, budget):
     """
     idx = sym_index(n)
     images = list(idx)
-    rev = _table(n, budget, reverse_images)
+    rev = _checked(rank_table(n, budget, reverse_images))
     points = _lift_columns(n)
     w = lift(reverse(n))
     flip = bytes(w) + bytes(256 - len(w))
@@ -696,24 +652,28 @@ def _run_eq12(n, budget):
     return {"elements": len(images), "pairs": len(images) ** 2}
 
 
-def _run_mirror(twin: str, kind: str, n, budget):
+def _run_mirror(twin: Callable, kind: str, n, budget):
     """Exhaustive over every p in Sym_n and every shift r: R o T[r] o R is
-    compared with T[-r] as rank tables, T the tables of the packed twin of
-    that name, which agree exactly when the maps agree at every element
-    because sym_index is a bijection.  The twin is looked up by name when
-    the claim runs, so a twin replaced at run time is the one checked."""
+    compared with T[-r] as rank tables, T the tables of the packed twin
+    that twin() returns, which agree exactly when the maps agree at every
+    element because sym_index is a bijection.  The twin is read when the
+    claim runs, so a twin replaced at run time is the one checked."""
     m = n + 1
     images = list(sym_index(n))
-    tables = [_table(n, budget, globals()[twin], r) for r in range(m)]
-    rev = _table(n, budget, reverse_images)
+    twin = twin()
+    tables = [_checked(rank_table(n, budget, twin, r)) for r in range(m)]
+    rev = _checked(rank_table(n, budget, reverse_images))
     message = f"conjugated {kind} map is not the mirror shift"
     for r, t in enumerate(tables):
         _agree(compose_maps(rev, compose_maps(t, rev)), tables[-r], images, message, r=r)
     return {"elements": len(images), "shifts": m}
 
 
-# (key, twin, kind of map) for each mirror rule g o T_r o g = T_-r.
-_MIRRORS = (("gfg", "toric_images", "toric"), ("eq16", "bar_f_images", "inverse-toric"))
+# (key, reader of the twin, kind of map) for each mirror rule g o T_r o g = T_-r.
+_MIRRORS = (
+    ("gfg", lambda: toric_images, "toric"),
+    ("eq16", lambda: toric.bar_f_images, "inverse-toric"),
+)
 for _key, _twin, _kind in _MIRRORS:
     _summary = f"reversal conjugates each {_kind} map to its mirror"
     _claim(_key, _summary, 3, 7)(partial(_run_mirror, _twin, _kind))
@@ -731,13 +691,13 @@ def _run_eq13(n, budget):
     """
     m = n + 1
     images = list(sym_index(n))
-    bar = [_table(n, budget, bar_f_images, r) for r in range(m)]
-    tor = [_table(n, budget, toric_images, r) for r in range(m)]
-    inv = _table(n, budget, invert_images)
+    bar = _checked(bar_tables(n, budget))
+    tor = [_checked(rank_table(n, budget, toric_images, r)) for r in range(m)]
+    inv = _checked(rank_table(n, budget, invert_images))
     points = _lift_columns(n)
     for r, b in enumerate(bar):
         budget.check()
-        _check_route(_bar_route(points, inv, r), bar_f_images(n, r), images, r=r)
+        _check_route(_bar_route(points, inv, r), toric.bar_f_images(n, r), images, r=r)
         _agree(
             compose_maps(inv, compose_maps(tor[r], inv)),
             b,
@@ -755,21 +715,12 @@ def _run_eq13(n, budget):
     return {"elements": len(images), "shifts": m}
 
 
-def _product_rule(n, budget, bar):
-    """Fail at the first fault of toric.product_rule_fault on the rank
-    tables bar[r] = B[r], naming rho, t as pi, and r."""
-    fault = product_rule_fault(n, bar, budget)
-    if fault is not None:
-        r, t, rank = fault
-        _fail("product rule violated", rho=_wrap(list(sym_index(n))[rank]), pi=_wrap(t), r=r)
-
-
 @_claim("lemma4.3", "product rule for inverse-toric images", 3, 5)
 def _run_lemma43(n, budget):
     """bar_f_r(rho o pi) = bar_f_r(rho) o bar_f_s(pi) with s = (rho^-1)_r, for
-    every pair (rho, pi) in Sym_n x Sym_n and every r: _product_rule on the
-    B tables.  "pairs" counts the pairs its proof covers."""
-    _product_rule(n, budget, [_table(n, budget, bar_f_images, r) for r in range(n + 1)])
+    every pair (rho, pi) in Sym_n x Sym_n and every r: toric.product_rule_fault
+    on the B tables.  "pairs" counts the pairs its proof covers."""
+    _checked(bar_tables(n, budget, "product rule"))
     return {"pairs": factorial(n) ** 2, "shifts": n + 1}
 
 
@@ -888,11 +839,11 @@ def _run_prop44(n, budget):
     """S = {L_h o bar_f_r : h in Sym_n, r mod m}, m = n+1, is a group of
     order (n+1)!, and right translation R by w0 = reverse(n) doubles it.
 
-    Checked on the rank tables B[r]: the product rule (_product_rule); B[0]
-    = id and B[1] o B[r] = B[r+1]; the B[r] are distinct; each B[r] fixes
-    w0; w0 o w0 = iota, so R o R, right translation by w0 o w0, is id; no
-    B[r] is the table of g(x) = w0 o x o w0 (the reverse_images table,
-    checked against that form by eq12).  Then:
+    Checked on the rank tables B[r]: the product rule, then B[0] = id and
+    B[s] = B[1] o B[s-1] mod m (toric.bar_tables); the B[r] are distinct;
+    each B[r] fixes w0; w0 o w0 = iota, so R o R, right translation by
+    w0 o w0, is id; no B[r] is the table of g(x) = w0 o x o w0 (the
+    reverse_images table, checked against that form by eq12).  Then:
       - Additivity: B[r] = B[1]^r by induction and B[1]^m = B[0] = id, so
         bar_f_s o bar_f_u = bar_f_(s+u) (mod m), each a bijection.
       - Closure: (L_h o bar_f_r) o (L_k o bar_f_u) = L_d o bar_f_(s+u) with
@@ -913,11 +864,7 @@ def _run_prop44(n, budget):
     m = n + 1
     idx = sym_index(n)
     images = list(idx)
-    bar = [_table(n, budget, bar_f_images, r) for r in range(m)]
-    _product_rule(n, budget, bar)
-    _need(bar[0] == tuple(range(len(images))), "L_iota o bar_f_0 is not the identity")
-    for r, (b, after) in enumerate(zip(bar, bar[1:] + bar[:1])):
-        _agree(compose_maps(bar[1], b), after, images, "inverse-toric shifts do not add", r=r)
+    bar = _checked(bar_tables(n, budget, "product rule", "additivity"))
     distinct = len(set(bar))
     _need(distinct == m, "maps are not pairwise distinct", count=distinct * len(images))
     gens = [phi_iso(_wrap(t), 0) for t in adjacent_transpositions(n)]
@@ -928,7 +875,7 @@ def _run_prop44(n, budget):
     w0 = idx[w.image]
     _need(all(b[w0] == w0 for b in bar), "the doubling involution does not centralize the group")
     _need(w.compose(w) == identity(n), "the doubling map is not an involution")
-    inside = _table(n, budget, reverse_images) in bar
+    inside = _checked(rank_table(n, budget, reverse_images)) in bar
     _need(not inside, "the doubling involution lies inside the group")
     return {"group_order": factorial(m), "doubled_order": 2 * factorial(m)}
 
@@ -938,12 +885,10 @@ def _run_skew_toric(n, budget):
     """bar_f_r has a skew-morphism witness exactly at r = 0 and at r prime to
     n+1, of order 1 or n+1, and at each r prime to n+1 its powers follow
     the power rule (_power_rule).  The B tables must first add and hold the
-    product rule (toric.bar_f_fault), the facts bar_f_witness derives its
+    product rule (toric.bar_tables), the facts bar_f_witness derives its
     answer from, so a wrong table fails here with its counterexample."""
     m = n + 1
-    fault = bar_f_fault(n)
-    if fault is not None:
-        _fail(fault[0], **fault[1])
+    _checked(bar_tables(n, budget, "additivity", "product rule"))
     orders = {}
     for r in range(m):
         budget.check()
@@ -1452,7 +1397,7 @@ def _run_toric_reverse_aut(n, budget):
     tables = dict(zip(dih, _dihedral_tables(n, budget)))
     rotations = [(d, tables[d]) for d in dih[: n + 1]]
     vertices = list(index)
-    for d, table in rotations + [(dih[n + 1], _table(n, budget, reverse_images))]:
+    for d, table in rotations + [(dih[n + 1], _checked(rank_table(n, budget, reverse_images)))]:
         budget.check()
         for t in tn:
             if table[t] not in members:
@@ -1579,7 +1524,8 @@ def _run_example71(n, budget):
     _need(w is not None, "no regularity witness")
     # The map is prop72_map(3) (checked below), so its witness has the
     # columns prop7.2 reads at n = 3.
-    _need(w.psi == _table(n, budget, bar_f_images, 1), "witness is not the basic inverse-toric map")
+    psi = _checked(rank_table(n, budget, toric.bar_f_images, 1))
+    _need(w.psi == psi, "witness is not the basic inverse-toric map")
     _power_rule(w, n, budget, 1, _FIRST_ENTRY)
     _need(aut_order(m, w) == 24, "symmetry count wrong", order=aut_order(m, w))
     other = prop72_map(3)
@@ -1603,7 +1549,8 @@ def _run_prop72(n, budget):
 
     w = is_regular(m, budget=budget)
     _need(w is not None, "no regularity witness")
-    _need(w.psi == _table(n, budget, bar_f_images, 1), "witness is not the basic inverse-toric map")
+    psi = _checked(rank_table(n, budget, toric.bar_f_images, 1))
+    _need(w.psi == psi, "witness is not the basic inverse-toric map")
     _need(t_balance(w, m.gens) is None, "map is balanced after all")
     first = _bt(0, 1, n, n)
     _need(w.pi_power_of(first) == n, "power at the long generator wrong", got=w.pi_power_of(first))
@@ -1640,9 +1587,8 @@ def _run_thm73(n, budget):
     _need(m.dart_count == 720, "dart count wrong", count=m.dart_count)
     w = is_regular(m, budget=budget)
     _need(w is not None, "no regularity witness")
-    _need(
-        w.psi == _table(5, budget, bar_f_images, 5), "witness is not the mirrored inverse-toric map"
-    )
+    psi = _checked(rank_table(5, budget, toric.bar_f_images, 5))
+    _need(w.psi == psi, "witness is not the mirrored inverse-toric map")
     _need(w.order == 6, "witness order wrong", order=w.order)
     _need(t_balance(w, m.gens) is None, "map is balanced after all")
     _power_rule(w, n, budget, 5, "power function is not the mirrored last entry")

@@ -17,8 +17,8 @@ from btcayley.blocktrans import make_bt, tn_realizations
 from btcayley.budget import Budget, BudgetExceeded
 from btcayley.graphs import Graph, build_cayley, gamma, vertex_set_V
 from btcayley.perms import identity, sym_group
-from btcayley.toric import apply_dihedral, dihedral_elements
-from btcayley.verify import clear_cache, run_claim
+from btcayley.toric import apply_dihedral, clear_cache, dihedral_elements
+from btcayley.verify import run_claim
 
 
 def test_vertex_map_algebra():

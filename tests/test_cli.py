@@ -8,7 +8,8 @@ import pytest
 
 from btcayley import cli
 from btcayley.cli import main
-from btcayley.verify import claim_keys, clear_cache
+from btcayley.toric import clear_cache
+from btcayley.verify import claim_keys
 
 
 def run(capsys, *argv):

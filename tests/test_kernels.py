@@ -50,7 +50,7 @@ from btcayley.autgroup import (
     stabilizer_of_identity,
 )
 from btcayley.blocktrans import make_bt, tn_realizations
-from btcayley.budget import NO_BUDGET
+from btcayley.budget import NO_BUDGET, BudgetExceeded
 from btcayley.graphs import (
     Graph,
     _neighbor_gathers,
@@ -662,10 +662,11 @@ def test_bar_f_witness_ranks_the_per_element_images(n):
 @pytest.fixture
 def plant_bar_f_images(monkeypatch):
     """plant(n, r, change) makes toric.bar_f_images give change(images) at (n, r),
-    or at (n, s) for each s in r when r is a range.
+    or at (n, s) for each s in r when r is a range.  Every reader of the B
+    tables takes that one twin.
 
-    The witness cache and the verified reports are cleared on the way in and
-    on the way out, so no planted witness outlives the test.
+    toric.clear_cache runs on the way in and on the way out, so no planted
+    table, fault or witness outlives the test.
     """
     true = toric.bar_f_images
 
@@ -679,12 +680,10 @@ def plant_bar_f_images(monkeypatch):
             return tuple(map(bytes, zip(*change(list(zip(*columns))))))
 
         monkeypatch.setattr(toric, "bar_f_images", planted)
-        bar_f_witness.cache_clear()
-        verify.clear_cache()
+        toric.clear_cache()
 
     yield plant
-    bar_f_witness.cache_clear()
-    verify.clear_cache()
+    toric.clear_cache()
 
 
 def _swap_last_two(images):
@@ -789,6 +788,44 @@ def test_skew_toric_verifies_past_its_cap(n, orders):
     assert details == {"orders": want, "coprime_count": len(want) - 1}
 
 
+class _Expiring:
+    """A budget whose k-th check() raises BudgetExceeded; it counts its reads."""
+
+    def __init__(self, k):
+        self.k, self.reads = k, 0
+
+    def check(self):
+        self.reads += 1
+        if self.reads >= self.k:
+            raise BudgetExceeded(f"expired at read {self.k}")
+
+
+@pytest.mark.parametrize("k", [1, 5, 9])
+def test_skew_toric_builds_no_b_table_past_an_expired_budget(monkeypatch, k):
+    # The budget is read before each of the n+1 B tables is built.
+    built = []
+    true = toric.bar_f_images
+    monkeypatch.setattr(toric, "bar_f_images", lambda n, r: built.append(r) or true(n, r))
+    toric.clear_cache()
+    with pytest.raises(BudgetExceeded):
+        verify.REGISTRY["skew-toric"].runner(8, _Expiring(k))
+    assert built == list(range(k - 1))
+    toric.clear_cache()
+
+
+def test_skew_toric_keeps_nothing_half_built_when_its_budget_expires():
+    runner = verify.REGISTRY["skew-toric"].runner
+    toric.clear_cache()
+    full = _Expiring(float("inf"))
+    want = runner(5, full)
+    for k in range(1, full.reads + 1):
+        toric.clear_cache()
+        with pytest.raises(BudgetExceeded):
+            runner(5, _Expiring(k))
+        assert runner(5, NO_BUDGET) == want, k
+    toric.clear_cache()
+
+
 # ---------------------------------------------------------------------------
 # The dihedral tables and the power function.
 
@@ -877,7 +914,7 @@ def test_a_tampered_power_at_the_last_shift_fails_skew_toric(monkeypatch, n):
 def test_power_function_columns_pass_where_the_loops_pass(key):
     degrees, r, mirrored, witness = POWER_CLAIMS[key]
     for n in degrees:
-        verify.clear_cache()
+        toric.clear_cache()
         assert _oracle_power_fault(witness(n), r, mirrored) is None, n
         assert verify.run_claim(key, n).status == "verified", n
 
@@ -900,7 +937,7 @@ def test_power_function_columns_report_the_first_fault_of_the_loops(monkeypatch,
         )
     else:
         monkeypatch.setattr(verify, "is_regular", lambda m, budget=NO_BUDGET: tampered)
-    verify.clear_cache()
+    toric.clear_cache()
     report = verify.run_claim(key, n)
     assert report.status == "failed"
     assert report.details["error"].startswith("power function is not the ")

@@ -22,7 +22,7 @@ from btcayley.maps import (
 )
 from btcayley.blocktrans import CutPoints, make_bt
 from btcayley.perms import identity, parse_permutation, sym_group, sym_index
-from btcayley.toric import bar_f, bar_f_images, reverse_image
+from btcayley.toric import bar_f, bar_f_images, clear_cache, reverse_image
 from toric_oracles import oracle_check_skew
 
 
@@ -290,7 +290,7 @@ def _planted_reverse(monkeypatch):
 def test_a_planted_wrong_reversal_entry_keeps_prop72_from_verified(monkeypatch, n):
     _planted_reverse(monkeypatch)
     assert is_regular(prop72_map(n)) is None
-    verify.clear_cache()
+    clear_cache()
     report = verify.run_claim("prop7.2", n)
     assert report.status == "failed"
-    verify.clear_cache()
+    clear_cache()

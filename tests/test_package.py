@@ -166,8 +166,8 @@ def test_every_private_helper_is_read_in_the_package():
     assert unread == []
 
 
-# Public, read by no module and not exported: the registry reset the tests call.
-UNEXPORTED_ENTRY_POINTS = {"verify.py:clear_cache"}
+# Public, read by no module and not exported: the table reset the tests call.
+UNEXPORTED_ENTRY_POINTS = {"toric.py:clear_cache"}
 
 
 def test_every_public_definition_is_exported_or_read_in_the_package():

@@ -31,6 +31,7 @@ from btcayley.perms import (
 )
 from btcayley.toric import (
     bar_f_image,
+    clear_cache,
     dihedral_elements,
     reverse_g_conj,
     reverse_image,
@@ -40,7 +41,6 @@ from btcayley.verify import (
     DEFAULT_N,
     REGISTRY,
     claim_keys,
-    clear_cache,
     get_claim,
     run_all,
     run_claim,
@@ -386,6 +386,13 @@ def _twin0(kernel):
     return lambda n: _packed(map(kernel, sym_index(n)))
 
 
+def _plant(monkeypatch, name, twin):
+    """Replace the packed twin of that name where the claims read it: every
+    reader of the B tables takes toric.bar_f_images, and verify reads the
+    toric and reversal twins under its own names."""
+    monkeypatch.setattr(toric if name == "bar_f_images" else verify, name, twin)
+
+
 # The packed twin each table claim ranks, patched below with a faulty
 # version.
 FAULTY_KERNELS = {
@@ -402,7 +409,7 @@ FAULTY_KERNELS = {
 @pytest.mark.parametrize("key", TABLE_CLAIMS)
 def test_kernel_image_that_is_no_permutation_fails_the_claim(monkeypatch, key):
     name, faulty = FAULTY_KERNELS[key]
-    monkeypatch.setattr(verify, name, faulty)
+    _plant(monkeypatch, name, faulty)
     r = run_claim(key, 4)
     assert r.status == "failed"
     assert re.fullmatch(r"\[\d( \d)*\]", r.counterexample["p"])
@@ -493,7 +500,7 @@ def test_table_counterexamples_break_the_identity_they_name(monkeypatch, name, k
         b = true(*args)
         return _swap_first_two(b) if args == bad else b
 
-    monkeypatch.setattr(verify, ranked, _twin0(faulty) if name == "reverse_image" else _twin(faulty))
+    _plant(monkeypatch, ranked, _twin0(faulty) if name == "reverse_image" else _twin(faulty))
     kernels = {k: kernel for k, (kernel, _) in KERNELS.items()}
     kernels[name] = faulty
     for key in keys:
@@ -602,7 +609,7 @@ def test_a_faulty_twin_fails_at_the_oracles_lowest_rank_fault(monkeypatch, key, 
         b = kernel(a, r)
         return _swap_first_two(b) if r == 1 and a in wrong else b
 
-    monkeypatch.setattr(verify, name, _twin(faulty))
+    _plant(monkeypatch, name, _twin(faulty))
     oracle = next(p for p in grp if faulty(p.image, 1) != route(p, 1).image)
     r = run_claim(key, n)
     assert r.status == "failed"
@@ -732,7 +739,7 @@ def test_table_claims_honour_a_spent_budget(key):
 # ---------------------------------------------------------------------------
 # The kernel table provider and the grouped job.
 
-GROUP = ("cor5.11", "eq13", "eq16", "eq9", "gfg")
+GROUP = ("cor5.11", "eq13", "eq16", "eq9", "gfg", "lemma4.3", "prop4.4", "skew-toric")
 
 
 def test_the_table_claims_run_first_as_one_job(monkeypatch):
@@ -756,13 +763,14 @@ def test_the_table_claims_share_one_worker(monkeypatch, pid_claims):
 @pytest.mark.parametrize("n", [5, 6])
 def test_each_kernel_table_is_built_once_in_a_process(monkeypatch, n):
     built = []
-    rank_table = verify._rank_table
 
-    def counting(n, budget, kernel, r=None):
-        built.append((kernel.__name__, r, n))
-        return rank_table(n, budget, kernel, r)
+    class Recording(dict):
+        def __setitem__(self, key, table):
+            m, kernel, r = key
+            built.append((kernel.__name__, r, m))
+            super().__setitem__(key, table)
 
-    monkeypatch.setattr(verify, "_rank_table", counting)
+    monkeypatch.setattr(toric, "_tables", Recording())
     monkeypatch.setattr(verify, "_worker_count", lambda: 1)
     assert {r.status for r in run_all(n)} == {"verified"}
     assert len(built) == len(set(built))
@@ -777,11 +785,11 @@ def test_a_kernel_patched_after_a_warm_run_is_honoured(monkeypatch, key):
     # kernel (cor5.11, whose least degree is 5, cannot run on them).
     monkeypatch.setattr(verify, "_worker_count", lambda: 1)
     assert all(r.status == "verified" for r in run_all(4) if r.claim in GROUP)
-    names = {kernel.__name__ for n, kernel, r in verify._tables if n == 4}
+    names = {kernel.__name__ for n, kernel, r in toric._tables if n == 4}
     assert names == {"toric_images", "bar_f_images", "reverse_images", "invert_images"}
     name, faulty = FAULTY_KERNELS[key]
     # The same name as the kernel it replaces: only the object tells them apart.
-    monkeypatch.setattr(verify, name, wraps(getattr(verify, name))(faulty))
+    _plant(monkeypatch, name, wraps(getattr(toric, name))(faulty))
     r = run_claim(key, 4)
     assert r.status == "failed"
     assert r.details["error"] == "kernel image is not a permutation"
@@ -789,21 +797,24 @@ def test_a_kernel_patched_after_a_warm_run_is_honoured(monkeypatch, key):
 
 def test_clear_cache_empties_the_table_provider():
     run_claim("gfg", 4)
-    assert verify._tables
+    run_claim("skew-toric", 4)
+    assert toric._tables and toric._faults and toric.bar_f_witness.cache_info().currsize
     clear_cache()
-    assert not verify._tables
+    assert not toric._tables and not toric._faults
+    assert toric.bar_f_witness.cache_info().currsize == 0
     assert run_claim("gfg", 4).status == "verified"
 
 
 def test_the_provider_keeps_the_tables_of_each_degree(monkeypatch):
     run_claim("eq16", 4)
     run_claim("gfg", 5)
-    assert {key[0] for key in verify._tables} == {4, 5}
+    assert {key[0] for key in toric._tables} == {4, 5}
 
-    def no_build(*args):
-        raise AssertionError("every table of degree 4 is kept")
+    class Kept(dict):
+        def __setitem__(self, key, table):
+            raise AssertionError("every table of degree 4 is kept")
 
-    monkeypatch.setattr(verify, "_rank_table", no_build)
+    monkeypatch.setattr(toric, "_tables", Kept(toric._tables))
     assert run_claim("eq16", 4).status == "verified"
 
 
@@ -897,7 +908,7 @@ def test_eq12_generator_reduction_agrees_with_the_all_pairs_sweep(monkeypatch, n
 
 def test_toric_reverse_aut_fails_on_a_table_that_is_no_bijection(monkeypatch):
     # Every image is a permutation, but all of them the identity.
-    monkeypatch.setattr(verify, "bar_f_images", _twin(lambda a, r: tuple(sorted(a))))
+    monkeypatch.setattr(toric, "bar_f_images", _twin(lambda a, r: tuple(sorted(a))))
     r = run_claim("toric-reverse-aut", 4)
     assert r.status == "failed"
     assert r.details["error"] == "induced map is not a bijection"
@@ -907,7 +918,7 @@ def test_toric_reverse_aut_fails_on_a_table_that_is_no_bijection(monkeypatch):
 def test_cor511_fails_on_a_symmetry_table_that_is_no_bijection(monkeypatch):
     # bar_f_1 sends [1 3 2 5 4] where it sends [1 5 4 2 3]: every image is
     # still a permutation, but the table of t^1 is no bijection.
-    true = verify.bar_f_images
+    true = toric.bar_f_images
 
     def faulty(n, r):
         columns = true(n, r)
@@ -918,7 +929,7 @@ def test_cor511_fails_on_a_symmetry_table_that_is_no_bijection(monkeypatch):
             columns = _packed(images)
         return columns
 
-    monkeypatch.setattr(verify, "bar_f_images", faulty)
+    monkeypatch.setattr(toric, "bar_f_images", faulty)
     r = run_claim("cor5.11", 5)
     assert r.status == "failed"
     assert r.details["error"] == "induced map is not a bijection"
@@ -932,11 +943,11 @@ def test_cor511_fails_on_a_symmetry_table_that_is_no_bijection(monkeypatch):
 
 def _oracle_product_rule_holds(n):
     """The all-pairs row check lemma4.3 ran before its reduction to the
-    adjacent transpositions: True when, with the twin that verify reads,
+    adjacent transpositions: True when, with the twin that the claims read,
     B[r] o P[rho] == P[B[r][rho]] o B[s] for every rho and r, with P[rho]
     the row of rho o pi over every pi and s = (rho^-1)_r."""
     images = list(sym_index(n))
-    bar = [verify._rank_table(n, NO_BUDGET, verify.bar_f_images, r) for r in range(n + 1)]
+    bar = [toric.rank_table(n, NO_BUDGET, toric.bar_f_images, r)[0] for r in range(n + 1)]
     product = list(perms._product_rows(n, images))
     return all(
         compose_maps(b, product[i])
@@ -958,11 +969,11 @@ def _verdict(key, n):
 
 def _first_generator_fault(n):
     """The counterexample of the first (rho, t, r) at which the twin that
-    verify reads breaks the rule pointwise, t adjacent, swept as
-    _product_rule sweeps: r, then t, then rho by rank."""
+    the claims read breaks the rule pointwise, t adjacent, swept as
+    toric.product_rule_fault sweeps: r, then t, then rho by rank."""
     idx = sym_index(n)
     images = list(idx)
-    bar = [verify._rank_table(n, NO_BUDGET, verify.bar_f_images, r) for r in range(n + 1)]
+    bar = [toric.rank_table(n, NO_BUDGET, toric.bar_f_images, r)[0] for r in range(n + 1)]
 
     def image(a, r):
         return images[bar[r][idx[a]]]
@@ -978,7 +989,7 @@ def _first_generator_fault(n):
 
 def _planted_twins(n):
     """bar_f_images and wrong twins, each of whose images is a permutation."""
-    true = verify.bar_f_images
+    true = toric.bar_f_images
     identities = _twin(lambda a, r: a)
     c = (2, 3, 1) + tuple(range(4, n + 1))
     conjugation = _twin(lambda a, r: oracle_compose(oracle_compose(c, a), oracle_invert(c)))
@@ -999,7 +1010,7 @@ def test_product_rule_claims_agree_with_the_all_pairs_rows(monkeypatch, n):
     verdicts = {}
     for name, twin in _planted_twins(n).items():
         clear_cache()
-        monkeypatch.setattr(verify, "bar_f_images", twin)
+        monkeypatch.setattr(toric, "bar_f_images", twin)
         holds = _oracle_product_rule_holds(n)
         lemma, prop = _verdict("lemma4.3", n), _verdict("prop4.4", n)
         assert (lemma is None) == holds, name
@@ -1032,11 +1043,38 @@ def test_a_twin_that_breaks_the_rule_fails_both_claims_at_its_first_fault(monkey
     # breaks pointwise, in sweep order.
     n = len(pair[0])
     i, j = map(sym_index(n).get, pair)
-    monkeypatch.setattr(verify, "bar_f_images", _swapped(verify.bar_f_images, r, i, j))
+    monkeypatch.setattr(toric, "bar_f_images", _swapped(toric.bar_f_images, r, i, j))
     want = _first_generator_fault(n)
     assert want is not None and want["r"] == str(r)
     for key in ("lemma4.3", "prop4.4"):
         assert _verdict(key, n) == ("product rule violated", want), key
+
+
+def test_the_b_table_checks_run_once_per_degree(monkeypatch):
+    # lemma4.3 reads the product rule; prop4.4 and skew-toric read it and
+    # additivity, all off the one provider of the B tables.
+    calls = {"product_rule_fault": 0, "additivity_fault": 0}
+    for name in calls:
+
+        def counting(*args, check=getattr(toric, name), name=name):
+            calls[name] += 1
+            return check(*args)
+
+        monkeypatch.setattr(toric, name, counting)
+    for key in ("lemma4.3", "prop4.4", "skew-toric"):
+        assert run_claim(key, 4).status == "verified", key
+    assert calls == {"product_rule_fault": 1, "additivity_fault": 1}
+
+
+def test_one_planted_b_table_fails_every_claim_that_reads_it(monkeypatch):
+    # bar_f_1 with the images of the last two elements exchanged, at every
+    # degree, planted once: still a bijection.  thm7.3 reads B[5] alone.
+    monkeypatch.setattr(toric, "bar_f_images", _swapped(toric.bar_f_images, 1, -2, -1))
+    readers = [("lemma4.3", 5), ("skew-toric", 5), ("prop4.4", 4), ("cor5.11", 5)]
+    readers += [("toric-reverse-aut", 4), ("thm2", 4), ("eq13", 5), ("eq16", 5)]
+    readers += [("prop7.2", 4), ("example7.1", 3)]
+    for key, n in readers:
+        assert run_claim(key, n).status == "failed", key
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -1135,11 +1173,11 @@ def test_example71_fails_when_its_witness_reads_the_next_slot(monkeypatch, field
 def _oracle_prop44_closed(n):
     """The all-pairs sweep prop4.4 ran before its generator reduction: True
     when T(h, r) o T(k, u) is T of the normal form at every pair of the
-    (n+1)! tables, with the twin that verify reads."""
+    (n+1)! tables, with the twin that the claims read."""
     m = n + 1
     idx = sym_index(n)
     images = list(idx)
-    bar = [verify._rank_table(n, NO_BUDGET, verify.bar_f_images, r) for r in range(m)]
+    bar = [toric.rank_table(n, NO_BUDGET, toric.bar_f_images, r)[0] for r in range(m)]
     rows = list(zip(*perms._rank_columns(n, images)))
     table = [[compose_maps(row, b) for b in bar] for row in rows]
     spots = [(0,) + oracle_invert(a) for a in images]
@@ -1170,11 +1208,11 @@ def _swapped(twin, r, i, j):
 def test_prop44_generator_closure_agrees_with_the_all_pairs_sweep(monkeypatch, n):
     assert _oracle_prop44_closed(n)
     assert run_claim("prop4.4", n).status == "verified"
-    true = verify.bar_f_images
+    true = toric.bar_f_images
     # Wrong inputs: bar_f_r with the images of two elements exchanged.
     for r, i, j in [(1, 0, 1), (1, 3, 5), (2, 1, 4), (n, 2, factorial(n) - 1)]:
         clear_cache()
-        monkeypatch.setattr(verify, "bar_f_images", _swapped(true, r, i, j))
+        monkeypatch.setattr(toric, "bar_f_images", _swapped(true, r, i, j))
         assert not _oracle_prop44_closed(n), (r, i, j)
         report = run_claim("prop4.4", n)
         assert report.status == "failed", (r, i, j)
@@ -1219,8 +1257,8 @@ def test_toric_reverse_aut_fails_on_a_rotation_that_leaves_t_n(monkeypatch, n):
     # A bijection that fixes the identity but sends the least element t
     # of T_n outside T_n at shift 1.
     t, q = _outside_t_n(n)
-    true = verify.bar_f_images
-    monkeypatch.setattr(verify, "bar_f_images", _swapped(true, 1, t, _preimage(true, n, 1, q)))
+    true = toric.bar_f_images
+    monkeypatch.setattr(toric, "bar_f_images", _swapped(true, 1, t, _preimage(true, n, 1, q)))
     assert not all(_oracle_dihedral_automorphisms(n))
     r = run_claim("toric-reverse-aut", n)
     assert r.status == "failed"
