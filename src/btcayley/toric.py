@@ -41,12 +41,12 @@ from .perms import (
     adjacent_transpositions,
     alpha_power,
     compose_maps,
-    invert_images,
     lift,
     reverse,
     sym_group,
     sym_index,
 )
+from . import perms
 
 
 @lru_cache(maxsize=32)
@@ -323,7 +323,7 @@ def phi_iso(h: Permutation, r: int) -> tuple[int, ...]:
 # and which maps bar_f_r are skew morphisms, from the B tables alone.
 
 _tables: dict[tuple, tuple[int, ...]] = {}  # keyed on (n, twin, r)
-_faults: dict[tuple, tuple[str, dict] | None] = {}  # keyed on (check, n, twin)
+_faults: dict[tuple, tuple[str, dict] | None] = {}  # keyed on (check, n, twin, inversion twin)
 
 
 def rank_table(n: int, budget, twin, r=None):
@@ -369,7 +369,7 @@ def product_rule_fault(n: int, bar, budget=NO_BUDGET) -> tuple[str, dict] | None
     For each r and t one comparison covers every rho: entry rho of B[r] o
     col_t is the rank of bar_f_r(rho o t), and entry B[r][rho] of the column
     of y = bar_f_s(t) the rank of bar_f_r(rho) o y.  s is entry r of
-    [0 rho^-1] (column r-1 of invert_images, 0 at r = 0); the y are read
+    [0 rho^-1] (column r-1 of perms.invert_images, 0 at r = 0); the y are read
     off B[s], and perms._rank_columns memoises their columns.  This covers
     every pi, by induction on its length as a word in the t:
     - Length 0: at rho = iota, s = r, the check reads bar_f_r(t) =
@@ -385,7 +385,7 @@ def product_rule_fault(n: int, bar, budget=NO_BUDGET) -> tuple[str, dict] | None
     adjacent = adjacent_transpositions(n)
     ys = [images[b[idx[t]]] for b in bar for t in adjacent]
     columns = _rank_columns(n, adjacent + ys)
-    spots = (bytes(len(images)),) + invert_images(n)  # spots[r][i]: s(rho, r), rho of rank i
+    spots = (bytes(len(images)),) + perms.invert_images(n)  # spots[r][i]: s(rho, r), rho of rank i
     for r, b in enumerate(bar):
         budget.check()
         for j, t in enumerate(adjacent):
@@ -420,8 +420,9 @@ def bar_tables(n: int, budget, *checks: str):
 
     bar_f_images is read when this runs, so every reader of the B tables
     takes the twin of that one name.  Each check runs once per degree and
-    twin; its fault, or None, is kept until clear_cache() runs, and a check
-    the budget interrupted keeps nothing.
+    twin, and per perms.invert_images, which the product rule reads; its
+    fault, or None, is kept until clear_cache() runs, and a check the
+    budget interrupted keeps nothing.
     """
     twin = bar_f_images
     bar = []
@@ -431,7 +432,7 @@ def bar_tables(n: int, budget, *checks: str):
             return None, fault
         bar.append(table)
     for check in checks:
-        key = (check, n, twin)
+        key = (check, n, twin, perms.invert_images)
         if key not in _faults:
             run = {"additivity": additivity_fault, "product rule": product_rule_fault}[check]
             _faults[key] = run(n, bar, budget)
@@ -477,5 +478,5 @@ def bar_f_witness(n: int, r: int) -> SkewMorphismWitness | None:
     if bar[1] not in powers:
         return None
     e, order = powers.index(bar[1]), len(powers)
-    pi_power = tuple(e * s % order for s in invert_images(n)[r - 1])
+    pi_power = tuple(e * s % order for s in perms.invert_images(n)[r - 1])
     return SkewMorphismWitness(sym_group(n), psi, order, pi_power)

@@ -78,13 +78,12 @@ from .perms import (
     alpha_power,
     compose_maps,
     identity,
-    invert_images,
     lift,
     reverse,
     sym_group,
     sym_index,
 )
-from . import toric
+from . import perms, toric
 from .toric import (
     _miss,
     apply_dihedral,
@@ -98,10 +97,8 @@ from .toric import (
     phi_iso,
     rank_table,
     reverse_g,
-    reverse_images,
     toric_class_stats,
     toric_f,
-    toric_images,
 )
 
 DEFAULT_N = 5
@@ -373,69 +370,44 @@ def _agree(lhs, rhs, images, message: str, key: str = "p", **context):
         _fail(message, **{key: _wrap(images[i])}, **context)
 
 
-def _rotation_table(m: int, shift: int) -> bytes:
-    """Translate table of the rotation alpha^shift of {0, ..., m-1}, from alpha_power."""
-    return bytes(alpha_power(m - 1, shift)) + bytes(256 - m)
-
-
-def _toric_route(points, r):
-    """Columns of the routes [0 f_r(p)] = alpha^(m-p_r) o [0 p] o alpha^r, by rank, as bytes.
+def _rotation_route(points, left, right):
+    """Columns of the routes alpha^c o [0 p] o alpha^s, by rank, as bytes.
 
     points are the perms._lift_columns of degree n, so points[x][i] is
-    entry x of [0 p] for the p of rank i.  Entry x of [0 p] o alpha^r is
-    [0 p](x + r): the right factor makes column (x + r) % m of points
-    column x.  The left factor is the rotation alpha^(m-c) on the elements
-    whose p_r is c: one translate through that rotation acts on a whole
-    column, a mask of those elements (perms._marks of points[r]) keeps
-    their lanes (perms._lanes), and the OR over c joins them.  The
-    rotations come from alpha_power, so the route shares no arithmetic
-    with the twin toric_images it is checked against.
+    entry x of [0 p] for the p of rank i, and c = left[i] and s = right[i]
+    are the two shifts of that p, in range(m).  Entry x of [0 p] o alpha^s
+    is [0 p]((x + s) % m): a mask of the elements with one s (perms._marks
+    of right) keeps their lanes of lift column (x + s) % m (perms._lanes),
+    and the OR over s joins them.  The left factor alpha^c acts on a whole
+    column as one translate, and a mask of the elements with one c keeps
+    their lanes of it.  The rotations come from alpha_power, so a route
+    shares no arithmetic with the twin it is checked against.
     """
     m = len(points)
-    size = len(points[0])
-    rotations = [_rotation_table(m, m - c) for c in range(m)]
-    masks = [_lanes(points[r].translate(_marks(c))) for c in range(m)]
-    for x in range(m):
-        column = points[(x + r) % m]
-        lanes = 0
-        for rotation, mask in zip(rotations, masks):
-            if mask:
-                lanes |= mask & _lanes(column.translate(rotation))
-        yield _column(lanes, size)
-
-
-def _bar_route(points, inv, r):
-    """Columns of the routes [0 bar_f_r(p)] = alpha^(m-r) o [0 p] o alpha^s, by rank, as bytes.
-
-    Here s = (p^-1)_r, entry r of the lift of p^-1: points[r][inv[i]] for
-    the p of rank i (inv is the rank table of inversion), gathered once per
-    call.  Entry x of [0 p] o alpha^s is [0 p]((x + s) % m): a mask of the
-    elements with one s (perms._marks of the gathered column) keeps their
-    lanes of lift column (x + s) % m (perms._lanes), and the OR over s
-    joins them.  The left factor is one fixed rotation, from alpha_power,
-    and acts on each column as one translate.  The twin bar_f_images finds
-    s by scanning the lift columns for r instead, and subtracts r through
-    toric._differences before it selects.
-    """
-    m = len(points)
-    size = len(inv)
-    spots = bytes(compose_maps(points[r], inv))
-    masks = [_lanes(spots.translate(_marks(s))) for s in range(m)]
+    size = len(left)
     lanes = [_lanes(col) for col in points]
-    left = _rotation_table(m, m - r)
+    rights = [(s, mask) for s in range(m) if (mask := _lanes(right.translate(_marks(s))))]
+    lefts = [
+        (bytes(alpha_power(m - 1, c)) + bytes(256 - m), mask)
+        for c in range(m)
+        if (mask := _lanes(left.translate(_marks(c))))
+    ]
     for x in range(m):
         column = 0
-        for s, mask in enumerate(masks):
-            if mask:
-                column |= mask & lanes[(x + s) % m]
-        yield _column(column, size).translate(left)
+        for s, mask in rights:
+            column |= mask & lanes[(x + s) % m]
+        column = _column(column, size)
+        routed = 0
+        for rotation, mask in lefts:
+            routed |= mask & _lanes(column.translate(rotation))
+        yield _column(routed, size)
 
 
 def _check_route(columns, twin, images, **context):
     """Fail at the first element, by rank, whose routed map is not its twin image.
 
     columns yields column x = 0..n of the routed maps of every element, as
-    bytes (see _toric_route), and twin holds the packed twin's columns:
+    bytes (see _rotation_route), and twin holds the packed twin's columns:
     entry t of every image is twin[t - 1].  Column 0 of a lift is all
     zeros, so a routed map that does not fix 0 misses there.  Columns are
     compared as bytes, and only a column that differs is read entry by
@@ -458,7 +430,7 @@ def _dihedral_tables(n, budget) -> list[tuple[int, ...]]:
     read from the twins' rank tables.  A table that is no bijection of the
     ranks fails the claim, naming the first such symmetry.
     """
-    rev = _checked(rank_table(n, budget, reverse_images))
+    rev = _checked(rank_table(n, budget, toric.reverse_images))
     bar = _checked(bar_tables(n, budget))
     tables = bar + [compose_maps(b, rev) for b in bar]
     for d, table in zip(dihedral_elements(n), tables):
@@ -478,13 +450,13 @@ def _power_rule(w, n, budget, r, message, /, **context):
     function at p is s r', unique since distinct powers of bar_f_r differ.
     toric.bar_f_witness derives it as e s with bar_f_1 = bar_f_r^e, read
     off the tables; this closed form, e = r', is the check on that
-    derivation.  (p^-1)_r is column r-1 of the packed twin invert_images;
+    derivation.  (p^-1)_r is column r-1 of the packed twin perms.invert_images;
     context names the fault beyond p.
     """
     budget.check()
     m = n + 1
     r_inv = pow(r, -1, m)
-    want = tuple(r_inv * s % m for s in invert_images(n)[r - 1])
+    want = tuple(r_inv * s % m for s in perms.invert_images(n)[r - 1])
     _agree(w.pi_power, want, list(sym_index(n)), message, **context)
 
 
@@ -557,28 +529,31 @@ def _run_eq9(n, budget):
     """Exhaustive over Sym_n: every p and every shift r.
 
     The identities are checked on rank tables: T[r][i] is the rank of
-    f_r of the element of rank i, ranked from the packed twin toric_images.
+    f_r of the element of rank i, ranked from the packed twin
+    toric.toric_images.
     sym_index is a bijection from Sym_n onto range(n!), so a composed table
     equals another exactly when the two composed maps agree at every
     element, and each comparison still covers every element.  The
     conjugation form [0 f_r(p)] = alpha^(m-p_r) o [0 p] o alpha^r is
-    compared with the twin's columns as bytes (_toric_route, _check_route):
-    it composes the lifts with rotations and shares no arithmetic with the
-    twin it is checked against.
+    compared with the twin's columns as bytes (_rotation_route, _check_route):
+    its left shift m-p_r varies with p, and its right shift r does not.
 
     Additivity f_s o f_r = f_(r+s), shifts mod m, is checked as f_0 = id
     and f_1 o f_r = f_(r+1): by induction f_r = f_1^r, and f_1^m = f_0.
     """
     m = n + 1
     images = list(sym_index(n))
-    tor = [_checked(rank_table(n, budget, toric_images, r)) for r in range(m)]
-    inv = _checked(rank_table(n, budget, invert_images))
+    twin = toric.toric_images
+    tor = [_checked(rank_table(n, budget, twin, r)) for r in range(m)]
+    inv = _checked(rank_table(n, budget, perms.invert_images))
     _agree(tor[0], tuple(range(len(images))), images, "zeroth toric map moved a point")
     # points[r][i] is p_r for the element p of rank i, in its lift [0 p].
     points = _lift_columns(n)
+    negate = bytes(-v % m for v in range(m)) + bytes(256 - m)
     for r, t in enumerate(tor):
         budget.check()
-        _check_route(_toric_route(points, r), toric_images(n, r), images, r=r)
+        route = _rotation_route(points, points[r].translate(negate), bytes((r,)) * len(images))
+        _check_route(route, twin(n, r), images, r=r)
         # (f_r(p))^-1 = f_{p_r}(p^-1): the shift p_r varies with p.
         mirrored = tuple(map(getitem, map(tor.__getitem__, points[r]), inv))
         _agree(
@@ -599,7 +574,7 @@ def _run_eq12(n, budget):
     """Both forms and the involution on every p in Sym_n, exhaustively, and
     multiplicativity g(rho o pi) = g(rho) o g(pi) on every pair (rho, pi) in
     Sym_n x Sym_n, by a reduction to the adjacent transpositions.  All three
-    are checked on the packed twin reverse_images.
+    are checked on the packed twin toric.reverse_images.
 
     The conjugation form [0 g(p)] = [0 w] o [0 p] o [0 w], w = reverse(n),
     is computed on the lift columns of all of Sym_n: entry x of it is
@@ -629,11 +604,12 @@ def _run_eq12(n, budget):
     """
     idx = sym_index(n)
     images = list(idx)
-    rev = _checked(rank_table(n, budget, reverse_images))
+    twin = toric.reverse_images
+    rev = _checked(rank_table(n, budget, twin))
     points = _lift_columns(n)
     w = lift(reverse(n))
     flip = bytes(w) + bytes(256 - len(w))
-    _check_route((points[x].translate(flip) for x in w), reverse_images(n), images)
+    _check_route((points[x].translate(flip) for x in w), twin(n), images)
     ident = tuple(range(len(images)))
     _agree(compose_maps(rev, rev), ident, images, "reversal is not an involution")
     adjacent = adjacent_transpositions(n)
@@ -652,31 +628,30 @@ def _run_eq12(n, budget):
     return {"elements": len(images), "pairs": len(images) ** 2}
 
 
-def _run_mirror(twin: Callable, kind: str, n, budget):
+def _run_mirror(name: str, kind: str, n, budget):
     """Exhaustive over every p in Sym_n and every shift r: R o T[r] o R is
     compared with T[-r] as rank tables, T the tables of the packed twin
-    that twin() returns, which agree exactly when the maps agree at every
-    element because sym_index is a bijection.  The twin is read when the
-    claim runs, so a twin replaced at run time is the one checked."""
+    toric.<name>, which agree exactly when the maps agree at every element
+    because sym_index is a bijection."""
     m = n + 1
     images = list(sym_index(n))
-    twin = twin()
+    twin = getattr(toric, name)
     tables = [_checked(rank_table(n, budget, twin, r)) for r in range(m)]
-    rev = _checked(rank_table(n, budget, reverse_images))
+    rev = _checked(rank_table(n, budget, toric.reverse_images))
     message = f"conjugated {kind} map is not the mirror shift"
     for r, t in enumerate(tables):
         _agree(compose_maps(rev, compose_maps(t, rev)), tables[-r], images, message, r=r)
     return {"elements": len(images), "shifts": m}
 
 
-# (key, reader of the twin, kind of map) for each mirror rule g o T_r o g = T_-r.
+# (key, packed twin in toric, kind of map) for each mirror rule g o T_r o g = T_-r.
 _MIRRORS = (
-    ("gfg", lambda: toric_images, "toric"),
-    ("eq16", lambda: toric.bar_f_images, "inverse-toric"),
+    ("gfg", "toric_images", "toric"),
+    ("eq16", "bar_f_images", "inverse-toric"),
 )
-for _key, _twin, _kind in _MIRRORS:
+for _key, _name, _kind in _MIRRORS:
     _summary = f"reversal conjugates each {_kind} map to its mirror"
-    _claim(_key, _summary, 3, 7)(partial(_run_mirror, _twin, _kind))
+    _claim(_key, _summary, 3, 7)(partial(_run_mirror, _name, _kind))
 
 
 @_claim("eq13", "inverse-toric maps: defining route and iteration", 3, 7)
@@ -684,7 +659,8 @@ def _run_eq13(n, budget):
     """Exhaustive over every p in Sym_n and every shift r.
 
     Three routes meet: the rotation form [0 bar_f_r(p)] = alpha^(m-r) o
-    [0 p] o alpha^((p^-1)_r), on lift columns (_bar_route), the definition
+    [0 p] o alpha^((p^-1)_r), on lift columns (_rotation_route: its right
+    shift varies with p, and its left shift m-r does not), the definition
     (f_r(p^-1))^-1 as the rank table inv o T[r] o inv, and r-fold iteration
     of bar_f_1 as B[1] o B[r-1] by induction on r from B[0] = id.
     sym_index is a bijection, so each table comparison covers every element.
@@ -692,12 +668,15 @@ def _run_eq13(n, budget):
     m = n + 1
     images = list(sym_index(n))
     bar = _checked(bar_tables(n, budget))
-    tor = [_checked(rank_table(n, budget, toric_images, r)) for r in range(m)]
-    inv = _checked(rank_table(n, budget, invert_images))
+    tor = [_checked(rank_table(n, budget, toric.toric_images, r)) for r in range(m)]
+    inv = _checked(rank_table(n, budget, perms.invert_images))
     points = _lift_columns(n)
     for r, b in enumerate(bar):
         budget.check()
-        _check_route(_bar_route(points, inv, r), toric.bar_f_images(n, r), images, r=r)
+        # (p^-1)_r, entry r of the lift of p^-1, for the p of each rank.
+        spots = bytes(compose_maps(points[r], inv))
+        route = _rotation_route(points, bytes((-r % m,)) * len(images), spots)
+        _check_route(route, toric.bar_f_images(n, r), images, r=r)
         _agree(
             compose_maps(inv, compose_maps(tor[r], inv)),
             b,
@@ -875,7 +854,7 @@ def _run_prop44(n, budget):
     w0 = idx[w.image]
     _need(all(b[w0] == w0 for b in bar), "the doubling involution does not centralize the group")
     _need(w.compose(w) == identity(n), "the doubling map is not an involution")
-    inside = _checked(rank_table(n, budget, reverse_images)) in bar
+    inside = _checked(rank_table(n, budget, toric.reverse_images)) in bar
     _need(not inside, "the doubling involution lies inside the group")
     return {"group_order": factorial(m), "doubled_order": 2 * factorial(m)}
 
@@ -1397,7 +1376,7 @@ def _run_toric_reverse_aut(n, budget):
     tables = dict(zip(dih, _dihedral_tables(n, budget)))
     rotations = [(d, tables[d]) for d in dih[: n + 1]]
     vertices = list(index)
-    for d, table in rotations + [(dih[n + 1], _checked(rank_table(n, budget, reverse_images)))]:
+    for d, table in rotations + [(dih[n + 1], _checked(rank_table(n, budget, toric.reverse_images)))]:
         budget.check()
         for t in tn:
             if table[t] not in members:

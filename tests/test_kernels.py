@@ -462,15 +462,18 @@ def _kernel_images(n, kernel):
 
 def _column_route_fault(n, kind, shifted_images):
     """The (r, p) the claim's column pass fails at, shift by shift, or None."""
-    idx = sym_index(n)
-    images = list(idx)
+    images = list(sym_index(n))
     points = _lift_columns(n)
-    inv = tuple(map(idx.__getitem__, map(oracle_invert, images)))
+    m = n + 1
     for r, twin_images in enumerate(shifted_images):
+        # [0 f_r(p)] = alpha^(m-p_r) o [0 p] o alpha^r and
+        # [0 bar_f_r(p)] = alpha^(m-r) o [0 p] o alpha^((p^-1)_r).
         if kind == "toric":
-            columns = verify._toric_route(points, r)
+            shifts = [(-((0,) + a)[r] % m, r) for a in images]
         else:
-            columns = verify._bar_route(points, inv, r)
+            shifts = [(-r % m, ((0,) + oracle_invert(a))[r]) for a in images]
+        left, right = map(bytes, zip(*shifts))
+        columns = verify._rotation_route(points, left, right)
         try:
             verify._check_route(columns, _packed(twin_images), images, r=r)
         except verify.ClaimFailure as exc:
@@ -810,6 +813,21 @@ def test_skew_toric_builds_no_b_table_past_an_expired_budget(monkeypatch, k):
     with pytest.raises(BudgetExceeded):
         verify.REGISTRY["skew-toric"].runner(8, _Expiring(k))
     assert built == list(range(k - 1))
+    toric.clear_cache()
+
+
+@pytest.mark.parametrize("s", [0, 3, 6])
+def test_an_additivity_sweep_the_budget_stops_keeps_no_fault(s):
+    # At 5 the budget is read once per B table, six reads, then once per
+    # step s = 0..6 of the additivity sweep: it expires at step s.
+    toric.clear_cache()
+    budget = _Expiring(7 + s)
+    with pytest.raises(BudgetExceeded):
+        toric.bar_tables(5, budget, "additivity")
+    assert budget.reads == 7 + s
+    assert toric._faults == {}
+    assert toric.bar_tables(5, NO_BUDGET, "additivity")[1] is None
+    assert list(toric._faults.values()) == [None]
     toric.clear_cache()
 
 

@@ -109,6 +109,33 @@ def test_every_imported_name_is_read(path):
     assert sorted(set(_imported_names(tree)) - _read_names(tree)) == []
 
 
+# The packed twins, each at its home module.
+PACKED_TWINS = {
+    "toric_images": "toric",
+    "bar_f_images": "toric",
+    "reverse_images": "toric",
+    "invert_images": "perms",
+}
+
+
+def test_no_module_binds_a_packed_twin_by_name():
+    """Readers go through toric. or perms., so a twin replaced at its home
+    reaches every reader; a name bound by `from ... import` would keep the
+    twin it found at import time."""
+    bound = [
+        f"{path.name}:{alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in PACKED_TWINS
+    ]
+    assert bound == []
+    for name, home in PACKED_TWINS.items():
+        tree = ast.parse((PACKAGE / f"{home}.py").read_text())
+        assert name in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
 def test_every_spanned_name_is_in_its_layer_module():
     """perfbench spans these entry points by name; one that goes missing
     crashes the benchmark's symmetry pass."""

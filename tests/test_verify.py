@@ -6,7 +6,7 @@ import threading
 import time
 from dataclasses import replace
 from functools import lru_cache, wraps
-from itertools import repeat
+from itertools import count, repeat
 from math import comb, factorial
 from operator import itemgetter
 from pathlib import Path
@@ -343,7 +343,7 @@ def test_kernel_fault_is_reported_with_one_line_permutations(monkeypatch):
     # p -> p o w is an involution but not multiplicative, so the pair sweep
     # of eq12 must catch it and name the pair in one-line notation.  The
     # conjugation route, which would stop at the first p, is skipped.
-    monkeypatch.setattr(verify, "reverse_images", _twin0(lambda a: a[::-1]))
+    monkeypatch.setattr(toric, "reverse_images", _twin0(lambda a: a[::-1]))
     monkeypatch.setattr(verify, "_check_route", lambda *args, **context: None)
     r = run_claim("eq12", 3)
     assert r.status == "failed"
@@ -386,11 +386,19 @@ def _twin0(kernel):
     return lambda n: _packed(map(kernel, sym_index(n)))
 
 
+def _home(name):
+    """The home module, toric or perms, of the packed twin of that name.  No
+    module binds a twin under a name of its own (see
+    test_no_module_binds_a_packed_twin_by_name), so it is the one that has
+    the name."""
+    (home,) = [module for module in (perms, toric) if hasattr(module, name)]
+    return home
+
+
 def _plant(monkeypatch, name, twin):
-    """Replace the packed twin of that name where the claims read it: every
-    reader of the B tables takes toric.bar_f_images, and verify reads the
-    toric and reversal twins under its own names."""
-    monkeypatch.setattr(toric if name == "bar_f_images" else verify, name, twin)
+    """Replace the packed twin of that name at its home, where every reader
+    takes it when it runs."""
+    monkeypatch.setattr(_home(name), name, twin)
 
 
 # The packed twin each table claim ranks, patched below with a faulty
@@ -510,14 +518,18 @@ def test_table_counterexamples_break_the_identity_they_name(monkeypatch, name, k
         assert not _identity_holds(key, r.details["error"], r.counterexample, kernels), (key, r)
 
 
-def _tampered_route(true, faults, tamper):
-    """The column route true, with tamper(columns, i) applied to the routed
-    map of the element of rank i at each (i, r) in faults."""
+def _tampered_route(faults, tamper):
+    """verify._rotation_route, with tamper(columns, i) applied to the routed
+    map of the element of rank i at each (i, r) in faults.  A claim calls
+    the route once per shift, from r = 0 up, so its call r routes shift r."""
+    true = verify._rotation_route
+    shifts = count()
 
     def route(*args):
+        r = next(shifts)
         columns = [bytearray(c) for c in true(*args)]
-        for i, r in faults:
-            if r == args[-1]:
+        for i, s in faults:
+            if s == r:
                 tamper(columns, i)
         return map(bytes, columns)
 
@@ -532,33 +544,28 @@ def _send_0_to_1(columns, i):
     columns[0][i] = 1
 
 
-ROUTES = [("eq9", "_toric_route"), ("eq13", "_bar_route")]
+# The claims whose conjugation form is read off verify._rotation_route.
+ROUTES = ["eq9", "eq13"]
 
 
-@pytest.mark.parametrize("key,route", ROUTES)
-def test_conjugation_route_reports_its_first_fault_in_shift_major_order(
-    monkeypatch, key, route
-):
+@pytest.mark.parametrize("key", ROUTES)
+def test_conjugation_route_reports_its_first_fault_in_shift_major_order(monkeypatch, key):
     # Wrong at (r=3, an early p) and at (r=1, a late p): a sweep over r
     # outside and p inside meets the second pair first.
     idx = sym_index(4)
     faults = {(idx[(2, 1, 3, 4)], 3), (idx[(4, 3, 2, 1)], 1)}
-    monkeypatch.setattr(
-        verify, route, _tampered_route(getattr(verify, route), faults, _swap_entries_1_and_2)
-    )
+    monkeypatch.setattr(verify, "_rotation_route", _tampered_route(faults, _swap_entries_1_and_2))
     r = run_claim(key, 4)
     assert r.status == "failed"
     assert r.details["error"] == "defining forms disagree"
     assert r.counterexample == {"p": "[4 3 2 1]", "r": "1"}
 
 
-@pytest.mark.parametrize("key,route", ROUTES)
-def test_a_routed_map_that_moves_0_fails_the_claim_at_its_element_and_shift(
-    monkeypatch, key, route
-):
+@pytest.mark.parametrize("key", ROUTES)
+def test_a_routed_map_that_moves_0_fails_the_claim_at_its_element_and_shift(monkeypatch, key):
     # Only entry 0 is wrong, so only column 0 can show it.
     faults = {(sym_index(4)[(3, 1, 4, 2)], 2)}
-    monkeypatch.setattr(verify, route, _tampered_route(getattr(verify, route), faults, _send_0_to_1))
+    monkeypatch.setattr(verify, "_rotation_route", _tampered_route(faults, _send_0_to_1))
     r = run_claim(key, 4)
     assert r.status == "failed"
     assert r.details["error"] == "defining forms disagree"
@@ -576,7 +583,7 @@ def test_eq9_additivity_on_f_1_catches_a_fault_at_shift_2(monkeypatch):
         b = toric_image(a, r)
         return _swap_first_two(b) if (a, r) == (x, 2) else b
 
-    monkeypatch.setattr(verify, "toric_images", _twin(faulty))
+    monkeypatch.setattr(toric, "toric_images", _twin(faulty))
     monkeypatch.setattr(verify, "_check_route", lambda *args, **context: None)
     r = run_claim("eq9", 4)
     assert r.status == "failed"
@@ -665,7 +672,7 @@ def test_a_reversal_twin_wrong_at_one_element_fails_eq12_at_its_conjugation_form
         b = reverse_image(a)
         return _swap_first_two(b) if a == bad else b
 
-    monkeypatch.setattr(verify, "reverse_images", _twin0(faulty))
+    monkeypatch.setattr(toric, "reverse_images", _twin0(faulty))
     r = run_claim("eq12", 5)
     assert r.status == "failed"
     assert r.details == {"error": "defining forms disagree"}
@@ -895,7 +902,7 @@ def test_eq12_generator_reduction_agrees_with_the_all_pairs_sweep(monkeypatch, n
     monkeypatch.setattr(verify, "_check_route", lambda *args, **context: None)
     for name, kernel in _eq12_kernels(n).items():
         clear_cache()
-        monkeypatch.setattr(verify, "reverse_images", _twin0(kernel))
+        monkeypatch.setattr(toric, "reverse_images", _twin0(kernel))
         r = run_claim("eq12", n)
         holds = _oracle_eq12_holds(n, kernel)
         assert (r.status == "verified") == holds, name
@@ -1077,6 +1084,28 @@ def test_one_planted_b_table_fails_every_claim_that_reads_it(monkeypatch):
         assert run_claim(key, n).status == "failed", key
 
 
+# Each packed twin but the B twin: the shift at which it is planted wrong
+# (None for a twin without one), and the claims that must see the fault.
+TWIN_READERS = {
+    "toric_images": (3, ("eq9", "gfg", "eq13")),
+    "reverse_images": (None, ("eq12", "gfg", "eq16", "cor5.11", "thm2", "toric-reverse-aut")),
+    "invert_images": (None, ("eq9", "eq13", "skew-toric", "lemma4.3", "prop4.4")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_READERS))
+def test_one_planted_twin_fails_every_claim_that_reads_it(monkeypatch, name):
+    # The twin with the images of the last two elements exchanged, at every
+    # degree, planted once at its home after the readers have run on the
+    # true twin: still a bijection.  The degree is 5, clamped per claim.
+    r, readers = TWIN_READERS[name]
+    for key in readers:
+        assert run_claim(key, 5).status == "verified", key
+    _plant(monkeypatch, name, _swapped(getattr(_home(name), name), r, -2, -1))
+    for key in readers:
+        assert run_claim(key, 5).status == "failed", key
+
+
 @pytest.mark.parametrize("n", [6, 7])
 @pytest.mark.parametrize("key", ["lemma4.3", "prop4.4"])
 def test_product_rule_claims_verify_past_their_caps(key, n):
@@ -1191,11 +1220,12 @@ def _oracle_prop44_closed(n):
 
 
 def _swapped(twin, r, i, j):
-    """twin with the images of the elements of ranks i and j exchanged at shift r."""
+    """twin with the images of the elements of ranks i and j exchanged at
+    shift r, or at every call when r is None (a twin that takes no shift)."""
 
-    def faulty(n, s):
-        columns = twin(n, s)
-        if s % (n + 1) != r:
+    def faulty(n, *shift):
+        columns = twin(n, *shift)
+        if r is not None and shift[0] % (n + 1) != r:
             return columns
         images = list(zip(*columns))
         images[i], images[j] = images[j], images[i]
@@ -1276,7 +1306,7 @@ def _preimage(twin, n, r, q):
 def test_toric_reverse_aut_fails_on_a_reversal_that_leaves_t_n(monkeypatch, n):
     t, q = _outside_t_n(n)
     idx = sym_index(n)
-    true = verify.reverse_images
+    true = toric.reverse_images
     images = list(zip(*true(n)))
     j = next(i for i, a in enumerate(images) if idx[a] == q)
 
@@ -1285,7 +1315,7 @@ def test_toric_reverse_aut_fails_on_a_reversal_that_leaves_t_n(monkeypatch, n):
         swapped[t], swapped[j] = swapped[j], swapped[t]
         return _packed(swapped)
 
-    monkeypatch.setattr(verify, "reverse_images", faulty)
+    monkeypatch.setattr(toric, "reverse_images", faulty)
     assert not all(_oracle_dihedral_automorphisms(n))
     r = run_claim("toric-reverse-aut", n)
     assert r.status == "failed"
