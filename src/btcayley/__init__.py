@@ -95,6 +95,7 @@ _HOME = {
     "graphs": "graphs",
     "maps": "maps",
     "perms": "perms",
+    "record": "record",
     "toric": "toric",
     "verify": "verify",
 }

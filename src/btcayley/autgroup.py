@@ -19,7 +19,6 @@ leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 
 from .blocktrans import tn_realizations
@@ -43,14 +42,17 @@ from .perms import (
     identity,
     lift,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class VertexMap:
-    """A bijection of a graph's vertex ranks."""
+class VertexMap(Record, uncompared=("graph",)):
+    """A bijection of a graph's vertex ranks; equality reads the images only."""
 
-    graph: Graph = field(compare=False)
-    images: tuple[int, ...] = ()
+    __slots__ = ("graph", "images")
+
+    def __init__(self, graph: Graph, images: tuple[int, ...] = ()):
+        self._fill(graph, images)
+        self.__post_init__()
 
     def __post_init__(self):
         if sorted(self.images) != list(range(self.graph.num_vertices)):

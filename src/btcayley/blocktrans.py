@@ -15,10 +15,10 @@ T_n splits into four classes by which cut points touch the ends:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .perms import Permutation, _wrap
+from .record import Record
 
 # Distinguished recognize() answer for the identity permutation, which has
 # no cut-point representation.
@@ -27,14 +27,14 @@ IDENTITY = "identity"
 TN_CLASSES = ("B", "L", "F", "S")
 
 
-@dataclass(frozen=True)
-class CutPoints:
+class CutPoints(Record):
     """Cut points (i, j, k) of a block transposition of degree n."""
 
-    i: int
-    j: int
-    k: int
-    n: int
+    __slots__ = ("i", "j", "k", "n")
+
+    def __init__(self, i: int, j: int, k: int, n: int):
+        self._fill(i, j, k, n)
+        self.__post_init__()
 
     def __post_init__(self):
         if not 0 <= self.i < self.j < self.k <= self.n:

@@ -13,6 +13,7 @@ budget was exhausted.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -360,5 +361,23 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
 
 
+def run() -> None:
+    """The one exit path of a btcayley process (python -m btcayley, python
+    -m btcayley.cli and the btcayley script): main() on sys.argv, then exit
+    with its code.
+
+    gc.freeze() first moves every object into the permanent generation, so
+    the collections of interpreter shutdown skip the module heap of a
+    process about to end.  atexit handlers, flushing and exit codes are
+    those of sys.exit(main()).  main() itself never freezes: tests and
+    perfbench call it in their own process.
+    """
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -10,7 +10,6 @@ exports are stable.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
 
@@ -30,6 +29,7 @@ from .perms import (
     sym_group,
     sym_index,
 )
+from .record import Record
 
 
 class Graph:
@@ -196,12 +196,13 @@ def degree_profile(g: Graph) -> tuple[int, ...]:
 # Maximal 2-cliques and the special vertex set V.
 
 
-@dataclass(frozen=True)
-class EdgeSet2Cliques:
+class EdgeSet2Cliques(Record):
     """Edges whose endpoints share no neighbor, tagged with e_m indices."""
 
-    edges: tuple[tuple[int, int], ...]
-    em_index: tuple[int | None, ...]
+    __slots__ = ("edges", "em_index")
+
+    def __init__(self, edges: tuple[tuple[int, int], ...], em_index: tuple[int | None, ...]):
+        self._fill(edges, em_index)
 
 
 def e_edges(n: int) -> list[tuple[CutPoints, CutPoints]]:

@@ -10,7 +10,6 @@ the left translations together with psi and has order |G| * order(psi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, cycle
 from operator import add
@@ -29,10 +28,10 @@ from .perms import (
     sym_group,
     sym_index,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class SkewMorphismWitness:
+class SkewMorphismWitness(Record):
     """A skew morphism of Sym_n, from one of two producers: is_regular reads
     one off a regular Cayley map, and toric.bar_f_witness derives the one of
     each bar_f_r (the identity, of order 1, at r = 0) from the B tables.
@@ -42,10 +41,16 @@ class SkewMorphismWitness:
     the exponent attached to elements[i] in psi(x y) = psi(x) psi^pi(x)(y).
     """
 
-    elements: tuple[Permutation, ...]
-    psi: tuple[int, ...]
-    order: int
-    pi_power: tuple[int, ...]
+    __slots__ = ("elements", "psi", "order", "pi_power")
+
+    def __init__(
+        self,
+        elements: tuple[Permutation, ...],
+        psi: tuple[int, ...],
+        order: int,
+        pi_power: tuple[int, ...],
+    ):
+        self._fill(elements, psi, order, pi_power)
 
     def index_of(self, p: Permutation) -> int:
         return sym_index(self.elements[0].n)[p.image]

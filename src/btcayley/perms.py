@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter, ne
 
 from .budget import NO_BUDGET
+from .record import Record, _set
 
 
 def cycles(succ) -> list[list[int]]:
@@ -78,8 +78,7 @@ def _inverse_map(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-@dataclass(frozen=True, slots=True)
-class Permutation:
+class Permutation(Record):
     """A bijection of {1, ..., n} in one-line notation.
 
     >>> p = Permutation((2, 3, 1))
@@ -89,7 +88,11 @@ class Permutation:
     '[3 1 2]'
     """
 
-    image: tuple[int, ...]
+    __slots__ = ("image",)
+
+    def __init__(self, image: tuple[int, ...]):
+        _set(self, "image", image)
+        self.__post_init__()
 
     def __post_init__(self):
         a, n = self.image, len(self.image)
@@ -128,9 +131,18 @@ class Permutation:
     def __str__(self) -> str:
         return "[" + " ".join(str(v) for v in self.image) + "]"
 
+    # Record's equality and hash, written out for the one field: sets and
+    # dicts of whole groups hash every element.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.image == other.image
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.image,))
+
 
 _new = object.__new__
-_set = object.__setattr__
 
 
 def _wrap(image: tuple[int, ...]) -> Permutation:

@@ -21,8 +21,7 @@ is one of its powers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import factorial
 from operator import getitem
 
@@ -46,6 +45,7 @@ from .perms import (
     sym_group,
     sym_index,
 )
+from .record import Record
 from . import perms
 
 
@@ -236,17 +236,18 @@ def euler_phi(m: int) -> int:
 # The dihedral group generated by bar_f and g.
 
 
-@dataclass(frozen=True)
-class DihedralElement:
+class DihedralElement(Record):
     """Normal form bar_f_r o g^refl of an element of the group <bar_f, g>.
 
     The group has order 2(n+1) with relations bar_f^(n+1) = id, g^2 = id,
     and g o bar_f_r o g = bar_f_{n+1-r}.
     """
 
-    r: int
-    refl: int
-    n: int
+    __slots__ = ("r", "refl", "n")
+
+    def __init__(self, r: int, refl: int, n: int):
+        self._fill(r, refl, n)
+        self.__post_init__()
 
     def __post_init__(self):
         if not 0 <= self.r <= self.n:
@@ -448,7 +449,23 @@ def clear_cache():
     bar_f_witness.cache_clear()
 
 
-@lru_cache(maxsize=32)
+def _cached_per_twin(derive):
+    """derive(n, r), cached per (n, r mod n+1, bar_f_images,
+    perms.invert_images) as _faults is keyed: the twins are read on each
+    call, so one planted after a warm call gets a fresh derivation.  Like
+    functools.lru_cache (32 entries), the wrapper has cache_info and
+    cache_clear, and __wrapped__ is derive, uncached."""
+    cached = lru_cache(maxsize=32)(lambda n, r, twin, inversion: derive(n, r))
+
+    @wraps(derive)
+    def witness(n: int, r: int):
+        return cached(n, r % (n + 1), bar_f_images, perms.invert_images)
+
+    witness.cache_info, witness.cache_clear = cached.cache_info, cached.cache_clear
+    return witness
+
+
+@_cached_per_twin
 def bar_f_witness(n: int, r: int) -> SkewMorphismWitness | None:
     """Skew-morphism witness for bar_f_r on degree n, or None when it is none.
 

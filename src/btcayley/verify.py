@@ -20,7 +20,6 @@ import pickle
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from math import factorial, gcd
@@ -83,6 +82,7 @@ from .perms import (
     sym_group,
     sym_index,
 )
+from .record import Record
 from . import perms, toric
 from .toric import (
     _miss,
@@ -112,14 +112,19 @@ class ClaimFailure(Exception):
         self.counterexample = counterexample or {}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    claim: str
-    n: int
-    status: str
-    details: dict
-    counterexample: dict | None
-    wall_time_ms: float
+class VerificationReport(Record):
+    __slots__ = ("claim", "n", "status", "details", "counterexample", "wall_time_ms")
+
+    def __init__(
+        self,
+        claim: str,
+        n: int,
+        status: str,
+        details: dict,
+        counterexample: dict | None,
+        wall_time_ms: float,
+    ):
+        self._fill(claim, n, status, details, counterexample, wall_time_ms)
 
     def as_json(self) -> dict:
         return {
@@ -132,13 +137,11 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True)
-class Claim:
-    key: str
-    summary: str
-    min_n: int
-    max_n: int
-    runner: Callable = field(compare=False)
+class Claim(Record, uncompared=("runner",)):
+    __slots__ = ("key", "summary", "min_n", "max_n", "runner")
+
+    def __init__(self, key: str, summary: str, min_n: int, max_n: int, runner: Callable):
+        self._fill(key, summary, min_n, max_n, runner)
 
     def resolve_n(self, n: int | None) -> int:
         if n is None:

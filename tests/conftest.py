@@ -23,15 +23,16 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def run_python():
-    """run_python(code): stdout of code run by a fresh interpreter on this src/.
+    """run_python(code): stdout of code run by a fresh interpreter on this src/,
+    started with the interpreter options in flags.
 
     The interpreter must exit 0 within the timeout.
     """
 
-    def run(code: str, timeout: float = 120) -> str:
+    def run(code: str, timeout: float = 120, flags: tuple[str, ...] = ()) -> str:
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, *flags, "-c", code],
             capture_output=True,
             text=True,
             env=dict(os.environ, PYTHONPATH=path),

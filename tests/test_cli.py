@@ -1,8 +1,13 @@
 """Command-line contract: outputs, exit codes, determinism."""
 
+import gc
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import tomllib
 
 import pytest
 
@@ -374,3 +379,75 @@ def test_enumerate_partition_matches_the_closed_forms(capsys):
         ) + "\n"
         code, out, err = run(capsys, "enumerate", "--n", str(n), "--what", "partition", "--pretty")
         assert out == "".join(f"{c} {counts[c]}\n" for c in "BLFS") + f"total {sum(counts.values())}\n"
+
+
+# ---------------------------------------------------------------------------
+# The process entry points: each runs main() through cli.run, which freezes
+# the heap before the process exits.
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _process(*command):
+    """(exit code, stdout, stderr) of a fresh interpreter on this src/."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *command],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (("verify", "prop5.8", "--n", "4"), 1),
+        (("verify", "nosuch", "--n", "4"), 2),  # main returns the usage code
+        (("verify", "--bogus"), 2),  # argparse exits inside main
+    ],
+    ids=["failed claim", "unknown claim", "bad option"],
+)
+def test_both_modules_give_the_same_bytes_and_exit_codes(argv, exit_code):
+    package = _process("-m", "btcayley", *argv)
+    assert package[0] == exit_code
+    assert package[1 if exit_code == 1 else 2]
+    assert _process("-m", "btcayley.cli", *argv) == package
+
+
+def _script_entry_point() -> str:
+    """Code that calls the [project.scripts] target as an installed script does."""
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, name = scripts["btcayley"].split(":")
+    return f"import sys; from {module} import {name}; sys.exit({name}())"
+
+
+ENTRY_POINTS = {
+    "python -m btcayley": "import runpy; runpy.run_module('btcayley', run_name='__main__', alter_sys=True)",
+    "python -m btcayley.cli": "import runpy; runpy.run_module('btcayley.cli', run_name='__main__', alter_sys=True)",
+    "btcayley script": _script_entry_point(),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("argv, exit_code", [(("verify", "eq9", "--n", "3"), 0), (("verify",), 2)])
+def test_every_entry_point_freezes_the_heap_before_it_exits(entry, argv, exit_code):
+    # An atexit handler runs after the entry point has called sys.exit.
+    code = (
+        "import atexit, gc\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        + ENTRY_POINTS[entry]
+    )
+    status, out, err = _process("-c", code, *argv)
+    assert status == exit_code, err
+    assert out.endswith(b"frozen True\n")
+    assert out.startswith(b'{"claim":"eq9"') == (exit_code == 0)
+
+
+def test_main_does_not_freeze_the_heap(capsys):
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "verify", "eq9", "--n", "3")[0] == 0
+    with pytest.raises(SystemExit):
+        main(["verify"])
+    assert gc.get_freeze_count() == frozen

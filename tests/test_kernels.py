@@ -29,7 +29,6 @@ automorphisms already found.
 
 import hashlib
 from collections import Counter, deque
-from dataclasses import replace
 from functools import partial
 from itertools import permutations, repeat
 from math import factorial, gcd
@@ -40,7 +39,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from btcayley import toric, verify
+from btcayley import perms, toric, verify
 from btcayley.autgroup import (
     _automorphisms,
     aut_group,
@@ -694,6 +693,25 @@ def _swap_last_two(images):
     return images
 
 
+def test_a_warm_witness_is_derived_again_once_the_inversion_twin_is_planted(monkeypatch):
+    # The witness cache is keyed on the twins, as the faults of the B tables
+    # are: an inversion twin planted after a warm call breaks the product
+    # rule, and the next call must see it.
+    true = perms.invert_images
+
+    def planted(n):
+        columns = true(n)
+        return tuple(map(bytes, zip(*_swap_last_two(list(zip(*columns)))))) if n == 5 else columns
+
+    assert bar_f_witness(5, 1).order == 6
+    monkeypatch.setattr(perms, "invert_images", planted)
+    try:
+        with pytest.raises(RuntimeError, match="product rule violated"):
+            bar_f_witness(5, 1)
+    finally:
+        toric.clear_cache()
+
+
 def test_two_swapped_ranks_at_a_coprime_shift_fail_skew_toric(plant_bar_f_images):
     # B[5] is no longer B[1] o B[4], first at the rank of the second-last element.
     plant_bar_f_images(5, 5, _swap_last_two)
@@ -918,7 +936,7 @@ def test_a_tampered_power_at_the_last_shift_fails_skew_toric(monkeypatch, n):
     powers = list(true.pi_power)
     i = len(powers) // 2
     powers[i] = (powers[i] + 1) % true.order
-    tampered = replace(true, pi_power=tuple(powers))
+    tampered = true.replace(pi_power=tuple(powers))
     monkeypatch.setattr(
         verify, "bar_f_witness", lambda m, s: tampered if (m, s) == (n, n) else bar_f_witness(m, s)
     )
@@ -948,7 +966,7 @@ def test_power_function_columns_report_the_first_fault_of_the_loops(monkeypatch,
     powers = list(true.pi_power)
     for i in (ranks[-2], ranks[3]):
         powers[i] = (powers[i] + 1) % true.order
-    tampered = replace(true, pi_power=tuple(powers))
+    tampered = true.replace(pi_power=tuple(powers))
     if key == "skew-toric":
         monkeypatch.setattr(
             verify, "bar_f_witness", lambda n, s: tampered if s == 1 else bar_f_witness(n, s)

@@ -70,7 +70,41 @@ def test_an_unknown_name_raises_attribute_error(run_python):
     assert out == "module 'btcayley' has no attribute 'no_such_name'\nImportError\n[]\n"
 
 
+# dataclasses, and modules its import pulls in.
+HEAVY_IMPORTS = ("dataclasses", "inspect", "ast", "dis")
+
+
+def test_the_command_line_layers_load_no_dataclasses_or_inspect(run_python):
+    # -S: no site step, whose imports come from the environment.
+    out = run_python(
+        "import sys\n"
+        "import btcayley.cli, btcayley.verify, btcayley.autgroup, btcayley.maps\n"
+        f"print([m for m in {HEAVY_IMPORTS!r} if m in sys.modules])",
+        flags=("-S",),
+    )
+    assert out == "[]\n"
+
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "btcayley"
+
+
+def _absolute_imports(tree):
+    """The top-level package of every absolute import in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+def test_no_module_imports_dataclasses():
+    """The records are plain classes on record.Record (see record.py)."""
+    importers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "dataclasses" in _absolute_imports(ast.parse(path.read_text()))
+    ]
+    assert importers == []
 
 
 def _annotations(tree):

@@ -4,7 +4,6 @@ import os
 import re
 import threading
 import time
-from dataclasses import replace
 from functools import lru_cache, wraps
 from itertools import count, repeat
 from math import comb, factorial
@@ -185,7 +184,7 @@ def test_pool_and_plain_loop_give_the_same_reports(monkeypatch):
 def pid_claims(monkeypatch):
     """Every claim reports the id of the process it ran in."""
     for key in claim_keys():
-        claim = replace(REGISTRY[key], runner=lambda n, budget: {"pid": os.getpid()})
+        claim = REGISTRY[key].replace(runner=lambda n, budget: {"pid": os.getpid()})
         monkeypatch.setitem(REGISTRY, key, claim)
 
 
@@ -222,7 +221,7 @@ def _broken(n, budget):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_runner_that_raises_makes_run_all_raise(monkeypatch, workers):
     monkeypatch.setattr(verify, "_worker_count", lambda: workers)
-    monkeypatch.setitem(REGISTRY, "eq9", replace(REGISTRY["eq9"], runner=_broken))
+    monkeypatch.setitem(REGISTRY, "eq9", REGISTRY["eq9"].replace(runner=_broken))
     with pytest.raises(RuntimeError, match="runner fault"):
         run_all(5)
 
@@ -240,7 +239,7 @@ def test_a_spent_budget_skips_every_claim(monkeypatch, workers):
 def test_no_worker_is_left_after_run_all(monkeypatch, ending):
     monkeypatch.setattr(verify, "_worker_count", lambda: 2)
     if ending == "raises":
-        monkeypatch.setitem(REGISTRY, "eq9", replace(REGISTRY["eq9"], runner=_broken))
+        monkeypatch.setitem(REGISTRY, "eq9", REGISTRY["eq9"].replace(runner=_broken))
         with pytest.raises(RuntimeError, match="runner fault"):
             run_all(5)
     else:
@@ -252,7 +251,6 @@ def test_no_worker_is_left_after_run_all(monkeypatch, ending):
 def test_a_worker_killed_mid_claim_makes_run_all_raise(run_python):
     out = run_python(
         "import os, signal\n"
-        "from dataclasses import replace\n"
         "from btcayley import verify\n"
         "verify._worker_count = lambda: 2\n"
         "parent = os.getpid()\n"
@@ -260,7 +258,7 @@ def test_a_worker_killed_mid_claim_makes_run_all_raise(run_python):
         "    if os.getpid() != parent:\n"
         "        os.kill(os.getpid(), signal.SIGKILL)\n"
         "    return {}\n"
-        "verify.REGISTRY['eq9'] = replace(verify.REGISTRY['eq9'], runner=killed)\n"
+        "verify.REGISTRY['eq9'] = verify.REGISTRY['eq9'].replace(runner=killed)\n"
         "try:\n"
         "    verify.run_all(5)\n"
         "except RuntimeError as exc:\n"
@@ -303,7 +301,6 @@ def test_run_all_forks_its_workers_inside_a_multiprocessing_daemon(run_python):
     # reports of the plain loop, and its claims run in other processes.
     out = run_python(
         "import multiprocessing, os\n"
-        "from dataclasses import replace\n"
         "from btcayley import verify\n"
         "def reports(n):\n"
         "    return [(r.claim, r.n, r.status, r.details, r.counterexample)\n"
@@ -320,7 +317,7 @@ def test_run_all_forks_its_workers_inside_a_multiprocessing_daemon(run_python):
         "verify._worker_count = count\n"
         "for key in verify.claim_keys():\n"
         "    claim = verify.REGISTRY[key]\n"
-        "    verify.REGISTRY[key] = replace(claim, runner=lambda n, b: {'pid': os.getpid()})\n"
+        "    verify.REGISTRY[key] = claim.replace(runner=lambda n, b: {'pid': os.getpid()})\n"
         "with pool(1) as workers:\n"
         "    daemon, worker, seen = workers.apply(pids, (5,))\n"
         "print(daemon, worker in seen, os.getpid() in seen)\n",
@@ -753,7 +750,7 @@ def test_the_table_claims_run_first_as_one_job(monkeypatch):
     order = []
     for key in claim_keys():
         runner = lambda n, budget, key=key: order.append(key) or {}  # noqa: E731
-        monkeypatch.setitem(REGISTRY, key, replace(REGISTRY[key], runner=runner))
+        monkeypatch.setitem(REGISTRY, key, REGISTRY[key].replace(runner=runner))
     monkeypatch.setattr(verify, "_worker_count", lambda: 1)
     reports = run_all(5)
     assert [r.claim for r in reports] == list(claim_keys())
@@ -1130,7 +1127,7 @@ def _affinity_claims(monkeypatch):
         return {"pid": os.getpid(), "cpus": sorted(os.sched_getaffinity(0))}
 
     for key in claim_keys():
-        monkeypatch.setitem(REGISTRY, key, replace(REGISTRY[key], runner=runner))
+        monkeypatch.setitem(REGISTRY, key, REGISTRY[key].replace(runner=runner))
 
 
 @pytest.mark.skipif(
@@ -1185,8 +1182,8 @@ def test_example71_fails_when_its_witness_reads_the_next_slot(monkeypatch, field
     def shifted(m, budget=NO_BUDGET):
         w = true(m, budget=budget)
         if field == "pi_power":
-            return replace(w, pi_power=tuple((e + 1) % w.order for e in w.pi_power))
-        return replace(w, psi=w.psi[1:] + w.psi[:1])
+            return w.replace(pi_power=tuple((e + 1) % w.order for e in w.pi_power))
+        return w.replace(psi=w.psi[1:] + w.psi[:1])
 
     monkeypatch.setattr(verify, "is_regular", shifted)
     r = run_claim("example7.1")
