@@ -142,9 +142,8 @@ def stabilizer_of_identity(n: int, budget=NO_BUDGET) -> list[VertexMap]:
     The automorphisms keeping those colors are exactly the identity-fixing
     ones; the pruned generator search finds generators of them, and their
     stabilizer chain lists the group they generate, sorted by image tuple.
+    build_cayley bounds the degree: it refuses n > 7.
     """
-    if n > 5:
-        raise ValueError(f"degree {n} beyond the exhaustive-search range (max 5)")
     g = build_cayley(n, tn_realizations(n))
     iota = g.index_of(identity(n))
     # The vertices are sym_group(n) in rank order, as the distances are.

@@ -14,16 +14,15 @@ identity permutation and maps block transpositions to block transpositions.
 A skew morphism of the group is a permutation psi of its elements with
 psi(1) = 1 and, at each x, an exponent e = pi(x) with
 psi(x y) = psi(x) psi^e(y) for all y.  bar_f_witness decides which bar_f_r
-are skew morphisms from the rank tables of the bar_f_s alone: once the
-tables add and hold the product rule, bar_f_r is one exactly when bar_f_1
-is one of its powers.
+are skew morphisms from the rank tables of the bar_f_s alone: once their
+twin holds its rotation form (bar_tables), the tables add and hold the
+product rule, and bar_f_r is one exactly when bar_f_1 is one of its powers.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, wraps
 from math import factorial
-from operator import getitem
 
 from .blocktrans import CutPoints
 from .budget import NO_BUDGET
@@ -34,10 +33,8 @@ from .perms import (
     _lanes,
     _lift_columns,
     _marks,
-    _rank_columns,
     _restrict,
     _wrap,
-    adjacent_transpositions,
     alpha_power,
     compose_maps,
     lift,
@@ -319,12 +316,13 @@ def phi_iso(h: Permutation, r: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# The one provider of the rank tables of the twins and of the faults of the
-# B tables, a fault being a (message, context) pair on which a claim fails;
-# and which maps bar_f_r are skew morphisms, from the B tables alone.
+# The one provider of the rank tables of the twins and of the fault of the
+# B twin against its rotation form, a fault being a (message, context) pair
+# on which a claim fails; and which maps bar_f_r are skew morphisms, from
+# the B tables alone.
 
 _tables: dict[tuple, tuple[int, ...]] = {}  # keyed on (n, twin, r)
-_faults: dict[tuple, tuple[str, dict] | None] = {}  # keyed on (check, n, twin, inversion twin)
+_faults: dict[tuple, tuple[str, dict] | None] = {}  # keyed on (n, twin, inversion twin)
 
 
 def rank_table(n: int, budget, twin, r=None):
@@ -359,71 +357,101 @@ def _miss(lhs: tuple[int, ...], rhs: tuple[int, ...]) -> int | None:
     return None
 
 
-def product_rule_fault(n: int, bar, budget=NO_BUDGET) -> tuple[str, dict] | None:
-    """The first fault ("product rule violated", naming rho, t as pi, and r)
-    of bar_f_r(rho o pi) = bar_f_r(rho) o bar_f_s(pi), or None when it holds
-    for every pair (rho, pi) of Sym_n and every r, with s = s(rho, r) the
-    position of r in [0 rho].  bar[r] is the rank table B[r]; the rule is
-    checked on the adjacent transpositions t, sweeping r, then t, then rho
-    by rank.
+def _rotation_route(points, left, right):
+    """Columns of the routes alpha^c o [0 p] o alpha^s, by rank, as bytes.
 
-    For each r and t one comparison covers every rho: entry rho of B[r] o
-    col_t is the rank of bar_f_r(rho o t), and entry B[r][rho] of the column
-    of y = bar_f_s(t) the rank of bar_f_r(rho) o y.  s is entry r of
-    [0 rho^-1] (column r-1 of perms.invert_images, 0 at r = 0); the y are read
-    off B[s], and perms._rank_columns memoises their columns.  This covers
-    every pi, by induction on its length as a word in the t:
-    - Length 0: at rho = iota, s = r, the check reads bar_f_r(t) =
-      bar_f_r(iota) o bar_f_r(t), so bar_f_r(iota) = iota.
-    - pi = pi' o t: with s = s(rho, r) and s' = s(rho o pi', r) = s(pi', s),
-      a cocycle that holds as [0 rho o pi'] = [0 rho] o [0 pi'],
-          bar_f_r(rho o pi) = bar_f_r(rho o pi') o bar_f_s'(t)         (at rho o pi')
-                            = bar_f_r(rho) o bar_f_s(pi') o bar_f_s'(t)  (induction)
-                            = bar_f_r(rho) o bar_f_s(pi)               (at pi', shift s).
+    points are the perms._lift_columns of degree n, so points[x][i] is
+    entry x of [0 p] for the p of rank i, and c = left[i] and s = right[i]
+    are the two shifts of that p, in range(m).  Entry x of [0 p] o alpha^s
+    is [0 p]((x + s) % m): a mask of the elements with one s (perms._marks
+    of right) keeps their lanes of lift column (x + s) % m (perms._lanes),
+    and the OR over s joins them.  The left factor alpha^c acts on a whole
+    column as one translate, and a mask of the elements with one c keeps
+    their lanes of it.  The rotations come from alpha_power, so a route
+    shares no arithmetic with the twin it is checked against.
     """
-    idx = sym_index(n)
-    images = list(idx)
-    adjacent = adjacent_transpositions(n)
-    ys = [images[b[idx[t]]] for b in bar for t in adjacent]
-    columns = _rank_columns(n, adjacent + ys)
-    spots = (bytes(len(images)),) + perms.invert_images(n)  # spots[r][i]: s(rho, r), rho of rank i
-    for r, b in enumerate(bar):
-        budget.check()
-        for j, t in enumerate(adjacent):
-            barred = columns[n - 1 + j :: n - 1]  # the column of bar_f_s(t), for each s
-            lhs = compose_maps(b, columns[j])
-            rank = _miss(lhs, tuple(map(getitem, map(barred.__getitem__, spots[r]), b)))
-            if rank is not None:
-                return "product rule violated", {"rho": _wrap(images[rank]), "pi": _wrap(t), "r": r}
+    m = len(points)
+    size = len(left)
+    lanes = [_lanes(col) for col in points]
+    rights = [(s, mask) for s in range(m) if (mask := _lanes(right.translate(_marks(s))))]
+    lefts = [
+        (bytes(alpha_power(m - 1, c)) + bytes(256 - m), mask)
+        for c in range(m)
+        if (mask := _lanes(left.translate(_marks(c))))
+    ]
+    for x in range(m):
+        column = 0
+        for s, mask in rights:
+            column |= mask & lanes[(x + s) % m]
+        column = _column(column, size)
+        routed = 0
+        for rotation, mask in lefts:
+            routed |= mask & _lanes(column.translate(rotation))
+        yield _column(routed, size)
+
+
+def _check_route(columns, twin, images, **context):
+    """The fault ("defining forms disagree", naming p and the context) at
+    the first element, by rank, whose routed map is not its twin image, or
+    None.
+
+    columns yields column x = 0..n of the routed maps of every element, as
+    bytes (see _rotation_route), and twin holds the packed twin's columns:
+    entry t of every image is twin[t - 1].  Column 0 of a lift is all
+    zeros, so a routed map that does not fix 0 misses there.  Columns are
+    compared as bytes, and only a column that differs is read entry by
+    entry, for its first fault; context (the shift r) names it beyond p.
+    """
+    size = len(images)
+    first = size
+    for col, want in zip(columns, (bytes(size),) + tuple(twin)):
+        if (i := _miss(col, want)) is not None:
+            first = min(first, i)
+    if first < size:
+        return "defining forms disagree", {"p": _wrap(images[first]), **context}
     return None
 
 
-def additivity_fault(n: int, bar, budget=NO_BUDGET) -> tuple[str, dict] | None:
-    """The first fault ("inverse-toric shifts do not add", naming p, and s as
-    r) of B[0] = id and B[s] = B[1] o B[s-1] for s = 1..n+1, read mod n+1,
-    or None.  So B[s] = B[1]^s, and the wrap-around step makes each a
-    bijection (tables with B[r] = iota for every r >= 1 pass the others)."""
-    m = n + 1
+def _route_fault(n: int, twin, budget) -> tuple[str, dict] | None:
+    """The first fault of the B twin against its rotation form
+    [0 bar_f_r(p)] = alpha^(m-r) o [0 p] o alpha^s, s = (p^-1)_r, m = n+1,
+    sweeping r, then p by rank, or None when it holds at every p and r.
+
+    The left shift m-r is one for every p, and s is read for every p at
+    once from column r-1 of perms.invert_images (0 at r = 0).  The route
+    is checked against twin(n, r) as bytes (_rotation_route, _check_route),
+    and its column 0 holds [0 p](s) - r: so where the check passes, s is
+    the position of r in [0 p] whatever the inversion twin gives.  The
+    budget is read once per shift.
+    """
     images = list(sym_index(n))
-    for s in range(m + 1):
+    points = _lift_columns(n)
+    m = n + 1
+    spots = (bytes(len(images)),) + perms.invert_images(n)  # spots[r][i]: (p^-1)_r, p of rank i
+    for r in range(m):
         budget.check()
-        want = compose_maps(bar[1], bar[s - 1]) if s else tuple(range(len(images)))
-        if (rank := _miss(bar[s % m], want)) is not None:
-            return "inverse-toric shifts do not add", {"p": _wrap(images[rank]), "r": s % m}
+        route = _rotation_route(points, bytes((-r % m,)) * len(images), spots[r])
+        if fault := _check_route(route, twin(n, r), images, r=r):
+            return fault
     return None
 
 
-def bar_tables(n: int, budget, *checks: str):
+def bar_tables(n: int, budget):
     """(B, fault): the rank tables B[r] of bar_f_images(n, r), r = 0..n, and
-    the first fault of a table (B is then None), or else of each check
-    named, in the order given: "additivity" (additivity_fault) or "product
-    rule" (product_rule_fault).
+    the first fault of a table (B is then None), or else of the twin
+    against its rotation form (_route_fault).
+
+    That one check is all Section 4 reads: the product rule
+    bar_f_r(rho o pi) = bar_f_r(rho) o bar_f_s(pi), s = (rho^-1)_r, and
+    additivity, B[0] = id and B[s] = B[1]^s with B[1]^(n+1) = id, so that
+    every B[r] is a bijection, each follow from the form in three lines,
+    proved in the runners of the claims lemma4.3 and prop4.4 (verify).
 
     bar_f_images is read when this runs, so every reader of the B tables
-    takes the twin of that one name.  Each check runs once per degree and
-    twin, and per perms.invert_images, which the product rule reads; its
-    fault, or None, is kept until clear_cache() runs, and a check the
-    budget interrupted keeps nothing.
+    takes the twin of that one name.  The check runs once per degree and
+    twin, and per perms.invert_images, which it reads; its fault, or None,
+    is kept until clear_cache() runs, and a check the budget interrupted
+    keeps nothing.
     """
     twin = bar_f_images
     bar = []
@@ -432,14 +460,10 @@ def bar_tables(n: int, budget, *checks: str):
         if fault:
             return None, fault
         bar.append(table)
-    for check in checks:
-        key = (check, n, twin, perms.invert_images)
-        if key not in _faults:
-            run = {"additivity": additivity_fault, "product rule": product_rule_fault}[check]
-            _faults[key] = run(n, bar, budget)
-        if _faults[key]:
-            return bar, _faults[key]
-    return bar, None
+    key = (n, twin, perms.invert_images)
+    if key not in _faults:
+        _faults[key] = _route_fault(n, twin, budget)
+    return bar, _faults[key]
 
 
 def clear_cache():
@@ -451,7 +475,7 @@ def clear_cache():
 
 def _cached_per_twin(derive):
     """derive(n, r), cached per (n, r mod n+1, bar_f_images,
-    perms.invert_images) as _faults is keyed: the twins are read on each
+    perms.invert_images), the twins _faults is keyed on: they are read on each
     call, so one planted after a warm call gets a fresh derivation.  Like
     functools.lru_cache (32 entries), the wrapper has cache_info and
     cache_clear, and __wrapped__ is derive, uncached."""
@@ -469,21 +493,23 @@ def _cached_per_twin(derive):
 def bar_f_witness(n: int, r: int) -> SkewMorphismWitness | None:
     """Skew-morphism witness for bar_f_r on degree n, or None when it is none.
 
-    psi = B[r], read off bar_tables with the faults of the tables.  No step
+    psi = B[r], read off bar_tables with the fault of the tables.  No step
     reads gcd(r, n+1), the rule that skew-toric checks.
       - psi = id: the identity is a skew morphism of order 1 and power 0.
-      - Otherwise a fault of the tables raises RuntimeError.  So B[s] =
-        B[1]^s, and psi, a power of B[1], is a bijection with r != 0.
-      - B[1] = psi^e: then B[s] = psi^(e s), and the product rule reads
-        psi(rho pi) = psi(rho) psi^(e s)(pi), s = (rho^-1)_r.  So psi is a
-        skew morphism whose power function is e (p^-1)_r mod its order,
-        unique since distinct powers of psi differ as maps.
+      - Otherwise a fault of the tables raises RuntimeError.  Else the twin
+        holds its rotation form, so B[s] = B[1]^s (additivity, see
+        bar_tables), and psi, a power of B[1], is a bijection with r != 0.
+      - B[1] = psi^e: then B[s] = psi^(e s), and the product rule (see
+        bar_tables) reads psi(rho pi) = psi(rho) psi^(e s)(pi), s =
+        (rho^-1)_r.  So psi is a skew morphism whose power function is
+        e (p^-1)_r mod its order, unique since distinct powers of psi
+        differ as maps.
       - Otherwise None: take rho with rho_1 = r, so s = 1.  A skew law
         psi(rho pi) = psi(rho) psi^e(pi) at rho would force bar_f_1 = psi^e.
     """
     r %= n + 1
     psi, _ = rank_table(n, NO_BUDGET, bar_f_images, r)
-    bar, fault = bar_tables(n, NO_BUDGET, "additivity", "product rule")
+    bar, fault = bar_tables(n, NO_BUDGET)
     powers = [tuple(range(factorial(n)))]
     if psi == powers[0]:
         return SkewMorphismWitness(sym_group(n), psi, 1, (0,) * len(psi))

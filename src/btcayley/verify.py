@@ -20,11 +20,11 @@ import pickle
 import threading
 import time
 from collections import Counter
+from collections.abc import Callable
 from functools import partial
 from itertools import chain
 from math import factorial, gcd
 from operator import getitem
-from typing import Callable
 
 from .autgroup import (
     aut_group,
@@ -67,14 +67,10 @@ from .maps import aut_order, is_regular, mprime_n5_map, octahedron_map, prop72_m
 from .perms import (
     Permutation,
     StabilizerChain,
-    _column,
-    _lanes,
     _lift_columns,
-    _marks,
     _rank_columns,
     _wrap,
     adjacent_transpositions,
-    alpha_power,
     compose_maps,
     identity,
     lift,
@@ -359,70 +355,22 @@ def _bt(i: int, j: int, k: int, n: int) -> Permutation:
     return make_bt(CutPoints(i, j, k, n))
 
 
-def _checked(pair):
-    """The value of a (value, fault) pair from toric; a fault fails the claim."""
-    value, fault = pair
+def _no_fault(fault):
+    """Fail the claim on a fault from toric, a (message, context) pair."""
     if fault is not None:
         _fail(fault[0], **fault[1])
-    return value
+
+
+def _checked(pair):
+    """The value of a (value, fault) pair from toric; a fault fails the claim."""
+    _no_fault(pair[1])
+    return pair[0]
 
 
 def _agree(lhs, rhs, images, message: str, key: str = "p", **context):
     """Fail at the first rank where two tables differ, naming that element as key."""
     if (i := _miss(lhs, rhs)) is not None:
         _fail(message, **{key: _wrap(images[i])}, **context)
-
-
-def _rotation_route(points, left, right):
-    """Columns of the routes alpha^c o [0 p] o alpha^s, by rank, as bytes.
-
-    points are the perms._lift_columns of degree n, so points[x][i] is
-    entry x of [0 p] for the p of rank i, and c = left[i] and s = right[i]
-    are the two shifts of that p, in range(m).  Entry x of [0 p] o alpha^s
-    is [0 p]((x + s) % m): a mask of the elements with one s (perms._marks
-    of right) keeps their lanes of lift column (x + s) % m (perms._lanes),
-    and the OR over s joins them.  The left factor alpha^c acts on a whole
-    column as one translate, and a mask of the elements with one c keeps
-    their lanes of it.  The rotations come from alpha_power, so a route
-    shares no arithmetic with the twin it is checked against.
-    """
-    m = len(points)
-    size = len(left)
-    lanes = [_lanes(col) for col in points]
-    rights = [(s, mask) for s in range(m) if (mask := _lanes(right.translate(_marks(s))))]
-    lefts = [
-        (bytes(alpha_power(m - 1, c)) + bytes(256 - m), mask)
-        for c in range(m)
-        if (mask := _lanes(left.translate(_marks(c))))
-    ]
-    for x in range(m):
-        column = 0
-        for s, mask in rights:
-            column |= mask & lanes[(x + s) % m]
-        column = _column(column, size)
-        routed = 0
-        for rotation, mask in lefts:
-            routed |= mask & _lanes(column.translate(rotation))
-        yield _column(routed, size)
-
-
-def _check_route(columns, twin, images, **context):
-    """Fail at the first element, by rank, whose routed map is not its twin image.
-
-    columns yields column x = 0..n of the routed maps of every element, as
-    bytes (see _rotation_route), and twin holds the packed twin's columns:
-    entry t of every image is twin[t - 1].  Column 0 of a lift is all
-    zeros, so a routed map that does not fix 0 misses there.  Columns are
-    compared as bytes, and only a column that differs is read entry by
-    entry, for its first fault; context (the shift r) names it beyond p.
-    """
-    size = len(images)
-    first = size
-    for col, want in zip(columns, (bytes(size),) + tuple(twin)):
-        if (i := _miss(col, want)) is not None:
-            first = min(first, i)
-    if first < size:
-        _fail("defining forms disagree", p=_wrap(images[first]), **context)
 
 
 def _dihedral_tables(n, budget) -> list[tuple[int, ...]]:
@@ -527,7 +475,7 @@ def _run_lemma21(n, budget):
 # Toric and reversal maps, pointwise identities.
 
 
-@_claim("eq9", "toric maps: conjugation form, additivity, inverse rule", 3, 7)
+@_claim("eq9", "toric maps: conjugation form, additivity, inverse rule", 3, 8)
 def _run_eq9(n, budget):
     """Exhaustive over Sym_n: every p and every shift r.
 
@@ -538,8 +486,9 @@ def _run_eq9(n, budget):
     equals another exactly when the two composed maps agree at every
     element, and each comparison still covers every element.  The
     conjugation form [0 f_r(p)] = alpha^(m-p_r) o [0 p] o alpha^r is
-    compared with the twin's columns as bytes (_rotation_route, _check_route):
-    its left shift m-p_r varies with p, and its right shift r does not.
+    compared with the twin's columns as bytes (toric._rotation_route and
+    toric._check_route, looked up when the claim runs): its left shift
+    m-p_r varies with p, and its right shift r does not.
 
     Additivity f_s o f_r = f_(r+s), shifts mod m, is checked as f_0 = id
     and f_1 o f_r = f_(r+1): by induction f_r = f_1^r, and f_1^m = f_0.
@@ -555,8 +504,9 @@ def _run_eq9(n, budget):
     negate = bytes(-v % m for v in range(m)) + bytes(256 - m)
     for r, t in enumerate(tor):
         budget.check()
-        route = _rotation_route(points, points[r].translate(negate), bytes((r,)) * len(images))
-        _check_route(route, twin(n, r), images, r=r)
+        left = points[r].translate(negate)
+        route = toric._rotation_route(points, left, bytes((r,)) * len(images))
+        _no_fault(toric._check_route(route, twin(n, r), images, r=r))
         # (f_r(p))^-1 = f_{p_r}(p^-1): the shift p_r varies with p.
         mirrored = tuple(map(getitem, map(tor.__getitem__, points[r]), inv))
         _agree(
@@ -582,9 +532,9 @@ def _run_eq12(n, budget):
     The conjugation form [0 g(p)] = [0 w] o [0 p] o [0 w], w = reverse(n),
     is computed on the lift columns of all of Sym_n: entry x of it is
     w(p(w(x))), so its column x is lift column w(x) translated through w.
-    These columns are compared with the twin's as bytes (_check_route): the
-    route takes w from perms.reverse, the twin its v -> m - v table from
-    toric._complements.
+    These columns are compared with the twin's as bytes
+    (toric._check_route): the route takes w from perms.reverse, the twin its
+    v -> m - v table from toric._complements.
 
     On ranks, R[i] is the rank of g of the element of rank i, and col_b[i]
     the rank of (element i) o b.  For each of the n-1 adjacent
@@ -612,7 +562,7 @@ def _run_eq12(n, budget):
     points = _lift_columns(n)
     w = lift(reverse(n))
     flip = bytes(w) + bytes(256 - len(w))
-    _check_route((points[x].translate(flip) for x in w), twin(n), images)
+    _no_fault(toric._check_route((points[x].translate(flip) for x in w), twin(n), images))
     ident = tuple(range(len(images)))
     _agree(compose_maps(rev, rev), ident, images, "reversal is not an involution")
     adjacent = adjacent_transpositions(n)
@@ -654,32 +604,27 @@ _MIRRORS = (
 )
 for _key, _name, _kind in _MIRRORS:
     _summary = f"reversal conjugates each {_kind} map to its mirror"
-    _claim(_key, _summary, 3, 7)(partial(_run_mirror, _name, _kind))
+    _claim(_key, _summary, 3, 8)(partial(_run_mirror, _name, _kind))
 
 
-@_claim("eq13", "inverse-toric maps: defining route and iteration", 3, 7)
+@_claim("eq13", "inverse-toric maps: defining route and iteration", 3, 8)
 def _run_eq13(n, budget):
     """Exhaustive over every p in Sym_n and every shift r.
 
     Three routes meet: the rotation form [0 bar_f_r(p)] = alpha^(m-r) o
-    [0 p] o alpha^((p^-1)_r), on lift columns (_rotation_route: its right
-    shift varies with p, and its left shift m-r does not), the definition
-    (f_r(p^-1))^-1 as the rank table inv o T[r] o inv, and r-fold iteration
-    of bar_f_1 as B[1] o B[r-1] by induction on r from B[0] = id.
-    sym_index is a bijection, so each table comparison covers every element.
+    [0 p] o alpha^((p^-1)_r), which toric.bar_tables checks on the lift
+    columns once per degree, the definition (f_r(p^-1))^-1 as the rank
+    table inv o T[r] o inv, and r-fold iteration of bar_f_1 as B[1] o
+    B[r-1] by induction on r from B[0] = id.  sym_index is a bijection, so
+    each table comparison covers every element.
     """
     m = n + 1
     images = list(sym_index(n))
     bar = _checked(bar_tables(n, budget))
     tor = [_checked(rank_table(n, budget, toric.toric_images, r)) for r in range(m)]
     inv = _checked(rank_table(n, budget, perms.invert_images))
-    points = _lift_columns(n)
     for r, b in enumerate(bar):
         budget.check()
-        # (p^-1)_r, entry r of the lift of p^-1, for the p of each rank.
-        spots = bytes(compose_maps(points[r], inv))
-        route = _rotation_route(points, bytes((-r % m,)) * len(images), spots)
-        _check_route(route, toric.bar_f_images(n, r), images, r=r)
         _agree(
             compose_maps(inv, compose_maps(tor[r], inv)),
             b,
@@ -700,9 +645,16 @@ def _run_eq13(n, budget):
 @_claim("lemma4.3", "product rule for inverse-toric images", 3, 5)
 def _run_lemma43(n, budget):
     """bar_f_r(rho o pi) = bar_f_r(rho) o bar_f_s(pi) with s = (rho^-1)_r, for
-    every pair (rho, pi) in Sym_n x Sym_n and every r: toric.product_rule_fault
-    on the B tables.  "pairs" counts the pairs its proof covers."""
-    _checked(bar_tables(n, budget, "product rule"))
+    every pair (rho, pi) in Sym_n x Sym_n and every r, from the rotation
+    form that toric.bar_tables checks on the B twin for every p and r.
+    Write [x] = [0 x] and s(x, r) for the position of r in [x], so that
+    [bar_f_r(x)] = alpha^-r o [x] o alpha^s(x, r) and [rho o pi] = [rho] o
+    [pi].  With s = s(rho, r) and s' = s(pi, s) = s(rho o pi, r):
+        [bar_f_r(rho)] o [bar_f_s(pi)]
+          = alpha^-r [rho] alpha^s o alpha^-s [pi] alpha^s'
+          = alpha^-r [rho o pi] alpha^s' = [bar_f_r(rho o pi)].
+    "pairs" counts the pairs this proof covers."""
+    _checked(bar_tables(n, budget))
     return {"pairs": factorial(n) ** 2, "shifts": n + 1}
 
 
@@ -821,13 +773,19 @@ def _run_prop44(n, budget):
     """S = {L_h o bar_f_r : h in Sym_n, r mod m}, m = n+1, is a group of
     order (n+1)!, and right translation R by w0 = reverse(n) doubles it.
 
-    Checked on the rank tables B[r]: the product rule, then B[0] = id and
-    B[s] = B[1] o B[s-1] mod m (toric.bar_tables); the B[r] are distinct;
-    each B[r] fixes w0; w0 o w0 = iota, so R o R, right translation by
-    w0 o w0, is id; no B[r] is the table of g(x) = w0 o x o w0 (the
-    reverse_images table, checked against that form by eq12).  Then:
-      - Additivity: B[r] = B[1]^r by induction and B[1]^m = B[0] = id, so
-        bar_f_s o bar_f_u = bar_f_(s+u) (mod m), each a bijection.
+    Checked on the rank tables B[r]: the B twin holds its rotation form
+    [0 bar_f_r(p)] = alpha^-r o [0 p] o alpha^s(p, r), s(p, r) = (p^-1)_r
+    (toric.bar_tables), whence the product rule (lemma4.3) and additivity;
+    the B[r] are distinct; each B[r] fixes w0; w0 o w0 = iota, so R o R,
+    right translation by w0 o w0, is id; no B[r] is the table of g(x) =
+    w0 o x o w0 (the reverse_images table, checked against that form by
+    eq12).  Then:
+      - Additivity: with q = bar_f_(s-1)(p), a = s(p, s-1) and b = s(q, 1),
+        [0 bar_f_1(q)] = alpha^-s [0 p] alpha^(a+b).  It fixes 0, as the
+        form at q does, so [0 p](a+b) = s, a+b = s(p, s), and bar_f_1(q) =
+        bar_f_s(p); at s = 0 the form gives bar_f_0 = id.  So B[r] = B[1]^r
+        and B[1]^m = B[0] = id: bar_f_s o bar_f_u = bar_f_(s+u) (mod m),
+        each a bijection.
       - Closure: (L_h o bar_f_r) o (L_k o bar_f_u) = L_d o bar_f_(s+u) with
         d = h o bar_f_r(k) and s = s(k, r), since bar_f_r(k o bar_f_u(x)) =
         bar_f_r(k) o bar_f_s(bar_f_u(x)).
@@ -846,7 +804,7 @@ def _run_prop44(n, budget):
     m = n + 1
     idx = sym_index(n)
     images = list(idx)
-    bar = _checked(bar_tables(n, budget, "product rule", "additivity"))
+    bar = _checked(bar_tables(n, budget))
     distinct = len(set(bar))
     _need(distinct == m, "maps are not pairwise distinct", count=distinct * len(images))
     gens = [phi_iso(_wrap(t), 0) for t in adjacent_transpositions(n)]
@@ -866,11 +824,12 @@ def _run_prop44(n, budget):
 def _run_skew_toric(n, budget):
     """bar_f_r has a skew-morphism witness exactly at r = 0 and at r prime to
     n+1, of order 1 or n+1, and at each r prime to n+1 its powers follow
-    the power rule (_power_rule).  The B tables must first add and hold the
-    product rule (toric.bar_tables), the facts bar_f_witness derives its
-    answer from, so a wrong table fails here with its counterexample."""
+    the power rule (_power_rule).  The B twin must first hold its rotation
+    form (toric.bar_tables), whence the tables add and hold the product
+    rule, the facts bar_f_witness derives its answer from; so a wrong table
+    fails here with its counterexample."""
     m = n + 1
-    _checked(bar_tables(n, budget, "additivity", "product rule"))
+    _checked(bar_tables(n, budget))
     orders = {}
     for r in range(m):
         budget.check()
@@ -895,7 +854,7 @@ def _run_skew_toric(n, budget):
     return {"orders": orders, "coprime_count": 1 + euler_phi(m) - 1}
 
 
-@_claim("toric-singletons", "toric classes: singleton count and size divisors", 3, 7)
+@_claim("toric-singletons", "toric classes: singleton count and size divisors", 3, 8)
 def _run_toric_singletons(n, budget):
     classes, singletons, histogram = toric_class_stats(n, budget)
     m = n + 1
@@ -1345,14 +1304,14 @@ def _run_toric_reverse_aut(n, budget):
     The maps are the rank tables of _dihedral_tables: table[d][v] is the
     rank of d(p) for the vertex p of rank v, and each is a bijection of
     the ranks.  The edges of the graph join rho and rho o t, t in T_n.
-      - The rotation form gives bar_f_r(rho o t) = bar_f_r(rho) o
-        bar_f_s(t), with s the position of r in [0 rho]: write [0 x] as x
-        and s' for the position of s in [0 t], the position of r in
-        [0 rho o t]; then alpha^-r o rho t o alpha^s' = (alpha^-r o rho o
-        alpha^s) o (alpha^-s o t o alpha^s').  So once bar_f_s(T_n) lies in
-        T_n for every s, each bar_f_r sends every edge to an edge.  A
-        bijection of a finite graph that sends edges to edges permutes
-        them, so it is an automorphism.
+      - The rotation form, which toric.bar_tables checks, gives
+        bar_f_r(rho o t) = bar_f_r(rho) o bar_f_s(t), with s the position
+        of r in [0 rho]: write [0 x] as x and s' for the position of s in
+        [0 t], the position of r in [0 rho o t]; then alpha^-r o rho t o
+        alpha^s' = (alpha^-r o rho o alpha^s) o (alpha^-s o t o alpha^s').
+        So once bar_f_s(T_n) lies in T_n for every s, each bar_f_r sends
+        every edge to an edge.  A bijection of a finite graph that sends
+        edges to edges permutes them, so it is an automorphism.
       - The reversal is conjugation by w0 = [n ... 1] (eq12), so g(rho o t)
         = g(rho) o g(t), and g is an automorphism once g(T_n) lies in T_n.
         bar_f_0 is the identity, so g is the symmetry t^0*g, and every

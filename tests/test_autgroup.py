@@ -150,6 +150,23 @@ def test_identity_stabilizer_of_the_full_cayley_graph(n, stab, full):
     assert factorial(n) * len(maps) == full
 
 
+def test_the_stabilizer_search_runs_up_to_the_cayley_graph_cap():
+    # The search has no degree cap of its own: at 6 it finds the 14 maps
+    # the dihedral symmetries induce, and build_cayley refuses n = 8
+    # before any search.
+    n = 6
+    maps = stabilizer_of_identity(n)
+    assert len(maps) == 2 * (n + 1) == 14
+    g = build_cayley(n, tn_realizations(n))
+    induced = {
+        perm_vertex_map(g, lambda p, d=d: apply_dihedral(d, p)).images
+        for d in dihedral_elements(n)
+    }
+    assert {m.images for m in maps} == induced
+    with pytest.raises(ValueError, match="degree 8 too large to materialize"):
+        stabilizer_of_identity(8)
+
+
 def test_stabilizer_maps_are_the_induced_symmetries():
     n = 4
     g = build_cayley(n, tn_realizations(n))

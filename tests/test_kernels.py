@@ -17,7 +17,7 @@ prop7.2 and thm7.3 before each became one column comparison,
 the row-by-row skew-morphism decision (toric_oracles.oracle_check_skew)
 and the regular Cayley map (toric_oracles.oracle_map_witness) that
 bar_f_witness read its witness off before it derived it from the B tables
-and the product rule, face tracing by rotating each
+and their rotation form, face tracing by rotating each
 orbit to its least dart and sorting, the breadth-first closure and
 its levels, the breadth-first listing of a generated group before it was
 listed by cosets (now those of a stabilizer chain), closed-walk counts from dense powers of A before they were
@@ -101,11 +101,13 @@ from btcayley.toric import (
     toric_images,
 )
 from toric_oracles import (
+    additivity_fault,
     bar_f_conj,
     oracle_check_skew,
     oracle_compose,
     oracle_invert,
     oracle_map_witness,
+    product_rule_fault,
     toric_f_conj,
 )
 
@@ -472,12 +474,12 @@ def _column_route_fault(n, kind, shifted_images):
         else:
             shifts = [(-r % m, ((0,) + oracle_invert(a))[r]) for a in images]
         left, right = map(bytes, zip(*shifts))
-        columns = verify._rotation_route(points, left, right)
-        try:
-            verify._check_route(columns, _packed(twin_images), images, r=r)
-        except verify.ClaimFailure as exc:
-            assert str(exc) == "defining forms disagree"
-            return exc.counterexample
+        columns = toric._rotation_route(points, left, right)
+        fault = toric._check_route(columns, _packed(twin_images), images, r=r)
+        if fault is not None:
+            message, context = fault
+            assert message == "defining forms disagree"
+            return {k: str(v) for k, v in context.items()}
     return None
 
 
@@ -694,9 +696,9 @@ def _swap_last_two(images):
 
 
 def test_a_warm_witness_is_derived_again_once_the_inversion_twin_is_planted(monkeypatch):
-    # The witness cache is keyed on the twins, as the faults of the B tables
-    # are: an inversion twin planted after a warm call breaks the product
-    # rule, and the next call must see it.
+    # The witness cache is keyed on the twins, as the fault of the B tables
+    # is: an inversion twin planted after a warm call gives the rotation
+    # form of the B twin a wrong right shift, and the next call must see it.
     true = perms.invert_images
 
     def planted(n):
@@ -706,56 +708,66 @@ def test_a_warm_witness_is_derived_again_once_the_inversion_twin_is_planted(monk
     assert bar_f_witness(5, 1).order == 6
     monkeypatch.setattr(perms, "invert_images", planted)
     try:
-        with pytest.raises(RuntimeError, match="product rule violated"):
+        with pytest.raises(RuntimeError, match="defining forms disagree at p=.*, r=1"):
             bar_f_witness(5, 1)
     finally:
         toric.clear_cache()
 
 
 def test_two_swapped_ranks_at_a_coprime_shift_fail_skew_toric(plant_bar_f_images):
-    # B[5] is no longer B[1] o B[4], first at the rank of the second-last element.
+    # B[5] leaves its rotation form first at the rank of the second-last
+    # element, and is no longer B[1] o B[4] there.
     plant_bar_f_images(5, 5, _swap_last_two)
-    with pytest.raises(RuntimeError, match="inverse-toric shifts do not add"):
+    with pytest.raises(RuntimeError, match="defining forms disagree"):
         bar_f_witness(5, 5)
     report = verify.run_claim("skew-toric", 5)
     assert report.status == "failed"
-    assert report.details["error"] == "inverse-toric shifts do not add"
+    assert report.details["error"] == "defining forms disagree"
     assert report.counterexample == {"p": str(sym_group(5)[-2]), "r": "5"}
+    fault = additivity_fault(5, toric.bar_tables(5, NO_BUDGET)[0])
+    assert fault == ("inverse-toric shifts do not add", {"p": sym_group(5)[-2], "r": 5})
 
 
 def test_a_wrong_table_no_route_decides_raises(plant_bar_f_images):
-    # A wrong B[1] breaks B[2] = B[1] o B[1], so no witness is derived.
+    # A wrong B[1] leaves its rotation form, so no witness is derived.
     plant_bar_f_images(5, 1, _swap_last_two)
-    with pytest.raises(RuntimeError, match="inverse-toric shifts do not add at p=.*, r=2"):
+    with pytest.raises(RuntimeError, match="defining forms disagree at p=.*, r=1"):
         bar_f_witness(5, 1)
 
 
 def test_an_identity_table_at_a_shift_sharing_a_factor_is_no_counterexample(plant_bar_f_images):
     # The identity is a skew morphism, whatever the other tables hold; but
-    # B[2] = id is not B[1] o B[1], so skew-toric fails at r = 2.
+    # B[2] = id is not the rotation form of bar_f_2, so skew-toric fails at
+    # r = 2.
     identity_table = tuple(range(factorial(5)))
     plant_bar_f_images(5, 2, lambda images: list(sym_index(5)))
     w = bar_f_witness(5, 2)
     assert (w.psi, w.order, w.pi_power) == (identity_table, 1, (0,) * len(identity_table))
     report = verify.run_claim("skew-toric", 5)
     assert report.status == "failed"
-    assert report.details["error"] == "inverse-toric shifts do not add"
+    assert report.details["error"] == "defining forms disagree"
     assert report.counterexample["r"] == "2"
 
 
 def test_relabelled_tables_keep_additivity_and_break_the_product_rule(plant_bar_f_images):
     # Conjugate every B table at n = 5 by the rank involution i -> n! - i,
     # which fixes the identity: the tables still add, but the product rule
-    # fails, and the pair skew-toric names breaks it on the planted tables.
+    # fails (the oracles), and the route check refuses the planted twin.
     images = list(sym_index(5))
     relabel = {a: images[-i] if i else a for i, a in enumerate(images)}
     plant_bar_f_images(5, range(6), lambda old: [relabel[old[images.index(relabel[a])]] for a in images])
-    with pytest.raises(RuntimeError, match="product rule violated"):
+    with pytest.raises(RuntimeError, match="defining forms disagree at p=.*, r=1"):
         bar_f_witness(5, 1)
     report = verify.run_claim("skew-toric", 5)
     assert report.status == "failed"
-    assert report.details["error"] == "product rule violated"
-    assert report.counterexample == {"rho": "[1 2 3 5 4]", "pi": "[2 1 3 4 5]", "r": "1"}
+    assert report.details["error"] == "defining forms disagree"
+    assert report.counterexample == {"p": "[1 2 3 5 4]", "r": "1"}
+    bar = toric.bar_tables(5, NO_BUDGET)[0]
+    assert additivity_fault(5, bar) is None
+    message, context = product_rule_fault(5, bar)
+    assert message == "product rule violated"
+    named = {k: str(v) for k, v in context.items()}
+    assert named == {"rho": "[1 2 3 5 4]", "pi": "[2 1 3 4 5]", "r": "1"}
     rho, pi, r = (1, 2, 3, 5, 4), (2, 1, 3, 4, 5), 1
 
     def bar(a, s):
@@ -772,8 +784,9 @@ def test_relabelled_tables_keep_additivity_and_break_the_product_rule(plant_bar_
         (range(3, 4), lambda old: old[:7] + [(1,) * 5] + old[8:], {"p": "[1 3 2 5 4]", "r": "3"}),
         # B[r] sends everything to iota for r >= 1: B[s] = B[1] o B[s-1] for
         # s = 1..n and the product rule hold, but B[1] o B[n] is no identity,
-        # and B[1], no bijection, has no order to list its powers by.
-        (range(1, 6), lambda old: [old[0]] * len(old), {"p": "[1 2 3 5 4]", "r": "0"}),
+        # and B[1], no bijection, has no order to list its powers by.  Its
+        # rotation form fails at the first element that bar_f_1 moves.
+        (range(1, 6), lambda old: [old[0]] * len(old), {"p": "[1 2 3 5 4]", "r": "1"}),
     ],
 )
 def test_tables_that_are_no_bijections_fail_skew_toric(plant_bar_f_images, shifts, change, fault):
@@ -834,17 +847,17 @@ def test_skew_toric_builds_no_b_table_past_an_expired_budget(monkeypatch, k):
     toric.clear_cache()
 
 
-@pytest.mark.parametrize("s", [0, 3, 6])
-def test_an_additivity_sweep_the_budget_stops_keeps_no_fault(s):
+@pytest.mark.parametrize("r", [0, 3, 5])
+def test_a_route_check_the_budget_stops_keeps_no_fault(r):
     # At 5 the budget is read once per B table, six reads, then once per
-    # step s = 0..6 of the additivity sweep: it expires at step s.
+    # shift r = 0..5 of the route check: it expires at shift r.
     toric.clear_cache()
-    budget = _Expiring(7 + s)
+    budget = _Expiring(7 + r)
     with pytest.raises(BudgetExceeded):
-        toric.bar_tables(5, budget, "additivity")
-    assert budget.reads == 7 + s
+        toric.bar_tables(5, budget)
+    assert budget.reads == 7 + r
     assert toric._faults == {}
-    assert toric.bar_tables(5, NO_BUDGET, "additivity")[1] is None
+    assert toric.bar_tables(5, NO_BUDGET)[1] is None
     assert list(toric._faults.values()) == [None]
     toric.clear_cache()
 

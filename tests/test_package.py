@@ -70,8 +70,9 @@ def test_an_unknown_name_raises_attribute_error(run_python):
     assert out == "module 'btcayley' has no attribute 'no_such_name'\nImportError\n[]\n"
 
 
-# dataclasses, and modules its import pulls in.
-HEAVY_IMPORTS = ("dataclasses", "inspect", "ast", "dis")
+# dataclasses and the modules its import pulls in, and typing: the layers
+# annotate with collections.abc.
+HEAVY_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "typing")
 
 
 def test_the_command_line_layers_load_no_dataclasses_or_inspect(run_python):

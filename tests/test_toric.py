@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from btcayley import toric
 from btcayley.blocktrans import CutPoints, enumerate_tn, make_bt, recognize, tn_realizations
-from btcayley.perms import compose_maps, lift, sym_group
+from btcayley.perms import alpha_power, compose_maps, lift, sym_group
 from btcayley.perms import Permutation
 from btcayley.toric import (
     DihedralElement,
@@ -38,6 +38,7 @@ from toric_oracles import (
     bar_f_conj,
     dihedral_identity,
     dihedral_inverse,
+    oracle_compose,
     oracle_toric_class_stats,
     skew_identity_bar_f,
     toric_f_conj,
@@ -224,6 +225,22 @@ def test_dihedral_relation_reflection_inverts_rotation():
     g = DihedralElement(0, 1, n)
     gtg = dihedral_compose(g, dihedral_compose(t, g))
     assert gtg == DihedralElement(n, 0, n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_rotation_form_proofs_follow_the_convention_of_compose_maps(n):
+    # The proofs in toric.bar_tables read compose_maps(a, b) as a o b with
+    # b applied first, lift as a homomorphism, [0 rho o pi] = [0 rho] o
+    # [0 pi], and the rotation form as alpha^-r o [0 p] o alpha^s with s
+    # the position of r in [0 p].
+    for rho in sym_group(n):
+        for pi in sym_group(n):
+            assert rho.compose(pi).image == oracle_compose(rho.image, pi.image)
+            assert lift(rho.compose(pi)) == compose_maps(lift(rho), lift(pi))
+        for r in range(n + 1):
+            s = lift(rho).index(r)
+            form = compose_maps(compose_maps(alpha_power(n, -r), lift(rho)), alpha_power(n, s))
+            assert form == lift(bar_f(rho, r))
 
 
 def test_translation_and_shift_compose_by_the_product_rule():

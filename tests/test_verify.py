@@ -4,6 +4,7 @@ import os
 import re
 import threading
 import time
+from collections import Counter
 from functools import lru_cache, wraps
 from itertools import count, repeat
 from math import comb, factorial
@@ -45,7 +46,14 @@ from btcayley.verify import (
     run_claim,
 )
 from chain_mutants import DroppingChain, ShortBoundChain
-from toric_oracles import bar_f_conj, oracle_compose, oracle_invert, toric_f_conj
+from toric_oracles import (
+    additivity_fault,
+    bar_f_conj,
+    oracle_compose,
+    oracle_invert,
+    product_rule_fault,
+    toric_f_conj,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -341,7 +349,7 @@ def test_kernel_fault_is_reported_with_one_line_permutations(monkeypatch):
     # of eq12 must catch it and name the pair in one-line notation.  The
     # conjugation route, which would stop at the first p, is skipped.
     monkeypatch.setattr(toric, "reverse_images", _twin0(lambda a: a[::-1]))
-    monkeypatch.setattr(verify, "_check_route", lambda *args, **context: None)
+    monkeypatch.setattr(toric, "_check_route", lambda *args, **context: None)
     r = run_claim("eq12", 3)
     assert r.status == "failed"
     assert set(r.counterexample) == {"rho", "pi"}
@@ -464,10 +472,7 @@ def _identity_holds(key, message, ce, K):
         ("eq16", "conjugated inverse-toric map is not the mirror shift"): lambda: (
             R(B(R(a), r)) == B(a, -r % m)
         ),
-        ("lemma4.3", "product rule violated"): lambda: (
-            B(oracle_compose(rho, pi), r)
-            == oracle_compose(B(rho, r), B(pi, ((0,) + oracle_invert(rho))[r]))
-        ),
+        ("lemma4.3", "defining forms disagree"): lambda: B(a, r) == bar_f_conj(p, r).image,
     }
     return checks[key, message]()
 
@@ -516,10 +521,11 @@ def test_table_counterexamples_break_the_identity_they_name(monkeypatch, name, k
 
 
 def _tampered_route(faults, tamper):
-    """verify._rotation_route, with tamper(columns, i) applied to the routed
-    map of the element of rank i at each (i, r) in faults.  A claim calls
-    the route once per shift, from r = 0 up, so its call r routes shift r."""
-    true = verify._rotation_route
+    """toric._rotation_route, with tamper(columns, i) applied to the routed
+    map of the element of rank i at each (i, r) in faults.  A claim (or the
+    route check of toric.bar_tables) calls the route once per shift, from
+    r = 0 up, so its call r routes shift r."""
+    true = toric._rotation_route
     shifts = count()
 
     def route(*args):
@@ -541,7 +547,7 @@ def _send_0_to_1(columns, i):
     columns[0][i] = 1
 
 
-# The claims whose conjugation form is read off verify._rotation_route.
+# The claims whose conjugation form is read off toric._rotation_route.
 ROUTES = ["eq9", "eq13"]
 
 
@@ -551,7 +557,7 @@ def test_conjugation_route_reports_its_first_fault_in_shift_major_order(monkeypa
     # outside and p inside meets the second pair first.
     idx = sym_index(4)
     faults = {(idx[(2, 1, 3, 4)], 3), (idx[(4, 3, 2, 1)], 1)}
-    monkeypatch.setattr(verify, "_rotation_route", _tampered_route(faults, _swap_entries_1_and_2))
+    monkeypatch.setattr(toric, "_rotation_route", _tampered_route(faults, _swap_entries_1_and_2))
     r = run_claim(key, 4)
     assert r.status == "failed"
     assert r.details["error"] == "defining forms disagree"
@@ -562,7 +568,7 @@ def test_conjugation_route_reports_its_first_fault_in_shift_major_order(monkeypa
 def test_a_routed_map_that_moves_0_fails_the_claim_at_its_element_and_shift(monkeypatch, key):
     # Only entry 0 is wrong, so only column 0 can show it.
     faults = {(sym_index(4)[(3, 1, 4, 2)], 2)}
-    monkeypatch.setattr(verify, "_rotation_route", _tampered_route(faults, _send_0_to_1))
+    monkeypatch.setattr(toric, "_rotation_route", _tampered_route(faults, _send_0_to_1))
     r = run_claim(key, 4)
     assert r.status == "failed"
     assert r.details["error"] == "defining forms disagree"
@@ -581,7 +587,7 @@ def test_eq9_additivity_on_f_1_catches_a_fault_at_shift_2(monkeypatch):
         return _swap_first_two(b) if (a, r) == (x, 2) else b
 
     monkeypatch.setattr(toric, "toric_images", _twin(faulty))
-    monkeypatch.setattr(verify, "_check_route", lambda *args, **context: None)
+    monkeypatch.setattr(toric, "_check_route", lambda *args, **context: None)
     r = run_claim("eq9", 4)
     assert r.status == "failed"
     assert r.details == {"error": "toric shifts do not add"}
@@ -626,7 +632,7 @@ def test_table_claims_call_no_toric_kernel_per_element(monkeypatch):
     # Every kernel table comes from a packed twin, so the table job calls
     # no kernel at all, and toric-reverse-aut, which reads the ranks of
     # T_n in those tables, calls none either; neither do lemma4.3 and
-    # prop4.4, which read the product rule off the same tables, eq12,
+    # prop4.4, which read the route check off the same tables, eq12,
     # whose conjugation form is read off the lift columns, nor the toric
     # class census.  verify inverts no map one at a time: it does not
     # import _inverse_map.
@@ -705,8 +711,9 @@ def test_a_toric_twin_with_one_extra_fixed_point_changes_the_census(monkeypatch,
 
 @pytest.mark.parametrize("key,n", [("eq12", 7), ("eq12", 8), ("toric-singletons", 8)])
 def test_whole_group_claims_on_the_twins_verify_past_their_caps(key, n):
+    # toric-singletons was widened to 8, so its case now runs at its cap.
     claim = REGISTRY[key]
-    assert claim.max_n < n
+    assert claim.max_n == {"eq12": 6, "toric-singletons": 8}[key]
     details = claim.runner(n, NO_BUDGET)
     if key == "eq12":
         assert details == {"elements": factorial(n), "pairs": factorial(n) ** 2}
@@ -896,7 +903,7 @@ def _eq12_kernels(n):
 def test_eq12_generator_reduction_agrees_with_the_all_pairs_sweep(monkeypatch, n):
     # The conjugation route would reject every planted twin but the true
     # one, so it is skipped: the verdict is the multiplicativity sweep's.
-    monkeypatch.setattr(verify, "_check_route", lambda *args, **context: None)
+    monkeypatch.setattr(toric, "_check_route", lambda *args, **context: None)
     for name, kernel in _eq12_kernels(n).items():
         clear_cache()
         monkeypatch.setattr(toric, "reverse_images", _twin0(kernel))
@@ -911,8 +918,13 @@ def test_eq12_generator_reduction_agrees_with_the_all_pairs_sweep(monkeypatch, n
 
 
 def test_toric_reverse_aut_fails_on_a_table_that_is_no_bijection(monkeypatch):
-    # Every image is a permutation, but all of them the identity.
+    # Every image is a permutation, but all of them the identity.  The
+    # route check of the B twin refuses it first; with that check skipped,
+    # the bijection check of the dihedral tables does.
     monkeypatch.setattr(toric, "bar_f_images", _twin(lambda a, r: tuple(sorted(a))))
+    assert run_claim("toric-reverse-aut", 4).details == {"error": "defining forms disagree"}
+    clear_cache()
+    monkeypatch.setattr(toric, "_check_route", lambda *args, **context: None)
     r = run_claim("toric-reverse-aut", 4)
     assert r.status == "failed"
     assert r.details["error"] == "induced map is not a bijection"
@@ -934,6 +946,11 @@ def test_cor511_fails_on_a_symmetry_table_that_is_no_bijection(monkeypatch):
         return columns
 
     monkeypatch.setattr(toric, "bar_f_images", faulty)
+    # The route check of the B twin refuses it first; with that check
+    # skipped, the bijection check of the dihedral tables does.
+    assert run_claim("cor5.11", 5).counterexample == {"p": "[1 3 2 5 4]", "r": "1"}
+    clear_cache()
+    monkeypatch.setattr(toric, "_check_route", lambda *args, **context: None)
     r = run_claim("cor5.11", 5)
     assert r.status == "failed"
     assert r.details["error"] == "induced map is not a bijection"
@@ -941,8 +958,14 @@ def test_cor511_fails_on_a_symmetry_table_that_is_no_bijection(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The product rule on the adjacent transpositions (lemma4.3 and prop4.4),
-# against the all-pairs row check it replaced.
+# Section 4 from the one route check of toric.bar_tables (lemma4.3, prop4.4,
+# skew-toric), against the all-pairs rows and the product-rule and
+# additivity sweeps of tests/toric_oracles.py that it replaced.
+
+
+def _b_tables(n):
+    """The rank tables B[0..n] of the twin that the claims read, unchecked."""
+    return [toric.rank_table(n, NO_BUDGET, toric.bar_f_images, r)[0] for r in range(n + 1)]
 
 
 def _oracle_product_rule_holds(n):
@@ -951,7 +974,7 @@ def _oracle_product_rule_holds(n):
     B[r] o P[rho] == P[B[r][rho]] o B[s] for every rho and r, with P[rho]
     the row of rho o pi over every pi and s = (rho^-1)_r."""
     images = list(sym_index(n))
-    bar = [toric.rank_table(n, NO_BUDGET, toric.bar_f_images, r)[0] for r in range(n + 1)]
+    bar = _b_tables(n)
     product = list(perms._product_rows(n, images))
     return all(
         compose_maps(b, product[i])
@@ -974,10 +997,10 @@ def _verdict(key, n):
 def _first_generator_fault(n):
     """The counterexample of the first (rho, t, r) at which the twin that
     the claims read breaks the rule pointwise, t adjacent, swept as
-    toric.product_rule_fault sweeps: r, then t, then rho by rank."""
+    the oracle product_rule_fault sweeps: r, then t, then rho by rank."""
     idx = sym_index(n)
     images = list(idx)
-    bar = [toric.rank_table(n, NO_BUDGET, toric.bar_f_images, r)[0] for r in range(n + 1)]
+    bar = _b_tables(n)
 
     def image(a, r):
         return images[bar[r][idx[a]]]
@@ -1011,18 +1034,21 @@ def _planted_twins(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_product_rule_claims_agree_with_the_all_pairs_rows(monkeypatch, n):
+    # The route check is the stronger fact: a claim verifies only where the
+    # rule holds on every pair, and twins that hold the rule in another
+    # form (identities, a conjugation) fail too.  The oracle sweep on the
+    # adjacent transpositions agrees with the all-pairs rows.
     verdicts = {}
     for name, twin in _planted_twins(n).items():
         clear_cache()
         monkeypatch.setattr(toric, "bar_f_images", twin)
         holds = _oracle_product_rule_holds(n)
+        assert (product_rule_fault(n, _b_tables(n)) is None) == holds, name
         lemma, prop = _verdict("lemma4.3", n), _verdict("prop4.4", n)
-        assert (lemma is None) == holds, name
-        if not holds:
-            assert prop is not None, name
+        assert holds or (lemma is not None and prop is not None), name
         verdicts[name] = (holds, lemma is None, prop is None)
     assert verdicts["true"] == (True, True, True)
-    assert verdicts["identities"] == verdicts["conjugation"] == (True, True, False)
+    assert verdicts["identities"] == verdicts["conjugation"] == (True, False, False)
     assert [name for name, v in verdicts.items() if not v[0]] == [
         "next_shift",
         "swap_late",
@@ -1043,31 +1069,96 @@ def test_product_rule_claims_agree_with_the_all_pairs_rows(monkeypatch, n):
 )
 def test_a_twin_that_breaks_the_rule_fails_both_claims_at_its_first_fault(monkeypatch, r, pair):
     # bar_f_r with the images of the pair exchanged, so the table is still
-    # a bijection: both claims name the first (rho, t, r) at which the rule
-    # breaks pointwise, in sweep order.
+    # a bijection: both claims name the lower-rank element of the pair and
+    # r, where the route check first meets the twin, and the oracle sweep
+    # names the first (rho, t, r) at which the rule breaks pointwise.
     n = len(pair[0])
     i, j = map(sym_index(n).get, pair)
     monkeypatch.setattr(toric, "bar_f_images", _swapped(toric.bar_f_images, r, i, j))
     want = _first_generator_fault(n)
     assert want is not None and want["r"] == str(r)
+    message, context = product_rule_fault(n, _b_tables(n))
+    assert (message, {k: str(v) for k, v in context.items()}) == ("product rule violated", want)
+    fault = {"p": str(sym_group(n)[min(i, j)]), "r": str(r)}
     for key in ("lemma4.3", "prop4.4"):
-        assert _verdict(key, n) == ("product rule violated", want), key
+        assert _verdict(key, n) == ("defining forms disagree", fault), key
 
 
 def test_the_b_table_checks_run_once_per_degree(monkeypatch):
-    # lemma4.3 reads the product rule; prop4.4 and skew-toric read it and
-    # additivity, all off the one provider of the B tables.
-    calls = {"product_rule_fault": 0, "additivity_fault": 0}
-    for name in calls:
+    # lemma4.3, prop4.4, skew-toric and eq13 read the one route check off
+    # the one provider of the B tables, which routes each shift once; at 7,
+    # cor5.11 and eq13 share it.
+    calls = Counter()
+    for name in ("_route_fault", "_rotation_route"):
 
         def counting(*args, check=getattr(toric, name), name=name):
-            calls[name] += 1
+            calls[name, len(args[0]) - 1 if name == "_rotation_route" else args[0]] += 1
             return check(*args)
 
         monkeypatch.setattr(toric, name, counting)
-    for key in ("lemma4.3", "prop4.4", "skew-toric"):
+    for key in ("lemma4.3", "prop4.4", "skew-toric", "eq13"):
         assert run_claim(key, 4).status == "verified", key
-    assert calls == {"product_rule_fault": 1, "additivity_fault": 1}
+    assert calls == {("_route_fault", 4): 1, ("_rotation_route", 4): 5}
+    calls.clear()
+    for key in ("cor5.11", "eq13"):
+        assert run_claim(key, 7).status == "verified", key
+    assert calls == {("_route_fault", 7): 1, ("_rotation_route", 7): 8}
+
+
+def _one_wrong_image(n, r, rho):
+    """bar_f_images with entries 1 and 2 of the image of rho exchanged at
+    (n, r): every image is still a permutation."""
+    true = toric.bar_f_images
+
+    def twin(m, s):
+        columns = true(m, s)
+        if (m, s % (m + 1)) != (n, r):
+            return columns
+        images = list(zip(*columns))
+        i = sym_index(n)[rho.image]
+        images[i] = _swap_first_two(images[i])
+        return _packed(images)
+
+    return twin
+
+
+@pytest.mark.parametrize(
+    "n, keys", [(5, ("lemma4.3", "skew-toric", "eq13", "cor5.11")), (4, ("prop4.4",))]
+)
+def test_a_b_twin_wrong_at_one_element_fails_every_reader_naming_it(monkeypatch, n, keys):
+    # Each reader of the B tables fails at the route check, naming the
+    # element and the shift, and bar_f_witness raises naming them.
+    rho, r = sym_group(n)[17], 2
+    monkeypatch.setattr(toric, "bar_f_images", _one_wrong_image(n, r, rho))
+    for key in keys:
+        report = run_claim(key, n)
+        assert report.status == "failed", key
+        assert report.details == {"error": "defining forms disagree"}, key
+        assert report.counterexample == {"p": str(rho), "r": str(r)}, key
+    with pytest.raises(RuntimeError, match=re.escape(f"defining forms disagree at p={rho}, r={r}")):
+        toric.bar_f_witness(n, 1)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_the_oracle_sweeps_catch_that_twin_with_the_route_check_off(monkeypatch, n):
+    # A mutation of the one check: with toric._check_route a no-op, lemma4.3
+    # verifies on the wrong twin, and the oracle sweeps still catch it.
+    rho, r = sym_group(n)[17], 2
+    monkeypatch.setattr(toric, "bar_f_images", _one_wrong_image(n, r, rho))
+    monkeypatch.setattr(toric, "_check_route", lambda *args, **context: None)
+    assert run_claim("lemma4.3", n).status == "verified"
+    bar = _b_tables(n)
+    message, context = product_rule_fault(n, bar)
+    assert (message, context["r"]) == ("product rule violated", r)
+    assert additivity_fault(n, bar)[0] == "inverse-toric shifts do not add"
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_the_oracle_sweeps_hold_on_the_true_twins(n):
+    bar, fault = toric.bar_tables(n, NO_BUDGET)
+    assert fault is None
+    assert product_rule_fault(n, bar) is None
+    assert additivity_fault(n, bar) is None
 
 
 def test_one_planted_b_table_fails_every_claim_that_reads_it(monkeypatch):
@@ -1282,10 +1373,12 @@ def _outside_t_n(n):
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_toric_reverse_aut_fails_on_a_rotation_that_leaves_t_n(monkeypatch, n):
     # A bijection that fixes the identity but sends the least element t
-    # of T_n outside T_n at shift 1.
+    # of T_n outside T_n at shift 1.  The route check of the B twin, which
+    # would refuse it first, is skipped.
     t, q = _outside_t_n(n)
     true = toric.bar_f_images
     monkeypatch.setattr(toric, "bar_f_images", _swapped(true, 1, t, _preimage(true, n, 1, q)))
+    monkeypatch.setattr(toric, "_check_route", lambda *args, **context: None)
     assert not all(_oracle_dihedral_automorphisms(n))
     r = run_claim("toric-reverse-aut", n)
     assert r.status == "failed"

@@ -5,18 +5,32 @@ Nothing in the package calls these: the row-by-row definitions of the
 product and the inverse of one-line images, the conjugation forms of the
 toric and inverse-toric maps, the identity and inverse of the dihedral
 normal form, the pointwise action of L_h o bar_f_r, both sides of the skew
-identity of bar_f_r, a skew-morphism decision by full left-multiplication
-rows, the skew-morphism witness of bar_f_r read off a regular Cayley map,
-and the toric class census by one orbit per class.
+identity of bar_f_r, the sweeps of the product rule and of additivity on
+the B tables that toric.bar_tables derives from the rotation form, a
+skew-morphism decision by full left-multiplication rows, the skew-morphism
+witness of bar_f_r read off a regular Cayley map, and the toric class
+census by one orbit per class.
 The tests check the package's kernels, tables and witnesses against them.
 """
 
-from operator import itemgetter
+from operator import getitem, itemgetter
 
+from btcayley import perms
 from btcayley.blocktrans import CutPoints, make_bt
 from btcayley.maps import CayleyMap, SkewMorphismWitness, is_regular
-from btcayley.perms import Permutation, _restrict, alpha_power, compose_maps, lift, sym_group
-from btcayley.toric import DihedralElement, bar_f, toric_image
+from btcayley.perms import (
+    Permutation,
+    _rank_columns,
+    _restrict,
+    _wrap,
+    adjacent_transpositions,
+    alpha_power,
+    compose_maps,
+    lift,
+    sym_group,
+    sym_index,
+)
+from btcayley.toric import DihedralElement, _miss, bar_f, toric_image
 
 
 def oracle_compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -72,6 +86,58 @@ def skew_identity_bar_f(
     lhs = bar_f(rho.compose(pi), r)
     rhs = bar_f(rho, r).compose(bar_f(pi, s))
     return lhs, rhs, s
+
+
+def product_rule_fault(n: int, bar) -> tuple[str, dict] | None:
+    """The first fault ("product rule violated", naming rho, t as pi, and r)
+    of bar_f_r(rho o pi) = bar_f_r(rho) o bar_f_s(pi), or None when it holds
+    for every pair (rho, pi) of Sym_n and every r, with s = s(rho, r) the
+    position of r in [0 rho].  bar[r] is the rank table B[r]; the rule is
+    checked on the adjacent transpositions t, sweeping r, then t, then rho
+    by rank.
+
+    For each r and t one comparison covers every rho: entry rho of B[r] o
+    col_t is the rank of bar_f_r(rho o t), and entry B[r][rho] of the column
+    of y = bar_f_s(t) the rank of bar_f_r(rho) o y.  s is entry r of
+    [0 rho^-1] (column r-1 of perms.invert_images, 0 at r = 0); the y are read
+    off B[s], and perms._rank_columns memoises their columns.  This covers
+    every pi, by induction on its length as a word in the t:
+    - Length 0: at rho = iota, s = r, the check reads bar_f_r(t) =
+      bar_f_r(iota) o bar_f_r(t), so bar_f_r(iota) = iota.
+    - pi = pi' o t: with s = s(rho, r) and s' = s(rho o pi', r) = s(pi', s),
+      a cocycle that holds as [0 rho o pi'] = [0 rho] o [0 pi'],
+          bar_f_r(rho o pi) = bar_f_r(rho o pi') o bar_f_s'(t)         (at rho o pi')
+                            = bar_f_r(rho) o bar_f_s(pi') o bar_f_s'(t)  (induction)
+                            = bar_f_r(rho) o bar_f_s(pi)               (at pi', shift s).
+    """
+    idx = sym_index(n)
+    images = list(idx)
+    adjacent = adjacent_transpositions(n)
+    ys = [images[b[idx[t]]] for b in bar for t in adjacent]
+    columns = _rank_columns(n, adjacent + ys)
+    spots = (bytes(len(images)),) + perms.invert_images(n)  # spots[r][i]: s(rho, r), rho of rank i
+    for r, b in enumerate(bar):
+        for j, t in enumerate(adjacent):
+            barred = columns[n - 1 + j :: n - 1]  # the column of bar_f_s(t), for each s
+            lhs = compose_maps(b, columns[j])
+            rank = _miss(lhs, tuple(map(getitem, map(barred.__getitem__, spots[r]), b)))
+            if rank is not None:
+                return "product rule violated", {"rho": _wrap(images[rank]), "pi": _wrap(t), "r": r}
+    return None
+
+
+def additivity_fault(n: int, bar) -> tuple[str, dict] | None:
+    """The first fault ("inverse-toric shifts do not add", naming p, and s as
+    r) of B[0] = id and B[s] = B[1] o B[s-1] for s = 1..n+1, read mod n+1,
+    or None.  So B[s] = B[1]^s, and the wrap-around step makes each a
+    bijection (tables with B[r] = iota for every r >= 1 pass the others)."""
+    m = n + 1
+    images = list(sym_index(n))
+    for s in range(m + 1):
+        want = compose_maps(bar[1], bar[s - 1]) if s else tuple(range(len(images)))
+        if (rank := _miss(bar[s % m], want)) is not None:
+            return "inverse-toric shifts do not add", {"p": _wrap(images[rank]), "r": s % m}
+    return None
 
 
 def oracle_check_skew(elements, psi):
