@@ -36,6 +36,7 @@ _HOME = {
     "NO_BUDGET": "budget",
     "Budget": "budget",
     "BudgetExceeded": "budget",
+    "ClaimFailure": "budget",
     "Graph": "graphs",
     "bfs_distance": "graphs",
     "build_cayley": "graphs",
@@ -77,7 +78,6 @@ _HOME = {
     "toric_class_stats": "toric",
     "toric_f": "toric",
     "Claim": "verify",
-    "ClaimFailure": "verify",
     "VerificationReport": "verify",
     "claim_keys": "verify",
     "run_all": "verify",

@@ -1,4 +1,6 @@
-"""Wall-clock budgets for the search-heavy operations."""
+"""Wall-clock budgets for the search-heavy operations, and the two ways a
+check stops early: it runs out of time (BudgetExceeded) or finds its claim
+false (ClaimFailure)."""
 
 from __future__ import annotations
 
@@ -7,6 +9,15 @@ import time
 
 class BudgetExceeded(Exception):
     """Raised when a search runs past its wall-clock budget."""
+
+
+class ClaimFailure(Exception):
+    """A check found its claim false; counterexample maps each keyword of
+    context to the str() of its value, so a permutation reads in one-line form."""
+
+    def __init__(self, message: str, **context):
+        super().__init__(message)
+        self.counterexample = {k: str(v) for k, v in context.items()}
 
 
 class Budget:

@@ -25,7 +25,7 @@ from functools import lru_cache, wraps
 from math import factorial
 
 from .blocktrans import CutPoints
-from .budget import NO_BUDGET
+from .budget import NO_BUDGET, ClaimFailure
 from .maps import SkewMorphismWitness
 from .perms import (
     Permutation,
@@ -316,38 +316,44 @@ def phi_iso(h: Permutation, r: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# The one provider of the rank tables of the twins and of the fault of the
-# B twin against its rotation form, a fault being a (message, context) pair
-# on which a claim fails; and which maps bar_f_r are skew morphisms, from
-# the B tables alone.
+# The one provider of the rank tables of the twins and of the check of the
+# B twin against its rotation form, each raising ClaimFailure at its first
+# counterexample; and which maps bar_f_r are skew morphisms, from the B
+# tables alone.
 
 _tables: dict[tuple, tuple[int, ...]] = {}  # keyed on (n, twin, r)
-_faults: dict[tuple, tuple[str, dict] | None] = {}  # keyed on (n, twin, inversion twin)
+_held: set[tuple] = set()  # the (n, B twin, inversion twin) whose rotation form held
 
 
-def rank_table(n: int, budget, twin, r=None):
-    """(table, None), table[i] the rank of the image of the element of rank
-    i, or (None, fault) when an image is no permutation ("kernel image is
-    not a permutation", naming the lowest-rank such element as p, and r).
+def rank_table(n: int, budget, twin, r=None) -> tuple[int, ...]:
+    """table[i], the rank of the image of the element of rank i.
 
     twin is a packed twin, called as twin(n) (invert_images,
     reverse_images) or twin(n, r) (toric_images, bar_f_images); zip reads
     its columns back as one image per element, ranked through sym_index.
     The tables are kept, keyed on the twin object, until clear_cache()
     runs; a table holds n! ranks, about 0.3 MB at n = 8.  The budget is
-    read on every call, before any build, and a failed table is not kept.
+    read on every call, before any build, and a failed table (_ranks) is not kept.
     """
     budget.check()
     key = (n, twin, r)
-    if (table := _tables.get(key)) is not None:
-        return table, None
+    if (table := _tables.get(key)) is None:
+        table = _ranks(twin(n) if r is None else twin(n, r), key)
+    return table
+
+
+def _ranks(columns, key) -> tuple[int, ...]:
+    """The rank table of a packed twin's columns, kept in _tables under key
+    (n, twin, r); ClaimFailure ("kernel image is not a permutation", naming
+    the lowest-rank such element as p, and r) when an image is none."""
+    n, _, r = key
     idx = sym_index(n)
-    table = tuple(map(idx.get, zip(*(twin(n) if r is None else twin(n, r)))))
+    table = tuple(map(idx.get, zip(*columns)))
     if None in table:
         context = {"p": _wrap(list(idx)[table.index(None)])} | ({} if r is None else {"r": r})
-        return None, ("kernel image is not a permutation", context)
+        raise ClaimFailure("kernel image is not a permutation", **context)
     _tables[key] = table
-    return table, None
+    return table
 
 
 def _miss(lhs: tuple[int, ...], rhs: tuple[int, ...]) -> int | None:
@@ -390,10 +396,10 @@ def _rotation_route(points, left, right):
         yield _column(routed, size)
 
 
-def _check_route(columns, twin, images, **context):
-    """The fault ("defining forms disagree", naming p and the context) at
-    the first element, by rank, whose routed map is not its twin image, or
-    None.
+def _check_route(columns, twin, images, **context) -> None:
+    """Raise ClaimFailure ("defining forms disagree", naming p and the
+    context) at the first element, by rank, whose routed map is not its
+    twin image.
 
     columns yields column x = 0..n of the routed maps of every element, as
     bytes (see _rotation_route), and twin holds the packed twin's columns:
@@ -408,18 +414,17 @@ def _check_route(columns, twin, images, **context):
         if (i := _miss(col, want)) is not None:
             first = min(first, i)
     if first < size:
-        return "defining forms disagree", {"p": _wrap(images[first]), **context}
-    return None
+        raise ClaimFailure("defining forms disagree", p=_wrap(images[first]), **context)
 
 
-def _route_fault(n: int, twin, budget) -> tuple[str, dict] | None:
-    """The first fault of the B twin against its rotation form
+def _check_rotation_form(n: int, shifted, budget) -> None:
+    """Raise at the first fault of the B twin against its rotation form
     [0 bar_f_r(p)] = alpha^(m-r) o [0 p] o alpha^s, s = (p^-1)_r, m = n+1,
-    sweeping r, then p by rank, or None when it holds at every p and r.
+    sweeping r, then p by rank; shifted[r] holds the twin's columns at r.
 
     The left shift m-r is one for every p, and s is read for every p at
     once from column r-1 of perms.invert_images (0 at r = 0).  The route
-    is checked against twin(n, r) as bytes (_rotation_route, _check_route),
+    is checked against shifted[r] as bytes (_rotation_route, _check_route),
     and its column 0 holds [0 p](s) - r: so where the check passes, s is
     the position of r in [0 p] whatever the inversion twin gives.  The
     budget is read once per shift.
@@ -428,18 +433,17 @@ def _route_fault(n: int, twin, budget) -> tuple[str, dict] | None:
     points = _lift_columns(n)
     m = n + 1
     spots = (bytes(len(images)),) + perms.invert_images(n)  # spots[r][i]: (p^-1)_r, p of rank i
-    for r in range(m):
+    for r, columns in enumerate(shifted):
         budget.check()
         route = _rotation_route(points, bytes((-r % m,)) * len(images), spots[r])
-        if fault := _check_route(route, twin(n, r), images, r=r):
-            return fault
-    return None
+        _check_route(route, columns, images, r=r)
 
 
-def bar_tables(n: int, budget):
-    """(B, fault): the rank tables B[r] of bar_f_images(n, r), r = 0..n, and
-    the first fault of a table (B is then None), or else of the twin
-    against its rotation form (_route_fault).
+def bar_tables(n: int, budget) -> list[tuple[int, ...]]:
+    """The rank tables B[r] of bar_f_images(n, r), r = 0..n, once the twin
+    holds its rotation form (_check_rotation_form); else ClaimFailure at
+    the first table that is no rank table (see _ranks), or else at the
+    first fault of that form.
 
     That one check is all Section 4 reads: the product rule
     bar_f_r(rho o pi) = bar_f_r(rho) o bar_f_s(pi), s = (rho^-1)_r, and
@@ -448,34 +452,37 @@ def bar_tables(n: int, budget):
     proved in the runners of the claims lemma4.3 and prop4.4 (verify).
 
     bar_f_images is read when this runs, so every reader of the B tables
-    takes the twin of that one name.  The check runs once per degree and
-    twin, and per perms.invert_images, which it reads; its fault, or None,
-    is kept until clear_cache() runs, and a check the budget interrupted
-    keeps nothing.
+    takes the twin of that one name.  The check runs on the columns the
+    tables are ranked from, so each shift is built once, and once per
+    degree, twin and perms.invert_images, which it reads: that it held is
+    kept until clear_cache() runs, and a check that failed or that the
+    budget interrupted keeps nothing.  The budget is read once per shift,
+    before any build.
     """
     twin = bar_f_images
-    bar = []
-    for r in range(n + 1):
-        table, fault = rank_table(n, budget, twin, r)
-        if fault:
-            return None, fault
-        bar.append(table)
     key = (n, twin, perms.invert_images)
-    if key not in _faults:
-        _faults[key] = _route_fault(n, twin, budget)
-    return bar, _faults[key]
+    if key in _held:
+        return [rank_table(n, budget, twin, r) for r in range(n + 1)]
+    shifted, bar = [], []
+    for r in range(n + 1):
+        budget.check()
+        shifted.append(columns := twin(n, r))
+        bar.append(_ranks(columns, (n, twin, r)))
+    _check_rotation_form(n, shifted, budget)
+    _held.add(key)
+    return bar
 
 
 def clear_cache():
-    """Forget the rank tables, the faults of the B tables and the witnesses."""
+    """Forget the rank tables, the rotation forms that held and the witnesses."""
     _tables.clear()
-    _faults.clear()
+    _held.clear()
     bar_f_witness.cache_clear()
 
 
 def _cached_per_twin(derive):
     """derive(n, r), cached per (n, r mod n+1, bar_f_images,
-    perms.invert_images), the twins _faults is keyed on: they are read on each
+    perms.invert_images), the twins _held is keyed on: they are read on each
     call, so one planted after a warm call gets a fresh derivation.  Like
     functools.lru_cache (32 entries), the wrapper has cache_info and
     cache_clear, and __wrapped__ is derive, uncached."""
@@ -493,12 +500,13 @@ def _cached_per_twin(derive):
 def bar_f_witness(n: int, r: int) -> SkewMorphismWitness | None:
     """Skew-morphism witness for bar_f_r on degree n, or None when it is none.
 
-    psi = B[r], read off bar_tables with the fault of the tables.  No step
-    reads gcd(r, n+1), the rule that skew-toric checks.
+    psi = B[r], read off bar_tables once psi is no identity, so a table
+    that bar_tables refuses raises its ClaimFailure.  No step reads
+    gcd(r, n+1), the rule that skew-toric checks.
       - psi = id: the identity is a skew morphism of order 1 and power 0.
-      - Otherwise a fault of the tables raises RuntimeError.  Else the twin
-        holds its rotation form, so B[s] = B[1]^s (additivity, see
-        bar_tables), and psi, a power of B[1], is a bijection with r != 0.
+      - Otherwise the twin holds its rotation form, so B[s] = B[1]^s
+        (additivity, see bar_tables), and psi, a power of B[1], is a
+        bijection with r != 0.
       - B[1] = psi^e: then B[s] = psi^(e s), and the product rule (see
         bar_tables) reads psi(rho pi) = psi(rho) psi^(e s)(pi), s =
         (rho^-1)_r.  So psi is a skew morphism whose power function is
@@ -508,14 +516,11 @@ def bar_f_witness(n: int, r: int) -> SkewMorphismWitness | None:
         psi(rho pi) = psi(rho) psi^e(pi) at rho would force bar_f_1 = psi^e.
     """
     r %= n + 1
-    psi, _ = rank_table(n, NO_BUDGET, bar_f_images, r)
-    bar, fault = bar_tables(n, NO_BUDGET)
+    psi = rank_table(n, NO_BUDGET, bar_f_images, r)
     powers = [tuple(range(factorial(n)))]
     if psi == powers[0]:
         return SkewMorphismWitness(sym_group(n), psi, 1, (0,) * len(psi))
-    if fault:
-        named = ", ".join(f"{k}={v}" for k, v in fault[1].items())
-        raise RuntimeError(f"the bar_f tables at n={n} fail: {fault[0]} at {named}")
+    bar = bar_tables(n, NO_BUDGET)
     while (power := compose_maps(psi, powers[-1])) != powers[0]:
         powers.append(power)
     if bar[1] not in powers:

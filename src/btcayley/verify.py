@@ -9,8 +9,9 @@ reports always carry a concrete counterexample.
 Keys are opaque command-line identifiers.  Each claim declares the
 degree range it supports; run_claim clamps a requested degree into that
 range, so sweeping the whole registry at any n exercises every key.
-Every call runs its claim afresh; only the rank tables and B-table faults
-that toric keeps (see toric.rank_table) last between calls.
+Every call runs its claim afresh; only what toric keeps (the rank tables,
+and that the B twin held its rotation form) lasts between calls.  Every
+check, toric's too, fails a claim by raising budget.ClaimFailure.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .blocktrans import (
     tn_realizations,
     tn_size,
 )
-from .budget import NO_BUDGET, BudgetExceeded
+from .budget import NO_BUDGET, BudgetExceeded, ClaimFailure
 from .graphs import (
     bfs_distance,
     build_cayley,
@@ -98,14 +99,6 @@ from .toric import (
 )
 
 DEFAULT_N = 5
-
-
-class ClaimFailure(Exception):
-    """A claim check found the claim to be false."""
-
-    def __init__(self, message: str, counterexample: dict | None = None):
-        super().__init__(message)
-        self.counterexample = counterexample or {}
 
 
 class VerificationReport(Record):
@@ -196,9 +189,9 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-# Claims that read the twins' rank tables or the B-table faults (see
-# toric.rank_table).  run_all runs them as one job, ahead of the others, so
-# that each table and fault of a degree is built once per run.
+# Claims that read the twins' rank tables or the B tables (see
+# toric.rank_table and toric.bar_tables).  run_all runs them as one job,
+# ahead of the others, so that each table and check of a degree runs once.
 _TABLE_GROUP = ("cor5.11", "eq13", "eq16", "eq9", "gfg", "lemma4.3", "prop4.4", "skew-toric")
 
 
@@ -342,35 +335,19 @@ def _read_to_end(fd: int) -> bytes:
     return b"".join(chunks)
 
 
-def _fail(message: str, **context):
-    raise ClaimFailure(message, {k: str(v) for k, v in context.items()})
-
-
 def _need(cond: bool, message: str, **context):
     if not cond:
-        _fail(message, **context)
+        raise ClaimFailure(message, **context)
 
 
 def _bt(i: int, j: int, k: int, n: int) -> Permutation:
     return make_bt(CutPoints(i, j, k, n))
 
 
-def _no_fault(fault):
-    """Fail the claim on a fault from toric, a (message, context) pair."""
-    if fault is not None:
-        _fail(fault[0], **fault[1])
-
-
-def _checked(pair):
-    """The value of a (value, fault) pair from toric; a fault fails the claim."""
-    _no_fault(pair[1])
-    return pair[0]
-
-
 def _agree(lhs, rhs, images, message: str, key: str = "p", **context):
     """Fail at the first rank where two tables differ, naming that element as key."""
     if (i := _miss(lhs, rhs)) is not None:
-        _fail(message, **{key: _wrap(images[i])}, **context)
+        raise ClaimFailure(message, **{key: _wrap(images[i])}, **context)
 
 
 def _dihedral_tables(n, budget) -> list[tuple[int, ...]]:
@@ -381,8 +358,8 @@ def _dihedral_tables(n, budget) -> list[tuple[int, ...]]:
     read from the twins' rank tables.  A table that is no bijection of the
     ranks fails the claim, naming the first such symmetry.
     """
-    rev = _checked(rank_table(n, budget, toric.reverse_images))
-    bar = _checked(bar_tables(n, budget))
+    rev = rank_table(n, budget, toric.reverse_images)
+    bar = bar_tables(n, budget)
     tables = bar + [compose_maps(b, rev) for b in bar]
     for d, table in zip(dihedral_elements(n), tables):
         _need(len(set(table)) == len(table), "induced map is not a bijection", symmetry=d)
@@ -496,8 +473,8 @@ def _run_eq9(n, budget):
     m = n + 1
     images = list(sym_index(n))
     twin = toric.toric_images
-    tor = [_checked(rank_table(n, budget, twin, r)) for r in range(m)]
-    inv = _checked(rank_table(n, budget, perms.invert_images))
+    tor = [rank_table(n, budget, twin, r) for r in range(m)]
+    inv = rank_table(n, budget, perms.invert_images)
     _agree(tor[0], tuple(range(len(images))), images, "zeroth toric map moved a point")
     # points[r][i] is p_r for the element p of rank i, in its lift [0 p].
     points = _lift_columns(n)
@@ -506,7 +483,7 @@ def _run_eq9(n, budget):
         budget.check()
         left = points[r].translate(negate)
         route = toric._rotation_route(points, left, bytes((r,)) * len(images))
-        _no_fault(toric._check_route(route, twin(n, r), images, r=r))
+        toric._check_route(route, twin(n, r), images, r=r)
         # (f_r(p))^-1 = f_{p_r}(p^-1): the shift p_r varies with p.
         mirrored = tuple(map(getitem, map(tor.__getitem__, points[r]), inv))
         _agree(
@@ -558,11 +535,11 @@ def _run_eq12(n, budget):
     idx = sym_index(n)
     images = list(idx)
     twin = toric.reverse_images
-    rev = _checked(rank_table(n, budget, twin))
+    rev = rank_table(n, budget, twin)
     points = _lift_columns(n)
     w = lift(reverse(n))
     flip = bytes(w) + bytes(256 - len(w))
-    _no_fault(toric._check_route((points[x].translate(flip) for x in w), twin(n), images))
+    toric._check_route((points[x].translate(flip) for x in w), twin(n), images)
     ident = tuple(range(len(images)))
     _agree(compose_maps(rev, rev), ident, images, "reversal is not an involution")
     adjacent = adjacent_transpositions(n)
@@ -589,8 +566,8 @@ def _run_mirror(name: str, kind: str, n, budget):
     m = n + 1
     images = list(sym_index(n))
     twin = getattr(toric, name)
-    tables = [_checked(rank_table(n, budget, twin, r)) for r in range(m)]
-    rev = _checked(rank_table(n, budget, toric.reverse_images))
+    tables = [rank_table(n, budget, twin, r) for r in range(m)]
+    rev = rank_table(n, budget, toric.reverse_images)
     message = f"conjugated {kind} map is not the mirror shift"
     for r, t in enumerate(tables):
         _agree(compose_maps(rev, compose_maps(t, rev)), tables[-r], images, message, r=r)
@@ -620,9 +597,9 @@ def _run_eq13(n, budget):
     """
     m = n + 1
     images = list(sym_index(n))
-    bar = _checked(bar_tables(n, budget))
-    tor = [_checked(rank_table(n, budget, toric.toric_images, r)) for r in range(m)]
-    inv = _checked(rank_table(n, budget, perms.invert_images))
+    bar = bar_tables(n, budget)
+    tor = [rank_table(n, budget, toric.toric_images, r) for r in range(m)]
+    inv = rank_table(n, budget, perms.invert_images)
     for r, b in enumerate(bar):
         budget.check()
         _agree(
@@ -654,7 +631,7 @@ def _run_lemma43(n, budget):
           = alpha^-r [rho] alpha^s o alpha^-s [pi] alpha^s'
           = alpha^-r [rho o pi] alpha^s' = [bar_f_r(rho o pi)].
     "pairs" counts the pairs this proof covers."""
-    _checked(bar_tables(n, budget))
+    bar_tables(n, budget)
     return {"pairs": factorial(n) ** 2, "shifts": n + 1}
 
 
@@ -723,7 +700,7 @@ def _run_eqa14oct(n, budget):
             if n >= 5:
                 check(c, 6, CutPoints(n - 5, n - 3, n - 1, n))
         else:
-            raise ClaimFailure("left-border element not covered", {"cuts": str(c)})
+            raise ClaimFailure("left-border element not covered", cuts=c)
     return {"cases": cases}
 
 
@@ -735,13 +712,17 @@ def _run_invariance(shifted, fixed, n, budget):
     """A named map at every shift r, and optionally a named fixed map, send
     the set of block transpositions onto itself."""
     name, fn = shifted
-    reals = set(tn_realizations(n))
+    tn = tn_realizations(n)
+    reals = set(tn)
     for r in range(n + 1):
         budget.check()
         _need({fn(p, r) for p in reals} == reals, f"{name} does not preserve the set", r=r)
     if fixed is not None:
         name, fn = fixed
-        _need({fn(p) for p in reals} == reals, f"{name} does not preserve the set")
+        # p, the first element of T_n no image reaches, exists exactly on a fault.
+        image = {fn(p) for p in reals}
+        missed = next((p for p in tn if p not in image), None)
+        _need(missed is None, f"{name} does not preserve the set", p=missed)
     return {"size": len(reals), "shifts": n + 1}
 
 
@@ -804,7 +785,7 @@ def _run_prop44(n, budget):
     m = n + 1
     idx = sym_index(n)
     images = list(idx)
-    bar = _checked(bar_tables(n, budget))
+    bar = bar_tables(n, budget)
     distinct = len(set(bar))
     _need(distinct == m, "maps are not pairwise distinct", count=distinct * len(images))
     gens = [phi_iso(_wrap(t), 0) for t in adjacent_transpositions(n)]
@@ -813,9 +794,10 @@ def _run_prop44(n, budget):
     _need(order == factorial(m), "generator images do not generate the target group", order=order)
     w = reverse(n)
     w0 = idx[w.image]
-    _need(all(b[w0] == w0 for b in bar), "the doubling involution does not centralize the group")
+    moved = next((r for r, b in enumerate(bar) if b[w0] != w0), None)
+    _need(moved is None, "the doubling involution does not centralize the group", r=moved)
     _need(w.compose(w) == identity(n), "the doubling map is not an involution")
-    inside = _checked(rank_table(n, budget, toric.reverse_images)) in bar
+    inside = rank_table(n, budget, toric.reverse_images) in bar
     _need(not inside, "the doubling involution lies inside the group")
     return {"group_order": factorial(m), "doubled_order": 2 * factorial(m)}
 
@@ -829,7 +811,7 @@ def _run_skew_toric(n, budget):
     rule, the facts bar_f_witness derives its answer from; so a wrong table
     fails here with its counterexample."""
     m = n + 1
-    _checked(bar_tables(n, budget))
+    bar_tables(n, budget)
     orders = {}
     for r in range(m):
         budget.check()
@@ -1078,11 +1060,9 @@ def _run_prop58(n, budget):
         # match the graph, which is 2(n-2)-regular there as well.
         raise ClaimFailure(
             f"expected {want}-regular, found degree {g.degree(bad)}",
-            {
-                "vertex": str(g.labels[bad]),
-                "degree": str(g.degree(bad)),
-                "profile": str(sorted(set(profile))),
-            },
+            vertex=g.labels[bad],
+            degree=g.degree(bad),
+            profile=sorted(set(profile)),
         )
     return {"regular": want, "vertices": g.num_vertices}
 
@@ -1206,7 +1186,7 @@ def _run_cor511(n, budget):
     sizes = {}
     for least, size in orbit_size.items():
         if target % size:
-            _fail("orbit size does not divide", p=_wrap(images[least]), size=size)
+            raise ClaimFailure("orbit size does not divide", p=_wrap(images[least]), size=size)
         sizes[size] = sizes.get(size, 0) + 1
     return {"orbit_sizes": {str(k): v for k, v in sorted(sizes.items())}}
 
@@ -1217,7 +1197,9 @@ def _run_lemma512(n, budget):
     g = gamma(n)
     found = maximal_2_cliques(g)
     _need(len(found.edges) == n + 1, "count of maximal 2-cliques wrong", count=len(found.edges))
-    _need(None not in found.em_index, "an untagged maximal 2-clique appeared")
+    edges = (f"{g.labels[a]} {g.labels[b]}" for a, b in found.edges)
+    untagged = next((e for e, tag in zip(edges, found.em_index) if tag is None), None)
+    _need(untagged is None, "an untagged maximal 2-clique appeared", edge=untagged)
     _need(
         sorted(found.em_index) == list(range(n + 1)),
         "tags do not cover the distinguished edges",
@@ -1243,7 +1225,8 @@ def _run_prop515(n, budget):
     gv = gamma_v(n)
     _need(len(cycle) == gv.num_vertices, "cycle length wrong", length=len(cycle))
     ranks = [gv.index_of(make_bt(c)) for c in cycle]
-    _need(len(set(ranks)) == len(ranks), "cycle repeats a vertex")
+    repeated = next((gv.labels[v] for v in ranks if ranks.count(v) > 1), None)
+    _need(repeated is None, "cycle repeats a vertex", vertex=repeated)
     for a, b in zip(ranks, ranks[1:] + ranks[:1]):
         _need(gv.is_edge(a, b), "cycle step is not an edge", a=gv.labels[a], b=gv.labels[b])
     return {"length": len(cycle)}
@@ -1338,11 +1321,12 @@ def _run_toric_reverse_aut(n, budget):
     tables = dict(zip(dih, _dihedral_tables(n, budget)))
     rotations = [(d, tables[d]) for d in dih[: n + 1]]
     vertices = list(index)
-    for d, table in rotations + [(dih[n + 1], _checked(rank_table(n, budget, toric.reverse_images)))]:
+    for d, table in rotations + [(dih[n + 1], rank_table(n, budget, toric.reverse_images))]:
         budget.check()
         for t in tn:
             if table[t] not in members:
-                _fail("induced map is not an automorphism", symmetry=d, t=_wrap(vertices[t]))
+                message = "induced map is not an automorphism"
+                raise ClaimFailure(message, symmetry=d, t=_wrap(vertices[t]))
     ident_rank = index[tuple(range(1, n + 1))]
     for d, table in tables.items():
         _need(table[ident_rank] == ident_rank, "identity vertex moved", symmetry=d)
@@ -1380,10 +1364,8 @@ def _run_lemma63(n, budget):
     budget.check()
     gens = [make_bt(c) for c in vertex_set_V(n)]
     if n % 2 == 0:
-        _need(
-            all(p.is_even() for p in gens),
-            "an odd generator appeared at even degree",
-        )
+        odd = next((p for p in gens if not p.is_even()), None)
+        _need(odd is None, "an odd generator appeared at even degree", generator=odd)
         want, message = factorial(n) // 2, "subgroup is not the even half"
     else:
         _need(
@@ -1410,7 +1392,8 @@ def _run_lemma64(n, budget):
     """
     gens = [make_bt(c) for c in vertex_set_V(n)]
     gen_set = set(gens)
-    _need(all(p.inverse() in gen_set for p in gens), "connection set is not symmetric")
+    lone = next((p for p in gens if p.inverse() not in gen_set), None)
+    _need(lone is None, "connection set is not symmetric", p=lone)
     order = StabilizerChain(n + 1, map(lift, gens), budget).order()
     components = factorial(n) // order
     _need(components == (1 if n % 2 else 2), "component count wrong", count=components)
@@ -1459,13 +1442,14 @@ def _run_example71(n, budget):
     _need(m.dart_count == 24, "dart count wrong", count=m.dart_count)
     faces = m.faces()
     _need(len(faces) == 8, "face count wrong", count=len(faces))
-    _need(all(len(f) == 3 for f in faces), "faces are not triangles")
+    face = next((i for i, f in enumerate(faces) if len(f) != 3), None)
+    _need(face is None, "faces are not triangles", face=face)
     _need(m.euler_characteristic() == 2, "not spherical", chi=m.euler_characteristic())
     w = is_regular(m, budget=budget)
     _need(w is not None, "no regularity witness")
     # The map is prop72_map(3) (checked below), so its witness has the
     # columns prop7.2 reads at n = 3.
-    psi = _checked(rank_table(n, budget, toric.bar_f_images, 1))
+    psi = rank_table(n, budget, toric.bar_f_images, 1)
     _need(w.psi == psi, "witness is not the basic inverse-toric map")
     _power_rule(w, n, budget, 1, _FIRST_ENTRY)
     _need(aut_order(m, w) == 24, "symmetry count wrong", order=aut_order(m, w))
@@ -1485,12 +1469,13 @@ def _run_prop72(n, budget):
     _need(m.valency == n + 1, "valency wrong", valency=m.valency)
     _need(m.dart_count == (n + 1) * factorial(n), "dart count wrong", count=m.dart_count)
     faces = m.faces()
-    _need(all(len(f) == n for f in faces), "face sizes wrong")
+    face = next((i for i, f in enumerate(faces) if len(f) != n), None)
+    _need(face is None, "face sizes wrong", face=face)
     _need(len(faces) == m.dart_count // n, "face count wrong", count=len(faces))
 
     w = is_regular(m, budget=budget)
     _need(w is not None, "no regularity witness")
-    psi = _checked(rank_table(n, budget, toric.bar_f_images, 1))
+    psi = rank_table(n, budget, toric.bar_f_images, 1)
     _need(w.psi == psi, "witness is not the basic inverse-toric map")
     _need(t_balance(w, m.gens) is None, "map is balanced after all")
     first = _bt(0, 1, n, n)
@@ -1528,7 +1513,7 @@ def _run_thm73(n, budget):
     _need(m.dart_count == 720, "dart count wrong", count=m.dart_count)
     w = is_regular(m, budget=budget)
     _need(w is not None, "no regularity witness")
-    psi = _checked(rank_table(5, budget, toric.bar_f_images, 5))
+    psi = rank_table(5, budget, toric.bar_f_images, 5)
     _need(w.psi == psi, "witness is not the mirrored inverse-toric map")
     _need(w.order == 6, "witness order wrong", order=w.order)
     _need(t_balance(w, m.gens) is None, "map is balanced after all")
@@ -1546,11 +1531,9 @@ def _run_remark7(n, budget):
     g2 = build_cayley(5, mprime_n5_map().gens)
     for g in (g1, g2):
         _need(g.num_vertices == 120, "vertex count wrong", count=g.num_vertices)
-        _need(sorted(set(degree_profile(g))) == [6], "graph is not 6-regular")
+        vertex = next((g.labels[v] for v in range(g.num_vertices) if g.degree(v) != 6), None)
+        _need(vertex is None, "graph is not 6-regular", vertex=vertex)
     bijection = graphs_isomorphic(g1, g2, budget=budget)
     if bijection is not None:
-        raise ClaimFailure(
-            "an isomorphism exists after all",
-            {"bijection": str(bijection[:12]) + "..."},
-        )
+        raise ClaimFailure("an isomorphism exists after all", bijection=f"{bijection[:12]}...")
     return {"vertices": 120, "degree": 6, "isomorphic": False}

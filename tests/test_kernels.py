@@ -49,7 +49,7 @@ from btcayley.autgroup import (
     stabilizer_of_identity,
 )
 from btcayley.blocktrans import make_bt, tn_realizations
-from btcayley.budget import NO_BUDGET, BudgetExceeded
+from btcayley.budget import NO_BUDGET, BudgetExceeded, ClaimFailure
 from btcayley.graphs import (
     Graph,
     _neighbor_gathers,
@@ -102,6 +102,7 @@ from btcayley.toric import (
 )
 from toric_oracles import (
     additivity_fault,
+    b_tables,
     bar_f_conj,
     oracle_check_skew,
     oracle_compose,
@@ -475,11 +476,11 @@ def _column_route_fault(n, kind, shifted_images):
             shifts = [(-r % m, ((0,) + oracle_invert(a))[r]) for a in images]
         left, right = map(bytes, zip(*shifts))
         columns = toric._rotation_route(points, left, right)
-        fault = toric._check_route(columns, _packed(twin_images), images, r=r)
-        if fault is not None:
-            message, context = fault
-            assert message == "defining forms disagree"
-            return {k: str(v) for k, v in context.items()}
+        try:
+            toric._check_route(columns, _packed(twin_images), images, r=r)
+        except ClaimFailure as exc:
+            assert str(exc) == "defining forms disagree"
+            return exc.counterexample
     return None
 
 
@@ -708,8 +709,9 @@ def test_a_warm_witness_is_derived_again_once_the_inversion_twin_is_planted(monk
     assert bar_f_witness(5, 1).order == 6
     monkeypatch.setattr(perms, "invert_images", planted)
     try:
-        with pytest.raises(RuntimeError, match="defining forms disagree at p=.*, r=1"):
+        with pytest.raises(ClaimFailure, match="defining forms disagree") as exc:
             bar_f_witness(5, 1)
+        assert exc.value.counterexample == {"p": str(sym_group(5)[-2]), "r": "1"}
     finally:
         toric.clear_cache()
 
@@ -718,21 +720,23 @@ def test_two_swapped_ranks_at_a_coprime_shift_fail_skew_toric(plant_bar_f_images
     # B[5] leaves its rotation form first at the rank of the second-last
     # element, and is no longer B[1] o B[4] there.
     plant_bar_f_images(5, 5, _swap_last_two)
-    with pytest.raises(RuntimeError, match="defining forms disagree"):
+    with pytest.raises(ClaimFailure, match="defining forms disagree") as exc:
         bar_f_witness(5, 5)
+    assert exc.value.counterexample == {"p": str(sym_group(5)[-2]), "r": "5"}
     report = verify.run_claim("skew-toric", 5)
     assert report.status == "failed"
     assert report.details["error"] == "defining forms disagree"
     assert report.counterexample == {"p": str(sym_group(5)[-2]), "r": "5"}
-    fault = additivity_fault(5, toric.bar_tables(5, NO_BUDGET)[0])
+    fault = additivity_fault(5, b_tables(5))
     assert fault == ("inverse-toric shifts do not add", {"p": sym_group(5)[-2], "r": 5})
 
 
 def test_a_wrong_table_no_route_decides_raises(plant_bar_f_images):
     # A wrong B[1] leaves its rotation form, so no witness is derived.
     plant_bar_f_images(5, 1, _swap_last_two)
-    with pytest.raises(RuntimeError, match="defining forms disagree at p=.*, r=1"):
+    with pytest.raises(ClaimFailure, match="defining forms disagree") as exc:
         bar_f_witness(5, 1)
+    assert exc.value.counterexample == {"p": str(sym_group(5)[-2]), "r": "1"}
 
 
 def test_an_identity_table_at_a_shift_sharing_a_factor_is_no_counterexample(plant_bar_f_images):
@@ -756,13 +760,14 @@ def test_relabelled_tables_keep_additivity_and_break_the_product_rule(plant_bar_
     images = list(sym_index(5))
     relabel = {a: images[-i] if i else a for i, a in enumerate(images)}
     plant_bar_f_images(5, range(6), lambda old: [relabel[old[images.index(relabel[a])]] for a in images])
-    with pytest.raises(RuntimeError, match="defining forms disagree at p=.*, r=1"):
+    with pytest.raises(ClaimFailure, match="defining forms disagree") as exc:
         bar_f_witness(5, 1)
+    assert exc.value.counterexample == {"p": "[1 2 3 5 4]", "r": "1"}
     report = verify.run_claim("skew-toric", 5)
     assert report.status == "failed"
     assert report.details["error"] == "defining forms disagree"
     assert report.counterexample == {"p": "[1 2 3 5 4]", "r": "1"}
-    bar = toric.bar_tables(5, NO_BUDGET)[0]
+    bar = b_tables(5)
     assert additivity_fault(5, bar) is None
     message, context = product_rule_fault(5, bar)
     assert message == "product rule violated"
@@ -791,8 +796,9 @@ def test_relabelled_tables_keep_additivity_and_break_the_product_rule(plant_bar_
 )
 def test_tables_that_are_no_bijections_fail_skew_toric(plant_bar_f_images, shifts, change, fault):
     plant_bar_f_images(5, shifts, change)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ClaimFailure) as exc:
         bar_f_witness(5, 1)
+    assert exc.value.counterexample == fault
     report = verify.run_claim("skew-toric", 5)
     assert report.status == "failed"
     assert report.counterexample == fault
@@ -856,9 +862,9 @@ def test_a_route_check_the_budget_stops_keeps_no_fault(r):
     with pytest.raises(BudgetExceeded):
         toric.bar_tables(5, budget)
     assert budget.reads == 7 + r
-    assert toric._faults == {}
-    assert toric.bar_tables(5, NO_BUDGET)[1] is None
-    assert list(toric._faults.values()) == [None]
+    assert toric._held == set()
+    assert toric.bar_tables(5, NO_BUDGET) == b_tables(5)
+    assert toric._held == {(5, toric.bar_f_images, perms.invert_images)}
     toric.clear_cache()
 
 

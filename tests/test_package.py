@@ -171,6 +171,36 @@ def test_no_module_binds_a_packed_twin_by_name():
         assert name in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
+def _handlers_naming(tree, name):
+    """The innermost function around each except clause that names name
+    ("" for a clause outside any function)."""
+    owner = {}
+    for node in ast.walk(tree):  # breadth first: a node before its children
+        for child in ast.iter_child_nodes(node):
+            owner[child] = node.name if isinstance(node, ast.FunctionDef) else owner.get(node, "")
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            if name in {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}:
+                yield owner[node]
+
+
+def test_a_failed_check_has_one_path_to_a_report():
+    """A check fails by raising ClaimFailure, and only run_claim catches it:
+    no adapter turns a fault into a value or into another exception."""
+    caught = [
+        f"{path.name}:{func}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for func in _handlers_naming(ast.parse(path.read_text()), "ClaimFailure")
+    ]
+    assert caught == ["verify.py:run_claim"]
+    raised = [
+        node.lineno
+        for node in ast.walk(ast.parse((PACKAGE / "toric.py").read_text()))
+        if isinstance(node, ast.Raise)
+        and "RuntimeError" in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    ]
+    assert raised == []
+
+
 def test_every_spanned_name_is_in_its_layer_module():
     """perfbench spans these entry points by name; one that goes missing
     crashes the benchmark's symmetry pass."""

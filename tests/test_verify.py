@@ -21,7 +21,7 @@ from btcayley.autgroup import (
     orbit_images,
 )
 from btcayley.blocktrans import CutPoints, make_bt, tn_realizations
-from btcayley.budget import NO_BUDGET, Budget, BudgetExceeded
+from btcayley.budget import NO_BUDGET, Budget, BudgetExceeded, ClaimFailure
 from btcayley.perms import (
     Permutation,
     compose_maps,
@@ -48,6 +48,7 @@ from btcayley.verify import (
 from chain_mutants import DroppingChain, ShortBoundChain
 from toric_oracles import (
     additivity_fault,
+    b_tables,
     bar_f_conj,
     oracle_compose,
     oracle_invert,
@@ -373,7 +374,23 @@ def test_claim_sweeps_do_not_validate_per_pair(monkeypatch, key, n):
     assert calls < 10 * factorial(n)
 
 
-TABLE_CLAIMS = ("eq9", "eq12", "eq13", "eq16", "gfg", "lemma4.3", "cor5.11")
+# Every claim that ranks a packed twin (see toric.rank_table).
+TABLE_CLAIMS = (
+    "eq9",
+    "eq12",
+    "eq13",
+    "eq16",
+    "gfg",
+    "lemma4.3",
+    "cor5.11",
+    "prop4.4",
+    "skew-toric",
+    "thm2",
+    "toric-reverse-aut",
+    "example7.1",
+    "prop7.2",
+    "thm7.3",
+)
 
 
 def _packed(images):
@@ -416,6 +433,13 @@ FAULTY_KERNELS = {
     "eq16": ("bar_f_images", _twin(lambda a, r: (a[0],) * len(a))),
     "lemma4.3": ("bar_f_images", _twin(lambda a, r: a + a)),
     "cor5.11": ("bar_f_images", _twin(lambda a, r: (a[0],) * len(a))),
+    "prop4.4": ("bar_f_images", _twin(lambda a, r: (0,) + a[1:])),
+    "skew-toric": ("bar_f_images", _twin(lambda a, r: a + a)),
+    "thm2": ("bar_f_images", _twin(lambda a, r: (a[0],) * len(a))),
+    "toric-reverse-aut": ("bar_f_images", _twin(lambda a, r: a[:-1])),
+    "example7.1": ("bar_f_images", _twin(lambda a, r: (a[0],) * len(a))),
+    "prop7.2": ("bar_f_images", _twin(lambda a, r: (0,) + a[1:])),
+    "thm7.3": ("bar_f_images", _twin(lambda a, r: (a[0],) * len(a))),
 }
 
 
@@ -809,9 +833,9 @@ def test_a_kernel_patched_after_a_warm_run_is_honoured(monkeypatch, key):
 def test_clear_cache_empties_the_table_provider():
     run_claim("gfg", 4)
     run_claim("skew-toric", 4)
-    assert toric._tables and toric._faults and toric.bar_f_witness.cache_info().currsize
+    assert toric._tables and toric._held and toric.bar_f_witness.cache_info().currsize
     clear_cache()
-    assert not toric._tables and not toric._faults
+    assert not toric._tables and not toric._held
     assert toric.bar_f_witness.cache_info().currsize == 0
     assert run_claim("gfg", 4).status == "verified"
 
@@ -963,18 +987,13 @@ def test_cor511_fails_on_a_symmetry_table_that_is_no_bijection(monkeypatch):
 # additivity sweeps of tests/toric_oracles.py that it replaced.
 
 
-def _b_tables(n):
-    """The rank tables B[0..n] of the twin that the claims read, unchecked."""
-    return [toric.rank_table(n, NO_BUDGET, toric.bar_f_images, r)[0] for r in range(n + 1)]
-
-
 def _oracle_product_rule_holds(n):
     """The all-pairs row check lemma4.3 ran before its reduction to the
     adjacent transpositions: True when, with the twin that the claims read,
     B[r] o P[rho] == P[B[r][rho]] o B[s] for every rho and r, with P[rho]
     the row of rho o pi over every pi and s = (rho^-1)_r."""
     images = list(sym_index(n))
-    bar = _b_tables(n)
+    bar = b_tables(n)
     product = list(perms._product_rows(n, images))
     return all(
         compose_maps(b, product[i])
@@ -989,7 +1008,7 @@ def _verdict(key, n):
     the message and counterexample of its failure."""
     try:
         REGISTRY[key].runner(n, NO_BUDGET)
-    except verify.ClaimFailure as exc:
+    except ClaimFailure as exc:
         return str(exc), exc.counterexample
     return None
 
@@ -1000,7 +1019,7 @@ def _first_generator_fault(n):
     the oracle product_rule_fault sweeps: r, then t, then rho by rank."""
     idx = sym_index(n)
     images = list(idx)
-    bar = _b_tables(n)
+    bar = b_tables(n)
 
     def image(a, r):
         return images[bar[r][idx[a]]]
@@ -1043,7 +1062,7 @@ def test_product_rule_claims_agree_with_the_all_pairs_rows(monkeypatch, n):
         clear_cache()
         monkeypatch.setattr(toric, "bar_f_images", twin)
         holds = _oracle_product_rule_holds(n)
-        assert (product_rule_fault(n, _b_tables(n)) is None) == holds, name
+        assert (product_rule_fault(n, b_tables(n)) is None) == holds, name
         lemma, prop = _verdict("lemma4.3", n), _verdict("prop4.4", n)
         assert holds or (lemma is not None and prop is not None), name
         verdicts[name] = (holds, lemma is None, prop is None)
@@ -1077,7 +1096,7 @@ def test_a_twin_that_breaks_the_rule_fails_both_claims_at_its_first_fault(monkey
     monkeypatch.setattr(toric, "bar_f_images", _swapped(toric.bar_f_images, r, i, j))
     want = _first_generator_fault(n)
     assert want is not None and want["r"] == str(r)
-    message, context = product_rule_fault(n, _b_tables(n))
+    message, context = product_rule_fault(n, b_tables(n))
     assert (message, {k: str(v) for k, v in context.items()}) == ("product rule violated", want)
     fault = {"p": str(sym_group(n)[min(i, j)]), "r": str(r)}
     for key in ("lemma4.3", "prop4.4"):
@@ -1089,7 +1108,7 @@ def test_the_b_table_checks_run_once_per_degree(monkeypatch):
     # the one provider of the B tables, which routes each shift once; at 7,
     # cor5.11 and eq13 share it.
     calls = Counter()
-    for name in ("_route_fault", "_rotation_route"):
+    for name in ("_check_rotation_form", "_rotation_route"):
 
         def counting(*args, check=getattr(toric, name), name=name):
             calls[name, len(args[0]) - 1 if name == "_rotation_route" else args[0]] += 1
@@ -1098,11 +1117,26 @@ def test_the_b_table_checks_run_once_per_degree(monkeypatch):
         monkeypatch.setattr(toric, name, counting)
     for key in ("lemma4.3", "prop4.4", "skew-toric", "eq13"):
         assert run_claim(key, 4).status == "verified", key
-    assert calls == {("_route_fault", 4): 1, ("_rotation_route", 4): 5}
+    assert calls == {("_check_rotation_form", 4): 1, ("_rotation_route", 4): 5}
     calls.clear()
     for key in ("cor5.11", "eq13"):
         assert run_claim(key, 7).status == "verified", key
-    assert calls == {("_route_fault", 7): 1, ("_rotation_route", 7): 8}
+    assert calls == {("_check_rotation_form", 7): 1, ("_rotation_route", 7): 8}
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_a_cold_b_table_check_builds_each_shift_once(monkeypatch, n):
+    # The route check reads the columns the tables were ranked from: a cold
+    # bar_tables(n) makes n+1 builds, one per shift, and a warm one none.
+    built = Counter()
+    true = toric.bar_f_images
+    monkeypatch.setattr(toric, "bar_f_images", lambda m, r: built.update([(m, r)]) or true(m, r))
+    clear_cache()
+    bar = toric.bar_tables(n, NO_BUDGET)
+    assert built == Counter((n, r) for r in range(n + 1))
+    assert toric.bar_tables(n, NO_BUDGET) == bar
+    assert sum(built.values()) == n + 1
+    clear_cache()
 
 
 def _one_wrong_image(n, r, rho):
@@ -1135,8 +1169,9 @@ def test_a_b_twin_wrong_at_one_element_fails_every_reader_naming_it(monkeypatch,
         assert report.status == "failed", key
         assert report.details == {"error": "defining forms disagree"}, key
         assert report.counterexample == {"p": str(rho), "r": str(r)}, key
-    with pytest.raises(RuntimeError, match=re.escape(f"defining forms disagree at p={rho}, r={r}")):
+    with pytest.raises(ClaimFailure, match="defining forms disagree") as exc:
         toric.bar_f_witness(n, 1)
+    assert exc.value.counterexample == {"p": str(rho), "r": str(r)}
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -1147,7 +1182,7 @@ def test_the_oracle_sweeps_catch_that_twin_with_the_route_check_off(monkeypatch,
     monkeypatch.setattr(toric, "bar_f_images", _one_wrong_image(n, r, rho))
     monkeypatch.setattr(toric, "_check_route", lambda *args, **context: None)
     assert run_claim("lemma4.3", n).status == "verified"
-    bar = _b_tables(n)
+    bar = b_tables(n)
     message, context = product_rule_fault(n, bar)
     assert (message, context["r"]) == ("product rule violated", r)
     assert additivity_fault(n, bar)[0] == "inverse-toric shifts do not add"
@@ -1155,8 +1190,8 @@ def test_the_oracle_sweeps_catch_that_twin_with_the_route_check_off(monkeypatch,
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_the_oracle_sweeps_hold_on_the_true_twins(n):
-    bar, fault = toric.bar_tables(n, NO_BUDGET)
-    assert fault is None
+    bar = toric.bar_tables(n, NO_BUDGET)
+    assert (n, toric.bar_f_images, perms.invert_images) in toric._held
     assert product_rule_fault(n, bar) is None
     assert additivity_fault(n, bar) is None
 
@@ -1294,7 +1329,7 @@ def _oracle_prop44_closed(n):
     m = n + 1
     idx = sym_index(n)
     images = list(idx)
-    bar = [toric.rank_table(n, NO_BUDGET, toric.bar_f_images, r)[0] for r in range(m)]
+    bar = b_tables(n)
     rows = list(zip(*perms._rank_columns(n, images)))
     table = [[compose_maps(row, b) for b in bar] for row in rows]
     spots = [(0,) + oracle_invert(a) for a in images]
@@ -1457,6 +1492,28 @@ def test_section6_claims_fail_on_a_proper_subgroup(monkeypatch):
     assert r.status == "failed"
     assert r.details == {"error": "component count wrong"}
     assert r.counterexample == {"count": "840"}
+
+
+def test_lemma64_names_a_generator_whose_inverse_is_missing(monkeypatch):
+    # s(0,1,3) is no involution, and its inverse s(0,2,3) is not planted.
+    _planted_v(monkeypatch, lambda n: [CutPoints(0, 1, 2, n), CutPoints(0, 1, 3, n)])
+    r = run_claim("lemma6.4", 5)
+    assert r.status == "failed"
+    assert r.details == {"error": "connection set is not symmetric"}
+    assert r.counterexample == {"p": "[2 3 1 4 5]"}
+
+
+def test_cor32_names_the_block_transposition_a_wrong_reversal_misses(monkeypatch):
+    # The reversal fixes x = s(0,1,5) where it should send it to g(x): every
+    # image is still a block transposition, but none is g(x).
+    x = make_bt(CutPoints(0, 1, 5, 5))
+    true = toric.reverse_image
+    monkeypatch.setattr(toric, "reverse_image", lambda a: a if a == x.image else true(a))
+    r = run_claim("cor3.2", 5)
+    assert r.status == "failed"
+    assert r.details == {"error": "reversal does not preserve the set"}
+    assert r.counterexample == {"p": str(Permutation(true(x.image)))}
+    assert r.counterexample == {"p": "[5 1 2 3 4]"}
 
 
 @pytest.mark.parametrize("key", ["lemma6.3", "lemma6.4"])

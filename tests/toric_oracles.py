@@ -6,7 +6,8 @@ product and the inverse of one-line images, the conjugation forms of the
 toric and inverse-toric maps, the identity and inverse of the dihedral
 normal form, the pointwise action of L_h o bar_f_r, both sides of the skew
 identity of bar_f_r, the sweeps of the product rule and of additivity on
-the B tables that toric.bar_tables derives from the rotation form, a
+the B tables that toric.bar_tables derives from the rotation form (and
+those tables read without its check), a
 skew-morphism decision by full left-multiplication rows, the skew-morphism
 witness of bar_f_r read off a regular Cayley map, and the toric class
 census by one orbit per class.
@@ -15,7 +16,8 @@ The tests check the package's kernels, tables and witnesses against them.
 
 from operator import getitem, itemgetter
 
-from btcayley import perms
+from btcayley import perms, toric
+from btcayley.budget import NO_BUDGET
 from btcayley.blocktrans import CutPoints, make_bt
 from btcayley.maps import CayleyMap, SkewMorphismWitness, is_regular
 from btcayley.perms import (
@@ -86,6 +88,13 @@ def skew_identity_bar_f(
     lhs = bar_f(rho.compose(pi), r)
     rhs = bar_f(rho, r).compose(bar_f(pi, s))
     return lhs, rhs, s
+
+
+def b_tables(n: int) -> list[tuple[int, ...]]:
+    """The rank tables B[0..n] of toric.bar_f_images, taken when this runs,
+    without the rotation-form check of toric.bar_tables, which refuses a
+    wrong twin."""
+    return [toric.rank_table(n, NO_BUDGET, toric.bar_f_images, r) for r in range(n + 1)]
 
 
 def product_rule_fault(n: int, bar) -> tuple[str, dict] | None:
