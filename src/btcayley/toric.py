@@ -10,6 +10,8 @@ order-reversing involution w: (g(p))_t = n+1 - p_{n+1-t}.  The variant
 bar_f_r(p) = (f_r(p^-1))^-1 together with g generates a dihedral group of
 order 2(n+1) acting on the symmetric group; every element fixes the
 identity permutation and maps block transpositions to block transpositions.
+toric_form, bar_tables and reverse_form check the packed twins of f, bar_f
+and g against their conjugation forms on all of Sym_n, once per degree.
 
 A skew morphism of the group is a permutation psi of its elements with
 psi(1) = 1 and, at each x, an exponent e = pi(x) with
@@ -21,7 +23,8 @@ product rule, and bar_f_r is one exactly when bar_f_1 is one of its powers.
 
 from __future__ import annotations
 
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
+from itertools import zip_longest
 from math import factorial
 
 from .blocktrans import CutPoints
@@ -316,24 +319,24 @@ def phi_iso(h: Permutation, r: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# The one provider of the rank tables of the twins and of the check of the
-# B twin against its rotation form, each raising ClaimFailure at its first
-# counterexample; and which maps bar_f_r are skew morphisms, from the B
-# tables alone.
+# The one provider of the rank tables of the twins and of the checks of the
+# toric, B and reversal twins against their conjugation forms, each raising
+# ClaimFailure at its first counterexample; and which maps bar_f_r are skew
+# morphisms, from the B tables alone.
 
 _tables: dict[tuple, tuple[int, ...]] = {}  # keyed on (n, twin, r)
-_held: set[tuple] = set()  # the (n, B twin, inversion twin) whose rotation form held
+_held: set[tuple] = set()  # (n, twin, ...) of each twin whose conjugation form held
 
 
 def rank_table(n: int, budget, twin, r=None) -> tuple[int, ...]:
     """table[i], the rank of the image of the element of rank i.
 
-    twin is a packed twin, called as twin(n) (invert_images,
-    reverse_images) or twin(n, r) (toric_images, bar_f_images); zip reads
-    its columns back as one image per element, ranked through sym_index.
-    The tables are kept, keyed on the twin object, until clear_cache()
-    runs; a table holds n! ranks, about 0.3 MB at n = 8.  The budget is
-    read on every call, before any build, and a failed table (_ranks) is not kept.
+    twin is a packed twin, called as twin(n) (reverse_images) or twin(n, r)
+    (bar_f_images); zip reads its columns back as one image per element,
+    ranked through sym_index.  The tables are kept, keyed on the twin
+    object, until clear_cache() runs; a table holds n! ranks, about 0.3 MB
+    at n = 8.  The budget is read on every call, before any build, and a
+    failed table (_ranks) is not kept.
     """
     budget.check()
     key = (n, twin, r)
@@ -356,10 +359,12 @@ def _ranks(columns, key) -> tuple[int, ...]:
     return table
 
 
-def _miss(lhs: tuple[int, ...], rhs: tuple[int, ...]) -> int | None:
-    """The first index at which two tables (or byte columns) differ, or None."""
+def _miss(lhs, rhs) -> int | None:
+    """The first index at which two tables (or byte columns) differ, or None;
+    where one is a prefix of the other, the length of the shorter."""
     if lhs != rhs:
-        return next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+        pairs = enumerate(zip(lhs, rhs))
+        return next((i for i, (u, v) in pairs if u != v), min(len(lhs), len(rhs)))
     return None
 
 
@@ -406,50 +411,105 @@ def _check_route(columns, twin, images, **context) -> None:
     entry t of every image is twin[t - 1].  Column 0 of a lift is all
     zeros, so a routed map that does not fix 0 misses there.  Columns are
     compared as bytes, and only a column that differs is read entry by
-    entry, for its first fault; context (the shift r) names it beyond p.
+    entry, for its first fault; a twin with a column too many or too few
+    misses at the first element.  context (the shift r) names the fault
+    beyond p.
     """
     size = len(images)
     first = size
-    for col, want in zip(columns, (bytes(size),) + tuple(twin)):
+    for col, want in zip_longest(columns, (bytes(size),) + tuple(twin), fillvalue=b""):
         if (i := _miss(col, want)) is not None:
             first = min(first, i)
     if first < size:
         raise ClaimFailure("defining forms disagree", p=_wrap(images[first]), **context)
 
 
-def _check_rotation_form(n: int, shifted, budget) -> None:
-    """Raise at the first fault of the B twin against its rotation form
-    [0 bar_f_r(p)] = alpha^(m-r) o [0 p] o alpha^s, s = (p^-1)_r, m = n+1,
-    sweeping r, then p by rank; shifted[r] holds the twin's columns at r.
+def _check_shift_form(n: int, shifted, shifts, budget) -> None:
+    """Raise at the first fault of a shift twin against the form
+    [0 T_r(p)] = alpha^c o [0 p] o alpha^s, sweeping r = 0..n, then p by
+    rank (_rotation_route, _check_route).
 
-    The left shift m-r is one for every p, and s is read for every p at
-    once from column r-1 of perms.invert_images (0 at r = 0).  The route
-    is checked against shifted[r] as bytes (_rotation_route, _check_route),
-    and its column 0 holds [0 p](s) - r: so where the check passes, s is
-    the position of r in [0 p] whatever the inversion twin gives.  The
-    budget is read once per shift.
+    shifted(r) gives the twin's columns at r, and shifts[r] the bytes
+    columns (c, s) of the two shifts of every element, by rank.  The
+    budget is read once per shift, before its build.
     """
     images = list(sym_index(n))
     points = _lift_columns(n)
-    m = n + 1
-    spots = (bytes(len(images)),) + perms.invert_images(n)  # spots[r][i]: (p^-1)_r, p of rank i
-    for r, columns in enumerate(shifted):
+    for r, (left, right) in enumerate(shifts):
         budget.check()
-        route = _rotation_route(points, bytes((-r % m,)) * len(images), spots[r])
-        _check_route(route, columns, images, r=r)
+        _check_route(_rotation_route(points, left, right), shifted(r), images, r=r)
+
+
+def toric_form(n: int, budget) -> None:
+    """Check toric_images against the form [0 f_r(p)] = alpha^(m-p_r) o
+    [0 p] o alpha^r, m = n+1, for every p and r (_check_shift_form): its
+    left shift is read off lift column r.  This one check is all the toric
+    identities read: eq9, eq13 and gfg (verify) derive them from it.
+
+    The twin is read when this runs, and that it held is kept per degree
+    and twin object until clear_cache() runs; a check that failed or that
+    the budget stopped keeps nothing.  The budget is read on every call,
+    then once per shift of a check.
+    """
+    budget.check()
+    twin = toric_images
+    key = (n, twin)
+    if key in _held:
+        return
+    points = _lift_columns(n)
+    size = len(points[0])
+    negate = bytes(-v % (n + 1) for v in range(n + 1)) + bytes(255 - n)
+    shifts = [(points[r].translate(negate), bytes((r,)) * size) for r in range(n + 1)]
+    _check_shift_form(n, partial(twin, n), shifts, budget)
+    _held.add(key)
+
+
+def reverse_form(n: int, budget) -> None:
+    """Check reverse_images against the form [0 g(p)] = W o [0 p] o W for
+    every p, W = [0 w] = lift(reverse(n)), the reflection k -> -k mod n+1:
+    entry x of the route is W([0 p](W(x))), so its column x is lift column
+    W(x) translated through W (_check_route, naming p).  eq12, gfg and eq16
+    (verify) derive their identities from it.
+
+    Kept as toric_form keeps its check; the budget is read on every call.
+    """
+    budget.check()
+    twin = reverse_images
+    key = (n, twin)
+    if key in _held:
+        return
+    points = _lift_columns(n)
+    w = lift(reverse(n))
+    flip = bytes(w) + bytes(256 - len(w))
+    _check_route((points[x].translate(flip) for x in w), twin(n), list(sym_index(n)))
+    _held.add(key)
+
+
+def reverse_table(n: int, budget) -> tuple[int, ...]:
+    """The rank table R of reverse_images, once the twin holds its form
+    (reverse_form): so g is a bijection, and R has no image that is no
+    permutation.  The budget is read on every call."""
+    reverse_form(n, budget)
+    return rank_table(n, budget, reverse_images)
 
 
 def bar_tables(n: int, budget) -> list[tuple[int, ...]]:
     """The rank tables B[r] of bar_f_images(n, r), r = 0..n, once the twin
-    holds its rotation form (_check_rotation_form); else ClaimFailure at
-    the first table that is no rank table (see _ranks), or else at the
-    first fault of that form.
+    holds its rotation form [0 bar_f_r(p)] = alpha^(m-r) o [0 p] o
+    alpha^s, s = (p^-1)_r, m = n+1; else ClaimFailure at the first table
+    that is no rank table (see _ranks), or else at the first fault of that
+    form (_check_shift_form).
 
     That one check is all Section 4 reads: the product rule
     bar_f_r(rho o pi) = bar_f_r(rho) o bar_f_s(pi), s = (rho^-1)_r, and
     additivity, B[0] = id and B[s] = B[1]^s with B[1]^(n+1) = id, so that
     every B[r] is a bijection, each follow from the form in three lines,
     proved in the runners of the claims lemma4.3 and prop4.4 (verify).
+
+    The left shift m-r is one for every p, and s is read for every p at
+    once from column r-1 of perms.invert_images (0 at r = 0).  The route's
+    column 0 holds [0 p](s) - r: so where the check passes, s is the
+    position of r in [0 p] whatever the inversion twin gives.
 
     bar_f_images is read when this runs, so every reader of the B tables
     takes the twin of that one name.  The check runs on the columns the
@@ -468,13 +528,16 @@ def bar_tables(n: int, budget) -> list[tuple[int, ...]]:
         budget.check()
         shifted.append(columns := twin(n, r))
         bar.append(_ranks(columns, (n, twin, r)))
-    _check_rotation_form(n, shifted, budget)
+    size = len(bar[0])
+    spots = (bytes(size),) + perms.invert_images(n)  # spots[r][i]: (p^-1)_r, p of rank i
+    shifts = [(bytes((-r % (n + 1),)) * size, spot) for r, spot in enumerate(spots)]
+    _check_shift_form(n, shifted.__getitem__, shifts, budget)
     _held.add(key)
     return bar
 
 
 def clear_cache():
-    """Forget the rank tables, the rotation forms that held and the witnesses."""
+    """Forget the rank tables, the conjugation forms that held and the witnesses."""
     _tables.clear()
     _held.clear()
     bar_f_witness.cache_clear()

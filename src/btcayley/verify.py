@@ -10,7 +10,7 @@ Keys are opaque command-line identifiers.  Each claim declares the
 degree range it supports; run_claim clamps a requested degree into that
 range, so sweeping the whole registry at any n exercises every key.
 Every call runs its claim afresh; only what toric keeps (the rank tables,
-and that the B twin held its rotation form) lasts between calls.  Every
+and which twins held their conjugation forms) lasts between calls.  Every
 check, toric's too, fails a claim by raising budget.ClaimFailure.
 """
 
@@ -25,7 +25,6 @@ from collections.abc import Callable
 from functools import partial
 from itertools import chain
 from math import factorial, gcd
-from operator import getitem
 
 from .autgroup import (
     aut_group,
@@ -68,8 +67,6 @@ from .maps import aut_order, is_regular, mprime_n5_map, octahedron_map, prop72_m
 from .perms import (
     Permutation,
     StabilizerChain,
-    _lift_columns,
-    _rank_columns,
     _wrap,
     adjacent_transpositions,
     compose_maps,
@@ -93,9 +90,12 @@ from .toric import (
     euler_phi,
     phi_iso,
     rank_table,
+    reverse_form,
     reverse_g,
+    reverse_table,
     toric_class_stats,
     toric_f,
+    toric_form,
 )
 
 DEFAULT_N = 5
@@ -189,9 +189,10 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-# Claims that read the twins' rank tables or the B tables (see
-# toric.rank_table and toric.bar_tables).  run_all runs them as one job,
-# ahead of the others, so that each table and check of a degree runs once.
+# Claims that read the forms of the toric, B and reversal twins or their
+# rank tables (see toric.toric_form, toric.bar_tables and
+# toric.reverse_table).  run_all runs them as one job, ahead of the others,
+# so that each table and form check of a degree runs once.
 _TABLE_GROUP = ("cor5.11", "eq13", "eq16", "eq9", "gfg", "lemma4.3", "prop4.4", "skew-toric")
 
 
@@ -355,15 +356,13 @@ def _dihedral_tables(n, budget) -> list[tuple[int, ...]]:
 
     dihedral_image(d, a) is bar_f_image(a, d.r), after reverse_image when
     d.refl is set, so the tables are B[r] and then B[r] o R for r = 0..n,
-    read from the twins' rank tables.  A table that is no bijection of the
-    ranks fails the claim, naming the first such symmetry.
+    read from toric.bar_tables and toric.reverse_table.  Each is a
+    bijection of the ranks, by the forms those twins hold: B[r] = B[1]^r
+    with B[1]^(n+1) = id (prop4.4), and R o R = id (eq12).
     """
-    rev = rank_table(n, budget, toric.reverse_images)
+    rev = reverse_table(n, budget)
     bar = bar_tables(n, budget)
-    tables = bar + [compose_maps(b, rev) for b in bar]
-    for d, table in zip(dihedral_elements(n), tables):
-        _need(len(set(table)) == len(table), "induced map is not a bijection", symmetry=d)
-    return tables
+    return bar + [compose_maps(b, rev) for b in bar]
 
 
 _FIRST_ENTRY = "power function is not the first entry of the inverse"
@@ -454,169 +453,74 @@ def _run_lemma21(n, budget):
 
 @_claim("eq9", "toric maps: conjugation form, additivity, inverse rule", 3, 8)
 def _run_eq9(n, budget):
-    """Exhaustive over Sym_n: every p and every shift r.
-
-    The identities are checked on rank tables: T[r][i] is the rank of
-    f_r of the element of rank i, ranked from the packed twin
-    toric.toric_images.
-    sym_index is a bijection from Sym_n onto range(n!), so a composed table
-    equals another exactly when the two composed maps agree at every
-    element, and each comparison still covers every element.  The
-    conjugation form [0 f_r(p)] = alpha^(m-p_r) o [0 p] o alpha^r is
-    compared with the twin's columns as bytes (toric._rotation_route and
-    toric._check_route, looked up when the claim runs): its left shift
-    m-p_r varies with p, and its right shift r does not.
-
-    Additivity f_s o f_r = f_(r+s), shifts mod m, is checked as f_0 = id
-    and f_1 o f_r = f_(r+1): by induction f_r = f_1^r, and f_1^m = f_0.
+    """The toric form [f_r(p)] = alpha^(-p_r) o [p] o alpha^r, [x] = [0 x],
+    which toric.toric_form checks on the packed twin toric.toric_images
+    for every p in Sym_n and every shift r.  The other identities follow:
+      - Additivity: with q = f_r(p), q_s = [p](r+s) - p_r by the form, so
+        [f_s(q)] = alpha^(-p_r-q_s) o [p] o alpha^(r+s) = [f_(r+s)(p)],
+        shifts mod n+1; and f_0 = id, since p_0 = 0.
+      - Inverse rule: [f_r(p)]^-1 = alpha^(-r) o [p^-1] o alpha^(p_r),
+        which is the form of f_(p_r)(p^-1), since (p^-1)_(p_r) = r.
     """
-    m = n + 1
-    images = list(sym_index(n))
-    twin = toric.toric_images
-    tor = [rank_table(n, budget, twin, r) for r in range(m)]
-    inv = rank_table(n, budget, perms.invert_images)
-    _agree(tor[0], tuple(range(len(images))), images, "zeroth toric map moved a point")
-    # points[r][i] is p_r for the element p of rank i, in its lift [0 p].
-    points = _lift_columns(n)
-    negate = bytes(-v % m for v in range(m)) + bytes(256 - m)
-    for r, t in enumerate(tor):
-        budget.check()
-        left = points[r].translate(negate)
-        route = toric._rotation_route(points, left, bytes((r,)) * len(images))
-        toric._check_route(route, twin(n, r), images, r=r)
-        # (f_r(p))^-1 = f_{p_r}(p^-1): the shift p_r varies with p.
-        mirrored = tuple(map(getitem, map(tor.__getitem__, points[r]), inv))
-        _agree(
-            compose_maps(inv, t),
-            mirrored,
-            images,
-            "inverse of a toric image is not the mirrored toric image",
-            r=r,
-        )
-        _agree(
-            compose_maps(tor[1], t), tor[(r + 1) % m], images, "toric shifts do not add", r=r, s=1
-        )
-    return {"elements": len(images), "shifts": m}
+    toric_form(n, budget)
+    return {"elements": factorial(n), "shifts": n + 1}
 
 
 @_claim("eq12", "reversal map: conjugation form, involution, multiplicativity", 3, 6)
 def _run_eq12(n, budget):
-    """Both forms and the involution on every p in Sym_n, exhaustively, and
-    multiplicativity g(rho o pi) = g(rho) o g(pi) on every pair (rho, pi) in
-    Sym_n x Sym_n, by a reduction to the adjacent transpositions.  All three
-    are checked on the packed twin toric.reverse_images.
-
-    The conjugation form [0 g(p)] = [0 w] o [0 p] o [0 w], w = reverse(n),
-    is computed on the lift columns of all of Sym_n: entry x of it is
-    w(p(w(x))), so its column x is lift column w(x) translated through w.
-    These columns are compared with the twin's as bytes
-    (toric._check_route): the route takes w from perms.reverse, the twin its
-    v -> m - v table from toric._complements.
-
-    On ranks, R[i] is the rank of g of the element of rank i, and col_b[i]
-    the rank of (element i) o b.  For each of the n-1 adjacent
-    transpositions s, R o col_s == col_g(s) o R is g(rho o s) = g(rho) o g(s)
-    for every rho at once, since sym_index is a bijection.  That covers
-    every pair, by induction on the length of pi as a word in the s:
-
-    - Length 0: with rho = iota the check reads g(s) = g(iota) o g(s), so
-      g(iota) = iota, and g(rho o iota) = g(rho) o g(iota) for every rho.
-    - Length k > 0: pi = pi' o s with s adjacent and pi' of length k-1, and
-      for every rho
-          g(rho o pi) = g(rho o pi') o g(s)        (the check at rho o pi')
-                      = g(rho) o g(pi') o g(s)     (induction)
-                      = g(rho) o g(pi' o s)        (the check at pi').
-
-    The adjacent transpositions generate Sym_n, so every pi has a length,
-    and "pairs" counts the pairs the proof covers.  The columns of the s and
-    g(s) come from perms._rank_columns, which memoises them: g(s) of an
-    adjacent s is adjacent again, so its column is one already built.
+    """The reversal form [g(p)] = W o [p] o W, W = [0 w], w = reverse(n),
+    which toric.reverse_form checks on the packed twin toric.reverse_images
+    for every p in Sym_n.  The other identities follow:
+      - Involution: W o W = id, so [g(g(p))] = [p].
+      - Multiplicativity: [rho o pi] = [rho] o [pi], so [g(rho o pi)] =
+        W [rho] W o W [pi] W = [g(rho) o g(pi)] for every pair (rho, pi),
+        which "pairs" counts.
     """
-    idx = sym_index(n)
-    images = list(idx)
-    twin = toric.reverse_images
-    rev = rank_table(n, budget, twin)
-    points = _lift_columns(n)
-    w = lift(reverse(n))
-    flip = bytes(w) + bytes(256 - len(w))
-    toric._check_route((points[x].translate(flip) for x in w), twin(n), images)
-    ident = tuple(range(len(images)))
-    _agree(compose_maps(rev, rev), ident, images, "reversal is not an involution")
-    adjacent = adjacent_transpositions(n)
-    mirrors = [images[rev[idx[s]]] for s in adjacent]
-    budget.check()
-    columns = _rank_columns(n, adjacent + mirrors)
-    for s, col_s, col_gs in zip(adjacent, columns, columns[n - 1 :]):
-        _agree(
-            compose_maps(rev, col_s),
-            compose_maps(col_gs, rev),
-            images,
-            "reversal is not multiplicative",
-            key="rho",
-            pi=_wrap(s),
-        )
-    return {"elements": len(images), "pairs": len(images) ** 2}
+    reverse_form(n, budget)
+    return {"elements": factorial(n), "pairs": factorial(n) ** 2}
 
 
-def _run_mirror(name: str, kind: str, n, budget):
-    """Exhaustive over every p in Sym_n and every shift r: R o T[r] o R is
-    compared with T[-r] as rank tables, T the tables of the packed twin
-    toric.<name>, which agree exactly when the maps agree at every element
-    because sym_index is a bijection."""
-    m = n + 1
-    images = list(sym_index(n))
-    twin = getattr(toric, name)
-    tables = [rank_table(n, budget, twin, r) for r in range(m)]
-    rev = rank_table(n, budget, toric.reverse_images)
-    message = f"conjugated {kind} map is not the mirror shift"
-    for r, t in enumerate(tables):
-        _agree(compose_maps(rev, compose_maps(t, rev)), tables[-r], images, message, r=r)
-    return {"elements": len(images), "shifts": m}
+def _run_mirror(form, n, budget):
+    """g o T_r o g = T_(-r) for every p in Sym_n and every shift r, from the
+    form [T_r(x)] = alpha^c o [x] o alpha^s of the shift twin (form is
+    toric.toric_form or toric.bar_tables) and the reversal form [g(x)] =
+    W o [x] o W (toric.reverse_form).  W is k -> -k, so W o alpha^c o W =
+    alpha^(-c), and [g(T_r(g(p)))] = alpha^(-c) o [p] o alpha^(-s) with c
+    and s the shifts of T_r at g(p).  Those are the negated shifts of
+    T_(-r) at p:
+      - toric, c = -p_r, s = r: at g(p), c = -(g(p))_r = p_(-r);
+      - inverse-toric, c = -r, s = (p^-1)_r: at g(p), s = (g(p^-1))_r =
+        -(p^-1)_(-r), as g(p)^-1 = g(p^-1).
+    """
+    form(n, budget)
+    reverse_form(n, budget)
+    return {"elements": factorial(n), "shifts": n + 1}
 
 
-# (key, packed twin in toric, kind of map) for each mirror rule g o T_r o g = T_-r.
+# (key, form check of the shift twin, kind of map) for each mirror rule g o T_r o g = T_-r.
 _MIRRORS = (
-    ("gfg", "toric_images", "toric"),
-    ("eq16", "bar_f_images", "inverse-toric"),
+    ("gfg", toric_form, "toric"),
+    ("eq16", bar_tables, "inverse-toric"),
 )
-for _key, _name, _kind in _MIRRORS:
+for _key, _form, _kind in _MIRRORS:
     _summary = f"reversal conjugates each {_kind} map to its mirror"
-    _claim(_key, _summary, 3, 8)(partial(_run_mirror, _name, _kind))
+    _claim(_key, _summary, 3, 8)(partial(_run_mirror, _form))
 
 
 @_claim("eq13", "inverse-toric maps: defining route and iteration", 3, 8)
 def _run_eq13(n, budget):
-    """Exhaustive over every p in Sym_n and every shift r.
-
-    Three routes meet: the rotation form [0 bar_f_r(p)] = alpha^(m-r) o
-    [0 p] o alpha^((p^-1)_r), which toric.bar_tables checks on the lift
-    columns once per degree, the definition (f_r(p^-1))^-1 as the rank
-    table inv o T[r] o inv, and r-fold iteration of bar_f_1 as B[1] o
-    B[r-1] by induction on r from B[0] = id.  sym_index is a bijection, so
-    each table comparison covers every element.
+    """bar_f_r(p) = (f_r(p^-1))^-1 for every p in Sym_n and every r, and
+    bar_f_r = bar_f_1^r, from the two shift forms: the B form
+    [bar_f_r(p)] = alpha^(-r) o [p] o alpha^((p^-1)_r) (toric.bar_tables)
+    and the toric form (toric.toric_form).
+      - Definition: [f_r(p^-1)]^-1 = (alpha^(-(p^-1)_r) o [p^-1] o
+        alpha^r)^-1 = alpha^(-r) o [p] o alpha^((p^-1)_r) = [bar_f_r(p)].
+      - Iteration: B[r] = B[1]^r is the additivity of the B tables, proved
+        from the B form in prop4.4.
     """
-    m = n + 1
-    images = list(sym_index(n))
-    bar = bar_tables(n, budget)
-    tor = [rank_table(n, budget, toric.toric_images, r) for r in range(m)]
-    inv = rank_table(n, budget, perms.invert_images)
-    for r, b in enumerate(bar):
-        budget.check()
-        _agree(
-            compose_maps(inv, compose_maps(tor[r], inv)),
-            b,
-            images,
-            "inverse-toric route broke",
-            r=r,
-        )
-        _agree(
-            compose_maps(bar[1], bar[r - 1]) if r else tuple(range(len(images))),
-            b,
-            images,
-            "iteration disagrees with direct shift",
-            r=r,
-        )
-    return {"elements": len(images), "shifts": m}
+    bar_tables(n, budget)
+    toric_form(n, budget)
+    return {"elements": factorial(n), "shifts": n + 1}
 
 
 @_claim("lemma4.3", "product rule for inverse-toric images", 3, 5)
@@ -710,19 +614,23 @@ def _run_eqa14oct(n, budget):
 
 def _run_invariance(shifted, fixed, n, budget):
     """A named map at every shift r, and optionally a named fixed map, send
-    the set of block transpositions onto itself."""
+    the set of block transpositions onto itself.  A map that does not names
+    p, the first element of T_n that no image reaches: the image has at
+    most |T_n| elements, so it is T_n exactly when it reaches every p."""
     name, fn = shifted
     tn = tn_realizations(n)
     reals = set(tn)
+
+    def onto(name, image, **context):
+        missed = next((p for p in tn if p not in image), None)
+        _need(missed is None, f"{name} does not preserve the set", p=missed, **context)
+
     for r in range(n + 1):
         budget.check()
-        _need({fn(p, r) for p in reals} == reals, f"{name} does not preserve the set", r=r)
+        onto(name, {fn(p, r) for p in reals}, r=r)
     if fixed is not None:
         name, fn = fixed
-        # p, the first element of T_n no image reaches, exists exactly on a fault.
-        image = {fn(p) for p in reals}
-        missed = next((p for p in tn if p not in image), None)
-        _need(missed is None, f"{name} does not preserve the set", p=missed)
+        onto(name, {fn(p) for p in reals})
     return {"size": len(reals), "shifts": n + 1}
 
 
@@ -759,8 +667,8 @@ def _run_prop44(n, budget):
     (toric.bar_tables), whence the product rule (lemma4.3) and additivity;
     the B[r] are distinct; each B[r] fixes w0; w0 o w0 = iota, so R o R,
     right translation by w0 o w0, is id; no B[r] is the table of g(x) =
-    w0 o x o w0 (the reverse_images table, checked against that form by
-    eq12).  Then:
+    w0 o x o w0 (toric.reverse_table, checked against that form by
+    toric.reverse_form).  Then:
       - Additivity: with q = bar_f_(s-1)(p), a = s(p, s-1) and b = s(q, 1),
         [0 bar_f_1(q)] = alpha^-s [0 p] alpha^(a+b).  It fixes 0, as the
         form at q does, so [0 p](a+b) = s, a+b = s(p, s), and bar_f_1(q) =
@@ -797,7 +705,7 @@ def _run_prop44(n, budget):
     moved = next((r for r, b in enumerate(bar) if b[w0] != w0), None)
     _need(moved is None, "the doubling involution does not centralize the group", r=moved)
     _need(w.compose(w) == identity(n), "the doubling map is not an involution")
-    inside = rank_table(n, budget, toric.reverse_images) in bar
+    inside = reverse_table(n, budget) in bar
     _need(not inside, "the doubling involution lies inside the group")
     return {"group_order": factorial(m), "doubled_order": 2 * factorial(m)}
 
@@ -1148,12 +1056,11 @@ def _run_lemma510(n, budget):
 def _run_cor511(n, budget):
     """Exhaustive: the orbits of all of Sym_n, labelled on ranks in one pass.
 
-    The 2(n+1) symmetries are the rank tables of _dihedral_tables, each
-    checked there to be a bijection of the ranks.  Every rank starts with
-    itself as its label; a round gives each rank the least label among its
-    own and those of its images under the tables, and rounds repeat until
-    no label changes.  Then the label of each rank is the least rank of its
-    orbit:
+    The 2(n+1) symmetries are the rank tables of _dihedral_tables, each a
+    bijection of the ranks.  Every rank starts with itself as its label; a
+    round gives each rank the least label among its own and those of its
+    images under the tables, and rounds repeat until no label changes.
+    Then the label of each rank is the least rank of its orbit:
       - A label only ever moves to a label held in the same orbit, so it
         starts and stays a rank of that orbit, and it never falls below
         the least rank o of the orbit; o itself keeps o throughout.
@@ -1286,7 +1193,8 @@ def _run_toric_reverse_aut(n, budget):
 
     The maps are the rank tables of _dihedral_tables: table[d][v] is the
     rank of d(p) for the vertex p of rank v, and each is a bijection of
-    the ranks.  The edges of the graph join rho and rho o t, t in T_n.
+    the ranks, as the forms of the twins give.  The edges of the graph
+    join rho and rho o t, t in T_n.
       - The rotation form, which toric.bar_tables checks, gives
         bar_f_r(rho o t) = bar_f_r(rho) o bar_f_s(t), with s the position
         of r in [0 rho]: write [0 x] as x and s' for the position of s in
@@ -1295,8 +1203,9 @@ def _run_toric_reverse_aut(n, budget):
         So once bar_f_s(T_n) lies in T_n for every s, each bar_f_r sends
         every edge to an edge.  A bijection of a finite graph that sends
         edges to edges permutes them, so it is an automorphism.
-      - The reversal is conjugation by w0 = [n ... 1] (eq12), so g(rho o t)
-        = g(rho) o g(t), and g is an automorphism once g(T_n) lies in T_n.
+      - The reversal is conjugation by w0 = [n ... 1] (toric.reverse_form,
+        eq12), so g(rho o t) = g(rho) o g(t), and g is an automorphism once
+        g(T_n) lies in T_n.
         bar_f_0 is the identity, so g is the symmetry t^0*g, and every
         t^r*g = bar_f_r o g is a product of two automorphisms.
       - Conversely an automorphism fixing the identity permutes its
@@ -1321,7 +1230,7 @@ def _run_toric_reverse_aut(n, budget):
     tables = dict(zip(dih, _dihedral_tables(n, budget)))
     rotations = [(d, tables[d]) for d in dih[: n + 1]]
     vertices = list(index)
-    for d, table in rotations + [(dih[n + 1], rank_table(n, budget, toric.reverse_images))]:
+    for d, table in rotations + [(dih[n + 1], reverse_table(n, budget))]:
         budget.check()
         for t in tn:
             if table[t] not in members:
@@ -1450,7 +1359,7 @@ def _run_example71(n, budget):
     # The map is prop72_map(3) (checked below), so its witness has the
     # columns prop7.2 reads at n = 3.
     psi = rank_table(n, budget, toric.bar_f_images, 1)
-    _need(w.psi == psi, "witness is not the basic inverse-toric map")
+    _agree(w.psi, psi, list(sym_index(n)), "witness is not the basic inverse-toric map")
     _power_rule(w, n, budget, 1, _FIRST_ENTRY)
     _need(aut_order(m, w) == 24, "symmetry count wrong", order=aut_order(m, w))
     other = prop72_map(3)
@@ -1476,7 +1385,7 @@ def _run_prop72(n, budget):
     w = is_regular(m, budget=budget)
     _need(w is not None, "no regularity witness")
     psi = rank_table(n, budget, toric.bar_f_images, 1)
-    _need(w.psi == psi, "witness is not the basic inverse-toric map")
+    _agree(w.psi, psi, list(sym_index(n)), "witness is not the basic inverse-toric map")
     _need(t_balance(w, m.gens) is None, "map is balanced after all")
     first = _bt(0, 1, n, n)
     _need(w.pi_power_of(first) == n, "power at the long generator wrong", got=w.pi_power_of(first))
@@ -1514,7 +1423,7 @@ def _run_thm73(n, budget):
     w = is_regular(m, budget=budget)
     _need(w is not None, "no regularity witness")
     psi = rank_table(5, budget, toric.bar_f_images, 5)
-    _need(w.psi == psi, "witness is not the mirrored inverse-toric map")
+    _agree(w.psi, psi, list(sym_index(5)), "witness is not the mirrored inverse-toric map")
     _need(w.order == 6, "witness order wrong", order=w.order)
     _need(t_balance(w, m.gens) is None, "map is balanced after all")
     _power_rule(w, n, budget, 5, "power function is not the mirrored last entry")

@@ -868,6 +868,27 @@ def test_a_route_check_the_budget_stops_keeps_no_fault(r):
     toric.clear_cache()
 
 
+@pytest.mark.parametrize(
+    "form, twin, reads", [("toric_form", "toric_images", 3), ("reverse_form", "reverse_images", 1)]
+)
+def test_a_form_check_reads_the_budget_on_every_call_and_keeps_nothing_it_stopped(
+    form, twin, reads
+):
+    # The toric check reads the budget once per call, then once per shift:
+    # it expires at shift 1.  The reversal check reads it once per call.
+    # A held check still reads it.
+    check = getattr(toric, form)
+    toric.clear_cache()
+    with pytest.raises(BudgetExceeded):
+        check(5, _Expiring(reads))
+    assert toric._held == set()
+    check(5, NO_BUDGET)
+    assert toric._held == {(5, getattr(toric, twin))}
+    with pytest.raises(BudgetExceeded):
+        check(5, _Expiring(1))
+    toric.clear_cache()
+
+
 def test_skew_toric_keeps_nothing_half_built_when_its_budget_expires():
     runner = verify.REGISTRY["skew-toric"].runner
     toric.clear_cache()

@@ -50,10 +50,17 @@ from toric_oracles import (
     additivity_fault,
     b_tables,
     bar_f_conj,
+    definition_route_fault,
+    involution_fault,
+    inverse_rule_fault,
+    mirror_fault,
+    multiplicativity_fault,
     oracle_compose,
     oracle_invert,
     product_rule_fault,
+    ranked,
     toric_f_conj,
+    toric_tables,
 )
 
 
@@ -346,16 +353,20 @@ def test_every_runner_declares_a_usable_range():
 
 
 def test_kernel_fault_is_reported_with_one_line_permutations(monkeypatch):
-    # p -> p o w is an involution but not multiplicative, so the pair sweep
-    # of eq12 must catch it and name the pair in one-line notation.  The
-    # conjugation route, which would stop at the first p, is skipped.
-    monkeypatch.setattr(toric, "reverse_images", _twin0(lambda a: a[::-1]))
-    monkeypatch.setattr(toric, "_check_route", lambda *args, **context: None)
+    # p -> p o w is an involution but not multiplicative.  eq12 stops at
+    # the first p that leaves the reversal form, and the multiplicativity
+    # oracle names a pair; both in one-line notation.
+    twin = _twin0(lambda a: a[::-1])
+    monkeypatch.setattr(toric, "reverse_images", twin)
     r = run_claim("eq12", 3)
     assert r.status == "failed"
-    assert set(r.counterexample) == {"rho", "pi"}
-    for value in r.counterexample.values():
-        assert re.fullmatch(r"\[\d( \d)*\]", value)
+    assert r.counterexample == {"p": "[1 2 3]"}
+    assert involution_fault(3, ranked(3, twin(3))) is None
+    message, context = multiplicativity_fault(3, ranked(3, twin(3)))
+    assert message == "reversal is not multiplicative"
+    assert set(context) == {"rho", "pi"}
+    for value in context.values():
+        assert re.fullmatch(r"\[\d( \d)*\]", str(value))
 
 
 @pytest.mark.parametrize("key,n", [("eq12", 5), ("lemma4.3", 4)])
@@ -454,6 +465,18 @@ def test_kernel_image_that_is_no_permutation_fails_the_claim(monkeypatch, key):
     assert re.fullmatch(r"\d+", r.counterexample.get("r", "0"))
 
 
+@pytest.mark.parametrize("key, name", [("eq9", "toric_images"), ("eq12", "reverse_images")])
+@pytest.mark.parametrize("change", [lambda cols: cols[:-1], lambda cols: cols + cols[:1]])
+def test_a_twin_with_a_column_too_few_or_too_many_fails_its_form(monkeypatch, key, name, change):
+    # The toric and reversal twins are read through their forms alone, not
+    # ranked: a wrong column count fails the form at the first element.
+    true = getattr(toric, name)
+    monkeypatch.setattr(toric, name, lambda *args: change(true(*args)))
+    r = run_claim(key, 4)
+    assert r.details == {"error": "defining forms disagree"}
+    assert r.counterexample == {"p": "[1 2 3 4]"} | ({"r": "0"} if key == "eq9" else {})
+
+
 def _swap_first_two(b):
     return (b[1], b[0]) + b[2:]
 
@@ -462,49 +485,22 @@ def _identity_holds(key, message, ce, K):
     """Re-evaluate the identity a failed report names, pointwise, with kernels K."""
     T, B, R = K["toric_image"], K["bar_f_image"], K["reverse_image"]
     r = int(ce.get("r", 0))
-    if "p" in ce:
-        p = parse_permutation(ce["p"])
-        a = p.image
-        m = len(a) + 1
-    else:
-        rho, pi = parse_permutation(ce["rho"]).image, parse_permutation(ce["pi"]).image
-        m = len(rho) + 1
+    p = parse_permutation(ce["p"])
+    a = p.image
+    # Each claim fails at the first form it reads that the kernels leave;
+    # a fault without r is one of the reversal form.
+    toric_form = lambda: T(a, r) == toric_f_conj(p, r).image  # noqa: E731
+    bar_form = lambda: B(a, r) == bar_f_conj(p, r).image  # noqa: E731
+    reverse_form = lambda: R(a) == reverse_g_conj(p).image  # noqa: E731
     checks = {
-        ("eq9", "zeroth toric map moved a point"): lambda: T(a, 0) == a,
-        ("eq9", "defining forms disagree"): lambda: T(a, r) == toric_f_conj(p, r).image,
-        ("eq9", "inverse of a toric image is not the mirrored toric image"): lambda: (
-            oracle_invert(T(a, r)) == T(oracle_invert(a), ((0,) + a)[r])
-        ),
-        ("eq9", "toric shifts do not add"): lambda: (
-            T(T(a, r), int(ce["s"])) == T(a, (r + int(ce["s"])) % m)
-        ),
-        ("eq12", "defining forms disagree"): lambda: R(a) == reverse_g_conj(p).image,
-        ("eq12", "reversal is not an involution"): lambda: R(R(a)) == a,
-        ("eq12", "reversal is not multiplicative"): lambda: (
-            R(oracle_compose(rho, pi)) == oracle_compose(R(rho), R(pi))
-        ),
-        ("gfg", "conjugated toric map is not the mirror shift"): lambda: (
-            R(T(R(a), r)) == T(a, -r % m)
-        ),
-        ("eq13", "defining forms disagree"): lambda: B(a, r) == bar_f_conj(p, r).image,
-        ("eq13", "inverse-toric route broke"): lambda: (
-            B(a, r) == oracle_invert(T(oracle_invert(a), r))
-        ),
-        ("eq13", "iteration disagrees with direct shift"): lambda: (
-            B(a, r) == _iterate(lambda x: B(x, 1), a, r)
-        ),
-        ("eq16", "conjugated inverse-toric map is not the mirror shift"): lambda: (
-            R(B(R(a), r)) == B(a, -r % m)
-        ),
-        ("lemma4.3", "defining forms disagree"): lambda: B(a, r) == bar_f_conj(p, r).image,
+        ("eq9", "defining forms disagree"): toric_form,
+        ("eq12", "defining forms disagree"): reverse_form,
+        ("gfg", "defining forms disagree"): lambda: toric_form() and reverse_form(),
+        ("eq13", "defining forms disagree"): lambda: bar_form() and toric_form(),
+        ("eq16", "defining forms disagree"): lambda: bar_form() and reverse_form(),
+        ("lemma4.3", "defining forms disagree"): bar_form,
     }
     return checks[key, message]()
-
-
-def _iterate(f, x, times):
-    for _ in range(times):
-        x = f(x)
-    return x
 
 
 # Each per-element kernel, and the packed twin that verify ranks for it.
@@ -600,10 +596,10 @@ def test_a_routed_map_that_moves_0_fails_the_claim_at_its_element_and_shift(monk
 
 
 def test_eq9_additivity_on_f_1_catches_a_fault_at_shift_2(monkeypatch):
-    # f_2 is wrong at x = [2 4 1 3] only (two entries swapped), and the
-    # conjugation route is skipped, so only an algebraic check can see it.
-    # x(2) != 1, so the inverse rule at r = 1 never reads f_2 at x, and
-    # f_1 o f_1 = f_2 at r = 1 is the first check that does.
+    # f_2 is wrong at x = [2 4 1 3] only (two entries swapped).  eq9 fails
+    # at its toric form there.  With the form check stubbed off, eq9
+    # verifies, and the additivity oracle sees f_1 o f_1 != f_2 at x, the
+    # first (s, p) it reads that the fault touches.
     x = (2, 4, 1, 3)
 
     def faulty(a, r):
@@ -611,13 +607,18 @@ def test_eq9_additivity_on_f_1_catches_a_fault_at_shift_2(monkeypatch):
         return _swap_first_two(b) if (a, r) == (x, 2) else b
 
     monkeypatch.setattr(toric, "toric_images", _twin(faulty))
-    monkeypatch.setattr(toric, "_check_route", lambda *args, **context: None)
     r = run_claim("eq9", 4)
     assert r.status == "failed"
-    assert r.details == {"error": "toric shifts do not add"}
-    assert r.counterexample == {"p": "[2 4 1 3]", "r": "1", "s": "1"}
+    assert r.details == {"error": "defining forms disagree"}
+    assert r.counterexample == {"p": "[2 4 1 3]", "r": "2"}
     kernels = {"toric_image": faulty, "bar_f_image": bar_f_image, "reverse_image": reverse_image}
     assert not _identity_holds("eq9", r.details["error"], r.counterexample, kernels)
+    clear_cache()
+    monkeypatch.setattr(toric, "_check_route", lambda *args, **context: None)
+    assert run_claim("eq9", 4).status == "verified"
+    message, context = additivity_fault(4, toric_tables(4), "toric shifts do not add")
+    assert (message, context) == ("toric shifts do not add", {"p": Permutation(x), "r": 2})
+    assert faulty(faulty(x, 1), 1) != faulty(x, 2)
 
 
 # claim: (the packed twin it ranks, its kernel, the oracle route of toric_oracles)
@@ -809,9 +810,12 @@ def test_each_kernel_table_is_built_once_in_a_process(monkeypatch, n):
     monkeypatch.setattr(verify, "_worker_count", lambda: 1)
     assert {r.status for r in run_all(n)} == {"verified"}
     assert len(built) == len(set(built))
-    for name in ("toric_images", "bar_f_images"):
-        assert {(name, r, n) for r in range(n + 1)} <= set(built)
-    assert {("reverse_images", None, n), ("invert_images", None, n)} <= set(built)
+    assert {("bar_f_images", r, n) for r in range(n + 1)} <= set(built)
+    assert ("reverse_images", None, n) in built
+    # The toric and inversion twins are read through the forms, and ranked
+    # by no claim.
+    assert {name for name, r, m in built} == {"bar_f_images", "reverse_images"}
+    assert {twin.__name__ for _, twin, _ in toric._tables} == {"bar_f_images", "reverse_images"}
 
 
 @pytest.mark.parametrize("key", ["eq9", "eq13", "eq16", "gfg"])
@@ -821,13 +825,19 @@ def test_a_kernel_patched_after_a_warm_run_is_honoured(monkeypatch, key):
     monkeypatch.setattr(verify, "_worker_count", lambda: 1)
     assert all(r.status == "verified" for r in run_all(4) if r.claim in GROUP)
     names = {kernel.__name__ for n, kernel, r in toric._tables if n == 4}
-    assert names == {"toric_images", "bar_f_images", "reverse_images", "invert_images"}
+    assert names == {"bar_f_images", "reverse_images"}
+    held = {tuple(twin.__name__ for twin in kept[1:]) for kept in toric._held}
+    assert held == {("toric_images",), ("reverse_images",), ("bar_f_images", "invert_images")}
     name, faulty = FAULTY_KERNELS[key]
     # The same name as the kernel it replaces: only the object tells them apart.
     _plant(monkeypatch, name, wraps(getattr(toric, name))(faulty))
     r = run_claim(key, 4)
     assert r.status == "failed"
-    assert r.details["error"] == "kernel image is not a permutation"
+    # The B tables are ranked before their form is checked; the toric and
+    # reversal twins are checked against their forms alone.
+    ranked_first = name == "bar_f_images"
+    want = "kernel image is not a permutation" if ranked_first else "defining forms disagree"
+    assert r.details["error"] == want
 
 
 def test_clear_cache_empties_the_table_provider():
@@ -842,15 +852,19 @@ def test_clear_cache_empties_the_table_provider():
 
 def test_the_provider_keeps_the_tables_of_each_degree(monkeypatch):
     run_claim("eq16", 4)
-    run_claim("gfg", 5)
+    run_claim("cor5.11", 5)
+    run_claim("gfg", 6)
     assert {key[0] for key in toric._tables} == {4, 5}
+    assert {key[0] for key in toric._held} == {4, 5, 6}
 
     class Kept(dict):
         def __setitem__(self, key, table):
-            raise AssertionError("every table of degree 4 is kept")
+            raise AssertionError("every table of degrees 4 and 5 is kept")
 
     monkeypatch.setattr(toric, "_tables", Kept(toric._tables))
-    assert run_claim("eq16", 4).status == "verified"
+    monkeypatch.setattr(toric, "_check_route", None)  # every form is held
+    for key, n in (("eq16", 4), ("cor5.11", 5), ("gfg", 6)):
+        assert run_claim(key, n).status == "verified", key
 
 
 def _oracle_cor511(n):
@@ -925,17 +939,24 @@ def _eq12_kernels(n):
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_eq12_generator_reduction_agrees_with_the_all_pairs_sweep(monkeypatch, n):
-    # The conjugation route would reject every planted twin but the true
-    # one, so it is skipped: the verdict is the multiplicativity sweep's.
-    monkeypatch.setattr(toric, "_check_route", lambda *args, **context: None)
+    # The involution and generator-reduction oracles agree with the
+    # all-pairs sweep on every planted twin.  eq12 reads the reversal form,
+    # the stronger fact: it verifies on the true twin alone, and refuses
+    # the identity and the conjugation, which are multiplicative
+    # involutions too.
+    true = ranked(n, toric.reverse_images(n))
     for name, kernel in _eq12_kernels(n).items():
         clear_cache()
         monkeypatch.setattr(toric, "reverse_images", _twin0(kernel))
         r = run_claim("eq12", n)
-        holds = _oracle_eq12_holds(n, kernel)
-        assert (r.status == "verified") == holds, name
-        if holds:
+        rev = ranked(n, toric.reverse_images(n))
+        reduced = involution_fault(n, rev) is None and multiplicativity_fault(n, rev) is None
+        assert reduced == _oracle_eq12_holds(n, kernel), name
+        assert (r.status == "verified") == (rev == true), name
+        if rev == true:
             assert r.details == {"elements": factorial(n), "pairs": factorial(n) ** 2}
+        else:
+            assert r.details == {"error": "defining forms disagree"}, name
     assert {"reversal", "identity", "conjugation"} == {
         name for name, k in _eq12_kernels(4).items() if _oracle_eq12_holds(4, k)
     }
@@ -944,15 +965,15 @@ def test_eq12_generator_reduction_agrees_with_the_all_pairs_sweep(monkeypatch, n
 def test_toric_reverse_aut_fails_on_a_table_that_is_no_bijection(monkeypatch):
     # Every image is a permutation, but all of them the identity.  The
     # route check of the B twin refuses it first; with that check skipped,
-    # the bijection check of the dihedral tables does.
+    # the tables send T_n to the identity, outside T_n.
     monkeypatch.setattr(toric, "bar_f_images", _twin(lambda a, r: tuple(sorted(a))))
     assert run_claim("toric-reverse-aut", 4).details == {"error": "defining forms disagree"}
     clear_cache()
     monkeypatch.setattr(toric, "_check_route", lambda *args, **context: None)
     r = run_claim("toric-reverse-aut", 4)
     assert r.status == "failed"
-    assert r.details["error"] == "induced map is not a bijection"
-    assert r.counterexample == {"symmetry": "t^0"}
+    assert r.details["error"] == "induced map is not an automorphism"
+    assert r.counterexample == {"symmetry": "t^0", "t": str(sym_group(4)[1])}
 
 
 def test_cor511_fails_on_a_symmetry_table_that_is_no_bijection(monkeypatch):
@@ -970,15 +991,16 @@ def test_cor511_fails_on_a_symmetry_table_that_is_no_bijection(monkeypatch):
         return columns
 
     monkeypatch.setattr(toric, "bar_f_images", faulty)
-    # The route check of the B twin refuses it first; with that check
-    # skipped, the bijection check of the dihedral tables does.
+    # The route check of the B twin refuses it; it is the one guard: with
+    # that check skipped, the orbit labels of cor5.11 miss the fault, and
+    # only the B tables' additivity oracle sees it.
     assert run_claim("cor5.11", 5).counterexample == {"p": "[1 3 2 5 4]", "r": "1"}
     clear_cache()
     monkeypatch.setattr(toric, "_check_route", lambda *args, **context: None)
-    r = run_claim("cor5.11", 5)
-    assert r.status == "failed"
-    assert r.details["error"] == "induced map is not a bijection"
-    assert r.counterexample == {"symmetry": "t^1"}
+    assert run_claim("cor5.11", 5).status == "verified"
+    bar = b_tables(5)
+    assert len(set(bar[1])) < factorial(5)
+    assert additivity_fault(5, bar)[0] == "inverse-toric shifts do not add"
 
 
 # ---------------------------------------------------------------------------
@@ -1104,24 +1126,36 @@ def test_a_twin_that_breaks_the_rule_fails_both_claims_at_its_first_fault(monkey
 
 
 def test_the_b_table_checks_run_once_per_degree(monkeypatch):
-    # lemma4.3, prop4.4, skew-toric and eq13 read the one route check off
-    # the one provider of the B tables, which routes each shift once; at 7,
-    # cor5.11 and eq13 share it.
+    # The claims read the form checks of the toric, B and reversal twins
+    # off toric, which checks each once per degree: the two shift forms
+    # route each shift once, and the reversal form is one more check.
+    degree = {factorial(n): n for n in range(1, 9)}
+    keyed = {
+        "_check_shift_form": lambda args: args[0],
+        "_rotation_route": lambda args: len(args[0]) - 1,
+        "_check_route": lambda args: degree[len(args[2])],
+    }
     calls = Counter()
-    for name in ("_check_rotation_form", "_rotation_route"):
+    for name, key in keyed.items():
 
-        def counting(*args, check=getattr(toric, name), name=name):
-            calls[name, len(args[0]) - 1 if name == "_rotation_route" else args[0]] += 1
-            return check(*args)
+        def counting(*args, check=getattr(toric, name), name=name, key=key, **context):
+            calls[name, key(args)] += 1
+            return check(*args, **context)
 
         monkeypatch.setattr(toric, name, counting)
-    for key in ("lemma4.3", "prop4.4", "skew-toric", "eq13"):
+
+    def once(n):
+        shift_forms = {("_check_shift_form", n): 2, ("_rotation_route", n): 2 * (n + 1)}
+        return shift_forms | {("_check_route", n): 2 * (n + 1) + 1}
+
+    readers = ("lemma4.3", "prop4.4", "skew-toric", "eq13", "eq9", "gfg", "eq16", "eq12", "thm2")
+    for key in readers:
         assert run_claim(key, 4).status == "verified", key
-    assert calls == {("_check_rotation_form", 4): 1, ("_rotation_route", 4): 5}
+    assert calls == once(4)
     calls.clear()
-    for key in ("cor5.11", "eq13"):
+    for key in ("cor5.11", "eq13", "eq9", "gfg", "eq16"):
         assert run_claim(key, 7).status == "verified", key
-    assert calls == {("_check_rotation_form", 7): 1, ("_rotation_route", 7): 8}
+    assert calls == once(7)
 
 
 @pytest.mark.parametrize("n", [4, 7])
@@ -1139,21 +1173,21 @@ def test_a_cold_b_table_check_builds_each_shift_once(monkeypatch, n):
     clear_cache()
 
 
-def _one_wrong_image(n, r, rho):
-    """bar_f_images with entries 1 and 2 of the image of rho exchanged at
-    (n, r): every image is still a permutation."""
-    true = toric.bar_f_images
+def _wrong_at(twin, n, r, rho):
+    """twin with entries 1 and 2 of the image of rho exchanged at degree n
+    and shift r, or at degree n when r is None (a twin that takes no
+    shift): every image is still a permutation."""
 
-    def twin(m, s):
-        columns = true(m, s)
-        if (m, s % (m + 1)) != (n, r):
+    def faulty(m, *shift):
+        columns = twin(m, *shift)
+        if m != n or (r is not None and shift[0] % (m + 1) != r):
             return columns
         images = list(zip(*columns))
         i = sym_index(n)[rho.image]
         images[i] = _swap_first_two(images[i])
         return _packed(images)
 
-    return twin
+    return faulty
 
 
 @pytest.mark.parametrize(
@@ -1163,7 +1197,7 @@ def test_a_b_twin_wrong_at_one_element_fails_every_reader_naming_it(monkeypatch,
     # Each reader of the B tables fails at the route check, naming the
     # element and the shift, and bar_f_witness raises naming them.
     rho, r = sym_group(n)[17], 2
-    monkeypatch.setattr(toric, "bar_f_images", _one_wrong_image(n, r, rho))
+    monkeypatch.setattr(toric, "bar_f_images", _wrong_at(toric.bar_f_images, n, r, rho))
     for key in keys:
         report = run_claim(key, n)
         assert report.status == "failed", key
@@ -1179,7 +1213,7 @@ def test_the_oracle_sweeps_catch_that_twin_with_the_route_check_off(monkeypatch,
     # A mutation of the one check: with toric._check_route a no-op, lemma4.3
     # verifies on the wrong twin, and the oracle sweeps still catch it.
     rho, r = sym_group(n)[17], 2
-    monkeypatch.setattr(toric, "bar_f_images", _one_wrong_image(n, r, rho))
+    monkeypatch.setattr(toric, "bar_f_images", _wrong_at(toric.bar_f_images, n, r, rho))
     monkeypatch.setattr(toric, "_check_route", lambda *args, **context: None)
     assert run_claim("lemma4.3", n).status == "verified"
     bar = b_tables(n)
@@ -1196,6 +1230,86 @@ def test_the_oracle_sweeps_hold_on_the_true_twins(n):
     assert additivity_fault(n, bar) is None
 
 
+# ---------------------------------------------------------------------------
+# Section 3 from the conjugation forms of toric.toric_form,
+# toric.reverse_form and toric.bar_tables (eq9, eq12, eq13, gfg, eq16),
+# against the sweeps of tests/toric_oracles.py that they replaced.
+
+
+def _section3_faults(n):
+    """The first fault of each Section 3 oracle, or None, on rank tables of
+    the twins as they are planted now, read with no form check."""
+    tor, bar = toric_tables(n), b_tables(n)
+    inv = ranked(n, perms.invert_images(n))
+    rev = ranked(n, toric.reverse_images(n))
+    return {
+        "toric additivity": additivity_fault(n, tor, "toric shifts do not add"),
+        "inverse rule": inverse_rule_fault(n, tor, inv),
+        "involution": involution_fault(n, rev),
+        "multiplicativity": multiplicativity_fault(n, rev),
+        "definition route": definition_route_fault(n, bar, tor, inv),
+        "iteration": additivity_fault(n, bar),
+        "toric mirror": mirror_fault(n, tor, rev, "toric"),
+        "inverse-toric mirror": mirror_fault(n, bar, rev, "inverse-toric"),
+    }
+
+
+# Each twin of Section 3: the shift at which it is planted wrong (None for
+# the reversal twin), the claims that read its form, and the oracles that
+# read its tables.
+SECTION3_PLANTS = {
+    "toric_images": (
+        2,
+        ("eq9", "eq13", "gfg"),
+        {"toric additivity", "inverse rule", "definition route", "toric mirror"},
+    ),
+    "reverse_images": (
+        None,
+        ("eq12", "gfg", "eq16"),
+        {"involution", "multiplicativity", "toric mirror", "inverse-toric mirror"},
+    ),
+    "bar_f_images": (
+        2,
+        ("eq13", "eq16"),
+        {"definition route", "iteration", "inverse-toric mirror"},
+    ),
+}
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_the_section3_oracles_hold_on_the_true_twins(n):
+    assert _section3_faults(n) == dict.fromkeys(_section3_faults(n))
+
+
+@pytest.mark.parametrize("name", sorted(SECTION3_PLANTS))
+def test_each_section3_claim_fails_at_a_twin_wrong_at_one_element(monkeypatch, name):
+    # Each claim that reads the twin's form fails there, naming the element
+    # (and the shift).
+    rho, n = sym_group(5)[17], 5
+    r, keys, _ = SECTION3_PLANTS[name]
+    _plant(monkeypatch, name, _wrong_at(getattr(toric, name), n, r, rho))
+    fault = {"p": str(rho)} | ({} if r is None else {"r": str(r)})
+    for key in keys:
+        report = run_claim(key, n)
+        assert report.details == {"error": "defining forms disagree"}, key
+        assert report.counterexample == fault, key
+
+
+@pytest.mark.parametrize("name", sorted(SECTION3_PLANTS))
+def test_the_section3_oracles_catch_that_twin_with_the_form_check_off(monkeypatch, name):
+    # A mutation of the form checks: with toric._check_route a no-op, every
+    # claim verifies on the wrong twin, and the oracles that read the
+    # twin's tables, and no other, catch it.
+    rho, n = sym_group(5)[17], 5
+    r, keys, oracles = SECTION3_PLANTS[name]
+    _plant(monkeypatch, name, _wrong_at(getattr(toric, name), n, r, rho))
+    monkeypatch.setattr(toric, "_check_route", lambda *args, **context: None)
+    for key in keys:
+        assert run_claim(key, n).status == "verified", key
+    faults = _section3_faults(n)
+    assert {oracle for oracle, fault in faults.items() if fault is not None} == oracles
+
+
 def test_one_planted_b_table_fails_every_claim_that_reads_it(monkeypatch):
     # bar_f_1 with the images of the last two elements exchanged, at every
     # degree, planted once: still a bijection.  thm7.3 reads B[5] alone.
@@ -1209,10 +1323,12 @@ def test_one_planted_b_table_fails_every_claim_that_reads_it(monkeypatch):
 
 # Each packed twin but the B twin: the shift at which it is planted wrong
 # (None for a twin without one), and the claims that must see the fault.
+# The inversion twin is read by the rotation form of the B twin, which its
+# readers check; eq9 reads the toric form alone, which needs no inverse.
 TWIN_READERS = {
     "toric_images": (3, ("eq9", "gfg", "eq13")),
     "reverse_images": (None, ("eq12", "gfg", "eq16", "cor5.11", "thm2", "toric-reverse-aut")),
-    "invert_images": (None, ("eq9", "eq13", "skew-toric", "lemma4.3", "prop4.4")),
+    "invert_images": (None, ("eq13", "skew-toric", "lemma4.3", "prop4.4")),
 }
 
 
@@ -1315,6 +1431,8 @@ def test_example71_fails_when_its_witness_reads_the_next_slot(monkeypatch, field
     r = run_claim("example7.1")
     assert r.status == "failed"
     assert r.details == {"error": message}
+    # Either way the witness differs from the B table first at rank 0.
+    assert r.counterexample == {"p": "[1 2 3]"}
 
 
 # ---------------------------------------------------------------------------
@@ -1441,6 +1559,13 @@ def test_toric_reverse_aut_fails_on_a_reversal_that_leaves_t_n(monkeypatch, n):
         return _packed(swapped)
 
     monkeypatch.setattr(toric, "reverse_images", faulty)
+    # The reversal form refuses the twin first, at the lower of the two
+    # ranks; the check skipped, the tables send t outside T_n.
+    r = run_claim("toric-reverse-aut", n)
+    assert r.details == {"error": "defining forms disagree"}
+    assert r.counterexample == {"p": str(sym_group(n)[min(t, j)])}
+    clear_cache()
+    monkeypatch.setattr(toric, "_check_route", lambda *args, **context: None)
     assert not all(_oracle_dihedral_automorphisms(n))
     r = run_claim("toric-reverse-aut", n)
     assert r.status == "failed"
@@ -1514,6 +1639,19 @@ def test_cor32_names_the_block_transposition_a_wrong_reversal_misses(monkeypatch
     assert r.details == {"error": "reversal does not preserve the set"}
     assert r.counterexample == {"p": str(Permutation(true(x.image)))}
     assert r.counterexample == {"p": "[5 1 2 3 4]"}
+
+
+def test_cor32_names_the_block_transposition_a_wrong_toric_map_misses(monkeypatch):
+    # f_1 fixes x = [2 3 4 5 1] where it should send it to f_1(x): every
+    # image is still a block transposition, but none is f_1(x).
+    x = (2, 3, 4, 5, 1)
+    true = toric.toric_image
+    monkeypatch.setattr(toric, "toric_image", lambda a, r: a if (a, r) == (x, 1) else true(a, r))
+    r = run_claim("cor3.2", 5)
+    assert r.status == "failed"
+    assert r.details == {"error": "toric map does not preserve the set"}
+    assert r.counterexample == {"p": str(Permutation(true(x, 1))), "r": "1"}
+    assert r.counterexample == {"p": "[1 2 3 5 4]", "r": "1"}
 
 
 @pytest.mark.parametrize("key", ["lemma6.3", "lemma6.4"])

@@ -7,10 +7,14 @@ toric and inverse-toric maps, the identity and inverse of the dihedral
 normal form, the pointwise action of L_h o bar_f_r, both sides of the skew
 identity of bar_f_r, the sweeps of the product rule and of additivity on
 the B tables that toric.bar_tables derives from the rotation form (and
-those tables read without its check), a
-skew-morphism decision by full left-multiplication rows, the skew-morphism
-witness of bar_f_r read off a regular Cayley map, and the toric class
-census by one orbit per class.
+those tables read without its check), the Section 3 sweeps that the
+claims eq9, eq12, eq13, gfg and eq16 derive from the conjugation forms of
+toric.toric_form, toric.reverse_form and toric.bar_tables (additivity and
+the inverse rule of the toric tables, involution and multiplicativity of
+the reversal table, the definition route, and both mirror rules, on
+tables ranked with no form check), a skew-morphism decision by full
+left-multiplication rows, the skew-morphism witness of bar_f_r read off a
+regular Cayley map, and the toric class census by one orbit per class.
 The tests check the package's kernels, tables and witnesses against them.
 """
 
@@ -22,6 +26,7 @@ from btcayley.blocktrans import CutPoints, make_bt
 from btcayley.maps import CayleyMap, SkewMorphismWitness, is_regular
 from btcayley.perms import (
     Permutation,
+    _lift_columns,
     _rank_columns,
     _restrict,
     _wrap,
@@ -135,17 +140,115 @@ def product_rule_fault(n: int, bar) -> tuple[str, dict] | None:
     return None
 
 
-def additivity_fault(n: int, bar) -> tuple[str, dict] | None:
-    """The first fault ("inverse-toric shifts do not add", naming p, and s as
-    r) of B[0] = id and B[s] = B[1] o B[s-1] for s = 1..n+1, read mod n+1,
-    or None.  So B[s] = B[1]^s, and the wrap-around step makes each a
-    bijection (tables with B[r] = iota for every r >= 1 pass the others)."""
+def _first(images, lhs, rhs, message, **context):
+    """(message, p and context) at the first rank where two tables differ, or None."""
+    rank = _miss(lhs, rhs)
+    return None if rank is None else (message, {"p": _wrap(images[rank])} | context)
+
+
+def additivity_fault(
+    n: int, bar, message: str = "inverse-toric shifts do not add"
+) -> tuple[str, dict] | None:
+    """The first fault (message, naming p, and s as r) of B[0] = id and
+    B[s] = B[1] o B[s-1] for s = 1..n+1, read mod n+1, or None.  So B[s] =
+    B[1]^s, and the wrap-around step makes each a bijection (tables with
+    B[r] = iota for every r >= 1 pass the others).  bar is the B tables,
+    where this is additivity and the iteration of eq13, or the toric tables
+    of toric_tables, where it is the additivity of eq9 (message "toric
+    shifts do not add")."""
     m = n + 1
     images = list(sym_index(n))
     for s in range(m + 1):
         want = compose_maps(bar[1], bar[s - 1]) if s else tuple(range(len(images)))
-        if (rank := _miss(bar[s % m], want)) is not None:
-            return "inverse-toric shifts do not add", {"p": _wrap(images[rank]), "r": s % m}
+        if fault := _first(images, bar[s % m], want, message, r=s % m):
+            return fault
+    return None
+
+
+def ranked(n: int, columns) -> tuple[int, ...]:
+    """The rank table of a packed twin's columns, with no check of any form."""
+    return tuple(map(sym_index(n).__getitem__, zip(*columns)))
+
+
+def toric_tables(n: int) -> list[tuple[int, ...]]:
+    """The rank tables T[0..n] of toric.toric_images, taken when this runs."""
+    return [ranked(n, toric.toric_images(n, r)) for r in range(n + 1)]
+
+
+def inverse_rule_fault(n: int, tor, inv) -> tuple[str, dict] | None:
+    """The first fault, sweeping r, then p by rank, of (f_r(p))^-1 =
+    f_(p_r)(p^-1), tor the toric tables and inv the rank table of
+    perms.invert_images; the shift p_r varies with p, and is read off lift
+    column r."""
+    images = list(sym_index(n))
+    points = _lift_columns(n)
+    for r, t in enumerate(tor):
+        mirrored = tuple(map(getitem, map(tor.__getitem__, points[r]), inv))
+        message = "inverse of a toric image is not the mirrored toric image"
+        if fault := _first(images, compose_maps(inv, t), mirrored, message, r=r):
+            return fault
+    return None
+
+
+def involution_fault(n: int, rev) -> tuple[str, dict] | None:
+    """The first p, by rank, with g(g(p)) != p, rev the reversal table."""
+    images = list(sym_index(n))
+    ident = tuple(range(len(rev)))
+    return _first(images, compose_maps(rev, rev), ident, "reversal is not an involution")
+
+
+def multiplicativity_fault(n: int, rev) -> tuple[str, dict] | None:
+    """The first fault ("reversal is not multiplicative", naming rho, and an
+    adjacent transposition s as pi) of g(rho o pi) = g(rho) o g(pi), or
+    None when it holds for every pair (rho, pi) of Sym_n; rev is the
+    reversal table, and the sweep runs over s, then rho by rank.
+
+    col_b[i] is the rank of (element i) o b.  For each of the n-1 adjacent
+    transpositions s, R o col_s == col_g(s) o R is g(rho o s) = g(rho) o
+    g(s) for every rho at once, since sym_index is a bijection.  That
+    covers every pair, by induction on the length of pi as a word in the s:
+    - Length 0: with rho = iota the check reads g(s) = g(iota) o g(s), so
+      g(iota) = iota, and g(rho o iota) = g(rho) o g(iota) for every rho.
+    - Length k > 0: pi = pi' o s with s adjacent and pi' of length k-1, and
+      for every rho
+          g(rho o pi) = g(rho o pi') o g(s)        (the check at rho o pi')
+                      = g(rho) o g(pi') o g(s)     (induction)
+                      = g(rho) o g(pi' o s)        (the check at pi').
+    The columns of the s and g(s) come from perms._rank_columns.
+    """
+    idx = sym_index(n)
+    images = list(idx)
+    adjacent = adjacent_transpositions(n)
+    mirrors = [images[rev[idx[s]]] for s in adjacent]
+    columns = _rank_columns(n, adjacent + mirrors)
+    for s, col_s, col_gs in zip(adjacent, columns, columns[n - 1 :]):
+        rank = _miss(compose_maps(rev, col_s), compose_maps(col_gs, rev))
+        if rank is not None:
+            return "reversal is not multiplicative", {"rho": _wrap(images[rank]), "pi": _wrap(s)}
+    return None
+
+
+def definition_route_fault(n: int, bar, tor, inv) -> tuple[str, dict] | None:
+    """The first fault, sweeping r, then p by rank, of bar_f_r(p) =
+    (f_r(p^-1))^-1, read as the table inv o T[r] o inv against B[r]."""
+    images = list(sym_index(n))
+    for r, (b, t) in enumerate(zip(bar, tor)):
+        route = compose_maps(inv, compose_maps(t, inv))
+        if fault := _first(images, route, b, "inverse-toric route broke", r=r):
+            return fault
+    return None
+
+
+def mirror_fault(n: int, tables, rev, kind: str) -> tuple[str, dict] | None:
+    """The first fault, sweeping r, then p by rank, of the mirror rule
+    g o T_r o g = T_(-r), tables the T[r] of the toric or B twin (kind
+    "toric" or "inverse-toric") and rev the reversal table."""
+    images = list(sym_index(n))
+    message = f"conjugated {kind} map is not the mirror shift"
+    for r, t in enumerate(tables):
+        mirrored = compose_maps(rev, compose_maps(t, rev))
+        if fault := _first(images, mirrored, tables[-r], message, r=r):
+            return fault
     return None
 
 
